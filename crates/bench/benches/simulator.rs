@@ -1,5 +1,6 @@
-//! Criterion: raw simulator throughput — interpretation rate of memory-
-//! and compute-heavy kernels, with the oracle executor for comparison.
+//! Criterion: raw simulator throughput on memory- and compute-heavy
+//! kernels — the production (compiled) executor beside the reference
+//! interpreter, with the stencil oracle for scale.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gpu_codegen::{generate_hybrid, CodegenOptions, SmemStrategy};
@@ -29,15 +30,22 @@ fn bench(c: &mut Criterion) {
         ("global_only", SmemStrategy::GlobalOnly),
         ("shared_dynamic", SmemStrategy::ReuseDynamic),
     ] {
+        let opts = CodegenOptions {
+            smem,
+            aligned_loads: false,
+            unroll: true,
+        };
+        let plan =
+            generate_hybrid(&program, &TileParams::new(2, &[3, 8]), &dims, steps, opts).unwrap();
+        let init = vec![Grid::random(&dims, 3)];
         g.bench_function(format!("gpusim/jacobi2d_{name}"), |b| {
-            let opts = CodegenOptions {
-                smem,
-                aligned_loads: false,
-                unroll: true,
-            };
-            let plan = generate_hybrid(&program, &TileParams::new(2, &[3, 8]), &dims, steps, opts)
-                .unwrap();
-            let init = vec![Grid::random(&dims, 3)];
+            b.iter(|| {
+                let mut sim = GpuSim::new(DeviceConfig::gtx470(), &init, 2);
+                sim.run_plan_compiled(&plan);
+                sim.counters().flops
+            })
+        });
+        g.bench_function(format!("gpusim_reference/jacobi2d_{name}"), |b| {
             b.iter(|| {
                 let mut sim = GpuSim::new(DeviceConfig::gtx470(), &init, 2);
                 sim.run_plan(&plan);

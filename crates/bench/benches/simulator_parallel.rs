@@ -1,8 +1,8 @@
-//! Criterion: block-parallel executor scaling — the same jacobi2d plan on
-//! the sequential path and on worker pools of 2, 4 and 8 threads. The
-//! parallel samples must agree with the sequential counters bit-for-bit
-//! (asserted inside the loop), so this bench doubles as a determinism
-//! smoke check under `--test`.
+//! Criterion: production-executor scaling — the same jacobi2d plan on
+//! worker pools of 1, 2, 4 and 8 threads, beside the reference
+//! interpreter. Every sample must agree with the reference counters
+//! bit-for-bit (asserted inside the loop), so this bench doubles as a
+//! determinism smoke check under `--test`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gpu_codegen::{generate_hybrid, CodegenOptions};
@@ -33,7 +33,7 @@ fn bench(c: &mut Criterion) {
     reference.run_plan(&plan);
     let expected = *reference.counters();
 
-    g.bench_function("sequential", |b| {
+    g.bench_function("reference", |b| {
         b.iter(|| {
             let mut sim = GpuSim::new(DeviceConfig::gtx470(), &init, 2);
             sim.run_plan(&plan);
@@ -41,7 +41,7 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    for threads in [2usize, 4, 8] {
+    for threads in [1usize, 2, 4, 8] {
         g.bench_function(format!("parallel_{threads}threads"), |b| {
             b.iter(|| {
                 let mut sim = GpuSim::new(DeviceConfig::gtx470(), &init, 2);

@@ -1,28 +1,30 @@
-//! Simulator-backed tile-size autotuning and the sequential-vs-parallel
-//! speedup measurement behind `BENCH_autotune.json`.
+//! Simulator-backed tile-size autotuning and the executor measurements
+//! behind `BENCH_autotune.json`.
 //!
 //! The sweep itself lives in [`hybrid_tiling::tilesize::autotune`] (which
 //! cannot depend on the simulator); this module supplies the missing
 //! half: a scorer that generates the hybrid kernels for each candidate,
-//! interprets them on the block-parallel [`GpuSim`], and returns simulated
-//! GStencils/s — plus wall-clock instrumentation comparing the sequential
-//! and parallel executors on the Table-3 gallery.
+//! runs them on the block-parallel [`GpuSim`], and returns simulated
+//! GStencils/s — plus wall-clock instrumentation on the Table-3 gallery:
+//! the production executor at one worker vs. many, and the reference
+//! interpreter vs. the compiled executor.
 
 use std::time::Instant;
 
 use gpu_codegen::hybrid_gen::alignment_offset_words;
+use gpu_codegen::ir::LaunchPlan;
 use gpu_codegen::{generate_hybrid, CodegenOptions};
-use gpusim::{timing, DeviceConfig, GpuSim};
+use gpusim::{timing, Counters, DeviceConfig, GpuSim};
 use hybrid_tiling::cancel::CancelToken;
 use hybrid_tiling::tilesize::autotune::{
     autotune, autotune_parallel_cancellable, split_thread_budget, AutotuneConfig, AutotuneReport,
     Fidelity,
 };
 use hybrid_tiling::{SearchSpace, TileParams};
-use stencil::{Grid, StencilProgram};
+use stencil::StencilProgram;
 
 use crate::driver::PROXY_KEEP_FRAC;
-use crate::{hybrid_params, point_updates};
+use crate::{hybrid_params, loaded_sim, random_init};
 
 /// Small workload used to score autotune candidates: large enough that
 /// tile-grid geometry matters, small enough that a full (unsampled)
@@ -110,13 +112,9 @@ pub fn simulate_score_with(
         return None;
     }
     let align = alignment_offset_words(program, params, &opts);
-    let init: Vec<Grid> = (0..program.num_fields())
-        .map(|f| Grid::random(dims, 7 + f as u64))
-        .collect();
-    let planes = program.max_dt() as usize + 1;
-    let mut sim = GpuSim::with_global_offset(device.clone(), &init, planes, align);
+    let init = random_init(program, dims, 7);
+    let mut sim = loaded_sim(program, device, &init, align, steps);
     sim.run_plan_parallel_with(&plan, threads);
-    sim.set_point_updates(point_updates(program, dims, steps));
     Some(timing::gstencils_per_s(sim.counters(), sim.device()))
 }
 
@@ -354,22 +352,22 @@ pub fn race_gate_sample(
     }
 }
 
-/// Wall-clock comparison of one plan on the sequential vs. the parallel
-/// executor, with a bit-exactness cross-check of the merged counters.
+/// Wall-clock comparison of one plan on the production executor at one
+/// worker vs. `threads` workers, cross-checked bit-exact.
 #[derive(Clone, Debug)]
 pub struct SpeedupSample {
     /// Stencil name.
     pub stencil: String,
-    /// Sequential `run_plan` wall time in seconds.
+    /// `run_plan_parallel_with(plan, 1)` wall time in seconds.
     pub seq_seconds: f64,
-    /// Parallel `run_plan_parallel_with` wall time in seconds.
+    /// `run_plan_parallel_with(plan, threads)` wall time in seconds.
     pub par_seconds: f64,
     /// Thread-block launches executed (workload size indicator).
     pub launches: u64,
 }
 
 impl SpeedupSample {
-    /// Sequential time over parallel time (> 1 means parallel wins).
+    /// One-worker time over `threads`-worker time (> 1 means the pool wins).
     pub fn speedup(&self) -> f64 {
         if self.par_seconds <= 0.0 {
             return 1.0;
@@ -391,16 +389,66 @@ pub fn speedup_workload(program: &StencilProgram, smoke: bool) -> (Vec<usize>, u
     }
 }
 
-/// Measures the sequential and parallel executors on one program's hybrid
-/// plan (default tile parameters), asserting that both produce identical
-/// counters before reporting times. Each executor runs `repeats` times and
-/// the **minimum** (least-noise) wall time is reported, so a single
-/// noisy-neighbor stall on a shared CI runner cannot flip a speedup gate.
+/// Times two executor entries against each other on one program's hybrid
+/// plan (default tile parameters, [`speedup_workload`]): each runs
+/// `repeats` times on a freshly loaded simulator and the **minimum**
+/// (least-noise) wall time is kept, so a single noisy-neighbor stall on a
+/// shared CI runner cannot flip a gate. Returns `(a_seconds, b_seconds,
+/// counters)`.
 ///
 /// # Panics
 ///
-/// Panics if the two executors disagree — the speedup of a wrong answer
-/// is not worth reporting.
+/// Panics if the two entries disagree on counters or grids — the speed of
+/// a wrong answer is not worth reporting.
+fn race_executors(
+    program: &StencilProgram,
+    device: &DeviceConfig,
+    smoke: bool,
+    repeats: usize,
+    a: impl Fn(&mut GpuSim, &LaunchPlan),
+    b: impl Fn(&mut GpuSim, &LaunchPlan),
+) -> (f64, f64, Counters) {
+    let params = hybrid_params(program);
+    let opts = CodegenOptions::best();
+    let (dims, steps) = speedup_workload(program, smoke);
+    let plan = generate_hybrid(program, &params, &dims, steps, opts)
+        .expect("default hybrid parameters are schedulable for gallery stencils");
+    let align = alignment_offset_words(program, &params, &opts);
+    let init = random_init(program, &dims, 7);
+    let timed = |run: &dyn Fn(&mut GpuSim, &LaunchPlan), best: &mut f64| {
+        let t0 = Instant::now();
+        let mut sim = loaded_sim(program, device, &init, align, steps);
+        run(&mut sim, &plan);
+        *best = best.min(t0.elapsed().as_secs_f64());
+        sim
+    };
+    let (mut a_seconds, mut b_seconds) = (f64::INFINITY, f64::INFINITY);
+    let mut counters = Counters::default();
+    for _ in 0..repeats.max(1) {
+        let sim_a = timed(&a, &mut a_seconds);
+        let sim_b = timed(&b, &mut b_seconds);
+        assert_eq!(
+            sim_b.counters(),
+            sim_a.counters(),
+            "{}: executor counters diverged",
+            program.name()
+        );
+        for f in 0..program.num_fields() {
+            for p in 0..=program.max_dt() as usize {
+                assert!(
+                    sim_b.plane(f, p).bit_equal(sim_a.plane(f, p)),
+                    "{}: executor grids diverged (field {f} plane {p})",
+                    program.name()
+                );
+            }
+        }
+        counters = *sim_b.counters();
+    }
+    (a_seconds, b_seconds, counters)
+}
+
+/// Measures the production executor at one worker against `threads`
+/// workers (`race_executors`): what the thread pool buys, nothing else.
 pub fn measure_speedup(
     program: &StencilProgram,
     device: &DeviceConfig,
@@ -408,45 +456,19 @@ pub fn measure_speedup(
     smoke: bool,
     repeats: usize,
 ) -> SpeedupSample {
-    let repeats = repeats.max(1);
-    let params = hybrid_params(program);
-    let opts = CodegenOptions::best();
-    let (dims, steps) = speedup_workload(program, smoke);
-    let plan = generate_hybrid(program, &params, &dims, steps, opts)
-        .expect("default hybrid parameters are schedulable for gallery stencils");
-    let align = alignment_offset_words(program, &params, &opts);
-    let init: Vec<Grid> = (0..program.num_fields())
-        .map(|f| Grid::random(&dims, 7 + f as u64))
-        .collect();
-    let planes = program.max_dt() as usize + 1;
-
-    let mut seq_seconds = f64::INFINITY;
-    let mut par_seconds = f64::INFINITY;
-    let mut launches = 0;
-    for _ in 0..repeats {
-        let t0 = Instant::now();
-        let mut seq = GpuSim::with_global_offset(device.clone(), &init, planes, align);
-        seq.run_plan(&plan);
-        seq_seconds = seq_seconds.min(t0.elapsed().as_secs_f64());
-
-        let t1 = Instant::now();
-        let mut par = GpuSim::with_global_offset(device.clone(), &init, planes, align);
-        par.run_plan_parallel_with(&plan, threads);
-        par_seconds = par_seconds.min(t1.elapsed().as_secs_f64());
-
-        assert_eq!(
-            par.counters(),
-            seq.counters(),
-            "{}: parallel executor diverged from sequential",
-            program.name()
-        );
-        launches = seq.counters().launches;
-    }
+    let (seq_seconds, par_seconds, counters) = race_executors(
+        program,
+        device,
+        smoke,
+        repeats,
+        |sim, plan| sim.run_plan_parallel_with(plan, 1),
+        |sim, plan| sim.run_plan_parallel_with(plan, threads),
+    );
     SpeedupSample {
         stencil: program.name().to_string(),
         seq_seconds,
         par_seconds,
-        launches,
+        launches: counters.launches,
     }
 }
 
@@ -496,69 +518,27 @@ impl ExecThroughputSample {
     }
 }
 
-/// Measures the interpreting and compiled executors on one program's
-/// hybrid plan (default tile parameters, same workload as
-/// [`measure_speedup`]), asserting grids *and* counters bit-exact before
-/// reporting times. Each executor runs `repeats` times and the
-/// **minimum** wall time is reported, so a noisy CI neighbor cannot flip
-/// the compiled-vs-interpreted gate.
-///
-/// # Panics
-///
-/// Panics if the compiled executor diverges from the `run_plan` oracle —
-/// the speed of a wrong answer is not worth reporting.
+/// Measures the reference interpreter against the compiled executor on
+/// one worker (`race_executors`, same workload as [`measure_speedup`]).
 pub fn measure_exec_throughput(
     program: &StencilProgram,
     device: &DeviceConfig,
     smoke: bool,
     repeats: usize,
 ) -> ExecThroughputSample {
-    let repeats = repeats.max(1);
-    let params = hybrid_params(program);
-    let opts = CodegenOptions::best();
-    let (dims, steps) = speedup_workload(program, smoke);
-    let plan = generate_hybrid(program, &params, &dims, steps, opts)
-        .expect("default hybrid parameters are schedulable for gallery stencils");
-    let align = alignment_offset_words(program, &params, &opts);
-    let init: Vec<Grid> = (0..program.num_fields())
-        .map(|f| Grid::random(&dims, 7 + f as u64))
-        .collect();
-    let planes = program.max_dt() as usize + 1;
-
-    let mut interpreted_seconds = f64::INFINITY;
-    let mut compiled_seconds = f64::INFINITY;
-    for _ in 0..repeats {
-        let t0 = Instant::now();
-        let mut interp = GpuSim::with_global_offset(device.clone(), &init, planes, align);
-        interp.run_plan(&plan);
-        interpreted_seconds = interpreted_seconds.min(t0.elapsed().as_secs_f64());
-
-        let t1 = Instant::now();
-        let mut comp = GpuSim::with_global_offset(device.clone(), &init, planes, align);
-        comp.run_plan_compiled(&plan);
-        compiled_seconds = compiled_seconds.min(t1.elapsed().as_secs_f64());
-
-        assert_eq!(
-            comp.counters(),
-            interp.counters(),
-            "{}: compiled executor counters diverged from run_plan oracle",
-            program.name()
-        );
-        for f in 0..program.num_fields() {
-            for p in 0..planes {
-                assert!(
-                    comp.plane(f, p).bit_equal(interp.plane(f, p)),
-                    "{}: compiled executor grid diverged (field {f} plane {p})",
-                    program.name()
-                );
-            }
-        }
-    }
+    let (interpreted_seconds, compiled_seconds, counters) = race_executors(
+        program,
+        device,
+        smoke,
+        repeats,
+        |sim, plan| sim.run_plan(plan),
+        |sim, plan| sim.run_plan_compiled(plan),
+    );
     ExecThroughputSample {
         stencil: program.name().to_string(),
         interpreted_seconds,
         compiled_seconds,
-        points: point_updates(program, &dims, steps),
+        points: counters.point_updates,
     }
 }
 

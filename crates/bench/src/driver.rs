@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use gpu_codegen::hybrid_gen::alignment_offset_words;
 use gpu_codegen::{generate_hybrid, BackendKind, CodegenOptions};
-use gpusim::{timing, DeviceConfig, GpuSim};
+use gpusim::{timing, DeviceConfig};
 use hybrid_tiling::cancel::{CancelKind, CancelToken};
 use hybrid_tiling::tilesize::autotune::{
     autotune_parallel_cancellable, estimated_regs_per_block, split_thread_budget, AutotuneConfig,
@@ -54,11 +54,11 @@ use hybrid_tiling::tilesize::{evaluate_tile, TileSizeModel};
 use hybrid_tiling::TileParams;
 use stencil::characteristics::{flop_count, load_count};
 use stencil::parse::{parse_stencil, ParseError};
-use stencil::{Grid, ReferenceExecutor, StencilProgram};
+use stencil::{ReferenceExecutor, StencilProgram};
 
 use crate::autotune::{autotune_workload, proxy_workload, simulate_score_with, sweep_space};
 use crate::json::Json;
-use crate::point_updates;
+use crate::{loaded_sim, random_init};
 
 /// How tile sizes are scored during planning.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -1321,9 +1321,24 @@ fn load_cached_params(
     Some(TileParams::new(h, &w))
 }
 
-/// Persists a freshly chosen plan. Written atomically (temp file +
-/// rename) so concurrent batch workers can only ever observe complete
-/// entries.
+/// Writes `contents` to `path` through a uniquely named sibling temp file
+/// and a `rename`, so concurrent readers and writers of one path only
+/// ever observe a complete file.
+fn write_atomic(path: &Path, contents: &str) -> Result<(), DriverError> {
+    static TMP_SEQ: AtomicUsize = AtomicUsize::new(0);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".tmp{}-{}",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    fs::write(&tmp, contents).map_err(|e| DriverError::Io(format!("{}: {e}", tmp.display())))?;
+    fs::rename(&tmp, path).map_err(|e| DriverError::Io(format!("{}: {e}", path.display())))
+}
+
+/// Persists a freshly chosen plan, atomically ([`write_atomic`]): concurrent
+/// batch workers can only ever observe complete entries.
 fn store_cached_params(
     dir: &Path,
     fp: &str,
@@ -1356,17 +1371,7 @@ fn store_cached_params(
         ),
         ("score", Json::Num(score)),
     ]);
-    static TMP_SEQ: AtomicUsize = AtomicUsize::new(0);
-    let path = dir.join(format!("{fp}.json"));
-    let tmp = dir.join(format!(
-        "{fp}.json.tmp{}-{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    fs::write(&tmp, entry.render())
-        .map_err(|e| DriverError::Io(format!("{}: {e}", tmp.display())))?;
-    fs::rename(&tmp, &path).map_err(|e| DriverError::Io(format!("{}: {e}", path.display())))?;
-    Ok(())
+    write_atomic(&dir.join(format!("{fp}.json")), &entry.render())
 }
 
 /// Execution workload for one program: the explicit override, or a small
@@ -1599,7 +1604,9 @@ fn choose_params(
 }
 
 /// Emits the source (and, if the backend has one, secondary) artifact
-/// for `plan` and returns the paths. Filenames carry a fingerprint
+/// for `plan` and returns the paths. Each file is written atomically
+/// ([`write_atomic`]): concurrent requests for one fingerprint re-emit
+/// the same path. Filenames carry a fingerprint
 /// prefix (`<name>-<fp8>.<ext>`) so concurrent serve requests compiling
 /// *different* programs under the same name land on distinct files —
 /// two writers on one path would race and a response could otherwise
@@ -1630,13 +1637,11 @@ fn emit_artifacts(
         program.name(),
         backend.source_extension()
     ));
-    fs::write(&source_path, source)
-        .map_err(|e| DriverError::Io(format!("{}: {e}", source_path.display())))?;
+    write_atomic(&source_path, &source)?;
     let aux_path = match (backend.emit_aux(plan), backend.aux_extension()) {
         (Some(aux), Some(ext)) => {
             let path = cfg.out_dir.join(format!("{}-{tag}.{ext}", program.name()));
-            fs::write(&path, aux)
-                .map_err(|e| DriverError::Io(format!("{}: {e}", path.display())))?;
+            write_atomic(&path, &aux)?;
             Some(path)
         }
         _ => None,
@@ -1850,28 +1855,20 @@ pub fn compile_source_with(
     // Execute the plan on the simulator (stage boundary: a fired
     // deadline stops here rather than entering a long simulation).
     check_cancel(&cfg.cancel, &name)?;
-    let planes = program.max_dt() as usize + 1;
     let align = alignment_offset_words(&program, &params, &cfg.opts);
-    let init: Vec<Grid> = (0..program.num_fields())
-        .map(|f| Grid::random(&dims, 1234 + f as u64))
-        .collect();
-    let mut sim = GpuSim::with_global_offset(cfg.device.clone(), &init, planes, align);
-    if cfg.sim_threads > 1 {
-        // A schedule that violates concurrent-tile independence is a
-        // per-stencil verification failure, never a dead batch/service.
-        sim.try_run_plan_parallel_with(&plan, cfg.sim_threads)
-            .map_err(|e| DriverError::Verify(format!("{name}: {e}")))?;
-    } else {
-        sim.run_plan(&plan);
-    }
-    sim.set_point_updates(point_updates(&program, &dims, steps));
+    let init = random_init(&program, &dims, 1234);
+    let mut sim = loaded_sim(&program, &cfg.device, &init, align, steps);
+    // A schedule that violates concurrent-tile independence is a
+    // per-stencil verification failure, never a dead batch/service.
+    sim.try_run_plan_parallel_with(&plan, cfg.sim_threads)
+        .map_err(|e| DriverError::Verify(format!("{name}: {e}")))?;
 
     // Bit-exact verification against the sequential oracle.
     check_cancel(&cfg.cancel, &name)?;
     let verified = if cfg.verify {
         let mut oracle = ReferenceExecutor::new(&program, &init);
         oracle.run(steps);
-        let out = steps % planes;
+        let out = steps % (program.max_dt() as usize + 1);
         for f in 0..program.num_fields() {
             if !sim.plane(f, out).bit_equal(oracle.field(f)) {
                 return Err(DriverError::Verify(format!(
@@ -1933,7 +1930,7 @@ pub fn compile_source_with(
 
 /// Renders a caught panic payload (the `&str`/`String` forms `panic!`
 /// produces; anything else degrades to a fixed message).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -2189,6 +2186,35 @@ for (t = 0; t < T; t++)
         assert_eq!(second.examined, 0);
         assert_eq!(second.params, first.params);
         assert_eq!(second.fingerprint, first.fingerprint);
+
+        // Artifacts and cache entries go through `write_atomic`: neither
+        // the miss nor the re-emitting hit leaves a temp file behind.
+        for dir in [&cfg.out_dir, cfg.cache_dir.as_ref().unwrap()] {
+            for entry in fs::read_dir(dir).unwrap() {
+                let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+                assert!(!name.contains(".tmp"), "{}: stray {name}", dir.display());
+            }
+        }
+    }
+
+    #[test]
+    fn outcome_is_independent_of_sim_threads() {
+        // One executor at every worker count: the numbers a request
+        // reports cannot depend on how many threads simulated it.
+        let dir = scratch("threads");
+        let file = write_stencil(&dir, "jacobi.stencil", JACOBI);
+        let compile = |sim_threads: usize| {
+            let cfg = DriverConfig {
+                sim_threads,
+                ..smoke_cfg(dir.join("out"))
+            };
+            let o = compile_file(&file, &cfg).unwrap();
+            (o.gstencils, o.seconds, o.launches, o.smem_bytes, o.verified)
+        };
+        let one = compile(1);
+        assert!(one.4, "verified at one worker");
+        assert_eq!(compile(2), one);
+        assert_eq!(compile(8), one);
     }
 
     #[test]

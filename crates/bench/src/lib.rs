@@ -141,6 +141,32 @@ pub fn point_updates(program: &StencilProgram, dims: &[usize], steps: usize) -> 
     interior * program.num_statements() as u64 * steps as u64
 }
 
+/// Deterministic random initial grids, one per field of `program`
+/// (field `f` is seeded `seed + f`).
+pub fn random_init(program: &StencilProgram, dims: &[usize], seed: u64) -> Vec<Grid> {
+    (0..program.num_fields())
+        .map(|f| Grid::random(dims, seed + f as u64))
+        .collect()
+}
+
+/// A simulator ready to run one plan of `program` for `steps` time steps
+/// from `init`: `max_dt + 1` time planes per field, global arrays
+/// translated by `align` words (the §4.2.3 alignment offset of the plan's
+/// tile parameters), and the GStencils/s numerator — the run's logical
+/// point updates — already recorded. Every executor entry preserves it.
+pub fn loaded_sim(
+    program: &StencilProgram,
+    device: &DeviceConfig,
+    init: &[Grid],
+    align: i64,
+    steps: usize,
+) -> GpuSim {
+    let planes = program.max_dt() as usize + 1;
+    let mut sim = GpuSim::with_global_offset(device.clone(), init, planes, align);
+    sim.set_point_updates(point_updates(program, init[0].dims(), steps));
+    sim
+}
+
 /// Runs one configuration in sampled mode and derives throughput.
 pub fn measure(
     compiler: Compiler,
@@ -151,14 +177,7 @@ pub fn measure(
     samples: usize,
 ) -> Measurement {
     let (plan, align) = plan_for(compiler, program, dims, steps);
-    let init: Vec<Grid> = (0..program.num_fields())
-        .map(|f| Grid::random(dims, 7 + f as u64))
-        .collect();
-    let planes = (program.max_dt() as usize) + 1;
-    let mut sim = GpuSim::with_global_offset(device.clone(), &init, planes, align);
-    sim.run_plan_sampled(&plan, samples);
-    sim.set_point_updates(point_updates(program, dims, steps));
-    finish(&sim)
+    measure_plan(&plan, align, program, device, dims, steps, samples)
 }
 
 /// Runs one prebuilt plan in sampled mode (for the ladder studies).
@@ -171,13 +190,9 @@ pub fn measure_plan(
     steps: usize,
     samples: usize,
 ) -> Measurement {
-    let init: Vec<Grid> = (0..program.num_fields())
-        .map(|f| Grid::random(dims, 7 + f as u64))
-        .collect();
-    let planes = (program.max_dt() as usize) + 1;
-    let mut sim = GpuSim::with_global_offset(device.clone(), &init, planes, align);
+    let init = random_init(program, dims, 7);
+    let mut sim = loaded_sim(program, device, &init, align, steps);
     sim.run_plan_sampled(plan, samples);
-    sim.set_point_updates(point_updates(program, dims, steps));
     finish(&sim)
 }
 

@@ -72,7 +72,7 @@ use gpusim::DeviceConfig;
 use hybrid_tiling::cancel::{saturating_deadline, CancelToken};
 
 use crate::driver::{
-    compile_file_with, compile_source_with, device_fingerprint, outcome_json,
+    compile_file_with, compile_source_with, device_fingerprint, outcome_json, panic_message,
     sanitize_program_name, DriverConfig, MemCache, TuneMode,
 };
 use crate::json::Json;
@@ -452,13 +452,7 @@ impl ServeState {
         let outcome = catch_unwind(AssertUnwindSafe(|| self.dispatch(seq, line)));
         let response = outcome.unwrap_or_else(|payload| {
             self.panics.fetch_add(1, Ordering::Relaxed);
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "panic with non-string payload".to_string()
-            };
+            let msg = panic_message(payload);
             error_response(seq, None, "internal", &format!("request panicked: {msg}"))
         });
         if response.get("status").and_then(Json::as_str) == Some("error") {

@@ -15,10 +15,10 @@
 //! this emitter produces genuine C99: globals are flat `float *`
 //! per-field pointers subscripted through caller-supplied `long`
 //! strides, so `cc -c` accepts every artifact (CI checks this). The
-//! in-process executable twin is the `gpusim` bytecode path
-//! (`run_plan_parallel` compiles the same IR to closures), which the
-//! driver's verify step checks bit-exact against the sequential
-//! interpreter oracle.
+//! in-process executable twin is the `gpusim` bytecode path (the
+//! production executor compiles the same IR to flat op streams), which
+//! the driver's verify step checks bit-exact against the sequential
+//! stencil oracle.
 //!
 //! Variable classification: a `v` is **lane-dependent** if its value
 //! expression mentions `threadIdx` or another lane-dependent variable,

@@ -54,16 +54,15 @@
 //! events, coalescing transactions and bank conflicts — for any kernel
 //! the interpreter accepts. `tests/parallel_equivalence.rs` property-
 //! tests this against `run_plan` across random stencils, tile sizes and
-//! shared-memory strategies. [`GpuSim::run_plan`] remains the oracle and
-//! never uses this path; the parallel executor and everything built on
-//! it (the autotune scorer, the fleet) use it by default. Set the
-//! `HYBRID_SIM_INTERPRET` environment variable to any non-empty value to
-//! force the interpreter everywhere for debugging.
+//! shared-memory strategies. [`crate::GpuSim::run_plan`] remains the
+//! oracle and never uses this path; every other entry point — the
+//! production launch loop in [`crate::parallel`], at any worker count,
+//! full or sampled — runs nothing else.
 
-use gpu_codegen::ir::{Cond, FExpr, IExpr, Kernel, LaunchPlan, Stmt};
+use gpu_codegen::ir::{Cond, FExpr, IExpr, Kernel, Stmt};
 
 use crate::counters::Counters;
-use crate::exec::{GlobalBackend, GpuSim};
+use crate::exec::GlobalBackend;
 use crate::memory::{GlobalMem, L2Cache};
 use crate::shared::{charge_shared_load, charge_shared_store};
 
@@ -359,38 +358,6 @@ pub struct BcKernel {
     n_regs: usize,
     shared_words: usize,
     block_dim: [usize; 3],
-}
-
-/// A whole launch plan compiled kernel-by-kernel; index with the
-/// launch's kernel id.
-#[derive(Clone, Debug)]
-pub struct CompiledPlan {
-    kernels: Vec<BcKernel>,
-}
-
-impl CompiledPlan {
-    /// Compiles every kernel of `plan` against the shape of `mem`.
-    pub(crate) fn new(plan: &LaunchPlan, mem: &GlobalMem) -> CompiledPlan {
-        CompiledPlan {
-            kernels: plan
-                .kernels
-                .iter()
-                .map(|k| compile_kernel(k, mem))
-                .collect(),
-        }
-    }
-
-    /// The compiled form of kernel `i`.
-    pub(crate) fn kernel(&self, i: usize) -> &BcKernel {
-        &self.kernels[i]
-    }
-}
-
-/// True when the `HYBRID_SIM_INTERPRET` environment variable forces the
-/// tree-walking interpreter onto paths that would otherwise use the
-/// compiled executor (a debugging aid; see the module docs).
-pub fn interpreter_forced() -> bool {
-    std::env::var_os("HYBRID_SIM_INTERPRET").is_some_and(|v| !v.is_empty())
 }
 
 // ---------------------------------------------------------------------
@@ -1704,60 +1671,12 @@ pub(crate) fn exec_block_compiled<B: GlobalBackend>(
     scratch.return_mask(full);
 }
 
-impl GpuSim {
-    /// Runs every launch of the plan through the compiled-bytecode
-    /// executor — bit-exact with [`GpuSim::run_plan`] (grids *and*
-    /// counters), typically several times faster single-threaded. The
-    /// interpreter remains the oracle; this is the production path.
-    ///
-    /// # Panics
-    ///
-    /// Panics exactly where [`GpuSim::run_plan`] does: shared-memory
-    /// demand over the device limit, or out-of-bounds accesses
-    /// (code-generation bugs).
-    pub fn run_plan_compiled(&mut self, plan: &LaunchPlan) {
-        let compiled = CompiledPlan::new(plan, &self.mem);
-        let mut scratch = ExecScratch::default();
-        self.run_plan_precompiled(plan, &compiled, &mut scratch);
-    }
-
-    /// [`GpuSim::run_plan_compiled`] with caller-owned compilation and
-    /// scratch, so repeated runs of one plan (a tuning sweep) pay for
-    /// neither compilation nor allocation twice.
-    pub(crate) fn run_plan_precompiled(
-        &mut self,
-        plan: &LaunchPlan,
-        compiled: &CompiledPlan,
-        scratch: &mut ExecScratch,
-    ) {
-        for launch in &plan.launches {
-            let kernel = &plan.kernels[launch.kernel];
-            self.check_kernel(kernel);
-            self.counters.launches += 1;
-            let bc = compiled.kernel(launch.kernel);
-            for b in 0..launch.blocks {
-                let mut backend = crate::exec::DirectBackend {
-                    mem: &mut self.mem,
-                    l2: &mut self.l2,
-                };
-                exec_block_compiled(
-                    bc,
-                    &launch.params,
-                    b as i64,
-                    &mut backend,
-                    &mut self.counters,
-                    scratch,
-                );
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::DeviceConfig;
-    use gpu_codegen::ir::{Launch, SharedBuf};
+    use crate::exec::GpuSim;
+    use gpu_codegen::ir::{Launch, LaunchPlan, SharedBuf};
     use stencil::Grid;
 
     /// The hand-written kernels of `exec.rs`'s tests, re-run through the
@@ -2028,12 +1947,5 @@ mod tests {
             description: "minmax".into(),
         };
         assert_compiled_matches(&plan, &[Grid::random(&[32], 5)], 2);
-    }
-
-    #[test]
-    fn interpreter_forced_reads_env_shape() {
-        // Can't mutate the process environment safely in tests; just
-        // exercise the call.
-        let _ = interpreter_forced();
     }
 }

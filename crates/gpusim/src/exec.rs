@@ -15,25 +15,19 @@ use crate::device::DeviceConfig;
 use crate::memory::{charge_warp_load, charge_warp_store, GlobalMem, L2Cache};
 use crate::shared::{charge_shared_load, charge_shared_store, SharedMem};
 
-/// How a block's global-memory traffic reaches storage and the cache
-/// hierarchy. The sequential executor writes straight through to the
-/// simulator's [`GlobalMem`] and shared L2 ([`DirectBackend`]); the
-/// parallel executor substitutes a logging backend
+/// How a compiled block's global-memory traffic reaches storage and the
+/// cache hierarchy. A single worker writes straight through to the
+/// simulator's [`GlobalMem`] and shared L2 ([`DirectBackend`]); several
+/// workers substitute a logging backend
 /// ([`crate::parallel::LoggedBackend`]) that defers shared-state effects
-/// to a deterministic merge.
+/// to a deterministic merge. Elements are addressed by plane-linear
+/// offset.
 pub(crate) trait GlobalBackend {
     /// Byte address of an element (for coalescing analysis).
-    fn byte_address(&self, field: usize, plane: usize, idx: &[i64]) -> u64;
-    /// Reads one element (seeing this block's own earlier writes).
-    fn read(&mut self, field: usize, plane: usize, idx: &[i64]) -> f32;
-    /// Writes one element.
-    fn write(&mut self, field: usize, plane: usize, idx: &[i64], v: f32);
-    /// [`GlobalBackend::byte_address`] with a precomputed plane-linear
-    /// offset (the compiled executor's fast path).
     fn byte_address_flat(&self, field: usize, plane: usize, offset: usize) -> u64;
-    /// [`GlobalBackend::read`] by plane-linear offset.
+    /// Reads one element (seeing this block's own earlier writes).
     fn read_flat(&mut self, field: usize, plane: usize, offset: usize) -> f32;
-    /// [`GlobalBackend::write`] by plane-linear offset.
+    /// Writes one element.
     fn write_flat(&mut self, field: usize, plane: usize, offset: usize, v: f32);
     /// Charges one warp's coalesced *load* addresses. `l1` is the block's
     /// private first-level cache.
@@ -42,26 +36,14 @@ pub(crate) trait GlobalBackend {
     fn charge_store(&mut self, counters: &mut Counters, addrs: &[u64]);
 }
 
-/// The sequential backend: direct access to the simulator's memory and
-/// shared L2, exactly as `run_plan` has always behaved.
+/// Direct access to the simulator's memory and shared L2: what the
+/// reference interpreter uses, and the compiled executor on one worker.
 pub(crate) struct DirectBackend<'a> {
     pub mem: &'a mut GlobalMem,
     pub l2: &'a mut L2Cache,
 }
 
 impl GlobalBackend for DirectBackend<'_> {
-    fn byte_address(&self, field: usize, plane: usize, idx: &[i64]) -> u64 {
-        self.mem.byte_address(field, plane, idx)
-    }
-
-    fn read(&mut self, field: usize, plane: usize, idx: &[i64]) -> f32 {
-        self.mem.read(field, plane, idx)
-    }
-
-    fn write(&mut self, field: usize, plane: usize, idx: &[i64], v: f32) {
-        self.mem.write(field, plane, idx, v);
-    }
-
     fn byte_address_flat(&self, field: usize, plane: usize, offset: usize) -> u64 {
         self.mem.byte_address_flat(field, plane, offset)
     }
@@ -83,16 +65,16 @@ impl GlobalBackend for DirectBackend<'_> {
     }
 }
 
-/// Interprets one block of `kernel` against an arbitrary global-memory
-/// backend, charging `counters`. The block gets a fresh private L1 slice
-/// (as on hardware, where resident blocks share the SM's L1 — modeled as
-/// a fixed per-block slice), so everything except the shared-L2 state is
+/// Interprets one block of `kernel` against the simulator's memory,
+/// charging `counters`. The block gets a fresh private L1 slice (as on
+/// hardware, where resident blocks share the SM's L1 — modeled as a
+/// fixed per-block slice), so everything except the shared-L2 state is
 /// computed locally.
-pub(crate) fn exec_block<B: GlobalBackend>(
+pub(crate) fn exec_block(
     kernel: &Kernel,
     params: &[i64],
     block: i64,
-    glob: &mut B,
+    glob: &mut DirectBackend,
     counters: &mut Counters,
 ) {
     assert_eq!(params.len(), kernel.n_params, "launch parameter arity");
@@ -183,7 +165,10 @@ impl GpuSim {
         self.mem.plane(field, plane)
     }
 
-    /// Runs every launch of the plan on every block — functionally exact.
+    /// The reference executor: interprets every block of every launch
+    /// sequentially by walking the kernel AST — functionally exact, and
+    /// the oracle the compiled production path
+    /// ([`GpuSim::run_plan_compiled`] and friends) is tested against.
     ///
     /// # Panics
     ///
@@ -193,87 +178,33 @@ impl GpuSim {
     pub fn run_plan(&mut self, plan: &LaunchPlan) {
         for launch in &plan.launches {
             let kernel = &plan.kernels[launch.kernel];
-            self.check_kernel(kernel);
+            assert!(
+                kernel.shared_bytes() <= self.device.shared_limit,
+                "kernel {} needs {} bytes of shared memory; {} allows {}",
+                kernel.name,
+                kernel.shared_bytes(),
+                self.device.name,
+                self.device.shared_limit
+            );
             self.counters.launches += 1;
+            let mut backend = DirectBackend {
+                mem: &mut self.mem,
+                l2: &mut self.l2,
+            };
             for b in 0..launch.blocks {
-                self.run_block(kernel, &launch.params, b as i64);
+                exec_block(
+                    kernel,
+                    &launch.params,
+                    b as i64,
+                    &mut backend,
+                    &mut self.counters,
+                );
             }
         }
-    }
-
-    /// Runs at most `samples` blocks per launch (spread across the grid)
-    /// and scales the counter deltas to the full grid. Memory contents are
-    /// *not* meaningful afterwards — this mode exists to extrapolate
-    /// counters for paper-scale workloads.
-    ///
-    /// `samples` is clamped to each launch's block count: a launch with
-    /// `n <= samples` blocks runs every block exactly once and its counter
-    /// deltas are scaled by `1.0` (i.e. left exact). The clamp is per
-    /// launch, so one plan can mix exact small launches with sampled large
-    /// ones. The per-launch L2 capacity correction still applies in the
-    /// clamped case (the cache is re-sized to its full capacity and
-    /// cleared), so cross-launch L2 reuse is not modeled in this mode —
-    /// use [`GpuSim::run_plan`] when exact counters matter.
-    pub fn run_plan_sampled(&mut self, plan: &LaunchPlan, samples: usize) {
-        assert!(samples > 0, "need at least one sampled block");
-        for launch in &plan.launches {
-            let kernel = &plan.kernels[launch.kernel];
-            self.check_kernel(kernel);
-            self.counters.launches += 1;
-            let n = launch.blocks;
-            if n == 0 {
-                continue;
-            }
-            let take = samples.min(n);
-            // L2 capacity correction: the sampled blocks represent only
-            // `take` of the ~`concurrency` blocks that would share the L2
-            // at any instant, so give them the proportional slice.
-            // Without this, a handful of sampled blocks fit entirely in
-            // cache and DRAM traffic collapses to zero.
-            let concurrency = n.min(8 * self.device.sms as usize).max(1);
-            let effective =
-                (self.device.l2_bytes * take / concurrency).clamp(4 * 1024, self.device.l2_bytes);
-            self.l2 = L2Cache::new(effective);
-            let before = self.counters;
-            self.counters = Counters::default();
-            for i in 0..take {
-                // Spread samples across the grid to include boundary blocks
-                // proportionally.
-                let b = if take == 1 {
-                    0
-                } else {
-                    i * (n - 1) / (take - 1)
-                };
-                self.run_block(kernel, &launch.params, b as i64);
-            }
-            let delta = self.counters.scaled(n as f64 / take as f64);
-            self.counters = before + delta;
-            // `scaled` multiplies the launch counter too; re-adjust.
-            self.counters.launches = before.launches;
-        }
-    }
-
-    pub(crate) fn check_kernel(&self, kernel: &Kernel) {
-        assert!(
-            kernel.shared_bytes() <= self.device.shared_limit,
-            "kernel {} needs {} bytes of shared memory; {} allows {}",
-            kernel.name,
-            kernel.shared_bytes(),
-            self.device.name,
-            self.device.shared_limit
-        );
-    }
-
-    pub(crate) fn run_block(&mut self, kernel: &Kernel, params: &[i64], block: i64) {
-        let mut backend = DirectBackend {
-            mem: &mut self.mem,
-            l2: &mut self.l2,
-        };
-        exec_block(kernel, params, block, &mut backend, &mut self.counters);
     }
 }
 
-struct BlockExec<'a, B: GlobalBackend> {
+struct BlockExec<'a, 'm> {
     params: &'a [i64],
     block: i64,
     n_threads: usize,
@@ -282,11 +213,11 @@ struct BlockExec<'a, B: GlobalBackend> {
     regs: Vec<Vec<f32>>,
     shared: SharedMem,
     l1: L2Cache,
-    glob: &'a mut B,
+    glob: &'a mut DirectBackend<'m>,
     counters: &'a mut Counters,
 }
 
-impl<B: GlobalBackend> BlockExec<'_, B> {
+impl BlockExec<'_, '_> {
     fn eval_i(&self, e: &IExpr, lane: usize) -> i64 {
         match e {
             IExpr::Const(c) => *c,
@@ -430,8 +361,8 @@ impl<B: GlobalBackend> BlockExec<'_, B> {
                         }
                         let pl = self.eval_i(plane, lane) as usize;
                         let idx: Vec<i64> = index.iter().map(|e| self.eval_i(e, lane)).collect();
-                        addrs.push(self.glob.byte_address(*field, pl, &idx));
-                        self.regs[*dst][lane] = self.glob.read(*field, pl, &idx);
+                        addrs.push(self.glob.mem.byte_address(*field, pl, &idx));
+                        self.regs[*dst][lane] = self.glob.mem.read(*field, pl, &idx);
                     }
                     self.glob.charge_load(self.counters, &mut self.l1, &addrs);
                 }
@@ -452,10 +383,10 @@ impl<B: GlobalBackend> BlockExec<'_, B> {
                         }
                         let pl = self.eval_i(plane, lane) as usize;
                         let idx: Vec<i64> = index.iter().map(|e| self.eval_i(e, lane)).collect();
-                        addrs.push(self.glob.byte_address(*field, pl, &idx));
+                        addrs.push(self.glob.mem.byte_address(*field, pl, &idx));
                         let v = self.eval_f(src, lane);
                         self.counters.flops += extra_flops;
-                        self.glob.write(*field, pl, &idx, v);
+                        self.glob.mem.write(*field, pl, &idx, v);
                     }
                     self.glob.charge_store(self.counters, &addrs);
                 }
@@ -509,18 +440,99 @@ impl<B: GlobalBackend> BlockExec<'_, B> {
     }
 }
 
-/// Convenience: run a plan and return `(counters, simulator)` for result
-/// inspection.
-pub fn simulate(device: DeviceConfig, init: &[Grid], planes: usize, plan: &LaunchPlan) -> GpuSim {
-    let mut sim = GpuSim::new(device, init, planes);
-    sim.run_plan(plan);
-    sim
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpu_codegen::ir::{Kernel, Launch, SharedBuf};
+    use gpu_codegen::{generate_hybrid, CodegenOptions};
+    use hybrid_tiling::TileParams;
+    use stencil::gallery;
+
+    /// Runs `plan` on the reference interpreter.
+    fn reference(init: &[Grid], planes: usize, plan: &LaunchPlan) -> GpuSim {
+        let mut sim = GpuSim::new(DeviceConfig::gtx470(), init, planes);
+        sim.run_plan(plan);
+        sim
+    }
+
+    /// The sampling contract, spelled out on the interpreter: per launch,
+    /// `exec_block` over `samples` blocks spread across the grid against
+    /// a proportionally re-sized L2, deltas scaled to the full grid.
+    fn reference_sampled(sim: &mut GpuSim, plan: &LaunchPlan, samples: usize) {
+        for (kernel, launch) in plan.launches.iter().map(|l| (&plan.kernels[l.kernel], l)) {
+            sim.counters.launches += 1;
+            let n = launch.blocks;
+            if n == 0 {
+                continue;
+            }
+            let take = samples.min(n);
+            let concurrency = n.min(8 * sim.device.sms as usize).max(1);
+            let effective =
+                (sim.device.l2_bytes * take / concurrency).clamp(4 * 1024, sim.device.l2_bytes);
+            sim.l2 = L2Cache::new(effective);
+            let before = std::mem::take(&mut sim.counters);
+            let mut backend = DirectBackend {
+                mem: &mut sim.mem,
+                l2: &mut sim.l2,
+            };
+            for i in 0..take {
+                let b = if take == 1 {
+                    0
+                } else {
+                    i * (n - 1) / (take - 1)
+                };
+                exec_block(
+                    kernel,
+                    &launch.params,
+                    b as i64,
+                    &mut backend,
+                    &mut sim.counters,
+                );
+            }
+            sim.counters = before + sim.counters.scaled(n as f64 / take as f64);
+            sim.counters.launches = before.launches;
+        }
+    }
+
+    #[test]
+    fn sampled_compiled_counters_match_the_interpreter_on_the_gallery() {
+        for program in gallery::table3_stencils() {
+            let (params, dims, steps) = match (program.name(), program.spatial_dims()) {
+                ("fdtd2d", _) => (TileParams::new(2, &[3, 32]), vec![40, 34], 6),
+                (_, 2) => (TileParams::new(3, &[3, 32]), vec![40, 34], 8),
+                _ => (TileParams::new(1, &[2, 4, 32]), vec![40, 6, 34], 2),
+            };
+            let plan = generate_hybrid(&program, &params, &dims, steps, CodegenOptions::best())
+                .expect("gallery stencil under its table parameters");
+            let init: Vec<Grid> = (0..program.num_fields())
+                .map(|f| Grid::random(&dims, 7 + f as u64))
+                .collect();
+            let planes = program.max_dt() as usize + 1;
+            let most = plan.launches.iter().map(|l| l.blocks).max().unwrap_or(0);
+            assert!(most > 4, "{}: workload too small to sample", program.name());
+            for samples in [1, 4, most + 3] {
+                let mut want = GpuSim::new(DeviceConfig::gtx470(), &init, planes);
+                reference_sampled(&mut want, &plan, samples);
+                let mut got = GpuSim::new(DeviceConfig::gtx470(), &init, planes);
+                got.run_plan_sampled(&plan, samples);
+                assert_eq!(
+                    got.counters(),
+                    want.counters(),
+                    "{} at {samples} samples",
+                    program.name()
+                );
+                // The same sample merged from two workers.
+                let mut par = GpuSim::new(DeviceConfig::gtx470(), &init, planes);
+                par.execute(&plan, 2, Some(samples)).unwrap();
+                assert_eq!(
+                    par.counters(),
+                    want.counters(),
+                    "{} at {samples} samples, 2 workers",
+                    program.name()
+                );
+            }
+        }
+    }
 
     /// A hand-written "copy with +1" kernel: out[i] = in[i] + 1 for a 1-D
     /// grid of 128 elements and 4 blocks of 32 threads.
@@ -567,7 +579,7 @@ mod tests {
     #[test]
     fn functional_copy() {
         let (plan, init) = copy_kernel();
-        let sim = simulate(DeviceConfig::gtx470(), &init, 2, &plan);
+        let sim = reference(&init, 2, &plan);
         for i in 0..128 {
             assert_eq!(sim.plane(0, 1).get(&[i]), i as f32 + 1.0);
         }
@@ -576,7 +588,7 @@ mod tests {
     #[test]
     fn copy_counters_are_exact() {
         let (plan, init) = copy_kernel();
-        let sim = simulate(DeviceConfig::gtx470(), &init, 2, &plan);
+        let sim = reference(&init, 2, &plan);
         let c = sim.counters();
         assert_eq!(c.gld_inst, 128);
         assert_eq!(c.gst_inst, 128);
@@ -617,7 +629,7 @@ mod tests {
             }],
             description: "divergence test".into(),
         };
-        let sim = simulate(DeviceConfig::gtx470(), &[Grid::zeros(&[4])], 1, &plan);
+        let sim = reference(&[Grid::zeros(&[4])], 1, &plan);
         assert_eq!(sim.counters().divergent_branches, 1);
     }
 
@@ -674,7 +686,7 @@ mod tests {
         for i in 0..32 {
             g.set(&[i], i as f32);
         }
-        let sim = simulate(DeviceConfig::gtx470(), &[g], 2, &plan);
+        let sim = reference(&[g], 2, &plan);
         for i in 0..32 {
             assert_eq!(sim.plane(0, 1).get(&[i]), (31 - i) as f32);
         }
@@ -770,7 +782,7 @@ mod tests {
         for i in 0..32 {
             g.set(&[i], 1.0);
         }
-        let sim = simulate(DeviceConfig::gtx470(), &[g], 2, &plan);
+        let sim = reference(&[g], 2, &plan);
         for i in 0..8 {
             assert_eq!(sim.plane(0, 1).get(&[i]), 4.0);
         }

@@ -5,7 +5,7 @@
 //! crate simulates the CUDA execution model at the fidelity the paper's
 //! claims live at:
 //!
-//! * **functional**: kernels ([`gpu_codegen::Kernel`]) are interpreted
+//! * **functional**: kernels ([`gpu_codegen::Kernel`]) are executed
 //!   warp-synchronously over real `f32` data, so results are compared
 //!   *bit-for-bit* against the sequential oracle;
 //! * **memory system**: per-warp global-memory coalescing into 128-byte
@@ -18,23 +18,22 @@
 //!   ([`DeviceConfig::gtx470`], [`DeviceConfig::nvs5200m`]), yielding the
 //!   GStencils/s and GFLOPS figures of Tables 1, 2 and 4.
 //!
-//! Large paper workloads are simulated in *sampled* mode
-//! ([`GpuSim::run_plan_sampled`]): a subset of thread blocks per launch is
-//! interpreted exactly and counters are scaled by the grid size; functional
-//! results are then meaningless, so correctness always uses full runs on
-//! smaller grids.
+//! There are exactly two ways to run a plan. The **reference**
+//! ([`GpuSim::run_plan`], module [`exec`]) interprets the kernel AST
+//! block by block on the calling thread; tests and benchmarks use it as
+//! the bit-exactness oracle and nothing else does. The **production**
+//! path (module [`parallel`]) is one launch loop over kernels compiled
+//! once to a flat bytecode (module [`bytecode`]) — several times faster,
+//! same grids, same counters, at any worker count:
+//! [`GpuSim::run_plan_compiled`] (one worker),
+//! [`GpuSim::run_plan_parallel_with`] /
+//! [`GpuSim::try_run_plan_parallel_with`] (block-parallel across CPU
+//! cores) and [`GpuSim::run_plan_sampled`].
 //!
-//! Full runs scale across CPU cores with the block-parallel executor
-//! ([`GpuSim::run_plan_parallel`], module [`parallel`]), which is
-//! bit-exact with the sequential path — same grids, same counters — for
-//! any worker count.
-//!
-//! Production paths execute blocks through a compiled bytecode
-//! ([`GpuSim::run_plan_compiled`], module [`bytecode`]) instead of
-//! re-interpreting the kernel AST per point — several times faster,
-//! still bit-exact. `run_plan` keeps interpreting and serves as the
-//! oracle; set `HYBRID_SIM_INTERPRET=1` to force the interpreter
-//! everywhere.
+//! Large paper workloads are simulated in *sampled* mode: a subset of
+//! thread blocks per launch is executed exactly and counters are scaled
+//! by the grid size; functional results are then meaningless, so
+//! correctness always uses full runs on smaller grids.
 
 pub mod bytecode;
 pub mod counters;
@@ -45,7 +44,6 @@ pub mod parallel;
 pub mod shared;
 pub mod timing;
 
-pub use bytecode::interpreter_forced;
 pub use counters::Counters;
 pub use device::DeviceConfig;
 pub use exec::GpuSim;

@@ -1,15 +1,22 @@
-//! Deterministic block-parallel plan execution.
+//! The production launch loop: compiled blocks, deterministically
+//! block-parallel, optionally sampled.
+//!
+//! Every entry point except the reference interpreter
+//! ([`GpuSim::run_plan`]) funnels into one private loop
+//! (`GpuSim::execute`) that compiles the plan's kernels to bytecode once
+//! ([`crate::bytecode`]) and then, per launch, runs either every block or
+//! a sample spread across the grid, on one worker or many.
 //!
 //! Blocks of one launch are independent by construction: the hybrid
 //! schedule places concurrent thread blocks on distinct `S0` wavefront
 //! tiles, and `hybrid_tiling::verify` proves (per schedule, exhaustively
 //! on bounded domains) that no dependence crosses concurrent tiles — in
 //! particular, blocks of one launch never write overlapping locations and
-//! never read another block's same-launch writes. The parallel executor
-//! exploits exactly that property:
+//! never read another block's same-launch writes. With more than one
+//! worker the loop exploits exactly that property:
 //!
 //! 1. workers on a [`std::thread`] pool pull block indices from a shared
-//!    atomic counter and interpret each block against a **read-only
+//!    atomic counter and execute each block against a **read-only
 //!    snapshot** of global memory plus a private write overlay
 //!    (`LoggedBackend`), accumulating per-block [`Counters`] locally;
 //! 2. every access that would reach the shared L2 is appended to a
@@ -17,16 +24,19 @@
 //! 3. after all blocks of the launch finish, the main thread merges the
 //!    per-block results **in ascending block order**: counters are summed
 //!    (u64 addition — order-insensitive and exact), the L2 logs are
-//!    replayed through the shared cache in the same order the sequential
-//!    executor would have produced ([`crate::memory::replay_l2`]), and the
+//!    replayed through the shared cache in the same order a single worker
+//!    would have produced ([`crate::memory::replay_l2`]), and the
 //!    write logs are applied to global memory while asserting that no two
 //!    blocks wrote conflicting values to the same location.
 //!
+//! With one worker the blocks run in order straight against the
+//! simulator's memory and L2, with no logging.
+//!
 //! The result: grids *and* counters are bit-for-bit identical to
-//! [`GpuSim::run_plan`] for any thread count, which the property tests in
+//! [`GpuSim::run_plan`] for any worker count, which the property tests in
 //! `tests/parallel_equivalence.rs` check across random stencils, tile
 //! sizes and pool widths. A plan that violates write-disjointness (a
-//! scheduling bug, never a legal hybrid/classical plan) panics in the
+//! scheduling bug, never a legal hybrid/classical plan) fails in the
 //! merge instead of returning order-dependent data; under debug
 //! assertions the merge additionally rejects cross-block
 //! *read*/write overlap within a launch — the dependence the
@@ -35,8 +45,9 @@
 //! snapshot) — so debug runs, including the property suite, enforce the
 //! full independence contract.
 //!
-//! The worker count defaults to the machine's available parallelism and
-//! can be pinned with the `HYBRID_SIM_THREADS` environment variable.
+//! The library takes the worker count as an argument; the bench binaries
+//! default it to the machine's available parallelism, pinnable with the
+//! `HYBRID_SIM_THREADS` environment variable ([`sim_threads`]).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -44,11 +55,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
-use gpu_codegen::ir::LaunchPlan;
+use gpu_codegen::ir::{Kernel, LaunchPlan};
 
-use crate::bytecode::{exec_block_compiled, interpreter_forced, CompiledPlan, ExecScratch};
+use crate::bytecode::{compile_kernel, exec_block_compiled, BcKernel, ExecScratch};
 use crate::counters::Counters;
-use crate::exec::{exec_block, DirectBackend, GlobalBackend, GpuSim};
+use crate::exec::{DirectBackend, GlobalBackend, GpuSim};
 use crate::memory::{
     charge_warp_load_logged, charge_warp_store_logged, replay_l2, GlobalMem, L2Access, L2Cache,
 };
@@ -247,20 +258,6 @@ impl<'a> LoggedBackend<'a> {
 }
 
 impl GlobalBackend for LoggedBackend<'_> {
-    fn byte_address(&self, field: usize, plane: usize, idx: &[i64]) -> u64 {
-        self.base.byte_address(field, plane, idx)
-    }
-
-    fn read(&mut self, field: usize, plane: usize, idx: &[i64]) -> f32 {
-        let offset = self.base.flat_offset(field, plane, idx);
-        self.read_flat(field, plane, offset)
-    }
-
-    fn write(&mut self, field: usize, plane: usize, idx: &[i64], v: f32) {
-        let offset = self.base.flat_offset(field, plane, idx);
-        self.write_flat(field, plane, offset, v);
-    }
-
     fn byte_address_flat(&self, field: usize, plane: usize, offset: usize) -> u64 {
         self.base.byte_address_flat(field, plane, offset)
     }
@@ -296,7 +293,7 @@ impl GlobalBackend for LoggedBackend<'_> {
     }
 }
 
-/// The worker-pool width used by [`GpuSim::run_plan_parallel`]: the
+/// The worker-pool width the bench binaries deploy with: the
 /// `HYBRID_SIM_THREADS` environment variable if set to a positive integer,
 /// otherwise [`std::thread::available_parallelism`]. `HYBRID_SIM_THREADS=0`
 /// explicitly requests "auto" (the same fallback); see
@@ -337,6 +334,15 @@ struct WorkerSlot {
     overlay: HashMap<u64, f32>,
 }
 
+/// Buffers shared across every launch of one plan: per-worker slots,
+/// plus recycled outcome buffers (write logs, L2 logs) that the merge
+/// hands back after each launch.
+#[derive(Default)]
+struct Pools {
+    slots: Mutex<Vec<WorkerSlot>>,
+    outcomes: Mutex<Vec<(Vec<WriteRec>, Vec<L2Access>)>>,
+}
+
 /// Locks a pool mutex, tolerating poisoning: pools hold only recycled
 /// scratch buffers (cleared before reuse), so a worker that panicked
 /// while touching a pool cannot corrupt anything observable — and the
@@ -357,17 +363,23 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 impl GpuSim {
-    /// Runs the plan with block-level parallelism on [`sim_threads`]
-    /// workers. Results — grids and counters — are bit-exact with
-    /// [`GpuSim::run_plan`]; see the [module docs](crate::parallel) for
-    /// the determinism argument.
-    pub fn run_plan_parallel(&mut self, plan: &LaunchPlan) {
-        self.run_plan_parallel_with(plan, sim_threads());
+    /// Runs every block of every launch on one worker — the production
+    /// path's simplest form. Bit-exact with [`GpuSim::run_plan`] (grids
+    /// *and* counters), typically several times faster.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`GpuSim::run_plan`] does: shared-memory demand over
+    /// the device limit, or out-of-bounds accesses (code-generation bugs).
+    pub fn run_plan_compiled(&mut self, plan: &LaunchPlan) {
+        self.run_plan_parallel_with(plan, 1);
     }
 
-    /// Like [`GpuSim::run_plan_parallel`] with an explicit worker count.
-    /// `threads <= 1` falls back to the sequential executor (no logging
-    /// overhead), which produces identical results by definition.
+    /// Runs the plan with block-level parallelism on `threads` workers.
+    /// Results — grids and counters — are bit-exact with
+    /// [`GpuSim::run_plan`] at any worker count; see the
+    /// [module docs](crate::parallel) for the determinism argument.
+    /// `threads <= 1` runs on the calling thread with no logging overhead.
     ///
     /// # Panics
     ///
@@ -382,17 +394,6 @@ impl GpuSim {
         }
     }
 
-    /// Non-panicking [`GpuSim::run_plan_parallel`]: executes with
-    /// [`sim_threads`] workers, surfacing independence violations as
-    /// [`ExecError`]s.
-    ///
-    /// # Errors
-    ///
-    /// See [`GpuSim::try_run_plan_parallel_with`].
-    pub fn try_run_plan_parallel(&mut self, plan: &LaunchPlan) -> Result<(), ExecError> {
-        self.try_run_plan_parallel_with(plan, sim_threads())
-    }
-
     /// Non-panicking [`GpuSim::run_plan_parallel_with`]: a plan that
     /// violates the concurrent-tile independence contract returns a typed
     /// [`ExecError`] instead of aborting the process, so a resident
@@ -405,28 +406,63 @@ impl GpuSim {
     /// # Errors
     ///
     /// [`ExecError::SharedMemExceeded`] when a kernel's shared demand is
-    /// over the device limit; [`ExecError::WriteConflict`] when two blocks
-    /// of one launch wrote different values to one location; under debug
-    /// assertions additionally [`ExecError::ReadWriteOverlap`] when a
-    /// block read a location a concurrent block wrote.
+    /// over the device limit; with more than one worker,
+    /// [`ExecError::WriteConflict`] when two blocks of one launch wrote
+    /// different values to one location, [`ExecError::WorkerPanicked`]
+    /// when a block's execution panicked, and under debug assertions
+    /// [`ExecError::ReadWriteOverlap`] when a block read a location a
+    /// concurrent block wrote.
     pub fn try_run_plan_parallel_with(
         &mut self,
         plan: &LaunchPlan,
         threads: usize,
     ) -> Result<(), ExecError> {
+        self.execute(plan, threads, None)
+    }
+
+    /// Runs at most `samples` blocks per launch (spread across the grid)
+    /// and scales the counter deltas to the full grid. Memory contents are
+    /// *not* meaningful afterwards — this mode exists to extrapolate
+    /// counters for paper-scale workloads.
+    ///
+    /// `samples` is clamped to each launch's block count: a launch with
+    /// `n <= samples` blocks runs every block exactly once and its counter
+    /// deltas are scaled by `1.0` (i.e. left exact). The clamp is per
+    /// launch, so one plan can mix exact small launches with sampled large
+    /// ones. The per-launch L2 capacity correction still applies in the
+    /// clamped case (the cache is re-sized to its full capacity and
+    /// cleared), so cross-launch L2 reuse is not modeled in this mode —
+    /// use a full run when exact counters matter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is zero, and where
+    /// [`GpuSim::run_plan_compiled`] does.
+    pub fn run_plan_sampled(&mut self, plan: &LaunchPlan, samples: usize) {
+        assert!(samples > 0, "need at least one sampled block");
+        if let Err(e) = self.execute(plan, 1, Some(samples)) {
+            panic!("{e}");
+        }
+    }
+
+    /// The production launch loop, behind every entry point above: each
+    /// launch's blocks — all of them, or `samples` spread across the grid
+    /// — run as compiled bytecode on `workers` threads.
+    pub(crate) fn execute(
+        &mut self,
+        plan: &LaunchPlan,
+        workers: usize,
+        samples: Option<usize>,
+    ) -> Result<(), ExecError> {
         // Compile every kernel once per plan; all launches (and all
-        // blocks) replay the compiled form. `HYBRID_SIM_INTERPRET`
-        // forces the tree-walking interpreter for debugging.
-        let compiled = if interpreter_forced() {
-            None
-        } else {
-            Some(CompiledPlan::new(plan, &self.mem))
-        };
-        // Pools shared across every launch of the plan: per-worker slot
-        // arrays and overlay maps, plus recycled outcome buffers (write
-        // logs, L2 logs) that the merge hands back after each launch.
-        let slot_pool: Mutex<Vec<WorkerSlot>> = Mutex::new(Vec::new());
-        let out_pool: Mutex<Vec<(Vec<WriteRec>, Vec<L2Access>)>> = Mutex::new(Vec::new());
+        // blocks) replay the compiled form.
+        let compiled: Vec<BcKernel> = plan
+            .kernels
+            .iter()
+            .map(|k| compile_kernel(k, &self.mem))
+            .collect();
+        let pools = Pools::default();
+        let mut scratch = ExecScratch::default();
         for launch in &plan.launches {
             let kernel = &plan.kernels[launch.kernel];
             if kernel.shared_bytes() > self.device.shared_limit {
@@ -441,161 +477,164 @@ impl GpuSim {
             if n == 0 {
                 continue;
             }
-            let bc = compiled.as_ref().map(|cp| cp.kernel(launch.kernel));
-            if threads <= 1 || n == 1 {
-                // Sequential fallback — still through the compiled path
-                // (single-core hosts get the speedup too), with the
-                // direct backend so no logging overhead remains.
-                match bc {
-                    Some(bc) => {
-                        let mut slot = lock_pool(&slot_pool).pop().unwrap_or_default();
-                        for b in 0..n {
-                            let mut backend = DirectBackend {
-                                mem: &mut self.mem,
-                                l2: &mut self.l2,
-                            };
+            // The blocks to run, ascending: every block, or `take`
+            // samples spread across the grid so boundary blocks are
+            // included proportionally.
+            let take = samples.map_or(n, |s| s.min(n));
+            let block_at = |i: usize| i * (n - 1) / (take - 1).max(1);
+            let before = self.counters;
+            if samples.is_some() {
+                // L2 capacity correction: the sampled blocks represent
+                // only `take` of the ~`concurrency` blocks that would
+                // share the L2 at any instant, so give them the
+                // proportional slice. Without this, a handful of sampled
+                // blocks fit entirely in cache and DRAM traffic collapses
+                // to zero.
+                let concurrency = n.min(8 * self.device.sms as usize).max(1);
+                let effective = (self.device.l2_bytes * take / concurrency)
+                    .clamp(4 * 1024, self.device.l2_bytes);
+                self.l2 = L2Cache::new(effective);
+                self.counters = Counters::default();
+            }
+            let bc = &compiled[launch.kernel];
+            if workers <= 1 || take == 1 {
+                // One worker: straight through the direct backend, so no
+                // logging overhead remains.
+                let mut backend = DirectBackend {
+                    mem: &mut self.mem,
+                    l2: &mut self.l2,
+                };
+                for i in 0..take {
+                    exec_block_compiled(
+                        bc,
+                        &launch.params,
+                        block_at(i) as i64,
+                        &mut backend,
+                        &mut self.counters,
+                        &mut scratch,
+                    );
+                }
+            } else {
+                let blocks: Vec<usize> = (0..take).map(block_at).collect();
+                self.run_blocks_merged(kernel, bc, &launch.params, &blocks, workers, &pools)?;
+            }
+            if samples.is_some() {
+                let delta = self.counters.scaled(n as f64 / take as f64);
+                self.counters = before + delta;
+                // `scaled` multiplies the launch counter too; re-adjust.
+                self.counters.launches = before.launches;
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs `blocks` (ascending indices of one launch) on a pool of up to
+    /// `workers` threads against a snapshot of global memory, then merges
+    /// the per-block outcomes in block order.
+    fn run_blocks_merged(
+        &mut self,
+        kernel: &Kernel,
+        bc: &BcKernel,
+        params: &[i64],
+        blocks: &[usize],
+        workers: usize,
+        pools: &Pools,
+    ) -> Result<(), ExecError> {
+        let next = AtomicUsize::new(0);
+        let mem = &self.mem;
+        let joined: Vec<Result<Vec<(usize, BlockOutcome)>, _>> = thread::scope(|s| {
+            let handles: Vec<_> = (0..workers.min(blocks.len()))
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut slot = lock_pool(&pools.slots).pop().unwrap_or_default();
+                        let mut done = Vec::new();
+                        while let Some(&b) = blocks.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            let (writes, l2_log) =
+                                lock_pool(&pools.outcomes).pop().unwrap_or_default();
+                            let overlay = std::mem::take(&mut slot.overlay);
+                            let mut backend =
+                                LoggedBackend::from_parts(mem, overlay, writes, l2_log);
+                            let mut counters = Counters::default();
                             exec_block_compiled(
                                 bc,
-                                &launch.params,
+                                params,
                                 b as i64,
                                 &mut backend,
-                                &mut self.counters,
+                                &mut counters,
                                 &mut slot.scratch,
                             );
+                            let (outcome, overlay) = backend.into_parts(counters);
+                            slot.overlay = overlay;
+                            done.push((b, outcome));
                         }
-                        lock_pool(&slot_pool).push(slot);
-                    }
-                    None => {
-                        for b in 0..n {
-                            self.run_block(kernel, &launch.params, b as i64);
-                        }
-                    }
-                }
-                continue;
-            }
-
-            let workers = threads.min(n);
-            let next = AtomicUsize::new(0);
-            let mem = &self.mem;
-            let params = &launch.params;
-            let joined: Vec<Result<Vec<(usize, BlockOutcome)>, _>> = thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut slot = lock_pool(&slot_pool).pop().unwrap_or_default();
-                            let mut done = Vec::new();
-                            loop {
-                                let b = next.fetch_add(1, Ordering::Relaxed);
-                                if b >= n {
-                                    break;
-                                }
-                                let (writes, l2_log) =
-                                    lock_pool(&out_pool).pop().unwrap_or_default();
-                                let overlay = std::mem::take(&mut slot.overlay);
-                                let mut backend =
-                                    LoggedBackend::from_parts(mem, overlay, writes, l2_log);
-                                let mut counters = Counters::default();
-                                match bc {
-                                    Some(bc) => exec_block_compiled(
-                                        bc,
-                                        params,
-                                        b as i64,
-                                        &mut backend,
-                                        &mut counters,
-                                        &mut slot.scratch,
-                                    ),
-                                    None => exec_block(
-                                        kernel,
-                                        params,
-                                        b as i64,
-                                        &mut backend,
-                                        &mut counters,
-                                    ),
-                                }
-                                let (outcome, overlay) = backend.into_parts(counters);
-                                slot.overlay = overlay;
-                                done.push((b, outcome));
-                            }
-                            lock_pool(&slot_pool).push(slot);
-                            done
-                        })
+                        lock_pool(&pools.slots).push(slot);
+                        done
                     })
-                    .collect();
-                // Join every worker before mapping panics, so no thread
-                // outlives the error path.
-                handles.into_iter().map(|h| h.join()).collect()
-            });
-            let mut results: Vec<(usize, BlockOutcome)> = Vec::with_capacity(n);
-            let mut panicked = None;
-            for r in joined {
-                match r {
-                    Ok(done) => results.extend(done),
-                    Err(payload) => {
-                        if panicked.is_none() {
-                            panicked = Some(panic_message(payload));
-                        }
-                    }
-                }
-            }
-            if let Some(message) = panicked {
-                return Err(ExecError::WorkerPanicked {
-                    kernel: kernel.name.clone(),
-                    message,
-                });
-            }
-            // Deterministic merge order regardless of worker scheduling.
-            results.sort_unstable_by_key(|(b, _)| *b);
+                })
+                .collect();
+            // Join every worker before mapping panics, so no thread
+            // outlives the error path.
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        let mut results: Vec<(usize, BlockOutcome)> = Vec::with_capacity(blocks.len());
+        for done in joined {
+            results.extend(done.map_err(|payload| ExecError::WorkerPanicked {
+                kernel: kernel.name.clone(),
+                message: panic_message(payload),
+            })?);
+        }
+        // Deterministic merge order regardless of worker scheduling.
+        results.sort_unstable_by_key(|(b, _)| *b);
 
-            let mut owners: HashMap<u64, (usize, u32)> = HashMap::new();
-            for (b, outcome) in &results {
-                self.counters += outcome.counters;
-                replay_l2(&mut self.counters, &mut self.l2, &outcome.l2_log);
-                for w in &outcome.writes {
-                    let key = WriteRec::key(w.field as usize, w.plane as usize, w.offset);
-                    let bits = w.value.to_bits();
-                    if let Some(&(owner, prev_bits)) = owners.get(&key) {
-                        if owner != *b && prev_bits != bits {
-                            return Err(ExecError::WriteConflict {
-                                kernel: kernel.name.clone(),
-                                block_a: owner,
-                                block_b: *b,
-                                field: w.field,
-                                plane: w.plane,
-                                offset: w.offset,
-                            });
-                        }
-                    }
-                    owners.insert(key, (*b, bits));
-                    self.mem
-                        .write_flat(w.field as usize, w.plane as usize, w.offset, w.value);
-                }
-            }
-            // Under debug assertions, also reject cross-block
-            // read-after-write within the launch: block A reading a
-            // location block B wrote is a dependence between concurrent
-            // tiles even when no write *conflict* exists, and the
-            // sequential executor may have served a different value.
-            #[cfg(debug_assertions)]
-            for (b, outcome) in &results {
-                for key in &outcome.base_reads {
-                    if let Some(&(owner, _)) = owners.get(key) {
-                        if owner != *b {
-                            return Err(ExecError::ReadWriteOverlap {
-                                kernel: kernel.name.clone(),
-                                reader: *b,
-                                writer: owner,
-                            });
-                        }
+        let mut owners: HashMap<u64, (usize, u32)> = HashMap::new();
+        for (b, outcome) in &results {
+            self.counters += outcome.counters;
+            replay_l2(&mut self.counters, &mut self.l2, &outcome.l2_log);
+            for w in &outcome.writes {
+                let key = WriteRec::key(w.field as usize, w.plane as usize, w.offset);
+                let bits = w.value.to_bits();
+                if let Some(&(owner, prev_bits)) = owners.get(&key) {
+                    if owner != *b && prev_bits != bits {
+                        return Err(ExecError::WriteConflict {
+                            kernel: kernel.name.clone(),
+                            block_a: owner,
+                            block_b: *b,
+                            field: w.field,
+                            plane: w.plane,
+                            offset: w.offset,
+                        });
                     }
                 }
+                owners.insert(key, (*b, bits));
+                self.mem
+                    .write_flat(w.field as usize, w.plane as usize, w.offset, w.value);
             }
-            // Recycle the merged outcome buffers for the next launch.
-            let mut op = lock_pool(&out_pool);
-            for (_, mut outcome) in results {
-                outcome.writes.clear();
-                outcome.l2_log.clear();
-                op.push((outcome.writes, outcome.l2_log));
+        }
+        // Under debug assertions, also reject cross-block
+        // read-after-write within the launch: block A reading a
+        // location block B wrote is a dependence between concurrent
+        // tiles even when no write *conflict* exists, and the
+        // sequential executor may have served a different value.
+        #[cfg(debug_assertions)]
+        for (b, outcome) in &results {
+            for key in &outcome.base_reads {
+                if let Some(&(owner, _)) = owners.get(key) {
+                    if owner != *b {
+                        return Err(ExecError::ReadWriteOverlap {
+                            kernel: kernel.name.clone(),
+                            reader: *b,
+                            writer: owner,
+                        });
+                    }
+                }
             }
+        }
+        // Recycle the merged outcome buffers for the next launch.
+        let mut op = lock_pool(&pools.outcomes);
+        for (_, mut outcome) in results {
+            outcome.writes.clear();
+            outcome.l2_log.clear();
+            op.push((outcome.writes, outcome.l2_log));
         }
         Ok(())
     }

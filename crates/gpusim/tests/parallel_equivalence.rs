@@ -1,8 +1,8 @@
-//! Property: the block-parallel executor AND the compiled-bytecode
-//! executor are bit-exact with the sequential interpreter — identical
-//! grids and identical merged counters — across random gallery stencils,
-//! tile sizes, codegen strategies and worker-pool widths (1, 2 and 8
-//! threads).
+//! Property: the production executor — compiled bytecode, on one worker
+//! or block-parallel — is bit-exact with the reference interpreter:
+//! identical grids and identical merged counters across random gallery
+//! stencils, tile sizes, codegen strategies and worker-pool widths (1, 2
+//! and 8 threads).
 //!
 //! This is the executable form of two contracts at once: the determinism
 //! argument in [`gpusim::parallel`] (concurrent `S0` tiles of a hybrid
@@ -11,8 +11,7 @@
 //! block execution merges to the same state), and the equivalence
 //! contract in [`gpusim::bytecode`] (`run_plan` stays the interpreting
 //! oracle; the compiled executor must reproduce its grids and counters
-//! bit-for-bit, both standalone and underneath the parallel workers,
-//! which use it by default).
+//! bit-for-bit, both on one worker and underneath the parallel workers).
 
 use gpu_codegen::{generate_hybrid, CodegenOptions, SmemStrategy};
 use gpusim::{DeviceConfig, GpuSim};
@@ -56,8 +55,10 @@ fn tile_params(program: &StencilProgram, h: i64, w0: i64, wi: i64) -> TileParams
     TileParams::new(h, &w)
 }
 
-/// Runs one plan on all three executors — interpreting oracle, compiled
-/// sequential, compiled parallel — and asserts bitwise agreement.
+/// Runs one plan on the interpreting oracle and through every production
+/// entry point — compiled on one worker (panicking and typed forms),
+/// compiled block-parallel — and asserts bitwise agreement of grids and
+/// counters.
 fn assert_bit_exact(program: &StencilProgram, plan: &gpu_codegen::ir::LaunchPlan, dims: &[usize]) {
     let init: Vec<Grid> = (0..program.num_fields())
         .map(|f| Grid::random(dims, 41 + f as u64))
@@ -67,50 +68,34 @@ fn assert_bit_exact(program: &StencilProgram, plan: &gpu_codegen::ir::LaunchPlan
     let mut seq = GpuSim::new(DeviceConfig::gtx470(), &init, planes);
     seq.run_plan(plan);
 
-    // The compiled-bytecode executor against the interpreting oracle:
-    // grids and counters, single-threaded, no logging backend involved.
-    let mut compiled = GpuSim::new(DeviceConfig::gtx470(), &init, planes);
-    compiled.run_plan_compiled(plan);
-    assert_eq!(
-        compiled.counters(),
-        seq.counters(),
-        "{}: compiled counters diverged from run_plan oracle",
-        program.name()
-    );
-    for f in 0..program.num_fields() {
-        for p in 0..planes {
-            assert!(
-                compiled.plane(f, p).bit_equal(seq.plane(f, p)),
-                "{}: compiled field {} plane {} diverged from run_plan oracle",
-                program.name(),
-                f,
-                p
-            );
-        }
-    }
-
-    for threads in [1usize, 2, 8] {
-        let mut par = GpuSim::new(DeviceConfig::gtx470(), &init, planes);
-        par.run_plan_parallel_with(plan, threads);
+    let check = |what: &str, run: &dyn Fn(&mut GpuSim)| {
+        let mut sim = GpuSim::new(DeviceConfig::gtx470(), &init, planes);
+        run(&mut sim);
         assert_eq!(
-            par.counters(),
+            sim.counters(),
             seq.counters(),
-            "{}: counters diverged at {} threads",
-            program.name(),
-            threads
+            "{}: {what} counters diverged from run_plan oracle",
+            program.name()
         );
         for f in 0..program.num_fields() {
             for p in 0..planes {
                 assert!(
-                    par.plane(f, p).bit_equal(seq.plane(f, p)),
-                    "{}: field {} plane {} diverged at {} threads",
+                    sim.plane(f, p).bit_equal(seq.plane(f, p)),
+                    "{}: {what} field {f} plane {p} diverged from run_plan oracle",
                     program.name(),
-                    f,
-                    p,
-                    threads
                 );
             }
         }
+    };
+    check("run_plan_compiled", &|sim| sim.run_plan_compiled(plan));
+    // The entry the compile driver takes at `sim_threads = 1`.
+    check("try_run_plan_parallel_with(1)", &|sim| {
+        sim.try_run_plan_parallel_with(plan, 1).unwrap()
+    });
+    for threads in [1usize, 2, 8] {
+        check(&format!("run_plan_parallel_with({threads})"), &|sim| {
+            sim.run_plan_parallel_with(plan, threads)
+        });
     }
 }
 

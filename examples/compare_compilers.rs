@@ -64,7 +64,7 @@ fn main() {
     );
     for (label, plan) in plans {
         let mut sim = GpuSim::new(DeviceConfig::gtx470(), &init, planes);
-        sim.run_plan(&plan);
+        sim.run_plan_compiled(&plan);
         let out = steps % planes;
         let exact = (0..program.num_fields()).all(|f| sim.plane(f, out).bit_equal(oracle.field(f)));
         assert!(exact, "{label} diverged from the oracle");

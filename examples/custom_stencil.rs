@@ -58,7 +58,7 @@ fn main() {
             .expect("plan");
     let init = vec![Grid::random(&dims, 5)];
     let mut sim = GpuSim::new(DeviceConfig::nvs5200m(), &init, 2);
-    sim.run_plan(&plan);
+    sim.run_plan_compiled(&plan);
     let mut oracle = ReferenceExecutor::new(&program, &init);
     oracle.run(steps);
     assert!(sim.plane(0, steps % 2).bit_equal(oracle.field(0)));

@@ -47,7 +47,7 @@ fn main() {
     println!("{plan}");
     let init = vec![Grid::random(&dims, 1)];
     let mut sim = GpuSim::new(DeviceConfig::gtx470(), &init, 2);
-    sim.run_plan(&plan);
+    sim.run_plan_compiled(&plan);
 
     // 5. Compare against the oracle — must be bit-identical.
     let mut oracle = ReferenceExecutor::new(&program, &init);
