@@ -330,8 +330,11 @@ pub struct CompileOutcome {
     pub warm_start: bool,
     /// True when the chosen plan's parameters came from a warm hint.
     pub warm_start_hit: bool,
-    /// True if the bit-exact check against the oracle ran and passed
-    /// (false only when `cfg.verify` is off).
+    /// True if this request asked for verification (`cfg.verify`) and
+    /// this plan passed the bit-exact check against the oracle **in this
+    /// process** — during this compile, or, on a memory hit, during the
+    /// compile that published the entry. False only when `cfg.verify` is
+    /// off.
     pub verified: bool,
     /// Simulated throughput.
     pub gstencils: f64,
@@ -404,9 +407,15 @@ pub fn device_fingerprint(device: &DeviceConfig) -> String {
 /// bit-identically to the sequential one, so every worker count shares
 /// one cache entry.
 pub fn fingerprint(program: &StencilProgram, cfg: &DriverConfig) -> String {
+    fingerprint_text(&program.to_c_like(), cfg)
+}
+
+/// [`fingerprint`] over an already rendered canonical program text
+/// ([`StencilProgram::to_c_like`]), for callers that need the text anyway.
+pub fn fingerprint_text(program_text: &str, cfg: &DriverConfig) -> String {
     let ident = format!(
         "{}|{}|{:?}|backend={}|{}|{}|{:?}|{:?}|k={}|proxy={}",
-        program.to_c_like(),
+        program_text,
         device_fingerprint(&cfg.device),
         cfg.opts,
         cfg.backend.name(),
@@ -484,15 +493,37 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// (map key, timestamps, slot discriminant — a deliberate overestimate).
 const MEM_ENTRY_OVERHEAD: u64 = 96;
 
+/// What executing one plan on the simulator produced: the part of a
+/// [`CompileOutcome`] that costs a simulation (and an oracle run) to
+/// obtain. It is a pure function of the plan fingerprint, so a memory
+/// entry carries it and a hit answers from it.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct ExecRecord {
+    /// The result matched the sequential oracle bit for bit (false when
+    /// the executing request had `verify` off — the check did not run).
+    pub verified: bool,
+    /// Simulated throughput.
+    pub gstencils: f64,
+    /// Estimated device seconds for the workload.
+    pub seconds: f64,
+    /// Thread-block launches executed.
+    pub launches: u64,
+    /// Kernels in the launch plan.
+    pub kernels: usize,
+    /// Largest per-kernel shared-memory footprint in bytes.
+    pub smem_bytes: u64,
+}
+
 /// The byte cost charged against the cache cap for one entry: the
 /// retained strings (program text, fingerprints) plus the tile
-/// parameters plus the fixed overhead. Public so eviction tests can
-/// model the accounting exactly.
+/// parameters, the fixed-size execution record and the fixed overhead.
+/// Public so eviction tests can model the accounting exactly.
 pub fn mem_entry_bytes(fp: &str, device_fp: &str, program: &str, params: &TileParams) -> u64 {
     fp.len() as u64
         + device_fp.len() as u64
         + program.len() as u64
         + 8 * (1 + params.w.len() as u64)
+        + std::mem::size_of::<ExecRecord>() as u64
         + MEM_ENTRY_OVERHEAD
 }
 
@@ -506,7 +537,7 @@ fn even_split(cap: u64, shards: usize) -> Vec<u64> {
     (0..n).map(|i| base + u64::from(i < rem)).collect()
 }
 
-/// One resolved plan in the in-memory cache. The program text rides along
+/// One executed plan in the in-memory cache. The program text rides along
 /// so fingerprint collisions degrade to a bypass, exactly like the
 /// on-disk cache; the device fingerprint and timestamps drive the
 /// per-shard LRU and the hit-age metric.
@@ -515,6 +546,7 @@ struct MemEntry {
     program: String,
     device_fp: String,
     params: TileParams,
+    record: ExecRecord,
     /// Byte cost charged against the cap ([`mem_entry_bytes`]).
     bytes: u64,
     /// When the entry was published (hit age = now − inserted_at).
@@ -524,9 +556,9 @@ struct MemEntry {
 }
 
 enum MemSlot {
-    /// Some request is tuning this fingerprint right now.
+    /// Some request is compiling this fingerprint right now.
     InFlight,
-    /// A finished plan.
+    /// A finished, executed plan.
     Ready(MemEntry),
 }
 
@@ -575,16 +607,23 @@ struct MemShard {
 
 /// The shared in-memory plan cache layered above the on-disk cache by
 /// the `hybridd`/`hybridfleet` compile service: a **device-sharded,
-/// size-capped LRU**.
+/// size-capped LRU** of **executed outcomes**. An entry holds the tile
+/// parameters *and* the [`ExecRecord`] of running them — it is published
+/// once, after the plan simulated (and, if requested, verified against
+/// the oracle) successfully — so a hit is a lookup: no code generation,
+/// no simulation, no oracle run. Unlike the on-disk cache (tile
+/// parameters only, re-executed on every load) an entry cannot outlive
+/// the binary that checked it, which is why a hit may report the
+/// publishing compile's verdict.
 ///
 /// Lookups are **single-flight**: the first request for a fingerprint
-/// marks it in flight and tunes; concurrent requests for the same
-/// fingerprint block on a condvar until the plan is ready and then count
+/// marks it in flight and compiles; concurrent requests for the same
+/// fingerprint block on a condvar until the entry is ready and then count
 /// as coalesced hits, so N clients hitting the same stencil cost one
-/// tuning sweep. A request that fails (or panics — the guard cleans up
-/// on drop) wakes the waiters, which retune individually. Waits are
-/// bounded: a waiter whose [`CancelToken`] fires stops waiting and gets
-/// [`MemLookup::Cancelled`].
+/// tuning sweep and one simulation. A request that fails (or panics —
+/// the guard cleans up on drop) publishes nothing and wakes the waiters,
+/// which compile individually. Waits are bounded: a waiter whose
+/// [`CancelToken`] fires stops waiting and gets [`MemLookup::Cancelled`].
 ///
 /// The map is sharded by the *device fingerprint plus plan fingerprint*,
 /// so requests for different devices (and unrelated programs) never
@@ -601,7 +640,9 @@ struct MemShard {
 /// Counters are disjoint: every lookup is exactly one of `hits`
 /// (immediately ready), `coalesced` (ready after waiting on an in-flight
 /// compile), `misses` (became the tuner), `bypasses` (fingerprint
-/// collision), or `cancelled_waits`.
+/// collision), or `cancelled_waits`. `reexecuted` counts the subset of
+/// hits whose record could not answer the request (see
+/// [`MemCache::reexecuted`]).
 pub struct MemCache {
     shards: Vec<MemShard>,
     /// Total byte cap across all shards; `None` = unbounded.
@@ -625,15 +666,17 @@ pub struct MemCache {
     evictions: AtomicU64,
     cancelled_waits: AtomicU64,
     rebalances: AtomicU64,
+    reexecuted: AtomicU64,
 }
 
 /// Outcome of a memory-cache lookup.
 pub enum MemLookup<'a> {
-    /// Ready entry (possibly after waiting on an in-flight compile).
-    Hit(TileParams),
-    /// Nothing cached; the caller must tune and then
+    /// Ready entry (possibly after waiting on an in-flight compile): the
+    /// tile parameters and what executing them produced.
+    Hit(TileParams, ExecRecord),
+    /// Nothing cached; the caller must tune, execute and then
     /// [`MemCacheGuard::fulfill`] (or drop the guard, which wakes
-    /// waiters to retune themselves).
+    /// waiters to compile for themselves).
     Miss(MemCacheGuard<'a>),
     /// Fingerprint collision with a different program: compile without
     /// touching the cache.
@@ -693,6 +736,7 @@ impl MemCache {
             evictions: AtomicU64::new(0),
             cancelled_waits: AtomicU64::new(0),
             rebalances: AtomicU64::new(0),
+            reexecuted: AtomicU64::new(0),
         }
     }
 
@@ -835,6 +879,15 @@ impl MemCache {
         self.rebalances.load(Ordering::Relaxed)
     }
 
+    /// Hits whose entry had to run the pipeline again because its record
+    /// could not answer the request: the record was published by a
+    /// `verify: false` compile and this request wants verification. A
+    /// subset of [`MemCache::hits`] + [`MemCache::coalesced`]; 0 in
+    /// steady state (the re-execution upgrades the entry in place).
+    pub fn reexecuted(&self) -> u64 {
+        self.reexecuted.load(Ordering::Relaxed)
+    }
+
     /// The current per-shard byte budgets. With a cap set their sum is
     /// exactly [`MemCache::cap_bytes`] — the invariant every rebalance
     /// preserves; without a cap the values are meaningless zeros.
@@ -968,6 +1021,22 @@ impl MemCache {
         )
     }
 
+    /// Replaces the record of the ready entry for `fp` with a
+    /// **verified** one — the in-place upgrade after a `verify: true`
+    /// request re-executed an entry that a `verify: false` compile
+    /// published. The record is fixed-size, so the entry's byte cost (and
+    /// the shard's `ready_bytes`) cannot change. A no-op when the entry
+    /// was evicted meanwhile, belongs to a colliding program, or `record`
+    /// is not verified (an entry is never downgraded).
+    pub fn upgrade(&self, fp: &str, device_fp: &str, program: &str, record: ExecRecord) {
+        let shard = self.shard(device_fp, fp);
+        if let Some(MemSlot::Ready(e)) = lock_ignore_poison(&shard.inner).map.get_mut(fp) {
+            if record.verified && e.program == program {
+                e.record = record;
+            }
+        }
+    }
+
     /// Looks up `fp`, beginning a single-flight compile on a miss; see
     /// [`MemLookup`] for the four-way outcome. `cancel` bounds the wait
     /// on a concurrent in-flight compile of the same fingerprint.
@@ -991,7 +1060,7 @@ impl MemCache {
                     }
                     e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
                     let inserted_at = e.inserted_at;
-                    let params = e.params.clone();
+                    let (params, record) = (e.params.clone(), e.record);
                     if waited {
                         self.coalesced.fetch_add(1, Ordering::Relaxed);
                     } else {
@@ -999,7 +1068,7 @@ impl MemCache {
                     }
                     inner.record_hit_age(inserted_at);
                     inner.demand += 1;
-                    return MemLookup::Hit(params);
+                    return MemLookup::Hit(params, record);
                 }
                 Some(MemSlot::InFlight) => {
                     if let Some(kind) = cancel.cancelled() {
@@ -1041,11 +1110,11 @@ impl Default for MemCache {
 }
 
 impl MemCacheGuard<'_> {
-    /// Publishes the tuned plan, wakes every waiter, and evicts LRU
+    /// Publishes the executed plan, wakes every waiter, and evicts LRU
     /// entries if the shard now exceeds its slice of the byte cap. Every
     /// `REBALANCE_EVERY` publishes the per-shard budgets are reshaped
     /// toward recent demand ([`MemCache::rebalance`]).
-    pub fn fulfill(mut self, program: &str, params: &TileParams) {
+    pub fn fulfill(mut self, program: &str, params: &TileParams, record: ExecRecord) {
         let idx = self.cache.shard_idx(&self.device_fp, &self.fp);
         let shard = &self.cache.shards[idx];
         {
@@ -1057,6 +1126,7 @@ impl MemCacheGuard<'_> {
                     program: program.to_string(),
                     device_fp: self.device_fp.clone(),
                     params: params.clone(),
+                    record,
                     bytes,
                     inserted_at: Instant::now(),
                     last_used: self.cache.tick.fetch_add(1, Ordering::Relaxed),
@@ -1341,18 +1411,19 @@ fn write_atomic(path: &Path, contents: &str) -> Result<(), DriverError> {
 /// batch workers can only ever observe complete entries.
 fn store_cached_params(
     dir: &Path,
-    fp: &str,
-    program: &StencilProgram,
-    cfg: &DriverConfig,
+    job: &Job<'_>,
     params: &TileParams,
     smem_bytes: u64,
     score: f64,
 ) -> Result<(), DriverError> {
+    let Job {
+        program, cfg, fp, ..
+    } = *job;
     fs::create_dir_all(dir).map_err(|e| DriverError::Io(format!("{}: {e}", dir.display())))?;
     let entry = Json::obj(vec![
         ("fingerprint", Json::str(fp)),
         ("stencil", Json::str(program.name())),
-        ("program", Json::str(program.to_c_like())),
+        ("program", Json::str(job.text)),
         ("device", Json::str(cfg.device.name.clone())),
         ("backend", Json::str(cfg.backend.name())),
         ("tune", Json::str(cfg.tune.name())),
@@ -1603,21 +1674,48 @@ fn choose_params(
     }
 }
 
+/// One compile's resolved inputs, shared by every stage after parsing.
+#[derive(Clone, Copy)]
+struct Job<'a> {
+    program: &'a StencilProgram,
+    /// The canonical rendering of `program`, rendered once per compile.
+    text: &'a str,
+    fp: &'a str,
+    dims: &'a [usize],
+    steps: usize,
+    cfg: &'a DriverConfig,
+}
+
+/// Where the artifacts of `job` live: `<out_dir>/<name>-<fp8>.<ext>` for
+/// the source and, if the backend has one, the secondary artifact. The
+/// fingerprint prefix makes the paths content-addressed, so concurrent
+/// serve requests compiling *different* programs under the same name
+/// land on distinct files — and a file this process finds there holds
+/// what [`emit_artifacts`] would write again (emission is deterministic
+/// per fingerprint), which is why a memory hit only probes `exists()`.
+fn artifact_paths(job: &Job<'_>) -> (PathBuf, Option<PathBuf>) {
+    let Job {
+        program, cfg, fp, ..
+    } = *job;
+    let backend = cfg.backend.backend();
+    let tag = &fp[..8.min(fp.len())];
+    let path = |ext: &str| cfg.out_dir.join(format!("{}-{tag}.{ext}", program.name()));
+    (
+        path(backend.source_extension()),
+        backend.aux_extension().map(path),
+    )
+}
+
 /// Emits the source (and, if the backend has one, secondary) artifact
-/// for `plan` and returns the paths. Each file is written atomically
+/// for `plan` at [`artifact_paths`]. Each file is written atomically
 /// ([`write_atomic`]): concurrent requests for one fingerprint re-emit
-/// the same path. Filenames carry a fingerprint
-/// prefix (`<name>-<fp8>.<ext>`) so concurrent serve requests compiling
-/// *different* programs under the same name land on distinct files —
-/// two writers on one path would race and a response could otherwise
-/// point at the other program's code.
+/// the same path.
 fn emit_artifacts(
-    program: &StencilProgram,
+    job: &Job<'_>,
     params: &TileParams,
     plan: &gpu_codegen::LaunchPlan,
-    fp: &str,
-    cfg: &DriverConfig,
 ) -> Result<(PathBuf, Option<PathBuf>), DriverError> {
+    let Job { program, cfg, .. } = *job;
     fs::create_dir_all(&cfg.out_dir)
         .map_err(|e| DriverError::Io(format!("{}: {e}", cfg.out_dir.display())))?;
     let backend = cfg.backend.backend();
@@ -1631,27 +1729,26 @@ fn emit_artifacts(
         plan.launches.len(),
     );
     source.push_str(&backend.emit_plan(plan));
-    let tag = &fp[..8.min(fp.len())];
-    let source_path = cfg.out_dir.join(format!(
-        "{}-{tag}.{}",
-        program.name(),
-        backend.source_extension()
-    ));
+    let (source_path, aux_path) = artifact_paths(job);
     write_atomic(&source_path, &source)?;
-    let aux_path = match (backend.emit_aux(plan), backend.aux_extension()) {
-        (Some(aux), Some(ext)) => {
-            let path = cfg.out_dir.join(format!("{}-{tag}.{ext}", program.name()));
-            write_atomic(&path, &aux)?;
-            Some(path)
-        }
-        _ => None,
-    };
+    if let (Some(path), Some(aux)) = (&aux_path, backend.emit_aux(plan)) {
+        write_atomic(path, &aux)?;
+    }
     Ok((source_path, aux_path))
 }
 
-/// Resolves the tile plan for one compile through every cache layer:
+/// Lowers `params` to a launch plan for the job's workload.
+fn generate(
+    job: &Job<'_>,
+    params: &TileParams,
+) -> Result<gpu_codegen::LaunchPlan, gpu_codegen::CodegenError> {
+    generate_hybrid(job.program, params, job.dims, job.steps, job.cfg.opts)
+}
+
+/// Resolves the tile plan for one compile below the memory layer:
 ///
-/// 1. the shared in-memory cache (in-process single-flight);
+/// 1. `cached` — tile parameters the caller already holds (a memory
+///    entry whose record could not answer the request);
 /// 2. the on-disk content-addressed cache;
 /// 3. the cross-process lock file next to the disk cache (a concurrent
 ///    `hybridd` process tuning the same fingerprint is awaited, not
@@ -1660,74 +1757,41 @@ fn emit_artifacts(
 ///
 /// Stale cached plans (entries that no longer generate) degrade to a
 /// miss; every layer observes `cfg.cancel`.
-#[allow(clippy::too_many_arguments)]
 fn resolve_plan(
-    program: &StencilProgram,
-    program_text: &str,
-    fp: &str,
-    device_fp: &str,
-    dims: &[usize],
-    steps: usize,
-    cfg: &DriverConfig,
-    mem: Option<&MemCache>,
+    job: &Job<'_>,
+    cached: Option<TileParams>,
 ) -> Result<(TileParams, gpu_codegen::LaunchPlan, TuneStats, CacheSource), DriverError> {
-    // Cache layer 1: the shared in-memory cache (single-flight — an
-    // in-flight compile of the same fingerprint is awaited, not repeated).
-    let mut guard = None;
-    let mut cached: Option<(TileParams, CacheSource)> = None;
-    if let Some(mem) = mem {
-        match mem.lookup_or_begin(fp, device_fp, program_text, &cfg.cancel) {
-            MemLookup::Hit(params) => cached = Some((params, CacheSource::Memory)),
-            MemLookup::Miss(g) => guard = Some(g),
-            MemLookup::Bypass => {}
-            MemLookup::Cancelled(kind) => return Err(cancel_error(kind, program.name())),
-        }
-    }
-    // Cache layer 2: the on-disk content-addressed cache.
-    if cached.is_none() {
-        if let Some(params) = cfg
-            .cache_dir
-            .as_deref()
-            .and_then(|dir| load_cached_params(dir, fp, program_text, cfg.backend))
-        {
-            cached = Some((params, CacheSource::Disk));
-        }
-    }
+    let Job {
+        program,
+        text,
+        fp,
+        cfg,
+        ..
+    } = *job;
+    let cached = cached
+        .map(|params| (params, CacheSource::Memory))
+        .or_else(|| {
+            let dir = cfg.cache_dir.as_deref()?;
+            let params = load_cached_params(dir, fp, text, cfg.backend)?;
+            Some((params, CacheSource::Disk))
+        });
     // A cached plan that no longer generates (stale entry from an older
     // emitter) degrades to a miss.
-    let hit = cached.and_then(|(params, source)| {
-        generate_hybrid(program, &params, dims, steps, cfg.opts)
-            .ok()
-            .map(|plan| (params, plan, source))
-    });
-    if let Some((params, plan, source)) = hit {
-        if let Some(g) = guard.take() {
-            // A disk hit under an in-flight marker: promote it to the
-            // memory layer so waiters and later requests skip the disk.
-            g.fulfill(program_text, &params);
+    if let Some((params, source)) = cached {
+        if let Ok(plan) = generate(job, &params) {
+            return Ok((params, plan, TuneStats::default(), source));
         }
-        return Ok((params, plan, TuneStats::default(), source));
     }
 
-    // Cache layer 3: the cross-process single-flight. A concurrent
-    // process tuning this fingerprint is awaited through its lock file;
-    // its stored entry then counts as a disk hit.
+    // The cross-process single-flight. A concurrent process tuning this
+    // fingerprint is awaited through its lock file; its stored entry then
+    // counts as a disk hit.
     let mut disk_flight = None;
     if let Some(dir) = cfg.cache_dir.as_deref() {
-        match DiskLock::acquire(
-            dir,
-            fp,
-            program_text,
-            cfg.backend,
-            &cfg.cancel,
-            cfg.lock_stale,
-        )? {
+        match DiskLock::acquire(dir, fp, text, cfg.backend, &cfg.cancel, cfg.lock_stale)? {
             DiskFlight::Acquired(lock) => disk_flight = Some(lock),
             DiskFlight::Ready(params) => {
-                if let Ok(plan) = generate_hybrid(program, &params, dims, steps, cfg.opts) {
-                    if let Some(g) = guard.take() {
-                        g.fulfill(program_text, &params);
-                    }
+                if let Ok(plan) = generate(job, &params) {
                     return Ok((params, plan, TuneStats::default(), CacheSource::Disk));
                 }
                 // The other process stored a stale/incompatible entry:
@@ -1737,23 +1801,136 @@ fn resolve_plan(
         }
     }
 
-    // On any failure below, dropping `guard` clears the in-flight marker
-    // and wakes single-flight waiters to tune themselves; dropping
-    // `disk_flight` removes the lock file so other processes proceed.
-    // While we hold the disk lock, its ticker thread heartbeats the lock
-    // file's mtime so peers never mistake a long live sweep — even one
-    // stuck inside a single slow candidate — for an abandoned one.
+    // On any failure below, dropping `disk_flight` removes the lock file
+    // so other processes proceed. While we hold the disk lock, its ticker
+    // thread heartbeats the lock file's mtime so peers never mistake a
+    // long live sweep — even one stuck inside a single slow candidate —
+    // for an abandoned one.
     let (params, smem, score, stats) = choose_params(program, cfg)?;
     if let Some(dir) = cfg.cache_dir.as_deref() {
-        store_cached_params(dir, fp, program, cfg, &params, smem, score)?;
+        store_cached_params(dir, job, &params, smem, score)?;
     }
-    let plan = generate_hybrid(program, &params, dims, steps, cfg.opts)
+    let plan = generate(job, &params)
         .map_err(|e| DriverError::NoFeasibleTiling(format!("{}: {e}", program.name())))?;
-    if let Some(g) = guard.take() {
-        g.fulfill(program_text, &params);
-    }
     drop(disk_flight);
     Ok((params, plan, stats, CacheSource::Fresh))
+}
+
+/// Executes `plan` on the simulator and, when `cfg.verify` is on, checks
+/// the result bit for bit against the sequential oracle. A fired
+/// deadline stops at either stage boundary rather than entering a long
+/// simulation or oracle run.
+fn execute(
+    job: &Job<'_>,
+    params: &TileParams,
+    plan: &gpu_codegen::LaunchPlan,
+) -> Result<ExecRecord, DriverError> {
+    let Job {
+        program,
+        dims,
+        steps,
+        cfg,
+        ..
+    } = *job;
+    let name = program.name();
+    check_cancel(&cfg.cancel, name)?;
+    let align = alignment_offset_words(program, params, &cfg.opts);
+    let init = random_init(program, dims, 1234);
+    let mut sim = loaded_sim(program, &cfg.device, &init, align, steps);
+    // A schedule that violates concurrent-tile independence is a
+    // per-stencil verification failure, never a dead batch/service.
+    sim.try_run_plan_parallel_with(plan, cfg.sim_threads)
+        .map_err(|e| DriverError::Verify(format!("{name}: {e}")))?;
+
+    check_cancel(&cfg.cancel, name)?;
+    if cfg.verify {
+        let mut oracle = ReferenceExecutor::new(program, &init);
+        oracle.run(steps);
+        let out = steps % (program.max_dt() as usize + 1);
+        for f in 0..program.num_fields() {
+            if !sim.plane(f, out).bit_equal(oracle.field(f)) {
+                return Err(DriverError::Verify(format!(
+                    "{name}: field {} diverged from the reference (max abs diff {:e})",
+                    program.field_names()[f],
+                    sim.plane(f, out).max_abs_diff(oracle.field(f))
+                )));
+            }
+        }
+    }
+
+    Ok(ExecRecord {
+        verified: cfg.verify,
+        gstencils: timing::gstencils_per_s(sim.counters(), sim.device()),
+        seconds: timing::estimate_time(sim.counters(), sim.device()).total,
+        launches: sim.counters().launches,
+        kernels: plan.kernels.len(),
+        smem_bytes: plan
+            .kernels
+            .iter()
+            .map(|k| k.shared_bytes() as u64)
+            .max()
+            .unwrap_or(0),
+    })
+}
+
+/// The one place a [`CompileOutcome`] is filled in, for hits and misses
+/// alike: the execution `record` (fresh or cached), the plan's
+/// provenance (`stats`, `cache`) and the artifact paths.
+fn outcome_from(
+    job: &Job<'_>,
+    label: &Path,
+    params: TileParams,
+    stats: TuneStats,
+    cache: CacheSource,
+    record: ExecRecord,
+    (source_path, aux_path): (PathBuf, Option<PathBuf>),
+) -> CompileOutcome {
+    let Job {
+        program,
+        fp,
+        dims,
+        steps,
+        cfg,
+        ..
+    } = *job;
+    let per_statement = |count: fn(&stencil::StencilExpr) -> usize| -> Vec<usize> {
+        program
+            .statements()
+            .iter()
+            .map(|s| count(&s.expr))
+            .collect()
+    };
+    CompileOutcome {
+        name: program.name().to_string(),
+        source: label.to_path_buf(),
+        fingerprint: fp.to_string(),
+        params,
+        cache_hit: cache.is_hit(),
+        cache,
+        examined: stats.examined,
+        shortlisted: stats.shortlisted,
+        simulated: stats.simulated,
+        proxy_simulated: stats.proxy_simulated,
+        full_simulated: stats.full_simulated,
+        tune_wall_ms: stats.tune_wall_ms,
+        warm_start: stats.warm_start,
+        warm_start_hit: stats.warm_start_hit,
+        // A cached record may carry a verdict this request did not ask
+        // for; `verified == cfg.verify` holds on every path.
+        verified: record.verified && cfg.verify,
+        gstencils: record.gstencils,
+        seconds: record.seconds,
+        launches: record.launches,
+        kernels: record.kernels,
+        smem_bytes: record.smem_bytes,
+        loads: per_statement(load_count),
+        flops: per_statement(flop_count),
+        dims: dims.to_vec(),
+        steps,
+        backend: cfg.backend,
+        source_path,
+        aux_path,
+    }
 }
 
 /// Compiles one stencil file end to end: parse, validate, plan (through
@@ -1785,6 +1962,18 @@ pub fn compile_file_with(
 /// path recorded in the outcome/report (for inline programs, a synthetic
 /// `<request>`-style label).
 ///
+/// With a memory cache, a hit whose record satisfies the request
+/// (`record.verified || !cfg.verify`) is answered from the entry: parse,
+/// checks, fingerprint, lookup, and an `exists()` probe per artifact —
+/// nothing is generated, simulated or verified, and no file is written
+/// unless an artifact is missing under this request's `out_dir`/name (it
+/// is then re-emitted, without simulation). A hit on a record that a
+/// `verify: false` compile published, by a request that wants
+/// verification, re-executes the cached tile parameters and upgrades the
+/// entry in place. Everything else — memory miss, disk hit, fresh tune —
+/// runs the whole pipeline and publishes the entry only after the plan
+/// executed (and verified) successfully.
+///
 /// # Errors
 ///
 /// Identical to [`compile_file`].
@@ -1795,9 +1984,7 @@ pub fn compile_source_with(
     cfg: &DriverConfig,
     mem: Option<&MemCache>,
 ) -> Result<CompileOutcome, DriverError> {
-    let path = label;
-    let name = name.to_string();
-    let program = parse_stencil(&name, src).map_err(DriverError::Parse)?;
+    let program = parse_stencil(name, src).map_err(DriverError::Parse)?;
     if !(1..=3).contains(&program.spatial_dims()) {
         return Err(DriverError::Unsupported(format!(
             "{} has {} spatial dimensions; the planner supports 1-3",
@@ -1833,99 +2020,71 @@ pub fn compile_source_with(
 
     // A request whose deadline already passed must not be served, not
     // even from the cache: the client has stopped waiting.
-    check_cancel(&cfg.cancel, &name)?;
+    check_cancel(&cfg.cancel, name)?;
 
-    let fp = fingerprint(&program, cfg);
+    let text = program.to_c_like();
+    let fp = fingerprint_text(&text, cfg);
     let device_fp = device_fingerprint(&cfg.device);
-    let program_text = program.to_c_like();
     let (dims, steps) = workload(&program, cfg);
-
-    let (params, plan, stats, cache) = resolve_plan(
-        &program,
-        &program_text,
-        &fp,
-        &device_fp,
-        &dims,
+    let job = Job {
+        program: &program,
+        text: &text,
+        fp: &fp,
+        dims: &dims,
         steps,
         cfg,
-        mem,
-    )?;
-    let (source_path, aux_path) = emit_artifacts(&program, &params, &plan, &fp, cfg)?;
-
-    // Execute the plan on the simulator (stage boundary: a fired
-    // deadline stops here rather than entering a long simulation).
-    check_cancel(&cfg.cancel, &name)?;
-    let align = alignment_offset_words(&program, &params, &cfg.opts);
-    let init = random_init(&program, &dims, 1234);
-    let mut sim = loaded_sim(&program, &cfg.device, &init, align, steps);
-    // A schedule that violates concurrent-tile independence is a
-    // per-stencil verification failure, never a dead batch/service.
-    sim.try_run_plan_parallel_with(&plan, cfg.sim_threads)
-        .map_err(|e| DriverError::Verify(format!("{name}: {e}")))?;
-
-    // Bit-exact verification against the sequential oracle.
-    check_cancel(&cfg.cancel, &name)?;
-    let verified = if cfg.verify {
-        let mut oracle = ReferenceExecutor::new(&program, &init);
-        oracle.run(steps);
-        let out = steps % (program.max_dt() as usize + 1);
-        for f in 0..program.num_fields() {
-            if !sim.plane(f, out).bit_equal(oracle.field(f)) {
-                return Err(DriverError::Verify(format!(
-                    "{name}: field {} diverged from the reference (max abs diff {:e})",
-                    program.field_names()[f],
-                    sim.plane(f, out).max_abs_diff(oracle.field(f))
-                )));
-            }
-        }
-        true
-    } else {
-        false
     };
 
-    let t = timing::estimate_time(sim.counters(), sim.device());
-    Ok(CompileOutcome {
-        name,
-        source: path.to_path_buf(),
-        fingerprint: fp,
-        cache_hit: cache.is_hit(),
-        cache,
-        examined: stats.examined,
-        shortlisted: stats.shortlisted,
-        simulated: stats.simulated,
-        proxy_simulated: stats.proxy_simulated,
-        full_simulated: stats.full_simulated,
-        tune_wall_ms: stats.tune_wall_ms,
-        warm_start: stats.warm_start,
-        warm_start_hit: stats.warm_start_hit,
-        verified,
-        gstencils: timing::gstencils_per_s(sim.counters(), sim.device()),
-        seconds: t.total,
-        launches: sim.counters().launches,
-        kernels: plan.kernels.len(),
-        smem_bytes: plan
-            .kernels
-            .iter()
-            .map(|k| k.shared_bytes() as u64)
-            .max()
-            .unwrap_or(0),
-        loads: program
-            .statements()
-            .iter()
-            .map(|s| load_count(&s.expr))
-            .collect(),
-        flops: program
-            .statements()
-            .iter()
-            .map(|s| flop_count(&s.expr))
-            .collect(),
-        params,
-        dims,
-        steps,
-        backend: cfg.backend,
-        source_path,
-        aux_path,
-    })
+    // The shared in-memory cache (single-flight — an in-flight compile of
+    // the same fingerprint is awaited, not repeated).
+    let mut guard = None;
+    let mut cached = None;
+    if let Some(mem) = mem {
+        match mem.lookup_or_begin(&fp, &device_fp, &text, &cfg.cancel) {
+            MemLookup::Hit(params, record) if record.verified || !cfg.verify => {
+                let artifacts = artifact_paths(&job);
+                let (source, aux) = &artifacts;
+                if !(source.exists() && aux.as_ref().is_none_or(|p| p.exists())) {
+                    let plan = generate(&job, &params)
+                        .map_err(|e| DriverError::NoFeasibleTiling(format!("{name}: {e}")))?;
+                    emit_artifacts(&job, &params, &plan)?;
+                }
+                return Ok(outcome_from(
+                    &job,
+                    label,
+                    params,
+                    TuneStats::default(),
+                    CacheSource::Memory,
+                    record,
+                    artifacts,
+                ));
+            }
+            // The record was published without verification and this
+            // request wants it: execute the cached parameters again.
+            MemLookup::Hit(params, _) => {
+                mem.reexecuted.fetch_add(1, Ordering::Relaxed);
+                cached = Some(params);
+            }
+            MemLookup::Miss(g) => guard = Some(g),
+            MemLookup::Bypass => {}
+            MemLookup::Cancelled(kind) => return Err(cancel_error(kind, name)),
+        }
+    }
+
+    // On any failure below, dropping `guard` clears the in-flight marker
+    // and wakes single-flight waiters to compile for themselves: nothing
+    // is published until the plan executed (and verified).
+    let (params, plan, stats, cache) = resolve_plan(&job, cached)?;
+    let artifacts = emit_artifacts(&job, &params, &plan)?;
+    let record = execute(&job, &params, &plan)?;
+    if let Some(g) = guard {
+        g.fulfill(&text, &params, record);
+    } else if let (Some(mem), CacheSource::Memory) = (mem, cache) {
+        mem.upgrade(&fp, &device_fp, &text, record);
+    }
+    Ok(outcome_from(
+        &job, label, params, stats, cache, record, artifacts,
+    ))
 }
 
 /// Renders a caught panic payload (the `&str`/`String` forms `panic!`
@@ -2153,6 +2312,16 @@ for (t = 0; t < T; t++)
                         + A[t][i][j+1] + A[t][i][j-1]);
 ";
 
+    /// A stand-in execution record for tests that publish entries by hand.
+    const RECORD: ExecRecord = ExecRecord {
+        verified: true,
+        gstencils: 1.0,
+        seconds: 1.0,
+        launches: 1,
+        kernels: 1,
+        smem_bytes: 0,
+    };
+
     fn smoke_cfg(out: PathBuf) -> DriverConfig {
         DriverConfig {
             smoke: true,
@@ -2372,8 +2541,15 @@ for (t = 0; t < T; t++)
                 .count(),
             1
         );
-        let params = &outcomes[0].params;
-        assert!(outcomes.iter().all(|o| o.params == *params));
+        // Waiters woke to the leader's complete entry: same plan, same
+        // executed-and-verified record, bit for bit.
+        let first = &outcomes[0];
+        assert!(outcomes.iter().all(|o| o.params == first.params
+            && o.verified
+            && o.gstencils.to_bits() == first.gstencils.to_bits()
+            && o.seconds.to_bits() == first.seconds.to_bits()
+            && (o.launches, o.kernels, o.smem_bytes)
+                == (first.launches, first.kernels, first.smem_bytes)));
         assert!(outcomes
             .iter()
             .filter(|o| o.cache != CacheSource::Fresh)
@@ -2403,6 +2579,76 @@ for (t = 0; t < T; t++)
             .iter()
             .all(|r| matches!(r, Err(DriverError::NoFeasibleTiling(_)))));
         assert!(mem.is_empty(), "failed compiles must not leave markers");
+
+        // The same holds for a leader that fails *after* its sweep chose
+        // a plan — the window between tuning and a successful execution,
+        // where nothing may be published yet. The leader's last scoring
+        // is a warm hint from outside the smoke space (no cancellation
+        // check follows hint re-verification): there the scorer parks on
+        // GATE until both followers are waiting on the in-flight marker,
+        // then raises the leader's cancel flag, so the sweep completes
+        // and the pre-simulation check fails the compile.
+        use std::sync::OnceLock;
+        const HINT_H: i64 = 3;
+        static GATE: Mutex<()> = Mutex::new(());
+        static LEADER_FLAG: OnceLock<Arc<AtomicBool>> = OnceLock::new();
+        fn cancelling_scorer(m: &TileSizeModel) -> Option<f64> {
+            if m.params.h == HINT_H {
+                drop(lock_ignore_poison(&GATE));
+                LEADER_FLAG.get().unwrap().store(true, Ordering::SeqCst);
+            }
+            Some(-m.ratio())
+        }
+        let flag = LEADER_FLAG.get_or_init(|| Arc::new(AtomicBool::new(false)));
+        let follower_cfg = DriverConfig {
+            scorer: Some(cancelling_scorer),
+            ..cfg.clone()
+        };
+        let program = parse_stencil("jacobi", JACOBI).unwrap();
+        let leader_cfg = DriverConfig {
+            warm_hints: vec![(program.to_c_like(), TileParams::new(HINT_H, &[3, 32]))],
+            cancel: CancelToken::with_flag(flag.clone()),
+            ..follower_cfg.clone()
+        };
+        let mem = MemCache::new();
+        let wait_for = |what: &str, cond: &dyn Fn() -> bool| {
+            let start = Instant::now();
+            while !cond() {
+                assert!(
+                    start.elapsed() < Duration::from_secs(60),
+                    "timed out: {what}"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let (leader, followers) = std::thread::scope(|s| {
+            let gate = lock_ignore_poison(&GATE);
+            let leader = s.spawn(|| compile_file_with(&file, &leader_cfg, Some(&mem)));
+            wait_for("leader in flight", &|| mem.misses() == 1);
+            let followers: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| compile_file_with(&file, &follower_cfg, Some(&mem))))
+                .collect();
+            wait_for("followers waiting", &|| mem.lookups() == 3);
+            drop(gate);
+            (
+                leader.join().unwrap(),
+                followers
+                    .into_iter()
+                    .map(|h| h.join().unwrap())
+                    .collect::<Vec<_>>(),
+            )
+        });
+        assert!(
+            matches!(leader, Err(DriverError::Cancelled(_))),
+            "{leader:?}"
+        );
+        // Nothing was published by the cancelled leader: one follower
+        // had to become the new leader, the other took its entry.
+        assert!(followers
+            .iter()
+            .all(|r| r.as_ref().is_ok_and(|o| o.verified)));
+        assert_eq!((mem.misses(), mem.hits() + mem.coalesced()), (2, 1));
+        assert_eq!(mem.len(), 1);
     }
 
     #[test]
@@ -2472,7 +2718,7 @@ for (t = 0; t < T; t++)
         let insert = |key: &str, text_len: usize| {
             let program = "x".repeat(text_len);
             match mem.lookup_or_begin(key, dfp, &program, &CancelToken::never()) {
-                MemLookup::Miss(g) => g.fulfill(&program, &params),
+                MemLookup::Miss(g) => g.fulfill(&program, &params, RECORD),
                 _ => panic!("expected miss for {key}"),
             }
         };
@@ -2485,7 +2731,7 @@ for (t = 0; t < T; t++)
         assert_eq!(mem.len(), 2);
         // Touch "a": it becomes most recently used.
         match mem.lookup_or_begin("a", dfp, &"x".repeat(100), &CancelToken::never()) {
-            MemLookup::Hit(_) => {}
+            MemLookup::Hit(..) => {}
             _ => panic!("expected hit on a"),
         }
         insert("c", 100);
@@ -2508,7 +2754,7 @@ for (t = 0; t < T; t++)
         let params = TileParams::new(1, &[3]);
         let big = "y".repeat(1000);
         match mem.lookup_or_begin("huge", "dev", &big, &CancelToken::never()) {
-            MemLookup::Miss(g) => g.fulfill(&big, &params),
+            MemLookup::Miss(g) => g.fulfill(&big, &params, RECORD),
             _ => panic!("expected miss"),
         }
         assert_eq!(mem.bytes(), 0, "an entry larger than the cap cannot stay");
@@ -2714,7 +2960,7 @@ for (t = 0; t < T; t++)
         let params = TileParams::new(2, &[3, 32]);
         for (fp, dev) in [("f1", "devA"), ("f2", "devA"), ("f3", "devB")] {
             match mem.lookup_or_begin(fp, dev, fp, &CancelToken::never()) {
-                MemLookup::Miss(g) => g.fulfill(fp, &params),
+                MemLookup::Miss(g) => g.fulfill(fp, &params, RECORD),
                 _ => panic!("expected miss for {fp}"),
             }
         }
@@ -2825,6 +3071,29 @@ for (t = 0; t < T; t++)
             ..cfg.clone()
         };
         assert_eq!(base, fingerprint(&program, &more_workers));
+    }
+
+    #[test]
+    fn fingerprint_forms_agree_on_every_example_stencil() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/stencils");
+        let files = collect_stencil_files(&dir).unwrap();
+        assert!(files.len() >= 6, "{files:?}");
+        for file in &files {
+            let src = fs::read_to_string(file).unwrap();
+            let program = parse_stencil(&program_name(file), &src).unwrap();
+            for device in [DeviceConfig::gtx470(), DeviceConfig::nvs5200m()] {
+                let cfg = DriverConfig {
+                    device,
+                    ..DriverConfig::new(std::env::temp_dir())
+                };
+                assert_eq!(
+                    fingerprint(&program, &cfg),
+                    fingerprint_text(&program.to_c_like(), &cfg),
+                    "{}",
+                    file.display()
+                );
+            }
+        }
     }
 
     #[test]

@@ -223,14 +223,13 @@ impl FleetRouter {
     }
 
     fn dispatch(&self, seq: u64, line: &str) -> Option<Json> {
-        // Parse once at the router to route; the member re-parses the
-        // raw line (requests are one line — the double parse is noise
-        // next to a compile).
+        // The one parse of a routed request: members take the parsed
+        // value ([`ServeState::handle_request`]).
         let req = match Json::parse(line) {
             // Malformed JSON cannot name a device: the default member
-            // answers it so its error shape (and error counters) live
-            // where single-device clients expect them.
-            Err(_) => return self.route_to_default(seq, line),
+            // answers the raw line so its error shape (and error
+            // counters) live where single-device clients expect them.
+            Err(_) => return self.route_to_default(seq, |member| member.handle_line(seq, line)),
             Ok(v) => v,
         };
         let id = req.get("id").cloned();
@@ -284,7 +283,7 @@ impl FleetRouter {
                     }
                 }
                 match self.member_for(&device) {
-                    Ok(member) => member.handle_line(seq, line),
+                    Ok(member) => Some(member.handle_request(seq, &req)),
                     Err(msg) => {
                         Some(self.track(error_response(seq, id.as_ref(), "fleet_full", &msg)))
                     }
@@ -292,15 +291,19 @@ impl FleetRouter {
             }
             // Version errors, missing/unknown ops: the default member
             // produces the canonical error responses.
-            _ => self.route_to_default(seq, line),
+            _ => self.route_to_default(seq, |member| Some(member.handle_request(seq, &req))),
         }
     }
 
-    /// Routes a line to the default device's member (the line is not a
-    /// routable compile: malformed, unknown op, bad version, ...).
-    fn route_to_default(&self, seq: u64, line: &str) -> Option<Json> {
+    /// Has the default device's member `answer` a request that is not a
+    /// routable compile (malformed, unknown op, bad version, ...).
+    fn route_to_default(
+        &self,
+        seq: u64,
+        answer: impl FnOnce(&ServeState) -> Option<Json>,
+    ) -> Option<Json> {
         match self.member_for(&self.base.device.clone()) {
-            Ok(member) => member.handle_line(seq, line),
+            Ok(member) => answer(&member),
             // max_devices = 0-ish pathology: answer at the router.
             Err(msg) => Some(self.track(error_response(seq, None, "fleet_full", &msg))),
         }
@@ -356,6 +359,7 @@ impl FleetRouter {
                 Json::UInt(sum(&|m| m.proxy_simulations())),
             ),
             ("tune_wall_ms", Json::UInt(sum(&|m| m.tune_wall_ms()))),
+            ("mem_reexecuted", Json::UInt(sum(&|m| m.mem().reexecuted()))),
             ("backend_compiles", {
                 let mut totals = [0u64; 4];
                 for (_, m) in &members {
@@ -508,6 +512,25 @@ mod tests {
             assert_eq!(member.mem().len_for_device(fp), 1);
             assert_eq!(member.requests(), 2);
         }
+    }
+
+    #[test]
+    fn a_routed_compile_line_is_parsed_once() {
+        use crate::json::PARSE_CALLS;
+        let router = test_router("parse_once", FleetOptions::default());
+        // A miss, a hit, and a lazily spun-up second member: the router's
+        // parse is the only one (the members take the parsed value).
+        for (seq, device) in [(1, None), (2, None), (3, Some("nvs5200m"))] {
+            let line = compile_req("p", device);
+            let before = PARSE_CALLS.with(|n| n.get());
+            let resp = router.handle_line(seq, &line).unwrap();
+            assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
+            assert_eq!(PARSE_CALLS.with(|n| n.get()) - before, 1, "seq {seq}");
+        }
+        let members = router.members();
+        assert_eq!(members.len(), 2);
+        assert_eq!(members[0].1.requests(), 2, "member accounting unchanged");
+        assert_eq!(members[0].1.ok_count(), 2);
     }
 
     #[test]

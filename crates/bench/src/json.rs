@@ -31,6 +31,13 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`Json::parse`] calls made on this thread — lets a test assert how
+    /// often a request line is parsed.
+    pub(crate) static PARSE_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 impl Json {
     /// Convenience constructor for objects.
     pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
@@ -113,6 +120,8 @@ impl Json {
     /// Returns a description of the first syntax error, with its byte
     /// offset.
     pub fn parse(src: &str) -> Result<Json, String> {
+        #[cfg(test)]
+        PARSE_CALLS.with(|n| n.set(n.get() + 1));
         let bytes = src.as_bytes();
         let mut pos = 0usize;
         let v = parse_value(bytes, &mut pos)?;

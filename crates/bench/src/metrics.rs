@@ -62,6 +62,9 @@ pub struct DeviceMetrics {
     pub mem_cancelled_waits: u64,
     pub mem_evictions: u64,
     pub mem_rebalances: u64,
+    /// Hits that had to run the pipeline again (see
+    /// [`MemCache::reexecuted`](crate::driver::MemCache::reexecuted)).
+    pub mem_reexecuted: u64,
     /// Hit-age (p50, p90, p99) in milliseconds; `None` before the first
     /// hit.
     pub hit_age_ms: Option<(u64, u64, u64)>,
@@ -150,6 +153,7 @@ pub fn device_metrics(device: &str, state: &ServeState) -> DeviceMetrics {
         mem_cancelled_waits: mem.cancelled_waits(),
         mem_evictions: mem.evictions(),
         mem_rebalances: mem.rebalances(),
+        mem_reexecuted: mem.reexecuted(),
         hit_age_ms: mem.hit_age_quantiles_ms(),
     }
 }
@@ -322,6 +326,12 @@ pub fn render(snap: &MetricsSnapshot) -> String {
         "counter",
         "Demand-weighted shard budget rebalances.",
         &per_device(|d| d.mem_rebalances),
+    );
+    family(
+        "hybrid_mem_cache_reexecuted_total",
+        "counter",
+        "Memory-cache hits that re-ran the pipeline (unverified record, verifying request).",
+        &per_device(|d| d.mem_reexecuted),
     );
     let ages: Vec<(String, u64)> = snap
         .devices

@@ -1,8 +1,9 @@
 //! `hybridd` — the resident compile service behind `hybridc serve`.
 //!
 //! The one-shot driver ([`crate::driver`]) compiles a file set and exits;
-//! this module keeps the pipeline resident so clients pay tuning cost
-//! once and every later identical request is a memory-cache hit. The wire
+//! this module keeps the pipeline resident so clients pay tuning,
+//! simulation and verification once per plan and every later identical
+//! request is a memory-cache hit — a lookup of the verified outcome. The wire
 //! protocol is newline-delimited JSON over stdin/stdout or TCP: one
 //! request per line, one compact-JSON response per line (responses may
 //! arrive out of request order; match them by `seq`/`id`).
@@ -53,10 +54,10 @@
 //! JSON, unparseable DSL,
 //! budget-infeasible tile requests, conflict-inducing schedules, or an
 //! outright pipeline bug — can take the service down: each failure is
-//! that request's error response. Plans are shared through the
+//! that request's error response. Outcomes are shared through the
 //! single-flight in-memory [`MemCache`] layered above the on-disk cache,
 //! so N concurrent clients compiling the same stencil cost one tuning
-//! sweep.
+//! sweep and one simulation.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, BufRead, Write};
@@ -448,8 +449,27 @@ impl ServeState {
         if line.is_empty() {
             return None;
         }
+        Some(match Json::parse(line) {
+            Ok(req) => self.handle_request(seq, &req),
+            Err(e) => self.tracked(seq, || {
+                error_response(seq, None, "bad_request", &format!("malformed JSON: {e}"))
+            }),
+        })
+    }
+
+    /// Handles one already parsed request — what [`ServeState::handle_line`]
+    /// does after parsing, and the entry point of the fleet router, which
+    /// parsed the line to route it. Same abort barrier and accounting.
+    pub fn handle_request(&self, seq: u64, req: &Json) -> Json {
+        self.tracked(seq, || self.dispatch(seq, req))
+    }
+
+    /// Runs `respond` as one request: counted in `requests`, a panic
+    /// contained into an `internal` error response, and the response
+    /// counted as `ok` or `errors`.
+    fn tracked(&self, seq: u64, respond: impl FnOnce() -> Json) -> Json {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.dispatch(seq, line)));
+        let outcome = catch_unwind(AssertUnwindSafe(respond));
         let response = outcome.unwrap_or_else(|payload| {
             self.panics.fetch_add(1, Ordering::Relaxed);
             let msg = panic_message(payload);
@@ -460,18 +480,12 @@ impl ServeState {
         } else {
             self.ok.fetch_add(1, Ordering::Relaxed);
         }
-        Some(response)
+        response
     }
 
-    fn dispatch(&self, seq: u64, line: &str) -> Json {
-        let req = match Json::parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                return error_response(seq, None, "bad_request", &format!("malformed JSON: {e}"))
-            }
-        };
+    fn dispatch(&self, seq: u64, req: &Json) -> Json {
         let id = req.get("id").cloned();
-        if let Some(resp) = check_version(seq, id.as_ref(), &req) {
+        if let Some(resp) = check_version(seq, id.as_ref(), req) {
             return resp;
         }
         let op = match req.get("op").and_then(Json::as_str) {
@@ -486,10 +500,10 @@ impl ServeState {
             }
         };
         match op {
-            "compile" => self.handle_compile(seq, id.as_ref(), &req),
+            "compile" => self.handle_compile(seq, id.as_ref(), req),
             "status" => self.status_response(seq, id.as_ref()),
             "metrics" => metrics_response(seq, id.as_ref(), crate::metrics::render_state(self)),
-            "cancel" => self.handle_cancel(seq, id.as_ref(), &req),
+            "cancel" => self.handle_cancel(seq, id.as_ref(), req),
             "shutdown" => {
                 self.stop.store(true, Ordering::SeqCst);
                 with_envelope(
@@ -619,6 +633,7 @@ impl ServeState {
                 "mem_cancelled_waits",
                 Json::UInt(self.mem.cancelled_waits()),
             ),
+            ("mem_reexecuted", Json::UInt(self.mem.reexecuted())),
             (
                 "hit_age_p50_ms",
                 match self.mem.hit_age_p50_ms() {
@@ -1516,6 +1531,35 @@ impl<H: RequestHandler + ?Sized> RequestHandler for AuthGate<'_, H> {
     }
 }
 
+/// The "watch" handles of an accept loop's live connections, by
+/// connection number: a clone of each accepted stream, kept so a stop can
+/// shut a blocked reader down.
+type Watches<S> = Mutex<HashMap<u64, S>>;
+
+/// Un-registers one connection's watch handle — closing its descriptor —
+/// when the connection's thread finishes, however it finishes.
+struct WatchGuard<'a, S> {
+    conns: &'a Watches<S>,
+    conn: u64,
+}
+
+impl<S> Drop for WatchGuard<'_, S> {
+    fn drop(&mut self) {
+        if let Ok(mut conns) = self.conns.lock() {
+            conns.remove(&self.conn);
+        }
+    }
+}
+
+/// Registers `watch` (a `try_clone` of connection number `conn`) for the
+/// lifetime of the returned guard, which the connection's thread owns.
+fn watch_conn<S>(conns: &Watches<S>, conn: u64, watch: io::Result<S>) -> WatchGuard<'_, S> {
+    if let (Ok(watch), Ok(mut conns)) = (watch, conns.lock()) {
+        conns.insert(conn, watch);
+    }
+    WatchGuard { conns, conn }
+}
+
 /// Serves TCP connections on `listener`, one serving loop per connection,
 /// all sharing `state` (and therefore the in-memory plan cache), under
 /// the default policy and without authentication. Returns
@@ -1546,14 +1590,16 @@ pub fn serve_tcp_with<H: RequestHandler + ?Sized>(
     secret: Option<&str>,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
-    let conns: Mutex<Vec<std::net::TcpStream>> = Mutex::new(Vec::new());
+    let conns: Watches<std::net::TcpStream> = Mutex::new(HashMap::new());
+    let conns = &conns;
+    let mut accepted = 0u64;
     std::thread::scope(|scope| -> io::Result<()> {
         loop {
             if state.stopped() {
                 // Wake every connection's reader; their serve() loops
                 // return on the resulting EOF and the scope joins them.
                 if let Ok(conns) = conns.lock() {
-                    for c in conns.iter() {
+                    for c in conns.values() {
                         let _ = c.shutdown(std::net::Shutdown::Both);
                     }
                 }
@@ -1562,10 +1608,10 @@ pub fn serve_tcp_with<H: RequestHandler + ?Sized>(
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     let _ = stream.set_nonblocking(false);
-                    if let (Ok(watch), Ok(mut conns)) = (stream.try_clone(), conns.lock()) {
-                        conns.push(watch);
-                    }
+                    accepted += 1;
+                    let watch = watch_conn(conns, accepted, stream.try_clone());
                     scope.spawn(move || {
+                        let _watch = watch;
                         let Ok(read_half) = stream.try_clone() else {
                             return;
                         };
@@ -1600,12 +1646,14 @@ pub fn serve_unix<H: RequestHandler + ?Sized>(
     policy: SchedPolicy,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
-    let conns: Mutex<Vec<std::os::unix::net::UnixStream>> = Mutex::new(Vec::new());
+    let conns: Watches<std::os::unix::net::UnixStream> = Mutex::new(HashMap::new());
+    let conns = &conns;
+    let mut accepted = 0u64;
     std::thread::scope(|scope| -> io::Result<()> {
         loop {
             if state.stopped() {
                 if let Ok(conns) = conns.lock() {
-                    for c in conns.iter() {
+                    for c in conns.values() {
                         let _ = c.shutdown(std::net::Shutdown::Both);
                     }
                 }
@@ -1614,10 +1662,10 @@ pub fn serve_unix<H: RequestHandler + ?Sized>(
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     let _ = stream.set_nonblocking(false);
-                    if let (Ok(watch), Ok(mut conns)) = (stream.try_clone(), conns.lock()) {
-                        conns.push(watch);
-                    }
+                    accepted += 1;
+                    let watch = watch_conn(conns, accepted, stream.try_clone());
                     scope.spawn(move || {
+                        let _watch = watch;
                         let Ok(read_half) = stream.try_clone() else {
                             return;
                         };
@@ -2138,6 +2186,7 @@ mod tests {
             "mem_evictions",
             "mem_rebalances",
             "mem_cancelled_waits",
+            "mem_reexecuted",
             "hit_age_p50_ms",
             "disk_cache",
             "device",
@@ -2167,6 +2216,7 @@ mod tests {
         }
         assert_eq!(status.get("mem_hits").and_then(Json::as_u64), Some(1));
         assert_eq!(status.get("mem_misses").and_then(Json::as_u64), Some(1));
+        assert_eq!(status.get("mem_reexecuted").and_then(Json::as_u64), Some(0));
         assert!(status.get("mem_bytes").and_then(Json::as_u64).unwrap() > 0);
         assert!(status
             .get("hit_age_p50_ms")

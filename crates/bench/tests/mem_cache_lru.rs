@@ -14,12 +14,23 @@
 //! The proptest stand-in generates deterministic inputs, so a failure
 //! here reproduces with plain `cargo test`.
 
-use hybrid_bench::driver::{mem_entry_bytes, MemCache, MemLookup};
+use hybrid_bench::driver::{mem_entry_bytes, ExecRecord, MemCache, MemLookup};
 use hybrid_tiling::cancel::CancelToken;
 use hybrid_tiling::TileParams;
 use proptest::prelude::*;
 
 const DEVICE: &str = "dev|sms=14|test";
+
+/// The execution record entries are published with: what a
+/// `verify: false` compile would store.
+const UNVERIFIED: ExecRecord = ExecRecord {
+    verified: false,
+    gstencils: 1.5,
+    seconds: 0.25,
+    launches: 7,
+    kernels: 2,
+    smem_bytes: 4096,
+};
 
 /// Inserts (or re-inserts after eviction) `key` with a program text of
 /// `text_len` bytes. Returns the entry's byte cost.
@@ -27,8 +38,8 @@ fn insert(cache: &MemCache, key: &str, text_len: usize) -> u64 {
     let program = "p".repeat(text_len);
     let params = TileParams::new(1, &[3]);
     match cache.lookup_or_begin(key, DEVICE, &program, &CancelToken::never()) {
-        MemLookup::Miss(guard) => guard.fulfill(&program, &params),
-        MemLookup::Hit(_) => {}
+        MemLookup::Miss(guard) => guard.fulfill(&program, &params, UNVERIFIED),
+        MemLookup::Hit(..) => {}
         _ => panic!("unexpected lookup outcome for {key}"),
     }
     mem_entry_bytes(key, DEVICE, &program, &params)
@@ -38,11 +49,11 @@ fn insert(cache: &MemCache, key: &str, text_len: usize) -> u64 {
 fn touch(cache: &MemCache, key: &str, text_len: usize) -> bool {
     let program = "p".repeat(text_len);
     match cache.lookup_or_begin(key, DEVICE, &program, &CancelToken::never()) {
-        MemLookup::Hit(_) => true,
+        MemLookup::Hit(..) => true,
         MemLookup::Miss(guard) => {
             // The entry was evicted earlier: re-publishing keeps the
             // model and the cache in step.
-            guard.fulfill(&program, &TileParams::new(1, &[3]));
+            guard.fulfill(&program, &TileParams::new(1, &[3]), UNVERIFIED);
             false
         }
         _ => panic!("unexpected lookup outcome for {key}"),
@@ -147,16 +158,21 @@ proptest! {
     #[test]
     fn surviving_entries_match_a_reference_lru_exactly(
         cap in 600usize..2000,
-        ops in proptest::collection::vec((0usize..12, 0usize..2), 1..50),
+        ops in proptest::collection::vec((0usize..12, 0usize..3), 1..50),
     ) {
         let cap = cap as u64;
         let cache = MemCache::with_config(1, Some(cap));
         let mut model = ModelLru { cap, entries: Vec::new() };
-        for (key_pick, is_touch) in ops {
-            let is_touch = is_touch == 1;
+        for (key_pick, op_kind) in ops {
+            let is_touch = op_kind == 1;
             let key = format!("fp{key_pick:02}");
             let text_len = 20 + key_pick * 29;
-            if is_touch && model.contains(&key) {
+            if op_kind == 2 {
+                // An in-place upgrade (present or not) is invisible to
+                // the model: no recency bump, no byte change, no entry.
+                let record = ExecRecord { verified: true, ..UNVERIFIED };
+                cache.upgrade(&key, DEVICE, &"p".repeat(text_len), record);
+            } else if is_touch && model.contains(&key) {
                 let hit = touch(&cache, &key, text_len);
                 prop_assert!(hit, "model has {key} but the cache evicted it");
                 model.touch(&key);
@@ -240,4 +256,41 @@ fn issue_counter_identity_holds_without_collisions() {
         cache.hits() + cache.misses() + cache.coalesced(),
         cache.lookups()
     );
+}
+
+/// An in-place upgrade swaps the record of a ready entry — the next hit
+/// sees the verified one — without charging the entry's bytes a second
+/// time; it never creates an entry and never downgrades one.
+#[test]
+fn in_place_upgrade_never_double_counts_ready_bytes() {
+    let cache = MemCache::with_config(1, Some(4096));
+    let program = "p".repeat(64);
+    let bytes = insert(&cache, "fp00", 64);
+    assert_eq!(cache.bytes(), bytes, "record bytes are part of the model");
+    let record_of = |cache: &MemCache| match cache.lookup_or_begin(
+        "fp00",
+        DEVICE,
+        &program,
+        &CancelToken::never(),
+    ) {
+        MemLookup::Hit(_, record) => record,
+        _ => panic!("expected a hit"),
+    };
+    assert_eq!(record_of(&cache), UNVERIFIED);
+
+    let verified = ExecRecord {
+        verified: true,
+        ..UNVERIFIED
+    };
+    cache.upgrade("fp00", DEVICE, &program, verified);
+    assert_eq!(record_of(&cache), verified);
+    assert_eq!((cache.len(), cache.bytes()), (1, bytes));
+
+    // Never a downgrade, never a colliding program, never a new entry.
+    cache.upgrade("fp00", DEVICE, &program, UNVERIFIED);
+    cache.upgrade("fp00", DEVICE, "another program", UNVERIFIED);
+    cache.upgrade("fp01", DEVICE, &program, verified);
+    assert_eq!(record_of(&cache), verified);
+    assert_eq!((cache.len(), cache.bytes()), (1, bytes));
+    assert_eq!(cache.reexecuted(), 0, "upgrades are not lookups");
 }

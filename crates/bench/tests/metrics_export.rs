@@ -169,6 +169,7 @@ fn fleet_aggregate_equals_sum_over_member_payloads() {
         ("hybrid_contained_panics_total", "contained_panics"),
         ("hybrid_mem_cache_evictions_total", "mem_evictions"),
         ("hybrid_mem_cache_rebalances_total", "mem_rebalances"),
+        ("hybrid_mem_cache_reexecuted_total", "mem_reexecuted"),
     ] {
         assert_eq!(
             fleet_sum(metric),
@@ -225,6 +226,7 @@ fn golden_snapshot() -> MetricsSnapshot {
                 mem_cancelled_waits: 1,
                 mem_evictions: 3,
                 mem_rebalances: 2,
+                mem_reexecuted: 1,
                 hit_age_ms: Some((10, 50, 200)),
             },
             DeviceMetrics {
@@ -249,6 +251,7 @@ fn golden_snapshot() -> MetricsSnapshot {
                 mem_cancelled_waits: 0,
                 mem_evictions: 0,
                 mem_rebalances: 0,
+                mem_reexecuted: 0,
                 hit_age_ms: None,
             },
         ],

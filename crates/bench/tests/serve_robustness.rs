@@ -253,3 +253,59 @@ fn concurrent_clients_match_one_shot_reports_bit_exactly() {
     assert_eq!(state.mem().hits() + state.mem().coalesced(), 4);
     assert_eq!(state.mem().lookups(), 6);
 }
+
+/// A connection's descriptors are released when it closes: 300
+/// connect → `status` → close rounds leave the process's open-descriptor
+/// count where it was (the accept loop used to keep one "watch" clone per
+/// connection ever served, until `accept` failed with `EMFILE` and took
+/// the service down).
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_descriptors() {
+    use hybrid_bench::serve::{serve_unix, SchedPolicy};
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::{UnixListener, UnixStream};
+
+    let dir = std::env::temp_dir().join(format!("serve_fd_leak_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("hybridd.sock");
+    let _ = std::fs::remove_file(&socket);
+    let listener = UnixListener::bind(&socket).unwrap();
+    let state = ServeState::new(cheap_cfg("fd_leak"));
+    let open_fds = || std::fs::read_dir("/proc/self/fd").unwrap().count();
+    let round_trip = |request: &str| {
+        let mut stream = UnixStream::connect(&socket).unwrap();
+        writeln!(stream, "{request}").unwrap();
+        let mut line = String::new();
+        BufReader::new(&stream).read_line(&mut line).unwrap();
+        Json::parse(&line).unwrap()
+    };
+    // Other tests of this binary open and close files concurrently, so
+    // the count is compared with slack — far below one per connection.
+    const ROUNDS: usize = 300;
+    const SLACK: usize = 40;
+
+    std::thread::scope(|s| {
+        let server = s.spawn(|| serve_unix(&state, listener, 1, SchedPolicy::default()));
+        // The first connection settles lazily created descriptors.
+        round_trip("{\"op\":\"status\"}");
+        let baseline = open_fds();
+        for _ in 0..ROUNDS {
+            let status = round_trip("{\"op\":\"status\"}");
+            assert_eq!(status.get("status").and_then(Json::as_str), Some("alive"));
+        }
+        // A connection's thread drops its handles just after the client
+        // sees EOF; give the last few a moment.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while open_fds() > baseline + SLACK && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        let after = open_fds();
+        round_trip("{\"op\":\"shutdown\"}");
+        server.join().unwrap().unwrap();
+        assert!(
+            after <= baseline + SLACK,
+            "{ROUNDS} closed connections left {after} open descriptors (baseline {baseline})"
+        );
+    });
+}
