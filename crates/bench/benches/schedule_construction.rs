@@ -2,10 +2,12 @@
 //! hexagon construction, full schedule mapping, and tile-size evaluation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use hybrid_bench::autotune::sweep_space;
 use hybrid_tiling::{tilesize, DepCone, HexShape, HybridSchedule, TileParams};
 use polylib::Rat;
 use std::hint::black_box;
 use stencil::gallery;
+use stencil::parse::parse_stencil;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("schedule_construction");
@@ -51,6 +53,33 @@ fn bench(c: &mut Criterion) {
         let params = TileParams::new(2, &[3, 8]);
         b.iter(|| tilesize::evaluate_tile(black_box(&p), &params).unwrap())
     });
+
+    // The tuner's front half: the model over the whole §6 sweep space
+    // (12 / 24 / 48 points), one worker, no budget.
+    for (name, src) in [
+        (
+            "wave1d",
+            include_str!("../../../examples/stencils/wave1d.stencil"),
+        ),
+        (
+            "jacobi2d",
+            include_str!("../../../examples/stencils/jacobi2d.stencil"),
+        ),
+        (
+            "fdtd2d",
+            include_str!("../../../examples/stencils/fdtd2d.stencil"),
+        ),
+        (
+            "laplacian3d",
+            include_str!("../../../examples/stencils/laplacian3d.stencil"),
+        ),
+    ] {
+        g.bench_function(format!("tilesize/front_half/{name}"), |b| {
+            let p = parse_stencil(name, src).expect("checked-in example parses");
+            let space = sweep_space(p.spatial_dims(), false);
+            b.iter(|| tilesize::select_tile_sizes(black_box(&p), u64::MAX, &space))
+        });
+    }
     g.finish();
 }
 

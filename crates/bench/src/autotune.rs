@@ -243,6 +243,9 @@ pub struct RaceGateSample {
     pub proxy_frac: f64,
     /// Sequential sweep wall-clock in milliseconds.
     pub seq_wall_ms: f64,
+    /// The part of `seq_wall_ms` the tile-size model took over the whole
+    /// space (`AutotuneReport::model_ms`); the rest is the scoring round.
+    pub seq_model_ms: f64,
     /// Racing (parallel + ladder) sweep wall-clock in milliseconds.
     pub ladder_wall_ms: f64,
     /// Full-fidelity simulations the sequential sweep paid.
@@ -274,6 +277,13 @@ impl RaceGateSample {
             return 1.0;
         }
         self.ladder_best / self.seq_best
+    }
+
+    /// The sequential sweep's front half as a fraction of its scoring
+    /// round (`model_ms / (wall - model_ms)`): far below 1 while the model
+    /// counts tiles, above 1 if it ever goes back to enumerating them.
+    pub fn model_share_of_scoring(&self) -> f64 {
+        self.seq_model_ms / (self.seq_wall_ms - self.seq_model_ms).max(f64::MIN_POSITIVE)
     }
 
     /// Sequential wall-clock over racing wall-clock (> 1 = racing wins).
@@ -343,6 +353,7 @@ pub fn race_gate_sample(
         workers,
         proxy_frac,
         seq_wall_ms,
+        seq_model_ms: seq.model_ms,
         ladder_wall_ms,
         seq_full_simulations: seq.full_simulated,
         ladder_full_simulations: ladder.full_simulated,

@@ -37,9 +37,11 @@
 //!   the successive-halving fidelity ladder pays at least 2x fewer
 //!   full-fidelity simulations than the sequential full-fidelity sweep,
 //!   every stencil's top-1 plan scores within 10% of the sequential
-//!   winner's, and the racing wall clock is no slower than sequential.
-//!   The paired wall clocks land in the `race` block of the JSON as a
-//!   `tune_wall_ms` trend.
+//!   winner's, the racing wall clock is no slower than sequential, and
+//!   on no stencil does the tile-size model's front half take longer
+//!   than the sequential sweep's scoring round. The paired wall clocks
+//!   (and the front half's `model_ms`) land in the `race` block of the
+//!   JSON as a `tune_wall_ms` trend.
 //! * `--out PATH` — where to write the JSON (default `BENCH_autotune.json`).
 //! * `--baseline PATH` — compare this run's per-stencil
 //!   `points_per_sec_compiled` against a checked-in earlier run of the
@@ -250,14 +252,22 @@ fn main() {
     let budget = gpusim::resolve_sim_threads(args.threads);
     println!("\nracing ladder vs sequential full-fidelity sweep (budget {budget} threads):");
     println!(
-        "{:<14} {:>7} {:>10} {:>10} {:>10} {:>9} {:>8} {:>8}",
-        "stencil", "workers", "seq full", "lad full", "lad proxy", "reduction", "quality", "wall"
+        "{:<14} {:>7} {:>10} {:>10} {:>10} {:>9} {:>8} {:>8} {:>9}",
+        "stencil",
+        "workers",
+        "seq full",
+        "lad full",
+        "lad proxy",
+        "reduction",
+        "quality",
+        "wall",
+        "model ms"
     );
     let mut race_samples = Vec::new();
     for program in &gate_stencils {
         let s = race_gate_sample(program, &args.device, budget);
         println!(
-            "{:<14} {:>7} {:>10} {:>10} {:>10} {:>8.1}x {:>7.1}% {:>7.2}x",
+            "{:<14} {:>7} {:>10} {:>10} {:>10} {:>8.1}x {:>7.1}% {:>7.2}x {:>9.2}",
             s.stencil,
             s.workers,
             s.seq_full_simulations,
@@ -266,6 +276,7 @@ fn main() {
             s.full_sim_reduction(),
             s.quality() * 100.0,
             s.wall_speedup(),
+            s.seq_model_ms,
         );
         race_samples.push(s);
     }
@@ -428,6 +439,7 @@ fn main() {
                                 Json::obj(vec![
                                     ("stencil", Json::str(s.stencil.clone())),
                                     ("seq_wall_ms", Json::Num(s.seq_wall_ms)),
+                                    ("model_ms", Json::Num(s.seq_model_ms)),
                                     ("ladder_wall_ms", Json::Num(s.ladder_wall_ms)),
                                     ("wall_speedup", Json::Num(s.wall_speedup())),
                                 ])
@@ -612,6 +624,17 @@ fn main() {
             ));
         }
         for s in &race_samples {
+            // Both terms come from one sweep in this process, so runner
+            // speed cancels.
+            if s.model_share_of_scoring() > RACE_GATE_MAX_MODEL_SHARE {
+                failures.push(format!(
+                    "{}: the tile-size model's front half took {:.1} ms, more than the \
+                     {:.1} ms the exhaustive sweep spent scoring",
+                    s.stencil,
+                    s.seq_model_ms,
+                    s.seq_wall_ms - s.seq_model_ms,
+                ));
+            }
             if s.quality() < RACE_GATE_MIN_QUALITY {
                 failures.push(format!(
                     "{}: ladder best {:.3} GSt/s is only {:.0}% of the sequential \
@@ -665,8 +688,14 @@ const RACE_GATE_MIN_FULL_SIM_REDUCTION: f64 = 2.0;
 /// ...with each stencil's racing top-1 within 10% of the sequential
 /// winner...
 const RACE_GATE_MIN_QUALITY: f64 = 0.90;
-/// ...and a racing wall clock no slower than the sequential sweep's.
+/// ...and a racing wall clock no slower than the sequential sweep's...
 const RACE_GATE_MIN_WALL_SPEEDUP: f64 = 1.0;
+/// ...and, per stencil, a front half no longer than the scoring round of
+/// the exhaustive simulated sweep. Counting tiles reads under 1 % on
+/// the gate's 2-D stencils; enumerating them point by point read
+/// 28–79 %, so the gate has slack and only trips on a return of the
+/// per-point pattern.
+const RACE_GATE_MAX_MODEL_SHARE: f64 = 1.0;
 
 /// Compares this run's `exec_throughput` block against a checked-in
 /// baseline file, normalizing for host speed via each run's aggregate

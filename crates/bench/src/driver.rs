@@ -50,7 +50,7 @@ use hybrid_tiling::tilesize::autotune::{
     autotune_parallel_cancellable, estimated_regs_per_block, split_thread_budget, AutotuneConfig,
     AutotuneEntry, AutotuneError, Fidelity,
 };
-use hybrid_tiling::tilesize::{evaluate_tile, TileSizeModel};
+use hybrid_tiling::tilesize::{TileEvaluator, TileSizeModel};
 use hybrid_tiling::TileParams;
 use stencil::characteristics::{flop_count, load_count};
 use stencil::parse::{parse_stencil, ParseError};
@@ -325,6 +325,10 @@ pub struct CompileOutcome {
     /// — which is exactly why it is reported: cache-hit vs cold-tune
     /// cost becomes visible per request).
     pub tune_wall_ms: u64,
+    /// The part of `tune_wall_ms` the tile-size model took — the sweep's
+    /// front half, before any candidate was scored — in milliseconds at
+    /// microsecond resolution (0 on a cache hit).
+    pub tune_model_ms: f64,
     /// True when a cross-device warm hint matched this program and was
     /// re-verified during tuning.
     pub warm_start: bool,
@@ -1477,6 +1481,10 @@ pub struct TuneStats {
     /// warm-hint re-verification), clamped to ≥ 1 so a fresh tune is
     /// always distinguishable from a cache hit's 0.
     pub tune_wall_ms: u64,
+    /// Milliseconds of `tune_wall_ms` spent in the sweep's front half
+    /// ([`hybrid_tiling::tilesize::autotune::AutotuneReport::model_ms`],
+    /// rounded to the microsecond).
+    pub tune_model_ms: f64,
     /// At least one warm hint matched this program and entered
     /// re-verification.
     pub warm_start: bool,
@@ -1605,6 +1613,7 @@ fn choose_params(
         proxy_simulated: report.proxy_simulated,
         full_simulated: report.full_simulated,
         tune_wall_ms: 0,
+        tune_model_ms: (report.model_ms * 1e3).round() / 1e3,
         warm_start: false,
         warm_start_hit: false,
     };
@@ -1621,13 +1630,20 @@ fn choose_params(
         }
     }
     stats.warm_start = !hint_params.is_empty();
+    // One evaluator for every hint (cone and access table derived once),
+    // and only when there is a hint to re-verify.
+    let evaluator = if hint_params.is_empty() {
+        None
+    } else {
+        TileEvaluator::new(program).ok()
+    };
     for params in &hint_params {
         check_cancel(&cfg.cancel, program.name())?;
         if report.ranked.iter().any(|e| &e.model.params == params) {
             // The sweep already scored this exact candidate.
             continue;
         }
-        let Ok(model) = evaluate_tile(program, params) else {
+        let Some(Ok(model)) = evaluator.as_ref().map(|e| e.evaluate(params)) else {
             continue;
         };
         if model.smem_bytes > tune_cfg.smem_limit
@@ -1913,6 +1929,7 @@ fn outcome_from(
         proxy_simulated: stats.proxy_simulated,
         full_simulated: stats.full_simulated,
         tune_wall_ms: stats.tune_wall_ms,
+        tune_model_ms: stats.tune_model_ms,
         warm_start: stats.warm_start,
         warm_start_hit: stats.warm_start_hit,
         // A cached record may carry a verdict this request did not ask
@@ -2232,6 +2249,7 @@ pub fn outcome_json(source: &str, result: &Result<CompileOutcome, DriverError>) 
             ("proxy_simulated", Json::UInt(o.proxy_simulated as u64)),
             ("full_simulated", Json::UInt(o.full_simulated as u64)),
             ("tune_wall_ms", Json::UInt(o.tune_wall_ms)),
+            ("tune_model_ms", Json::Num(o.tune_model_ms)),
             ("warm_start", Json::Bool(o.warm_start)),
             ("warm_start_hit", Json::Bool(o.warm_start_hit)),
             ("h", Json::Int(o.params.h)),

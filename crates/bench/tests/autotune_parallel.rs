@@ -10,11 +10,21 @@
 //! completion order. With the ladder disabled every scoring is full
 //! fidelity (`full_simulated == simulated`); with it enabled the report
 //! is still identical across worker counts and the two rungs partition
-//! `simulated`.
+//! `simulated`. The same holds under the driver's real scorers (codegen
+//! feasibility, the simulator), and a token that fires while the model
+//! is still being evaluated stops the sweep before anything is scored.
 
-use hybrid_tiling::cancel::CancelToken;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use gpu_codegen::{generate_hybrid, CodegenOptions};
+use gpusim::DeviceConfig;
+use hybrid_bench::autotune::{simulate_score, sweep_space};
+use hybrid_tiling::cancel::{CancelKind, CancelToken};
 use hybrid_tiling::tilesize::autotune::{
-    autotune, autotune_parallel_cancellable, AutotuneConfig, AutotuneReport,
+    autotune, autotune_cancellable, autotune_parallel_cancellable, AutotuneConfig, AutotuneError,
+    AutotuneReport,
 };
 use hybrid_tiling::tilesize::TileSizeModel;
 use hybrid_tiling::SearchSpace;
@@ -42,12 +52,12 @@ fn det_score(m: &TileSizeModel, reject_mod: u64) -> Option<f64> {
     Some(-m.ratio() + 0.001 * m.params.h as f64)
 }
 
-/// Full structural equality: ranking (params + bit-equal scores) and
-/// every counter.
+/// Full structural equality: ranking (whole models + bit-equal scores)
+/// and every counter — everything but the `model_ms` wall time.
 fn assert_reports_identical(tag: &str, a: &AutotuneReport, b: &AutotuneReport) {
     assert_eq!(a.ranked.len(), b.ranked.len(), "{tag}: ranked length");
     for (i, (x, y)) in a.ranked.iter().zip(&b.ranked).enumerate() {
-        assert_eq!(x.model.params, y.model.params, "{tag}: rank {i} params");
+        assert_eq!(x.model, y.model, "{tag}: rank {i} model");
         assert_eq!(
             x.score.to_bits(),
             y.score.to_bits(),
@@ -177,6 +187,98 @@ proptest! {
                 &one,
                 &par,
             );
+        }
+    }
+}
+
+/// The driver's two scorers — static (codegen feasibility, ranked by the
+/// model's ratio) and simulated — over the smoke space: the sequential
+/// sweep and the racing one at 1, 2 and 8 workers report the same thing.
+#[test]
+fn real_scorers_report_identically_at_any_worker_count() {
+    let program = gallery::jacobi2d();
+    let device = DeviceConfig::gtx470();
+    let space = sweep_space(2, true);
+    let cfg = AutotuneConfig::fermi();
+    let (dims, steps) = (vec![48, 48], 6);
+    let static_score = |m: &TileSizeModel| {
+        generate_hybrid(&program, &m.params, &dims, steps, CodegenOptions::best())
+            .ok()
+            .map(|_| -m.ratio())
+    };
+    let simulated_score =
+        |m: &TileSizeModel| simulate_score(&program, &m.params, &device, &dims, steps, 1);
+    type Scorer<'a> = &'a (dyn Fn(&TileSizeModel) -> Option<f64> + Sync);
+    let scorers: [(&str, Scorer<'_>); 2] =
+        [("static", &static_score), ("simulated", &simulated_score)];
+    for (name, score) in scorers {
+        let seq = autotune_cancellable(&program, &space, &cfg, &CancelToken::never(), score)
+            .expect("a never-token cannot cancel the sweep");
+        assert_eq!(seq.examined, 4, "{name}");
+        assert!(!seq.ranked.is_empty(), "{name}");
+        assert!(seq.model_ms > 0.0, "{name}: the front half is timed");
+        for workers in [1usize, 2, 8] {
+            let par = autotune_parallel_cancellable(
+                &program,
+                &space,
+                &cfg,
+                &CancelToken::never(),
+                workers,
+                |m: &TileSizeModel, _| score(m),
+            )
+            .expect("a never-token cannot cancel the sweep");
+            assert_reports_identical(&format!("{name} @ {workers} workers"), &seq, &par);
+        }
+    }
+}
+
+/// A space large enough that evaluating its model takes seconds, and a
+/// flag raised a few milliseconds in: whenever exactly it lands, the sweep
+/// must stop inside the front half — fewer candidates examined than the
+/// space holds, nothing handed to the scorer.
+#[test]
+fn a_token_fired_during_the_front_half_stops_before_any_scoring() {
+    let program = gallery::jacobi2d();
+    let space = SearchSpace {
+        h: vec![0, 1, 2, 3],
+        w0: (1..=60).collect(),
+        wi: vec![(1..=128).collect()],
+    };
+    let points = 4 * 60 * 128;
+    for workers in [1usize, 2, 8] {
+        let flag = Arc::new(AtomicBool::new(false));
+        let token = CancelToken::with_flag(flag.clone());
+        let result = std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(5));
+                flag.store(true, Ordering::SeqCst);
+            });
+            autotune_parallel_cancellable(
+                &program,
+                &space,
+                &AutotuneConfig::fermi(),
+                &token,
+                workers,
+                |_: &TileSizeModel, _| -> Option<f64> {
+                    panic!("the scorer must not run after a front-half cancellation")
+                },
+            )
+        });
+        match result {
+            Err(AutotuneError::Cancelled { kind, partial }) => {
+                assert_eq!(kind, CancelKind::Flag);
+                assert!(
+                    partial.examined < points,
+                    "{workers} workers: examined {} of {points}",
+                    partial.examined
+                );
+                assert_eq!(partial.simulated, 0);
+                assert!(partial.ranked.is_empty());
+            }
+            Ok(report) => panic!(
+                "{workers} workers: sweep of {} points finished before the flag",
+                report.examined
+            ),
         }
     }
 }

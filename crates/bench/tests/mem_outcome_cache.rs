@@ -30,7 +30,7 @@ use hybrid_bench::json::Json;
 /// The provenance fields a hit legitimately reports differently from the
 /// miss that published its entry — the same set the CI fleet-smoke job
 /// normalises.
-const PROVENANCE: [&str; 10] = [
+const PROVENANCE: [&str; 11] = [
     "cache_hit",
     "cache",
     "examined",
@@ -39,6 +39,7 @@ const PROVENANCE: [&str; 10] = [
     "proxy_simulated",
     "full_simulated",
     "tune_wall_ms",
+    "tune_model_ms",
     "warm_start",
     "warm_start_hit",
 ];
@@ -113,8 +114,13 @@ fn a_hit_reports_what_the_publishing_miss_reported() {
             assert_eq!(hit.seconds.to_bits(), miss.seconds.to_bits(), "{what}");
             // A hit reports no tuning effort at all.
             assert_eq!(
-                (hit.examined, hit.simulated, hit.tune_wall_ms),
-                (0, 0, 0),
+                (
+                    hit.examined,
+                    hit.simulated,
+                    hit.tune_wall_ms,
+                    hit.tune_model_ms
+                ),
+                (0, 0, 0, 0.0),
                 "{what}"
             );
         }

@@ -221,6 +221,7 @@ fn concurrent_clients_match_one_shot_reports_bit_exactly() {
                                 | "proxy_simulated"
                                 | "full_simulated"
                                 | "tune_wall_ms"
+                                | "tune_model_ms"
                                 | "warm_start"
                                 | "warm_start_hit"
                         )
@@ -308,4 +309,74 @@ fn closed_connections_release_their_descriptors() {
             "{ROUNDS} closed connections left {after} open descriptors (baseline {baseline})"
         );
     });
+}
+
+/// The rejection boundary over the wire: a 3-D program whose neighbours in
+/// both classical dimensions sit `MAX_OFFSET` away is refused with the
+/// typed `no_feasible_tiling` error — every candidate schedulable, every
+/// one far over shared memory, counted without an allocation the size of
+/// the offsets — and the connection serves the next request.
+#[cfg(unix)]
+#[test]
+fn far_apart_offsets_are_a_typed_refusal_and_the_connection_lives_on() {
+    use hybrid_bench::serve::{serve_unix, SchedPolicy};
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::{UnixListener, UnixStream};
+
+    let dir = std::env::temp_dir().join(format!("serve_far_offsets_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("hybridd.sock");
+    let _ = std::fs::remove_file(&socket);
+    let listener = UnixListener::bind(&socket).unwrap();
+    let state = ServeState::new(cheap_cfg("far_offsets"));
+    let far = "for (t = 0; t < T; t++)\\n for (i = 1; i < N-1; i++)\\n  for (j = 1; j < N-1; j++)\\n   \
+               for (k = 1; k < N-1; k++)\\n    A[t+1][i][j][k] = 0.1f * (A[t][i][j][k] + A[t][i+1][j][k] \
+               + A[t][i-1][j][k] + A[t][i][j+1000000][k] + A[t][i][j-1000000][k] \
+               + A[t][i][j][k+1000000] + A[t][i][j][k-1000000]);\\n";
+    let near = "for (t = 0; t < T; t++)\\n for (i = 1; i < N-1; i++)\\n  A[t+1][i] = 0.5f * (A[t][i-1] + A[t][i+1]);\\n";
+
+    std::thread::scope(|s| {
+        let server = s.spawn(|| serve_unix(&state, listener, 1, SchedPolicy::default()));
+        let mut stream = UnixStream::connect(&socket).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut round_trip = |request: String| {
+            writeln!(stream, "{request}").unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            Json::parse(&line).unwrap()
+        };
+
+        // The full 48-point 3-D space, not the smoke one.
+        let refused = round_trip(format!(
+            "{{\"op\":\"compile\",\"id\":\"far\",\"name\":\"far3d\",\"smoke\":false,\"program\":\"{far}\"}}"
+        ));
+        assert_eq!(refused.get("status").and_then(Json::as_str), Some("error"));
+        assert_eq!(
+            refused.get("error_kind").and_then(Json::as_str),
+            Some("no_feasible_tiling"),
+            "{refused:?}"
+        );
+        let message = refused.get("error").and_then(Json::as_str).unwrap();
+        assert!(
+            message.contains("48 candidates examined (0 unschedulable, 48 over shared memory"),
+            "{message}"
+        );
+
+        let served = round_trip(format!(
+            "{{\"op\":\"compile\",\"id\":\"near\",\"name\":\"near1d\",\"size\":[64],\"steps\":4,\"program\":\"{near}\"}}"
+        ));
+        assert_eq!(
+            served.get("status").and_then(Json::as_str),
+            Some("ok"),
+            "{served:?}"
+        );
+        let status = round_trip("{\"op\":\"status\"}".to_string());
+        assert_eq!(
+            status.get("contained_panics").and_then(Json::as_u64),
+            Some(0)
+        );
+        round_trip("{\"op\":\"shutdown\"}".to_string());
+        server.join().unwrap().unwrap();
+    });
+    assert_eq!(state.panic_count(), 0);
 }

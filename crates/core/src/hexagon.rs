@@ -190,23 +190,37 @@ impl HexShape {
         self.as_basic_set().points().map(|p| (p[0], p[1])).collect()
     }
 
-    /// Range of `b` for a given row `a`, or `None` if the row is empty.
+    /// Range of `b` for a given row `a`, or `None` if the row is empty:
+    /// constraints (6) and (10) solved for the lower bound on `b`, (8)
+    /// and (12) for the upper one.
     pub fn row_range(&self, a: i64) -> Option<(i64, i64)> {
         if a < 0 || a > 2 * self.h + 1 {
-            return None;
+            return None; // (7), (13)
         }
-        let mut lo = None;
-        let mut hi = None;
-        // The box width bounds every row.
-        for b in -(self.box_width())..=(2 * self.box_width()) {
-            if self.contains_local(a, b) {
-                if lo.is_none() {
-                    lo = Some(b);
-                }
-                hi = Some(b);
-            }
-        }
-        lo.zip(hi)
+        let a = Rat::from(a);
+        let h = Rat::from(self.h);
+        let two_h1 = Rat::from(2 * self.h + 1);
+        let f0 = Rat::from(self.f0);
+        let f1 = Rat::from(self.f1);
+        let w0 = Rat::from(self.w0);
+        let slack0 = Rat::ONE - Rat::new(1, self.delta0.den()); // (d0-1)/d0
+        let slack1 = Rat::ONE - Rat::new(1, self.delta1.den()); // (d1-1)/d1
+        let lo6 = self.delta0 * a - (two_h1 * self.delta0 - f0);
+        let lo10 = h * self.delta1 - slack1 - self.delta1 * a;
+        let hi8 = two_h1 * self.delta1 + f0 + w0 - self.delta1 * a;
+        let hi12 = self.delta0 * a - (self.delta0 * h - f0 - w0 - f1 - slack0);
+        let lo = lo6.max(lo10).ceil() as i64;
+        let hi = hi8.min(hi12).floor() as i64;
+        (lo <= hi).then_some((lo, hi))
+    }
+
+    /// The non-empty rows `(a, b_lo, b_hi)` of the hexagon, bottom row
+    /// first — the same points as [`HexShape::points`], one contiguous
+    /// run per time step.
+    pub fn rows(&self) -> Vec<(i64, i64, i64)> {
+        (0..self.box_height())
+            .filter_map(|a| self.row_range(a).map(|(lo, hi)| (a, lo, hi)))
+            .collect()
     }
 
     /// Fig. 4's literal construction: the set of points of one tile obtained

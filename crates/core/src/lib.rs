@@ -64,9 +64,9 @@ pub use cone::DepCone;
 pub use hexagon::HexShape;
 pub use params::{TileError, TileParams};
 pub use phase::{Phase, PhaseCoords};
-pub use schedule::{HybridSchedule, TileCoord};
+pub use schedule::{HybridSchedule, TileCoord, TileRow};
 pub use tilesize::autotune::{
     autotune, autotune_cancellable, AutotuneConfig, AutotuneEntry, AutotuneError, AutotuneReport,
 };
-pub use tilesize::{select_tile_sizes, SearchSpace, TileSizeModel};
+pub use tilesize::{select_tile_sizes, SearchSpace, TileEvaluator, TileSizeModel};
 pub use verify::{verify_schedule, VerifyError};

@@ -71,6 +71,14 @@ pub enum TileError {
         /// Spatial dimensions of the program.
         expected: usize,
     },
+    /// The values one tile touches are scattered so widely that counting
+    /// them exactly would need a grid beyond the tile-size model's memory
+    /// bound (see [`crate::tilesize`]); such a tile could never fit shared
+    /// memory either.
+    ModelTooLarge {
+        /// Grid bits the count would have needed.
+        bits: u64,
+    },
 }
 
 impl fmt::Display for TileError {
@@ -90,6 +98,10 @@ impl fmt::Display for TileError {
             TileError::ArityMismatch { got, expected } => {
                 write!(f, "got {got} widths for {expected} spatial dimensions")
             }
+            TileError::ModelTooLarge { bits } => write!(
+                f,
+                "tile touches values too scattered to count exactly ({bits} grid bits)"
+            ),
         }
     }
 }

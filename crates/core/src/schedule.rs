@@ -32,6 +32,48 @@ pub struct TileCoord {
     pub s_tiles: Vec<i64>,
 }
 
+/// One hexagon row of an ideal tile in global coordinates: the instances
+/// at scheduled time `tau` whose spatial position lies in the box
+/// `lo[d]..=hi[d]` — the row's `s0` run crossed with the classical windows
+/// of `s1..sn` as skewed at that time step.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct TileRow {
+    /// Scheduled time `τ` of the row.
+    pub tau: i64,
+    /// Inclusive lower corner, one entry per spatial dimension.
+    pub lo: Vec<i64>,
+    /// Inclusive upper corner, one entry per spatial dimension.
+    pub hi: Vec<i64>,
+}
+
+/// The row-wise enumeration of an ideal tile — the only one in the crate:
+/// [`HybridSchedule::ideal_tile_points`] expands the boxes into points and
+/// the tile-size model ([`crate::tilesize`]) counts them without expanding.
+/// `hex_rows` are [`HexShape::rows`] of `hex`, passed in so a sweep derives
+/// them once per `(h, w0)`.
+pub(crate) fn tile_rows(
+    hex: &HexShape,
+    hex_rows: &[(i64, i64, i64)],
+    classical: &[ClassicalDim],
+    tile: &TileCoord,
+) -> Vec<TileRow> {
+    hex_rows
+        .iter()
+        .map(|&(a, b_lo, b_hi)| {
+            let (tau, s0) =
+                phase::to_global(hex, tile.phase, tile.t_tile, tile.s_tiles[0], a, b_lo);
+            let mut lo = vec![s0];
+            let mut hi = vec![s0 + (b_hi - b_lo)];
+            for (d, cd) in classical.iter().enumerate() {
+                let start = cd.to_global(tile.s_tiles[1 + d], 0, a);
+                lo.push(start);
+                hi.push(start + cd.width - 1);
+            }
+            TileRow { tau, lo, hi }
+        })
+        .collect()
+}
+
 /// A fully constructed hybrid schedule for one stencil program.
 #[derive(Clone, Debug)]
 pub struct HybridSchedule {
@@ -175,45 +217,30 @@ impl HybridSchedule {
         v
     }
 
+    /// The ideal tile `tile`, one box per hexagon row (see [`tile_rows`]).
+    pub fn tile_rows(&self, tile: &TileCoord) -> Vec<TileRow> {
+        tile_rows(&self.hex, &self.hex.rows(), &self.classical, tile)
+    }
+
     /// Enumerates the *ideal* (untrimmed) instances of a tile: hexagon
     /// points × classical windows, mapped back to global coordinates. A
     /// tile is "full" exactly when all of these lie inside the iteration
     /// domain.
     pub fn ideal_tile_points(&self, tile: &TileCoord) -> Vec<Vec<i64>> {
         let mut out = Vec::new();
-        let widths: Vec<i64> = self.classical.iter().map(|c| c.width).collect();
-        for (a, b) in self.hex.points() {
-            let (tau, s0) =
-                phase::to_global(&self.hex, tile.phase, tile.t_tile, tile.s_tiles[0], a, b);
-            // Cartesian product over classical local coordinates.
-            let mut locals = vec![0i64; widths.len()];
+        for row in self.tile_rows(tile) {
+            // Odometer over the row's box, innermost dimension fastest.
+            let mut pos = row.lo.clone();
             loop {
-                let mut pt = Vec::with_capacity(2 + widths.len());
-                pt.push(tau);
-                pt.push(s0);
-                for (d, cd) in self.classical.iter().enumerate() {
-                    pt.push(cd.to_global(tile.s_tiles[1 + d], locals[d], a));
-                }
+                let mut pt = Vec::with_capacity(1 + pos.len());
+                pt.push(row.tau);
+                pt.extend_from_slice(&pos);
                 out.push(pt);
-                // Odometer.
-                let mut d = widths.len();
-                loop {
-                    if d == 0 {
-                        break;
-                    }
-                    d -= 1;
-                    if locals[d] + 1 < widths[d] {
-                        locals[d] += 1;
-                        for l in locals.iter_mut().take(widths.len()).skip(d + 1) {
-                            *l = 0;
-                        }
-                        break;
-                    }
-                    locals[d] = 0;
-                }
-                if locals.iter().all(|&l| l == 0) {
+                let Some(d) = (0..pos.len()).rev().find(|&d| pos[d] < row.hi[d]) else {
                     break;
-                }
+                };
+                pos[d] += 1;
+                pos[d + 1..].copy_from_slice(&row.lo[d + 1..]);
             }
         }
         out

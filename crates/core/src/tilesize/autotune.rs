@@ -9,7 +9,9 @@
 //! that pipeline:
 //!
 //! 1. **enumerate** every parameter choice in a [`SearchSpace`] and
-//!    evaluate the exact per-tile model ([`evaluate_tile`]);
+//!    evaluate the exact per-tile model through one per-program
+//!    [`TileEvaluator`] (racing sweeps spread the candidates over their
+//!    worker pool);
 //! 2. **prune** candidates whose shared-memory footprint or estimated
 //!    register demand exceed the [`AutotuneConfig`] budgets;
 //! 3. optionally **verify** each surviving schedule exhaustively on a
@@ -27,14 +29,15 @@
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 use stencil::domain::ScheduledDomain;
 use stencil::StencilProgram;
 
 use crate::cancel::{CancelKind, CancelToken};
-use crate::params::TileParams;
+use crate::params::{TileError, TileParams};
 use crate::schedule::HybridSchedule;
-use crate::tilesize::{evaluate_tile, SearchSpace, TileSizeModel};
+use crate::tilesize::{SearchSpace, TileEvaluator, TileSizeModel};
 use crate::verify::verify_schedule_storage;
 
 /// Resource budgets and knobs for one autotuning run.
@@ -147,6 +150,11 @@ pub struct AutotuneReport {
     pub full_simulated: usize,
     /// Rejected by the scorer (`None` — e.g. device limits at codegen).
     pub rejected_scorer: usize,
+    /// Wall-clock milliseconds the tile-size model took over the whole
+    /// space (enumerate, evaluate, prune, shortlist — everything before
+    /// verification and scoring). The one field of the report that is a
+    /// measurement, not a function of the inputs.
+    pub model_ms: f64,
 }
 
 impl AutotuneReport {
@@ -296,9 +304,8 @@ pub fn analytical_merit(
     occupancy * compute_per_load * penalty
 }
 
-/// Every parameter combination of the space, in deterministic sweep order
-/// (also the enumeration behind [`crate::tilesize::select_tile_sizes`]).
-pub(crate) fn combinations(space: &SearchSpace) -> Vec<(i64, Vec<i64>)> {
+/// Every parameter combination of the space, in deterministic sweep order.
+fn combinations(space: &SearchSpace) -> Vec<(i64, Vec<i64>)> {
     let mut tails: Vec<Vec<i64>> = vec![vec![]];
     for cands in &space.wi {
         let mut next = Vec::new();
@@ -379,7 +386,7 @@ pub fn autotune_cancellable<F>(
 where
     F: FnMut(&TileSizeModel) -> Option<f64>,
 {
-    let (mut report, feasible) = prepare_candidates(program, space, cfg, cancel)?;
+    let (mut report, feasible) = prepare_candidates(program, space, cfg, cancel, 1)?;
     for model in feasible {
         if let Some(kind) = cancel.cancelled() {
             return stop(kind, report);
@@ -414,29 +421,128 @@ fn stop(kind: CancelKind, report: AutotuneReport) -> Result<AutotuneReport, Auto
     })
 }
 
-/// The deterministic front half of every sweep: enumerate, prune against
-/// the budgets, statically rank, apply `max_candidates` and the
-/// model-guided shortlist, and (optionally) verify. Returns the report so
-/// far plus the candidates the scorer will see, in static sweep order.
+/// Runs `job(i)` for every `i < n` on up to `workers` threads, each
+/// claiming the next index from a shared counter and observing the
+/// [`CancelToken`] *between* pickups. Results land in per-index slots, so
+/// completion order never influences anything downstream. Returns the
+/// per-index outcomes (`None` = never attempted) plus the cancellation,
+/// if one fired. One worker runs on the caller's thread.
+///
+/// A job panic is re-raised on the caller's thread with its original
+/// payload (not `thread::scope`'s opaque "a scoped thread panicked"),
+/// so batch drivers that contain per-file panics still see the message.
+fn race<T, F>(
+    n: usize,
+    workers: usize,
+    cancel: &CancelToken,
+    job: F,
+) -> (Vec<Option<T>>, Option<CancelKind>)
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let stopped: Mutex<Option<CancelKind>> = Mutex::new(None);
+    let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
+    let worker = || loop {
+        if let Some(kind) = cancel.cancelled() {
+            stopped.lock().unwrap().get_or_insert(kind);
+            return;
+        }
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            return;
+        }
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(i))) {
+            Ok(result) => *slots[i].lock().unwrap() = Some(result),
+            Err(payload) => {
+                panicked.lock().unwrap().get_or_insert(payload);
+                return;
+            }
+        }
+    };
+    match workers.min(n) {
+        0 | 1 => worker(),
+        pool => std::thread::scope(|s| {
+            for _ in 0..pool {
+                s.spawn(worker);
+            }
+        }),
+    }
+    if let Some(payload) = panicked.into_inner().unwrap() {
+        std::panic::resume_unwind(payload);
+    }
+    let results = slots
+        .into_iter()
+        .map(|slot| slot.into_inner().unwrap())
+        .collect();
+    (results, stopped.into_inner().unwrap())
+}
+
+/// The tile-size model of every point of `space` with the program's
+/// arity, in sweep order, evaluated on up to `workers` threads through
+/// one [`TileEvaluator`] (cone and access table derived once, each
+/// hexagon once per `(h, w0)`). `None` marks candidates a fired token
+/// kept from being attempted.
+pub(crate) fn evaluate_space(
+    program: &StencilProgram,
+    space: &SearchSpace,
+    workers: usize,
+    cancel: &CancelToken,
+) -> (
+    Vec<Option<Result<TileSizeModel, TileError>>>,
+    Option<CancelKind>,
+) {
+    let candidates: Vec<TileParams> = combinations(space)
+        .into_iter()
+        .filter(|(_, w)| w.len() == program.spatial_dims())
+        .map(|(h, w)| TileParams::new(h, &w))
+        .collect();
+    let evaluator = match TileEvaluator::new(program) {
+        Ok(evaluator) => evaluator,
+        // No cone, no schedule: every candidate fails the same way.
+        Err(e) => return race(candidates.len(), 1, cancel, |_| Err(e.clone())),
+    };
+    // The sweep order is (h, w0)-major, so equal hexagons are adjacent.
+    let mut hexes = Vec::new();
+    let mut hex_of = Vec::with_capacity(candidates.len());
+    let mut last = None;
+    for p in &candidates {
+        if last != Some((p.h, p.w[0])) {
+            last = Some((p.h, p.w[0]));
+            hexes.push(evaluator.hexagon(p.h, p.w[0]));
+        }
+        hex_of.push(hexes.len() - 1);
+    }
+    race(candidates.len(), workers, cancel, |i| {
+        match &hexes[hex_of[i]] {
+            Ok(hex) => evaluator.evaluate_on(hex, &candidates[i]),
+            Err(e) => Err(e.clone()),
+        }
+    })
+}
+
+/// The deterministic front half of every sweep: enumerate, evaluate the
+/// model on up to `workers` threads, prune against the budgets,
+/// statically rank, apply `max_candidates` and the model-guided
+/// shortlist, and (optionally) verify. Returns the report so far plus the
+/// candidates the scorer will see, in static sweep order.
 fn prepare_candidates(
     program: &StencilProgram,
     space: &SearchSpace,
     cfg: &AutotuneConfig,
     cancel: &CancelToken,
+    workers: usize,
 ) -> Result<(AutotuneReport, Vec<TileSizeModel>), AutotuneError> {
+    let started = Instant::now();
     let mut report = AutotuneReport::default();
     let mut feasible: Vec<TileSizeModel> = Vec::new();
 
-    for (h, w) in combinations(space) {
-        if w.len() != program.spatial_dims() {
-            continue;
-        }
-        if let Some(kind) = cancel.cancelled() {
-            return Err(cancelled(kind, report));
-        }
+    let (models, stopped) = evaluate_space(program, space, workers, cancel);
+    for model in models.into_iter().flatten() {
         report.examined += 1;
-        let params = TileParams::new(h, &w);
-        let Ok(model) = evaluate_tile(program, &params) else {
+        let Ok(model) = model else {
             report.rejected_schedule += 1;
             continue;
         };
@@ -444,11 +550,14 @@ fn prepare_candidates(
             report.rejected_smem += 1;
             continue;
         }
-        if estimated_regs_per_block(program, &params) > cfg.regs_per_block {
+        if estimated_regs_per_block(program, &model.params) > cfg.regs_per_block {
             report.rejected_regs += 1;
             continue;
         }
         feasible.push(model);
+    }
+    if let Some(kind) = stopped {
+        return Err(cancelled(kind, report));
     }
 
     // Static pre-ranking: most promising load-to-compute ratio first, so
@@ -487,6 +596,7 @@ fn prepare_candidates(
         });
     }
     report.shortlisted = feasible.len();
+    report.model_ms = started.elapsed().as_secs_f64() * 1e3;
 
     if let Some((dims, steps)) = &cfg.verify_domain {
         for model in &feasible {
@@ -531,66 +641,6 @@ pub fn split_thread_budget(budget: usize, candidates: usize) -> (usize, usize) {
     (workers, (budget / workers).max(1))
 }
 
-/// One fidelity rung of the racing sweep: score `models` through up to
-/// `workers` pool threads, each claiming the next static index from a
-/// shared counter and observing the [`CancelToken`] *between* candidate
-/// pickups. Results land in per-index slots, so completion order never
-/// influences anything downstream. Returns the per-index outcomes
-/// (`None` = never attempted, `Some(None)` = scorer rejected,
-/// `Some(Some(s))` = scored) plus the cancellation, if one fired.
-///
-/// A scorer panic is re-raised on the caller's thread with its original
-/// payload (not `thread::scope`'s opaque "a scoped thread panicked"),
-/// so batch drivers that contain per-file panics still see the message.
-fn score_round<F>(
-    models: &[TileSizeModel],
-    fidelity: Fidelity,
-    workers: usize,
-    cancel: &CancelToken,
-    scorer: &F,
-) -> (Vec<Option<Option<f64>>>, Option<CancelKind>)
-where
-    F: Fn(&TileSizeModel, Fidelity) -> Option<f64> + Sync,
-{
-    let n = models.len();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Option<f64>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let stopped: Mutex<Option<CancelKind>> = Mutex::new(None);
-    let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    std::thread::scope(|s| {
-        for _ in 0..workers.clamp(1, n.max(1)) {
-            s.spawn(|| loop {
-                if let Some(kind) = cancel.cancelled() {
-                    stopped.lock().unwrap().get_or_insert(kind);
-                    return;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    scorer(&models[i], fidelity)
-                }));
-                match attempt {
-                    Ok(score) => *slots[i].lock().unwrap() = Some(score),
-                    Err(payload) => {
-                        panicked.lock().unwrap().get_or_insert(payload);
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    if let Some(payload) = panicked.into_inner().unwrap() {
-        std::panic::resume_unwind(payload);
-    }
-    let results = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap())
-        .collect();
-    (results, stopped.into_inner().unwrap())
-}
-
 /// [`autotune_cancellable`] with concurrent candidate scoring and an
 /// optional successive-halving fidelity ladder.
 ///
@@ -629,14 +679,20 @@ pub fn autotune_parallel_cancellable<F>(
 where
     F: Fn(&TileSizeModel, Fidelity) -> Option<f64> + Sync,
 {
-    let (mut report, feasible) = prepare_candidates(program, space, cfg, cancel)?;
-    let workers = workers.max(1);
+    let (mut report, feasible) = prepare_candidates(program, space, cfg, cancel, workers)?;
+    // One fidelity rung: per-index outcomes (`None` = never attempted,
+    // `Some(None)` = scorer rejected) plus the cancellation, if any.
+    let score_round = |models: &[TileSizeModel], fidelity: Fidelity| {
+        race(models.len(), workers, cancel, |i| {
+            scorer(&models[i], fidelity)
+        })
+    };
 
     // Proxy round: cheap estimates pick the survivors that deserve a
     // full-fidelity simulation. A single candidate skips the ladder —
     // it would pay a proxy run only to survive unconditionally.
     let pool: Vec<TileSizeModel> = if cfg.proxy_frac < 1.0 && feasible.len() > 1 {
-        let (results, stopped) = score_round(&feasible, Fidelity::Proxy, workers, cancel, &scorer);
+        let (results, stopped) = score_round(&feasible, Fidelity::Proxy);
         let attempted = results.iter().filter(|r| r.is_some()).count();
         report.simulated += attempted;
         report.proxy_simulated += attempted;
@@ -667,7 +723,7 @@ where
         feasible
     };
 
-    let (results, stopped) = score_round(&pool, Fidelity::Full, workers, cancel, &scorer);
+    let (results, stopped) = score_round(&pool, Fidelity::Full);
     let attempted = results.iter().filter(|r| r.is_some()).count();
     report.simulated += attempted;
     report.full_simulated += attempted;
@@ -1089,6 +1145,70 @@ mod tests {
                 assert_eq!(partial.simulated, 1);
             }
             other => panic!("expected Cancelled, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn race_collects_by_index_and_stops_between_pickups() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+
+        // Uncancelled: every index attempted, results in static order at
+        // any worker count.
+        for workers in [0, 1, 3, 64] {
+            let (results, stopped) = race(20, workers, &CancelToken::never(), |i| i * i);
+            assert_eq!(stopped, None);
+            let expected: Vec<Option<usize>> = (0..20).map(|i| Some(i * i)).collect();
+            assert_eq!(results, expected, "{workers} workers");
+        }
+        // A job raises the flag: one worker finishes exactly that job and
+        // picks up nothing after it...
+        let flag = Arc::new(AtomicBool::new(false));
+        let token = CancelToken::with_flag(flag.clone());
+        let (results, stopped) = race(100, 1, &token, |i| {
+            if i == 5 {
+                flag.store(true, Ordering::SeqCst);
+            }
+            i
+        });
+        assert_eq!(stopped, Some(CancelKind::Flag));
+        assert_eq!(results.iter().flatten().count(), 6);
+        assert!(results[..6].iter().all(Option::is_some));
+        // ...and in a pool, where every later job waits for the flag (so
+        // the interleaving is forced, not hoped for), each worker ends
+        // with the job it had in flight.
+        flag.store(false, Ordering::SeqCst);
+        let (results, stopped) = race(100, 4, &token, |i| {
+            match i.cmp(&5) {
+                std::cmp::Ordering::Less => {}
+                std::cmp::Ordering::Equal => flag.store(true, Ordering::SeqCst),
+                std::cmp::Ordering::Greater => {
+                    while !flag.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                }
+            }
+            i
+        });
+        assert_eq!(stopped, Some(CancelKind::Flag));
+        assert!(results.iter().flatten().count() <= 6 + 3, "{results:?}");
+        for (i, r) in results.iter().enumerate() {
+            assert!(r.is_none() || *r == Some(i), "slot {i} holds {r:?}");
+        }
+    }
+
+    #[test]
+    fn race_reraises_a_job_panic_with_its_payload() {
+        for workers in [1, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                race(8, workers, &CancelToken::never(), |i| {
+                    assert!(i != 3, "job {i} exploded");
+                    i
+                })
+            });
+            let payload = caught.expect_err("the panic must reach the caller");
+            let msg = payload.downcast_ref::<String>().expect("formatted message");
+            assert!(msg.contains("job 3 exploded"), "{msg}");
         }
     }
 

@@ -6,18 +6,38 @@
 //! load-to-compute ratio among those whose memory tile fits the shared
 //! memory budget. The paper used manually derived closed forms and notes
 //! that "tools to count points in integer polyhedra can automate this" —
-//! here the counting is automated by exact enumeration of a representative
-//! full tile (the [`polylib`] point-counting substitute for Barvinok).
+//! here the counting is automated, and still exact, but it is neither a
+//! closed form nor Barvinok: a [`TileEvaluator`] derives the dependence
+//! cone and the per-statement access table once per program, takes a
+//! representative full tile row by row from the schedule
+//! ([`crate::schedule::TileRow`] — each hexagon row is a box), and marks
+//! every value the tile reads, writes, or inherits from its §4.2.2
+//! predecessor as a bit range in a dense grid (the private `dense`
+//! module). Cold and steady-state loads are popcounts of `reads & !writes`
+//! (`& !inherited`); the shared-memory footprint is the per-field bounding
+//! box of the marked boxes.
+//!
+//! **What bounds it.** Time is proportional to the tile's rows × accesses ×
+//! lines per box, not to its points. Memory is the grid: per producer time
+//! step, the product over dimensions of the coordinates anything touches —
+//! the tile's extent plus the stencil radius for contiguous neighbourhoods,
+//! the extent times the number of distinct offsets for far-apart ones,
+//! never the offsets' magnitude — and at most 8 MiB per bitset, beyond
+//! which the tile is refused with [`TileError::ModelTooLarge`].
 
 pub mod autotune;
-
-use std::collections::HashSet;
+mod dense;
 
 use stencil::StencilProgram;
 
+use crate::cancel::CancelToken;
+use crate::classical::ClassicalDim;
+use crate::cone::DepCone;
+use crate::hexagon::HexShape;
 use crate::params::{TileError, TileParams};
 use crate::phase::Phase;
-use crate::schedule::{HybridSchedule, TileCoord};
+use crate::schedule::{tile_rows, TileCoord};
+use dense::Touch;
 
 /// Exact per-tile cost statistics for one parameter choice.
 #[derive(Clone, PartialEq, Debug)]
@@ -49,23 +69,136 @@ pub fn formula_3d_iterations(h: i64, w0: i64, w1: i64, w2: i64) -> u64 {
     (2 * (1 + 2 * h + h * h + w0 * (h + 1)) * w1 * w2) as u64
 }
 
-/// Packs a value identity `(field, producer-τ, positions..)` into a hash
-/// key. Positions of representative tiles are small; each component gets a
-/// generous signed range.
-fn value_key(field: usize, tau_w: i64, pos: &[i64]) -> u64 {
-    let mut k = field as u64;
-    k = k
-        .wrapping_mul(0x100_0000_0000)
-        .wrapping_add((tau_w + 0x8000) as u64 & 0xFFFF);
-    for &p in pos {
-        k = k
-            .wrapping_mul(0x1_0000)
-            .wrapping_add((p + 0x4000) as u64 & 0xFFFF);
-    }
-    k
+/// A hexagon with its rows enumerated: derived once per `(h, w0)` and
+/// shared by every `(w1..wn)` candidate of a sweep.
+pub(crate) struct HexRows {
+    shape: HexShape,
+    rows: Vec<(i64, i64, i64)>,
 }
 
-/// Evaluates the exact per-tile model for one parameter choice.
+/// The per-program half of the tile-size model: everything
+/// [`evaluate_tile`] needs that does not depend on the tile parameters —
+/// the dependence cone and, per statement, the values an instance touches
+/// — derived once, so a sweep pays for them once instead of per candidate.
+pub struct TileEvaluator {
+    cone: DepCone,
+    /// Per statement: its own result first, then its loads.
+    touches: Vec<Vec<Touch>>,
+    max_shift: i64,
+    num_fields: usize,
+    /// Live time planes per field (`max_dt + 1`).
+    planes: u64,
+}
+
+impl TileEvaluator {
+    /// Derives the cone and access table of `program`.
+    ///
+    /// # Errors
+    ///
+    /// [`TileError`] when the program has no bounded dependence cone.
+    pub fn new(program: &StencilProgram) -> Result<TileEvaluator, TileError> {
+        let cone = DepCone::of_program(program)?;
+        let k = program.num_statements() as i64;
+        let n = program.spatial_dims();
+        let touches: Vec<Vec<Touch>> = program
+            .statements()
+            .iter()
+            .enumerate()
+            .map(|(i, st)| {
+                let own = Touch {
+                    field: st.writes.0,
+                    shift: 0,
+                    offsets: vec![0; n],
+                };
+                let loads = st.expr.loads().into_iter().map(|a| Touch {
+                    field: a.field.0,
+                    shift: k * a.dt + (i as i64 - program.writer_of(a.field) as i64),
+                    offsets: a.offsets.clone(),
+                });
+                std::iter::once(own).chain(loads).collect()
+            })
+            .collect();
+        let max_shift = touches.iter().flatten().map(|t| t.shift).max().unwrap_or(0);
+        Ok(TileEvaluator {
+            cone,
+            touches,
+            max_shift,
+            num_fields: program.num_fields(),
+            planes: program.max_dt() as u64 + 1,
+        })
+    }
+
+    /// The hexagon of the `(τ, s0)` plane for `(h, w0)`, rows enumerated.
+    pub(crate) fn hexagon(&self, h: i64, w0: i64) -> Result<HexRows, TileError> {
+        let shape = HexShape::new(self.cone.delta0(0), self.cone.delta1(0), h, w0)?;
+        let rows = shape.rows();
+        Ok(HexRows { shape, rows })
+    }
+
+    /// Evaluates the exact per-tile model for one parameter choice.
+    ///
+    /// # Errors
+    ///
+    /// [`TileError`] when no hybrid schedule exists for `params`, or the
+    /// tile is beyond the model's memory bound.
+    pub fn evaluate(&self, params: &TileParams) -> Result<TileSizeModel, TileError> {
+        let n = self.cone.spatial_dims();
+        if params.w.len() != n {
+            return Err(TileError::ArityMismatch {
+                got: params.w.len(),
+                expected: n,
+            });
+        }
+        self.evaluate_on(&self.hexagon(params.h, params.w[0])?, params)
+    }
+
+    /// [`TileEvaluator::evaluate`] on an already derived hexagon, which
+    /// must be the one of `(params.h, params.w[0])`; `params` must have
+    /// the program's arity.
+    pub(crate) fn evaluate_on(
+        &self,
+        hex: &HexRows,
+        params: &TileParams,
+    ) -> Result<TileSizeModel, TileError> {
+        self.count_on(hex, params).map(|c| TileSizeModel {
+            params: params.clone(),
+            iterations: c.iterations,
+            cold_loads: c.cold_loads,
+            steady_loads: c.steady_loads,
+            smem_bytes: c.smem_bytes,
+        })
+    }
+
+    fn count_on(&self, hex: &HexRows, params: &TileParams) -> Result<dense::Counts, TileError> {
+        let n = params.w.len();
+        debug_assert_eq!((hex.shape.h(), hex.shape.w0()), (params.h, params.w[0]));
+        let classical: Vec<ClassicalDim> = (1..n)
+            .map(|d| ClassicalDim::new(self.cone.delta1(d), params.w[d]))
+            .collect();
+        // A representative interior tile, far from τ = 0.
+        let tile = TileCoord {
+            t_tile: 8,
+            phase: Phase::One,
+            s_tiles: vec![0; n],
+        };
+        let rows = tile_rows(&hex.shape, &hex.rows, &classical, &tile);
+        // The §4.2.2 predecessor is the same tile one innermost classical
+        // width earlier; 1-D tiles have none.
+        let reuse_shift = (n >= 2).then(|| params.w[n - 1]);
+        dense::count(
+            &rows,
+            &self.touches,
+            self.num_fields,
+            self.planes,
+            self.max_shift,
+            reuse_shift,
+        )
+    }
+}
+
+/// Evaluates the exact per-tile model for one parameter choice. Callers
+/// evaluating several choices for one program should build a
+/// [`TileEvaluator`] once instead.
 ///
 /// # Errors
 ///
@@ -74,119 +207,7 @@ pub fn evaluate_tile(
     program: &StencilProgram,
     params: &TileParams,
 ) -> Result<TileSizeModel, TileError> {
-    let schedule = HybridSchedule::compute(program, params)?;
-    let n = program.spatial_dims();
-    let k = program.num_statements() as i64;
-
-    // A representative interior tile, far from τ = 0.
-    let tile = TileCoord {
-        t_tile: 8,
-        phase: Phase::One,
-        s_tiles: vec![0; n],
-    };
-    let points = schedule.ideal_tile_points(&tile);
-    let instance_set: HashSet<(i64, Vec<i64>)> =
-        points.iter().map(|p| (p[0], p[1..].to_vec())).collect();
-
-    let (reads, writes) = tile_values(program, k, &points, &instance_set);
-    let cold: HashSet<u64> = reads.difference(&writes).copied().collect();
-
-    // Predecessor along the innermost classical dimension (if any): values
-    // it read or produced are already in shared memory (§4.2.2 dynamic
-    // reuse).
-    let steady_loads = if n >= 2 {
-        let mut prev_tile = tile.clone();
-        prev_tile.s_tiles[n - 1] -= 1;
-        let prev_points = schedule.ideal_tile_points(&prev_tile);
-        let prev_set: HashSet<(i64, Vec<i64>)> = prev_points
-            .iter()
-            .map(|p| (p[0], p[1..].to_vec()))
-            .collect();
-        let (prev_reads, prev_writes) = tile_values(program, k, &prev_points, &prev_set);
-        let available: HashSet<u64> = prev_reads.union(&prev_writes).copied().collect();
-        cold.difference(&available).count() as u64
-    } else {
-        cold.len() as u64
-    };
-
-    // Shared-memory bounding box: per field, per live plane, the box of
-    // positions touched.
-    let planes = (program.max_dt() as u64) + 1;
-    let mut smem_bytes = 0u64;
-    for f in 0..program.num_fields() {
-        let mut lo = vec![i64::MAX; n];
-        let mut hi = vec![i64::MIN; n];
-        let mut touched = false;
-        for p in &points {
-            let i = (p[0].rem_euclid(k)) as usize;
-            let st = &program.statements()[i];
-            let mut note = |pos: &[i64]| {
-                for d in 0..n {
-                    lo[d] = lo[d].min(pos[d]);
-                    hi[d] = hi[d].max(pos[d]);
-                }
-                touched = true;
-            };
-            if st.writes.0 == f {
-                note(&p[1..]);
-            }
-            for a in st.expr.loads() {
-                if a.field.0 == f {
-                    let pos: Vec<i64> = p[1..]
-                        .iter()
-                        .zip(&a.offsets)
-                        .map(|(&s, &o)| s + o)
-                        .collect();
-                    note(&pos);
-                }
-            }
-        }
-        if touched {
-            let cells: u64 = lo
-                .iter()
-                .zip(&hi)
-                .map(|(&l, &h)| (h - l + 1) as u64)
-                .product();
-            smem_bytes += cells * planes * 4;
-        }
-    }
-
-    Ok(TileSizeModel {
-        params: params.clone(),
-        iterations: points.len() as u64,
-        cold_loads: cold.len() as u64,
-        steady_loads,
-        smem_bytes,
-    })
-}
-
-/// Returns the (reads, writes) value-identity sets of a tile. A value is
-/// identified by its producing instance `(field, τ_w, position)`.
-fn tile_values(
-    program: &StencilProgram,
-    k: i64,
-    points: &[Vec<i64>],
-    _instances: &HashSet<(i64, Vec<i64>)>,
-) -> (HashSet<u64>, HashSet<u64>) {
-    let mut reads = HashSet::new();
-    let mut writes = HashSet::new();
-    for p in points {
-        let tau = p[0];
-        let i = tau.rem_euclid(k) as usize;
-        let st = &program.statements()[i];
-        writes.insert(value_key(st.writes.0, tau, &p[1..]));
-        for a in st.expr.loads() {
-            let j = program.writer_of(a.field) as i64;
-            let tau_w = tau - (k * a.dt + (i as i64 - j));
-            let pos: Vec<i64> = p[1..]
-                .iter()
-                .zip(&a.offsets)
-                .map(|(&s, &o)| s + o)
-                .collect();
-            reads.insert(value_key(a.field.0, tau_w, &pos));
-        }
-    }
-    (reads, writes)
+    TileEvaluator::new(program)?.evaluate(params)
 }
 
 /// Search space for [`select_tile_sizes`].
@@ -246,15 +267,9 @@ pub fn select_tile_sizes(
     smem_limit: u64,
     space: &SearchSpace,
 ) -> Option<TileSizeModel> {
+    let (models, _) = autotune::evaluate_space(program, space, 1, &CancelToken::never());
     let mut best: Option<TileSizeModel> = None;
-    for (h, w) in autotune::combinations(space) {
-        if w.len() != program.spatial_dims() {
-            continue;
-        }
-        let params = TileParams::new(h, &w);
-        let Ok(model) = evaluate_tile(program, &params) else {
-            continue;
-        };
+    for model in models.into_iter().flatten().flatten() {
         if model.smem_bytes > smem_limit {
             continue;
         }
@@ -318,6 +333,85 @@ mod tests {
         let small = evaluate_tile(&p, &TileParams::new(1, &[1, 4])).unwrap();
         let large = evaluate_tile(&p, &TileParams::new(1, &[5, 16])).unwrap();
         assert!(large.smem_bytes > small.smem_bytes);
+    }
+
+    /// A 3-D seven-point stencil whose neighbours in both classical
+    /// dimensions sit `MAX_OFFSET` (10⁶) away.
+    fn far_apart_3d() -> StencilProgram {
+        use stencil::{FieldId, Statement, StencilExpr};
+        let far = 1_000_000;
+        let a = |o: [i64; 3]| StencilExpr::load(FieldId(0), 1, &o);
+        let expr = StencilExpr::sum(vec![
+            a([0, 0, 0]),
+            a([1, 0, 0]),
+            a([-1, 0, 0]),
+            a([0, far, 0]),
+            a([0, -far, 0]),
+            a([0, 0, far]),
+            a([0, 0, -far]),
+        ]);
+        let st = Statement {
+            name: "S0".into(),
+            writes: FieldId(0),
+            expr,
+        };
+        StencilProgram::new("far3d", 3, &["A"], vec![st]).unwrap()
+    }
+
+    #[test]
+    fn far_apart_offsets_are_refused_by_the_budget_in_bounded_memory() {
+        let program = far_apart_3d();
+        let space = SearchSpace::for_dims(3, vec![0, 1, 2, 3], vec![1, 3, 5], &[4, 8], &[32, 64]);
+        // The sweep's verdict: all 48 schedulable, all far over 48 KB.
+        let cfg = autotune::AutotuneConfig::fermi();
+        let report = autotune::autotune(&program, &space, &cfg, |_| Some(1.0));
+        assert_eq!(
+            (
+                report.examined,
+                report.rejected_schedule,
+                report.rejected_smem
+            ),
+            (48, 0, 48)
+        );
+        assert!(report.ranked.is_empty());
+        // And what it cost: the grid follows the tile and the number of
+        // loads, not the 10⁶ between them (a naive dense grid would need
+        // ~10¹³ cells here).
+        let evaluator = TileEvaluator::new(&program).unwrap();
+        for (h, w) in [(0, [1, 4, 32]), (3, [5, 8, 64])] {
+            let params = TileParams::new(h, &w);
+            let hex = evaluator.hexagon(h, w[0]).unwrap();
+            let counts = evaluator.count_on(&hex, &params).unwrap();
+            assert!(counts.smem_bytes > 1 << 40, "{counts:?}");
+            assert!(
+                counts.grid_bits <= 8 * counts.iterations * 7,
+                "h={h} w={w:?}: {} grid bits for {} points x 7 loads",
+                counts.grid_bits,
+                counts.iterations
+            );
+        }
+    }
+
+    #[test]
+    fn a_grid_beyond_the_memory_bound_is_a_typed_refusal() {
+        // 40 loads, pairwise 10⁴ apart in both classical dimensions: each
+        // slab's axes hold 40 windows per dimension, and their product is
+        // past the bound.
+        use stencil::{FieldId, Statement, StencilExpr};
+        let loads = (0..40)
+            .map(|i| StencilExpr::load(FieldId(0), 1, &[0, 10_000 * i, -10_000 * i]))
+            .collect();
+        let st = Statement {
+            name: "S0".into(),
+            writes: FieldId(0),
+            expr: StencilExpr::sum(loads),
+        };
+        let program = StencilProgram::new("scattered", 3, &["A"], vec![st]).unwrap();
+        let err = evaluate_tile(&program, &TileParams::new(3, &[5, 8, 64])).unwrap_err();
+        assert!(
+            matches!(err, TileError::ModelTooLarge { bits } if bits > dense::MAX_GRID_BITS),
+            "{err:?}"
+        );
     }
 
     #[test]
