@@ -82,6 +82,7 @@ use hybrid_bench::driver::{
     collect_stencil_files, compile_batch, report_json, DriverConfig, TuneMode,
 };
 use hybrid_bench::fleet::{FleetOptions, FleetRouter};
+use hybrid_bench::metrics::Id;
 use hybrid_bench::serve::{serve_metrics_http, serve_tcp_with, serve_with_policy, SchedPolicy};
 
 struct Args {
@@ -417,27 +418,18 @@ fn run_serve(args: Args) -> ! {
             match serve_with_policy(&router, stdin.lock(), std::io::stdout(), workers, policy) {
                 Ok(summary) => {
                     let members = router.members();
-                    let (hits, coalesced, misses, evictions) =
-                        members
-                            .iter()
-                            .fold((0u64, 0u64, 0u64, 0u64), |(h, c, m, e), (_, s)| {
-                                (
-                                    h + s.mem().hits(),
-                                    c + s.mem().coalesced(),
-                                    m + s.mem().misses(),
-                                    e + s.mem().evictions(),
-                                )
-                            });
+                    let total =
+                        |id: Id| -> u64 { members.iter().map(|(_, s)| s.mem().get(id)).sum() };
                     eprintln!(
                         "hybridd: {} response(s), {} error(s), {} device(s), \
                          {} mem hit(s) (+{} coalesced) / {} miss(es), {} eviction(s)",
                         summary.responses,
                         summary.errors,
                         members.len(),
-                        hits,
-                        coalesced,
-                        misses,
-                        evictions,
+                        total(Id::MemHits),
+                        total(Id::MemCoalesced),
+                        total(Id::MemMisses),
+                        total(Id::MemEvictions),
                     );
                 }
                 Err(e) => {

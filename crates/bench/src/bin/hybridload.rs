@@ -23,7 +23,8 @@
 //!   --append              append to --out's runs instead of truncating
 //!   --shutdown            send a shutdown op after the run
 //!   --check-metrics FILE  standalone: validate FILE as Prometheus text
-//!                         exposition format and exit
+//!                         exposition format whose families and types
+//!                         are the registry's (`bench::metrics`), and exit
 //! ```
 //!
 //! ## Scenario format
@@ -56,7 +57,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use hybrid_bench::json::Json;
-use hybrid_bench::metrics::parse_exposition;
+use hybrid_bench::metrics::check_scrape;
 
 struct Args {
     connect: Option<String>,
@@ -231,18 +232,18 @@ fn read_until_id(r: &mut dyn BufRead, want_id: &str, mut other: impl FnMut(&Json
 fn check_metrics(path: &PathBuf) -> ! {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
-    match parse_exposition(&text) {
+    match check_scrape(&text) {
         Ok(samples) if samples.is_empty() => fail("metrics snapshot parses but has no samples"),
         Ok(samples) => {
             println!(
-                "hybridload: {} parses as text exposition format ({} samples)",
+                "hybridload: {} parses as text exposition format and matches the registry ({} samples)",
                 path.display(),
                 samples.len()
             );
             std::process::exit(0);
         }
         Err(e) => fail(&format!(
-            "{} is not valid exposition format: {e}",
+            "{} is not a valid scrape of this service: {e}",
             path.display()
         )),
     }

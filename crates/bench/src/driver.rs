@@ -58,6 +58,7 @@ use stencil::{ReferenceExecutor, StencilProgram};
 
 use crate::autotune::{autotune_workload, proxy_workload, simulate_score_with, sweep_space};
 use crate::json::Json;
+use crate::metrics::{Counters, Id};
 use crate::{loaded_sim, random_init};
 
 /// How tile sizes are scored during planning.
@@ -112,10 +113,11 @@ pub struct DriverConfig {
     /// Override the execution workload (`dims`, `steps`); defaults to a
     /// small per-arity workload.
     pub workload: Option<(Vec<usize>, usize)>,
-    /// Test/extension hook: replaces the tile-size scorer of both tune
-    /// modes. The function pointer's address participates in the
-    /// fingerprint, so plans chosen by a custom scorer never leak into
-    /// caches keyed for the built-in scorers.
+    /// Test hook (this crate's unit tests only): replaces the tile-size
+    /// scorer of both tune modes. The function pointer's address joins
+    /// the fingerprint there, so plans chosen by a custom scorer never
+    /// share an entry with the built-in scorers'.
+    #[cfg(test)]
     pub scorer: Option<fn(&TileSizeModel) -> Option<f64>>,
     /// Cooperative cancellation for this compile: the tuning sweep (and
     /// the simulation/verification stages) check the token at stage and
@@ -187,6 +189,7 @@ impl DriverConfig {
             out_dir,
             cache_dir: Some(cache_dir),
             workload: None,
+            #[cfg(test)]
             scorer: None,
             cancel: CancelToken::never(),
             lock_stale: Duration::from_secs(120),
@@ -417,6 +420,14 @@ pub fn fingerprint(program: &StencilProgram, cfg: &DriverConfig) -> String {
 /// [`fingerprint`] over an already rendered canonical program text
 /// ([`StencilProgram::to_c_like`]), for callers that need the text anyway.
 pub fn fingerprint_text(program_text: &str, cfg: &DriverConfig) -> String {
+    // A production build has no scorer hook; the slot it used to occupy
+    // still renders the `None` it always held there, so existing disk
+    // caches keep their keys (and no key ever holds an address, which
+    // ASLR changes per process).
+    #[cfg(not(test))]
+    let scorer = None::<usize>;
+    #[cfg(test)]
+    let scorer = cfg.scorer.map(|f| f as usize);
     let ident = format!(
         "{}|{}|{:?}|backend={}|{}|{}|{:?}|{:?}|k={}|proxy={}",
         program_text,
@@ -426,7 +437,7 @@ pub fn fingerprint_text(program_text: &str, cfg: &DriverConfig) -> String {
         cfg.tune.name(),
         cfg.smoke,
         cfg.workload,
-        cfg.scorer.map(|f| f as usize),
+        scorer,
         cfg.top_k,
         cfg.proxy,
     );
@@ -641,12 +652,14 @@ struct MemShard {
 /// same per-shard lock, so eviction never blocks other shards. In-flight
 /// markers are never evicted.
 ///
-/// Counters are disjoint: every lookup is exactly one of `hits`
-/// (immediately ready), `coalesced` (ready after waiting on an in-flight
-/// compile), `misses` (became the tuner), `bypasses` (fingerprint
-/// collision), or `cancelled_waits`. `reexecuted` counts the subset of
-/// hits whose record could not answer the request (see
-/// [`MemCache::reexecuted`]).
+/// Counters ([`MemCache::get`]) are disjoint: every lookup is exactly
+/// one of `MemHits` (immediately ready), `MemCoalesced` (ready after
+/// waiting on an in-flight compile), `MemMisses` (became the tuner),
+/// `MemBypasses` (fingerprint collision), or `MemCancelledWaits`;
+/// `MemLookups` is their sum. `MemReexecuted` counts the subset of hits
+/// whose record could not answer the request — published by a `verify:
+/// false` compile, asked for with verification — and is 0 in steady
+/// state (the re-execution upgrades the entry in place).
 pub struct MemCache {
     shards: Vec<MemShard>,
     /// Total byte cap across all shards; `None` = unbounded.
@@ -662,15 +675,8 @@ pub struct MemCache {
     rebalance_gate: Mutex<()>,
     /// Monotonic LRU clock.
     tick: AtomicU64,
-    lookups: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
-    bypasses: AtomicU64,
-    evictions: AtomicU64,
-    cancelled_waits: AtomicU64,
-    rebalances: AtomicU64,
-    reexecuted: AtomicU64,
+    /// The cache's stored series (`Id::MemLookups..=Id::MemReexecuted`).
+    stats: Counters,
 }
 
 /// Outcome of a memory-cache lookup.
@@ -732,15 +738,7 @@ impl MemCache {
             rebalance_gate: Mutex::new(()),
             cap_bytes,
             tick: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            bypasses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            cancelled_waits: AtomicU64::new(0),
-            rebalances: AtomicU64::new(0),
-            reexecuted: AtomicU64::new(0),
+            stats: Counters::default(),
         }
     }
 
@@ -779,15 +777,9 @@ impl MemCache {
             };
             if let Some(MemSlot::Ready(e)) = inner.map.remove(&key) {
                 inner.ready_bytes = inner.ready_bytes.saturating_sub(e.bytes);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(Id::MemEvictions, 1);
             }
         }
-    }
-
-    /// Median age (milliseconds between insert and hit) over the most
-    /// recent hits across all shards; `None` before the first hit.
-    pub fn hit_age_p50_ms(&self) -> Option<u64> {
-        self.hit_age_quantiles_ms().map(|(p50, _, _)| p50)
     }
 
     /// The (p50, p90, p99) hit-age quantiles in milliseconds over the
@@ -840,56 +832,11 @@ impl MemCache {
         self.cap_bytes
     }
 
-    /// Total lookups (`hits + coalesced + misses + bypasses +
-    /// cancelled_waits`).
-    pub fn lookups(&self) -> u64 {
-        self.lookups.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that found a ready entry immediately.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that had to tune.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that waited on a concurrent identical request and then
-    /// took its plan (disjoint from [`MemCache::hits`]).
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that hit a fingerprint collision and bypassed the cache.
-    pub fn bypasses(&self) -> u64 {
-        self.bypasses.load(Ordering::Relaxed)
-    }
-
-    /// Ready entries evicted by the byte cap.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Waits on an in-flight compile abandoned because the waiter's
-    /// cancel token fired.
-    pub fn cancelled_waits(&self) -> u64 {
-        self.cancelled_waits.load(Ordering::Relaxed)
-    }
-
-    /// Budget rebalances performed so far (see [`MemCache::rebalance`]).
-    pub fn rebalances(&self) -> u64 {
-        self.rebalances.load(Ordering::Relaxed)
-    }
-
-    /// Hits whose entry had to run the pipeline again because its record
-    /// could not answer the request: the record was published by a
-    /// `verify: false` compile and this request wants verification. A
-    /// subset of [`MemCache::hits`] + [`MemCache::coalesced`]; 0 in
-    /// steady state (the re-execution upgrades the entry in place).
-    pub fn reexecuted(&self) -> u64 {
-        self.reexecuted.load(Ordering::Relaxed)
+    /// The stored counter `id` of this cache: one of
+    /// `Id::MemLookups..=Id::MemReexecuted` (see the type docs; any
+    /// other id reads 0).
+    pub fn get(&self, id: Id) -> u64 {
+        self.stats.get(id)
     }
 
     /// The current per-shard byte budgets. With a cap set their sum is
@@ -962,7 +909,7 @@ impl MemCache {
         for (slot, cap_i) in self.shard_caps.iter().zip(&caps) {
             slot.store(*cap_i, Ordering::Relaxed);
         }
-        self.rebalances.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(Id::MemRebalances, 1);
         // Enforce the shrunken slices now, not at the next insert: the
         // total cap must hold the moment the budgets change.
         for (idx, shard) in self.shards.iter().enumerate() {
@@ -1051,7 +998,7 @@ impl MemCache {
         program: &str,
         cancel: &CancelToken,
     ) -> MemLookup<'_> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(Id::MemLookups, 1);
         let shard = self.shard(device_fp, fp);
         let mut inner = lock_ignore_poison(&shard.inner);
         let mut waited = false;
@@ -1059,16 +1006,16 @@ impl MemCache {
             match inner.map.get_mut(fp) {
                 Some(MemSlot::Ready(e)) => {
                     if e.program != program {
-                        self.bypasses.fetch_add(1, Ordering::Relaxed);
+                        self.stats.add(Id::MemBypasses, 1);
                         return MemLookup::Bypass;
                     }
                     e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
                     let inserted_at = e.inserted_at;
                     let (params, record) = (e.params.clone(), e.record);
                     if waited {
-                        self.coalesced.fetch_add(1, Ordering::Relaxed);
+                        self.stats.add(Id::MemCoalesced, 1);
                     } else {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        self.stats.add(Id::MemHits, 1);
                     }
                     inner.record_hit_age(inserted_at);
                     inner.demand += 1;
@@ -1076,7 +1023,7 @@ impl MemCache {
                 }
                 Some(MemSlot::InFlight) => {
                     if let Some(kind) = cancel.cancelled() {
-                        self.cancelled_waits.fetch_add(1, Ordering::Relaxed);
+                        self.stats.add(Id::MemCancelledWaits, 1);
                         return MemLookup::Cancelled(kind);
                     }
                     waited = true;
@@ -1094,7 +1041,7 @@ impl MemCache {
                 }
                 None => {
                     inner.map.insert(fp.to_string(), MemSlot::InFlight);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    self.stats.add(Id::MemMisses, 1);
                     return MemLookup::Miss(MemCacheGuard {
                         cache: self,
                         fp: fp.to_string(),
@@ -1552,6 +1499,7 @@ fn choose_params(
     let (proxy_dims, proxy_steps) = proxy_workload(&dims, steps, cfg.proxy);
     let (workers, sim_threads) = tune_thread_split(cfg);
     let score_model = |model: &TileSizeModel, fidelity: Fidelity| -> Option<f64> {
+        #[cfg(test)]
         if let Some(f) = cfg.scorer {
             return f(model);
         }
@@ -2079,7 +2027,7 @@ pub fn compile_source_with(
             // The record was published without verification and this
             // request wants it: execute the cached parameters again.
             MemLookup::Hit(params, _) => {
-                mem.reexecuted.fetch_add(1, Ordering::Relaxed);
+                mem.stats.add(Id::MemReexecuted, 1);
                 cached = Some(params);
             }
             MemLookup::Miss(g) => guard = Some(g),
@@ -2511,14 +2459,14 @@ for (t = 0; t < T; t++)
         let first = compile_file_with(&file, &cfg, Some(&mem)).unwrap();
         assert_eq!(first.cache, CacheSource::Fresh);
         assert_eq!(mem.len(), 1);
-        assert_eq!((mem.hits(), mem.misses()), (0, 1));
+        assert_eq!((mem.get(Id::MemHits), mem.get(Id::MemMisses)), (0, 1));
 
         // Identical request: served from memory, not the disk.
         let second = compile_file_with(&file, &cfg, Some(&mem)).unwrap();
         assert_eq!(second.cache, CacheSource::Memory);
         assert_eq!(second.examined, 0);
         assert_eq!(second.params, first.params);
-        assert_eq!((mem.hits(), mem.misses()), (1, 1));
+        assert_eq!((mem.get(Id::MemHits), mem.get(Id::MemMisses)), (1, 1));
 
         // A fresh memory cache falls back to the disk layer and promotes
         // the entry into memory.
@@ -2549,9 +2497,9 @@ for (t = 0; t < T; t++)
         // Exactly one request tuned; everyone agreed on the plan. The
         // other three were immediate hits or coalesced waits, depending
         // on scheduling.
-        assert_eq!(mem.misses(), 1);
-        assert_eq!(mem.hits() + mem.coalesced(), 3);
-        assert_eq!(mem.lookups(), 4);
+        assert_eq!(mem.get(Id::MemMisses), 1);
+        assert_eq!(mem.get(Id::MemHits) + mem.get(Id::MemCoalesced), 3);
+        assert_eq!(mem.get(Id::MemLookups), 4);
         assert_eq!(
             outcomes
                 .iter()
@@ -2642,11 +2590,11 @@ for (t = 0; t < T; t++)
         let (leader, followers) = std::thread::scope(|s| {
             let gate = lock_ignore_poison(&GATE);
             let leader = s.spawn(|| compile_file_with(&file, &leader_cfg, Some(&mem)));
-            wait_for("leader in flight", &|| mem.misses() == 1);
+            wait_for("leader in flight", &|| mem.get(Id::MemMisses) == 1);
             let followers: Vec<_> = (0..2)
                 .map(|_| s.spawn(|| compile_file_with(&file, &follower_cfg, Some(&mem))))
                 .collect();
-            wait_for("followers waiting", &|| mem.lookups() == 3);
+            wait_for("followers waiting", &|| mem.get(Id::MemLookups) == 3);
             drop(gate);
             (
                 leader.join().unwrap(),
@@ -2665,7 +2613,13 @@ for (t = 0; t < T; t++)
         assert!(followers
             .iter()
             .all(|r| r.as_ref().is_ok_and(|o| o.verified)));
-        assert_eq!((mem.misses(), mem.hits() + mem.coalesced()), (2, 1));
+        assert_eq!(
+            (
+                mem.get(Id::MemMisses),
+                mem.get(Id::MemHits) + mem.get(Id::MemCoalesced)
+            ),
+            (2, 1)
+        );
         assert_eq!(mem.len(), 1);
     }
 
@@ -2757,13 +2711,17 @@ for (t = 0; t < T; t++)
         assert!(mem.contains(dfp, "a"), "recently hit entry must survive");
         assert!(!mem.contains(dfp, "b"), "LRU entry must be evicted");
         assert!(mem.contains(dfp, "c"));
-        assert_eq!(mem.evictions(), 1);
+        assert_eq!(mem.get(Id::MemEvictions), 1);
         // Counters stay disjoint and complete.
         assert_eq!(
-            mem.lookups(),
-            mem.hits() + mem.misses() + mem.coalesced() + mem.bypasses() + mem.cancelled_waits()
+            mem.get(Id::MemLookups),
+            mem.get(Id::MemHits)
+                + mem.get(Id::MemMisses)
+                + mem.get(Id::MemCoalesced)
+                + mem.get(Id::MemBypasses)
+                + mem.get(Id::MemCancelledWaits)
         );
-        assert!(mem.hit_age_p50_ms().is_some());
+        assert!(mem.hit_age_quantiles_ms().is_some());
     }
 
     #[test]
@@ -2776,7 +2734,7 @@ for (t = 0; t < T; t++)
             _ => panic!("expected miss"),
         }
         assert_eq!(mem.bytes(), 0, "an entry larger than the cap cannot stay");
-        assert_eq!(mem.evictions(), 1);
+        assert_eq!(mem.get(Id::MemEvictions), 1);
     }
 
     #[test]
@@ -2989,7 +2947,7 @@ for (t = 0; t < T; t++)
         assert_eq!(mem.device_plans("devA", 1).len(), 1, "limit is honored");
         assert!(mem.device_plans("devC", 16).is_empty());
         // Exports are not lookups: counters untouched.
-        assert_eq!(mem.lookups(), 3);
+        assert_eq!(mem.get(Id::MemLookups), 3);
     }
 
     #[test]

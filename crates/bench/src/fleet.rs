@@ -29,16 +29,18 @@
 //! [`CancelToken`](hybrid_tiling::cancel::CancelToken) threaded through
 //! the tuning sweep.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::driver::{device_distance, device_fingerprint, DriverConfig};
 use crate::json::Json;
+use crate::metrics::{
+    opt_uint, series, status_fields, Counters, Id, MetricsSnapshot, Scope, Values,
+};
 use crate::serve::{
-    backend_compiles_json, cancel_response, check_version, error_response, metrics_response,
-    resolve_device, validate_compile_request, with_envelope, RequestHandler, ServeOptions,
-    ServeState, ServeStats,
+    cancel_response, check_version, echoes, error_response, metrics_response, resolve_device,
+    validate_compile_request, with_envelope, RequestHandler, ServeOptions, ServeState,
 };
 
 /// Fleet-level knobs (`hybridc serve` flags).
@@ -83,17 +85,13 @@ pub struct FleetRouter {
     /// canonical device fingerprint.
     members: Mutex<Vec<(String, Arc<ServeState>)>>,
     started: Instant,
-    /// Lines handled at the router (including ones rejected before
-    /// reaching a member).
-    requests: AtomicU64,
-    /// Responses produced by the router itself (version/routing errors,
-    /// status, cancel, shutdown) with `"status": "error"`.
-    router_errors: AtomicU64,
-    /// Non-error responses produced by the router itself.
-    router_ok: AtomicU64,
+    /// The router's own stored series: `Requests` counts every line
+    /// handled here (including ones rejected before reaching a member),
+    /// `Ok`/`Errors` the responses the router produced itself
+    /// (version/routing errors, status, cancel, shutdown), the rest are
+    /// the scheduling/auth counters of the loops driving this fleet.
+    stats: Counters,
     stop: AtomicBool,
-    /// Scheduling/auth counters of the loops driving this fleet.
-    stats: ServeStats,
 }
 
 impl FleetRouter {
@@ -107,11 +105,8 @@ impl FleetRouter {
             opts,
             members: Mutex::new(Vec::new()),
             started: Instant::now(),
-            requests: AtomicU64::new(0),
-            router_errors: AtomicU64::new(0),
-            router_ok: AtomicU64::new(0),
+            stats: Counters::default(),
             stop: AtomicBool::new(false),
-            stats: ServeStats::default(),
         };
         let _ = router.member_for(&base.device.clone());
         router
@@ -123,11 +118,6 @@ impl FleetRouter {
             Ok(m) => m.clone(),
             Err(p) => p.into_inner().clone(),
         }
-    }
-
-    /// Lines handled so far (including router-level rejections).
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
     }
 
     /// Stops the fleet as a served `shutdown` would: raises the router's
@@ -207,18 +197,15 @@ impl FleetRouter {
         if line.is_empty() {
             return None;
         }
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(Id::Requests, 1);
         self.dispatch(seq, line)
     }
 
     /// Counts a response the router produced itself (member-produced
     /// responses are counted by their member) and passes it through.
     fn track(&self, resp: Json) -> Json {
-        if resp.get("status").and_then(Json::as_str) == Some("error") {
-            self.router_errors.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.router_ok.fetch_add(1, Ordering::Relaxed);
-        }
+        let errored = resp.get("status").and_then(Json::as_str) == Some("error");
+        self.stats.add(if errored { Id::Errors } else { Id::Ok }, 1);
         resp
     }
 
@@ -321,111 +308,76 @@ impl FleetRouter {
         })
     }
 
-    /// The aggregated fleet status: totals across every member plus one
-    /// per-device entry (each member's full
-    /// [`status_payload`](ServeState::status_payload), so per-device
-    /// request counts and cache metrics are first-class).
+    /// The fleet-level value of series `id` over `members`: the router's
+    /// own cell, plus every member's value for the rows the registry
+    /// marks `fleet_sum`; the fleet's bounds and clock for the computed
+    /// ones.
+    fn total(&self, members: &[(String, Arc<ServeState>)], id: Id) -> Option<u64> {
+        match id {
+            Id::UptimeMs => Some(self.started.elapsed().as_millis() as u64),
+            Id::Devices => Some(members.len() as u64),
+            Id::MaxDevices => Some(self.opts.max_devices as u64),
+            Id::MemCapBytes => self.opts.mem_cap_bytes,
+            _ if series(id).fleet_sum => {
+                let summed: u64 = members.iter().filter_map(|(_, m)| m.get(id)).sum();
+                Some(self.stats.get(id) + summed)
+            }
+            _ => Some(self.stats.get(id)),
+        }
+    }
+
+    /// The aggregated fleet status: fleet-level totals
+    /// (`FleetRouter::total`) plus one per-device entry (each member's
+    /// full [`status_payload`](ServeState::status_payload), so
+    /// per-device request counts and cache metrics are first-class).
     pub fn status_payload(&self) -> Json {
         let members = self.members();
-        let sum =
-            |f: &dyn Fn(&ServeState) -> u64| -> u64 { members.iter().map(|(_, m)| f(m)).sum() };
-        Json::obj(vec![
-            ("status", Json::str("alive")),
-            (
-                "uptime_ms",
-                Json::UInt(self.started.elapsed().as_millis() as u64),
-            ),
-            (
-                "requests",
-                Json::UInt(self.requests.load(Ordering::Relaxed)),
-            ),
-            (
-                "ok",
-                Json::UInt(sum(&|m| m.ok_count()) + self.router_ok.load(Ordering::Relaxed)),
-            ),
-            (
-                "errors",
-                Json::UInt(sum(&|m| m.error_count()) + self.router_errors.load(Ordering::Relaxed)),
-            ),
-            ("contained_panics", Json::UInt(sum(&|m| m.panic_count()))),
-            ("warm_starts", Json::UInt(sum(&|m| m.warm_starts()))),
-            ("warm_start_hits", Json::UInt(sum(&|m| m.warm_start_hits()))),
-            (
-                "tune_simulations",
-                Json::UInt(sum(&|m| m.tune_simulations())),
-            ),
-            (
-                "proxy_simulations",
-                Json::UInt(sum(&|m| m.proxy_simulations())),
-            ),
-            ("tune_wall_ms", Json::UInt(sum(&|m| m.tune_wall_ms()))),
-            ("mem_reexecuted", Json::UInt(sum(&|m| m.mem().reexecuted()))),
-            ("backend_compiles", {
-                let mut totals = [0u64; 4];
-                for (_, m) in &members {
-                    for (i, c) in m.backend_compiles().into_iter().enumerate() {
-                        totals[i] += c;
-                    }
-                }
-                backend_compiles_json(totals)
-            }),
-            ("device_count", Json::UInt(members.len() as u64)),
-            ("max_devices", Json::UInt(self.opts.max_devices as u64)),
-            (
-                "mem_cap_bytes",
-                match self.opts.mem_cap_bytes {
-                    Some(cap) => Json::UInt(cap),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "default_deadline_ms",
-                match self.opts.default_deadline_ms {
-                    Some(ms) => Json::UInt(ms),
-                    None => Json::Null,
-                },
-            ),
-            ("sched_policy", Json::str(self.stats.policy().name())),
-            ("queue_depth", Json::UInt(self.stats.queue_depth())),
-            (
-                "queue_depth_peak",
-                Json::UInt(self.stats.queue_depth_peak()),
-            ),
-            ("deadline_misses", Json::UInt(self.stats.deadline_misses())),
-            ("edf_promotions", Json::UInt(self.stats.edf_promotions())),
-            ("auth_ok", Json::UInt(self.stats.auth_ok())),
-            ("auth_failures", Json::UInt(self.stats.auth_failures())),
-            ("auth_rejected", Json::UInt(self.stats.auth_rejected())),
-            (
-                "devices",
-                Json::Arr(members.iter().map(|(_, m)| m.status_payload()).collect()),
-            ),
-        ])
+        let rows = |from, to| status_fields(from, to, |id| self.total(&members, id));
+        let one = |id| rows(id, id);
+        let devices = members.iter().map(|(_, m)| m.status_payload()).collect();
+        Json::Obj(
+            [
+                echoes(vec![("status", Json::str("alive"))]),
+                rows(Id::UptimeMs, Id::ContainedPanics),
+                rows(Id::WarmStarts, Id::TuneWallMs),
+                one(Id::MemReexecuted),
+                rows(Id::BackendCuda, Id::BackendCpu),
+                rows(Id::Devices, Id::MaxDevices),
+                one(Id::MemCapBytes),
+                echoes(vec![(
+                    "default_deadline_ms",
+                    opt_uint(self.opts.default_deadline_ms),
+                )]),
+                rows(Id::SchedPolicy, Id::AuthRejected),
+                echoes(vec![("devices", Json::Arr(devices))]),
+            ]
+            .into_iter()
+            .flatten()
+            .collect(),
+        )
     }
 
     fn status_response(&self, seq: u64, id: Option<&Json>) -> Json {
         with_envelope(seq, id, self.status_payload())
     }
 
-    /// The scheduling/auth counters of this fleet's loops.
-    pub fn stats(&self) -> &ServeStats {
+    /// The router's own stored series (see the `stats` field).
+    pub fn stats(&self) -> &Counters {
         &self.stats
     }
 
-    /// The fleet's full metric set as a [`MetricsSnapshot`](crate::metrics::MetricsSnapshot): one
-    /// [`DeviceMetrics`](crate::metrics::DeviceMetrics) per member
-    /// (labeled by its canonical device fingerprint) plus the router's
-    /// scheduling and auth counters.
-    pub fn metrics_snapshot(&self) -> crate::metrics::MetricsSnapshot {
-        let mut snap =
-            crate::metrics::snapshot_stats(&self.stats, self.started.elapsed().as_millis() as u64);
-        snap.max_devices = Some(self.opts.max_devices as u64);
-        snap.devices = self
-            .members()
-            .iter()
-            .map(|(fp, m)| crate::metrics::device_metrics(fp, m))
-            .collect();
-        snap
+    /// The fleet's full metric set: the fleet-level service series plus
+    /// every member's device series, labeled by its canonical device
+    /// fingerprint.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let members = self.members();
+        MetricsSnapshot {
+            service: Values::collect(Scope::Service, |id| self.total(&members, id)),
+            devices: members
+                .iter()
+                .map(|(fp, m)| (fp.clone(), Values::collect(Scope::Device, |id| m.get(id))))
+                .collect(),
+        }
     }
 }
 
@@ -436,7 +388,7 @@ impl RequestHandler for FleetRouter {
     fn stopped(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
     }
-    fn stats(&self) -> &ServeStats {
+    fn stats(&self) -> &Counters {
         FleetRouter::stats(self)
     }
     fn metrics_text(&self) -> String {
@@ -510,7 +462,7 @@ mod tests {
         for (fp, member) in &members {
             assert_eq!(member.mem().len(), 1);
             assert_eq!(member.mem().len_for_device(fp), 1);
-            assert_eq!(member.requests(), 2);
+            assert_eq!(member.get(Id::Requests), Some(2));
         }
     }
 
@@ -529,8 +481,12 @@ mod tests {
         }
         let members = router.members();
         assert_eq!(members.len(), 2);
-        assert_eq!(members[0].1.requests(), 2, "member accounting unchanged");
-        assert_eq!(members[0].1.ok_count(), 2);
+        assert_eq!(
+            members[0].1.get(Id::Requests),
+            Some(2),
+            "member accounting unchanged"
+        );
+        assert_eq!(members[0].1.get(Id::Ok), Some(2));
     }
 
     #[test]
@@ -576,9 +532,9 @@ mod tests {
         let warm_member = members
             .iter()
             .map(|(_, m)| m)
-            .find(|m| m.warm_starts() > 0)
+            .find(|m| m.get(Id::WarmStarts) > Some(0))
             .expect("one member must have warm-started");
-        assert!(warm_member.tune_simulations() <= 3);
+        assert!(warm_member.get(Id::TuneSimulations) <= Some(3));
         let status = router.handle_line(3, "{\"op\":\"status\"}").unwrap();
         assert_eq!(status.get("warm_starts").and_then(Json::as_u64), Some(1));
         assert!(

@@ -77,6 +77,7 @@ use crate::driver::{
     sanitize_program_name, DriverConfig, MemCache, TuneMode,
 };
 use crate::json::Json;
+use crate::metrics::{opt_uint, status_fields, Counters, Id};
 
 /// The protocol version this service speaks. Responses always carry
 /// `"v": 1`; requests may omit `v` (treated as version 1) or must match.
@@ -112,119 +113,22 @@ impl SchedPolicy {
             SchedPolicy::Edf => "edf",
         }
     }
-}
 
-/// Scheduling and transport counters of one service, shared by every
-/// serving loop (stdin, TCP connections, unix connections) that drives
-/// the same handler — the `status`/`metrics` ops and the Prometheus
-/// exporter all read one set. Owned by [`ServeState`] and by
-/// [`FleetRouter`](crate::fleet::FleetRouter) (whichever is the loop's
-/// handler records here).
-#[derive(Debug)]
-pub struct ServeStats {
-    /// 0 = fifo, 1 = edf; the most recently started loop's policy.
-    policy: AtomicU64,
-    queue_depth: AtomicU64,
-    queue_depth_peak: AtomicU64,
-    deadline_misses: AtomicU64,
-    edf_promotions: AtomicU64,
-    auth_ok: AtomicU64,
-    auth_failures: AtomicU64,
-    auth_rejected: AtomicU64,
-}
-
-impl Default for ServeStats {
-    fn default() -> ServeStats {
-        ServeStats {
-            policy: AtomicU64::new(1),
-            queue_depth: AtomicU64::new(0),
-            queue_depth_peak: AtomicU64::new(0),
-            deadline_misses: AtomicU64::new(0),
-            edf_promotions: AtomicU64::new(0),
-            auth_ok: AtomicU64::new(0),
-            auth_failures: AtomicU64::new(0),
-            auth_rejected: AtomicU64::new(0),
-        }
-    }
-}
-
-impl ServeStats {
-    /// The scheduling policy of the most recently started serving loop.
-    pub fn policy(&self) -> SchedPolicy {
-        match self.policy.load(Ordering::Relaxed) {
-            0 => SchedPolicy::Fifo,
-            _ => SchedPolicy::Edf,
+    /// The value the [`Id::SchedPolicy`] gauge stores for this policy;
+    /// 0, a fresh block, is the default policy.
+    fn code(self) -> u64 {
+        match self {
+            SchedPolicy::Edf => 0,
+            SchedPolicy::Fifo => 1,
         }
     }
 
-    pub(crate) fn set_policy(&self, policy: SchedPolicy) {
-        let v = match policy {
-            SchedPolicy::Fifo => 0,
-            SchedPolicy::Edf => 1,
-        };
-        self.policy.store(v, Ordering::Relaxed);
-    }
-
-    /// Requests currently queued (enqueued, not yet picked up).
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of [`ServeStats::queue_depth`].
-    pub fn queue_depth_peak(&self) -> u64 {
-        self.queue_depth_peak.load(Ordering::Relaxed)
-    }
-
-    /// Responses produced after the request's arrival-anchored deadline.
-    pub fn deadline_misses(&self) -> u64 {
-        self.deadline_misses.load(Ordering::Relaxed)
-    }
-
-    /// Times an EDF pop ran a deadline request ahead of an
-    /// earlier-arrived request still waiting in the queue.
-    pub fn edf_promotions(&self) -> u64 {
-        self.edf_promotions.load(Ordering::Relaxed)
-    }
-
-    /// Successful `hello` handshakes.
-    pub fn auth_ok(&self) -> u64 {
-        self.auth_ok.load(Ordering::Relaxed)
-    }
-
-    /// `hello` handshakes with a wrong secret.
-    pub fn auth_failures(&self) -> u64 {
-        self.auth_failures.load(Ordering::Relaxed)
-    }
-
-    /// Non-`hello` ops rejected because the connection never
-    /// authenticated (`auth_required` errors).
-    pub fn auth_rejected(&self) -> u64 {
-        self.auth_rejected.load(Ordering::Relaxed)
-    }
-
-    fn note_depth(&self, depth: u64) {
-        self.queue_depth.store(depth, Ordering::Relaxed);
-        self.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    fn note_deadline_miss(&self) {
-        self.deadline_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_edf_promotion(&self) {
-        self.edf_promotions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_auth_ok(&self) {
-        self.auth_ok.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_auth_failure(&self) {
-        self.auth_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_auth_rejected(&self) {
-        self.auth_rejected.fetch_add(1, Ordering::Relaxed);
+    /// Inverse of [`SchedPolicy::code`].
+    pub(crate) fn from_code(code: u64) -> SchedPolicy {
+        match code {
+            0 => SchedPolicy::Edf,
+            _ => SchedPolicy::Fifo,
+        }
     }
 }
 
@@ -249,27 +153,9 @@ pub struct ServeState {
     opts: ServeOptions,
     mem: MemCache,
     started: Instant,
-    requests: AtomicU64,
-    ok: AtomicU64,
-    errors: AtomicU64,
-    panics: AtomicU64,
-    /// Compiles where a cross-device warm hint matched the program and
-    /// was re-verified (the warm-start path ran at all).
-    warm_starts: AtomicU64,
-    /// Compiles whose winning plan came from a warm hint.
-    warm_start_hits: AtomicU64,
-    /// Total scorer invocations across fresh tunes (simulator runs in
-    /// simulated mode), including warm-hint re-verifications.
-    tune_simulations: AtomicU64,
-    /// Proxy-fidelity scorer invocations across fresh tunes (the
-    /// successive-halving ladder's cheap round).
-    proxy_simulations: AtomicU64,
-    /// Wall-clock milliseconds spent in tuning sweeps across fresh
-    /// compiles (0 for cache hits, which never tune).
-    tune_wall_ms: AtomicU64,
-    /// Successful compiles per emission backend, indexed by
-    /// [`BackendKind::index`].
-    backend_compiles: [AtomicU64; 4],
+    /// This service's stored series: its request and tuning counters,
+    /// and the scheduling/auth counters of the loops driving it.
+    stats: Counters,
     stop: AtomicBool,
     /// Compiles currently executing, keyed by the request's rendered
     /// `id`: the `cancel` op raises the flags and the workers stop at
@@ -278,8 +164,6 @@ pub struct ServeState {
     /// registers its own flag, `cancel` raises them all, and each
     /// guard's drop removes exactly its own flag.
     inflight: Mutex<HashMap<String, Vec<Arc<std::sync::atomic::AtomicBool>>>>,
-    /// Scheduling/auth counters of the loops driving this service.
-    stats: ServeStats,
 }
 
 /// Removes an in-flight registry entry when the compile finishes — on
@@ -324,25 +208,37 @@ impl ServeState {
             opts,
             mem,
             started: Instant::now(),
-            requests: AtomicU64::new(0),
-            ok: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            warm_starts: AtomicU64::new(0),
-            warm_start_hits: AtomicU64::new(0),
-            tune_simulations: AtomicU64::new(0),
-            proxy_simulations: AtomicU64::new(0),
-            tune_wall_ms: AtomicU64::new(0),
-            backend_compiles: std::array::from_fn(|_| AtomicU64::new(0)),
+            stats: Counters::default(),
             stop: AtomicBool::new(false),
             inflight: Mutex::new(HashMap::new()),
-            stats: ServeStats::default(),
         }
     }
 
-    /// The scheduling/auth counters of this service's loops.
-    pub fn stats(&self) -> &ServeStats {
+    /// This service's stored series (see [`ServeState::get`] for the
+    /// computed ones).
+    pub fn stats(&self) -> &Counters {
         &self.stats
+    }
+
+    /// The current value of series `id` as this service reports it —
+    /// stored cells of its own block and of its cache's, computed gauges
+    /// from the cache and the clock. `None` = absent (no cap, no hit
+    /// yet, no fleet bound).
+    pub fn get(&self, id: Id) -> Option<u64> {
+        let hit_age = || self.mem.hit_age_quantiles_ms();
+        match id {
+            Id::UptimeMs => Some(self.uptime().as_millis() as u64),
+            Id::MemEntries => Some(self.mem.len() as u64),
+            Id::MemBytes => Some(self.mem.bytes()),
+            Id::MemCapBytes => self.mem.cap_bytes(),
+            Id::HitAgeP50 => hit_age().map(|q| q.0),
+            Id::HitAgeP90 => hit_age().map(|q| q.1),
+            Id::HitAgeP99 => hit_age().map(|q| q.2),
+            Id::Devices => Some(1),
+            Id::MaxDevices => None,
+            _ if (Id::MemLookups..=Id::MemReexecuted).contains(&id) => Some(self.mem.get(id)),
+            _ => Some(self.stats.get(id)),
+        }
     }
 
     /// The shared in-memory plan cache.
@@ -364,61 +260,6 @@ impl ServeState {
     /// True once a `shutdown` request was served.
     pub fn stopped(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
-    }
-
-    /// Requests handled so far (including failed ones).
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Requests answered with a non-error status.
-    pub fn ok_count(&self) -> u64 {
-        self.ok.load(Ordering::Relaxed)
-    }
-
-    /// Requests answered with `"status": "error"`.
-    pub fn error_count(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
-    }
-
-    /// Panics contained at the request boundary.
-    pub fn panic_count(&self) -> u64 {
-        self.panics.load(Ordering::Relaxed)
-    }
-
-    /// Compiles that re-verified at least one cross-device warm hint.
-    pub fn warm_starts(&self) -> u64 {
-        self.warm_starts.load(Ordering::Relaxed)
-    }
-
-    /// Compiles whose winning plan came from a warm hint.
-    pub fn warm_start_hits(&self) -> u64 {
-        self.warm_start_hits.load(Ordering::Relaxed)
-    }
-
-    /// Total tuning scorer invocations (simulator runs in simulated
-    /// mode) across this service's fresh compiles, warm-hint
-    /// re-verifications included.
-    pub fn tune_simulations(&self) -> u64 {
-        self.tune_simulations.load(Ordering::Relaxed)
-    }
-
-    /// Proxy-fidelity scorer invocations across this service's fresh
-    /// compiles (the successive-halving ladder's cheap round).
-    pub fn proxy_simulations(&self) -> u64 {
-        self.proxy_simulations.load(Ordering::Relaxed)
-    }
-
-    /// Wall-clock milliseconds spent in tuning sweeps across this
-    /// service's fresh compiles (cache hits contribute 0).
-    pub fn tune_wall_ms(&self) -> u64 {
-        self.tune_wall_ms.load(Ordering::Relaxed)
-    }
-
-    /// Successful compiles per emission backend, in
-    /// [`BackendKind::ALL`] order.
-    pub fn backend_compiles(&self) -> [u64; 4] {
-        std::array::from_fn(|i| self.backend_compiles[i].load(Ordering::Relaxed))
     }
 
     /// Raises the cancel flags of every in-flight compile registered
@@ -468,18 +309,15 @@ impl ServeState {
     /// contained into an `internal` error response, and the response
     /// counted as `ok` or `errors`.
     fn tracked(&self, seq: u64, respond: impl FnOnce() -> Json) -> Json {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(Id::Requests, 1);
         let outcome = catch_unwind(AssertUnwindSafe(respond));
         let response = outcome.unwrap_or_else(|payload| {
-            self.panics.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(Id::ContainedPanics, 1);
             let msg = panic_message(payload);
             error_response(seq, None, "internal", &format!("request panicked: {msg}"))
         });
-        if response.get("status").and_then(Json::as_str) == Some("error") {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.ok.fetch_add(1, Ordering::Relaxed);
-        }
+        let errored = response.get("status").and_then(Json::as_str) == Some("error");
+        self.stats.add(if errored { Id::Errors } else { Id::Ok }, 1);
         response
     }
 
@@ -575,117 +413,61 @@ impl ServeState {
             }
         };
         if let Ok(o) = &result {
-            self.backend_compiles[o.backend.index()].fetch_add(1, Ordering::Relaxed);
-            if o.warm_start {
-                self.warm_starts.fetch_add(1, Ordering::Relaxed);
-            }
-            if o.warm_start_hit {
-                self.warm_start_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            self.tune_simulations
-                .fetch_add(o.simulated as u64, Ordering::Relaxed);
-            self.proxy_simulations
-                .fetch_add(o.proxy_simulated as u64, Ordering::Relaxed);
-            self.tune_wall_ms
-                .fetch_add(o.tune_wall_ms, Ordering::Relaxed);
+            self.stats.add(Id::backend(o.backend), 1);
+            self.stats.add(Id::WarmStarts, o.warm_start as u64);
+            self.stats.add(Id::WarmStartHits, o.warm_start_hit as u64);
+            self.stats.add(Id::TuneSimulations, o.simulated as u64);
+            self.stats
+                .add(Id::ProxySimulations, o.proxy_simulated as u64);
+            self.stats.add(Id::TuneWallMs, o.tune_wall_ms);
         }
         with_envelope(seq, id, outcome_json(&source_label, &result))
     }
 
     /// The status object of this (single-device) service: liveness,
-    /// request counters, and the full cache metric set. Used directly by
-    /// the `status` op and embedded per device in the fleet's aggregated
-    /// status. Every field is documented in the README protocol table.
+    /// every series of the registry that has a `status` key (in table
+    /// order), and the configuration echoes spliced between them. Used
+    /// directly by the `status` op and embedded per device in the
+    /// fleet's aggregated status. Every field is documented in the
+    /// README protocol table.
     pub fn status_payload(&self) -> Json {
-        Json::obj(vec![
-            ("status", Json::str("alive")),
-            (
-                "uptime_ms",
-                Json::UInt(self.started.elapsed().as_millis() as u64),
-            ),
-            (
-                "requests",
-                Json::UInt(self.requests.load(Ordering::Relaxed)),
-            ),
-            ("ok", Json::UInt(self.ok.load(Ordering::Relaxed))),
-            ("errors", Json::UInt(self.errors.load(Ordering::Relaxed))),
-            (
-                "contained_panics",
-                Json::UInt(self.panics.load(Ordering::Relaxed)),
-            ),
-            ("mem_entries", Json::UInt(self.mem.len() as u64)),
-            ("mem_bytes", Json::UInt(self.mem.bytes())),
-            (
-                "mem_cap_bytes",
-                match self.mem.cap_bytes() {
-                    Some(cap) => Json::UInt(cap),
-                    None => Json::Null,
-                },
-            ),
-            ("mem_lookups", Json::UInt(self.mem.lookups())),
-            ("mem_hits", Json::UInt(self.mem.hits())),
-            ("mem_misses", Json::UInt(self.mem.misses())),
-            ("mem_coalesced", Json::UInt(self.mem.coalesced())),
-            ("mem_bypasses", Json::UInt(self.mem.bypasses())),
-            ("mem_evictions", Json::UInt(self.mem.evictions())),
-            ("mem_rebalances", Json::UInt(self.mem.rebalances())),
-            (
-                "mem_cancelled_waits",
-                Json::UInt(self.mem.cancelled_waits()),
-            ),
-            ("mem_reexecuted", Json::UInt(self.mem.reexecuted())),
-            (
-                "hit_age_p50_ms",
-                match self.mem.hit_age_p50_ms() {
-                    Some(ms) => Json::UInt(ms),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "disk_cache",
-                match &self.cfg.cache_dir {
-                    Some(d) => Json::str(d.display().to_string()),
-                    None => Json::Null,
-                },
-            ),
-            ("device", Json::str(self.cfg.device.name.clone())),
-            (
-                "device_fingerprint",
-                Json::str(device_fingerprint(&self.cfg.device)),
-            ),
-            ("tune", Json::str(self.cfg.tune.name())),
-            ("backend", Json::str(self.cfg.backend.name())),
-            (
-                "backend_compiles",
-                backend_compiles_json(self.backend_compiles()),
-            ),
-            ("top_k", Json::UInt(self.cfg.top_k as u64)),
-            ("tune_workers", Json::UInt(self.cfg.tune_workers as u64)),
-            ("proxy", Json::Num(self.cfg.proxy)),
-            ("warm_starts", Json::UInt(self.warm_starts())),
-            ("warm_start_hits", Json::UInt(self.warm_start_hits())),
-            ("tune_simulations", Json::UInt(self.tune_simulations())),
-            ("proxy_simulations", Json::UInt(self.proxy_simulations())),
-            ("tune_wall_ms", Json::UInt(self.tune_wall_ms())),
-            (
-                "default_deadline_ms",
-                match self.opts.default_deadline_ms {
-                    Some(ms) => Json::UInt(ms),
-                    None => Json::Null,
-                },
-            ),
-            ("sched_policy", Json::str(self.stats.policy().name())),
-            ("queue_depth", Json::UInt(self.stats.queue_depth())),
-            (
-                "queue_depth_peak",
-                Json::UInt(self.stats.queue_depth_peak()),
-            ),
-            ("deadline_misses", Json::UInt(self.stats.deadline_misses())),
-            ("edf_promotions", Json::UInt(self.stats.edf_promotions())),
-            ("auth_ok", Json::UInt(self.stats.auth_ok())),
-            ("auth_failures", Json::UInt(self.stats.auth_failures())),
-            ("auth_rejected", Json::UInt(self.stats.auth_rejected())),
-        ])
+        let rows = |from, to| status_fields(from, to, |id| self.get(id));
+        let cfg = &self.cfg;
+        let disk_cache = match &cfg.cache_dir {
+            Some(d) => Json::str(d.display().to_string()),
+            None => Json::Null,
+        };
+        Json::Obj(
+            [
+                echoes(vec![("status", Json::str("alive"))]),
+                rows(Id::UptimeMs, Id::HitAgeP99),
+                echoes(vec![
+                    ("disk_cache", disk_cache),
+                    ("device", Json::str(cfg.device.name.clone())),
+                    (
+                        "device_fingerprint",
+                        Json::str(device_fingerprint(&cfg.device)),
+                    ),
+                    ("tune", Json::str(cfg.tune.name())),
+                    ("backend", Json::str(cfg.backend.name())),
+                ]),
+                rows(Id::BackendCuda, Id::BackendCpu),
+                echoes(vec![
+                    ("top_k", Json::UInt(cfg.top_k as u64)),
+                    ("tune_workers", Json::UInt(cfg.tune_workers as u64)),
+                    ("proxy", Json::Num(cfg.proxy)),
+                ]),
+                rows(Id::WarmStarts, Id::TuneWallMs),
+                echoes(vec![(
+                    "default_deadline_ms",
+                    opt_uint(self.opts.default_deadline_ms),
+                )]),
+                rows(Id::SchedPolicy, Id::AuthRejected),
+            ]
+            .into_iter()
+            .flatten()
+            .collect(),
+        )
     }
 
     /// Time since this service was created.
@@ -698,16 +480,10 @@ impl ServeState {
     }
 }
 
-/// The per-backend successful-compile counters as a JSON object keyed
-/// by backend name, in [`BackendKind::ALL`] order. Shared by the
-/// single-device status payload and the fleet's aggregated one.
-pub(crate) fn backend_compiles_json(counts: [u64; 4]) -> Json {
-    Json::Obj(
-        BackendKind::ALL
-            .into_iter()
-            .map(|kind| (kind.name().to_string(), Json::UInt(counts[kind.index()])))
-            .collect(),
-    )
+/// Hand-written `status` entries (configuration echoes), in the shape
+/// [`status_fields`] returns so the two splice.
+pub(crate) fn echoes(pairs: Vec<(&str, Json)>) -> Vec<(String, Json)> {
+    pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
 }
 
 /// A typed request-validation failure: the serve protocol distinguishes
@@ -1155,10 +931,10 @@ pub trait RequestHandler: Sync {
     fn handle_line(&self, seq: u64, line: &str) -> Option<Json>;
     /// True once a `shutdown` request was served.
     fn stopped(&self) -> bool;
-    /// The scheduling/auth counters shared by every loop of this
-    /// service; the serving loops record queue depth, deadline misses
-    /// and EDF promotions here.
-    fn stats(&self) -> &ServeStats;
+    /// The counter block shared by every loop of this service; the
+    /// serving loops record the scheduling policy, queue depth, deadline
+    /// misses, EDF promotions and auth outcomes here.
+    fn stats(&self) -> &Counters;
     /// Every counter of this service rendered in Prometheus text
     /// exposition format (the `metrics` op and the `--metrics` HTTP
     /// listener serve this verbatim).
@@ -1172,7 +948,7 @@ impl RequestHandler for ServeState {
     fn stopped(&self) -> bool {
         ServeState::stopped(self)
     }
-    fn stats(&self) -> &ServeStats {
+    fn stats(&self) -> &Counters {
         ServeState::stats(self)
     }
     fn metrics_text(&self) -> String {
@@ -1277,12 +1053,14 @@ impl JobQueue {
     /// Enqueues `job`; returns false when the queue mutex is poisoned
     /// (a worker panicked while holding it — unreachable through the
     /// catch_unwind barrier, but never a reason to panic the reader).
-    fn push(&self, job: Job, stats: &ServeStats) -> bool {
+    fn push(&self, job: Job, stats: &Counters) -> bool {
         let Ok(mut q) = self.heap.lock() else {
             return false;
         };
         q.0.push(std::cmp::Reverse(job));
-        stats.note_depth(q.0.len() as u64);
+        // Every connection has its own queue over the one shared block:
+        // the gauge is the process-wide sum, so it moves by one.
+        stats.raise(Id::QueueDepthPeak, stats.add(Id::QueueDepth, 1));
         drop(q);
         self.cv.notify_one();
         true
@@ -1299,16 +1077,14 @@ impl JobQueue {
     /// Blocks for the most urgent job, recording queue depth and EDF
     /// promotions (a deadline job overtaking an earlier arrival still
     /// queued). `None` once the queue is closed and drained.
-    fn pop(&self, stats: &ServeStats) -> Option<Job> {
+    fn pop(&self, stats: &Counters) -> Option<Job> {
         let mut q = self.heap.lock().ok()?;
         loop {
             if let Some(std::cmp::Reverse(job)) = q.0.pop() {
-                stats.note_depth(q.0.len() as u64);
+                stats.sub(Id::QueueDepth, 1);
                 let overtook =
                     job.edf_key.is_some() && q.0.iter().any(|std::cmp::Reverse(j)| j.seq < job.seq);
-                if overtook {
-                    stats.note_edf_promotion();
-                }
+                stats.add(Id::EdfPromotions, overtook as u64);
                 return Some(job);
             }
             if q.1 {
@@ -1353,7 +1129,7 @@ pub fn serve_with_policy<H: RequestHandler + ?Sized, R: BufRead, W: Write + Send
 ) -> io::Result<ServeSummary> {
     let workers = workers.max(1);
     let stats = state.stats();
-    stats.set_policy(policy);
+    stats.set(Id::SchedPolicy, policy.code());
     let queue = JobQueue::default();
     let writer = Mutex::new(writer);
     let responses = AtomicU64::new(0);
@@ -1373,7 +1149,7 @@ pub fn serve_with_policy<H: RequestHandler + ?Sized, R: BufRead, W: Write + Send
                         // is the number the EDF-vs-FIFO load comparison
                         // measures.
                         if job.deadline.is_some_and(|d| Instant::now() > d) {
-                            stats.note_deadline_miss();
+                            stats.add(Id::DeadlineMisses, 1);
                         }
                         if response.get("status").and_then(Json::as_str) == Some("error") {
                             errors.fetch_add(1, Ordering::Relaxed);
@@ -1459,7 +1235,7 @@ impl<'a, H: RequestHandler + ?Sized> AuthGate<'a, H> {
             Some(want) => match req.get("secret").and_then(Json::as_str) {
                 Some(got) if got == want => {}
                 _ => {
-                    self.inner.stats().note_auth_failure();
+                    self.inner.stats().add(Id::AuthFailures, 1);
                     return error_response(
                         seq,
                         id,
@@ -1470,7 +1246,7 @@ impl<'a, H: RequestHandler + ?Sized> AuthGate<'a, H> {
             },
         }
         self.authed.store(true, Ordering::SeqCst);
-        self.inner.stats().note_auth_ok();
+        self.inner.stats().add(Id::AuthOk, 1);
         with_envelope(
             seq,
             id,
@@ -1508,7 +1284,7 @@ impl<H: RequestHandler + ?Sized> RequestHandler for AuthGate<'_, H> {
         // Unauthenticated and not a hello: typed rejection, and the
         // request never reaches the real handler (malformed JSON
         // included — an anonymous peer learns nothing about the parser).
-        self.inner.stats().note_auth_rejected();
+        self.inner.stats().add(Id::AuthRejected, 1);
         let id = parsed.as_ref().and_then(|r| r.get("id")).cloned();
         Some(error_response(
             seq,
@@ -1522,7 +1298,7 @@ impl<H: RequestHandler + ?Sized> RequestHandler for AuthGate<'_, H> {
         self.inner.stopped()
     }
 
-    fn stats(&self) -> &ServeStats {
+    fn stats(&self) -> &Counters {
         self.inner.stats()
     }
 
@@ -1530,6 +1306,32 @@ impl<H: RequestHandler + ?Sized> RequestHandler for AuthGate<'_, H> {
         self.inner.metrics_text()
     }
 }
+
+/// What the accept loop needs of a connected stream, TCP or unix.
+trait Conn: io::Read + Write + Send + Sized {
+    fn try_clone(&self) -> io::Result<Self>;
+    fn set_blocking(&self) -> io::Result<()>;
+    fn shutdown(&self);
+}
+
+macro_rules! impl_conn {
+    ($stream:ty) => {
+        impl Conn for $stream {
+            fn try_clone(&self) -> io::Result<Self> {
+                <$stream>::try_clone(self)
+            }
+            fn set_blocking(&self) -> io::Result<()> {
+                self.set_nonblocking(false)
+            }
+            fn shutdown(&self) {
+                let _ = <$stream>::shutdown(self, std::net::Shutdown::Both);
+            }
+        }
+    };
+}
+impl_conn!(std::net::TcpStream);
+#[cfg(unix)]
+impl_conn!(std::os::unix::net::UnixStream);
 
 /// The "watch" handles of an accept loop's live connections, by
 /// connection number: a clone of each accepted stream, kept so a stop can
@@ -1560,14 +1362,57 @@ fn watch_conn<S>(conns: &Watches<S>, conn: u64, watch: io::Result<S>) -> WatchGu
     WatchGuard { conns, conn }
 }
 
+/// The one accept loop behind [`serve_tcp_with`] and [`serve_unix`]:
+/// polls `accept` (a non-blocking listener) and runs `serve_conn(read
+/// half, write half)` on a thread per connection until `state` stops —
+/// then actively disconnects every live connection (socket shutdown) so
+/// a blocked read on one client cannot keep the daemon alive, and joins
+/// them. Connection-level I/O errors are per-client; they never stop the
+/// listener.
+fn accept_loop<H: RequestHandler + ?Sized, S: Conn>(
+    state: &H,
+    mut accept: impl FnMut() -> io::Result<S>,
+    serve_conn: impl Fn(io::BufReader<S>, S) + Sync,
+) -> io::Result<()> {
+    let conns: Watches<S> = Mutex::new(HashMap::new());
+    let (conns, serve_conn) = (&conns, &serve_conn);
+    let mut accepted = 0u64;
+    std::thread::scope(|scope| -> io::Result<()> {
+        loop {
+            if state.stopped() {
+                // Wake every connection's reader; their serve() loops
+                // return on the resulting EOF and the scope joins them.
+                if let Ok(conns) = conns.lock() {
+                    conns.values().for_each(Conn::shutdown);
+                }
+                return Ok(());
+            }
+            match accept() {
+                Ok(stream) => {
+                    let _ = stream.set_blocking();
+                    accepted += 1;
+                    let watch = watch_conn(conns, accepted, stream.try_clone());
+                    scope.spawn(move || {
+                        let _watch = watch;
+                        if let Ok(read_half) = stream.try_clone() {
+                            serve_conn(io::BufReader::new(read_half), stream);
+                        }
+                    });
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(std::time::Duration::from_millis(25));
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    })
+}
+
 /// Serves TCP connections on `listener`, one serving loop per connection,
 /// all sharing `state` (and therefore the in-memory plan cache), under
-/// the default policy and without authentication. Returns
-/// after a `shutdown` request has been served and every live connection
-/// drained — idle connections are actively disconnected (socket
-/// shutdown) so a blocked read on one client cannot keep the daemon
-/// alive. Connection-level I/O errors are per-client; they never stop
-/// the listener.
+/// the default policy and without authentication. Returns after a
+/// `shutdown` request has been served and every live connection drained
+/// (see `accept_loop`).
 pub fn serve_tcp<H: RequestHandler + ?Sized>(
     state: &H,
     listener: TcpListener,
@@ -1590,48 +1435,14 @@ pub fn serve_tcp_with<H: RequestHandler + ?Sized>(
     secret: Option<&str>,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
-    let conns: Watches<std::net::TcpStream> = Mutex::new(HashMap::new());
-    let conns = &conns;
-    let mut accepted = 0u64;
-    std::thread::scope(|scope| -> io::Result<()> {
-        loop {
-            if state.stopped() {
-                // Wake every connection's reader; their serve() loops
-                // return on the resulting EOF and the scope joins them.
-                if let Ok(conns) = conns.lock() {
-                    for c in conns.values() {
-                        let _ = c.shutdown(std::net::Shutdown::Both);
-                    }
-                }
-                return Ok(());
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let _ = stream.set_nonblocking(false);
-                    accepted += 1;
-                    let watch = watch_conn(conns, accepted, stream.try_clone());
-                    scope.spawn(move || {
-                        let _watch = watch;
-                        let Ok(read_half) = stream.try_clone() else {
-                            return;
-                        };
-                        let gate = AuthGate::new(state, secret);
-                        let _ = serve_with_policy(
-                            &gate,
-                            io::BufReader::new(read_half),
-                            stream,
-                            workers,
-                            policy,
-                        );
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(std::time::Duration::from_millis(25));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    })
+    accept_loop(
+        state,
+        || listener.accept().map(|(stream, _peer)| stream),
+        |reader, writer| {
+            let gate = AuthGate::new(state, secret);
+            let _ = serve_with_policy(&gate, reader, writer, workers, policy);
+        },
+    )
 }
 
 /// Serves unix-socket connections on `listener` — same protocol and
@@ -1646,45 +1457,13 @@ pub fn serve_unix<H: RequestHandler + ?Sized>(
     policy: SchedPolicy,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
-    let conns: Watches<std::os::unix::net::UnixStream> = Mutex::new(HashMap::new());
-    let conns = &conns;
-    let mut accepted = 0u64;
-    std::thread::scope(|scope| -> io::Result<()> {
-        loop {
-            if state.stopped() {
-                if let Ok(conns) = conns.lock() {
-                    for c in conns.values() {
-                        let _ = c.shutdown(std::net::Shutdown::Both);
-                    }
-                }
-                return Ok(());
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let _ = stream.set_nonblocking(false);
-                    accepted += 1;
-                    let watch = watch_conn(conns, accepted, stream.try_clone());
-                    scope.spawn(move || {
-                        let _watch = watch;
-                        let Ok(read_half) = stream.try_clone() else {
-                            return;
-                        };
-                        let _ = serve_with_policy(
-                            state,
-                            io::BufReader::new(read_half),
-                            stream,
-                            workers,
-                            policy,
-                        );
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(std::time::Duration::from_millis(25));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    })
+    accept_loop(
+        state,
+        || listener.accept().map(|(stream, _peer)| stream),
+        |reader, writer| {
+            let _ = serve_with_policy(state, reader, writer, workers, policy);
+        },
+    )
 }
 
 /// A minimal Prometheus scrape endpoint: answers **every** HTTP request
@@ -2358,7 +2137,7 @@ mod tests {
 
     #[test]
     fn edf_queue_orders_by_deadline_then_arrival() {
-        let stats = ServeStats::default();
+        let stats = Counters::default();
         let q = JobQueue::default();
         let now = Instant::now();
         let mk = |seq: u64, dl_ms: Option<u64>| {
@@ -2381,14 +2160,14 @@ mod tests {
         assert_eq!(q.pop(&stats).unwrap().seq, 1);
         assert!(q.pop(&stats).is_none(), "closed and drained");
         // seq 3 and seq 2 each overtook the still-queued seq 1.
-        assert_eq!(stats.edf_promotions(), 2);
-        assert_eq!(stats.queue_depth_peak(), 3);
-        assert_eq!(stats.queue_depth(), 0);
+        assert_eq!(stats.get(Id::EdfPromotions), 2);
+        assert_eq!(stats.get(Id::QueueDepthPeak), 3);
+        assert_eq!(stats.get(Id::QueueDepth), 0);
     }
 
     #[test]
     fn fifo_jobs_ignore_deadlines_and_keep_arrival_order() {
-        let stats = ServeStats::default();
+        let stats = Counters::default();
         let q = JobQueue::default();
         let line_with_deadline = "{\"op\":\"compile\",\"program\":\"x\",\"deadline_ms\":1}";
         assert!(q.push(
@@ -2408,10 +2187,30 @@ mod tests {
         // both policies) — it just never orders by it.
         assert!(second.deadline.is_some());
         assert!(second.edf_key.is_none());
-        assert_eq!(stats.edf_promotions(), 0);
+        assert_eq!(stats.get(Id::EdfPromotions), 0);
         // Under EDF the same line gets a scheduling key.
         let edf = Job::new(3, line_with_deadline.to_string(), SchedPolicy::Edf);
         assert!(edf.edf_key.is_some());
+    }
+
+    #[test]
+    fn queue_depth_is_the_sum_over_every_connections_queue() {
+        // Two connections, one stats block: the gauge must not be
+        // whichever queue wrote last (3 / 3 / 2 before the fix).
+        let stats = Counters::default();
+        let (a, b) = (JobQueue::default(), JobQueue::default());
+        let job = |seq| Job::new(seq, String::new(), SchedPolicy::Edf);
+        for seq in 1..=2 {
+            assert!(a.push(job(seq), &stats));
+        }
+        for seq in 3..=5 {
+            assert!(b.push(job(seq), &stats));
+        }
+        assert_eq!(stats.get(Id::QueueDepth), 5);
+        assert_eq!(stats.get(Id::QueueDepthPeak), 5);
+        assert_eq!(a.pop(&stats).unwrap().seq, 1);
+        assert_eq!(stats.get(Id::QueueDepth), 4);
+        assert_eq!(stats.get(Id::QueueDepthPeak), 5);
     }
 
     #[test]
@@ -2428,8 +2227,8 @@ mod tests {
         let summary =
             serve_with_policy(&state, Cursor::new(input), &mut out, 2, SchedPolicy::Edf).unwrap();
         assert_eq!(summary.responses, 2);
-        assert_eq!(state.stats().deadline_misses(), 1);
-        assert_eq!(state.stats().policy(), SchedPolicy::Edf);
+        assert_eq!(state.stats().get(Id::DeadlineMisses), 1);
+        assert_eq!(state.stats().get(Id::SchedPolicy), SchedPolicy::Edf.code());
         let status = state.status_payload();
         assert_eq!(
             status.get("sched_policy").and_then(Json::as_str),
@@ -2481,9 +2280,9 @@ mod tests {
         assert_eq!(ok.get("authenticated"), Some(&Json::Bool(true)));
         let status = gate.handle_line(5, "{\"op\":\"status\"}").unwrap();
         assert_eq!(status.get("status").and_then(Json::as_str), Some("alive"));
-        assert_eq!(state.stats().auth_rejected(), 3);
-        assert_eq!(state.stats().auth_failures(), 1);
-        assert_eq!(state.stats().auth_ok(), 1);
+        assert_eq!(state.stats().get(Id::AuthRejected), 3);
+        assert_eq!(state.stats().get(Id::AuthFailures), 1);
+        assert_eq!(state.stats().get(Id::AuthOk), 1);
         // A gate without a secret answers hello idempotently and
         // forwards everything else straight away.
         let open = AuthGate::new(&state, None);

@@ -15,6 +15,7 @@
 //! here reproduces with plain `cargo test`.
 
 use hybrid_bench::driver::{mem_entry_bytes, ExecRecord, MemCache, MemLookup};
+use hybrid_bench::metrics::Id;
 use hybrid_tiling::cancel::CancelToken;
 use hybrid_tiling::TileParams;
 use proptest::prelude::*;
@@ -139,12 +140,12 @@ proptest! {
             prop_assert_eq!(cache.shard_caps().iter().sum::<u64>(), cap);
             // (3) disjoint, complete accounting.
             prop_assert_eq!(
-                cache.lookups(),
-                cache.hits()
-                    + cache.misses()
-                    + cache.coalesced()
-                    + cache.bypasses()
-                    + cache.cancelled_waits()
+                cache.get(Id::MemLookups),
+                cache.get(Id::MemHits)
+                    + cache.get(Id::MemMisses)
+                    + cache.get(Id::MemCoalesced)
+                    + cache.get(Id::MemBypasses)
+                    + cache.get(Id::MemCancelledWaits)
             );
         }
         // No eviction may lose byte accounting: an empty cache reports
@@ -219,10 +220,10 @@ fn hot_shard_earns_budget_after_rebalance() {
         touch(&cache, "fp00", 40);
     }
 
-    let before = cache.rebalances();
+    let before = cache.get(Id::MemRebalances);
     cache.rebalance();
     cache.rebalance();
-    assert!(cache.rebalances() >= before + 2);
+    assert!(cache.get(Id::MemRebalances) >= before + 2);
 
     let caps = cache.shard_caps();
     assert_eq!(caps.iter().sum::<u64>(), cap, "caps partition the total");
@@ -250,11 +251,11 @@ fn issue_counter_identity_holds_without_collisions() {
     for i in 0..20 {
         touch(&cache, &format!("fp{:02}", i % 7), 64 + i % 7);
     }
-    assert_eq!(cache.bypasses(), 0);
-    assert_eq!(cache.cancelled_waits(), 0);
+    assert_eq!(cache.get(Id::MemBypasses), 0);
+    assert_eq!(cache.get(Id::MemCancelledWaits), 0);
     assert_eq!(
-        cache.hits() + cache.misses() + cache.coalesced(),
-        cache.lookups()
+        cache.get(Id::MemHits) + cache.get(Id::MemMisses) + cache.get(Id::MemCoalesced),
+        cache.get(Id::MemLookups)
     );
 }
 
@@ -292,5 +293,5 @@ fn in_place_upgrade_never_double_counts_ready_bytes() {
     cache.upgrade("fp01", DEVICE, &program, verified);
     assert_eq!(record_of(&cache), verified);
     assert_eq!((cache.len(), cache.bytes()), (1, bytes));
-    assert_eq!(cache.reexecuted(), 0, "upgrades are not lookups");
+    assert_eq!(cache.get(Id::MemReexecuted), 0, "upgrades are not lookups");
 }

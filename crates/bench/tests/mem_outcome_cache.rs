@@ -22,10 +22,11 @@ use std::time::Instant;
 
 use gpusim::DeviceConfig;
 use hybrid_bench::driver::{
-    collect_stencil_files, compile_file_with, compile_source_with, outcome_json, CacheSource,
-    CompileOutcome, DriverConfig, MemCache,
+    collect_stencil_files, compile_file_with, compile_source_with, fingerprint_text, outcome_json,
+    CacheSource, CompileOutcome, DriverConfig, MemCache, TuneMode,
 };
 use hybrid_bench::json::Json;
+use hybrid_bench::metrics::Id;
 
 /// The provenance fields a hit legitimately reports differently from the
 /// miss that published its entry — the same set the CI fleet-smoke job
@@ -124,8 +125,8 @@ fn a_hit_reports_what_the_publishing_miss_reported() {
                 "{what}"
             );
         }
-        assert_eq!((mem.misses(), mem.hits()), (6, 6));
-        assert_eq!(mem.reexecuted(), 0);
+        assert_eq!((mem.get(Id::MemMisses), mem.get(Id::MemHits)), (6, 6));
+        assert_eq!(mem.get(Id::MemReexecuted), 0);
     }
 }
 
@@ -180,8 +181,12 @@ fn a_hit_writes_nothing_and_a_missing_artifact_is_only_re_emitted() {
         normalized(&expected)
     });
 
-    assert_eq!((mem.misses(), mem.hits()), (1, 3));
-    assert_eq!(mem.reexecuted(), 0, "re-emission is not re-execution");
+    assert_eq!((mem.get(Id::MemMisses), mem.get(Id::MemHits)), (1, 3));
+    assert_eq!(
+        mem.get(Id::MemReexecuted),
+        0,
+        "re-emission is not re-execution"
+    );
 }
 
 #[test]
@@ -199,15 +204,15 @@ fn a_verifying_request_is_never_answered_from_an_unverified_record() {
     let bytes = mem.bytes();
     let second = compile("jac", &verifying, &mem);
     assert_eq!((second.cache, second.verified), (CacheSource::Memory, true));
-    assert_eq!(mem.reexecuted(), 1);
+    assert_eq!(mem.get(Id::MemReexecuted), 1);
     assert_eq!(second.gstencils.to_bits(), first.gstencils.to_bits());
     // The entry was upgraded in place: same bytes, and the next verifying
     // request is a pure hit.
     assert_eq!((mem.len(), mem.bytes()), (1, bytes));
     let third = compile("jac", &verifying, &mem);
     assert_eq!((third.cache, third.verified), (CacheSource::Memory, true));
-    assert_eq!(mem.reexecuted(), 1);
-    assert_eq!((mem.misses(), mem.hits()), (1, 2));
+    assert_eq!(mem.get(Id::MemReexecuted), 1);
+    assert_eq!((mem.get(Id::MemMisses), mem.get(Id::MemHits)), (1, 2));
 
     // The reverse order: a verified record answers a verify:false request
     // as a pure hit, which reports `verified == cfg.verify`.
@@ -219,7 +224,7 @@ fn a_verifying_request_is_never_answered_from_an_unverified_record() {
         (second.cache, second.verified),
         (CacheSource::Memory, false)
     );
-    assert_eq!(mem.reexecuted(), 0);
+    assert_eq!(mem.get(Id::MemReexecuted), 0);
 }
 
 #[test]
@@ -232,9 +237,9 @@ fn concurrent_cold_requests_cost_one_compile() {
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    assert_eq!(mem.misses(), 1);
-    assert_eq!(mem.coalesced() + mem.hits(), 7);
-    assert_eq!(mem.reexecuted(), 0);
+    assert_eq!(mem.get(Id::MemMisses), 1);
+    assert_eq!(mem.get(Id::MemCoalesced) + mem.get(Id::MemHits), 7);
+    assert_eq!(mem.get(Id::MemReexecuted), 0);
     let fresh = outcomes
         .iter()
         .filter(|o| o.cache == CacheSource::Fresh)
@@ -268,5 +273,31 @@ fn two_hundred_hits_cost_less_than_the_compile_that_published_them() {
     assert!(
         hits < cold,
         "200 hits took {hits:?}, the cold compile {cold:?}"
+    );
+}
+
+/// Plan fingerprints key the on-disk cache, so they must not move when
+/// the code that builds them is refactored. Both values were computed at
+/// PR 14 (6c83df0), where the identity string still had a slot for the
+/// test-only scorer hook's address; a production build no longer has the
+/// hook and must keep rendering that slot as the `None` it always held.
+#[test]
+fn plan_fingerprints_are_pinned_so_disk_caches_stay_valid() {
+    let defaults = DriverConfig::new("/unused");
+    assert_eq!(
+        fingerprint_text("pinned program text", &defaults),
+        "dac970246aef870d"
+    );
+    let tuned = DriverConfig {
+        tune: TuneMode::Simulated,
+        smoke: true,
+        top_k: 3,
+        proxy: 0.5,
+        workload: Some((vec![64, 64], 8)),
+        ..DriverConfig::new("/unused")
+    };
+    assert_eq!(
+        fingerprint_text("pinned program text", &tuned),
+        "a78739c408d93881"
     );
 }

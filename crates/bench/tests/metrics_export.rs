@@ -22,7 +22,8 @@ use hybrid_bench::driver::DriverConfig;
 use hybrid_bench::fleet::{FleetOptions, FleetRouter};
 use hybrid_bench::json::Json;
 use hybrid_bench::metrics::{
-    escape_label, parse_exposition, render, render_state, DeviceMetrics, MetricsSnapshot,
+    escape_label, parse_exposition, render, render_state, Id, Kind, MetricsSnapshot, Scope, Values,
+    REGISTRY,
 };
 use hybrid_bench::serve::ServeState;
 
@@ -52,6 +53,15 @@ fn compile_req(id: &str, device: Option<&str>) -> String {
     Json::Obj(pairs).render_compact()
 }
 
+/// A [`Values`] holding exactly `cells`.
+fn values(cells: &[(Id, u64)]) -> Values {
+    let mut values = Values::default();
+    for &(id, v) in cells {
+        values.set(id, v);
+    }
+    values
+}
+
 /// Parsed samples keyed by full series name (metric + label set).
 fn samples_by_series(text: &str) -> HashMap<String, f64> {
     parse_exposition(text)
@@ -74,11 +84,7 @@ fn label_values_are_escaped_and_round_trip() {
     // End to end: a hostile device label renders into output the
     // scrape-side parser still accepts, on one line per sample.
     let snap = MetricsSnapshot {
-        devices: vec![DeviceMetrics {
-            device: "gtx\"480\\rev\nb".to_string(),
-            requests: 3,
-            ..DeviceMetrics::default()
-        }],
+        devices: vec![("gtx\"480\\rev\nb".to_string(), values(&[(Id::Requests, 3)]))],
         ..MetricsSnapshot::default()
     };
     let text = render(&snap);
@@ -141,119 +147,140 @@ fn fleet_aggregate_equals_sum_over_member_payloads() {
 
     let text = render(&router.metrics_snapshot());
     let samples = parse_exposition(&text).unwrap();
-    let fleet_sum = |metric: &str| -> u64 {
-        samples
+    let members = router.members();
+    assert_eq!(members.len(), 2, "two devices, two members");
+    // Every per-device counter of the registry, not a hand-picked few:
+    // the samples of its series summed over the fleet's exposition equal
+    // the sum of the members' own status payloads.
+    let mut compared = 0;
+    for s in REGISTRY {
+        let (Some(family), Some(key)) = (s.family, s.key) else {
+            continue;
+        };
+        if s.scope != Scope::Device || s.kind != Kind::Counter {
+            continue;
+        }
+        let fleet_sum: u64 = samples
             .iter()
-            .filter(|(s, _)| s.starts_with(&format!("{metric}{{")))
+            .filter(|(series, _)| {
+                let labeled = s
+                    .label
+                    .is_none_or(|(k, v)| series.contains(&format!("{k}=\"{v}\"")));
+                series.starts_with(&format!("{family}{{")) && labeled
+            })
             .map(|(_, v)| *v as u64)
-            .sum()
-    };
-    let member_sum = |key: &str| -> u64 {
-        router
-            .members()
+            .sum();
+        let member_sum: u64 = members
             .iter()
             .map(|(_, m)| {
-                m.status_payload()
-                    .get(key)
+                let payload = m.status_payload();
+                key.split('.')
+                    .try_fold(&payload, |obj, part| obj.get(part))
                     .and_then(Json::as_u64)
                     .unwrap_or_else(|| panic!("member payload missing {key}"))
             })
-            .sum()
-    };
-
-    assert_eq!(router.members().len(), 2, "two devices, two members");
-    for (metric, key) in [
-        ("hybrid_requests_total", "requests"),
-        ("hybrid_ok_total", "ok"),
-        ("hybrid_errors_total", "errors"),
-        ("hybrid_contained_panics_total", "contained_panics"),
-        ("hybrid_mem_cache_evictions_total", "mem_evictions"),
-        ("hybrid_mem_cache_rebalances_total", "mem_rebalances"),
-        ("hybrid_mem_cache_reexecuted_total", "mem_reexecuted"),
-    ] {
+            .sum();
         assert_eq!(
-            fleet_sum(metric),
-            member_sum(key),
-            "fleet {metric} must equal the sum of member {key}"
+            fleet_sum, member_sum,
+            "fleet {family} {:?} must equal the sum of member {key}",
+            s.label
         );
+        compared += 1;
     }
-    // Lookup outcomes are labeled {device, outcome}; hits + misses +
-    // coalesced + bypasses must also reconcile against the members.
-    let lookups = fleet_sum("hybrid_mem_cache_lookups_total");
-    let member_lookups = member_sum("mem_hits")
-        + member_sum("mem_misses")
-        + member_sum("mem_coalesced")
-        + member_sum("mem_bypasses");
-    assert_eq!(lookups, member_lookups);
+    assert!(
+        compared >= 20,
+        "only {compared} per-device counters compared"
+    );
     // The fleet saw three requests in total across its members.
-    assert_eq!(fleet_sum("hybrid_requests_total"), 3);
+    let requests: f64 = samples
+        .iter()
+        .filter(|(series, _)| series.starts_with("hybrid_requests_total{"))
+        .map(|(_, v)| v)
+        .sum();
+    assert_eq!(requests, 3.0);
 }
 
 /// A fully-populated fixed snapshot: every family present, every
 /// optional field set, one label needing escaping.
 fn golden_snapshot() -> MetricsSnapshot {
     MetricsSnapshot {
-        uptime_ms: 123_456,
-        sched_policy: "edf".to_string(),
-        queue_depth: 2,
-        queue_depth_peak: 17,
-        deadline_misses: 4,
-        edf_promotions: 9,
-        auth_ok: 3,
-        auth_failures: 1,
-        auth_rejected: 2,
-        max_devices: Some(8),
+        service: values(&[
+            (Id::UptimeMs, 123_456),
+            // The stored code of the default policy, "edf".
+            (Id::SchedPolicy, 0),
+            (Id::QueueDepth, 2),
+            (Id::QueueDepthPeak, 17),
+            (Id::DeadlineMisses, 4),
+            (Id::EdfPromotions, 9),
+            (Id::AuthOk, 3),
+            (Id::AuthFailures, 1),
+            (Id::AuthRejected, 2),
+            (Id::Devices, 2),
+            (Id::MaxDevices, 8),
+        ]),
         devices: vec![
-            DeviceMetrics {
-                device: "gtx480".to_string(),
-                requests: 100,
-                ok: 90,
-                errors: 10,
-                contained_panics: 1,
-                warm_starts: 6,
-                warm_start_hits: 4,
-                tune_simulations: 38,
-                proxy_simulations: 21,
-                tune_wall_ms: 950,
-                backend_compiles: [80, 5, 3, 2],
-                mem_entries: 12,
-                mem_bytes: 4096,
-                mem_cap_bytes: Some(65536),
-                mem_hits: 70,
-                mem_misses: 30,
-                mem_coalesced: 5,
-                mem_bypasses: 2,
-                mem_cancelled_waits: 1,
-                mem_evictions: 3,
-                mem_rebalances: 2,
-                mem_reexecuted: 1,
-                hit_age_ms: Some((10, 50, 200)),
-            },
-            DeviceMetrics {
-                device: "nvs\"5200m\\b".to_string(),
-                requests: 7,
-                ok: 7,
-                errors: 0,
-                contained_panics: 0,
-                warm_starts: 0,
-                warm_start_hits: 0,
-                tune_simulations: 8,
-                proxy_simulations: 0,
-                tune_wall_ms: 12,
-                backend_compiles: [7, 0, 0, 0],
-                mem_entries: 3,
-                mem_bytes: 512,
-                mem_cap_bytes: Some(65536),
-                mem_hits: 4,
-                mem_misses: 3,
-                mem_coalesced: 0,
-                mem_bypasses: 0,
-                mem_cancelled_waits: 0,
-                mem_evictions: 0,
-                mem_rebalances: 0,
-                mem_reexecuted: 0,
-                hit_age_ms: None,
-            },
+            (
+                "gtx480".to_string(),
+                values(&[
+                    (Id::Requests, 100),
+                    (Id::Ok, 90),
+                    (Id::Errors, 10),
+                    (Id::ContainedPanics, 1),
+                    (Id::WarmStarts, 6),
+                    (Id::WarmStartHits, 4),
+                    (Id::TuneSimulations, 38),
+                    (Id::ProxySimulations, 21),
+                    (Id::TuneWallMs, 950),
+                    (Id::BackendCuda, 80),
+                    (Id::BackendWgsl, 5),
+                    (Id::BackendHip, 3),
+                    (Id::BackendCpu, 2),
+                    (Id::MemEntries, 12),
+                    (Id::MemBytes, 4096),
+                    (Id::MemCapBytes, 65536),
+                    (Id::MemHits, 70),
+                    (Id::MemMisses, 30),
+                    (Id::MemCoalesced, 5),
+                    (Id::MemBypasses, 2),
+                    (Id::MemCancelledWaits, 1),
+                    (Id::MemEvictions, 3),
+                    (Id::MemRebalances, 2),
+                    (Id::MemReexecuted, 1),
+                    (Id::HitAgeP50, 10),
+                    (Id::HitAgeP90, 50),
+                    (Id::HitAgeP99, 200),
+                ]),
+            ),
+            (
+                // No hit yet: the hit-age series are absent.
+                "nvs\"5200m\\b".to_string(),
+                values(&[
+                    (Id::Requests, 7),
+                    (Id::Ok, 7),
+                    (Id::Errors, 0),
+                    (Id::ContainedPanics, 0),
+                    (Id::WarmStarts, 0),
+                    (Id::WarmStartHits, 0),
+                    (Id::TuneSimulations, 8),
+                    (Id::ProxySimulations, 0),
+                    (Id::TuneWallMs, 12),
+                    (Id::BackendCuda, 7),
+                    (Id::BackendWgsl, 0),
+                    (Id::BackendHip, 0),
+                    (Id::BackendCpu, 0),
+                    (Id::MemEntries, 3),
+                    (Id::MemBytes, 512),
+                    (Id::MemCapBytes, 65536),
+                    (Id::MemHits, 4),
+                    (Id::MemMisses, 3),
+                    (Id::MemCoalesced, 0),
+                    (Id::MemBypasses, 0),
+                    (Id::MemCancelledWaits, 0),
+                    (Id::MemEvictions, 0),
+                    (Id::MemRebalances, 0),
+                    (Id::MemReexecuted, 0),
+                ]),
+            ),
         ],
     }
 }

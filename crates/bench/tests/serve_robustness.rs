@@ -21,6 +21,7 @@ use std::path::{Path, PathBuf};
 
 use hybrid_bench::driver::{compile_file, compile_source_with, outcome_json, DriverConfig};
 use hybrid_bench::json::Json;
+use hybrid_bench::metrics::Id;
 use hybrid_bench::serve::ServeState;
 use proptest::prelude::*;
 
@@ -133,7 +134,7 @@ proptest! {
             Some("ok"),
             "deadline_ms {} should be treated as far-future: {:?}", ms, resp
         );
-        prop_assert_eq!(state.panic_count(), 0, "deadline_ms {} tripped the panic barrier", ms);
+        prop_assert_eq!(state.get(Id::ContainedPanics), Some(0), "deadline_ms {} tripped the panic barrier", ms);
     }
 }
 
@@ -250,9 +251,12 @@ fn concurrent_clients_match_one_shot_reports_bit_exactly() {
     // The shared cache did its job: 2 distinct stencils, 6 requests —
     // the 4 non-tuners were immediate hits or coalesced single-flight
     // waits, depending on scheduling.
-    assert_eq!(state.mem().misses(), 2);
-    assert_eq!(state.mem().hits() + state.mem().coalesced(), 4);
-    assert_eq!(state.mem().lookups(), 6);
+    assert_eq!(state.mem().get(Id::MemMisses), 2);
+    assert_eq!(
+        state.mem().get(Id::MemHits) + state.mem().get(Id::MemCoalesced),
+        4
+    );
+    assert_eq!(state.mem().get(Id::MemLookups), 6);
 }
 
 /// A connection's descriptors are released when it closes: 300
@@ -378,5 +382,5 @@ fn far_apart_offsets_are_a_typed_refusal_and_the_connection_lives_on() {
         round_trip("{\"op\":\"shutdown\"}".to_string());
         server.join().unwrap().unwrap();
     });
-    assert_eq!(state.panic_count(), 0);
+    assert_eq!(state.get(Id::ContainedPanics), Some(0));
 }
