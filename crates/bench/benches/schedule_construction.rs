@@ -18,6 +18,13 @@ fn bench(c: &mut Criterion) {
         b.iter(|| DepCone::of_program(black_box(&p)).unwrap())
     });
 
+    // The cone a compile derives: flow plus the ring buffers' storage
+    // dependences.
+    g.bench_function("cone/heat3d_with_storage", |b| {
+        let p = gallery::heat3d();
+        b.iter(|| DepCone::of_program_with_storage(black_box(&p)).unwrap())
+    });
+
     g.bench_function("hexagon/count_points_h3_w5", |b| {
         b.iter(|| {
             HexShape::new(Rat::ONE, Rat::from(2), 3, 5)

@@ -1,11 +1,14 @@
 //! Criterion: raw simulator throughput on memory- and compute-heavy
 //! kernels — the production (compiled) executor beside the reference
-//! interpreter, with the stencil oracle for scale.
+//! interpreter, with the stencil oracle for scale and the bank-conflict
+//! count both executors share.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gpu_codegen::{generate_hybrid, CodegenOptions, SmemStrategy};
+use gpusim::shared::bank_transactions;
 use gpusim::{DeviceConfig, GpuSim};
 use hybrid_tiling::TileParams;
+use std::hint::black_box;
 use stencil::{gallery, Grid, ReferenceExecutor};
 
 fn bench(c: &mut Criterion) {
@@ -51,6 +54,30 @@ fn bench(c: &mut Criterion) {
                 sim.run_plan(&plan);
                 sim.counters().flops
             })
+        });
+    }
+
+    // The oracle on the 3-D scoring workload, where a cold request spends
+    // the most oracle time per point.
+    let program = gallery::laplacian3d();
+    let dims = [20usize, 20, 36];
+    let steps = 6;
+    g.throughput(Throughput::Elements((18 * 18 * 34 * steps) as u64));
+    g.bench_function("oracle/laplacian3d_20x20x36x6", |b| {
+        let init = vec![Grid::random(&dims, 3)];
+        b.iter(|| {
+            let mut ex = ReferenceExecutor::new(&program, &init);
+            ex.run(steps);
+            ex.field(0).get(&[1, 1, 1])
+        })
+    });
+
+    // One warp's shared-memory access, by address pattern.
+    g.throughput(Throughput::Elements(32));
+    for (name, stride) in [("unit", 1usize), ("strided", 33), ("broadcast", 0)] {
+        let words: Vec<usize> = (0..32).map(|lane| 640 + lane * stride).collect();
+        g.bench_function(format!("bank_transactions/{name}"), |b| {
+            b.iter(|| bank_transactions(black_box(&words)))
         });
     }
     g.finish();

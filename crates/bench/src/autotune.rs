@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use gpu_codegen::hybrid_gen::alignment_offset_words;
 use gpu_codegen::ir::LaunchPlan;
-use gpu_codegen::{generate_hybrid, CodegenOptions};
+use gpu_codegen::{generate_hybrid, CodegenOptions, HybridGeometry};
 use gpusim::{timing, Counters, DeviceConfig, GpuSim};
 use hybrid_tiling::cancel::CancelToken;
 use hybrid_tiling::tilesize::autotune::{
@@ -103,16 +103,26 @@ pub fn simulate_score_with(
     threads: usize,
     opts: CodegenOptions,
 ) -> Option<f64> {
-    let plan = generate_hybrid(program, params, dims, steps, opts).ok()?;
-    if plan
-        .kernels
-        .iter()
-        .any(|k| k.shared_bytes() > device.shared_limit)
-    {
+    let geometry = HybridGeometry::new(program, params, dims, steps, opts).ok()?;
+    simulate_geometry(&geometry, program, device, dims, steps, threads)
+}
+
+/// [`simulate_score_with`] for a candidate whose `geometry` (of `program`
+/// on `dims` × `steps`) the caller already derived.
+pub(crate) fn simulate_geometry(
+    geometry: &HybridGeometry<'_>,
+    program: &StencilProgram,
+    device: &DeviceConfig,
+    dims: &[usize],
+    steps: usize,
+    threads: usize,
+) -> Option<f64> {
+    if geometry.shared_bytes() > device.shared_limit {
         return None;
     }
-    let align = alignment_offset_words(program, params, &opts);
+    let plan = geometry.build_plan();
     let init = random_init(program, dims, 7);
+    let align = geometry.alignment_offset_words();
     let mut sim = loaded_sim(program, device, &init, align, steps);
     sim.run_plan_parallel_with(&plan, threads);
     Some(timing::gstencils_per_s(sim.counters(), sim.device()))

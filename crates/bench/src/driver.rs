@@ -42,8 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use gpu_codegen::hybrid_gen::alignment_offset_words;
-use gpu_codegen::{generate_hybrid, BackendKind, CodegenOptions};
+use gpu_codegen::{BackendKind, CodegenOptions, HybridGeometry};
 use gpusim::{timing, DeviceConfig};
 use hybrid_tiling::cancel::{CancelKind, CancelToken};
 use hybrid_tiling::tilesize::autotune::{
@@ -51,12 +50,12 @@ use hybrid_tiling::tilesize::autotune::{
     AutotuneEntry, AutotuneError, Fidelity,
 };
 use hybrid_tiling::tilesize::{TileEvaluator, TileSizeModel};
-use hybrid_tiling::TileParams;
+use hybrid_tiling::{DepCone, TileParams};
 use stencil::characteristics::{flop_count, load_count};
 use stencil::parse::{parse_stencil, ParseError};
 use stencil::{ReferenceExecutor, StencilProgram};
 
-use crate::autotune::{autotune_workload, proxy_workload, simulate_score_with, sweep_space};
+use crate::autotune::{autotune_workload, proxy_workload, simulate_geometry, sweep_space};
 use crate::json::Json;
 use crate::metrics::{Counters, Id};
 use crate::{loaded_sim, random_init};
@@ -1193,7 +1192,13 @@ impl DiskLock {
                     check_cancel(cancel, fp)?;
                     match fs::metadata(&path).and_then(|m| m.modified()) {
                         Ok(mtime) => {
-                            if mtime.elapsed().unwrap_or(Duration::ZERO) > stale {
+                            // Distance from now in either direction: a live
+                            // holder's heartbeat keeps the mtime within
+                            // `stale` of our clock, so a lock dated further
+                            // into the future (a clock step, a skewed file
+                            // server) is as abandoned as an old one.
+                            let age = mtime.elapsed().unwrap_or_else(|ahead| ahead.duration());
+                            if age > stale {
                                 // Presumed abandoned: steal (remove + retry
                                 // create_new; losing the remove race just
                                 // loops).
@@ -1482,6 +1487,7 @@ fn tune_thread_split(cfg: &DriverConfig) -> (usize, usize) {
 /// one extra simulation instead of a full sweep.
 fn choose_params(
     program: &StencilProgram,
+    cone: &DepCone,
     cfg: &DriverConfig,
 ) -> Result<(TileParams, u64, f64, TuneStats), DriverError> {
     let tune_start = Instant::now();
@@ -1503,18 +1509,17 @@ fn choose_params(
         if let Some(f) = cfg.scorer {
             return f(model);
         }
+        let geometry = |dims: &[usize], steps: usize| {
+            HybridGeometry::with_cone(program, cone, &model.params, dims, steps, cfg.opts).ok()
+        };
         match cfg.tune {
             // Static mode still demands end-to-end feasibility: the candidate
-            // must survive codegen and fit the device's shared memory. The
-            // check always uses the full workload — feasibility must not
+            // must pass every check of codegen and fit the device's shared
+            // memory — read off the plan's geometry, no plan is generated.
+            // The check always uses the full workload: feasibility must not
             // depend on the fidelity rung.
             TuneMode::Static => {
-                let plan = generate_hybrid(program, &model.params, &dims, steps, cfg.opts).ok()?;
-                if plan
-                    .kernels
-                    .iter()
-                    .any(|k| k.shared_bytes() > cfg.device.shared_limit)
-                {
+                if geometry(&dims, steps)?.shared_bytes() > cfg.device.shared_limit {
                     return None;
                 }
                 Some(-model.ratio())
@@ -1524,15 +1529,8 @@ fn choose_params(
                     Fidelity::Proxy => (&proxy_dims, proxy_steps),
                     Fidelity::Full => (&dims, steps),
                 };
-                simulate_score_with(
-                    program,
-                    &model.params,
-                    &cfg.device,
-                    sdims,
-                    ssteps,
-                    sim_threads,
-                    cfg.opts,
-                )
+                let geometry = geometry(sdims, ssteps)?;
+                simulate_geometry(&geometry, program, &cfg.device, sdims, ssteps, sim_threads)
             }
         }
     };
@@ -1701,12 +1699,27 @@ fn emit_artifacts(
     Ok((source_path, aux_path))
 }
 
+/// The storage cone of the job's program, derived once per compile and
+/// handed to every geometry the compile builds (the tuner's candidates and
+/// the final plan).
+fn storage_cone(job: &Job<'_>) -> Result<DepCone, DriverError> {
+    DepCone::of_program_with_storage(job.program)
+        .map_err(|e| DriverError::NoFeasibleTiling(format!("{}: {e}", job.program.name())))
+}
+
+/// A launch plan with the §4.2.3 alignment offset (in words) its global
+/// arrays are translated by.
+type AlignedPlan = (gpu_codegen::LaunchPlan, i64);
+
 /// Lowers `params` to a launch plan for the job's workload.
 fn generate(
     job: &Job<'_>,
+    cone: &DepCone,
     params: &TileParams,
-) -> Result<gpu_codegen::LaunchPlan, gpu_codegen::CodegenError> {
-    generate_hybrid(job.program, params, job.dims, job.steps, job.cfg.opts)
+) -> Result<AlignedPlan, gpu_codegen::CodegenError> {
+    let geometry =
+        HybridGeometry::with_cone(job.program, cone, params, job.dims, job.steps, job.cfg.opts)?;
+    Ok((geometry.build_plan(), geometry.alignment_offset_words()))
 }
 
 /// Resolves the tile plan for one compile below the memory layer:
@@ -1723,8 +1736,9 @@ fn generate(
 /// miss; every layer observes `cfg.cancel`.
 fn resolve_plan(
     job: &Job<'_>,
+    cone: &DepCone,
     cached: Option<TileParams>,
-) -> Result<(TileParams, gpu_codegen::LaunchPlan, TuneStats, CacheSource), DriverError> {
+) -> Result<(TileParams, AlignedPlan, TuneStats, CacheSource), DriverError> {
     let Job {
         program,
         text,
@@ -1742,7 +1756,7 @@ fn resolve_plan(
     // A cached plan that no longer generates (stale entry from an older
     // emitter) degrades to a miss.
     if let Some((params, source)) = cached {
-        if let Ok(plan) = generate(job, &params) {
+        if let Ok(plan) = generate(job, cone, &params) {
             return Ok((params, plan, TuneStats::default(), source));
         }
     }
@@ -1755,7 +1769,7 @@ fn resolve_plan(
         match DiskLock::acquire(dir, fp, text, cfg.backend, &cfg.cancel, cfg.lock_stale)? {
             DiskFlight::Acquired(lock) => disk_flight = Some(lock),
             DiskFlight::Ready(params) => {
-                if let Ok(plan) = generate(job, &params) {
+                if let Ok(plan) = generate(job, cone, &params) {
                     return Ok((params, plan, TuneStats::default(), CacheSource::Disk));
                 }
                 // The other process stored a stale/incompatible entry:
@@ -1770,11 +1784,11 @@ fn resolve_plan(
     // thread heartbeats the lock file's mtime so peers never mistake a
     // long live sweep — even one stuck inside a single slow candidate —
     // for an abandoned one.
-    let (params, smem, score, stats) = choose_params(program, cfg)?;
+    let (params, smem, score, stats) = choose_params(program, cone, cfg)?;
     if let Some(dir) = cfg.cache_dir.as_deref() {
         store_cached_params(dir, job, &params, smem, score)?;
     }
-    let plan = generate(job, &params)
+    let plan = generate(job, cone, &params)
         .map_err(|e| DriverError::NoFeasibleTiling(format!("{}: {e}", program.name())))?;
     drop(disk_flight);
     Ok((params, plan, stats, CacheSource::Fresh))
@@ -1784,11 +1798,7 @@ fn resolve_plan(
 /// the result bit for bit against the sequential oracle. A fired
 /// deadline stops at either stage boundary rather than entering a long
 /// simulation or oracle run.
-fn execute(
-    job: &Job<'_>,
-    params: &TileParams,
-    plan: &gpu_codegen::LaunchPlan,
-) -> Result<ExecRecord, DriverError> {
+fn execute(job: &Job<'_>, (plan, align): &AlignedPlan) -> Result<ExecRecord, DriverError> {
     let Job {
         program,
         dims,
@@ -1798,9 +1808,8 @@ fn execute(
     } = *job;
     let name = program.name();
     check_cancel(&cfg.cancel, name)?;
-    let align = alignment_offset_words(program, params, &cfg.opts);
     let init = random_init(program, dims, 1234);
-    let mut sim = loaded_sim(program, &cfg.device, &init, align, steps);
+    let mut sim = loaded_sim(program, &cfg.device, &init, *align, steps);
     // A schedule that violates concurrent-tile independence is a
     // per-stencil verification failure, never a dead batch/service.
     sim.try_run_plan_parallel_with(plan, cfg.sim_threads)
@@ -2010,7 +2019,7 @@ pub fn compile_source_with(
                 let artifacts = artifact_paths(&job);
                 let (source, aux) = &artifacts;
                 if !(source.exists() && aux.as_ref().is_none_or(|p| p.exists())) {
-                    let plan = generate(&job, &params)
+                    let (plan, _) = generate(&job, &storage_cone(&job)?, &params)
                         .map_err(|e| DriverError::NoFeasibleTiling(format!("{name}: {e}")))?;
                     emit_artifacts(&job, &params, &plan)?;
                 }
@@ -2039,9 +2048,9 @@ pub fn compile_source_with(
     // On any failure below, dropping `guard` clears the in-flight marker
     // and wakes single-flight waiters to compile for themselves: nothing
     // is published until the plan executed (and verified).
-    let (params, plan, stats, cache) = resolve_plan(&job, cached)?;
-    let artifacts = emit_artifacts(&job, &params, &plan)?;
-    let record = execute(&job, &params, &plan)?;
+    let (params, plan, stats, cache) = resolve_plan(&job, &storage_cone(&job)?, cached)?;
+    let artifacts = emit_artifacts(&job, &params, &plan.0)?;
+    let record = execute(&job, &plan)?;
     if let Some(g) = guard {
         g.fulfill(&text, &params, record);
     } else if let (Some(mem), CacheSource::Memory) = (mem, cache) {
@@ -2772,6 +2781,42 @@ for (t = 0; t < T; t++)
     }
 
     #[test]
+    fn static_winners_are_pinned() {
+        // `(h, w)`, the model's `smem_bytes` and the score `choose_params`
+        // returned at the commit before the static scorer stopped
+        // generating a plan per candidate; both devices have 48 KB of
+        // shared memory, so they agree.
+        let winners: [(&str, i64, &[i64], u64, f64); 6] = [
+            ("wave1d", 3, &[5], 168, -0.3888888888888889),
+            ("jacobi2d", 3, &[5, 64], 8176, -0.3055555555555556),
+            ("fdtd2d", 3, &[5, 64], 13312, -0.3611111111111111),
+            ("blur2d", 3, &[5, 64], 8176, -0.3055555555555556),
+            ("gradient2d", 3, &[5, 64], 8176, -0.3055555555555556),
+            ("laplacian3d", 2, &[3, 8, 32], 46800, -0.7083333333333334),
+        ];
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/stencils");
+        for (name, h, w, smem, score) in winners {
+            let src = fs::read_to_string(root.join(format!("{name}.stencil"))).unwrap();
+            let program = parse_stencil(name, &src).unwrap();
+            let cone = DepCone::of_program_with_storage(&program).unwrap();
+            for device in [DeviceConfig::gtx470(), DeviceConfig::nvs5200m()] {
+                let cfg = DriverConfig {
+                    device,
+                    ..DriverConfig::new("unused")
+                };
+                let (params, got_smem, got_score, _) =
+                    choose_params(&program, &cone, &cfg).unwrap();
+                assert_eq!(
+                    (params, got_smem, got_score),
+                    (TileParams::new(h, w), smem, score),
+                    "{name} on {}",
+                    cfg.device.name
+                );
+            }
+        }
+    }
+
+    #[test]
     fn stale_lock_files_are_stolen_by_mtime() {
         let dir = scratch("stale_lock");
         let file = write_stencil(&dir, "jacobi.stencil", JACOBI);
@@ -2792,6 +2837,35 @@ for (t = 0; t < T; t++)
         std::thread::sleep(Duration::from_millis(5));
         let out = compile_file(&file, &cfg).unwrap();
         assert_eq!(out.cache, CacheSource::Fresh, "stale lock must be stolen");
+        assert!(!lock.exists());
+    }
+
+    #[test]
+    fn lock_files_dated_in_the_future_are_stolen_too() {
+        // After a clock step (or on a skewed file server) an abandoned
+        // lock's mtime lies ahead of now; `elapsed()` fails there, and
+        // reading that as age zero made every waiter spin to its deadline.
+        let dir = scratch("future_lock");
+        let file = write_stencil(&dir, "jacobi.stencil", JACOBI);
+        let cfg = DriverConfig {
+            lock_stale: Duration::from_millis(200),
+            ..smoke_cfg(dir.join("out"))
+        };
+        let program = parse_stencil("jacobi", JACOBI).unwrap();
+        let fp = fingerprint(&program, &cfg);
+        let cache_dir = cfg.cache_dir.clone().unwrap();
+        fs::create_dir_all(&cache_dir).unwrap();
+        let lock = cache_dir.join(format!("{fp}.lock"));
+        fs::write(&lock, "dead-process\n").unwrap();
+        let tomorrow = std::time::SystemTime::now() + Duration::from_secs(24 * 3600);
+        fs::File::options()
+            .write(true)
+            .open(&lock)
+            .unwrap()
+            .set_modified(tomorrow)
+            .unwrap();
+        let out = compile_file(&file, &cfg).unwrap();
+        assert_eq!(out.cache, CacheSource::Fresh, "future lock must be stolen");
         assert!(!lock.exists());
     }
 

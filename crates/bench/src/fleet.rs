@@ -375,7 +375,7 @@ impl FleetRouter {
             service: Values::collect(Scope::Service, |id| self.total(&members, id)),
             devices: members
                 .iter()
-                .map(|(fp, m)| (fp.clone(), Values::collect(Scope::Device, |id| m.get(id))))
+                .map(|(fp, m)| (fp.clone(), Values::collect(Scope::Device, m.reader())))
                 .collect(),
         }
     }

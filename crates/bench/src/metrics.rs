@@ -337,7 +337,8 @@ pub(crate) fn status_fields(
 
 /// Captures the metric set of one single-device service.
 pub fn snapshot_state(state: &ServeState) -> MetricsSnapshot {
-    let values = |scope| Values::collect(scope, |id| state.get(id));
+    let get = state.reader();
+    let values = |scope| Values::collect(scope, &get);
     MetricsSnapshot {
         service: values(Scope::Service),
         devices: vec![(state.cfg().device.name.clone(), values(Scope::Device))],

@@ -59,6 +59,7 @@
 //! so N concurrent clients compiling the same stencil cost one tuning
 //! sweep and one simulation.
 
+use std::cell::OnceCell;
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, BufRead, Write};
 use std::net::TcpListener;
@@ -225,19 +226,30 @@ impl ServeState {
     /// from the cache and the clock. `None` = absent (no cap, no hit
     /// yet, no fleet bound).
     pub fn get(&self, id: Id) -> Option<u64> {
-        let hit_age = || self.mem.hit_age_quantiles_ms();
-        match id {
-            Id::UptimeMs => Some(self.uptime().as_millis() as u64),
-            Id::MemEntries => Some(self.mem.len() as u64),
-            Id::MemBytes => Some(self.mem.bytes()),
-            Id::MemCapBytes => self.mem.cap_bytes(),
-            Id::HitAgeP50 => hit_age().map(|q| q.0),
-            Id::HitAgeP90 => hit_age().map(|q| q.1),
-            Id::HitAgeP99 => hit_age().map(|q| q.2),
-            Id::Devices => Some(1),
-            Id::MaxDevices => None,
-            _ if (Id::MemLookups..=Id::MemReexecuted).contains(&id) => Some(self.mem.get(id)),
-            _ => Some(self.stats.get(id)),
+        self.reader()(id)
+    }
+
+    /// [`ServeState::get`] for one render — a `status` payload, a metrics
+    /// snapshot: the hit-age quantiles (lock every shard, concatenate,
+    /// sort) are taken when the first of their three rows is read and
+    /// shared by the other two.
+    pub fn reader(&self) -> impl Fn(Id) -> Option<u64> + '_ {
+        let hit_age = OnceCell::new();
+        move |id| {
+            let hit_age = || *hit_age.get_or_init(|| self.mem.hit_age_quantiles_ms());
+            match id {
+                Id::UptimeMs => Some(self.uptime().as_millis() as u64),
+                Id::MemEntries => Some(self.mem.len() as u64),
+                Id::MemBytes => Some(self.mem.bytes()),
+                Id::MemCapBytes => self.mem.cap_bytes(),
+                Id::HitAgeP50 => hit_age().map(|q| q.0),
+                Id::HitAgeP90 => hit_age().map(|q| q.1),
+                Id::HitAgeP99 => hit_age().map(|q| q.2),
+                Id::Devices => Some(1),
+                Id::MaxDevices => None,
+                _ if (Id::MemLookups..=Id::MemReexecuted).contains(&id) => Some(self.mem.get(id)),
+                _ => Some(self.stats.get(id)),
+            }
         }
     }
 
@@ -431,7 +443,8 @@ impl ServeState {
     /// fleet's aggregated status. Every field is documented in the
     /// README protocol table.
     pub fn status_payload(&self) -> Json {
-        let rows = |from, to| status_fields(from, to, |id| self.get(id));
+        let get = self.reader();
+        let rows = |from, to| status_fields(from, to, &get);
         let cfg = &self.cfg;
         let disk_cache = match &cfg.cache_dir {
             Some(d) => Json::str(d.display().to_string()),

@@ -2,7 +2,7 @@
 //!
 //! Every stencil in the example gallery compiles under
 //! `--backend cpu` with bit-exact verification on: the driver runs the
-//! chosen plan through the `run_plan` interpreter and compares every
+//! chosen plan on the simulator's compiled executor and compares every
 //! output cell against the reference oracle. A plan that merely
 //! pretty-prints but mis-executes fails here, for all six examples.
 //!

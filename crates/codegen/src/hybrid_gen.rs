@@ -22,8 +22,9 @@
 
 use std::fmt;
 
+use hybrid_tiling::classical::ClassicalDim;
 use hybrid_tiling::phase::Phase;
-use hybrid_tiling::{HybridSchedule, TileError, TileParams};
+use hybrid_tiling::{DepCone, HybridSchedule, TileError, TileParams};
 use stencil::domain::ScheduledDomain;
 use stencil::{StencilExpr, StencilProgram};
 
@@ -141,8 +142,12 @@ impl From<TileError> for CodegenError {
     }
 }
 
-/// The hybrid code generator, holding all derived geometry.
-pub struct HybridCodegen<'a> {
+/// The geometry of one hybrid plan — everything [`generate_hybrid`] derives
+/// and validates before it builds any IR: the schedule, the hexagon's rows,
+/// the classical skews, the shared-memory box. A tuner asks it whether a
+/// candidate generates and what it allocates ([`HybridGeometry::shared_bytes`])
+/// without paying for the plan; [`HybridGeometry::build_plan`] is the plan.
+pub struct HybridGeometry<'a> {
     program: &'a StencilProgram,
     schedule: HybridSchedule,
     domain: ScheduledDomain,
@@ -181,31 +186,33 @@ const P_T: usize = 0;
 
 const P_S0MIN: usize = 1;
 
+/// The largest classical skew `⌊δ1 · a⌋` over the tile's `height` rows
+/// (`height = 2h+2 >= 2`, so the range is never empty).
+fn skew_max(cd: &ClassicalDim, height: i64) -> i64 {
+    (0..height).map(|a| cd.skew(a)).max().unwrap_or(0)
+}
+
 /// The global-array translation (in words) that makes every copy-in row of
 /// the innermost dimension start on a 128-byte boundary (§4.2.3: "we allow
 /// the tiles in the schedule to be translated by manually specifying the
 /// translation offset"). Returns 0 unless `opts.aligned_loads` is set.
 /// Assumes the innermost tile width and the innermost grid extent are warp
-/// multiples (the harness enforces both).
+/// multiples (the harness enforces both). Derives the schedule to answer;
+/// a caller that holds the plan's [`HybridGeometry`] asks it instead.
 pub fn alignment_offset_words(
     program: &StencilProgram,
     params: &TileParams,
     opts: &CodegenOptions,
 ) -> i64 {
-    if !opts.aligned_loads {
-        return 0;
-    }
     let n = program.spatial_dims();
-    if n < 2 {
+    if !opts.aligned_loads || n < 2 {
         return 0;
     }
     let Ok(schedule) = HybridSchedule::compute_executable(program, params) else {
         return 0;
     };
-    let cd = &schedule.classical()[n - 2];
-    let height = schedule.hex().box_height();
-    let skew_max = (0..height).map(|a| cd.skew(a)).max().unwrap_or(0);
-    let pad = skew_max + program.radius()[n - 1];
+    let pad = skew_max(&schedule.classical()[n - 2], schedule.hex().box_height())
+        + program.radius()[n - 1];
     pad.rem_euclid(32)
 }
 
@@ -225,85 +232,133 @@ pub fn generate_hybrid(
     steps: usize,
     opts: CodegenOptions,
 ) -> Result<LaunchPlan, CodegenError> {
-    let schedule = HybridSchedule::compute_executable(program, params)?;
-    let n = program.spatial_dims();
-    let k = program.num_statements() as i64;
-    let height = schedule.hex().box_height();
-    if k > 1 && height % k != 0 {
-        return Err(CodegenError::HeightNotMultiple { height, k });
-    }
-    let radius = program.radius();
-    // Validate the workload shape before `ScheduledDomain` (which asserts
-    // the same properties) can abort the process.
-    if dims.len() != n {
-        return Err(CodegenError::DimsArity {
-            got: dims.len(),
-            expected: n,
-        });
-    }
-    for (d, (&extent, &rad)) in dims.iter().zip(&radius).enumerate() {
-        if (extent as i64) < 2 * rad + 1 {
-            return Err(CodegenError::EmptyInterior {
-                dim: d,
-                extent,
-                radius: rad,
-            });
-        }
-    }
-    let mut opts = opts;
-    if n == 1 && opts.smem.uses_shared() {
-        // 1-D hybrid tiling degenerates (paper §6.1); shared staging is
-        // only generated for the 2-D/3-D cases.
-        opts.smem = SmemStrategy::GlobalOnly;
-    }
-    let domain = ScheduledDomain::new(program, dims, steps);
-    let hex = schedule.hex();
-    let rows: Vec<Option<(i64, i64)>> = (0..height).map(|a| hex.row_range(a)).collect();
-    let b_lo = rows.iter().flatten().map(|r| r.0).min();
-    let b_hi = rows.iter().flatten().map(|r| r.1).max();
-    let (Some(b_min), Some(b_max)) = (b_lo, b_hi) else {
-        return Err(CodegenError::EmptyHexagon {
-            h: hex.h(),
-            w0: hex.w0(),
-        });
-    };
-    let mut skews = vec![Vec::new()];
-    let mut skew_max = vec![0i64];
-    let mut pad_left = vec![0i64];
-    let mut ext = vec![(b_max - b_min + 1) + 2 * radius[0]];
-    for (d, &rad) in radius.iter().enumerate().take(n).skip(1) {
-        let cd = &schedule.classical()[d - 1];
-        let per_a: Vec<i64> = (0..height).map(|a| cd.skew(a)).collect();
-        // `height = 2h+2 >= 2`, so the per-row skew list is never empty.
-        let sk_max = per_a.iter().copied().max().unwrap_or(0);
-        skews.push(per_a);
-        skew_max.push(sk_max);
-        let pad = sk_max + rad;
-        pad_left.push(pad);
-        ext.push(cd.width + pad + rad);
-    }
-    let gen = HybridCodegen {
-        program,
-        schedule,
-        domain,
-        opts,
-        dims: dims.to_vec(),
-        n,
-        k,
-        planes: program.max_dt() + 1,
-        radius,
-        rows,
-        b_min,
-        b_max,
-        skews,
-        skew_max,
-        pad_left,
-        ext,
-    };
-    Ok(gen.build_plan())
+    Ok(HybridGeometry::new(program, params, dims, steps, opts)?.build_plan())
 }
 
-impl HybridCodegen<'_> {
+impl<'a> HybridGeometry<'a> {
+    /// Derives and validates the geometry; [`generate_hybrid`] succeeds
+    /// exactly when this does.
+    ///
+    /// # Errors
+    ///
+    /// See [`generate_hybrid`].
+    pub fn new(
+        program: &'a StencilProgram,
+        params: &TileParams,
+        dims: &[usize],
+        steps: usize,
+        opts: CodegenOptions,
+    ) -> Result<HybridGeometry<'a>, CodegenError> {
+        let cone = DepCone::of_program_with_storage(program)?;
+        HybridGeometry::with_cone(program, &cone, params, dims, steps, opts)
+    }
+
+    /// [`HybridGeometry::new`] for a caller that already derived `cone`,
+    /// the program's [`DepCone::of_program_with_storage`] — a tuner checking
+    /// many candidates of one program.
+    ///
+    /// # Errors
+    ///
+    /// See [`generate_hybrid`].
+    pub fn with_cone(
+        program: &'a StencilProgram,
+        cone: &DepCone,
+        params: &TileParams,
+        dims: &[usize],
+        steps: usize,
+        opts: CodegenOptions,
+    ) -> Result<HybridGeometry<'a>, CodegenError> {
+        let schedule = HybridSchedule::from_cone(program, params, cone.clone())?;
+        let n = program.spatial_dims();
+        let k = program.num_statements() as i64;
+        let height = schedule.hex().box_height();
+        if k > 1 && height % k != 0 {
+            return Err(CodegenError::HeightNotMultiple { height, k });
+        }
+        let radius = program.radius();
+        // Validate the workload shape before `ScheduledDomain` (which asserts
+        // the same properties) can abort the process.
+        if dims.len() != n {
+            return Err(CodegenError::DimsArity {
+                got: dims.len(),
+                expected: n,
+            });
+        }
+        for (d, (&extent, &rad)) in dims.iter().zip(&radius).enumerate() {
+            if (extent as i64) < 2 * rad + 1 {
+                return Err(CodegenError::EmptyInterior {
+                    dim: d,
+                    extent,
+                    radius: rad,
+                });
+            }
+        }
+        let mut opts = opts;
+        if n == 1 && opts.smem.uses_shared() {
+            // 1-D hybrid tiling degenerates (paper §6.1); shared staging is
+            // only generated for the 2-D/3-D cases.
+            opts.smem = SmemStrategy::GlobalOnly;
+        }
+        let domain = ScheduledDomain::new(program, dims, steps);
+        let hex = schedule.hex();
+        let rows: Vec<Option<(i64, i64)>> = (0..height).map(|a| hex.row_range(a)).collect();
+        let b_lo = rows.iter().flatten().map(|r| r.0).min();
+        let b_hi = rows.iter().flatten().map(|r| r.1).max();
+        let (Some(b_min), Some(b_max)) = (b_lo, b_hi) else {
+            return Err(CodegenError::EmptyHexagon {
+                h: hex.h(),
+                w0: hex.w0(),
+            });
+        };
+        let mut skews = vec![Vec::new()];
+        let mut skew_maxes = vec![0i64];
+        let mut pad_left = vec![0i64];
+        let mut ext = vec![(b_max - b_min + 1) + 2 * radius[0]];
+        for (d, &rad) in radius.iter().enumerate().take(n).skip(1) {
+            let cd = &schedule.classical()[d - 1];
+            skews.push((0..height).map(|a| cd.skew(a)).collect());
+            let sk_max = skew_max(cd, height);
+            skew_maxes.push(sk_max);
+            let pad = sk_max + rad;
+            pad_left.push(pad);
+            ext.push(cd.width + pad + rad);
+        }
+        Ok(HybridGeometry {
+            program,
+            schedule,
+            domain,
+            opts,
+            dims: dims.to_vec(),
+            n,
+            k,
+            planes: program.max_dt() + 1,
+            radius,
+            rows,
+            b_min,
+            b_max,
+            skews,
+            skew_max: skew_maxes,
+            pad_left,
+            ext,
+        })
+    }
+
+    /// Shared-memory bytes per block of the plan's kernels (both phases
+    /// allocate the same buffers): `fields × planes × Π ext` words, one
+    /// uniform box per field; 0 when nothing is staged (1-D, or
+    /// [`SmemStrategy::GlobalOnly`]).
+    pub fn shared_bytes(&self) -> usize {
+        self.shared_bufs().iter().map(SharedBuf::bytes).sum()
+    }
+
+    /// [`alignment_offset_words`] of this plan, read off the geometry.
+    pub fn alignment_offset_words(&self) -> i64 {
+        if !self.opts.aligned_loads || self.n < 2 {
+            return 0;
+        }
+        self.pad_left[self.n - 1].rem_euclid(32)
+    }
+
     fn hex(&self) -> &hybrid_tiling::HexShape {
         self.schedule.hex()
     }
@@ -1012,7 +1067,8 @@ impl HybridCodegen<'_> {
         }
     }
 
-    fn build_plan(&self) -> LaunchPlan {
+    /// The launch plan: one kernel per phase, launched per time tile.
+    pub fn build_plan(&self) -> LaunchPlan {
         let k0 = self.build_kernel(Phase::Zero);
         let k1 = self.build_kernel(Phase::One);
         let mut launches = Vec::new();

@@ -31,6 +31,6 @@ pub mod ptx_emit;
 pub mod wgsl_emit;
 
 pub use backend::{Backend, BackendCaps, BackendKind};
-pub use hybrid_gen::{generate_hybrid, CodegenError, HybridCodegen};
+pub use hybrid_gen::{generate_hybrid, CodegenError, HybridGeometry};
 pub use ir::{Cond, FExpr, IExpr, Kernel, LaunchPlan, SharedBuf, Stmt};
 pub use options::{CodegenOptions, SmemStrategy};

@@ -7,12 +7,13 @@
 //! Δs_d <= δ0_d · Δt      and      Δs_d >= -δ1_d · Δt
 //! ```
 //!
-//! The minimal such constants are computed by an exact LP over the distance
-//! vectors. The *opposite* dependence cone — the set of offsets of instances
+//! The minimal such constants are the largest ratios `±Δs_d / Δt` over the
+//! distance vectors, clamped at zero (the solution of a one-variable LP,
+//! written out). The *opposite* dependence cone — the set of offsets of instances
 //! a point depends on, transitively — is then generated by `(-1, -δ0)` and
 //! `(-1, δ1)` in each time/space plane.
 
-use polylib::{lp, Aff, Constraint, LpResult, Objective, Rat};
+use polylib::Rat;
 use stencil::{distance_vectors, DistanceVector, StencilProgram};
 
 use crate::params::TileError;
@@ -32,10 +33,9 @@ impl DepCone {
     ///
     /// # Errors
     ///
-    /// Returns [`TileError::UnboundedCone`] if no finite slope exists (this
-    /// cannot happen for uniform stencil dependences, but the check keeps
-    /// the LP honest) and [`TileError::UncarriedDependence`] if any vector
-    /// has `Δt < 1`.
+    /// Returns [`TileError::UncarriedDependence`] if any vector has
+    /// `Δt < 1`. A finite set of vectors with `Δt >= 1` always has finite
+    /// slopes, so [`TileError::UnboundedCone`] is never produced here.
     pub fn of_program(program: &StencilProgram) -> Result<DepCone, TileError> {
         DepCone::from_vectors(distance_vectors(program))
     }
@@ -70,12 +70,14 @@ impl DepCone {
                 )));
             }
         }
-        let mut slopes = Vec::with_capacity(spatial);
-        for d in 0..spatial {
-            let d0 = min_slope(&vectors, d, Direction::Upper).ok_or(TileError::UnboundedCone(d))?;
-            let d1 = min_slope(&vectors, d, Direction::Lower).ok_or(TileError::UnboundedCone(d))?;
-            slopes.push((d0, d1));
-        }
+        let slopes = (0..spatial)
+            .map(|d| {
+                (
+                    min_slope(&vectors, d, Direction::Upper),
+                    min_slope(&vectors, d, Direction::Lower),
+                )
+            })
+            .collect();
         Ok(DepCone { vectors, slopes })
     }
 
@@ -111,6 +113,7 @@ impl DepCone {
     }
 }
 
+#[derive(Clone, Copy)]
 enum Direction {
     /// Find minimal δ with `Δs <= δ·Δt`.
     Upper,
@@ -118,32 +121,92 @@ enum Direction {
     Lower,
 }
 
-/// Solves the 1-variable LP `min δ s.t. constraint per vector`, clamped to
-/// `δ >= 0` (a non-negative slope keeps the cone an over-approximation,
-/// which is always safe).
-fn min_slope(vectors: &[DistanceVector], d: usize, dir: Direction) -> Option<Rat> {
-    let mut cons: Vec<Constraint> = Vec::with_capacity(vectors.len() + 1);
-    for v in vectors {
-        let (coeff, c0) = match dir {
-            // δ·Δt - Δs >= 0
-            Direction::Upper => (v.dt, -v.ds[d]),
-            // δ·Δt + Δs >= 0
-            Direction::Lower => (v.dt, v.ds[d]),
-        };
-        cons.push(Constraint::ge0(Aff::from_ints(&[coeff], c0)));
-    }
-    // Clamp: δ >= 0.
-    cons.push(Constraint::ge0(Aff::from_ints(&[1], 0)));
-    match lp(&cons, &Aff::from_ints(&[1], 0), Objective::Minimize) {
-        LpResult::Optimal { value, .. } => Some(value),
-        _ => None,
-    }
+/// The minimal `δ >= 0` with `δ·Δt >= ±Δs_d` for every vector: the largest
+/// ratio `±Δs_d / Δt`, clamped at zero (a non-negative slope keeps the cone
+/// an over-approximation, which is always safe). Every `Δt` is `>= 1`
+/// (validated by the caller).
+fn min_slope(vectors: &[DistanceVector], d: usize, dir: Direction) -> Rat {
+    vectors
+        .iter()
+        .map(|v| {
+            let ds = match dir {
+                Direction::Upper => v.ds[d],
+                Direction::Lower => -v.ds[d],
+            };
+            Rat::new(ds.into(), v.dt.into())
+        })
+        .fold(Rat::ZERO, Rat::max)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polylib::{lp, Aff, Constraint, LpResult, Objective};
+    use proptest::prelude::*;
     use stencil::gallery;
+
+    /// The formulation `min_slope` writes out: the 1-variable LP
+    /// `min δ  s.t.  δ·Δt ∓ Δs_d >= 0 per vector,  δ >= 0`.
+    fn min_slope_lp(vectors: &[DistanceVector], d: usize, dir: Direction) -> Option<Rat> {
+        let mut cons: Vec<Constraint> = vectors
+            .iter()
+            .map(|v| {
+                let c0 = match dir {
+                    Direction::Upper => -v.ds[d],
+                    Direction::Lower => v.ds[d],
+                };
+                Constraint::ge0(Aff::from_ints(&[v.dt], c0))
+            })
+            .collect();
+        cons.push(Constraint::ge0(Aff::from_ints(&[1], 0)));
+        match lp(&cons, &Aff::from_ints(&[1], 0), Objective::Minimize) {
+            LpResult::Optimal { value, .. } => Some(value),
+            _ => None,
+        }
+    }
+
+    fn assert_slopes_match_lp(program: &StencilProgram) {
+        for cone in [
+            DepCone::of_program(program).unwrap(),
+            DepCone::of_program_with_storage(program).unwrap(),
+        ] {
+            for d in 0..cone.spatial_dims() {
+                for (dir, got) in [
+                    (Direction::Upper, cone.delta0(d)),
+                    (Direction::Lower, cone.delta1(d)),
+                ] {
+                    assert_eq!(Some(got), min_slope_lp(cone.vectors(), d, dir), "dim {d}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_slopes_equal_the_lp_on_the_gallery() {
+        // heat3d's 27-point storage cone is the LP's most expensive input.
+        for program in gallery::table3_stencils() {
+            assert_slopes_match_lp(&program);
+        }
+        assert_slopes_match_lp(&gallery::contrived1d());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn closed_form_slopes_equal_the_lp_on_generated_programs(
+            n in 1usize..=3,
+            loads in prop::collection::vec(
+                prop::collection::vec(
+                    (0usize..3, 0i64..=2, prop::collection::vec(-3i64..=3, 3)),
+                    1..5,
+                ),
+                1..4,
+            ),
+        ) {
+            assert_slopes_match_lp(&gallery::from_loads(n, loads));
+        }
+    }
 
     #[test]
     fn paper_example_slopes() {

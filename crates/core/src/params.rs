@@ -54,7 +54,10 @@ pub enum TileError {
     /// not in the canonical form of §3.2.
     UncarriedDependence(String),
     /// The dependence cone is unbounded in some spatial direction, so no
-    /// finite δ exists (violates the §3.3.1 boundedness assumption).
+    /// finite δ exists (violates the §3.3.1 boundedness assumption). No
+    /// finite set of distance vectors with `Δt >= 1` produces it — the
+    /// slopes are largest ratios `±Δs/Δt` ([`crate::DepCone`]) — so it is
+    /// reserved for dependences that are not uniform.
     UnboundedCone(usize),
     /// `w0` is below the lower bound of inequality (1); the subtraction
     /// would not produce a convex hexagon.

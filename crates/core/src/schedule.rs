@@ -116,7 +116,15 @@ impl HybridSchedule {
         HybridSchedule::from_cone(program, params, cone)
     }
 
-    fn from_cone(
+    /// The schedule of `program` under `params` for an already derived
+    /// `cone` of that program — what [`HybridSchedule::compute`] and
+    /// [`HybridSchedule::compute_executable`] do after deriving theirs, for
+    /// callers that build many schedules of one program.
+    ///
+    /// # Errors
+    ///
+    /// [`TileError::ArityMismatch`], or a `w0` violating inequality (1).
+    pub fn from_cone(
         program: &StencilProgram,
         params: &TileParams,
         cone: DepCone,
@@ -217,7 +225,7 @@ impl HybridSchedule {
         v
     }
 
-    /// The ideal tile `tile`, one box per hexagon row (see [`tile_rows`]).
+    /// The ideal tile `tile`, one box per hexagon row (see [`TileRow`]).
     pub fn tile_rows(&self, tile: &TileCoord) -> Vec<TileRow> {
         tile_rows(&self.hex, &self.hex.rows(), &self.classical, tile)
     }

@@ -15,7 +15,7 @@ use hybrid_tiling::{
 };
 use proptest::prelude::*;
 use stencil::parse::parse_stencil;
-use stencil::{gallery, FieldId, Statement, StencilExpr, StencilProgram};
+use stencil::{gallery, StencilProgram};
 
 fn example_stencils() -> Vec<StencilProgram> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/stencils");
@@ -153,35 +153,6 @@ fn laplacian3d_front_half_is_at_least_3x_cheaper_than_the_oracle() {
     );
 }
 
-/// `(field, dt, offsets)` per load, per statement; statement `i` writes
-/// field `i`. A `dt` too small to be carried by the outer loop is raised
-/// to 1, which always is.
-fn build_program(n: usize, loads: Vec<Vec<(usize, i64, Vec<i64>)>>) -> StencilProgram {
-    let k = loads.len();
-    let statements = loads
-        .into_iter()
-        .enumerate()
-        .map(|(i, accesses)| {
-            let terms = accesses
-                .into_iter()
-                .map(|(f, dt, offs)| {
-                    let f = f % k;
-                    let carried = k as i64 * dt + (i as i64 - f as i64) >= 1;
-                    StencilExpr::load(FieldId(f), if carried { dt } else { 1 }, &offs[..n])
-                })
-                .collect();
-            Statement {
-                name: format!("S{i}"),
-                writes: FieldId(i),
-                expr: StencilExpr::sum(terms),
-            }
-        })
-        .collect();
-    let fields: Vec<String> = (0..k).map(|f| format!("F{f}")).collect();
-    let names: Vec<&str> = fields.iter().map(String::as_str).collect();
-    StencilProgram::new("generated", n, &names, statements).expect("carried by construction")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -200,7 +171,7 @@ proptest! {
         ),
         tile in (0i64..=3, 0i64..=8, 1i64..=6, 1i64..=12),
     ) {
-        let program = build_program(n, loads);
+        let program = gallery::from_loads(n, loads);
         let (h, w0, mid, inner) = tile;
         let w: Vec<i64> = match n {
             1 => vec![w0],

@@ -10,11 +10,19 @@
 //!
 //! * expression trees become linear op streams over **slot arrays**
 //!   (three-address code, no recursion, no boxes);
+//! * an integer value is lowered **once per scope**, not once per use:
+//!   the compiler numbers values by `(op, operands)` and a later site
+//!   reads the slot of an earlier one — as long as that site always runs
+//!   first under a mask at least as wide (what an `If` arm or a `For`
+//!   body computes is forgotten at its end) and no operand var has been
+//!   reassigned in between;
 //! * multi-dimensional global/shared indices are folded into **flat
 //!   row-major offsets** against the strides of the bound memory, so the
 //!   executor uses [`Grid::get_flat`](stencil::Grid::get_flat)-style
 //!   access instead of re-deriving the offset from an index vector
 //!   (twice — once for the byte address, once for the data) per lane;
+//!   immediate and scalar dimensions are checked and folded once per
+//!   statement, only lane-dependent ones per lane;
 //! * per-warp address scratch, divergence masks, shared memory, and the
 //!   slot arrays live in a reusable [`ExecScratch`] pooled across blocks
 //!   and launches instead of being reallocated per block.
@@ -58,6 +66,8 @@
 //! oracle and never uses this path; every other entry point — the
 //! production launch loop in [`crate::parallel`], at any worker count,
 //! full or sampled — runs nothing else.
+
+use std::collections::HashMap;
 
 use gpu_codegen::ir::{Cond, FExpr, IExpr, Kernel, Stmt};
 
@@ -181,40 +191,65 @@ pub struct Prog {
     pub vops: Vec<VOp>,
 }
 
-/// A compiled flat memory address: per-dimension index operands plus the
-/// extents/strides of the target array, folded to a bounds-checked
-/// row-major offset at execution time.
+/// A compiled flat memory address: the row-major offset of a
+/// multi-dimensional index, its dimensions split by rank so that only
+/// lane-dependent ones cost per-lane work. Every dimension is
+/// bounds-checked when the statement executes, as the interpreter does
+/// (an out-of-bounds index is a code-generation bug).
 #[derive(Clone, Debug)]
 pub struct FlatIndex {
-    /// One operand per dimension.
-    pub idx: Vec<Val>,
-    /// Extents per dimension (for bounds checks).
-    pub dims: Vec<i64>,
-    /// Row-major strides per dimension.
-    pub strides: Vec<i64>,
-    /// Constant word offset added after the strided sum (shared-memory
-    /// buffer base within the block's shared address space; 0 for
-    /// global).
-    pub base: i64,
+    /// Immediate and scalar dimensions, `(operand, extent, stride,
+    /// dimension)`: resolved, checked and folded into the base once per
+    /// statement execution.
+    uniform: Vec<(Val, i64, i64, usize)>,
+    /// Vector dimensions, `(slot, extent, stride, dimension)`: checked and
+    /// added per lane.
+    lanes: Vec<(u16, i64, i64, usize)>,
+    /// Constant word offset (shared-memory buffer base within the block's
+    /// shared address space; 0 for global).
+    base: i64,
+}
+
+/// The value of an immediate or scalar operand, given the scalar slots.
+#[inline]
+fn scalar_operand(s: &[i64], v: Val) -> i64 {
+    match v {
+        Val::SImm(c) => c,
+        Val::SSlot(i) => s[i as usize],
+        Val::VSlot(_) => unreachable!("vector operand where a scalar one belongs"),
+    }
+}
+
+/// Bounds-checks one resolved index value, returning it.
+#[inline]
+fn in_bounds(i: i64, extent: i64, d: usize) -> i64 {
+    assert!(
+        i >= 0 && i < extent,
+        "compiled index {i} out of bounds for dim {d} (extent {extent})"
+    );
+    i
 }
 
 impl FlatIndex {
-    /// The flat offset for one lane, given resolved per-dimension index
-    /// values. Panics on out-of-bounds exactly where the interpreter
-    /// would (an OOB access is a code-generation bug).
+    /// The part of the offset every lane shares, given the scalar slots.
     #[inline]
-    fn offset(&self, at: impl Fn(Val) -> i64) -> usize {
-        let mut off = self.base;
-        for d in 0..self.idx.len() {
-            let i = at(self.idx[d]);
-            assert!(
-                i >= 0 && i < self.dims[d],
-                "compiled index {i} out of bounds for dim {d} (extent {})",
-                self.dims[d]
-            );
-            off += self.strides[d] * i;
-        }
-        off as usize
+    fn fold_uniform(&self, s: &[i64]) -> i64 {
+        self.uniform
+            .iter()
+            .fold(self.base, |off, &(v, extent, stride, d)| {
+                off + stride * in_bounds(scalar_operand(s, v), extent, d)
+            })
+    }
+
+    /// The flat offset of `lane`, from [`FlatIndex::fold_uniform`]'s
+    /// `uniform` part and the vector slots `v` of `n` lanes each.
+    #[inline]
+    fn offset(&self, uniform: i64, v: &[i64], n: usize, lane: usize) -> usize {
+        self.lanes
+            .iter()
+            .fold(uniform, |off, &(slot, extent, stride, d)| {
+                off + stride * in_bounds(v[slot as usize * n + lane], extent, d)
+            }) as usize
     }
 }
 
@@ -385,6 +420,14 @@ struct Compiler<'a> {
     hoistable: Vec<bool>,
     /// Shared-buffer word bases (cumulative, matching `SharedMem`).
     shared_bases: Vec<i64>,
+    /// Value numbers: the operand that holds `(op, a, b)`, for every op
+    /// emitted at a site that reaches the one being compiled — it executes
+    /// first whenever this one executes, under a mask at least as wide —
+    /// and none of whose operand vars has been reassigned since.
+    values: HashMap<(Ibin, Val, Val), Val>,
+    /// The keys of `values` that die with their scope, in insertion order
+    /// (see [`Compiler::scope`]).
+    scoped: Vec<(Ibin, Val, Val)>,
 }
 
 /// Decides which vars can live in scalar slots: every assignment must be
@@ -428,6 +471,26 @@ fn classify_vars(kernel: &Kernel) -> Vec<bool> {
     }
 }
 
+/// Every var `stmts` assign, at any depth: `SetVar` targets and loop vars.
+fn assigned_vars(stmts: &[Stmt]) -> Vec<usize> {
+    let mut vars = Vec::new();
+    for s in stmts {
+        match s {
+            Stmt::SetVar { var, .. } => vars.push(*var),
+            Stmt::For { var, body, .. } => {
+                vars.push(*var);
+                vars.extend(assigned_vars(body));
+            }
+            Stmt::If { then_, else_, .. } => {
+                vars.extend(assigned_vars(then_));
+                vars.extend(assigned_vars(else_));
+            }
+            _ => {}
+        }
+    }
+    vars
+}
+
 /// True when the expression is lane-independent given the current var
 /// classification.
 fn uniform_iexpr(e: &IExpr, scalar: &[bool]) -> bool {
@@ -441,6 +504,31 @@ fn uniform_iexpr(e: &IExpr, scalar: &[bool]) -> bool {
         IExpr::FloorDiv(a, _) | IExpr::Mod(a, _) => uniform_iexpr(a, scalar),
         IExpr::Min(a, b) | IExpr::Max(a, b) => uniform_iexpr(a, scalar) && uniform_iexpr(b, scalar),
     }
+}
+
+/// The [`SOp`] or [`VOp`] (`$Op`) of `$kind` into slot `$d`.
+macro_rules! lower_op {
+    ($Op:ident, $kind:expr, $d:expr, $a:expr, $b:expr) => {{
+        let k = match $b {
+            Val::SImm(k) => k,
+            _ => 0,
+        };
+        match $kind {
+            Ibin::Add => $Op::Add($d, $a, $b),
+            Ibin::Sub => $Op::Sub($d, $a, $b),
+            Ibin::Mul => $Op::Mul($d, $a, $b),
+            Ibin::Min => $Op::Min($d, $a, $b),
+            Ibin::Max => $Op::Max($d, $a, $b),
+            Ibin::Le => $Op::Le($d, $a, $b),
+            Ibin::Lt => $Op::Lt($d, $a, $b),
+            Ibin::Eq => $Op::Eq($d, $a, $b),
+            Ibin::And => $Op::And($d, $a, $b),
+            Ibin::Or => $Op::Or($d, $a, $b),
+            Ibin::FloorDiv => $Op::FloorDiv($d, $a, k),
+            Ibin::Mod => $Op::Mod($d, $a, k),
+            Ibin::Not => $Op::Not($d, $a),
+        }
+    }};
 }
 
 impl<'a> Compiler<'a> {
@@ -487,6 +575,8 @@ impl<'a> Compiler<'a> {
             preamble: Vec::new(),
             hoistable,
             shared_bases,
+            values: HashMap::new(),
+            scoped: Vec::new(),
         }
     }
 
@@ -517,16 +607,6 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Emits a scalar op: into the per-block preamble when every operand
-    /// is block-uniform, into the site program otherwise.
-    fn emit_s(&mut self, prog: &mut Prog, hoisted: bool, op: SOp) {
-        if hoisted {
-            self.preamble.push(op);
-        } else {
-            prog.sops.push(op);
-        }
-    }
-
     /// Lowers an integer expression, returning its operand.
     fn iexpr(&mut self, e: &IExpr, prog: &mut Prog) -> Val {
         match e {
@@ -534,10 +614,7 @@ impl<'a> Compiler<'a> {
             IExpr::Param(p) => Val::SSlot(*p as u16),
             IExpr::BlockIdx => Val::SSlot(self.kernel.n_params as u16),
             IExpr::ThreadIdx(d) => Val::VSlot(*d as u16),
-            IExpr::Var(v) => match self.vars[*v] {
-                VarStorage::Scalar(s) => Val::SSlot(s),
-                VarStorage::Vector(s) => Val::VSlot(s),
-            },
+            IExpr::Var(v) => self.var(*v),
             IExpr::Add(a, b) => self.ibin(a, b, prog, Ibin::Add),
             IExpr::Sub(a, b) => self.ibin(a, b, prog, Ibin::Sub),
             IExpr::Mul(a, b) => self.ibin(a, b, prog, Ibin::Mul),
@@ -545,91 +622,86 @@ impl<'a> Compiler<'a> {
             IExpr::Max(a, b) => self.ibin(a, b, prog, Ibin::Max),
             IExpr::FloorDiv(a, k) => {
                 let a = self.iexpr(a, prog);
-                match a {
-                    Val::SImm(c) => Val::SImm(c.div_euclid(*k)),
-                    Val::VSlot(_) => {
-                        let dst = self.vslot();
-                        prog.vops.push(VOp::FloorDiv(dst, a, *k));
-                        Val::VSlot(dst)
-                    }
-                    _ => {
-                        let hoisted = self.is_hoistable(a);
-                        let dst = self.sslot(hoisted);
-                        self.emit_s(prog, hoisted, SOp::FloorDiv(dst, a, *k));
-                        Val::SSlot(dst)
-                    }
-                }
+                self.op(Ibin::FloorDiv, a, Val::SImm(*k), prog)
             }
             IExpr::Mod(a, k) => {
                 let a = self.iexpr(a, prog);
-                match a {
-                    Val::SImm(c) => Val::SImm(c.rem_euclid(*k)),
-                    Val::VSlot(_) => {
-                        let dst = self.vslot();
-                        prog.vops.push(VOp::Mod(dst, a, *k));
-                        Val::VSlot(dst)
-                    }
-                    _ => {
-                        let hoisted = self.is_hoistable(a);
-                        let dst = self.sslot(hoisted);
-                        self.emit_s(prog, hoisted, SOp::Mod(dst, a, *k));
-                        Val::SSlot(dst)
-                    }
-                }
+                self.op(Ibin::Mod, a, Val::SImm(*k), prog)
             }
+        }
+    }
+
+    /// The slot of kernel var `v`.
+    fn var(&self, v: usize) -> Val {
+        match self.vars[v] {
+            VarStorage::Scalar(s) => Val::SSlot(s),
+            VarStorage::Vector(s) => Val::VSlot(s),
         }
     }
 
     fn ibin(&mut self, a: &IExpr, b: &IExpr, prog: &mut Prog, kind: Ibin) -> Val {
         let a = self.iexpr(a, prog);
         let b = self.iexpr(b, prog);
+        self.op(kind, a, b, prog)
+    }
+
+    /// The operand holding `kind(a, b)`: folded when both operands are
+    /// immediates, the value number when a site that reaches this one has
+    /// computed it already, a new op otherwise — vector if either operand
+    /// is, scalar if not, and then in the per-block preamble when every
+    /// operand is block-uniform.
+    fn op(&mut self, kind: Ibin, a: Val, b: Val, prog: &mut Prog) -> Val {
         if let (Val::SImm(x), Val::SImm(y)) = (a, b) {
-            return Val::SImm(match kind {
-                Ibin::Add => x + y,
-                Ibin::Sub => x - y,
-                Ibin::Mul => x * y,
-                Ibin::Min => x.min(y),
-                Ibin::Max => x.max(y),
-                Ibin::Le => (x <= y) as i64,
-                Ibin::Lt => (x < y) as i64,
-                Ibin::Eq => (x == y) as i64,
-                Ibin::And => x & y,
-                Ibin::Or => x | y,
-            });
+            return Val::SImm(kind.fold(x, y));
         }
-        if matches!(a, Val::VSlot(_)) || matches!(b, Val::VSlot(_)) {
+        if let Some(&known) = self.values.get(&(kind, a, b)) {
+            return known;
+        }
+        let vector = matches!(a, Val::VSlot(_)) || matches!(b, Val::VSlot(_));
+        let hoisted = !vector && self.is_hoistable(a) && self.is_hoistable(b);
+        let out = if vector {
             let dst = self.vslot();
-            prog.vops.push(match kind {
-                Ibin::Add => VOp::Add(dst, a, b),
-                Ibin::Sub => VOp::Sub(dst, a, b),
-                Ibin::Mul => VOp::Mul(dst, a, b),
-                Ibin::Min => VOp::Min(dst, a, b),
-                Ibin::Max => VOp::Max(dst, a, b),
-                Ibin::Le => VOp::Le(dst, a, b),
-                Ibin::Lt => VOp::Lt(dst, a, b),
-                Ibin::Eq => VOp::Eq(dst, a, b),
-                Ibin::And => VOp::And(dst, a, b),
-                Ibin::Or => VOp::Or(dst, a, b),
-            });
+            prog.vops.push(lower_op!(VOp, kind, dst, a, b));
             Val::VSlot(dst)
         } else {
-            let hoisted = self.is_hoistable(a) && self.is_hoistable(b);
             let dst = self.sslot(hoisted);
-            let op = match kind {
-                Ibin::Add => SOp::Add(dst, a, b),
-                Ibin::Sub => SOp::Sub(dst, a, b),
-                Ibin::Mul => SOp::Mul(dst, a, b),
-                Ibin::Min => SOp::Min(dst, a, b),
-                Ibin::Max => SOp::Max(dst, a, b),
-                Ibin::Le => SOp::Le(dst, a, b),
-                Ibin::Lt => SOp::Lt(dst, a, b),
-                Ibin::Eq => SOp::Eq(dst, a, b),
-                Ibin::And => SOp::And(dst, a, b),
-                Ibin::Or => SOp::Or(dst, a, b),
+            let ops = if hoisted {
+                &mut self.preamble
+            } else {
+                &mut prog.sops
             };
-            self.emit_s(prog, hoisted, op);
+            ops.push(lower_op!(SOp, kind, dst, a, b));
             Val::SSlot(dst)
+        };
+        self.values.insert((kind, a, b), out);
+        // The preamble runs before everything and reads nothing that is
+        // ever reassigned: a hoisted value belongs to no scope.
+        if !hoisted {
+            self.scoped.push((kind, a, b));
         }
+        out
+    }
+
+    /// Compiles `f` in a value-number scope of its own: what it computes
+    /// is forgotten at its end. The arms of an `If` and the body of a
+    /// `For` are such scopes — they may not run at all, and an arm runs
+    /// under a narrower mask than the code after it.
+    fn scope<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
+        let mark = self.scoped.len();
+        let out = f(self);
+        for key in self.scoped.drain(mark..) {
+            self.values.remove(&key);
+        }
+        out
+    }
+
+    /// Forgets every value number computed from one of `vars`, which are
+    /// about to be reassigned. (Values computed from *those* become
+    /// unreachable: their keys name temporaries no lookup returns any more.)
+    fn kill(&mut self, vars: &[usize]) {
+        let slots: Vec<Val> = vars.iter().map(|&v| self.var(v)).collect();
+        self.values
+            .retain(|(_, a, b), _| !slots.contains(a) && !slots.contains(b));
     }
 
     /// Lowers a condition to a 0/1 operand. Both operands of `And`/`Or`
@@ -642,58 +714,17 @@ impl<'a> Compiler<'a> {
             Cond::Lt(a, b) => self.ibin(a, b, prog, Ibin::Lt),
             Cond::Eq(a, b) => self.ibin(a, b, prog, Ibin::Eq),
             Cond::And(a, b) => {
-                let a = self.cond(a, prog);
-                let b = self.cond(b, prog);
-                self.bool_bin(a, b, prog, Ibin::And)
+                let (a, b) = (self.cond(a, prog), self.cond(b, prog));
+                self.op(Ibin::And, a, b, prog)
             }
             Cond::Or(a, b) => {
-                let a = self.cond(a, prog);
-                let b = self.cond(b, prog);
-                self.bool_bin(a, b, prog, Ibin::Or)
+                let (a, b) = (self.cond(a, prog), self.cond(b, prog));
+                self.op(Ibin::Or, a, b, prog)
             }
             Cond::Not(a) => {
                 let a = self.cond(a, prog);
-                match a {
-                    Val::SImm(x) => Val::SImm(1 - x),
-                    Val::VSlot(_) => {
-                        let dst = self.vslot();
-                        prog.vops.push(VOp::Not(dst, a));
-                        Val::VSlot(dst)
-                    }
-                    _ => {
-                        let hoisted = self.is_hoistable(a);
-                        let dst = self.sslot(hoisted);
-                        self.emit_s(prog, hoisted, SOp::Not(dst, a));
-                        Val::SSlot(dst)
-                    }
-                }
+                self.op(Ibin::Not, a, Val::SImm(0), prog)
             }
-        }
-    }
-
-    fn bool_bin(&mut self, a: Val, b: Val, prog: &mut Prog, kind: Ibin) -> Val {
-        if let (Val::SImm(x), Val::SImm(y)) = (a, b) {
-            return Val::SImm(match kind {
-                Ibin::And => x & y,
-                _ => x | y,
-            });
-        }
-        if matches!(a, Val::VSlot(_)) || matches!(b, Val::VSlot(_)) {
-            let dst = self.vslot();
-            prog.vops.push(match kind {
-                Ibin::And => VOp::And(dst, a, b),
-                _ => VOp::Or(dst, a, b),
-            });
-            Val::VSlot(dst)
-        } else {
-            let hoisted = self.is_hoistable(a) && self.is_hoistable(b);
-            let dst = self.sslot(hoisted);
-            let op = match kind {
-                Ibin::And => SOp::And(dst, a, b),
-                _ => SOp::Or(dst, a, b),
-            };
-            self.emit_s(prog, hoisted, op);
-            Val::SSlot(dst)
         }
     }
 
@@ -784,17 +815,19 @@ impl<'a> Compiler<'a> {
         prog: &mut Prog,
     ) -> FlatIndex {
         assert_eq!(index.len(), dims.len(), "index arity mismatch");
-        let idx: Vec<Val> = index.iter().map(|e| self.iexpr(e, prog)).collect();
-        let mut strides = vec![1i64; dims.len()];
-        for d in (0..dims.len().saturating_sub(1)).rev() {
-            strides[d] = strides[d + 1] * dims[d + 1];
-        }
-        FlatIndex {
-            idx,
-            dims,
-            strides,
+        let mut flat = FlatIndex {
+            uniform: Vec::new(),
+            lanes: Vec::new(),
             base,
+        };
+        for (d, e) in index.iter().enumerate() {
+            let stride = dims[d + 1..].iter().product();
+            match self.iexpr(e, prog) {
+                Val::VSlot(slot) => flat.lanes.push((slot, dims[d], stride, d)),
+                uniform => flat.uniform.push((uniform, dims[d], stride, d)),
+            }
         }
+        flat
     }
 
     fn stmts(&mut self, stmts: &[Stmt]) -> Vec<BcStmt> {
@@ -803,22 +836,29 @@ impl<'a> Compiler<'a> {
 
     fn stmt(&mut self, stmt: &Stmt) -> BcStmt {
         match stmt {
-            Stmt::SetVar { var, value } => match self.vars[*var] {
-                VarStorage::Scalar(dst) => {
-                    let mut prog = Prog::default();
-                    let value = self.iexpr(value, &mut prog);
-                    BcStmt::SetVarS { prog, value, dst }
-                }
-                VarStorage::Vector(dst) => {
-                    let mut prog = Prog::default();
-                    let out = self.iexpr(value, &mut prog);
-                    match (out, prog.vops.last_mut()) {
-                        (Val::VSlot(s), Some(op)) if vop_dst(op) == s => retarget_v(op, dst),
-                        _ => prog.vops.push(VOp::Copy(dst, out)),
+            Stmt::SetVar { var, value } => {
+                let mut prog = Prog::default();
+                let out = self.iexpr(value, &mut prog);
+                self.kill(&[*var]);
+                match self.vars[*var] {
+                    VarStorage::Scalar(dst) => BcStmt::SetVarS {
+                        prog,
+                        value: out,
+                        dst,
+                    },
+                    VarStorage::Vector(dst) => {
+                        match (out, prog.vops.last_mut()) {
+                            (Val::VSlot(s), Some(op)) if vop_dst(op) == s => {
+                                // The temporary is never written now.
+                                retarget_v(op, dst);
+                                self.values.retain(|_, held| *held != out);
+                            }
+                            _ => prog.vops.push(VOp::Copy(dst, out)),
+                        }
+                        BcStmt::SetVarV { prog }
                     }
-                    BcStmt::SetVarV { prog }
                 }
-            },
+            }
             Stmt::For {
                 var,
                 lo,
@@ -829,25 +869,25 @@ impl<'a> Compiler<'a> {
                 let mut prog = Prog::default();
                 let lo = self.iexpr(lo, &mut prog);
                 let hi = self.iexpr(hi, &mut prog);
-                let var = match self.vars[*var] {
-                    VarStorage::Scalar(s) => Val::SSlot(s),
-                    VarStorage::Vector(s) => Val::VSlot(s),
-                };
-                let body = self.stmts(body);
+                // The body runs again after its own assignments: nothing
+                // computed from a var it steps or sets survives into it.
+                let mut stepped = assigned_vars(body);
+                stepped.push(*var);
+                self.kill(&stepped);
                 BcStmt::For {
                     prog,
                     lo,
                     hi,
                     step: *step,
-                    var,
-                    body,
+                    var: self.var(*var),
+                    body: self.scope(|c| c.stmts(body)),
                 }
             }
             Stmt::If { cond, then_, else_ } => {
                 let mut prog = Prog::default();
                 let cond = self.cond(cond, &mut prog);
-                let then_ = self.stmts(then_);
-                let else_ = self.stmts(else_);
+                let then_ = self.scope(|c| c.stmts(then_));
+                let else_ = self.scope(|c| c.stmts(else_));
                 if matches!(cond, Val::VSlot(_)) {
                     BcStmt::IfLane {
                         prog,
@@ -937,7 +977,10 @@ impl<'a> Compiler<'a> {
     }
 }
 
-#[derive(Clone, Copy)]
+/// An integer op kind — with its two operands, the key of a value number.
+/// `FloorDiv` and `Mod` carry their constant as an immediate second
+/// operand; `Not` ignores its second operand.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Ibin {
     Add,
     Sub,
@@ -949,6 +992,30 @@ enum Ibin {
     Eq,
     And,
     Or,
+    FloorDiv,
+    Mod,
+    Not,
+}
+
+impl Ibin {
+    /// The op on two immediates.
+    fn fold(self, x: i64, y: i64) -> i64 {
+        match self {
+            Ibin::Add => x + y,
+            Ibin::Sub => x - y,
+            Ibin::Mul => x * y,
+            Ibin::Min => x.min(y),
+            Ibin::Max => x.max(y),
+            Ibin::Le => (x <= y) as i64,
+            Ibin::Lt => (x < y) as i64,
+            Ibin::Eq => (x == y) as i64,
+            Ibin::And => x & y,
+            Ibin::Or => x | y,
+            Ibin::FloorDiv => x.div_euclid(y),
+            Ibin::Mod => x.rem_euclid(y),
+            Ibin::Not => 1 - x,
+        }
+    }
 }
 
 fn op_dst(op: &FOp) -> u16 {
@@ -1112,14 +1179,7 @@ impl ExecScratch {
 
 #[inline]
 fn exec_sop(op: &SOp, s: &mut [i64]) {
-    #[inline]
-    fn at(s: &[i64], v: Val) -> i64 {
-        match v {
-            Val::SImm(c) => c,
-            Val::SSlot(i) => s[i as usize],
-            Val::VSlot(_) => unreachable!("scalar op with vector operand"),
-        }
-    }
+    use scalar_operand as at;
     match *op {
         SOp::Add(d, a, b) => s[d as usize] = at(s, a) + at(s, b),
         SOp::Sub(d, a, b) => s[d as usize] = at(s, a) - at(s, b),
@@ -1151,6 +1211,28 @@ enum VSrc {
 enum FSrc {
     Broadcast(f32),
     Lanes(usize),
+}
+
+impl VSrc {
+    /// The operand's value in `lane`, given the vector slot array.
+    #[inline]
+    fn at(self, v: &[i64], lane: usize) -> i64 {
+        match self {
+            VSrc::Broadcast(x) => x,
+            VSrc::Lanes(base) => v[base + lane],
+        }
+    }
+}
+
+impl FSrc {
+    /// The operand's value in `lane`, given the `f32` slot array.
+    #[inline]
+    fn at(self, f: &[f32], lane: usize) -> f32 {
+        match self {
+            FSrc::Broadcast(x) => x,
+            FSrc::Lanes(base) => f[base + lane],
+        }
+    }
 }
 
 /// Applies `f` to operand `a` across the active lanes, writing slot range
@@ -1303,14 +1385,6 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
             Val::SImm(c) => c,
             Val::SSlot(i) => self.scratch.s[i as usize],
             Val::VSlot(i) => self.scratch.v[i as usize * self.bc.n_threads + lane],
-        }
-    }
-
-    #[inline]
-    fn getf(&self, v: FVal, lane: usize) -> f32 {
-        match v {
-            FVal::Imm(c) => c,
-            FVal::Slot(i) => self.scratch.f[i as usize * self.bc.n_threads + lane],
         }
     }
 
@@ -1541,6 +1615,7 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
                 self.run_prog(prog, mask);
                 let field = *field as usize;
                 let d = *dst as usize * n;
+                let (plane, uniform) = (self.vsrc(*plane), flat.fold_uniform(&self.scratch.s));
                 for warp in 0..n.div_ceil(32) {
                     let lanes = warp * 32..((warp + 1) * 32).min(n);
                     let mut addrs = std::mem::take(&mut self.scratch.addrs);
@@ -1549,8 +1624,8 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
                         if !mask[lane] {
                             continue;
                         }
-                        let pl = self.geti(*plane, lane) as usize;
-                        let off = flat.offset(|v| self.geti(v, lane));
+                        let pl = plane.at(&self.scratch.v, lane) as usize;
+                        let off = flat.offset(uniform, &self.scratch.v, n, lane);
                         addrs.push(self.glob.byte_address_flat(field, pl, off));
                         self.scratch.f[d + lane] = self.glob.read_flat(field, pl, off);
                     }
@@ -1571,6 +1646,8 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
                 self.run_prog(prog, mask);
                 self.run_fops(fops, mask);
                 let field = *field as usize;
+                let (plane, uniform) = (self.vsrc(*plane), flat.fold_uniform(&self.scratch.s));
+                let src = self.fsrc(*src);
                 for warp in 0..n.div_ceil(32) {
                     let lanes = warp * 32..((warp + 1) * 32).min(n);
                     let mut addrs = std::mem::take(&mut self.scratch.addrs);
@@ -1579,10 +1656,10 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
                         if !mask[lane] {
                             continue;
                         }
-                        let pl = self.geti(*plane, lane) as usize;
-                        let off = flat.offset(|v| self.geti(v, lane));
+                        let pl = plane.at(&self.scratch.v, lane) as usize;
+                        let off = flat.offset(uniform, &self.scratch.v, n, lane);
                         addrs.push(self.glob.byte_address_flat(field, pl, off));
-                        let v = self.getf(*src, lane);
+                        let v = src.at(&self.scratch.f, lane);
                         self.counters.flops += flops;
                         self.glob.write_flat(field, pl, off, v);
                     }
@@ -1593,6 +1670,7 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
             BcStmt::SharedLoad { prog, dst, flat } => {
                 self.run_prog(prog, mask);
                 let d = *dst as usize * n;
+                let uniform = flat.fold_uniform(&self.scratch.s);
                 for warp in 0..n.div_ceil(32) {
                     let lanes = warp * 32..((warp + 1) * 32).min(n);
                     let mut words = std::mem::take(&mut self.scratch.words);
@@ -1601,7 +1679,7 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
                         if !mask[lane] {
                             continue;
                         }
-                        let off = flat.offset(|v| self.geti(v, lane));
+                        let off = flat.offset(uniform, &self.scratch.v, n, lane);
                         words.push(off);
                         self.scratch.f[d + lane] = self.scratch.shared[off];
                     }
@@ -1618,6 +1696,8 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
             } => {
                 self.run_prog(prog, mask);
                 self.run_fops(fops, mask);
+                let uniform = flat.fold_uniform(&self.scratch.s);
+                let src = self.fsrc(*src);
                 for warp in 0..n.div_ceil(32) {
                     let lanes = warp * 32..((warp + 1) * 32).min(n);
                     let mut words = std::mem::take(&mut self.scratch.words);
@@ -1626,9 +1706,9 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
                         if !mask[lane] {
                             continue;
                         }
-                        let off = flat.offset(|v| self.geti(v, lane));
+                        let off = flat.offset(uniform, &self.scratch.v, n, lane);
                         words.push(off);
-                        let v = self.getf(*src, lane);
+                        let v = src.at(&self.scratch.f, lane);
                         self.counters.flops += flops;
                         self.scratch.shared[off] = v;
                     }
@@ -1947,5 +2027,197 @@ mod tests {
             description: "minmax".into(),
         };
         assert_compiled_matches(&plan, &[Grid::random(&[32], 5)], 2);
+    }
+    /// Every [`Prog`] of `stmts`, nested arms and bodies included.
+    fn progs(stmts: &[BcStmt]) -> Vec<&Prog> {
+        let mut out = Vec::new();
+        for s in stmts {
+            match s {
+                BcStmt::SetVarS { prog, .. }
+                | BcStmt::SetVarV { prog }
+                | BcStmt::GlobalLoad { prog, .. }
+                | BcStmt::GlobalStore { prog, .. }
+                | BcStmt::SharedLoad { prog, .. }
+                | BcStmt::SharedStore { prog, .. } => out.push(prog),
+                BcStmt::For { prog, body, .. } => {
+                    out.push(prog);
+                    out.extend(progs(body));
+                }
+                BcStmt::IfUniform {
+                    prog, then_, else_, ..
+                }
+                | BcStmt::IfLane {
+                    prog, then_, else_, ..
+                } => {
+                    out.push(prog);
+                    out.extend(progs(then_));
+                    out.extend(progs(else_));
+                }
+                BcStmt::Compute { .. } | BcStmt::Sync => {}
+            }
+        }
+        out
+    }
+
+    /// A one-block, 32-thread plan over one 32-point field with two planes;
+    /// `body` leaves its result in registers 0 and 1, whose sum is stored.
+    fn one_block_plan(n_vars: usize, mut body: Vec<Stmt>) -> LaunchPlan {
+        body.push(Stmt::GlobalStore {
+            field: 0,
+            plane: IExpr::Const(1),
+            index: vec![IExpr::ThreadIdx(0)],
+            src: FExpr::Add(Box::new(FExpr::Reg(0)), Box::new(FExpr::Reg(1))),
+        });
+        LaunchPlan {
+            kernels: vec![Kernel {
+                name: "vn".into(),
+                block_dim: [32, 1, 1],
+                shared: vec![],
+                n_vars,
+                n_regs: 3,
+                n_params: 0,
+                body,
+            }],
+            launches: vec![Launch {
+                kernel: 0,
+                params: vec![],
+                blocks: 1,
+            }],
+            description: "value numbering".into(),
+        }
+    }
+
+    fn load(dst: usize, index: IExpr) -> Stmt {
+        Stmt::GlobalLoad {
+            dst,
+            field: 0,
+            plane: IExpr::Const(0),
+            index: vec![index],
+        }
+    }
+
+    /// Compiles `plan`'s kernel, checks the compiled run against the
+    /// interpreter, and returns how many ops satisfy `count`.
+    fn checked_op_count(plan: &LaunchPlan, count: impl Fn(&Prog) -> usize) -> usize {
+        let init = [Grid::random(&[32], 3)];
+        assert_compiled_matches(plan, &init, 2);
+        let bc = compile_kernel(&plan.kernels[0], &GlobalMem::new(&init, 2));
+        progs(&bc.body).into_iter().map(count).sum()
+    }
+
+    fn floor_divs(prog: &Prog) -> usize {
+        let is_div = |op: &&VOp| matches!(op, VOp::FloorDiv(..));
+        prog.vops.iter().filter(is_div).count()
+    }
+
+    #[test]
+    fn a_value_is_computed_once_until_its_var_is_reassigned() {
+        let half = || IExpr::Var(0).fdiv(2);
+        let set = |value: IExpr| Stmt::SetVar { var: 0, value };
+        let tx = IExpr::ThreadIdx(0);
+        // Two uses of `v0 / 2`, nothing in between: one op.
+        let reused = one_block_plan(1, vec![set(tx.clone()), load(0, half()), load(1, half())]);
+        assert_eq!(checked_op_count(&reused, floor_divs), 1);
+        // `v0` reassigned in between: the second use must not see the
+        // first one's value (the run would read the wrong cells).
+        let reassigned = one_block_plan(
+            1,
+            vec![
+                set(tx.clone()),
+                load(0, half()),
+                set(tx.offset(2)),
+                load(1, half()),
+            ],
+        );
+        assert_eq!(checked_op_count(&reassigned, floor_divs), 2);
+    }
+
+    #[test]
+    fn a_value_computed_inside_a_lane_arm_is_recomputed_after_it() {
+        let half = || IExpr::ThreadIdx(0).fdiv(2);
+        let plan = one_block_plan(
+            0,
+            vec![
+                Stmt::If {
+                    cond: Cond::Lt(IExpr::ThreadIdx(0), IExpr::Const(16)),
+                    then_: vec![load(0, half())],
+                    else_: vec![],
+                },
+                // Lanes 16.. never ran the arm's op.
+                load(1, half()),
+            ],
+        );
+        assert_eq!(checked_op_count(&plan, floor_divs), 2);
+    }
+
+    #[test]
+    fn a_loop_body_does_not_reuse_what_it_invalidates() {
+        // `v1 * 3` is computed before the loop and again inside it, where
+        // `v1` changes every iteration — after the in-loop use.
+        let index = || IExpr::Var(1).scale(3).add(IExpr::ThreadIdx(0)).modulo(32);
+        let plan = one_block_plan(
+            2,
+            vec![
+                Stmt::SetVar {
+                    var: 1,
+                    value: IExpr::Const(1),
+                },
+                load(0, index()),
+                Stmt::For {
+                    var: 0,
+                    lo: IExpr::Const(0),
+                    hi: IExpr::Const(3),
+                    step: 1,
+                    body: vec![
+                        load(2, index()),
+                        Stmt::Compute {
+                            dst: 1,
+                            expr: FExpr::Add(Box::new(FExpr::Reg(1)), Box::new(FExpr::Reg(2))),
+                        },
+                        Stmt::SetVar {
+                            var: 1,
+                            value: IExpr::Var(1).offset(1),
+                        },
+                    ],
+                },
+            ],
+        );
+        let muls = |prog: &Prog| {
+            let is_mul = |op: &&SOp| matches!(op, SOp::Mul(..));
+            prog.sops.iter().filter(is_mul).count()
+        };
+        assert_eq!(checked_op_count(&plan, muls), 2);
+    }
+
+    #[test]
+    fn jacobi_copy_in_shares_its_index_arithmetic() {
+        // The copy-in chunk loop sets a linear id and decomposes it into
+        // box coordinates; the guard, the global load and the shared store
+        // after it all need them. Lowered site by site those three were 27
+        // vector ops per iteration (19 + 5 + 3).
+        let program = stencil::gallery::jacobi2d();
+        let plan = gpu_codegen::generate_hybrid(
+            &program,
+            &hybrid_tiling::TileParams::new(3, &[5, 64]),
+            &[96, 96],
+            12,
+            gpu_codegen::CodegenOptions::best(),
+        )
+        .unwrap();
+        let init = [Grid::zeros(&[96, 96])];
+        let bc = compile_kernel(&plan.kernels[0], &GlobalMem::new(&init, 2));
+        fn chunk_loop(stmts: &[BcStmt]) -> Option<&[BcStmt]> {
+            stmts.iter().find_map(|s| match s {
+                BcStmt::For { body, .. } if matches!(body[0], BcStmt::SetVarV { .. }) => {
+                    Some(&body[..])
+                }
+                BcStmt::For { body, .. } => chunk_loop(body),
+                BcStmt::IfUniform { then_, .. } => chunk_loop(then_),
+                _ => None,
+            })
+        }
+        let body = chunk_loop(&bc.body).expect("a copy-in chunk loop");
+        let vops: usize = progs(&body[1..]).iter().map(|p| p.vops.len()).sum();
+        assert!((1..=14).contains(&vops), "{vops} vector ops per iteration");
     }
 }

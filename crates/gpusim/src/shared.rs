@@ -69,13 +69,29 @@ impl SharedMem {
 /// needs: the maximum, over the 32 banks, of the number of *distinct words*
 /// addressed in that bank. Identical words broadcast for free.
 pub fn bank_transactions(word_addrs: &[usize]) -> u64 {
-    // A warp has at most 32 lanes, so a quadratic first-occurrence scan
-    // over a stack array beats per-bank heap sets.
+    let lanes = word_addrs.len();
+    // A warp's worth of consecutive words: every lane has its own bank.
+    if lanes <= 32 && word_addrs.windows(2).all(|w| w[1] == w[0] + 1) {
+        return 1;
+    }
+    // Otherwise sort a copy (on the stack for a warp), so equal words are
+    // adjacent and each distinct word is counted once.
+    let (mut warp, mut heap) = ([0usize; 32], Vec::new());
+    let sorted = if lanes <= 32 {
+        warp[..lanes].copy_from_slice(word_addrs);
+        &mut warp[..lanes]
+    } else {
+        heap.extend_from_slice(word_addrs);
+        &mut heap[..]
+    };
+    sorted.sort_unstable();
     let mut distinct_per_bank = [0u64; 32];
-    for (i, &w) in word_addrs.iter().enumerate() {
-        // A repeated word broadcasts for free; count its first occurrence.
-        if !word_addrs[..i].contains(&w) {
+    let mut last = None;
+    for &w in sorted.iter() {
+        // A repeated word broadcasts for free.
+        if last != Some(w) {
             distinct_per_bank[w % 32] += 1;
+            last = Some(w);
         }
     }
     distinct_per_bank.iter().copied().max().unwrap_or(0).max(1)
@@ -102,6 +118,52 @@ pub fn charge_shared_store(counters: &mut Counters, word_addrs: &[usize]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The definition, as a quadratic first-occurrence scan: per bank, the
+    /// number of distinct words addressed in it; the maximum over banks.
+    fn bank_transactions_by_definition(word_addrs: &[usize]) -> u64 {
+        let mut distinct_per_bank = [0u64; 32];
+        for (i, &w) in word_addrs.iter().enumerate() {
+            if !word_addrs[..i].contains(&w) {
+                distinct_per_bank[w % 32] += 1;
+            }
+        }
+        distinct_per_bank.iter().copied().max().unwrap_or(0).max(1)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The interpreter and the compiled executor share
+        /// `bank_transactions`, so comparing them cannot catch an error in
+        /// it; this can. Warps of 1–32 lanes (and beyond), strided from a
+        /// random base, with some lanes redirected to other lanes' words
+        /// (duplicates) or to arbitrary words, then shuffled.
+        #[test]
+        fn bank_transactions_equals_the_definition(
+            lanes in 0usize..=40,
+            base in 0usize..4096,
+            stride in 0usize..6,
+            edits in prop::collection::vec((0usize..40, 0usize..40, 0usize..3, 0usize..8192), 0..12),
+            swaps in prop::collection::vec((0usize..40, 0usize..40), 0..24),
+        ) {
+            let stride = [0, 1, 2, 17, 32, 33][stride];
+            let mut addrs: Vec<usize> = (0..lanes).map(|l| base + l * stride).collect();
+            if lanes > 0 {
+                for (i, j, kind, word) in edits {
+                    addrs[i % lanes] = if kind == 0 { word } else { addrs[j % lanes] };
+                }
+                for (i, j) in swaps {
+                    addrs.swap(i % lanes, j % lanes);
+                }
+            }
+            prop_assert_eq!(
+                bank_transactions(&addrs),
+                bank_transactions_by_definition(&addrs)
+            );
+        }
+    }
 
     #[test]
     fn conflict_free_unit_stride() {

@@ -240,6 +240,37 @@ pub fn table3_stencils() -> Vec<StencilProgram> {
     ]
 }
 
+/// A program from a load table — the generator the workspace's property
+/// tests share. Statement `i` writes field `i` and sums its `(field, dt,
+/// offsets)` loads (the first `n` offsets count, field indices wrap at the
+/// statement count). A `dt` too small to be carried by the outer loop is
+/// raised to 1, which always is.
+pub fn from_loads(n: usize, loads: Vec<Vec<(usize, i64, Vec<i64>)>>) -> StencilProgram {
+    let k = loads.len();
+    let statements = loads
+        .into_iter()
+        .enumerate()
+        .map(|(i, accesses)| {
+            let terms = accesses
+                .into_iter()
+                .map(|(f, dt, offs)| {
+                    let f = f % k;
+                    let carried = k as i64 * dt + (i as i64 - f as i64) >= 1;
+                    StencilExpr::load(FieldId(f), if carried { dt } else { 1 }, &offs[..n])
+                })
+                .collect();
+            Statement {
+                name: format!("S{i}"),
+                writes: FieldId(i),
+                expr: StencilExpr::sum(terms),
+            }
+        })
+        .collect();
+    let fields: Vec<String> = (0..k).map(|f| format!("F{f}")).collect();
+    let names: Vec<&str> = fields.iter().map(String::as_str).collect();
+    StencilProgram::new("generated", n, &names, statements).expect("carried by construction")
+}
+
 /// Paper data size and step count for a gallery stencil.
 pub fn paper_workload(program: &StencilProgram) -> (Vec<usize>, usize) {
     match program.spatial_dims() {

@@ -8,7 +8,7 @@
 //! results must be identical, not merely close.
 
 use crate::grid::Grid;
-use crate::program::{Access, StencilProgram};
+use crate::program::StencilProgram;
 
 /// Sequential oracle executor holding the time-plane ring buffers.
 #[derive(Clone, Debug)]
@@ -79,12 +79,9 @@ impl ReferenceExecutor {
     }
 
     /// Runs a single outer-loop iteration (all statements, all interior
-    /// points).
+    /// points; none if the interior is empty in some dimension).
     pub fn step(&mut self) {
-        let program = self.program.clone();
-        let radius = program.radius();
-        let dims: Vec<usize> = self.planes[0][0].dims().to_vec();
-
+        self.steps_done += 1;
         // Rotate every field's ring: the new plane starts as a copy of the
         // previous one, so boundary cells persist.
         for ring in self.planes.iter_mut() {
@@ -93,39 +90,65 @@ impl ReferenceExecutor {
             ring[0] = newest;
         }
 
-        let spatial = program.spatial_dims();
-        let mut idx = vec![0i64; spatial];
+        let ReferenceExecutor {
+            program, planes, ..
+        } = self;
+        let radius = program.radius();
+        let dims = planes[0][0].dims().to_vec();
+        // Interior box: lo[d] <= idx[d] < hi[d].
+        let lo: Vec<usize> = radius.iter().map(|&r| r as usize).collect();
+        let hi: Vec<usize> = dims
+            .iter()
+            .zip(&lo)
+            .map(|(&n, &r)| n.saturating_sub(r))
+            .collect();
+        if lo.iter().zip(&hi).any(|(l, h)| l >= h) {
+            return;
+        }
+        let inner = dims.len() - 1;
+        let mut strides = vec![1usize; dims.len()];
+        for d in (0..inner).rev() {
+            strides[d] = strides[d + 1] * dims[d + 1];
+        }
+
         for st in program.statements() {
             let writes = st.writes.0;
-            // Iterate interior points: radius[d] <= idx[d] < dims[d]-radius[d].
-            idx[..spatial].copy_from_slice(&radius[..spatial]);
-            'points: loop {
-                let value = st.expr.eval(&mut |a: &Access| {
-                    let pos: Vec<i64> = idx.iter().zip(&a.offsets).map(|(&i, &o)| i + o).collect();
-                    // dt = 0 reads the in-progress plane (ring[0]); dt >= 1
-                    // reads `dt` planes back.
-                    self.planes[a.field.0][a.dt as usize].get(&pos)
-                });
-                self.planes[writes][0].set(&idx, value);
-
-                // Odometer over the interior box, innermost fastest.
-                let mut d = spatial;
-                loop {
-                    if d == 0 {
-                        break 'points;
-                    }
-                    d -= 1;
-                    let hi = dims[d] as i64 - radius[d] - 1;
-                    if idx[d] < hi {
-                        idx[d] += 1;
-                        idx[(d + 1)..spatial].copy_from_slice(&radius[(d + 1)..spatial]);
-                        break;
-                    }
-                    idx[d] = radius[d];
+            // Per load, in evaluation order: field, ring plane (dt = 0 reads
+            // the in-progress plane, dt >= 1 reads `dt` planes back) and the
+            // signed distance of the read from the written point.
+            let loads: Vec<(usize, usize, isize)> = st
+                .expr
+                .loads()
+                .iter()
+                .map(|a| {
+                    let delta = a
+                        .offsets
+                        .iter()
+                        .zip(&strides)
+                        .map(|(&o, &s)| o as isize * s as isize);
+                    (a.field.0, a.dt as usize, delta.sum())
+                })
+                .collect();
+            // Odometer over the outer dimensions; the innermost interior row
+            // is a run of consecutive flat offsets.
+            let mut idx = lo[..inner].to_vec();
+            loop {
+                let row: usize = idx.iter().zip(&strides).map(|(i, s)| i * s).sum();
+                for at in row + lo[inner]..row + hi[inner] {
+                    let mut next = loads.iter();
+                    let value = st.expr.eval(&mut |_| {
+                        let &(field, plane, delta) = next.next().expect("one entry per load");
+                        planes[field][plane].get_flat((at as isize + delta) as usize)
+                    });
+                    planes[writes][0].set_flat(at, value);
                 }
+                let Some(d) = (0..inner).rev().find(|&d| idx[d] + 1 < hi[d]) else {
+                    break;
+                };
+                idx[d] += 1;
+                idx[d + 1..].copy_from_slice(&lo[d + 1..inner]);
             }
         }
-        self.steps_done += 1;
     }
 
     /// Total stencil point-updates performed so far (for GStencils/s
@@ -146,6 +169,104 @@ impl ReferenceExecutor {
 mod tests {
     use super::*;
     use crate::gallery;
+    use crate::program::Access;
+    use proptest::prelude::*;
+
+    /// The per-point evaluator `step` replaced: an index vector per load,
+    /// `Grid::get`'s arity and per-dimension bounds checks per access, an
+    /// odometer over every dimension.
+    fn naive_step(program: &StencilProgram, planes: &mut [Vec<Grid>]) {
+        for ring in planes.iter_mut() {
+            let newest = ring[0].clone();
+            ring.rotate_right(1);
+            ring[0] = newest;
+        }
+        let radius = program.radius();
+        let dims = planes[0][0].dims().to_vec();
+        if dims
+            .iter()
+            .zip(&radius)
+            .any(|(&n, &r)| (n as i64) < 2 * r + 1)
+        {
+            return;
+        }
+        for st in program.statements() {
+            let mut idx = radius.clone();
+            loop {
+                let value = st.expr.eval(&mut |a: &Access| {
+                    let pos: Vec<i64> = idx.iter().zip(&a.offsets).map(|(&i, &o)| i + o).collect();
+                    planes[a.field.0][a.dt as usize].get(&pos)
+                });
+                planes[st.writes.0][0].set(&idx, value);
+                let inside = |d: usize| idx[d] < dims[d] as i64 - radius[d] - 1;
+                let Some(d) = (0..idx.len()).rev().find(|&d| inside(d)) else {
+                    break;
+                };
+                idx[d] += 1;
+                idx[d + 1..].copy_from_slice(&radius[d + 1..]);
+            }
+        }
+    }
+
+    /// Runs both evaluators side by side and compares every ring plane of
+    /// every field after every step.
+    fn assert_matches_naive(program: &StencilProgram, dims: &[usize], steps: usize) {
+        let mut ex = ReferenceExecutor::with_random_init(program, dims, 11);
+        let mut naive = ex.planes.clone();
+        for step in 0..steps {
+            ex.step();
+            naive_step(program, &mut naive);
+            for (f, (got, want)) in ex.planes.iter().zip(&naive).enumerate() {
+                for (p, (got, want)) in got.iter().zip(want).enumerate() {
+                    assert!(
+                        got.bit_equal(want),
+                        "{} {dims:?}: field {f} plane {p} differs after step {step}",
+                        program.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_walk_equals_the_per_point_evaluator_on_the_gallery() {
+        for p in gallery::table3_stencils() {
+            let dims: &[usize] = if p.spatial_dims() == 2 {
+                &[9, 12]
+            } else {
+                &[6, 7, 9]
+            };
+            assert_matches_naive(&p, dims, 3);
+        }
+        assert_matches_naive(&gallery::contrived1d(), &[19], 5);
+        // The smallest grid with an interior, and one without: no point is
+        // updated there, and every plane still rotates.
+        assert_matches_naive(&gallery::jacobi2d(), &[3, 3], 2);
+        assert_matches_naive(&gallery::jacobi2d(), &[7, 2], 2);
+        assert_matches_naive(&gallery::laplacian3d(), &[5, 2, 5], 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Generated programs: 1–3-D, asymmetric offsets up to ±3, dt up to
+        /// 2, 1–3 statements reading each other's fields.
+        #[test]
+        fn row_walk_equals_the_per_point_evaluator_on_generated_programs(
+            n in 1usize..=3,
+            loads in prop::collection::vec(
+                prop::collection::vec(
+                    (0usize..3, 0i64..=2, prop::collection::vec(-3i64..=3, 3)),
+                    1..5,
+                ),
+                1..4,
+            ),
+            extents in prop::collection::vec(5usize..=11, 3),
+        ) {
+            let program = gallery::from_loads(n, loads);
+            assert_matches_naive(&program, &extents[..n], 4);
+        }
+    }
 
     #[test]
     fn constant_field_is_fixed_point_of_jacobi() {
