@@ -1,14 +1,19 @@
 //! Criterion: raw simulator throughput on memory- and compute-heavy
 //! kernels — the production (compiled) executor beside the reference
 //! interpreter, with the stencil oracle for scale and the bank-conflict
-//! count both executors share.
+//! count both executors share — then the workload the driver runs: the
+//! static tuner's winning tiles on the scoring workloads, and the whole
+//! never-seen request around one of them.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gpu_codegen::{generate_hybrid, CodegenOptions, SmemStrategy};
 use gpusim::shared::bank_transactions;
 use gpusim::{DeviceConfig, GpuSim};
+use hybrid_bench::autotune::autotune_workload;
+use hybrid_bench::driver::{compile_source_with, DriverConfig};
 use hybrid_tiling::TileParams;
 use std::hint::black_box;
+use std::path::Path;
 use stencil::{gallery, Grid, ReferenceExecutor};
 
 fn bench(c: &mut Criterion) {
@@ -71,6 +76,64 @@ fn bench(c: &mut Criterion) {
             ex.field(0).get(&[1, 1, 1])
         })
     });
+
+    // What a served request simulates: the tiles `tune: static` picks
+    // (pinned by `driver::tests::static_winners_are_pinned`) on the scoring
+    // workloads — 64-lane blocks, nearly every statement partially masked.
+    for (program, h, w, name) in [
+        (
+            gallery::jacobi2d(),
+            3,
+            &[5, 64][..],
+            "jacobi2d_96x96x12_h3_w5x64",
+        ),
+        (
+            gallery::laplacian3d(),
+            2,
+            &[3, 8, 32][..],
+            "laplacian3d_20x20x36x6_h2_w3x8x32",
+        ),
+    ] {
+        let (dims, steps) = autotune_workload(&program);
+        let interior: usize = dims.iter().map(|d| d - 2).product();
+        g.throughput(Throughput::Elements((interior * steps) as u64));
+        let plan = generate_hybrid(
+            &program,
+            &TileParams::new(h, w),
+            &dims,
+            steps,
+            CodegenOptions::best(),
+        )
+        .unwrap();
+        let init = vec![Grid::random(&dims, 3)];
+        g.bench_function(format!("gpusim/{name}"), |b| {
+            b.iter(|| {
+                let mut sim = GpuSim::new(DeviceConfig::gtx470(), &init, 2);
+                sim.run_plan_compiled(&plan);
+                sim.counters().flops
+            })
+        });
+    }
+
+    // The whole never-seen request: parse, tune, generate, then simulate
+    // beside emit + oracle, compare. No cache of any kind.
+    let source = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/stencils/jacobi2d.stencil"),
+    )
+    .unwrap();
+    let cfg = DriverConfig {
+        cache_dir: None,
+        ..DriverConfig::new(std::env::temp_dir().join(format!("bench_cold_{}", std::process::id())))
+    };
+    g.throughput(Throughput::Elements(94 * 94 * 12));
+    g.bench_function("driver/cold_request_jacobi2d", |b| {
+        b.iter(|| {
+            let outcome =
+                compile_source_with("jacobi2d", &source, Path::new("<bench>"), &cfg, None);
+            outcome.unwrap().gstencils
+        })
+    });
+    let _ = std::fs::remove_dir_all(&cfg.out_dir);
 
     // One warp's shared-memory access, by address pattern.
     g.throughput(Throughput::Elements(32));

@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -336,6 +336,8 @@ pub struct CompileOutcome {
     pub warm_start: bool,
     /// True when the chosen plan's parameters came from a warm hint.
     pub warm_start_hit: bool,
+    /// Where this request's execution time went (all 0 on a memory hit).
+    pub stages: StageTimes,
     /// True if this request asked for verification (`cfg.verify`) and
     /// this plan passed the bit-exact check against the oracle **in this
     /// process** — during this compile, or, on a memory hit, during the
@@ -1648,6 +1650,9 @@ struct Job<'a> {
     cfg: &'a DriverConfig,
 }
 
+/// The source artifact's path and, if the backend has one, the secondary's.
+type Artifacts = (PathBuf, Option<PathBuf>);
+
 /// Where the artifacts of `job` live: `<out_dir>/<name>-<fp8>.<ext>` for
 /// the source and, if the backend has one, the secondary artifact. The
 /// fingerprint prefix makes the paths content-addressed, so concurrent
@@ -1655,7 +1660,7 @@ struct Job<'a> {
 /// land on distinct files — and a file this process finds there holds
 /// what [`emit_artifacts`] would write again (emission is deterministic
 /// per fingerprint), which is why a memory hit only probes `exists()`.
-fn artifact_paths(job: &Job<'_>) -> (PathBuf, Option<PathBuf>) {
+fn artifact_paths(job: &Job<'_>) -> Artifacts {
     let Job {
         program, cfg, fp, ..
     } = *job;
@@ -1676,7 +1681,7 @@ fn emit_artifacts(
     job: &Job<'_>,
     params: &TileParams,
     plan: &gpu_codegen::LaunchPlan,
-) -> Result<(PathBuf, Option<PathBuf>), DriverError> {
+) -> Result<Artifacts, DriverError> {
     let Job { program, cfg, .. } = *job;
     fs::create_dir_all(&cfg.out_dir)
         .map_err(|e| DriverError::Io(format!("{}: {e}", cfg.out_dir.display())))?;
@@ -1794,44 +1799,75 @@ fn resolve_plan(
     Ok((params, plan, stats, CacheSource::Fresh))
 }
 
-/// Executes `plan` on the simulator and, when `cfg.verify` is on, checks
-/// the result bit for bit against the sequential oracle. A fired
-/// deadline stops at either stage boundary rather than entering a long
-/// simulation or oracle run.
-fn execute(job: &Job<'_>, (plan, align): &AlignedPlan) -> Result<ExecRecord, DriverError> {
-    let Job {
-        program,
-        dims,
-        steps,
-        cfg,
-        ..
-    } = *job;
-    let name = program.name();
-    check_cancel(&cfg.cancel, name)?;
-    let init = random_init(program, dims, 1234);
-    let mut sim = loaded_sim(program, &cfg.device, &init, *align, steps);
-    // A schedule that violates concurrent-tile independence is a
-    // per-stencil verification failure, never a dead batch/service.
-    sim.try_run_plan_parallel_with(plan, cfg.sim_threads)
-        .map_err(|e| DriverError::Verify(format!("{name}: {e}")))?;
+/// Milliseconds (to the microsecond) of the stages an executed compile overlaps,
+/// each timed on its own lane. They describe a request, not a plan: 0 on a memory hit.
+#[derive(Clone, Copy, Default, Debug)]
+pub struct StageTimes {
+    /// The simulator run, including loading its memory.
+    pub simulate_ms: f64,
+    /// The sequential oracle (0 with `verify` off).
+    pub oracle_ms: f64,
+    /// Rendering and writing the artifacts.
+    pub emit_ms: f64,
+}
 
+/// Emits the artifacts of `plan`, executes it on the simulator and, when
+/// `cfg.verify` is on, checks the result bit for bit against the oracle —
+/// as two lanes: this thread simulates (the critical path) while a scoped
+/// side thread emits, then runs the oracle; only the comparison needs both.
+/// Failures keep the precedence of the stages run in sequence: emission, a
+/// deadline fired before simulating, the simulator, a deadline fired since
+/// (the oracle stops at its next step), a mismatch. Side-lane panics re-raise.
+fn execute(
+    job: &Job<'_>,
+    params: &TileParams,
+    (plan, align): &AlignedPlan,
+) -> Result<((ExecRecord, StageTimes), Artifacts), DriverError> {
+    let (program, steps, cfg) = (job.program, job.steps, job.cfg);
+    let (name, init) = (program.name(), random_init(program, job.dims, 1234));
+    let ms = |since: Instant| (since.elapsed().as_secs_f64() * 1e6).round() / 1e3;
+    let (side, simulated) = std::thread::scope(|scope| {
+        let side = scope.spawn(|| {
+            let (mut times, start) = (StageTimes::default(), Instant::now());
+            let artifacts = emit_artifacts(job, params, plan)?;
+            times.emit_ms = ms(start);
+            let oracle = cfg.verify.then(|| {
+                let (mut oracle, start) = (ReferenceExecutor::new(program, &init), Instant::now());
+                while oracle.steps_done() < steps && cfg.cancel.cancelled().is_none() {
+                    oracle.step();
+                }
+                times.oracle_ms = ms(start);
+                oracle
+            });
+            Ok::<_, DriverError>((artifacts, oracle, times))
+        });
+        let start = Instant::now();
+        let simulated = check_cancel(&cfg.cancel, name).and_then(|()| {
+            let mut sim = loaded_sim(program, &cfg.device, &init, *align, steps);
+            // A schedule that violates concurrent-tile independence is a
+            // per-stencil verification failure, never a dead batch/service.
+            sim.try_run_plan_parallel_with(plan, cfg.sim_threads)
+                .map_err(|e| DriverError::Verify(format!("{name}: {e}")))?;
+            Ok((sim, ms(start)))
+        });
+        (side.join(), simulated)
+    });
+    let (artifacts, oracle, mut times) = side.unwrap_or_else(|panic| resume_unwind(panic))?;
+    let (sim, simulate_ms) = simulated?;
+    times.simulate_ms = simulate_ms;
     check_cancel(&cfg.cancel, name)?;
-    if cfg.verify {
-        let mut oracle = ReferenceExecutor::new(program, &init);
-        oracle.run(steps);
-        let out = steps % (program.max_dt() as usize + 1);
-        for f in 0..program.num_fields() {
-            if !sim.plane(f, out).bit_equal(oracle.field(f)) {
-                return Err(DriverError::Verify(format!(
-                    "{name}: field {} diverged from the reference (max abs diff {:e})",
-                    program.field_names()[f],
-                    sim.plane(f, out).max_abs_diff(oracle.field(f))
-                )));
-            }
+    let out = steps % (program.max_dt() as usize + 1);
+    for f in 0..program.num_fields() {
+        let Some(oracle) = &oracle else { break };
+        if !sim.plane(f, out).bit_equal(oracle.field(f)) {
+            return Err(DriverError::Verify(format!(
+                "{name}: field {} diverged from the reference (max abs diff {:e})",
+                program.field_names()[f],
+                sim.plane(f, out).max_abs_diff(oracle.field(f))
+            )));
         }
     }
-
-    Ok(ExecRecord {
+    let record = ExecRecord {
         verified: cfg.verify,
         gstencils: timing::gstencils_per_s(sim.counters(), sim.device()),
         seconds: timing::estimate_time(sim.counters(), sim.device()).total,
@@ -1843,7 +1879,8 @@ fn execute(job: &Job<'_>, (plan, align): &AlignedPlan) -> Result<ExecRecord, Dri
             .map(|k| k.shared_bytes() as u64)
             .max()
             .unwrap_or(0),
-    })
+    };
+    Ok(((record, times), artifacts))
 }
 
 /// The one place a [`CompileOutcome`] is filled in, for hits and misses
@@ -1855,8 +1892,8 @@ fn outcome_from(
     params: TileParams,
     stats: TuneStats,
     cache: CacheSource,
-    record: ExecRecord,
-    (source_path, aux_path): (PathBuf, Option<PathBuf>),
+    (record, stages): (ExecRecord, StageTimes),
+    (source_path, aux_path): Artifacts,
 ) -> CompileOutcome {
     let Job {
         program,
@@ -1889,6 +1926,7 @@ fn outcome_from(
         tune_model_ms: stats.tune_model_ms,
         warm_start: stats.warm_start,
         warm_start_hit: stats.warm_start_hit,
+        stages,
         // A cached record may carry a verdict this request did not ask
         // for; `verified == cfg.verify` holds on every path.
         verified: record.verified && cfg.verify,
@@ -2029,7 +2067,7 @@ pub fn compile_source_with(
                     params,
                     TuneStats::default(),
                     CacheSource::Memory,
-                    record,
+                    (record, StageTimes::default()),
                     artifacts,
                 ));
             }
@@ -2049,15 +2087,14 @@ pub fn compile_source_with(
     // and wakes single-flight waiters to compile for themselves: nothing
     // is published until the plan executed (and verified).
     let (params, plan, stats, cache) = resolve_plan(&job, &storage_cone(&job)?, cached)?;
-    let artifacts = emit_artifacts(&job, &params, &plan.0)?;
-    let record = execute(&job, &plan)?;
+    let (ran, artifacts) = execute(&job, &params, &plan)?;
     if let Some(g) = guard {
-        g.fulfill(&text, &params, record);
+        g.fulfill(&text, &params, ran.0);
     } else if let (Some(mem), CacheSource::Memory) = (mem, cache) {
-        mem.upgrade(&fp, &device_fp, &text, record);
+        mem.upgrade(&fp, &device_fp, &text, ran.0);
     }
     Ok(outcome_from(
-        &job, label, params, stats, cache, record, artifacts,
+        &job, label, params, stats, cache, ran, artifacts,
     ))
 }
 
@@ -2207,6 +2244,9 @@ pub fn outcome_json(source: &str, result: &Result<CompileOutcome, DriverError>) 
             ("full_simulated", Json::UInt(o.full_simulated as u64)),
             ("tune_wall_ms", Json::UInt(o.tune_wall_ms)),
             ("tune_model_ms", Json::Num(o.tune_model_ms)),
+            ("simulate_ms", Json::Num(o.stages.simulate_ms)),
+            ("oracle_ms", Json::Num(o.stages.oracle_ms)),
+            ("emit_ms", Json::Num(o.stages.emit_ms)),
             ("warm_start", Json::Bool(o.warm_start)),
             ("warm_start_hit", Json::Bool(o.warm_start_hit)),
             ("h", Json::Int(o.params.h)),
@@ -2339,6 +2379,63 @@ for (t = 0; t < T; t++)
                 assert!(!name.contains(".tmp"), "{}: stray {name}", dir.display());
             }
         }
+    }
+
+    /// Runs `execute` on the JACOBI program at `(h, w) = (2, [3, 8])` under
+    /// `cfg`, with `fp` as the job's fingerprint.
+    fn execute_jacobi(
+        cfg: &DriverConfig,
+        fp: &str,
+    ) -> Result<((ExecRecord, StageTimes), Artifacts), DriverError> {
+        let program = parse_stencil("jacobi", JACOBI).unwrap();
+        let (text, (dims, steps)) = (program.to_c_like(), workload(&program, cfg));
+        let job = Job {
+            program: &program,
+            text: &text,
+            fp,
+            dims: &dims,
+            steps,
+            cfg,
+        };
+        let params = TileParams::new(2, &[3, 8]);
+        let plan = generate(&job, &storage_cone(&job).unwrap(), &params).unwrap();
+        execute(&job, &params, &plan)
+    }
+
+    #[test]
+    fn a_side_lane_panic_is_the_request_threads_panic() {
+        // Byte 8 of this fingerprint is inside its third character:
+        // `artifact_paths`, which only the side lane calls, panics slicing
+        // it, while the simulation next to it runs to completion.
+        let cfg = smoke_cfg(scratch("side_panic"));
+        let caught = catch_unwind(AssertUnwindSafe(|| execute_jacobi(&cfg, "€€€")));
+        let message = panic_message(caught.expect_err("the panic crosses the join"));
+        assert!(message.contains("char boundary"), "{message}");
+    }
+
+    #[test]
+    fn the_oracle_lane_stops_at_a_fired_token_and_nothing_is_verified() {
+        // A fired token: the side lane still emits — emission always ran
+        // before the first cancellation check — its oracle takes no step,
+        // and the request answers the typed error without simulating.
+        let cfg = smoke_cfg(scratch("fired"));
+        let fired = DriverConfig {
+            cancel: CancelToken::with_flag(Arc::new(AtomicBool::new(true))),
+            ..cfg.clone()
+        };
+        let start = Instant::now();
+        let err = execute_jacobi(&fired, "0123456789abcdef").unwrap_err();
+        assert!(matches!(err, DriverError::Cancelled(_)), "{err}");
+        let (fast, emitted) = (start.elapsed(), fs::read_dir(&cfg.out_dir).unwrap().count());
+        assert_eq!(emitted, 2, "the .cu and the .ptx");
+        // The same request with a live token does all three stages.
+        let start = Instant::now();
+        let ((record, times), _) = execute_jacobi(&cfg, "0123456789abcdef").unwrap();
+        assert!(record.verified && times.oracle_ms > 0.0 && times.simulate_ms > 0.0);
+        assert!(
+            fast < start.elapsed(),
+            "a cancelled execute ran as long as a whole one"
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@ use hybrid_bench::metrics::Id;
 /// The provenance fields a hit legitimately reports differently from the
 /// miss that published its entry — the same set the CI fleet-smoke job
 /// normalises.
-const PROVENANCE: [&str; 11] = [
+const PROVENANCE: [&str; 14] = [
     "cache_hit",
     "cache",
     "examined",
@@ -41,6 +41,9 @@ const PROVENANCE: [&str; 11] = [
     "full_simulated",
     "tune_wall_ms",
     "tune_model_ms",
+    "simulate_ms",
+    "oracle_ms",
+    "emit_ms",
     "warm_start",
     "warm_start_hit",
 ];
@@ -124,6 +127,13 @@ fn a_hit_reports_what_the_publishing_miss_reported() {
                 (0, 0, 0, 0.0),
                 "{what}"
             );
+            // ...and no stage time: the timers describe the request.
+            let stages = |o: &CompileOutcome| {
+                let t = o.stages;
+                [t.simulate_ms, t.oracle_ms, t.emit_ms]
+            };
+            assert_eq!(stages(&hit), [0.0; 3], "{what}");
+            assert!(stages(&miss).iter().all(|&ms| ms > 0.0), "{what}");
         }
         assert_eq!((mem.get(Id::MemMisses), mem.get(Id::MemHits)), (6, 6));
         assert_eq!(mem.get(Id::MemReexecuted), 0);

@@ -223,6 +223,9 @@ fn concurrent_clients_match_one_shot_reports_bit_exactly() {
                                 | "full_simulated"
                                 | "tune_wall_ms"
                                 | "tune_model_ms"
+                                | "simulate_ms"
+                                | "oracle_ms"
+                                | "emit_ms"
                                 | "warm_start"
                                 | "warm_start_hit"
                         )

@@ -23,9 +23,20 @@
 //!   (twice — once for the byte address, once for the data) per lane;
 //!   immediate and scalar dimensions are checked and folded once per
 //!   statement, only lane-dependent ones per lane;
-//! * per-warp address scratch, divergence masks, shared memory, and the
-//!   slot arrays live in a reusable [`ExecScratch`] pooled across blocks
-//!   and launches instead of being reallocated per block.
+//! * a divergence mask knows its own summary — active lanes, active
+//!   warps, the active bits of each warp — counted once where the mask is
+//!   made (block entry, the two arms of a lane `If`), so no statement
+//!   scans it; a temporary is computed for every lane, masked or not,
+//!   because nothing can observe its inactive lanes (one defining op, read
+//!   only in the defining scope, under that op's mask or a narrower one),
+//!   and only var and register writes select by lane;
+//! * a memory statement derives every lane's flat offset in one pass per
+//!   vector dimension, bounds-checked by a flag over the active lanes
+//!   (raised, it re-walks them in lane order for the interpreter's panic),
+//!   then walks each warp's active bits;
+//! * flat offsets, divergence masks, shared memory, and the slot arrays
+//!   live in a reusable [`ExecScratch`] pooled across blocks and launches
+//!   instead of being reallocated per block.
 //!
 //! # Op format
 //!
@@ -43,7 +54,8 @@
 //! * **vector** — lane-dependent: `ThreadIdx`, `f32` registers, and
 //!   anything derived from them. Vectors occupy `n_threads` consecutive
 //!   cells ([`Val::VSlot`]) and are computed by [`VOp`]s/[`FOp`]s that
-//!   loop over the active lanes of the current mask.
+//!   loop over the lanes — all of them into a temporary, the current
+//!   mask's active ones into a var or register.
 //!
 //! Slot layout: scalar slots are `[params.., block, scalar vars..,
 //! temps..]`; vector `i64` slots are `[tid.x, tid.y, tid.z, vector
@@ -68,6 +80,7 @@
 //! full or sampled — runs nothing else.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use gpu_codegen::ir::{Cond, FExpr, IExpr, Kernel, Stmt};
 
@@ -121,9 +134,10 @@ pub enum SOp {
     Not(u16, Val),
 }
 
-/// A vector integer op: evaluated for every active lane of the current
-/// mask into a vector slot. Operands may be scalar (resolved once before
-/// the lane loop) or vector.
+/// A vector integer op: evaluated per lane into a vector slot — for the
+/// current mask's active lanes into a var, for every lane into a
+/// temporary. Operands may be scalar (resolved once before the lane loop)
+/// or vector.
 #[derive(Clone, Debug)]
 pub enum VOp {
     /// `dst[l] = src` for active lanes (scalar/immediate broadcast or
@@ -166,7 +180,8 @@ pub enum FVal {
     Slot(u16),
 }
 
-/// A vector `f32` op: evaluated for every active lane.
+/// A vector `f32` op: evaluated for every active lane into a register,
+/// for every lane into a temporary.
 #[derive(Clone, Debug)]
 pub enum FOp {
     /// `dst[l] = src` (broadcast or copy).
@@ -187,7 +202,7 @@ pub enum FOp {
 pub struct Prog {
     /// Scalar ops, evaluated once per site execution.
     pub sops: Vec<SOp>,
-    /// Vector ops, evaluated per active lane.
+    /// Vector ops, evaluated per lane.
     pub vops: Vec<VOp>,
 }
 
@@ -243,13 +258,38 @@ impl FlatIndex {
 
     /// The flat offset of `lane`, from [`FlatIndex::fold_uniform`]'s
     /// `uniform` part and the vector slots `v` of `n` lanes each.
-    #[inline]
     fn offset(&self, uniform: i64, v: &[i64], n: usize, lane: usize) -> usize {
         self.lanes
             .iter()
             .fold(uniform, |off, &(slot, extent, stride, d)| {
                 off + stride * in_bounds(v[slot as usize * n + lane], extent, d)
             }) as usize
+    }
+
+    /// Every lane's flat offset, into `out`: one pass over all lanes per
+    /// vector dimension. Only the active lanes of `mask` are bounds-checked
+    /// — an inactive lane's offset is never used and may be anything — and
+    /// only by a flag; when it is raised the active lanes are re-walked in
+    /// order through [`FlatIndex::offset`], so the first offender panics
+    /// with the message it always has.
+    fn offsets(&self, s: &[i64], v: &[i64], mask: &Mask, out: &mut Vec<usize>) {
+        let n = mask.lanes.len();
+        let uniform = self.fold_uniform(s);
+        out.clear();
+        out.resize(n, uniform as usize);
+        let mut outside = false;
+        for &(slot, extent, stride, _) in &self.lanes {
+            let index = &v[slot as usize * n..][..n];
+            for ((off, &i), &m) in out.iter_mut().zip(index).zip(&mask.lanes) {
+                outside |= m & (i as u64 >= extent as u64);
+                *off = off.wrapping_add(stride.wrapping_mul(i) as usize);
+            }
+        }
+        if outside {
+            for lane in (0..n).filter(|&lane| mask.lanes[lane]) {
+                self.offset(uniform, v, n, lane);
+            }
+        }
     }
 }
 
@@ -333,7 +373,7 @@ pub enum BcStmt {
         plane: Val,
         /// Flat spatial address.
         flat: FlatIndex,
-        /// Value ops (evaluated per active lane before the warp loop).
+        /// Value ops (evaluated before the warp loop).
         fops: Vec<FOp>,
         /// Value operand.
         src: FVal,
@@ -424,10 +464,40 @@ struct Compiler<'a> {
     /// emitted at a site that reaches the one being compiled — it executes
     /// first whenever this one executes, under a mask at least as wide —
     /// and none of whose operand vars has been reassigned since.
-    values: HashMap<(Ibin, Val, Val), Val>,
+    values: HashMap<ValueKey, Val, BuildHasherDefault<OpHasher>>,
     /// The keys of `values` that die with their scope, in insertion order
     /// (see [`Compiler::scope`]).
-    scoped: Vec<(Ibin, Val, Val)>,
+    scoped: Vec<ValueKey>,
+    /// How often each scalar (`[0]`) and vector (`[1]`) var slot has been
+    /// reassigned so far; the temporaries past them never are. A key
+    /// carries its operands' counts, so reassigning a var strands every
+    /// value computed from it without visiting the table.
+    epochs: [Vec<u32>; 2],
+}
+
+/// `(op, a, b)` with the reassignment counts of `a` and `b` when the value
+/// was computed.
+type ValueKey = (Ibin, Val, Val, u32, u32);
+
+/// One multiply-rotate round per word under a fixed key. The tables it
+/// serves are keyed by the compiler's own operands, never by outside
+/// input, so SipHash's resistance to crafted collisions buys nothing.
+#[derive(Default)]
+struct OpHasher(u64);
+
+impl Hasher for OpHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let mixed = self.0.rotate_left(5) ^ u64::from_ne_bytes(word);
+            self.0 = mixed.wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
 }
 
 /// Decides which vars can live in scalar slots: every assignment must be
@@ -575,8 +645,9 @@ impl<'a> Compiler<'a> {
             preamble: Vec::new(),
             hoistable,
             shared_bases,
-            values: HashMap::new(),
+            values: HashMap::default(),
             scoped: Vec::new(),
+            epochs: [vec![0; n_sslots], vec![0; n_vslots]],
         }
     }
 
@@ -654,7 +725,13 @@ impl<'a> Compiler<'a> {
         if let (Val::SImm(x), Val::SImm(y)) = (a, b) {
             return Val::SImm(kind.fold(x, y));
         }
-        if let Some(&known) = self.values.get(&(kind, a, b)) {
+        let epoch = |v: Val| match v {
+            Val::SImm(_) => 0,
+            Val::SSlot(i) => *self.epochs[0].get(i as usize).unwrap_or(&0),
+            Val::VSlot(i) => *self.epochs[1].get(i as usize).unwrap_or(&0),
+        };
+        let key = (kind, a, b, epoch(a), epoch(b));
+        if let Some(&known) = self.values.get(&key) {
             return known;
         }
         let vector = matches!(a, Val::VSlot(_)) || matches!(b, Val::VSlot(_));
@@ -673,11 +750,11 @@ impl<'a> Compiler<'a> {
             ops.push(lower_op!(SOp, kind, dst, a, b));
             Val::SSlot(dst)
         };
-        self.values.insert((kind, a, b), out);
+        self.values.insert(key, out);
         // The preamble runs before everything and reads nothing that is
         // ever reassigned: a hoisted value belongs to no scope.
         if !hoisted {
-            self.scoped.push((kind, a, b));
+            self.scoped.push(key);
         }
         out
     }
@@ -696,12 +773,16 @@ impl<'a> Compiler<'a> {
     }
 
     /// Forgets every value number computed from one of `vars`, which are
-    /// about to be reassigned. (Values computed from *those* become
-    /// unreachable: their keys name temporaries no lookup returns any more.)
+    /// about to be reassigned: no later key carries their old counts.
+    /// (Values computed from *those* become unreachable too: their keys
+    /// name temporaries no lookup returns any more.)
     fn kill(&mut self, vars: &[usize]) {
-        let slots: Vec<Val> = vars.iter().map(|&v| self.var(v)).collect();
-        self.values
-            .retain(|(_, a, b), _| !slots.contains(a) && !slots.contains(b));
+        for &v in vars {
+            match self.vars[v] {
+                VarStorage::Scalar(i) => self.epochs[0][i as usize] += 1,
+                VarStorage::Vector(i) => self.epochs[1][i as usize] += 1,
+            }
+        }
     }
 
     /// Lowers a condition to a 0/1 operand. Both operands of `And`/`Or`
@@ -849,9 +930,12 @@ impl<'a> Compiler<'a> {
                     VarStorage::Vector(dst) => {
                         match (out, prog.vops.last_mut()) {
                             (Val::VSlot(s), Some(op)) if vop_dst(op) == s => {
-                                // The temporary is never written now.
+                                // The temporary is never written now. Its
+                                // op is the root of `value`, emitted last.
                                 retarget_v(op, dst);
-                                self.values.retain(|_, held| *held != out);
+                                let root = self.scoped.pop().expect("a vector op is scoped");
+                                let held = self.values.remove(&root);
+                                debug_assert_eq!(held, Some(out));
                             }
                             _ => prog.vops.push(VOp::Copy(dst, out)),
                         }
@@ -1110,8 +1194,49 @@ pub(crate) fn compile_kernel(kernel: &Kernel, mem: &GlobalMem) -> BcKernel {
 // Execution
 // ---------------------------------------------------------------------
 
+/// A divergence mask with what every statement asks of it — how many
+/// lanes and warps are active, and which lanes of each warp — counted once
+/// where the mask is made ([`Mask::seal`]) rather than once per statement.
+#[derive(Default, Debug)]
+struct Mask {
+    lanes: Vec<bool>,
+    /// The active lanes of each 32-lane warp, lane `l` of the warp at bit `l`.
+    warps: Vec<u32>,
+    /// Active lanes.
+    count: usize,
+    /// Warps with at least one active lane.
+    active_warps: u64,
+}
+
+impl Mask {
+    /// Derives the summary from `lanes`.
+    fn seal(&mut self) {
+        let pack = |warp: &[bool]| warp.iter().rev().fold(0, |bits, &m| bits << 1 | m as u32);
+        self.warps.clear();
+        self.warps.extend(self.lanes.chunks(32).map(pack));
+        self.count = self.warps.iter().map(|w| w.count_ones() as usize).sum();
+        self.active_warps = self.warps.iter().filter(|&&w| w != 0).count() as u64;
+    }
+
+    /// Every lane is active.
+    fn all(&self) -> bool {
+        self.count == self.lanes.len()
+    }
+
+    /// The lanes an op into slot `dst` must leave alone, if any: none under
+    /// a full mask, and none when `dst` is a temporary (slots from `temps`
+    /// on). A temporary has one defining op and is read only in the scope
+    /// that defines it, under that op's mask or a narrower one, so what its
+    /// inactive lanes hold is never observed; vars and registers outlive
+    /// the mask and keep their inactive lanes.
+    #[inline]
+    fn kept(&self, dst: u16, temps: usize) -> Option<&[bool]> {
+        (!self.all() && (dst as usize) < temps).then_some(&self.lanes[..])
+    }
+}
+
 /// Reusable per-worker execution state: slot arrays, shared memory, the
-/// per-block L1 slice, warp address scratch and a mask arena — all
+/// per-block L1 slice, the statement's flat offsets and a mask arena — all
 /// pooled across blocks and launches so the four hot statement handlers
 /// never allocate.
 #[derive(Default, Debug)]
@@ -1120,9 +1245,8 @@ pub struct ExecScratch {
     v: Vec<i64>,
     f: Vec<f32>,
     shared: Vec<f32>,
-    addrs: Vec<u64>,
     words: Vec<usize>,
-    masks: Vec<Vec<bool>>,
+    masks: Vec<Mask>,
     l1: Option<L2Cache>,
 }
 
@@ -1165,14 +1289,15 @@ impl ExecScratch {
         }
     }
 
-    fn take_mask(&mut self, n: usize) -> Vec<bool> {
+    /// An unsealed mask of `n` lanes, every one `active`.
+    fn take_mask(&mut self, n: usize, active: bool) -> Mask {
         let mut m = self.masks.pop().unwrap_or_default();
-        m.clear();
-        m.resize(n, false);
+        m.lanes.clear();
+        m.lanes.resize(n, active);
         m
     }
 
-    fn return_mask(&mut self, m: Vec<bool>) {
+    fn return_mask(&mut self, m: Mask) {
         self.masks.push(m);
     }
 }
@@ -1198,176 +1323,78 @@ fn exec_sop(op: &SOp, s: &mut [i64]) {
 }
 
 /// A vector-op operand resolved once per op (not once per lane): either a
-/// lane-invariant broadcast value or a base offset into the vector slot
-/// array.
+/// lane-invariant broadcast value or a base offset into the slot array
+/// (`i64` or `f32`) the op works on.
 #[derive(Clone, Copy)]
-enum VSrc {
-    Broadcast(i64),
+enum Src<T> {
+    Broadcast(T),
     Lanes(usize),
 }
 
-/// [`VSrc`] for `f32` operands.
-#[derive(Clone, Copy)]
-enum FSrc {
-    Broadcast(f32),
-    Lanes(usize),
-}
-
-impl VSrc {
-    /// The operand's value in `lane`, given the vector slot array.
+impl<T: Copy> Src<T> {
+    /// The operand's value in `lane`, given its slot array.
     #[inline]
-    fn at(self, v: &[i64], lane: usize) -> i64 {
+    fn at(self, slots: &[T], lane: usize) -> T {
         match self {
-            VSrc::Broadcast(x) => x,
-            VSrc::Lanes(base) => v[base + lane],
+            Src::Broadcast(x) => x,
+            Src::Lanes(base) => slots[base + lane],
         }
     }
 }
 
-impl FSrc {
-    /// The operand's value in `lane`, given the `f32` slot array.
-    #[inline]
-    fn at(self, f: &[f32], lane: usize) -> f32 {
-        match self {
-            FSrc::Broadcast(x) => x,
-            FSrc::Lanes(base) => f[base + lane],
-        }
-    }
-}
-
-/// Applies `f` to operand `a` across the active lanes, writing slot range
-/// `d..d + n`. `mask: None` means every lane is active — the common
-/// non-divergent case — and skips the per-lane mask test.
+/// Applies `f` to operand `a` lane by lane, writing slots `d..d + n`.
+/// `mask: None` writes every lane; under `Some(mask)` an inactive lane
+/// keeps its value — a select per lane, not a branch.
 #[inline]
-fn vmap1(
-    v: &mut [i64],
+fn map1<T: Copy>(
+    slots: &mut [T],
     d: usize,
     n: usize,
     mask: Option<&[bool]>,
-    a: VSrc,
-    f: impl Fn(i64) -> i64,
+    a: Src<T>,
+    f: impl Fn(T) -> T,
 ) {
     match (a, mask) {
-        (VSrc::Broadcast(x), None) => v[d..d + n].fill(f(x)),
-        (VSrc::Broadcast(x), Some(mask)) => {
-            let r = f(x);
-            for (lane, &m) in mask.iter().enumerate() {
-                if m {
-                    v[d + lane] = r;
-                }
-            }
-        }
-        (VSrc::Lanes(ab), None) => {
+        (Src::Broadcast(x), None) => slots[d..d + n].fill(f(x)),
+        (a, None) => {
             for lane in 0..n {
-                v[d + lane] = f(v[ab + lane]);
+                slots[d + lane] = f(a.at(slots, lane));
             }
         }
-        (VSrc::Lanes(ab), Some(mask)) => {
+        (a, Some(mask)) => {
             for (lane, &m) in mask.iter().enumerate() {
-                if m {
-                    v[d + lane] = f(v[ab + lane]);
-                }
+                let r = f(a.at(slots, lane));
+                slots[d + lane] = if m { r } else { slots[d + lane] };
             }
         }
     }
 }
 
-/// Binary [`vmap1`].
+/// Binary [`map1`].
 #[inline]
-fn vmap2(
-    v: &mut [i64],
+fn map2<T: Copy>(
+    slots: &mut [T],
     d: usize,
     n: usize,
     mask: Option<&[bool]>,
-    a: VSrc,
-    b: VSrc,
-    f: impl Fn(i64, i64) -> i64,
+    a: Src<T>,
+    b: Src<T>,
+    f: impl Fn(T, T) -> T,
 ) {
-    match (a, b) {
-        (VSrc::Broadcast(x), b) => vmap1(v, d, n, mask, b, |y| f(x, y)),
-        (VSrc::Lanes(ab), VSrc::Broadcast(y)) => vmap1(v, d, n, mask, VSrc::Lanes(ab), |x| f(x, y)),
-        (VSrc::Lanes(ab), VSrc::Lanes(bb)) => match mask {
-            None => {
-                for lane in 0..n {
-                    v[d + lane] = f(v[ab + lane], v[bb + lane]);
-                }
-            }
-            Some(mask) => {
-                for (lane, &m) in mask.iter().enumerate() {
-                    if m {
-                        v[d + lane] = f(v[ab + lane], v[bb + lane]);
-                    }
-                }
-            }
-        },
-    }
-}
-
-/// [`vmap1`] over the `f32` slot array.
-#[inline]
-fn fmap1(
-    f32s: &mut [f32],
-    d: usize,
-    n: usize,
-    mask: Option<&[bool]>,
-    a: FSrc,
-    f: impl Fn(f32) -> f32,
-) {
-    match (a, mask) {
-        (FSrc::Broadcast(x), None) => f32s[d..d + n].fill(f(x)),
-        (FSrc::Broadcast(x), Some(mask)) => {
-            let r = f(x);
-            for (lane, &m) in mask.iter().enumerate() {
-                if m {
-                    f32s[d + lane] = r;
-                }
-            }
-        }
-        (FSrc::Lanes(ab), None) => {
+    match (a, b, mask) {
+        (Src::Broadcast(x), b, _) => map1(slots, d, n, mask, b, |y| f(x, y)),
+        (a, Src::Broadcast(y), _) => map1(slots, d, n, mask, a, |x| f(x, y)),
+        (Src::Lanes(ab), Src::Lanes(bb), None) => {
             for lane in 0..n {
-                f32s[d + lane] = f(f32s[ab + lane]);
+                slots[d + lane] = f(slots[ab + lane], slots[bb + lane]);
             }
         }
-        (FSrc::Lanes(ab), Some(mask)) => {
+        (Src::Lanes(ab), Src::Lanes(bb), Some(mask)) => {
             for (lane, &m) in mask.iter().enumerate() {
-                if m {
-                    f32s[d + lane] = f(f32s[ab + lane]);
-                }
+                let r = f(slots[ab + lane], slots[bb + lane]);
+                slots[d + lane] = if m { r } else { slots[d + lane] };
             }
         }
-    }
-}
-
-/// Binary [`fmap1`].
-#[inline]
-fn fmap2(
-    f32s: &mut [f32],
-    d: usize,
-    n: usize,
-    mask: Option<&[bool]>,
-    a: FSrc,
-    b: FSrc,
-    f: impl Fn(f32, f32) -> f32,
-) {
-    match (a, b) {
-        (FSrc::Broadcast(x), b) => fmap1(f32s, d, n, mask, b, |y| f(x, y)),
-        (FSrc::Lanes(ab), FSrc::Broadcast(y)) => {
-            fmap1(f32s, d, n, mask, FSrc::Lanes(ab), |x| f(x, y))
-        }
-        (FSrc::Lanes(ab), FSrc::Lanes(bb)) => match mask {
-            None => {
-                for lane in 0..n {
-                    f32s[d + lane] = f(f32s[ab + lane], f32s[bb + lane]);
-                }
-            }
-            Some(mask) => {
-                for (lane, &m) in mask.iter().enumerate() {
-                    if m {
-                        f32s[d + lane] = f(f32s[ab + lane], f32s[bb + lane]);
-                    }
-                }
-            }
-        },
     }
 }
 
@@ -1376,6 +1403,15 @@ struct CompiledExec<'a, B: GlobalBackend> {
     glob: &'a mut B,
     counters: &'a mut Counters,
     scratch: &'a mut ExecScratch,
+}
+
+/// The set bits of `bits`, ascending.
+fn set_bits(mut bits: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let lane = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+        bits &= bits - 1;
+        Some(lane)
+    })
 }
 
 impl<B: GlobalBackend> CompiledExec<'_, B> {
@@ -1388,7 +1424,7 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
         }
     }
 
-    fn run_prog(&mut self, prog: &Prog, mask: &[bool]) {
+    fn run_prog(&mut self, prog: &Prog, mask: &Mask) {
         for op in &prog.sops {
             exec_sop(op, &mut self.scratch.s);
         }
@@ -1398,115 +1434,104 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
     /// Resolves a vector-op operand once, hoisting the per-lane `match`
     /// out of the lane loops.
     #[inline]
-    fn vsrc(&self, v: Val) -> VSrc {
+    fn vsrc(&self, v: Val) -> Src<i64> {
         match v {
-            Val::SImm(c) => VSrc::Broadcast(c),
-            Val::SSlot(i) => VSrc::Broadcast(self.scratch.s[i as usize]),
-            Val::VSlot(i) => VSrc::Lanes(i as usize * self.bc.n_threads),
+            Val::SImm(c) => Src::Broadcast(c),
+            Val::SSlot(i) => Src::Broadcast(self.scratch.s[i as usize]),
+            Val::VSlot(i) => Src::Lanes(i as usize * self.bc.n_threads),
         }
     }
 
     /// [`CompiledExec::vsrc`] for `f32` operands.
     #[inline]
-    fn fsrc(&self, v: FVal) -> FSrc {
+    fn fsrc(&self, v: FVal) -> Src<f32> {
         match v {
-            FVal::Imm(c) => FSrc::Broadcast(c),
-            FVal::Slot(i) => FSrc::Lanes(i as usize * self.bc.n_threads),
+            FVal::Imm(c) => Src::Broadcast(c),
+            FVal::Slot(i) => Src::Lanes(i as usize * self.bc.n_threads),
         }
     }
 
-    fn run_vops(&mut self, vops: &[VOp], mask: &[bool]) {
+    fn run_vops(&mut self, vops: &[VOp], mask: &Mask) {
         let n = self.bc.n_threads;
-        let mask = if mask.iter().all(|&m| m) {
-            None
-        } else {
-            Some(mask)
-        };
         for op in vops {
+            let d = vop_dst(op);
+            let kept = mask.kept(d, self.bc.vector_var_slots.end);
             macro_rules! vbin {
-                ($d:expr, $a:expr, $b:expr, $f:expr) => {{
-                    let a = self.vsrc(*$a);
-                    let b = self.vsrc(*$b);
-                    vmap2(&mut self.scratch.v, *$d as usize * n, n, mask, a, b, $f);
+                ($a:expr, $b:expr, $f:expr) => {{
+                    let (a, b) = (self.vsrc(*$a), self.vsrc(*$b));
+                    map2(&mut self.scratch.v, d as usize * n, n, kept, a, b, $f);
                 }};
             }
             macro_rules! vun {
-                ($d:expr, $a:expr, $f:expr) => {{
+                ($a:expr, $f:expr) => {{
                     let a = self.vsrc(*$a);
-                    vmap1(&mut self.scratch.v, *$d as usize * n, n, mask, a, $f);
+                    map1(&mut self.scratch.v, d as usize * n, n, kept, a, $f);
                 }};
             }
             match op {
-                VOp::Copy(d, a) => vun!(d, a, |x: i64| x),
-                VOp::Add(d, a, b) => vbin!(d, a, b, |x: i64, y: i64| x + y),
-                VOp::Sub(d, a, b) => vbin!(d, a, b, |x: i64, y: i64| x - y),
-                VOp::Mul(d, a, b) => vbin!(d, a, b, |x: i64, y: i64| x * y),
-                VOp::Min(d, a, b) => vbin!(d, a, b, |x: i64, y: i64| x.min(y)),
-                VOp::Max(d, a, b) => vbin!(d, a, b, |x: i64, y: i64| x.max(y)),
-                VOp::Le(d, a, b) => vbin!(d, a, b, |x: i64, y: i64| (x <= y) as i64),
-                VOp::Lt(d, a, b) => vbin!(d, a, b, |x: i64, y: i64| (x < y) as i64),
-                VOp::Eq(d, a, b) => vbin!(d, a, b, |x: i64, y: i64| (x == y) as i64),
-                VOp::And(d, a, b) => vbin!(d, a, b, |x: i64, y: i64| x & y),
-                VOp::Or(d, a, b) => vbin!(d, a, b, |x: i64, y: i64| x | y),
-                VOp::FloorDiv(d, a, k) => {
+                VOp::Copy(_, a) => vun!(a, |x: i64| x),
+                VOp::Add(_, a, b) => vbin!(a, b, |x: i64, y: i64| x + y),
+                VOp::Sub(_, a, b) => vbin!(a, b, |x: i64, y: i64| x - y),
+                VOp::Mul(_, a, b) => vbin!(a, b, |x: i64, y: i64| x * y),
+                VOp::Min(_, a, b) => vbin!(a, b, |x: i64, y: i64| x.min(y)),
+                VOp::Max(_, a, b) => vbin!(a, b, |x: i64, y: i64| x.max(y)),
+                VOp::Le(_, a, b) => vbin!(a, b, |x: i64, y: i64| (x <= y) as i64),
+                VOp::Lt(_, a, b) => vbin!(a, b, |x: i64, y: i64| (x < y) as i64),
+                VOp::Eq(_, a, b) => vbin!(a, b, |x: i64, y: i64| (x == y) as i64),
+                VOp::And(_, a, b) => vbin!(a, b, |x: i64, y: i64| x & y),
+                VOp::Or(_, a, b) => vbin!(a, b, |x: i64, y: i64| x | y),
+                VOp::FloorDiv(_, a, k) => {
                     let k = *k;
-                    vun!(d, a, move |x: i64| x.div_euclid(k))
+                    vun!(a, move |x: i64| x.div_euclid(k))
                 }
-                VOp::Mod(d, a, k) => {
+                VOp::Mod(_, a, k) => {
                     let k = *k;
-                    vun!(d, a, move |x: i64| x.rem_euclid(k))
+                    vun!(a, move |x: i64| x.rem_euclid(k))
                 }
-                VOp::Not(d, a) => vun!(d, a, |x: i64| 1 - x),
+                VOp::Not(_, a) => vun!(a, |x: i64| 1 - x),
             }
         }
     }
 
-    fn run_fops(&mut self, fops: &[FOp], mask: &[bool]) {
+    fn run_fops(&mut self, fops: &[FOp], mask: &Mask) {
         let n = self.bc.n_threads;
-        let mask = if mask.iter().all(|&m| m) {
-            None
-        } else {
-            Some(mask)
-        };
         for op in fops {
+            let d = op_dst(op);
+            let kept = mask.kept(d, self.bc.n_regs);
             macro_rules! fbin {
-                ($d:expr, $a:expr, $b:expr, $f:expr) => {{
+                ($a:expr, $b:expr, $f:expr) => {{
+                    let (a, b) = (self.fsrc(*$a), self.fsrc(*$b));
+                    map2(&mut self.scratch.f, d as usize * n, n, kept, a, b, $f);
+                }};
+            }
+            macro_rules! fun {
+                ($a:expr, $f:expr) => {{
                     let a = self.fsrc(*$a);
-                    let b = self.fsrc(*$b);
-                    fmap2(&mut self.scratch.f, *$d as usize * n, n, mask, a, b, $f);
+                    map1(&mut self.scratch.f, d as usize * n, n, kept, a, $f);
                 }};
             }
             match op {
-                FOp::Copy(d, a) => {
-                    let a = self.fsrc(*a);
-                    fmap1(&mut self.scratch.f, *d as usize * n, n, mask, a, |x: f32| x);
-                }
-                FOp::Add(d, a, b) => fbin!(d, a, b, |x: f32, y: f32| x + y),
-                FOp::Sub(d, a, b) => fbin!(d, a, b, |x: f32, y: f32| x - y),
-                FOp::Mul(d, a, b) => fbin!(d, a, b, |x: f32, y: f32| x * y),
-                FOp::Sqrt(d, a) => {
-                    let a = self.fsrc(*a);
-                    fmap1(&mut self.scratch.f, *d as usize * n, n, mask, a, f32::sqrt);
-                }
+                FOp::Copy(_, a) => fun!(a, |x: f32| x),
+                FOp::Add(_, a, b) => fbin!(a, b, |x: f32, y: f32| x + y),
+                FOp::Sub(_, a, b) => fbin!(a, b, |x: f32, y: f32| x - y),
+                FOp::Mul(_, a, b) => fbin!(a, b, |x: f32, y: f32| x * y),
+                FOp::Sqrt(_, a) => fun!(a, f32::sqrt),
             }
         }
     }
 
-    fn active_warps(mask: &[bool]) -> u64 {
-        mask.chunks(32).filter(|w| w.iter().any(|&m| m)).count() as u64
-    }
-
-    fn run(&mut self, stmts: &[BcStmt], mask: &[bool]) {
+    fn run(&mut self, stmts: &[BcStmt], mask: &Mask) {
+        if mask.count == 0 {
+            return;
+        }
         for s in stmts {
             self.exec(s, mask);
         }
     }
 
-    fn exec(&mut self, stmt: &BcStmt, mask: &[bool]) {
-        if !mask.iter().any(|&m| m) {
-            return;
-        }
-        self.counters.warp_instructions += Self::active_warps(mask);
+    /// Executes `stmt` under `mask`, which has an active lane.
+    fn exec(&mut self, stmt: &BcStmt, mask: &Mask) {
+        self.counters.warp_instructions += mask.active_warps;
         let n = self.bc.n_threads;
         match stmt {
             BcStmt::SetVarS { prog, value, dst } => {
@@ -1526,14 +1551,13 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
             } => {
                 assert!(*step > 0, "loop step must be positive");
                 self.run_prog(prog, mask);
-                let first = mask.iter().position(|&m| m).expect("non-empty mask");
+                let first = mask.lanes.iter().position(|&m| m).expect("non-empty mask");
                 let lo_v = self.geti(*lo, first);
                 let hi_v = self.geti(*hi, first);
                 debug_assert!(
-                    mask.iter()
-                        .enumerate()
-                        .filter(|&(_, &m)| m)
-                        .all(|(l, _)| self.geti(*lo, l) == lo_v && self.geti(*hi, l) == hi_v),
+                    (0..n)
+                        .filter(|&l| mask.lanes[l])
+                        .all(|l| self.geti(*lo, l) == lo_v && self.geti(*hi, l) == hi_v),
                     "loop bounds must be uniform across active lanes"
                 );
                 let mut v = lo_v;
@@ -1541,12 +1565,9 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
                     match *var {
                         Val::SSlot(s) => self.scratch.s[s as usize] = v,
                         Val::VSlot(s) => {
+                            let kept = mask.kept(s, self.bc.vector_var_slots.end);
                             let d = s as usize * n;
-                            for (lane, &m) in mask.iter().enumerate() {
-                                if m {
-                                    self.scratch.v[d + lane] = v;
-                                }
-                            }
+                            map1(&mut self.scratch.v, d, n, kept, Src::Broadcast(v), |x| x);
                         }
                         Val::SImm(_) => unreachable!("loop var is a slot"),
                     }
@@ -1563,7 +1584,7 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
                 self.run_prog(prog, mask);
                 if self.geti(*cond, 0) != 0 {
                     self.run(then_, mask);
-                } else if !else_.is_empty() {
+                } else {
                     self.run(else_, mask);
                 }
             }
@@ -1574,34 +1595,25 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
                 else_,
             } => {
                 self.run_prog(prog, mask);
-                let mut tmask = self.scratch.take_mask(n);
-                let mut emask = self.scratch.take_mask(n);
+                let mut tmask = self.scratch.take_mask(n, false);
+                let mut emask = self.scratch.take_mask(n, false);
                 let c = match *cond {
                     Val::VSlot(s) => s as usize * n,
                     _ => unreachable!("lane If has a vector condition"),
                 };
-                for (lane, &m) in mask.iter().enumerate() {
-                    if m {
-                        if self.scratch.v[c + lane] != 0 {
-                            tmask[lane] = true;
-                        } else {
-                            emask[lane] = true;
-                        }
-                    }
+                for (lane, &m) in mask.lanes.iter().enumerate() {
+                    let taken = self.scratch.v[c + lane] != 0;
+                    tmask.lanes[lane] = m & taken;
+                    emask.lanes[lane] = m & !taken;
                 }
+                tmask.seal();
+                emask.seal();
                 // Divergence: warps where both sub-masks are non-empty.
-                for w in 0..mask.len().div_ceil(32) {
-                    let r = w * 32..((w + 1) * 32).min(mask.len());
-                    let t = tmask[r.clone()].iter().any(|&m| m);
-                    let e = emask[r].iter().any(|&m| m);
-                    if t && e {
-                        self.counters.divergent_branches += 1;
-                    }
-                }
+                let both = |(&t, &e): &(&u32, &u32)| t != 0 && e != 0;
+                self.counters.divergent_branches +=
+                    tmask.warps.iter().zip(&emask.warps).filter(both).count() as u64;
                 self.run(then_, &tmask);
-                if !else_.is_empty() {
-                    self.run(else_, &emask);
-                }
+                self.run(else_, &emask);
                 self.scratch.return_mask(tmask);
                 self.scratch.return_mask(emask);
             }
@@ -1615,24 +1627,21 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
                 self.run_prog(prog, mask);
                 let field = *field as usize;
                 let d = *dst as usize * n;
-                let (plane, uniform) = (self.vsrc(*plane), flat.fold_uniform(&self.scratch.s));
-                for warp in 0..n.div_ceil(32) {
-                    let lanes = warp * 32..((warp + 1) * 32).min(n);
-                    let mut addrs = std::mem::take(&mut self.scratch.addrs);
-                    addrs.clear();
-                    for lane in lanes {
-                        if !mask[lane] {
-                            continue;
-                        }
+                let plane = self.vsrc(*plane);
+                let mut words = std::mem::take(&mut self.scratch.words);
+                flat.offsets(&self.scratch.s, &self.scratch.v, mask, &mut words);
+                for (warp, &bits) in mask.warps.iter().enumerate() {
+                    let (mut addrs, mut active) = ([0; 32], 0);
+                    for lane in set_bits(bits).map(|l| warp * 32 + l) {
                         let pl = plane.at(&self.scratch.v, lane) as usize;
-                        let off = flat.offset(uniform, &self.scratch.v, n, lane);
-                        addrs.push(self.glob.byte_address_flat(field, pl, off));
-                        self.scratch.f[d + lane] = self.glob.read_flat(field, pl, off);
+                        addrs[active] = self.glob.byte_address_flat(field, pl, words[lane]);
+                        active += 1;
+                        self.scratch.f[d + lane] = self.glob.read_flat(field, pl, words[lane]);
                     }
                     let l1 = self.scratch.l1.as_mut().expect("bound scratch has an L1");
-                    self.glob.charge_load(self.counters, l1, &addrs);
-                    self.scratch.addrs = addrs;
+                    self.glob.charge_load(self.counters, l1, &addrs[..active]);
                 }
+                self.scratch.words = words;
             }
             BcStmt::GlobalStore {
                 prog,
@@ -1646,46 +1655,40 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
                 self.run_prog(prog, mask);
                 self.run_fops(fops, mask);
                 let field = *field as usize;
-                let (plane, uniform) = (self.vsrc(*plane), flat.fold_uniform(&self.scratch.s));
-                let src = self.fsrc(*src);
-                for warp in 0..n.div_ceil(32) {
-                    let lanes = warp * 32..((warp + 1) * 32).min(n);
-                    let mut addrs = std::mem::take(&mut self.scratch.addrs);
-                    addrs.clear();
-                    for lane in lanes {
-                        if !mask[lane] {
-                            continue;
-                        }
+                let (plane, src) = (self.vsrc(*plane), self.fsrc(*src));
+                let mut words = std::mem::take(&mut self.scratch.words);
+                flat.offsets(&self.scratch.s, &self.scratch.v, mask, &mut words);
+                for (warp, &bits) in mask.warps.iter().enumerate() {
+                    let (mut addrs, mut active) = ([0; 32], 0);
+                    for lane in set_bits(bits).map(|l| warp * 32 + l) {
                         let pl = plane.at(&self.scratch.v, lane) as usize;
-                        let off = flat.offset(uniform, &self.scratch.v, n, lane);
-                        addrs.push(self.glob.byte_address_flat(field, pl, off));
+                        addrs[active] = self.glob.byte_address_flat(field, pl, words[lane]);
+                        active += 1;
                         let v = src.at(&self.scratch.f, lane);
-                        self.counters.flops += flops;
-                        self.glob.write_flat(field, pl, off, v);
+                        self.glob.write_flat(field, pl, words[lane], v);
                     }
-                    self.glob.charge_store(self.counters, &addrs);
-                    self.scratch.addrs = addrs;
+                    self.glob.charge_store(self.counters, &addrs[..active]);
                 }
+                self.counters.flops += flops * mask.count as u64;
+                self.scratch.words = words;
             }
             BcStmt::SharedLoad { prog, dst, flat } => {
                 self.run_prog(prog, mask);
                 let d = *dst as usize * n;
-                let uniform = flat.fold_uniform(&self.scratch.s);
-                for warp in 0..n.div_ceil(32) {
-                    let lanes = warp * 32..((warp + 1) * 32).min(n);
-                    let mut words = std::mem::take(&mut self.scratch.words);
-                    words.clear();
-                    for lane in lanes {
-                        if !mask[lane] {
-                            continue;
-                        }
-                        let off = flat.offset(uniform, &self.scratch.v, n, lane);
-                        words.push(off);
-                        self.scratch.f[d + lane] = self.scratch.shared[off];
+                let mut words = std::mem::take(&mut self.scratch.words);
+                flat.offsets(&self.scratch.s, &self.scratch.v, mask, &mut words);
+                for (warp, &bits) in mask.warps.iter().enumerate() {
+                    // The warp's active offsets, packed to the front of its
+                    // own 32 (all of them, in place, under a full warp).
+                    let (base, mut active) = (warp * 32, 0);
+                    for lane in set_bits(bits).map(|l| base + l) {
+                        self.scratch.f[d + lane] = self.scratch.shared[words[lane]];
+                        words[base + active] = words[lane];
+                        active += 1;
                     }
-                    charge_shared_load(self.counters, &words);
-                    self.scratch.words = words;
+                    charge_shared_load(self.counters, &words[base..base + active]);
                 }
+                self.scratch.words = words;
             }
             BcStmt::SharedStore {
                 prog,
@@ -1696,29 +1699,24 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
             } => {
                 self.run_prog(prog, mask);
                 self.run_fops(fops, mask);
-                let uniform = flat.fold_uniform(&self.scratch.s);
                 let src = self.fsrc(*src);
-                for warp in 0..n.div_ceil(32) {
-                    let lanes = warp * 32..((warp + 1) * 32).min(n);
-                    let mut words = std::mem::take(&mut self.scratch.words);
-                    words.clear();
-                    for lane in lanes {
-                        if !mask[lane] {
-                            continue;
-                        }
-                        let off = flat.offset(uniform, &self.scratch.v, n, lane);
-                        words.push(off);
-                        let v = src.at(&self.scratch.f, lane);
-                        self.counters.flops += flops;
-                        self.scratch.shared[off] = v;
+                let mut words = std::mem::take(&mut self.scratch.words);
+                flat.offsets(&self.scratch.s, &self.scratch.v, mask, &mut words);
+                for (warp, &bits) in mask.warps.iter().enumerate() {
+                    let (base, mut active) = (warp * 32, 0);
+                    for lane in set_bits(bits).map(|l| base + l) {
+                        self.scratch.shared[words[lane]] = src.at(&self.scratch.f, lane);
+                        words[base + active] = words[lane];
+                        active += 1;
                     }
-                    charge_shared_store(self.counters, &words);
-                    self.scratch.words = words;
+                    charge_shared_store(self.counters, &words[base..base + active]);
                 }
+                self.counters.flops += flops * mask.count as u64;
+                self.scratch.words = words;
             }
             BcStmt::Compute { fops, flops } => {
                 self.run_fops(fops, mask);
-                self.counters.flops += flops * mask.iter().filter(|&&m| m).count() as u64;
+                self.counters.flops += flops * mask.count as u64;
             }
             BcStmt::Sync => {
                 self.counters.syncs += 1;
@@ -1739,8 +1737,8 @@ pub(crate) fn exec_block_compiled<B: GlobalBackend>(
     scratch: &mut ExecScratch,
 ) {
     scratch.bind(bc, params, block);
-    let mut full = scratch.take_mask(bc.n_threads);
-    full.fill(true);
+    let mut full = scratch.take_mask(bc.n_threads, true);
+    full.seal();
     let mut exec = CompiledExec {
         bc,
         glob,
@@ -2187,6 +2185,216 @@ mod tests {
             prog.sops.iter().filter(is_mul).count()
         };
         assert_eq!(checked_op_count(&plan, muls), 2);
+    }
+
+    fn adds(prog: &Prog) -> usize {
+        let is_add = |op: &&VOp| matches!(op, VOp::Add(..));
+        prog.vops.iter().filter(is_add).count()
+    }
+
+    #[test]
+    fn a_lane_arm_writes_registers_and_temporaries_for_its_own_lanes_only() {
+        let tx = IExpr::ThreadIdx(0);
+        let low = || Cond::Lt(IExpr::ThreadIdx(0), IExpr::Const(16));
+        let bump = |by: f32| Stmt::Compute {
+            dst: 0,
+            expr: FExpr::Add(Box::new(FExpr::Reg(0)), Box::new(FExpr::Const(by))),
+        };
+        // A register assigned in an arm: the other lanes keep their value.
+        let plan = one_block_plan(
+            0,
+            vec![
+                bump(5.0),
+                Stmt::If {
+                    cond: low(),
+                    then_: vec![bump(1.0)],
+                    else_: vec![],
+                },
+            ],
+        );
+        let init = [Grid::zeros(&[32])];
+        assert_compiled_matches(&plan, &init, 2);
+        let mut sim = GpuSim::new(DeviceConfig::gtx470(), &init, 2);
+        sim.run_plan_compiled(&plan);
+        let got: Vec<f32> = (0..32).map(|i| sim.plane(0, 1).get(&[i])).collect();
+        let want: Vec<f32> = (0..32).map(|i| if i < 16 { 6.0 } else { 5.0 }).collect();
+        assert_eq!(got, want);
+
+        // `v0 + 1` is a temporary of the taken arm, written there for every
+        // lane from the `v0` of that moment; the other arm reassigns `v0`.
+        // Nothing after the arm may read that temporary: each of the three
+        // sites computes its own, and the run reads the cells the
+        // interpreter reads.
+        let next = || IExpr::Var(0).offset(1).modulo(32);
+        let plan = one_block_plan(
+            1,
+            vec![
+                Stmt::SetVar {
+                    var: 0,
+                    value: tx.clone(),
+                },
+                Stmt::If {
+                    cond: low(),
+                    then_: vec![load(0, next())],
+                    else_: vec![
+                        Stmt::SetVar {
+                            var: 0,
+                            value: IExpr::Const(40).sub(tx),
+                        },
+                        load(0, next()),
+                    ],
+                },
+                load(1, next()),
+            ],
+        );
+        assert_eq!(checked_op_count(&plan, adds), 3);
+    }
+
+    #[test]
+    fn mask_summary_equals_a_recount() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as usize
+        };
+        for case in 0..256 {
+            // 1–96 lanes; most sizes leave a last warp shorter than 32.
+            let n = 1 + next() % 96;
+            let density = next() % 5;
+            let lanes: Vec<bool> = (0..n)
+                .map(|_| match density {
+                    0 => false,
+                    4 => true,
+                    d => next() % 4 < d,
+                })
+                .collect();
+            let mut mask = Mask {
+                lanes: lanes.clone(),
+                ..Mask::default()
+            };
+            mask.seal();
+            let what = format!("case {case}: {lanes:?}");
+            assert_eq!(mask.count, lanes.iter().filter(|&&m| m).count(), "{what}");
+            let warps: Vec<&[bool]> = lanes.chunks(32).collect();
+            let active = warps.iter().filter(|w| w.iter().any(|&m| m)).count();
+            assert_eq!(mask.active_warps, active as u64, "{what}");
+            assert_eq!(mask.warps.len(), warps.len(), "{what}");
+            for (w, warp) in warps.iter().enumerate() {
+                for l in 0..32 {
+                    let bit = mask.warps[w] >> l & 1 == 1;
+                    assert_eq!(bit, warp.get(l).copied().unwrap_or(false), "{what}");
+                }
+                let listed: Vec<usize> = set_bits(mask.warps[w]).collect();
+                let set: Vec<usize> = (0..warp.len()).filter(|&l| warp[l]).collect();
+                assert_eq!(listed, set, "{what}");
+            }
+            assert_eq!(mask.all(), lanes.iter().all(|&m| m), "{what}");
+        }
+    }
+
+    /// The message of the panic `f` raises, if it raises one.
+    fn panic_of(f: impl FnOnce() + std::panic::UnwindSafe) -> Option<String> {
+        let payload = std::panic::catch_unwind(f).err()?;
+        Some(
+            payload
+                .downcast_ref::<String>()
+                .expect("a formatted panic")
+                .clone(),
+        )
+    }
+
+    #[test]
+    fn the_address_pass_checks_active_lanes_in_lane_order() {
+        // A 4 × 8 buffer indexed `[slot 0][slot 1]` by four lanes.
+        let flat = FlatIndex {
+            uniform: vec![],
+            lanes: vec![(0, 4, 8, 0), (1, 8, 1, 1)],
+            base: 100,
+        };
+        let offsets = |rows: [i64; 4], cols: [i64; 4], active: [bool; 4]| {
+            let v: Vec<i64> = rows.into_iter().chain(cols).collect();
+            let mut mask = Mask {
+                lanes: active.to_vec(),
+                ..Mask::default()
+            };
+            mask.seal();
+            let mut out = Vec::new();
+            flat.offsets(&[], &v, &mask, &mut out);
+            out
+        };
+        let all = [true; 4];
+        assert_eq!(
+            offsets([0, 1, 2, 3], [7, 0, 3, 5], all),
+            [107, 108, 119, 129]
+        );
+        // One offender: the interpreter-order message.
+        assert_eq!(
+            panic_of(|| drop(offsets([0, 1, 4, 3], [7, 0, 3, 5], all))).as_deref(),
+            Some("compiled index 4 out of bounds for dim 0 (extent 4)")
+        );
+        // Two, in different dimensions: lane 1 comes before lane 3, although
+        // lane 3's dimension is walked first.
+        assert_eq!(
+            panic_of(|| drop(offsets([0, 1, 2, -1], [7, 9, 3, 5], all))).as_deref(),
+            Some("compiled index 9 out of bounds for dim 1 (extent 8)")
+        );
+        // An inactive lane may hold anything.
+        let masked = offsets([0, 1, 2, -1], [7, 9, 3, 5], [true, false, true, false]);
+        assert_eq!((masked[0], masked[2]), (107, 119));
+    }
+
+    #[test]
+    fn a_block_of_one_full_and_one_partial_warp_matches_the_interpreter() {
+        let tx = IExpr::ThreadIdx(0);
+        let kernel = Kernel {
+            name: "forty".into(),
+            block_dim: [40, 1, 1],
+            shared: vec![SharedBuf {
+                name: "s".into(),
+                dims: vec![80],
+            }],
+            n_vars: 0,
+            n_regs: 2,
+            n_params: 0,
+            body: vec![
+                load(0, tx.clone()),
+                Stmt::SharedStore {
+                    buf: 0,
+                    index: vec![tx.clone().scale(2)],
+                    src: FExpr::Reg(0),
+                },
+                Stmt::Sync,
+                // Splits both warps, the short one 3 : 5.
+                Stmt::If {
+                    cond: Cond::Lt(tx.clone().modulo(8), IExpr::Const(3)),
+                    then_: vec![Stmt::SharedLoad {
+                        dst: 1,
+                        buf: 0,
+                        index: vec![IExpr::Const(78).sub(tx.clone().scale(2))],
+                    }],
+                    else_: vec![Stmt::Compute {
+                        dst: 1,
+                        expr: FExpr::Sqrt(Box::new(FExpr::Reg(0))),
+                    }],
+                },
+                Stmt::GlobalStore {
+                    field: 0,
+                    plane: IExpr::Const(1),
+                    index: vec![tx],
+                    src: FExpr::Mul(Box::new(FExpr::Reg(1)), Box::new(FExpr::Const(0.5))),
+                },
+            ],
+        };
+        let plan = LaunchPlan {
+            kernels: vec![kernel],
+            launches: vec![Launch {
+                kernel: 0,
+                params: vec![],
+                blocks: 1,
+            }],
+            description: "forty lanes".into(),
+        };
+        assert_compiled_matches(&plan, &[Grid::random(&[40], 11)], 2);
     }
 
     #[test]
