@@ -2,11 +2,13 @@
 //! kernels — the production (compiled) executor beside the reference
 //! interpreter, with the stencil oracle for scale and the bank-conflict
 //! count both executors share — then the workload the driver runs: the
-//! static tuner's winning tiles on the scoring workloads, and the whole
-//! never-seen request around one of them.
+//! static tuner's winning tiles on the scoring workloads, the whole
+//! never-seen request around one of them (with and without the disk plan
+//! cache a served request has), and the emission of its side lane.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use gpu_codegen::{generate_hybrid, CodegenOptions, SmemStrategy};
+use gpu_codegen::backend::CudaBackend;
+use gpu_codegen::{generate_hybrid, Backend, CodegenOptions, SmemStrategy};
 use gpusim::shared::bank_transactions;
 use gpusim::{DeviceConfig, GpuSim};
 use hybrid_bench::autotune::autotune_workload;
@@ -14,6 +16,7 @@ use hybrid_bench::driver::{compile_source_with, DriverConfig};
 use hybrid_tiling::TileParams;
 use std::hint::black_box;
 use std::path::Path;
+use stencil::parse::parse_stencil;
 use stencil::{gallery, Grid, ReferenceExecutor};
 
 fn bench(c: &mut Criterion) {
@@ -116,12 +119,13 @@ fn bench(c: &mut Criterion) {
     }
 
     // The whole never-seen request: parse, tune, generate, then simulate
-    // beside emit + oracle, compare. No cache of any kind.
-    let source = std::fs::read_to_string(
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/stencils/jacobi2d.stencil"),
-    )
-    .unwrap();
-    let cfg = DriverConfig {
+    // beside emit + oracle, compare — first with no cache of any kind, then
+    // as served (`DriverConfig::new`'s default, `hybridd`, `benchmark/`): a
+    // disk plan cache that has never seen the program, so the request also
+    // probes it, takes and drops the lock file and stores its entry.
+    let stencils = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/stencils");
+    let source = std::fs::read_to_string(stencils.join("jacobi2d.stencil")).unwrap();
+    let mut cfg = DriverConfig {
         cache_dir: None,
         ..DriverConfig::new(std::env::temp_dir().join(format!("bench_cold_{}", std::process::id())))
     };
@@ -133,7 +137,34 @@ fn bench(c: &mut Criterion) {
             outcome.unwrap().gstencils
         })
     });
+    let mut fresh = 0;
+    g.bench_function("driver/cold_request_jacobi2d_disk_cache", |b| {
+        b.iter(|| {
+            fresh += 1;
+            cfg.cache_dir = Some(cfg.out_dir.join(format!("cache{fresh}")));
+            let outcome =
+                compile_source_with("jacobi2d", &source, Path::new("<bench>"), &cfg, None);
+            outcome.unwrap().gstencils
+        })
+    });
     let _ = std::fs::remove_dir_all(&cfg.out_dir);
+
+    // The side lane's first half: the CUDA source and pseudo-PTX of the
+    // static winner's plan for the example stencil with the most IR.
+    let source = std::fs::read_to_string(stencils.join("gradient2d.stencil")).unwrap();
+    let program = parse_stencil("gradient2d", &source).unwrap();
+    let (dims, steps) = autotune_workload(&program);
+    let (params, opts) = (TileParams::new(3, &[5, 64]), CodegenOptions::best());
+    let plan = generate_hybrid(&program, &params, &dims, steps, opts).unwrap();
+    let emit = || {
+        (
+            CudaBackend.emit_plan(&plan),
+            CudaBackend.emit_aux(&plan).unwrap(),
+        )
+    };
+    let (cu, ptx) = emit();
+    g.throughput(Throughput::Bytes((cu.len() + ptx.len()) as u64));
+    g.bench_function("codegen/emit_plan_gradient2d_96x96x12", |b| b.iter(emit));
 
     // One warp's shared-memory access, by address pattern.
     g.throughput(Throughput::Elements(32));

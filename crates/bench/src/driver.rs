@@ -1125,8 +1125,8 @@ impl Drop for MemCacheGuard<'_> {
 /// of tuning redundantly. A lock older than [`DriverConfig::lock_stale`]
 /// (by mtime) is presumed abandoned — crashed process, dead container —
 /// and stolen. A *live* holder keeps its lock by heartbeating the file's
-/// mtime between scored candidates ([`DiskLock::heartbeat`]), so sweeps
-/// longer than `lock_stale` are never stolen from under a live process.
+/// mtime from a ticker thread ([`DiskLock::held`]), so sweeps longer than
+/// `lock_stale` are never stolen from under a live process.
 /// Stealing from a crashed holder costs only a redundant sweep: entries
 /// are stored by atomic rename, so the last writer wins with an
 /// identical (deterministic) plan.
@@ -1167,6 +1167,7 @@ impl DiskLock {
     ) -> Result<DiskFlight, DriverError> {
         fs::create_dir_all(dir).map_err(|e| DriverError::Io(format!("{}: {e}", dir.display())))?;
         let path = dir.join(format!("{fp}.lock"));
+        let mut wait_ms = 1;
         loop {
             match fs::OpenOptions::new()
                 .write(true)
@@ -1211,7 +1212,10 @@ impl DiskLock {
                         // Lock vanished between open and stat: retry now.
                         Err(_) => continue,
                     }
-                    std::thread::sleep(Duration::from_millis(10));
+                    // Back off 1, 2, 4, 8, then 10 ms: a static tune holds
+                    // the lock for a millisecond or three.
+                    std::thread::sleep(Duration::from_millis(wait_ms));
+                    wait_ms = (wait_ms * 2).min(10);
                 }
                 Err(_) => return Ok(DiskFlight::Skip),
             }
@@ -1223,6 +1227,8 @@ impl DiskLock {
     /// refreshes its mtime — rewriting rather than `utime`-style touching
     /// keeps this on `std` alone) every `stale / 4`, so peers keep seeing
     /// a live holder no matter how long any single candidate simulates.
+    /// Between beats it is parked, so it wakes once per period and the
+    /// guard's `Drop` ends it with an `unpark`, never by waiting a nap out.
     /// Write failures are ignored: the worst case is a steal and one
     /// redundant sweep, never a wrong plan.
     fn held(path: PathBuf, stale: Duration) -> DiskLock {
@@ -1230,18 +1236,20 @@ impl DiskLock {
         let ticker = {
             let stop = Arc::clone(&stop);
             let path = path.clone();
-            let period = stale / 4;
-            // Sleep in short slices so dropping the guard never blocks
-            // on a long heartbeat period.
-            let slice = period.clamp(Duration::from_millis(1), Duration::from_millis(10));
+            // A zero `lock_stale` (every lock is stale) must not spin.
+            let period = (stale / 4).max(Duration::from_millis(1));
             std::thread::spawn(move || {
                 let mut last_touch = Instant::now();
-                while !stop.load(Ordering::Relaxed) {
-                    if last_touch.elapsed() >= period {
+                // Pairs with the `Release` store in `Drop`; an `unpark`
+                // that lands before the park makes it return at once.
+                while !stop.load(Ordering::Acquire) {
+                    let left = period.saturating_sub(last_touch.elapsed());
+                    if left.is_zero() {
                         let _ = fs::write(&path, format!("{}\n", std::process::id()));
                         last_touch = Instant::now();
+                    } else {
+                        std::thread::park_timeout(left);
                     }
-                    std::thread::sleep(slice);
                 }
             })
         };
@@ -1255,8 +1263,11 @@ impl DiskLock {
 
 impl Drop for DiskLock {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::Release);
         if let Some(ticker) = self.ticker.take() {
+            // Wake, then join *before* removing: a ticker still running
+            // could re-create a lock file its guard already removed.
+            ticker.thread().unpark();
             let _ = ticker.join();
         }
         let _ = fs::remove_file(&self.path);
@@ -1799,16 +1810,25 @@ fn resolve_plan(
     Ok((params, plan, stats, CacheSource::Fresh))
 }
 
-/// Milliseconds (to the microsecond) of the stages an executed compile overlaps,
-/// each timed on its own lane. They describe a request, not a plan: 0 on a memory hit.
+/// Milliseconds (to the microsecond) of resolving the plan, then of the stages an
+/// executed compile overlaps, each timed on its own lane. They describe a request,
+/// not a plan: 0 on a memory hit.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct StageTimes {
+    /// `resolve_plan` on the request thread, before the lanes start: disk probe,
+    /// lock, tune (`tune_wall_ms` is inside it), store, generate, unlock.
+    pub plan_ms: f64,
     /// The simulator run, including loading its memory.
     pub simulate_ms: f64,
     /// The sequential oracle (0 with `verify` off).
     pub oracle_ms: f64,
     /// Rendering and writing the artifacts.
     pub emit_ms: f64,
+}
+
+/// Milliseconds since `since`, to the microsecond.
+fn elapsed_ms(since: Instant) -> f64 {
+    (since.elapsed().as_secs_f64() * 1e6).round() / 1e3
 }
 
 /// Emits the artifacts of `plan`, executes it on the simulator and, when
@@ -1825,18 +1845,17 @@ fn execute(
 ) -> Result<((ExecRecord, StageTimes), Artifacts), DriverError> {
     let (program, steps, cfg) = (job.program, job.steps, job.cfg);
     let (name, init) = (program.name(), random_init(program, job.dims, 1234));
-    let ms = |since: Instant| (since.elapsed().as_secs_f64() * 1e6).round() / 1e3;
     let (side, simulated) = std::thread::scope(|scope| {
         let side = scope.spawn(|| {
             let (mut times, start) = (StageTimes::default(), Instant::now());
             let artifacts = emit_artifacts(job, params, plan)?;
-            times.emit_ms = ms(start);
+            times.emit_ms = elapsed_ms(start);
             let oracle = cfg.verify.then(|| {
                 let (mut oracle, start) = (ReferenceExecutor::new(program, &init), Instant::now());
                 while oracle.steps_done() < steps && cfg.cancel.cancelled().is_none() {
                     oracle.step();
                 }
-                times.oracle_ms = ms(start);
+                times.oracle_ms = elapsed_ms(start);
                 oracle
             });
             Ok::<_, DriverError>((artifacts, oracle, times))
@@ -1848,7 +1867,7 @@ fn execute(
             // per-stencil verification failure, never a dead batch/service.
             sim.try_run_plan_parallel_with(plan, cfg.sim_threads)
                 .map_err(|e| DriverError::Verify(format!("{name}: {e}")))?;
-            Ok((sim, ms(start)))
+            Ok((sim, elapsed_ms(start)))
         });
         (side.join(), simulated)
     });
@@ -2086,8 +2105,11 @@ pub fn compile_source_with(
     // On any failure below, dropping `guard` clears the in-flight marker
     // and wakes single-flight waiters to compile for themselves: nothing
     // is published until the plan executed (and verified).
-    let (params, plan, stats, cache) = resolve_plan(&job, &storage_cone(&job)?, cached)?;
-    let (ran, artifacts) = execute(&job, &params, &plan)?;
+    let (cone, start) = (storage_cone(&job)?, Instant::now());
+    let (params, plan, stats, cache) = resolve_plan(&job, &cone, cached)?;
+    let plan_ms = elapsed_ms(start);
+    let (mut ran, artifacts) = execute(&job, &params, &plan)?;
+    ran.1.plan_ms = plan_ms;
     if let Some(g) = guard {
         g.fulfill(&text, &params, ran.0);
     } else if let (Some(mem), CacheSource::Memory) = (mem, cache) {
@@ -2244,6 +2266,7 @@ pub fn outcome_json(source: &str, result: &Result<CompileOutcome, DriverError>) 
             ("full_simulated", Json::UInt(o.full_simulated as u64)),
             ("tune_wall_ms", Json::UInt(o.tune_wall_ms)),
             ("tune_model_ms", Json::Num(o.tune_model_ms)),
+            ("plan_ms", Json::Num(o.stages.plan_ms)),
             ("simulate_ms", Json::Num(o.stages.simulate_ms)),
             ("oracle_ms", Json::Num(o.stages.oracle_ms)),
             ("emit_ms", Json::Num(o.stages.emit_ms)),
@@ -3007,6 +3030,55 @@ for (t = 0; t < T; t++)
             (1, 1),
             "a live holder's lock must not be stolen: {outcomes:?}"
         );
+    }
+
+    /// Takes the disk lock of fingerprint `fp` in a fresh directory.
+    fn held_lock(tag: &str, stale: Duration) -> (DiskLock, PathBuf) {
+        let (dir, never) = (scratch(tag), CancelToken::never());
+        match DiskLock::acquire(&dir, "fp", "text", BackendKind::Cuda, &never, stale) {
+            Ok(DiskFlight::Acquired(lock)) => (lock, dir.join("fp.lock")),
+            _ => panic!("a fresh directory has no holder and no entry"),
+        }
+    }
+
+    #[test]
+    fn dropping_a_held_disk_lock_does_not_wait_for_the_heartbeat() {
+        // The ticker used to nap in 10 ms slices and `drop` joined it, so
+        // every fresh tune with a cache dir slept out the rest of a slice
+        // (>= 6 ms after a 3 ms hold). Parked, it is woken instead.
+        let fastest = (0..5)
+            .map(|_| {
+                let (lock, _) = held_lock("lock_drop", Duration::from_secs(120));
+                std::thread::sleep(Duration::from_millis(3));
+                let start = Instant::now();
+                drop(lock);
+                start.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(fastest < Duration::from_millis(3), "{fastest:?}");
+    }
+
+    #[test]
+    fn a_held_disk_lock_beats_every_quarter_of_stale_and_stays_removed() {
+        let period = Duration::from_millis(10);
+        let (lock, path) = held_lock("lock_beat", 4 * period);
+        let mtime = || fs::metadata(&path).and_then(|m| m.modified()).unwrap();
+        let (mut last, mut beats, start) = (mtime(), 0, Instant::now());
+        while start.elapsed() < Duration::from_millis(100) {
+            std::thread::sleep(Duration::from_millis(1));
+            let now = mtime();
+            beats += usize::from(now != last);
+            last = now;
+        }
+        assert!(beats >= 2, "{beats} heartbeats in 100 ms at a 10 ms period");
+        // The ticker is joined before the remove: nothing re-creates it.
+        drop(lock);
+        let start = Instant::now();
+        while start.elapsed() < 3 * period {
+            assert!(!path.exists(), "the lock file came back");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use hybrid_bench::metrics::Id;
 /// The provenance fields a hit legitimately reports differently from the
 /// miss that published its entry — the same set the CI fleet-smoke job
 /// normalises.
-const PROVENANCE: [&str; 14] = [
+const PROVENANCE: [&str; 15] = [
     "cache_hit",
     "cache",
     "examined",
@@ -41,6 +41,7 @@ const PROVENANCE: [&str; 14] = [
     "full_simulated",
     "tune_wall_ms",
     "tune_model_ms",
+    "plan_ms",
     "simulate_ms",
     "oracle_ms",
     "emit_ms",
@@ -130,9 +131,9 @@ fn a_hit_reports_what_the_publishing_miss_reported() {
             // ...and no stage time: the timers describe the request.
             let stages = |o: &CompileOutcome| {
                 let t = o.stages;
-                [t.simulate_ms, t.oracle_ms, t.emit_ms]
+                [t.plan_ms, t.simulate_ms, t.oracle_ms, t.emit_ms]
             };
-            assert_eq!(stages(&hit), [0.0; 3], "{what}");
+            assert_eq!(stages(&hit), [0.0; 4], "{what}");
             assert!(stages(&miss).iter().all(|&ms| ms > 0.0), "{what}");
         }
         assert_eq!((mem.get(Id::MemMisses), mem.get(Id::MemHits)), (6, 6));

@@ -223,6 +223,7 @@ fn concurrent_clients_match_one_shot_reports_bit_exactly() {
                                 | "full_simulated"
                                 | "tune_wall_ms"
                                 | "tune_model_ms"
+                                | "plan_ms"
                                 | "simulate_ms"
                                 | "oracle_ms"
                                 | "emit_ms"

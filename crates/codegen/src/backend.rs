@@ -7,9 +7,10 @@
 //! singleton ([`BackendKind::backend`] hands out `&'static dyn
 //! Backend`) that knows how to
 //!
-//! * print one [`Kernel`] ([`Backend::emit_kernel`]) and, by default,
-//!   a whole [`LaunchPlan`] as prologue + per-kernel sources
-//!   ([`Backend::emit_plan`]);
+//! * print one [`Kernel`] into a caller's buffer
+//!   ([`Backend::write_kernel`]; [`Backend::emit_kernel`] wraps it) and,
+//!   by default, a whole [`LaunchPlan`] as prologue + per-kernel sources
+//!   rendered into a single buffer ([`Backend::emit_plan`]);
 //! * optionally print a secondary artifact ([`Backend::emit_aux`] —
 //!   the CUDA backend's pseudo-PTX view of Fig. 2);
 //! * name its artifacts ([`Backend::source_extension`] /
@@ -22,8 +23,9 @@
 //!
 //! 1. Write the printer module (see `wgsl_emit` for a non-C surface,
 //!    `c_like` + a [`crate::c_like::CDialect`] if the target is
-//!    C-family) with a `kernel_to_<target>(&Kernel) -> String` entry
-//!    point. Emission must be a pure function of the kernel — no
+//!    C-family) with a `kernel_to_<target>(&Kernel) -> String` (or,
+//!    better, an appending `write_kernel`) entry point. Emission must
+//!    be a pure function of the kernel — no
 //!    clocks, no randomness — so the driver's content-addressed cache
 //!    and the golden-file suite stay byte-deterministic.
 //! 2. Add a `BackendKind` variant, extend [`BackendKind::ALL`], and
@@ -42,14 +44,14 @@
 //!    `hybridc --backend`, serve, fleet routing, per-backend metrics —
 //!    key on `BackendKind` and pick the new target up automatically.
 
-use crate::c_like::{kernel_to_c, HIP_DIALECT};
+use crate::c_like::{write_kernel, CUDA_DIALECT, HIP_DIALECT};
 use crate::cpu_emit::{kernel_to_cpu, CPU_PROLOGUE};
-use crate::cuda_emit::kernel_to_cuda;
 use crate::hybrid_gen::CodegenError;
 use crate::ir::{Kernel, LaunchPlan};
 use crate::options::{CodegenOptions, SmemStrategy};
 use crate::ptx_emit::{core_tile_ptx, DEFAULT_CORE_TILE_POINTS};
 use crate::wgsl_emit::kernel_to_wgsl;
+use std::fmt::Write;
 
 /// Identifier for one emission backend — the value that travels through
 /// CLI flags, serve requests, cache entries and metric labels.
@@ -187,15 +189,23 @@ pub trait Backend: Sync {
         ""
     }
 
-    /// Prints one kernel in the target language.
-    fn emit_kernel(&self, kernel: &Kernel) -> String;
+    /// Appends one kernel in the target language to `out`.
+    fn write_kernel(&self, out: &mut String, kernel: &Kernel);
 
-    /// Prints a whole plan: prologue, then each kernel followed by a
-    /// blank line (the historical CUDA layout all goldens pin).
+    /// Prints one kernel in the target language.
+    fn emit_kernel(&self, kernel: &Kernel) -> String {
+        let mut out = String::new();
+        self.write_kernel(&mut out, kernel);
+        out
+    }
+
+    /// Prints a whole plan into one buffer: prologue, then each kernel
+    /// followed by a blank line (the historical CUDA layout all goldens
+    /// pin).
     fn emit_plan(&self, plan: &LaunchPlan) -> String {
         let mut out = String::from(self.plan_prologue());
         for kernel in &plan.kernels {
-            out.push_str(&self.emit_kernel(kernel));
+            self.write_kernel(&mut out, kernel);
             out.push('\n');
         }
         out
@@ -232,19 +242,20 @@ impl Backend for CudaBackend {
         }
     }
 
-    fn emit_kernel(&self, kernel: &Kernel) -> String {
-        kernel_to_cuda(kernel)
+    fn write_kernel(&self, out: &mut String, kernel: &Kernel) {
+        write_kernel(out, kernel, &CUDA_DIALECT);
     }
 
     fn emit_aux(&self, plan: &LaunchPlan) -> Option<String> {
         let mut ptx = String::new();
         for kernel in &plan.kernels {
             let (text, stats) = core_tile_ptx(kernel, DEFAULT_CORE_TILE_POINTS);
-            ptx.push_str(&format!(
+            let _ = writeln!(
+                ptx,
                 "// kernel {} — core tile, first {DEFAULT_CORE_TILE_POINTS} points: \
-                 {} loads, {} stores, {} arith\n",
+                 {} loads, {} stores, {} arith",
                 kernel.name, stats.loads, stats.stores, stats.arith
-            ));
+            );
             ptx.push_str(&text);
             ptx.push('\n');
         }
@@ -282,8 +293,8 @@ impl Backend for WgslBackend {
         }
     }
 
-    fn emit_kernel(&self, kernel: &Kernel) -> String {
-        kernel_to_wgsl(kernel)
+    fn write_kernel(&self, out: &mut String, kernel: &Kernel) {
+        out.push_str(&kernel_to_wgsl(kernel));
     }
 }
 
@@ -312,8 +323,8 @@ impl Backend for HipBackend {
         HIP_DIALECT.prologue
     }
 
-    fn emit_kernel(&self, kernel: &Kernel) -> String {
-        kernel_to_c(kernel, &HIP_DIALECT)
+    fn write_kernel(&self, out: &mut String, kernel: &Kernel) {
+        write_kernel(out, kernel, &HIP_DIALECT);
     }
 }
 
@@ -343,8 +354,8 @@ impl Backend for CpuBackend {
         CPU_PROLOGUE
     }
 
-    fn emit_kernel(&self, kernel: &Kernel) -> String {
-        kernel_to_cpu(kernel)
+    fn write_kernel(&self, out: &mut String, kernel: &Kernel) {
+        out.push_str(&kernel_to_cpu(kernel));
     }
 }
 
@@ -420,6 +431,30 @@ mod tests {
             BackendKind::Cuda.backend().default_options(),
             CodegenOptions::best()
         );
+    }
+
+    #[test]
+    fn emit_plan_is_prologue_then_each_kernel_and_a_blank_line() {
+        use crate::hybrid_gen::generate_hybrid;
+        use hybrid_tiling::TileParams;
+        for kind in BackendKind::ALL {
+            let b = kind.backend();
+            let plan = generate_hybrid(
+                &stencil::gallery::jacobi2d(),
+                &TileParams::new(2, &[3, 32]),
+                &[64, 64],
+                8,
+                b.default_options(),
+            )
+            .unwrap();
+            assert_eq!(plan.kernels.len(), 2);
+            let mut expected = String::from(b.plan_prologue());
+            for kernel in &plan.kernels {
+                expected += &b.emit_kernel(kernel);
+                expected += "\n";
+            }
+            assert_eq!(b.emit_plan(&plan), expected, "{kind}");
+        }
     }
 
     #[test]

@@ -32,8 +32,15 @@ fn addr_key(buf: usize, index: &[IExpr]) -> String {
 
 /// Symbolic byte offset rendered for the address operand.
 fn addr_display(index: &[IExpr]) -> String {
-    let parts: Vec<String> = index.iter().map(crate::cuda_emit::iexpr_to_c).collect();
-    format!("[{}]", parts.join(", "))
+    let mut out = String::from("[");
+    for (i, e) in index.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        crate::c_like::write_iexpr(&mut out, e);
+    }
+    out.push(']');
+    out
 }
 
 impl PtxEmitter {
