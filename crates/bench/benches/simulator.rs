@@ -65,25 +65,38 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // The oracle on the 3-D scoring workload, where a cold request spends
-    // the most oracle time per point.
-    let program = gallery::laplacian3d();
-    let dims = [20usize, 20, 36];
-    let steps = 6;
-    g.throughput(Throughput::Elements((18 * 18 * 34 * steps) as u64));
-    g.bench_function("oracle/laplacian3d_20x20x36x6", |b| {
-        let init = vec![Grid::random(&dims, 3)];
-        b.iter(|| {
-            let mut ex = ReferenceExecutor::new(&program, &init);
-            ex.run(steps);
-            ex.field(0).get(&[1, 1, 1])
-        })
-    });
+    // The oracle on two scoring workloads: the 3-D one, and the 2-D one
+    // with the most expression nodes per point.
+    for (program, name) in [
+        (gallery::laplacian3d(), "laplacian3d_20x20x36x6"),
+        (gallery::gradient2d(), "gradient2d_96x96x12"),
+    ] {
+        let (dims, steps) = autotune_workload(&program);
+        let interior: usize = dims.iter().map(|d| d - 2).product();
+        g.throughput(Throughput::Elements((interior * steps) as u64));
+        g.bench_function(format!("oracle/{name}"), |b| {
+            let init = vec![Grid::random(&dims, 3)];
+            b.iter(|| {
+                let mut ex = ReferenceExecutor::new(&program, &init);
+                ex.run(steps);
+                ex.field(0).get_flat(0)
+            })
+        });
+    }
 
     // What a served request simulates: the tiles `tune: static` picks
     // (pinned by `driver::tests::static_winners_are_pinned`) on the scoring
-    // workloads — 64-lane blocks, nearly every statement partially masked.
+    // workloads — 64-lane blocks, nearly every statement partially masked;
+    // the 1-D one loads one word into every lane, load after load.
+    let stencils = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/stencils");
+    let source = std::fs::read_to_string(stencils.join("wave1d.stencil")).unwrap();
     for (program, h, w, name) in [
+        (
+            parse_stencil("wave1d", &source).unwrap(),
+            3,
+            &[5][..],
+            "wave1d_256x12_h3_w5",
+        ),
         (
             gallery::jacobi2d(),
             3,
@@ -109,9 +122,10 @@ fn bench(c: &mut Criterion) {
         )
         .unwrap();
         let init = vec![Grid::random(&dims, 3)];
+        let planes = program.max_dt() as usize + 1;
         g.bench_function(format!("gpusim/{name}"), |b| {
             b.iter(|| {
-                let mut sim = GpuSim::new(DeviceConfig::gtx470(), &init, 2);
+                let mut sim = GpuSim::new(DeviceConfig::gtx470(), &init, planes);
                 sim.run_plan_compiled(&plan);
                 sim.counters().flops
             })
@@ -123,7 +137,6 @@ fn bench(c: &mut Criterion) {
     // as served (`DriverConfig::new`'s default, `hybridd`, `benchmark/`): a
     // disk plan cache that has never seen the program, so the request also
     // probes it, takes and drops the lock file and stores its entry.
-    let stencils = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/stencils");
     let source = std::fs::read_to_string(stencils.join("jacobi2d.stencil")).unwrap();
     let mut cfg = DriverConfig {
         cache_dir: None,

@@ -23,17 +23,31 @@
 //!   (twice — once for the byte address, once for the data) per lane;
 //!   immediate and scalar dimensions are checked and folded once per
 //!   statement, only lane-dependent ones per lane;
-//! * a divergence mask knows its own summary — active lanes, active
-//!   warps, the active bits of each warp — counted once where the mask is
-//!   made (block entry, the two arms of a lane `If`), so no statement
-//!   scans it; a temporary is computed for every lane, masked or not,
-//!   because nothing can observe its inactive lanes (one defining op, read
-//!   only in the defining scope, under that op's mask or a narrower one),
-//!   and only var and register writes select by lane;
-//! * a memory statement derives every lane's flat offset in one pass per
-//!   vector dimension, bounds-checked by a flag over the active lanes
-//!   (raised, it re-walks them in lane order for the interpreter's panic),
-//!   then walks each warp's active bits;
+//! * what the generator made linear in the thread index stays symbolic:
+//!   `base + threadIdx.x` is an **affine** value — a scalar base and
+//!   constant strides, no vector slot, no per-lane op — and so is what
+//!   adding scalars, subtracting them or scaling by an immediate makes of
+//!   it; `floord`/`pmod` by a constant of a value that steps from lane to
+//!   lane take one division and carry; only what really differs per lane
+//!   (those quotients, `f32` registers) is a vector;
+//! * a divergence mask is its per-warp active bits and knows its own
+//!   summary — active lanes, active warps — derived once where the mask is
+//!   made (block entry, the arms of a lane `If`), so no statement scans
+//!   it; a guard `lo <= base + threadIdx.x <= hi` is an interval of lanes
+//!   (a box over `threadIdx.x`/`.y` in a `[32, k, 1]` block) whose bits are
+//!   shifted into place from its scalar ends, no lane compared; a temporary
+//!   is computed for every lane, masked or not, because nothing can observe
+//!   its inactive lanes (one defining op, read only in the defining scope,
+//!   under that op's mask or a narrower one), and only var and register
+//!   writes select by lane;
+//! * a memory statement whose index is uniform or affine in every
+//!   dimension addresses `start + step · lane` within each warp: checked at
+//!   the warp's first and last active lane, a slice copy and one
+//!   transaction per warp when shared and unit-stride, one read when every
+//!   lane loads the same global word; with a vector dimension it derives
+//!   every lane's flat offset in one pass per such dimension,
+//!   bounds-checked by a flag over the active lanes; either way a failed
+//!   check re-walks the lanes in order for the interpreter's panic;
 //! * flat offsets, divergence masks, shared memory, and the slot arrays
 //!   live in a reusable [`ExecScratch`] pooled across blocks and launches
 //!   instead of being reallocated per block.
@@ -51,7 +65,18 @@
 //!   ([`Val::SSlot`]) and are computed once per evaluation site by
 //!   [`SOp`]s — or once per *block* when they do not depend on loop
 //!   variables (the hoisted preamble);
-//! * **vector** — lane-dependent: `ThreadIdx`, `f32` registers, and
+//! * **affine** — `base + Σ stride · threadIdx` with an immediate or scalar
+//!   base and constant strides: `ThreadIdx` itself (the constant 0 along a
+//!   block dimension of extent 1) and its sums with scalars, differences
+//!   and immediate multiples, in blocks whose warps each lie in one row
+//!   (`block_dim.x` a multiple of 32, or a single row). It exists at
+//!   compile time only — its base costs [`SOp`]s — and is consumed as a
+//!   [`Guard`]'s box, a [`FlatIndex`] dimension or a lane-carried division
+//!   ([`VOp::DivLane`]); any other use computes it as a vector, once per
+//!   scope like every value. A vector var assigned one is known to hold it
+//!   until reassigned, for the rest of the assigning scope;
+//! * **vector** — lane-dependent: `f32` registers, quotients and
+//!   remainders of lane-dependent values, `ThreadIdx` in other blocks, and
 //!   anything derived from them. Vectors occupy `n_threads` consecutive
 //!   cells ([`Val::VSlot`]) and are computed by [`VOp`]s/[`FOp`]s that
 //!   loop over the lanes — all of them into a temporary, the current
@@ -169,6 +194,11 @@ pub enum VOp {
     Or(u16, Val, Val),
     /// `dst[l] = 1 - a[l]` (boolean negation over 0/1).
     Not(u16, Val),
+    /// `dst[l] = (a + c * l).div_euclid(k)` for scalar `a`, `[c, k, m]` with
+    /// `c, k > 0` and `l` the lane's index in the block — reduced
+    /// `.rem_euclid(m)` when `m > 0`, and the remainder `(a + c *
+    /// l).rem_euclid(k)` instead when `m < 0`: one division, then carries.
+    DivLane(u16, Val, [i64; 3]),
 }
 
 /// An `f32` operand: an immediate or an `f32` vector slot.
@@ -207,22 +237,77 @@ pub struct Prog {
 }
 
 /// A compiled flat memory address: the row-major offset of a
-/// multi-dimensional index, its dimensions split by rank so that only
+/// multi-dimensional index, its dimensions told apart by rank so that only
 /// lane-dependent ones cost per-lane work. Every dimension is
 /// bounds-checked when the statement executes, as the interpreter does
 /// (an out-of-bounds index is a code-generation bug).
 #[derive(Clone, Debug)]
 pub struct FlatIndex {
-    /// Immediate and scalar dimensions, `(operand, extent, stride,
-    /// dimension)`: resolved, checked and folded into the base once per
-    /// statement execution.
-    uniform: Vec<(Val, i64, i64, usize)>,
-    /// Vector dimensions, `(slot, extent, stride, dimension)`: checked and
-    /// added per lane.
-    lanes: Vec<(u16, i64, i64, usize)>,
+    /// Per dimension, `(index, extent, stride)`. An immediate or scalar
+    /// index is resolved, checked and folded into the base once per
+    /// statement execution; a vector one is checked and added per lane;
+    /// an affine one is neither: when no dimension is a vector, the whole
+    /// offset is affine in the thread index — no per-lane pass, and checked
+    /// at the two ends of each warp's active lanes (inside a warp the index
+    /// is monotone).
+    dims: Vec<(Lin, i64, i64)>,
+    /// Whether no dimension is a vector.
+    affine: bool,
     /// Constant word offset (shared-memory buffer base within the block's
     /// shared address space; 0 for global).
     base: i64,
+}
+
+/// A lowered integer value, `base + Σ stride[d] · threadIdx[d]`. With no
+/// stride it is just `base`, of any rank; with one, `base` is an immediate
+/// or a scalar and the value is **affine** in the thread index — it
+/// occupies no vector slot and costs scalar ops only.
+#[derive(Clone, Copy, PartialEq, Debug)]
+struct Lin {
+    base: Val,
+    stride: [i64; 3],
+}
+
+impl Lin {
+    /// `base` in every lane.
+    fn of(base: Val) -> Lin {
+        Lin {
+            base,
+            stride: [0; 3],
+        }
+    }
+
+    fn is_affine(&self) -> bool {
+        self.stride != [0; 3]
+    }
+
+    /// Neither affine nor a vector: the same in every lane.
+    fn is_uniform(&self) -> bool {
+        !self.is_affine() && !matches!(self.base, Val::VSlot(_))
+    }
+
+    /// The value in `lane`, given the scalar slots and the vector slots of
+    /// `n` lanes each (the first three hold the thread index).
+    #[inline]
+    fn at(&self, s: &[i64], v: &[i64], n: usize, lane: usize) -> i64 {
+        let base = match self.base {
+            Val::VSlot(slot) => v[slot as usize * n + lane],
+            uniform => scalar_operand(s, uniform),
+        };
+        (0..3).fold(base, |at, d| at + self.stride[d] * v[d * n + lane])
+    }
+}
+
+/// A lowered condition, the conjunction of three parts: a block-uniform
+/// 0/1 operand, a per-lane 0/1 vector (`SImm(1)` when there is none), and a
+/// box `lo <= coordinate <= hi` over the four lane coordinates —
+/// `threadIdx.x`, `.y`, `.z` and the lane's index in the block — with
+/// immediate or scalar bounds inside the block's (`None` is all of it).
+#[derive(Clone, PartialEq, Debug)]
+pub struct Guard {
+    uniform: Val,
+    lanes: Val,
+    within: Option<Box<[(Val, Val); 4]>>,
 }
 
 /// The value of an immediate or scalar operand, given the scalar slots.
@@ -246,23 +331,29 @@ fn in_bounds(i: i64, extent: i64, d: usize) -> i64 {
 }
 
 impl FlatIndex {
+    /// The dimensions that are (`true`) or are not the same in every lane,
+    /// with their number.
+    fn ranked(&self, uniform: bool) -> impl Iterator<Item = (usize, &(Lin, i64, i64))> {
+        let is = move |(_, dim): &(usize, &(Lin, i64, i64))| dim.0.is_uniform() == uniform;
+        self.dims.iter().enumerate().filter(is)
+    }
+
     /// The part of the offset every lane shares, given the scalar slots.
     #[inline]
     fn fold_uniform(&self, s: &[i64]) -> i64 {
-        self.uniform
-            .iter()
-            .fold(self.base, |off, &(v, extent, stride, d)| {
-                off + stride * in_bounds(scalar_operand(s, v), extent, d)
+        self.ranked(true)
+            .fold(self.base, |off, (d, &(index, extent, stride))| {
+                off + stride * in_bounds(scalar_operand(s, index.base), extent, d)
             })
     }
 
     /// The flat offset of `lane`, from [`FlatIndex::fold_uniform`]'s
-    /// `uniform` part and the vector slots `v` of `n` lanes each.
-    fn offset(&self, uniform: i64, v: &[i64], n: usize, lane: usize) -> usize {
-        self.lanes
-            .iter()
-            .fold(uniform, |off, &(slot, extent, stride, d)| {
-                off + stride * in_bounds(v[slot as usize * n + lane], extent, d)
+    /// `uniform` part, the scalar slots and the vector slots `v` of `n`
+    /// lanes each.
+    fn offset(&self, uniform: i64, s: &[i64], v: &[i64], n: usize, lane: usize) -> usize {
+        self.ranked(false)
+            .fold(uniform, |off, (d, (index, extent, stride))| {
+                off + stride * in_bounds(index.at(s, v, n, lane), *extent, d)
             }) as usize
     }
 
@@ -278,7 +369,10 @@ impl FlatIndex {
         out.clear();
         out.resize(n, uniform as usize);
         let mut outside = false;
-        for &(slot, extent, stride, _) in &self.lanes {
+        for (_, &(index, extent, stride)) in self.ranked(false) {
+            let Val::VSlot(slot) = index.base else {
+                unreachable!("an affine address takes no per-lane pass");
+            };
             let index = &v[slot as usize * n..][..n];
             for ((off, &i), &m) in out.iter_mut().zip(index).zip(&mask.lanes) {
                 outside |= m & (i as u64 >= extent as u64);
@@ -287,7 +381,7 @@ impl FlatIndex {
         }
         if outside {
             for lane in (0..n).filter(|&lane| mask.lanes[lane]) {
-                self.offset(uniform, v, n, lane);
+                self.offset(uniform, s, v, n, lane);
             }
         }
     }
@@ -341,10 +435,10 @@ pub enum BcStmt {
     /// Conditional with a lane-dependent condition: splits the mask and
     /// counts per-warp divergence exactly as the interpreter does.
     IfLane {
-        /// Condition program (vector).
+        /// Condition program.
         prog: Prog,
-        /// Condition operand (0/1 per lane).
-        cond: Val,
+        /// The lanes that take the branch.
+        guard: Guard,
         /// Taken branch.
         then_: Vec<BcStmt>,
         /// Else branch.
@@ -473,6 +567,14 @@ struct Compiler<'a> {
     /// carries its operands' counts, so reassigning a var strands every
     /// value computed from it without visiting the table.
     epochs: [Vec<u32>; 2],
+    /// The vector vars known to hold an affine value, `(var, value, the
+    /// reassignment counts of the var and of the value's base)`: facts of
+    /// the scope that assigned them, dead once either count moves on.
+    held: Vec<(usize, Lin, [u32; 2])>,
+    /// Whether every warp of the block lies in one row of it. Only then is
+    /// the thread index lowered as affine: inside a warp `threadIdx.x`
+    /// steps by one and the other two stand still.
+    warp_rows: bool,
 }
 
 /// `(op, a, b)` with the reassignment counts of `a` and `b` when the value
@@ -501,8 +603,9 @@ impl Hasher for OpHasher {
 }
 
 /// Decides which vars can live in scalar slots: every assignment must be
-/// outside divergent control flow (`If`) and its value must be uniform —
-/// i.e. free of `ThreadIdx` and of vars already known to be vector.
+/// outside divergent control flow (an `If` on a lane-dependent condition)
+/// and its value must be uniform — i.e. free of `ThreadIdx` and of vars
+/// already known to be vector.
 /// Iterates to a fixpoint because uniformity depends on other vars.
 fn classify_vars(kernel: &Kernel) -> Vec<bool> {
     let mut scalar = vec![true; kernel.n_vars];
@@ -526,9 +629,10 @@ fn classify_vars(kernel: &Kernel) -> Vec<bool> {
                         }
                         walk(body, divergent, scalar, changed);
                     }
-                    Stmt::If { then_, else_, .. } => {
-                        walk(then_, true, scalar, changed);
-                        walk(else_, true, scalar, changed);
+                    Stmt::If { cond, then_, else_ } => {
+                        let divergent = divergent || !uniform_cond(cond, scalar);
+                        walk(then_, divergent, scalar, changed);
+                        walk(else_, divergent, scalar, changed);
                     }
                     _ => {}
                 }
@@ -576,6 +680,18 @@ fn uniform_iexpr(e: &IExpr, scalar: &[bool]) -> bool {
     }
 }
 
+/// [`uniform_iexpr`] for every operand of a condition.
+fn uniform_cond(c: &Cond, scalar: &[bool]) -> bool {
+    match c {
+        Cond::True => true,
+        Cond::Le(a, b) | Cond::Lt(a, b) | Cond::Eq(a, b) => {
+            uniform_iexpr(a, scalar) && uniform_iexpr(b, scalar)
+        }
+        Cond::And(a, b) | Cond::Or(a, b) => uniform_cond(a, scalar) && uniform_cond(b, scalar),
+        Cond::Not(a) => uniform_cond(a, scalar),
+    }
+}
+
 /// The [`SOp`] or [`VOp`] (`$Op`) of `$kind` into slot `$d`.
 macro_rules! lower_op {
     ($Op:ident, $kind:expr, $d:expr, $a:expr, $b:expr) => {{
@@ -597,6 +713,7 @@ macro_rules! lower_op {
             Ibin::FloorDiv => $Op::FloorDiv($d, $a, k),
             Ibin::Mod => $Op::Mod($d, $a, k),
             Ibin::Not => $Op::Not($d, $a),
+            Ibin::DivLane(..) => unreachable!("lowered by `Compiler::op`"),
         }
     }};
 }
@@ -635,7 +752,10 @@ impl<'a> Compiler<'a> {
         for h in hoistable.iter_mut().take(kernel.n_params + 1) {
             *h = true;
         }
+        let [bx, by, bz] = kernel.block_dim;
         Compiler {
+            held: Vec::new(),
+            warp_rows: bx % 32 == 0 || by * bz == 1,
             kernel,
             mem,
             vars,
@@ -678,28 +798,112 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Lowers an integer expression, returning its operand.
-    fn iexpr(&mut self, e: &IExpr, prog: &mut Prog) -> Val {
+    /// Lowers an integer expression.
+    fn iexpr(&mut self, e: &IExpr, prog: &mut Prog) -> Lin {
         match e {
-            IExpr::Const(c) => Val::SImm(*c),
-            IExpr::Param(p) => Val::SSlot(*p as u16),
-            IExpr::BlockIdx => Val::SSlot(self.kernel.n_params as u16),
-            IExpr::ThreadIdx(d) => Val::VSlot(*d as u16),
-            IExpr::Var(v) => self.var(*v),
-            IExpr::Add(a, b) => self.ibin(a, b, prog, Ibin::Add),
-            IExpr::Sub(a, b) => self.ibin(a, b, prog, Ibin::Sub),
-            IExpr::Mul(a, b) => self.ibin(a, b, prog, Ibin::Mul),
+            IExpr::Const(c) => Lin::of(Val::SImm(*c)),
+            IExpr::Param(p) => Lin::of(Val::SSlot(*p as u16)),
+            IExpr::BlockIdx => Lin::of(Val::SSlot(self.kernel.n_params as u16)),
+            IExpr::ThreadIdx(d) if self.kernel.block_dim[*d as usize] == 1 => Lin::of(Val::SImm(0)),
+            IExpr::ThreadIdx(d) if self.warp_rows => Lin {
+                base: Val::SImm(0),
+                stride: self.coordinate(*d as usize),
+            },
+            IExpr::ThreadIdx(d) => Lin::of(Val::VSlot(*d as u16)),
+            IExpr::Var(v) => self.var_value(*v),
+            IExpr::Add(a, b) => self.sum(a, b, prog, Ibin::Add),
+            IExpr::Sub(a, b) => self.sum(a, b, prog, Ibin::Sub),
+            IExpr::Mul(a, b) => {
+                let (a, b) = (self.iexpr(a, prog), self.iexpr(b, prog));
+                // An immediate factor scales the strides with the base.
+                let (lin, k) = match (a.base, b.base) {
+                    (_, Val::SImm(k)) if !b.is_affine() => (a, k),
+                    (Val::SImm(k), _) if !a.is_affine() => (b, k),
+                    _ => {
+                        let (a, b) = (self.vector(a, prog), self.vector(b, prog));
+                        return Lin::of(self.op(Ibin::Mul, a, b, prog));
+                    }
+                };
+                Lin {
+                    base: self.op(Ibin::Mul, lin.base, Val::SImm(k), prog),
+                    stride: lin.stride.map(|c| c * k),
+                }
+            }
             IExpr::Min(a, b) => self.ibin(a, b, prog, Ibin::Min),
             IExpr::Max(a, b) => self.ibin(a, b, prog, Ibin::Max),
-            IExpr::FloorDiv(a, k) => {
-                let a = self.iexpr(a, prog);
-                self.op(Ibin::FloorDiv, a, Val::SImm(*k), prog)
-            }
-            IExpr::Mod(a, k) => {
-                let a = self.iexpr(a, prog);
-                self.op(Ibin::Mod, a, Val::SImm(*k), prog)
-            }
+            IExpr::FloorDiv(a, k) => self.divide(a, *k, 0, prog),
+            IExpr::Mod(a, m) => match &**a {
+                IExpr::FloorDiv(a, k) if *m > 0 => self.divide(a, *k, *m, prog),
+                _ => self.divide(a, *m, -1, prog),
+            },
         }
+    }
+
+    /// Lowers an integer expression to an operand, affine values to a
+    /// vector.
+    fn value(&mut self, e: &IExpr, prog: &mut Prog) -> Val {
+        let lin = self.iexpr(e, prog);
+        self.vector(lin, prog)
+    }
+
+    /// The strides of lane coordinate `c` — `threadIdx.x`, `.y`, `.z`, or
+    /// (3) the lane's index in the block — as a function of the thread
+    /// index. A dimension of extent 1 has none: its index is the constant 0.
+    fn coordinate(&self, c: usize) -> [i64; 3] {
+        let [bx, by, _] = self.kernel.block_dim.map(|d| d as i64);
+        let lane = [1, bx, bx * by];
+        [0, 1, 2].map(|d| match self.kernel.block_dim[d] {
+            1 => 0,
+            _ if c == 3 => lane[d],
+            _ => (c == d) as i64,
+        })
+    }
+
+    /// The lane coordinate that `stride · threadIdx` is a multiple of, and
+    /// the multiplier: the lane index when it fits, else a single dimension.
+    fn multiple_of(&self, stride: [i64; 3]) -> Option<(usize, i64)> {
+        if stride == [0; 3] {
+            return None;
+        }
+        [3, 0, 1, 2].into_iter().find_map(|c| {
+            let unit = self.coordinate(c);
+            let d = unit.iter().position(|&u| u != 0)?;
+            let k = stride[d] / unit[d];
+            (k != 0 && stride == unit.map(|u| u * k)).then_some((c, k))
+        })
+    }
+
+    /// The operand holding `lin` in every lane: its base when it has no
+    /// stride, otherwise a vector computed — once per scope, like any other
+    /// value — from the thread index.
+    fn vector(&mut self, lin: Lin, prog: &mut Prog) -> Val {
+        if !lin.is_affine() {
+            return lin.base;
+        }
+        let mut sum = Val::SImm(0);
+        for d in 0..3 {
+            let term = self.op(
+                Ibin::Mul,
+                Val::VSlot(d as u16),
+                Val::SImm(lin.stride[d]),
+                prog,
+            );
+            sum = self.op(Ibin::Add, sum, term, prog);
+        }
+        self.op(Ibin::Add, sum, lin.base, prog)
+    }
+
+    /// What kernel var `v` holds: a known affine value, or its slot.
+    fn var_value(&self, v: usize) -> Lin {
+        let slot = self.var(v);
+        let live = |&&(var, lin, at): &&(usize, Lin, [u32; 2])| {
+            var == v && at == [self.epoch(slot), self.epoch(lin.base)]
+        };
+        self.held
+            .iter()
+            .rev()
+            .find(live)
+            .map_or(Lin::of(slot), |h| h.1)
     }
 
     /// The slot of kernel var `v`.
@@ -710,35 +914,93 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn ibin(&mut self, a: &IExpr, b: &IExpr, prog: &mut Prog, kind: Ibin) -> Val {
-        let a = self.iexpr(a, prog);
-        let b = self.iexpr(b, prog);
-        self.op(kind, a, b, prog)
-    }
-
-    /// The operand holding `kind(a, b)`: folded when both operands are
-    /// immediates, the value number when a site that reaches this one has
-    /// computed it already, a new op otherwise — vector if either operand
-    /// is, scalar if not, and then in the per-block preamble when every
-    /// operand is block-uniform.
-    fn op(&mut self, kind: Ibin, a: Val, b: Val, prog: &mut Prog) -> Val {
-        if let (Val::SImm(x), Val::SImm(y)) = (a, b) {
-            return Val::SImm(kind.fold(x, y));
-        }
-        let epoch = |v: Val| match v {
+    /// How often the var in `v`'s slot has been reassigned so far.
+    fn epoch(&self, v: Val) -> u32 {
+        match v {
             Val::SImm(_) => 0,
             Val::SSlot(i) => *self.epochs[0].get(i as usize).unwrap_or(&0),
             Val::VSlot(i) => *self.epochs[1].get(i as usize).unwrap_or(&0),
-        };
-        let key = (kind, a, b, epoch(a), epoch(b));
+        }
+    }
+
+    fn ibin(&mut self, a: &IExpr, b: &IExpr, prog: &mut Prog, kind: Ibin) -> Lin {
+        let a = self.value(a, prog);
+        let b = self.value(b, prog);
+        Lin::of(self.op(kind, a, b, prog))
+    }
+
+    /// `a + b` or `a - b`: affine while neither is a vector.
+    fn sum(&mut self, a: &IExpr, b: &IExpr, prog: &mut Prog, kind: Ibin) -> Lin {
+        let (a, b) = (self.iexpr(a, prog), self.iexpr(b, prog));
+        let vector = matches!((a.base, b.base), (Val::VSlot(_), _) | (_, Val::VSlot(_)));
+        if vector || !(a.is_affine() || b.is_affine()) {
+            let (a, b) = (self.vector(a, prog), self.vector(b, prog));
+            return Lin::of(self.op(kind, a, b, prog));
+        }
+        let sign = if kind == Ibin::Sub { -1 } else { 1 };
+        Lin {
+            base: self.op(kind, a.base, b.base, prog),
+            stride: [0, 1, 2].map(|d| a.stride[d] + sign * b.stride[d]),
+        }
+    }
+
+    /// `floord(a, k)` (`m == 0`), `pmod(floord(a, k), m)` (`m > 0`) or
+    /// `pmod(a, k)` (`m < 0`): by carrying when `a` steps by a small
+    /// positive constant from each lane of the block to the next.
+    fn divide(&mut self, a: &IExpr, k: i64, m: i64, prog: &mut Prog) -> Lin {
+        let a = self.iexpr(a, prog);
+        Lin::of(match self.multiple_of(a.stride) {
+            Some((3, c)) if 0 < c && c <= 4 * k => {
+                self.op(Ibin::DivLane(c, k), a.base, Val::SImm(m), prog)
+            }
+            _ => {
+                let a = self.vector(a, prog);
+                let kind = if m < 0 { Ibin::Mod } else { Ibin::FloorDiv };
+                let q = self.op(kind, a, Val::SImm(k), prog);
+                if m > 0 {
+                    self.op(Ibin::Mod, q, Val::SImm(m), prog)
+                } else {
+                    q
+                }
+            }
+        })
+    }
+
+    /// The operand holding `kind(a, b)`: folded when both operands are
+    /// immediates or one is the op's identity, the value number when a site
+    /// that reaches this one has computed it already, a new op otherwise —
+    /// vector if either operand is (or the op is per lane by nature),
+    /// scalar if not, and then in the per-block preamble when every operand
+    /// is block-uniform.
+    fn op(&mut self, kind: Ibin, a: Val, b: Val, prog: &mut Prog) -> Val {
+        let lane = matches!(kind, Ibin::DivLane(..));
+        match (a, b) {
+            (Val::SImm(x), Val::SImm(y)) if !lane => return Val::SImm(kind.fold(x, y)),
+            (x, Val::SImm(y)) => match (kind, y) {
+                (Ibin::Add | Ibin::Sub, 0) | (Ibin::Mul | Ibin::FloorDiv | Ibin::And, 1) => {
+                    return x
+                }
+                (Ibin::Mul, 0) => return b,
+                _ => {}
+            },
+            (Val::SImm(x), y) => match (kind, x) {
+                (Ibin::Add, 0) | (Ibin::Mul | Ibin::And, 1) => return y,
+                _ => {}
+            },
+            _ => {}
+        }
+        let key = (kind, a, b, self.epoch(a), self.epoch(b));
         if let Some(&known) = self.values.get(&key) {
             return known;
         }
-        let vector = matches!(a, Val::VSlot(_)) || matches!(b, Val::VSlot(_));
+        let vector = lane || matches!(a, Val::VSlot(_)) || matches!(b, Val::VSlot(_));
         let hoisted = !vector && self.is_hoistable(a) && self.is_hoistable(b);
         let out = if vector {
             let dst = self.vslot();
-            prog.vops.push(lower_op!(VOp, kind, dst, a, b));
+            prog.vops.push(match (kind, b) {
+                (Ibin::DivLane(c, k), Val::SImm(m)) => VOp::DivLane(dst, a, [c, k, m]),
+                _ => lower_op!(VOp, kind, dst, a, b),
+            });
             Val::VSlot(dst)
         } else {
             let dst = self.sslot(hoisted);
@@ -764,11 +1026,12 @@ impl<'a> Compiler<'a> {
     /// `For` are such scopes — they may not run at all, and an arm runs
     /// under a narrower mask than the code after it.
     fn scope<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
-        let mark = self.scoped.len();
+        let (mark, held) = (self.scoped.len(), self.held.len());
         let out = f(self);
         for key in self.scoped.drain(mark..) {
             self.values.remove(&key);
         }
+        self.held.truncate(held);
         out
     }
 
@@ -785,27 +1048,103 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Lowers a condition to a 0/1 operand. Both operands of `And`/`Or`
-    /// are always evaluated (conditions are pure), which the 0/1
-    /// arithmetic then combines without short-circuiting.
-    fn cond(&mut self, c: &Cond, prog: &mut Prog) -> Val {
+    /// The guard that holds wherever the 0/1 operand `v` does.
+    fn guard(v: Val) -> Guard {
+        let (uniform, lanes) = match v {
+            Val::VSlot(_) => (Val::SImm(1), v),
+            _ => (v, Val::SImm(1)),
+        };
+        Guard {
+            uniform,
+            lanes,
+            within: None,
+        }
+    }
+
+    /// Lowers a condition to a 0/1 operand. Both operands of `And`/`Or` are
+    /// always evaluated (conditions are pure), which the 0/1 arithmetic then
+    /// combines without short-circuiting.
+    fn cond_value(&mut self, c: &Cond, prog: &mut Prog) -> Val {
         match c {
             Cond::True => Val::SImm(1),
-            Cond::Le(a, b) => self.ibin(a, b, prog, Ibin::Le),
-            Cond::Lt(a, b) => self.ibin(a, b, prog, Ibin::Lt),
-            Cond::Eq(a, b) => self.ibin(a, b, prog, Ibin::Eq),
-            Cond::And(a, b) => {
-                let (a, b) = (self.cond(a, prog), self.cond(b, prog));
-                self.op(Ibin::And, a, b, prog)
-            }
-            Cond::Or(a, b) => {
-                let (a, b) = (self.cond(a, prog), self.cond(b, prog));
-                self.op(Ibin::Or, a, b, prog)
+            Cond::Le(a, b) => self.ibin(a, b, prog, Ibin::Le).base,
+            Cond::Lt(a, b) => self.ibin(a, b, prog, Ibin::Lt).base,
+            Cond::Eq(a, b) => self.ibin(a, b, prog, Ibin::Eq).base,
+            Cond::And(a, b) | Cond::Or(a, b) => {
+                let (a, b) = (self.cond_value(a, prog), self.cond_value(b, prog));
+                let kind = if matches!(c, Cond::And(..)) {
+                    Ibin::And
+                } else {
+                    Ibin::Or
+                };
+                self.op(kind, a, b, prog)
             }
             Cond::Not(a) => {
-                let a = self.cond(a, prog);
+                let a = self.cond_value(a, prog);
                 self.op(Ibin::Not, a, Val::SImm(0), prog)
             }
+        }
+    }
+
+    /// Lowers a condition to a guard: a conjunction of comparisons keeps its
+    /// parts apart, anything else is one 0/1 operand.
+    fn cond(&mut self, c: &Cond, prog: &mut Prog) -> Guard {
+        match c {
+            Cond::Le(a, b) => self.compare(a, b, prog, Ibin::Le),
+            Cond::Lt(a, b) => self.compare(a, b, prog, Ibin::Lt),
+            Cond::And(a, b) => {
+                let (a, b) = (self.cond(a, prog), self.cond(b, prog));
+                let within = match (a.within, b.within) {
+                    (Some(mut a), Some(b)) => {
+                        for (a, b) in a.iter_mut().zip(*b) {
+                            *a = (
+                                self.op(Ibin::Max, a.0, b.0, prog),
+                                self.op(Ibin::Min, a.1, b.1, prog),
+                            );
+                        }
+                        Some(a)
+                    }
+                    (a, b) => a.or(b),
+                };
+                Guard {
+                    uniform: self.op(Ibin::And, a.uniform, b.uniform, prog),
+                    lanes: self.op(Ibin::And, a.lanes, b.lanes, prog),
+                    within,
+                }
+            }
+            _ => Self::guard(self.cond_value(c, prog)),
+        }
+    }
+
+    /// `a <= b` or `a < b`: a bound on one lane coordinate when `b - a` is
+    /// affine in it alone.
+    fn compare(&mut self, a: &IExpr, b: &IExpr, prog: &mut Prog, kind: Ibin) -> Guard {
+        let (a, b) = (self.iexpr(a, prog), self.iexpr(b, prog));
+        let coordinate = self.multiple_of([0, 1, 2].map(|d| b.stride[d] - a.stride[d]));
+        let (Some((c, k)), Val::SImm(_) | Val::SSlot(_), Val::SImm(_) | Val::SSlot(_)) =
+            (coordinate, a.base, b.base)
+        else {
+            let (a, b) = (self.vector(a, prog), self.vector(b, prog));
+            return Self::guard(self.op(kind, a, b, prog));
+        };
+        // `room + k · coordinate >= 0`.
+        let room = self.op(Ibin::Sub, b.base, a.base, prog);
+        let room = self.op(Ibin::Sub, room, Val::SImm((kind == Ibin::Lt) as i64), prog);
+        let [bx, by, bz] = self.kernel.block_dim.map(|d| d as i64);
+        let mut within = [bx, by, bz, bx * by * bz].map(|n| (Val::SImm(0), Val::SImm(n - 1)));
+        let (lo, hi) = &mut within[c];
+        if k < 0 {
+            let floor = self.op(Ibin::FloorDiv, room, Val::SImm(-k), prog);
+            *hi = self.op(Ibin::Min, *hi, floor, prog);
+        } else {
+            // `ceil(-room / k)`.
+            let up = self.op(Ibin::Sub, Val::SImm(k - 1), room, prog);
+            let ceil = self.op(Ibin::FloorDiv, up, Val::SImm(k), prog);
+            *lo = self.op(Ibin::Max, *lo, ceil, prog);
+        }
+        Guard {
+            within: Some(Box::new(within)),
+            ..Self::guard(Val::SImm(1))
         }
     }
 
@@ -868,44 +1207,38 @@ impl<'a> Compiler<'a> {
     /// Lowers a spatial index against the extents of global field
     /// `field`.
     fn global_index(&mut self, field: usize, index: &[IExpr], prog: &mut Prog) -> FlatIndex {
-        let dims: Vec<i64> = self
-            .mem
-            .field_dims(field)
-            .iter()
-            .map(|&d| d as i64)
-            .collect();
-        self.flat_index(index, dims, 0, prog)
+        self.flat_index(index, self.mem.field_dims(field), 0, prog)
     }
 
     /// Lowers a shared-buffer index against the buffer's static extents.
     fn shared_index(&mut self, buf: usize, index: &[IExpr], prog: &mut Prog) -> FlatIndex {
-        let dims: Vec<i64> = self.kernel.shared[buf]
-            .dims
-            .iter()
-            .map(|&d| d as i64)
-            .collect();
         let base = self.shared_bases[buf];
-        self.flat_index(index, dims, base, prog)
+        self.flat_index(index, &self.kernel.shared[buf].dims, base, prog)
     }
 
     fn flat_index(
         &mut self,
         index: &[IExpr],
-        dims: Vec<i64>,
+        extents: &'a [usize],
         base: i64,
         prog: &mut Prog,
     ) -> FlatIndex {
-        assert_eq!(index.len(), dims.len(), "index arity mismatch");
+        assert_eq!(index.len(), extents.len(), "index arity mismatch");
         let mut flat = FlatIndex {
-            uniform: Vec::new(),
-            lanes: Vec::new(),
+            dims: Vec::with_capacity(index.len()),
+            affine: true,
             base,
         };
         for (d, e) in index.iter().enumerate() {
-            let stride = dims[d + 1..].iter().product();
-            match self.iexpr(e, prog) {
-                Val::VSlot(slot) => flat.lanes.push((slot, dims[d], stride, d)),
-                uniform => flat.uniform.push((uniform, dims[d], stride, d)),
+            let stride: usize = extents[d + 1..].iter().product();
+            let lin = self.iexpr(e, prog);
+            flat.affine &= !matches!(lin.base, Val::VSlot(_));
+            flat.dims.push((lin, extents[d] as i64, stride as i64));
+        }
+        // One vector dimension makes every lane dimension a vector.
+        if !flat.affine {
+            for (lin, ..) in &mut flat.dims {
+                *lin = Lin::of(self.vector(*lin, prog));
             }
         }
         flat
@@ -919,7 +1252,8 @@ impl<'a> Compiler<'a> {
         match stmt {
             Stmt::SetVar { var, value } => {
                 let mut prog = Prog::default();
-                let out = self.iexpr(value, &mut prog);
+                let lin = self.iexpr(value, &mut prog);
+                let out = self.vector(lin, &mut prog);
                 self.kill(&[*var]);
                 match self.vars[*var] {
                     VarStorage::Scalar(dst) => BcStmt::SetVarS {
@@ -939,6 +1273,12 @@ impl<'a> Compiler<'a> {
                             }
                             _ => prog.vops.push(VOp::Copy(dst, out)),
                         }
+                        // Recorded after the retarget, which pops the last
+                        // scoped fact.
+                        if lin.is_affine() {
+                            let at = [self.epoch(Val::VSlot(dst)), self.epoch(lin.base)];
+                            self.held.push((*var, lin, at));
+                        }
                         BcStmt::SetVarV { prog }
                     }
                 }
@@ -951,8 +1291,8 @@ impl<'a> Compiler<'a> {
                 body,
             } => {
                 let mut prog = Prog::default();
-                let lo = self.iexpr(lo, &mut prog);
-                let hi = self.iexpr(hi, &mut prog);
+                let lo = self.value(lo, &mut prog);
+                let hi = self.value(hi, &mut prog);
                 // The body runs again after its own assignments: nothing
                 // computed from a var it steps or sets survives into it.
                 let mut stepped = assigned_vars(body);
@@ -969,20 +1309,20 @@ impl<'a> Compiler<'a> {
             }
             Stmt::If { cond, then_, else_ } => {
                 let mut prog = Prog::default();
-                let cond = self.cond(cond, &mut prog);
+                let guard = self.cond(cond, &mut prog);
                 let then_ = self.scope(|c| c.stmts(then_));
                 let else_ = self.scope(|c| c.stmts(else_));
-                if matches!(cond, Val::VSlot(_)) {
-                    BcStmt::IfLane {
+                if guard == Self::guard(guard.uniform) {
+                    BcStmt::IfUniform {
                         prog,
-                        cond,
+                        cond: guard.uniform,
                         then_,
                         else_,
                     }
                 } else {
-                    BcStmt::IfUniform {
+                    BcStmt::IfLane {
                         prog,
-                        cond,
+                        guard,
                         then_,
                         else_,
                     }
@@ -995,7 +1335,7 @@ impl<'a> Compiler<'a> {
                 index,
             } => {
                 let mut prog = Prog::default();
-                let plane = self.iexpr(plane, &mut prog);
+                let plane = self.value(plane, &mut prog);
                 let flat = self.global_index(*field, index, &mut prog);
                 BcStmt::GlobalLoad {
                     prog,
@@ -1012,7 +1352,7 @@ impl<'a> Compiler<'a> {
                 src,
             } => {
                 let mut prog = Prog::default();
-                let plane = self.iexpr(plane, &mut prog);
+                let plane = self.value(plane, &mut prog);
                 let flat = self.global_index(*field, index, &mut prog);
                 let mut fops = Vec::new();
                 let out = self.fexpr(src, &mut fops);
@@ -1079,6 +1419,9 @@ enum Ibin {
     FloorDiv,
     Mod,
     Not,
+    /// [`VOp::DivLane`] with this lane step and divisor; the modulus is
+    /// the immediate second operand.
+    DivLane(i64, i64),
 }
 
 impl Ibin {
@@ -1098,6 +1441,7 @@ impl Ibin {
             Ibin::FloorDiv => x.div_euclid(y),
             Ibin::Mod => x.rem_euclid(y),
             Ibin::Not => 1 - x,
+            Ibin::DivLane(..) => unreachable!("a lane op is never folded"),
         }
     }
 }
@@ -1137,7 +1481,8 @@ fn vop_dst(op: &VOp) -> u16 {
         | VOp::Eq(d, _, _)
         | VOp::And(d, _, _)
         | VOp::Or(d, _, _)
-        | VOp::Not(d, _) => *d,
+        | VOp::Not(d, _)
+        | VOp::DivLane(d, ..) => *d,
     }
 }
 
@@ -1156,7 +1501,8 @@ fn retarget_v(op: &mut VOp, dst: u16) {
         | VOp::Eq(d, _, _)
         | VOp::And(d, _, _)
         | VOp::Or(d, _, _)
-        | VOp::Not(d, _) => *d = dst,
+        | VOp::Not(d, _)
+        | VOp::DivLane(d, ..) => *d = dst,
     }
 }
 
@@ -1195,13 +1541,14 @@ pub(crate) fn compile_kernel(kernel: &Kernel, mem: &GlobalMem) -> BcKernel {
 // ---------------------------------------------------------------------
 
 /// A divergence mask with what every statement asks of it — how many
-/// lanes and warps are active, and which lanes of each warp — counted once
+/// lanes and warps are active, and which lanes of each warp — derived once
 /// where the mask is made ([`Mask::seal`]) rather than once per statement.
 #[derive(Default, Debug)]
 struct Mask {
-    lanes: Vec<bool>,
-    /// The active lanes of each 32-lane warp, lane `l` of the warp at bit `l`.
+    /// The active lanes of each 32-lane warp, lane `l` of the warp at bit
+    /// `l`: what a mask is made of.
     warps: Vec<u32>,
+    lanes: Vec<bool>,
     /// Active lanes.
     count: usize,
     /// Warps with at least one active lane.
@@ -1209,13 +1556,27 @@ struct Mask {
 }
 
 impl Mask {
-    /// Derives the summary from `lanes`.
+    /// Derives the lanes and the summary from `warps`.
     fn seal(&mut self) {
-        let pack = |warp: &[bool]| warp.iter().rev().fold(0, |bits, &m| bits << 1 | m as u32);
-        self.warps.clear();
-        self.warps.extend(self.lanes.chunks(32).map(pack));
+        for (&bits, lanes) in self.warps.iter().zip(self.lanes.chunks_mut(32)) {
+            for (lane, m) in lanes.iter_mut().enumerate() {
+                *m = bits >> lane & 1 != 0;
+            }
+        }
         self.count = self.warps.iter().map(|w| w.count_ones() as usize).sum();
         self.active_warps = self.warps.iter().filter(|&&w| w != 0).count() as u64;
+    }
+
+    /// Splits the mask by the lanes set in `then.warps`: `then` becomes
+    /// those of its lanes, `else_` the others, both unsealed. Returns the
+    /// divergence: the warps with lanes on both sides.
+    fn split(&self, then: &mut Mask, else_: &mut Mask) -> u64 {
+        for (warp, &bits) in self.warps.iter().enumerate() {
+            then.warps[warp] &= bits;
+            else_.warps[warp] = bits & !then.warps[warp];
+        }
+        let both = |(&t, &e): &(&u32, &u32)| t != 0 && e != 0;
+        then.warps.iter().zip(&else_.warps).filter(both).count() as u64
     }
 
     /// Every lane is active.
@@ -1289,11 +1650,12 @@ impl ExecScratch {
         }
     }
 
-    /// An unsealed mask of `n` lanes, every one `active`.
-    fn take_mask(&mut self, n: usize, active: bool) -> Mask {
+    /// An unsealed mask of `n` lanes, none of them active.
+    fn take_mask(&mut self, n: usize) -> Mask {
         let mut m = self.masks.pop().unwrap_or_default();
-        m.lanes.clear();
-        m.lanes.resize(n, active);
+        m.lanes.resize(n, false);
+        m.warps.clear();
+        m.warps.resize(n.div_ceil(32), 0);
         m
     }
 
@@ -1414,6 +1776,73 @@ fn set_bits(mut bits: u32) -> impl Iterator<Item = usize> {
     })
 }
 
+/// Sets the bits of lanes `from..to` in the per-warp words `warps`.
+fn set_lanes(warps: &mut [u32], from: usize, to: usize) {
+    for (warp, bits) in warps.iter_mut().enumerate() {
+        let (lo, hi) = (from.max(warp * 32), to.min(warp * 32 + 32));
+        if lo < hi {
+            *bits |= (u32::MAX >> (32 - (hi - lo))) << (lo - warp * 32);
+        }
+    }
+}
+
+/// Sets the lanes of a block of `block_dim` threads whose four lane
+/// coordinates lie in `lo[c]..=hi[c]` (bounds inside the block's, or empty):
+/// the rows of the box, each cut to the lane interval.
+fn set_box(warps: &mut [u32], block_dim: [usize; 3], lo: [i64; 4], hi: [i64; 4]) {
+    let [bx, by, _] = block_dim.map(|d| d as i64);
+    for row in (lo[2]..=hi[2]).flat_map(|z| (z * by + lo[1])..=(z * by + hi[1])) {
+        let from = (row * bx + lo[0]).max(lo[3]);
+        let to = (row * bx + hi[0]).min(hi[3]) + 1;
+        set_lanes(warps, from as usize, to.max(0) as usize);
+    }
+}
+
+/// Where the lanes of one warp point: the flat offset of bit `i`.
+#[derive(Clone, Copy)]
+enum WarpAddr<'a> {
+    /// `words[i]`, derived per lane.
+    Table(&'a [usize]),
+    /// `start + step * i`, an affine address.
+    Run { start: i64, step: i64 },
+}
+
+impl WarpAddr<'_> {
+    #[inline]
+    fn at(self, i: usize) -> usize {
+        match self {
+            WarpAddr::Table(words) => words[i],
+            WarpAddr::Run { start, step } => (start + step * i as i64) as usize,
+        }
+    }
+
+    /// `(first active bit, its offset, how many)` when the active lanes
+    /// `bits` are consecutive and address consecutive words: a slice.
+    fn span(self, bits: u32) -> Option<(usize, usize, usize)> {
+        let (first, len) = (bits.trailing_zeros() as usize, bits.count_ones() as usize);
+        match self {
+            WarpAddr::Run { start, step: 1 } if bits >> first == u32::MAX >> (32 - len) => {
+                Some((first, (start + first as i64) as usize, len))
+            }
+            _ => None,
+        }
+    }
+
+    /// Words with the bank-conflict count of the active lanes `bits`: all
+    /// of theirs, or just one when they are one word or distinct words
+    /// inside one 32-word window — a bank each, one transaction.
+    fn banked(self, bits: u32, buf: &mut [usize; 32]) -> &[usize] {
+        let conflict_free = matches!(self, WarpAddr::Run { step: -1..=1, .. });
+        let lanes = set_bits(bits).take(if conflict_free { 1 } else { 32 });
+        let mut active = 0;
+        for i in lanes {
+            buf[active] = self.at(i);
+            active += 1;
+        }
+        &buf[..active]
+    }
+}
+
 impl<B: GlobalBackend> CompiledExec<'_, B> {
     #[inline]
     fn geti(&self, v: Val, lane: usize) -> i64 {
@@ -1489,6 +1918,26 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
                     vun!(a, move |x: i64| x.rem_euclid(k))
                 }
                 VOp::Not(_, a) => vun!(a, |x: i64| 1 - x),
+                VOp::DivLane(_, a, [c, k, m]) => {
+                    let a = scalar_operand(&self.scratch.s, *a);
+                    let (mut q, mut r) = (a.div_euclid(*k), a.rem_euclid(*k));
+                    if *m > 0 {
+                        q = q.rem_euclid(*m);
+                    }
+                    let out = &mut self.scratch.v[d as usize * n..][..n];
+                    for (lane, out) in out.iter_mut().enumerate() {
+                        if kept.is_none_or(|kept| kept[lane]) {
+                            *out = if *m < 0 { r } else { q };
+                        }
+                        r += c;
+                        while r >= *k {
+                            (q, r) = (q + 1, r - k);
+                            if q == *m {
+                                q = 0;
+                            }
+                        }
+                    }
+                }
             }
         }
     }
@@ -1517,6 +1966,65 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
                 FOp::Mul(_, a, b) => fbin!(a, b, |x: f32, y: f32| x * y),
                 FOp::Sqrt(_, a) => fun!(a, f32::sqrt),
             }
+        }
+    }
+
+    /// Calls `f(self, first lane, active bits, addresses)` for every warp
+    /// of `mask` with an active lane, in order, having bounds-checked the
+    /// index `flat` of those lanes — what the four memory statements share.
+    fn each_warp(
+        &mut self,
+        flat: &FlatIndex,
+        mask: &Mask,
+        mut f: impl FnMut(&mut Self, usize, u32, WarpAddr),
+    ) {
+        let n = self.bc.n_threads;
+        let active = |&(_, &bits): &(usize, &u32)| bits != 0;
+        if !flat.affine {
+            let mut words = std::mem::take(&mut self.scratch.words);
+            flat.offsets(&self.scratch.s, &self.scratch.v, mask, &mut words);
+            for (warp, &bits) in mask.warps.iter().enumerate().filter(active) {
+                f(self, warp * 32, bits, WarpAddr::Table(&words[warp * 32..]));
+            }
+            self.scratch.words = words;
+            return;
+        }
+        // Inside a warp only `threadIdx.x` moves, so every index is monotone
+        // there: in bounds at the warp's first and last active lane, in
+        // bounds between them. A failure re-walks the warp's lanes in order,
+        // for the first offender's panic.
+        let uniform = flat.fold_uniform(&self.scratch.s);
+        for (warp, &bits) in mask.warps.iter().enumerate().filter(active) {
+            let (s, v) = (&self.scratch.s, &self.scratch.v);
+            let (first, last) = (
+                bits.trailing_zeros() as i64,
+                31 - bits.leading_zeros() as i64,
+            );
+            let lane = warp * 32 + first as usize;
+            let (mut start, mut step, mut outside) = (uniform, 0, false);
+            for (_, &(index, extent, stride)) in flat.ranked(false) {
+                let at = index.at(s, v, n, lane);
+                let ends = [at, at + index.stride[0] * (last - first)];
+                outside |= ends.iter().any(|&i| i as u64 >= extent as u64);
+                start += stride * at;
+                step += stride * index.stride[0];
+            }
+            if outside {
+                for i in set_bits(bits) {
+                    flat.offset(uniform, s, v, n, warp * 32 + i);
+                }
+            }
+            start -= step * first;
+            f(self, warp * 32, bits, WarpAddr::Run { start, step });
+        }
+    }
+
+    /// The byte address of word 0 of `plane`, when every lane is in that
+    /// one plane: its other words are an addition away.
+    fn plane_origin(&self, field: usize, plane: Src<i64>) -> Option<u64> {
+        match plane {
+            Src::Broadcast(pl) => Some(self.glob.byte_address_flat(field, pl as usize, 0)),
+            Src::Lanes(_) => None,
         }
     }
 
@@ -1590,30 +2098,42 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
             }
             BcStmt::IfLane {
                 prog,
-                cond,
+                guard,
                 then_,
                 else_,
             } => {
                 self.run_prog(prog, mask);
-                let mut tmask = self.scratch.take_mask(n, false);
-                let mut emask = self.scratch.take_mask(n, false);
-                let c = match *cond {
-                    Val::VSlot(s) => s as usize * n,
-                    _ => unreachable!("lane If has a vector condition"),
-                };
-                for (lane, &m) in mask.lanes.iter().enumerate() {
-                    let taken = self.scratch.v[c + lane] != 0;
-                    tmask.lanes[lane] = m & taken;
-                    emask.lanes[lane] = m & !taken;
+                let mut tmask = self.scratch.take_mask(n);
+                let mut emask = self.scratch.take_mask(n);
+                // The lanes the guard holds in: the rows of its box, each cut
+                // to the lane interval, then the per-lane condition.
+                let at = |v: Val| scalar_operand(&self.scratch.s, v);
+                match &guard.within {
+                    _ if at(guard.uniform) == 0 => {}
+                    None => set_lanes(&mut tmask.warps, 0, n),
+                    Some(within) => {
+                        let (lo, hi) = (within.map(|b| at(b.0)), within.map(|b| at(b.1)));
+                        set_box(&mut tmask.warps, self.bc.block_dim, lo, hi);
+                    }
                 }
-                tmask.seal();
-                emask.seal();
-                // Divergence: warps where both sub-masks are non-empty.
-                let both = |(&t, &e): &(&u32, &u32)| t != 0 && e != 0;
-                self.counters.divergent_branches +=
-                    tmask.warps.iter().zip(&emask.warps).filter(both).count() as u64;
-                self.run(then_, &tmask);
-                self.run(else_, &emask);
+                if let Val::VSlot(c) = guard.lanes {
+                    let cond = self.scratch.v[c as usize * n..][..n].chunks(32);
+                    for (taken, cond) in tmask.warps.iter_mut().zip(cond) {
+                        *taken &= cond
+                            .iter()
+                            .rev()
+                            .fold(0, |bits, &c| bits << 1 | (c != 0) as u32);
+                    }
+                }
+                self.counters.divergent_branches += mask.split(&mut tmask, &mut emask);
+                // An arm without statements (every generated `else`) needs
+                // no lanes.
+                for (arm, mask) in [(then_, &mut tmask), (else_, &mut emask)] {
+                    if !arm.is_empty() {
+                        mask.seal();
+                        self.run(arm, mask);
+                    }
+                }
                 self.scratch.return_mask(tmask);
                 self.scratch.return_mask(emask);
             }
@@ -1628,20 +2148,31 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
                 let field = *field as usize;
                 let d = *dst as usize * n;
                 let plane = self.vsrc(*plane);
-                let mut words = std::mem::take(&mut self.scratch.words);
-                flat.offsets(&self.scratch.s, &self.scratch.v, mask, &mut words);
-                for (warp, &bits) in mask.warps.iter().enumerate() {
+                let origin = self.plane_origin(field, plane);
+                self.each_warp(flat, mask, |ex, base, bits, addr| {
                     let (mut addrs, mut active) = ([0; 32], 0);
-                    for lane in set_bits(bits).map(|l| warp * 32 + l) {
-                        let pl = plane.at(&self.scratch.v, lane) as usize;
-                        addrs[active] = self.glob.byte_address_flat(field, pl, words[lane]);
-                        active += 1;
-                        self.scratch.f[d + lane] = self.glob.read_flat(field, pl, words[lane]);
+                    if let (WarpAddr::Run { start, step: 0 }, Src::Broadcast(pl)) = (addr, plane) {
+                        // One word of one plane for the whole warp: one read.
+                        let (pl, word) = (pl as usize, start as usize);
+                        let value = ex.glob.read_flat(field, pl, word);
+                        active = bits.count_ones() as usize;
+                        addrs[..active].fill(ex.glob.byte_address_flat(field, pl, word));
+                        set_bits(bits).for_each(|i| ex.scratch.f[d + base + i] = value);
+                    } else {
+                        for i in set_bits(bits) {
+                            let (pl, word) =
+                                (plane.at(&ex.scratch.v, base + i) as usize, addr.at(i));
+                            addrs[active] = match origin {
+                                Some(origin) => origin + 4 * word as u64,
+                                None => ex.glob.byte_address_flat(field, pl, word),
+                            };
+                            active += 1;
+                            ex.scratch.f[d + base + i] = ex.glob.read_flat(field, pl, word);
+                        }
                     }
-                    let l1 = self.scratch.l1.as_mut().expect("bound scratch has an L1");
-                    self.glob.charge_load(self.counters, l1, &addrs[..active]);
-                }
-                self.scratch.words = words;
+                    let l1 = ex.scratch.l1.as_mut().expect("bound scratch has an L1");
+                    ex.glob.charge_load(ex.counters, l1, &addrs[..active]);
+                });
             }
             BcStmt::GlobalStore {
                 prog,
@@ -1656,39 +2187,37 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
                 self.run_fops(fops, mask);
                 let field = *field as usize;
                 let (plane, src) = (self.vsrc(*plane), self.fsrc(*src));
-                let mut words = std::mem::take(&mut self.scratch.words);
-                flat.offsets(&self.scratch.s, &self.scratch.v, mask, &mut words);
-                for (warp, &bits) in mask.warps.iter().enumerate() {
+                let origin = self.plane_origin(field, plane);
+                self.each_warp(flat, mask, |ex, base, bits, addr| {
                     let (mut addrs, mut active) = ([0; 32], 0);
-                    for lane in set_bits(bits).map(|l| warp * 32 + l) {
-                        let pl = plane.at(&self.scratch.v, lane) as usize;
-                        addrs[active] = self.glob.byte_address_flat(field, pl, words[lane]);
+                    for i in set_bits(bits) {
+                        let (pl, word) = (plane.at(&ex.scratch.v, base + i) as usize, addr.at(i));
+                        addrs[active] = match origin {
+                            Some(origin) => origin + 4 * word as u64,
+                            None => ex.glob.byte_address_flat(field, pl, word),
+                        };
                         active += 1;
-                        let v = src.at(&self.scratch.f, lane);
-                        self.glob.write_flat(field, pl, words[lane], v);
+                        let v = src.at(&ex.scratch.f, base + i);
+                        ex.glob.write_flat(field, pl, word, v);
                     }
-                    self.glob.charge_store(self.counters, &addrs[..active]);
-                }
+                    ex.glob.charge_store(ex.counters, &addrs[..active]);
+                });
                 self.counters.flops += flops * mask.count as u64;
-                self.scratch.words = words;
             }
             BcStmt::SharedLoad { prog, dst, flat } => {
                 self.run_prog(prog, mask);
                 let d = *dst as usize * n;
-                let mut words = std::mem::take(&mut self.scratch.words);
-                flat.offsets(&self.scratch.s, &self.scratch.v, mask, &mut words);
-                for (warp, &bits) in mask.warps.iter().enumerate() {
-                    // The warp's active offsets, packed to the front of its
-                    // own 32 (all of them, in place, under a full warp).
-                    let (base, mut active) = (warp * 32, 0);
-                    for lane in set_bits(bits).map(|l| base + l) {
-                        self.scratch.f[d + lane] = self.scratch.shared[words[lane]];
-                        words[base + active] = words[lane];
-                        active += 1;
+                self.each_warp(flat, mask, |ex, base, bits, addr| {
+                    if let Some((first, at, len)) = addr.span(bits) {
+                        let dst = &mut ex.scratch.f[d + base + first..][..len];
+                        dst.copy_from_slice(&ex.scratch.shared[at..at + len]);
+                    } else {
+                        for i in set_bits(bits) {
+                            ex.scratch.f[d + base + i] = ex.scratch.shared[addr.at(i)];
+                        }
                     }
-                    charge_shared_load(self.counters, &words[base..base + active]);
-                }
-                self.scratch.words = words;
+                    charge_shared_load(ex.counters, addr.banked(bits, &mut [0; 32]));
+                });
             }
             BcStmt::SharedStore {
                 prog,
@@ -1700,19 +2229,21 @@ impl<B: GlobalBackend> CompiledExec<'_, B> {
                 self.run_prog(prog, mask);
                 self.run_fops(fops, mask);
                 let src = self.fsrc(*src);
-                let mut words = std::mem::take(&mut self.scratch.words);
-                flat.offsets(&self.scratch.s, &self.scratch.v, mask, &mut words);
-                for (warp, &bits) in mask.warps.iter().enumerate() {
-                    let (base, mut active) = (warp * 32, 0);
-                    for lane in set_bits(bits).map(|l| base + l) {
-                        self.scratch.shared[words[lane]] = src.at(&self.scratch.f, lane);
-                        words[base + active] = words[lane];
-                        active += 1;
+                self.each_warp(flat, mask, |ex, base, bits, addr| {
+                    match (addr.span(bits), src) {
+                        (Some((first, at, len)), Src::Lanes(src)) => {
+                            let src = &ex.scratch.f[src + base + first..][..len];
+                            ex.scratch.shared[at..at + len].copy_from_slice(src);
+                        }
+                        _ => {
+                            for i in set_bits(bits) {
+                                ex.scratch.shared[addr.at(i)] = src.at(&ex.scratch.f, base + i);
+                            }
+                        }
                     }
-                    charge_shared_store(self.counters, &words[base..base + active]);
-                }
+                    charge_shared_store(ex.counters, addr.banked(bits, &mut [0; 32]));
+                });
                 self.counters.flops += flops * mask.count as u64;
-                self.scratch.words = words;
             }
             BcStmt::Compute { fops, flops } => {
                 self.run_fops(fops, mask);
@@ -1737,7 +2268,8 @@ pub(crate) fn exec_block_compiled<B: GlobalBackend>(
     scratch: &mut ExecScratch,
 ) {
     scratch.bind(bc, params, block);
-    let mut full = scratch.take_mask(bc.n_threads, true);
+    let mut full = scratch.take_mask(bc.n_threads);
+    set_lanes(&mut full.warps, 0, bc.n_threads);
     full.seal();
     let mut exec = CompiledExec {
         bc,
@@ -2060,29 +2592,9 @@ mod tests {
     /// A one-block, 32-thread plan over one 32-point field with two planes;
     /// `body` leaves its result in registers 0 and 1, whose sum is stored.
     fn one_block_plan(n_vars: usize, mut body: Vec<Stmt>) -> LaunchPlan {
-        body.push(Stmt::GlobalStore {
-            field: 0,
-            plane: IExpr::Const(1),
-            index: vec![IExpr::ThreadIdx(0)],
-            src: FExpr::Add(Box::new(FExpr::Reg(0)), Box::new(FExpr::Reg(1))),
-        });
-        LaunchPlan {
-            kernels: vec![Kernel {
-                name: "vn".into(),
-                block_dim: [32, 1, 1],
-                shared: vec![],
-                n_vars,
-                n_regs: 3,
-                n_params: 0,
-                body,
-            }],
-            launches: vec![Launch {
-                kernel: 0,
-                params: vec![],
-                blocks: 1,
-            }],
-            description: "value numbering".into(),
-        }
+        let sum = FExpr::Add(Box::new(FExpr::Reg(0)), Box::new(FExpr::Reg(1)));
+        body.push(store(IExpr::ThreadIdx(0), sum));
+        kernel_plan([32, 1, 1], vec![], n_vars, vec![], 1, body)
     }
 
     fn load(dst: usize, index: IExpr) -> Stmt {
@@ -2103,8 +2615,9 @@ mod tests {
         progs(&bc.body).into_iter().map(count).sum()
     }
 
+    /// Divisions, per lane or carried along the lanes.
     fn floor_divs(prog: &Prog) -> usize {
-        let is_div = |op: &&VOp| matches!(op, VOp::FloorDiv(..));
+        let is_div = |op: &&VOp| matches!(op, VOp::FloorDiv(..) | VOp::DivLane(.., [_, _, 0]));
         prog.vops.iter().filter(is_div).count()
     }
 
@@ -2187,9 +2700,10 @@ mod tests {
         assert_eq!(checked_op_count(&plan, muls), 2);
     }
 
-    fn adds(prog: &Prog) -> usize {
-        let is_add = |op: &&VOp| matches!(op, VOp::Add(..));
-        prog.vops.iter().filter(is_add).count()
+    /// Remainders, per lane or carried along the lanes.
+    fn mods(prog: &Prog) -> usize {
+        let is_mod = |op: &&VOp| matches!(op, VOp::Mod(..) | VOp::DivLane(.., [_, _, -1]));
+        prog.vops.iter().filter(is_mod).count()
     }
 
     #[test]
@@ -2220,10 +2734,10 @@ mod tests {
         let want: Vec<f32> = (0..32).map(|i| if i < 16 { 6.0 } else { 5.0 }).collect();
         assert_eq!(got, want);
 
-        // `v0 + 1` is a temporary of the taken arm, written there for every
-        // lane from the `v0` of that moment; the other arm reassigns `v0`.
-        // Nothing after the arm may read that temporary: each of the three
-        // sites computes its own, and the run reads the cells the
+        // `(v0 + 1) % 32` is a temporary of the taken arm, written there for
+        // every lane from the `v0` of that moment; the other arm reassigns
+        // `v0`. Nothing after the arm may read that temporary: each of the
+        // three sites computes its own, and the run reads the cells the
         // interpreter reads.
         let next = || IExpr::Var(0).offset(1).modulo(32);
         let plan = one_block_plan(
@@ -2247,7 +2761,17 @@ mod tests {
                 load(1, next()),
             ],
         );
-        assert_eq!(checked_op_count(&plan, adds), 3);
+        assert_eq!(checked_op_count(&plan, mods), 3);
+    }
+
+    /// The sealed mask with exactly `lanes` active.
+    fn mask_of(lanes: &[bool]) -> Mask {
+        let mut mask = ExecScratch::default().take_mask(lanes.len());
+        for lane in (0..lanes.len()).filter(|&lane| lanes[lane]) {
+            set_lanes(&mut mask.warps, lane, lane + 1);
+        }
+        mask.seal();
+        mask
     }
 
     #[test]
@@ -2268,12 +2792,9 @@ mod tests {
                     d => next() % 4 < d,
                 })
                 .collect();
-            let mut mask = Mask {
-                lanes: lanes.clone(),
-                ..Mask::default()
-            };
-            mask.seal();
+            let mask = mask_of(&lanes);
             let what = format!("case {case}: {lanes:?}");
+            assert_eq!(mask.lanes, lanes, "{what}");
             assert_eq!(mask.count, lanes.iter().filter(|&&m| m).count(), "{what}");
             let warps: Vec<&[bool]> = lanes.chunks(32).collect();
             let active = warps.iter().filter(|w| w.iter().any(|&m| m)).count();
@@ -2305,21 +2826,20 @@ mod tests {
 
     #[test]
     fn the_address_pass_checks_active_lanes_in_lane_order() {
-        // A 4 × 8 buffer indexed `[slot 0][slot 1]` by four lanes.
+        // A 4 × 8 buffer indexed `[slot 3][slot 4]` — the first two past
+        // the thread index — by four lanes.
         let flat = FlatIndex {
-            uniform: vec![],
-            lanes: vec![(0, 4, 8, 0), (1, 8, 1, 1)],
+            dims: vec![
+                (Lin::of(Val::VSlot(3)), 4, 8),
+                (Lin::of(Val::VSlot(4)), 8, 1),
+            ],
+            affine: false,
             base: 100,
         };
         let offsets = |rows: [i64; 4], cols: [i64; 4], active: [bool; 4]| {
-            let v: Vec<i64> = rows.into_iter().chain(cols).collect();
-            let mut mask = Mask {
-                lanes: active.to_vec(),
-                ..Mask::default()
-            };
-            mask.seal();
+            let v: Vec<i64> = [0; 12].into_iter().chain(rows).chain(cols).collect();
             let mut out = Vec::new();
-            flat.offsets(&[], &v, &mask, &mut out);
+            flat.offsets(&[], &v, &mask_of(&active), &mut out);
             out
         };
         let all = [true; 4];
@@ -2341,6 +2861,396 @@ mod tests {
         // An inactive lane may hold anything.
         let masked = offsets([0, 1, 2, -1], [7, 9, 3, 5], [true, false, true, false]);
         assert_eq!((masked[0], masked[2]), (107, 119));
+    }
+
+    /// One kernel of `block_dim` threads, launched on `blocks` blocks with
+    /// `params`, over a one-dimensional field.
+    fn kernel_plan(
+        block_dim: [usize; 3],
+        shared: Vec<SharedBuf>,
+        n_vars: usize,
+        params: Vec<i64>,
+        blocks: usize,
+        body: Vec<Stmt>,
+    ) -> LaunchPlan {
+        LaunchPlan {
+            kernels: vec![Kernel {
+                name: "k".into(),
+                block_dim,
+                shared,
+                n_vars,
+                n_regs: 3,
+                n_params: params.len(),
+                body,
+            }],
+            launches: vec![Launch {
+                kernel: 0,
+                params,
+                blocks,
+            }],
+            description: "one kernel".into(),
+        }
+    }
+
+    /// `field[1][index] = src`.
+    fn store(index: IExpr, src: FExpr) -> Stmt {
+        Stmt::GlobalStore {
+            field: 0,
+            plane: IExpr::Const(1),
+            index: vec![index],
+            src,
+        }
+    }
+
+    fn set(var: usize, value: IExpr) -> Stmt {
+        Stmt::SetVar { var, value }
+    }
+
+    fn when(cond: Cond, then_: Vec<Stmt>) -> Stmt {
+        Stmt::If {
+            cond,
+            then_,
+            else_: vec![],
+        }
+    }
+
+    #[test]
+    fn a_var_assigned_under_a_uniform_if_stays_scalar() {
+        let tx = IExpr::ThreadIdx(0);
+        let first_block = || Cond::Eq(IExpr::BlockIdx, IExpr::Const(0));
+        let low = || Cond::Lt(IExpr::ThreadIdx(0), IExpr::Const(16));
+        let count = |var: usize, body: Vec<Stmt>| Stmt::For {
+            var,
+            lo: IExpr::Const(0),
+            hi: IExpr::Const(2),
+            step: 1,
+            body,
+        };
+        let body = vec![
+            // `v0` and the counter `v1`: uniform values under a uniform `If`.
+            when(
+                first_block(),
+                vec![
+                    set(0, IExpr::Const(3)),
+                    count(
+                        1,
+                        vec![load(0, tx.clone().add(IExpr::Var(1)).add(IExpr::Var(0)))],
+                    ),
+                ],
+            ),
+            // `v2` under a lane `If`; `v3` and the counter `v4` under a
+            // uniform one inside a lane one.
+            when(low(), vec![set(2, IExpr::Const(1))]),
+            when(
+                low(),
+                vec![when(
+                    first_block(),
+                    vec![set(3, IExpr::Const(2)), count(4, vec![])],
+                )],
+            ),
+            load(
+                1,
+                tx.clone()
+                    .add(IExpr::Var(2))
+                    .add(IExpr::Var(3))
+                    .add(IExpr::Var(4)),
+            ),
+            store(
+                IExpr::BlockIdx.scale(32).add(tx),
+                FExpr::Add(Box::new(FExpr::Reg(0)), Box::new(FExpr::Reg(1))),
+            ),
+        ];
+        let plan = kernel_plan([32, 1, 1], vec![], 5, vec![], 2, body);
+        assert_eq!(
+            classify_vars(&plan.kernels[0]),
+            [true, true, false, false, false]
+        );
+        assert_compiled_matches(&plan, &[Grid::random(&[64], 5)], 2);
+    }
+
+    #[test]
+    fn a_box_splits_a_mask_as_its_lanes_would() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |below: i64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as i64 % below
+        };
+        for case in 0..400 {
+            let block_dim = [
+                [8, 1, 1],
+                [32, 1, 1],
+                [33, 1, 1],
+                [64, 1, 1],
+                [256, 1, 1],
+                [32, 4, 1],
+            ][case % 6];
+            let [bx, by, _] = block_dim.map(|d| d as i64);
+            let n = (bx * by) as usize;
+            let density = next(4);
+            let parent: Vec<bool> = (0..n).map(|_| next(3) < density).collect();
+            // Bounds inside the block's (the compiler clamps them), empty
+            // ones (`hi < lo`, down to -1) and full ones included.
+            let mut bound = |extent: i64| match next(4) {
+                0 => (0, extent - 1),
+                1 => (next(extent), next(extent + 1) - 1),
+                _ => {
+                    let lo = next(extent);
+                    (lo, lo + next(extent - lo))
+                }
+            };
+            let (x, y, lane) = (bound(bx), bound(by), bound(n as i64));
+            let inside = |l: usize| {
+                let (lx, ly) = (l as i64 % bx, l as i64 / bx);
+                let within = |at: i64, (lo, hi): (i64, i64)| lo <= at && at <= hi;
+                within(lx, x) && within(ly, y) && within(l as i64, lane)
+            };
+            let what = format!("case {case}: {block_dim:?} x {x:?} y {y:?} lane {lane:?}");
+
+            let parent = mask_of(&parent);
+            let mut scratch = ExecScratch::default();
+            let (mut then, mut else_) = (scratch.take_mask(n), scratch.take_mask(n));
+            set_box(
+                &mut then.warps,
+                block_dim,
+                [x.0, y.0, 0, lane.0],
+                [x.1, y.1, 0, lane.1],
+            );
+            let divergent = parent.split(&mut then, &mut else_);
+            then.seal();
+            else_.seal();
+
+            let taken: Vec<bool> = (0..n).map(|l| parent.lanes[l] && inside(l)).collect();
+            let other: Vec<bool> = (0..n).map(|l| parent.lanes[l] && !inside(l)).collect();
+            for (got, want) in [(&then, mask_of(&taken)), (&else_, mask_of(&other))] {
+                assert_eq!(got.lanes, want.lanes, "{what}");
+                assert_eq!(got.warps, want.warps, "{what}");
+                assert_eq!(
+                    (got.count, got.active_warps),
+                    (want.count, want.active_warps),
+                    "{what}"
+                );
+            }
+            let both = |(t, e): (&[bool], &[bool])| t.contains(&true) && e.contains(&true);
+            let warps = taken.chunks(32).zip(other.chunks(32));
+            assert_eq!(
+                divergent,
+                warps.filter(|&w| both(w)).count() as u64,
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_lane_interval_with_bounds_outside_the_block_matches_the_interpreter() {
+        // `p0 <= tid + p2 <= p1` under `tid % 3 != 1`: a box inside a
+        // per-lane mask, with its else arm.
+        let tx = IExpr::ThreadIdx(0);
+        for (p0, p1, p2) in [
+            (0, 39, 0),
+            (-50, 500, 0),
+            (5, 4, 0),
+            (70, 90, 0),
+            (-9, -3, 0),
+            (20, 60, 17),
+            (3, 35, -30),
+        ] {
+            let at = tx.clone().add(IExpr::Param(2));
+            let bounded = Cond::Le(IExpr::Param(0), at.clone()).and(Cond::Le(at, IExpr::Param(1)));
+            let body = vec![
+                load(0, tx.clone()),
+                when(
+                    Cond::Not(Box::new(Cond::Eq(tx.clone().modulo(3), IExpr::Const(1)))),
+                    vec![Stmt::If {
+                        cond: bounded,
+                        then_: vec![Stmt::Compute {
+                            dst: 0,
+                            expr: FExpr::Sqrt(Box::new(FExpr::Reg(0))),
+                        }],
+                        else_: vec![Stmt::Compute {
+                            dst: 0,
+                            expr: FExpr::Const(7.0),
+                        }],
+                    }],
+                ),
+                store(tx.clone(), FExpr::Reg(0)),
+            ];
+            let plan = kernel_plan([40, 1, 1], vec![], 0, vec![p0, p1, p2], 1, body);
+            assert_compiled_matches(&plan, &[Grid::random(&[40], 2)], 2);
+        }
+    }
+
+    #[test]
+    fn an_affine_index_is_checked_at_its_active_lanes_only() {
+        // 64 lanes store `field[tid + 40]` of 96 cells under `tid < p0`.
+        let run = |p0: i64| {
+            let tx = IExpr::ThreadIdx(0);
+            let body = vec![when(
+                Cond::Lt(tx.clone(), IExpr::Param(0)),
+                vec![store(tx.offset(40), FExpr::Const(1.0))],
+            )];
+            let plan = kernel_plan([64, 1, 1], vec![], 0, vec![p0], 1, body);
+            let mut sim = GpuSim::new(DeviceConfig::gtx470(), &[Grid::zeros(&[96])], 2);
+            sim.run_plan_compiled(&plan);
+            (0..96)
+                .filter(|&i| sim.plane(0, 1).get(&[i]) == 1.0)
+                .count()
+        };
+        // Lanes 56.. would write past the end, and are masked off.
+        assert_eq!(run(56), 56);
+        // Lanes 56 and 57 are not: the first of them panics, as ever.
+        assert_eq!(
+            panic_of(|| {
+                run(58);
+            })
+            .as_deref(),
+            Some("compiled index 96 out of bounds for dim 0 (extent 96)")
+        );
+        assert_eq!(
+            panic_of(|| {
+                run(64);
+            })
+            .as_deref(),
+            Some("compiled index 96 out of bounds for dim 0 (extent 96)")
+        );
+    }
+
+    #[test]
+    fn carried_division_equals_euclidean_division_in_every_lane() {
+        let lane_ops = |prog: &Prog| {
+            let carried = |op: &&VOp| matches!(op, VOp::DivLane(..));
+            prog.vops.iter().filter(carried).count()
+        };
+        let init = [Grid::random(&[32], 8)];
+        for base in [-1000, -74, -73, -1, 0, 5, 71] {
+            for c in 1..=4i64 {
+                for k in [1, 3, 7, 73] {
+                    let at = || IExpr::Param(0).add(IExpr::ThreadIdx(0).scale(c));
+                    let indices = [
+                        at().fdiv(k).modulo(32),
+                        at().fdiv(k).modulo(5),
+                        at().modulo(k).modulo(32),
+                    ];
+                    let want: [Box<dyn Fn(i64) -> i64>; 3] = [
+                        Box::new(|x| x.div_euclid(k).rem_euclid(32)),
+                        Box::new(|x| x.div_euclid(k).rem_euclid(5)),
+                        Box::new(|x| x.rem_euclid(k).rem_euclid(32)),
+                    ];
+                    for (index, want) in indices.into_iter().zip(want) {
+                        let body = vec![load(0, index), store(IExpr::ThreadIdx(0), FExpr::Reg(0))];
+                        let plan = kernel_plan([32, 1, 1], vec![], 0, vec![base], 1, body);
+                        assert_compiled_matches(&plan, &init, 2);
+                        let bc = compile_kernel(&plan.kernels[0], &GlobalMem::new(&init, 2));
+                        let carried: usize = progs(&bc.body).into_iter().map(lane_ops).sum();
+                        assert_eq!(carried, (c <= 4 * k) as usize, "{base} + {c} * tid by {k}");
+                        let mut sim = GpuSim::new(DeviceConfig::gtx470(), &init, 2);
+                        sim.run_plan_compiled(&plan);
+                        for lane in 0..32 {
+                            let from = want(base + c * lane);
+                            let got = sim.plane(0, 1).get(&[lane]);
+                            assert_eq!(got, init[0].get(&[from]), "{base} + {c} * {lane} by {k}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_unit_stride_shared_access_costs_no_vector_op_and_one_transaction_a_warp() {
+        let tx = IExpr::ThreadIdx(0);
+        let shared = vec![SharedBuf {
+            name: "s".into(),
+            dims: vec![2, 136],
+        }];
+        let row = |index: IExpr| vec![IExpr::BlockIdx, index];
+        let body = vec![
+            load(0, tx.clone()),
+            // 40 of 64 lanes: a full warp and a quarter of one.
+            when(
+                Cond::Lt(tx.clone(), IExpr::Const(40)),
+                vec![
+                    Stmt::SharedStore {
+                        buf: 0,
+                        index: row(tx.clone().offset(8)),
+                        src: FExpr::Reg(0),
+                    },
+                    Stmt::SharedStore {
+                        buf: 0,
+                        index: row(tx.clone().scale(2)),
+                        src: FExpr::Reg(0),
+                    },
+                    Stmt::SharedLoad {
+                        dst: 1,
+                        buf: 0,
+                        index: row(tx.clone().offset(8)),
+                    },
+                    Stmt::SharedLoad {
+                        dst: 2,
+                        buf: 0,
+                        index: row(tx.clone().scale(2)),
+                    },
+                ],
+            ),
+            store(
+                tx,
+                FExpr::Add(Box::new(FExpr::Reg(1)), Box::new(FExpr::Reg(2))),
+            ),
+        ];
+        let plan = kernel_plan([64, 1, 1], shared, 0, vec![], 1, body);
+        let init = [Grid::random(&[64], 4)];
+        assert_compiled_matches(&plan, &init, 2);
+        let bc = compile_kernel(&plan.kernels[0], &GlobalMem::new(&init, 2));
+        let vops: usize = progs(&bc.body).iter().map(|p| p.vops.len()).sum();
+        assert_eq!(vops, 0, "every index is affine");
+        let mut sim = GpuSim::new(DeviceConfig::gtx470(), &init, 2);
+        sim.run_plan_compiled(&plan);
+        let c = sim.counters();
+        // Two active warps a statement. `tid + 8`: one transaction each.
+        // `2 * tid`: two banks deep in the full warp, one in the other.
+        assert_eq!(
+            (c.shared_load_requests, c.shared_load_transactions),
+            (4, 2 + 3)
+        );
+        assert_eq!(
+            (c.shared_store_requests, c.shared_store_transactions),
+            (4, 2 + 3)
+        );
+    }
+
+    #[test]
+    fn lane_conditions_under_or_and_not_match_the_interpreter() {
+        // A `[32, 3, 1]` block: boxes over `tid.x`/`tid.y`, an interval of
+        // lane indices, and the lanes outside their union.
+        let (tx, ty) = (IExpr::ThreadIdx(0), IExpr::ThreadIdx(1));
+        let lane = || tx.clone().add(ty.clone().scale(32));
+        let corner =
+            Cond::Lt(tx.clone(), IExpr::Const(5)).and(Cond::Le(IExpr::Const(1), ty.clone()));
+        let middle = Cond::Le(IExpr::Const(40), lane()).and(Cond::Lt(lane(), IExpr::Const(70)));
+        let either = Cond::Or(Box::new(corner), Box::new(middle));
+        let body = vec![
+            load(0, lane()),
+            Stmt::If {
+                cond: either.clone(),
+                then_: vec![Stmt::Compute {
+                    dst: 0,
+                    expr: FExpr::Mul(Box::new(FExpr::Reg(0)), Box::new(FExpr::Const(3.0))),
+                }],
+                else_: vec![],
+            },
+            when(
+                Cond::Not(Box::new(either)),
+                vec![Stmt::Compute {
+                    dst: 1,
+                    expr: FExpr::Const(2.0),
+                }],
+            ),
+            store(
+                lane(),
+                FExpr::Add(Box::new(FExpr::Reg(0)), Box::new(FExpr::Reg(1))),
+            ),
+        ];
+        let plan = kernel_plan([32, 3, 1], vec![], 0, vec![], 1, body);
+        assert_compiled_matches(&plan, &[Grid::random(&[96], 6)], 2);
     }
 
     #[test]

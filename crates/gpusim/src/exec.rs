@@ -23,7 +23,8 @@ use crate::shared::{charge_shared_load, charge_shared_store, SharedMem};
 /// to a deterministic merge. Elements are addressed by plane-linear
 /// offset.
 pub(crate) trait GlobalBackend {
-    /// Byte address of an element (for coalescing analysis).
+    /// Byte address of an element (for coalescing analysis): a plane's
+    /// consecutive offsets lie four bytes apart.
     fn byte_address_flat(&self, field: usize, plane: usize, offset: usize) -> u64;
     /// Reads one element (seeing this block's own earlier writes).
     fn read_flat(&mut self, field: usize, plane: usize, offset: usize) -> f32;

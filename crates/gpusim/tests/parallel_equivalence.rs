@@ -33,24 +33,34 @@ fn stencil_pool() -> Vec<StencilProgram> {
     ]
 }
 
-/// Small per-arity workloads so a single property case stays fast.
-fn workload(program: &StencilProgram, size_pick: usize, steps: usize) -> (Vec<usize>, usize) {
+/// Small per-arity workloads so a single property case stays fast. The
+/// innermost extent is a tile of `params`' innermost width and a bit, never
+/// a multiple of it: every row of tiles ends in a partly masked one.
+fn workload(
+    program: &StencilProgram,
+    params: &TileParams,
+    size_pick: usize,
+    steps: usize,
+) -> (Vec<usize>, usize) {
+    let inner = *params.w.last().unwrap() as usize + 6 + 4 * size_pick;
     match program.spatial_dims() {
         1 => (vec![48 + 8 * size_pick], steps),
-        2 => (vec![20 + 4 * size_pick, 24 + 4 * size_pick], steps),
-        _ => (vec![8 + size_pick, 8, 10], steps.min(4)),
+        2 => (vec![20 + 4 * size_pick, inner], steps),
+        _ => (vec![8 + size_pick, 8, inner - 4], steps.min(4)),
     }
 }
 
 /// Tile parameters from the raw draws, shaped to the program's arity. The
-/// innermost classical width stays a warp divisor so block shapes remain
-/// small.
-fn tile_params(program: &StencilProgram, h: i64, w0: i64, wi: i64) -> TileParams {
+/// innermost classical width `wi` picks runs from a quarter of a warp to two
+/// warps (one in 3-D) and the middle width of a 3-D tile is `wm`: blocks
+/// from `[8, 2, 1]` to `[64, 1, 1]` and `[32, 4, 1]` threads, whose warps
+/// span several rows of the block, exactly one, or half of one.
+fn tile_params(program: &StencilProgram, h: i64, w0: i64, wm: i64, wi: usize) -> TileParams {
     let n = program.spatial_dims();
     let mut w = vec![w0];
     if n >= 2 {
-        w.resize(n - 1, 2);
-        w.push(8 * wi);
+        w.resize(n - 1, wm);
+        w.push([8, 16, 32, 64][wi].min(if n == 2 { 64 } else { 32 }));
     }
     TileParams::new(h, &w)
 }
@@ -100,7 +110,7 @@ fn assert_bit_exact(program: &StencilProgram, plan: &gpu_codegen::ir::LaunchPlan
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Hybrid plans with shared-memory staging (the Table 1/2 path).
     #[test]
@@ -108,13 +118,14 @@ proptest! {
         pick in 0usize..7,
         h in 0i64..=3,
         w0 in 0i64..=4,
-        wi in 1i64..=2,
+        wm in 2i64..=4,
+        wi in 0usize..4,
         size_pick in 0usize..4,
         steps in 4usize..=8,
     ) {
         let program = stencil_pool().swap_remove(pick);
-        let params = tile_params(&program, h, w0, wi);
-        let (dims, steps) = workload(&program, size_pick, steps);
+        let params = tile_params(&program, h, w0, wm, wi);
+        let (dims, steps) = workload(&program, &params, size_pick, steps);
         let opts = CodegenOptions::best();
         // Not every random (h, w) is schedulable (width lower bound,
         // multi-statement height divisibility): infeasible draws are
@@ -132,12 +143,14 @@ proptest! {
         pick in 0usize..7,
         h in 0i64..=2,
         w0 in 1i64..=3,
+        wm in 2i64..=4,
+        wi in 0usize..4,
         size_pick in 0usize..4,
         steps in 4usize..=6,
     ) {
         let program = stencil_pool().swap_remove(pick);
-        let params = tile_params(&program, h, w0, 1);
-        let (dims, steps) = workload(&program, size_pick, steps);
+        let params = tile_params(&program, h, w0, wm, wi);
+        let (dims, steps) = workload(&program, &params, size_pick, steps);
         let opts = CodegenOptions {
             smem: SmemStrategy::GlobalOnly,
             aligned_loads: false,

@@ -8,7 +8,7 @@
 //! results must be identical, not merely close.
 
 use crate::grid::Grid;
-use crate::program::StencilProgram;
+use crate::program::{StencilExpr, StencilProgram};
 
 /// Sequential oracle executor holding the time-plane ring buffers.
 #[derive(Clone, Debug)]
@@ -17,7 +17,56 @@ pub struct ReferenceExecutor {
     /// `planes[f]` is the ring of time planes of field `f`; `planes[f][0]`
     /// is the most recent completed (or in-progress) plane.
     planes: Vec<Vec<Grid>>,
+    /// Row-major strides of the grid.
+    strides: Vec<usize>,
+    /// Per statement, its expression in postfix order.
+    rows: Vec<Vec<RowOp>>,
+    /// The operand stack of a row's evaluation, one row buffer per level.
+    stack: Vec<Vec<f32>>,
     steps_done: usize,
+}
+
+/// One node of a statement's expression, applied to a whole interior row
+/// at a time: the operands are the top row buffers of the stack.
+#[derive(Clone, Debug)]
+enum RowOp {
+    /// Pushes the row of `planes[field][plane]` (`plane` is `dt`: 0 the
+    /// in-progress plane) `delta` cells from the written row.
+    Load {
+        field: usize,
+        plane: usize,
+        delta: isize,
+    },
+    Const(f32),
+    Add,
+    Sub,
+    Mul,
+    Sqrt,
+}
+
+/// Appends `expr` in postfix order — the order [`StencilExpr::eval`] visits
+/// it in, so every point sees the same `f32` ops on the same operands.
+fn flatten(expr: &StencilExpr, strides: &[usize], out: &mut Vec<RowOp>) {
+    let (a, b, op) = match expr {
+        StencilExpr::Load(a) => {
+            let delta = a.offsets.iter().zip(strides);
+            return out.push(RowOp::Load {
+                field: a.field.0,
+                plane: a.dt as usize,
+                delta: delta.map(|(&o, &s)| o as isize * s as isize).sum(),
+            });
+        }
+        StencilExpr::Const(c) => return out.push(RowOp::Const(*c)),
+        StencilExpr::Add(a, b) => (a, Some(b), RowOp::Add),
+        StencilExpr::Sub(a, b) => (a, Some(b), RowOp::Sub),
+        StencilExpr::Mul(a, b) => (a, Some(b), RowOp::Mul),
+        StencilExpr::Sqrt(a) => (a, None, RowOp::Sqrt),
+    };
+    flatten(a, strides, out);
+    if let Some(b) = b {
+        flatten(b, strides, out);
+    }
+    out.push(op);
 }
 
 impl ReferenceExecutor {
@@ -37,9 +86,22 @@ impl ReferenceExecutor {
         );
         let depth = (program.max_dt() as usize) + 1;
         let planes = init.iter().map(|g| vec![g.clone(); depth]).collect();
+        let dims = init[0].dims();
+        let mut strides = vec![1usize; dims.len()];
+        for d in (1..dims.len()).rev() {
+            strides[d - 1] = strides[d] * dims[d];
+        }
+        let rows = program.statements().iter().map(|st| {
+            let mut ops = Vec::new();
+            flatten(&st.expr, &strides, &mut ops);
+            ops
+        });
         ReferenceExecutor {
             program: program.clone(),
             planes,
+            rows: rows.collect(),
+            strides,
+            stack: Vec::new(),
             steps_done: 0,
         }
     }
@@ -91,7 +153,12 @@ impl ReferenceExecutor {
         }
 
         let ReferenceExecutor {
-            program, planes, ..
+            program,
+            planes,
+            strides,
+            rows,
+            stack,
+            ..
         } = self;
         let radius = program.radius();
         let dims = planes[0][0].dims().to_vec();
@@ -106,42 +173,52 @@ impl ReferenceExecutor {
             return;
         }
         let inner = dims.len() - 1;
-        let mut strides = vec![1usize; dims.len()];
-        for d in (0..inner).rev() {
-            strides[d] = strides[d + 1] * dims[d + 1];
-        }
+        let len = hi[inner] - lo[inner];
 
-        for st in program.statements() {
-            let writes = st.writes.0;
-            // Per load, in evaluation order: field, ring plane (dt = 0 reads
-            // the in-progress plane, dt >= 1 reads `dt` planes back) and the
-            // signed distance of the read from the written point.
-            let loads: Vec<(usize, usize, isize)> = st
-                .expr
-                .loads()
-                .iter()
-                .map(|a| {
-                    let delta = a
-                        .offsets
-                        .iter()
-                        .zip(&strides)
-                        .map(|(&o, &s)| o as isize * s as isize);
-                    (a.field.0, a.dt as usize, delta.sum())
-                })
-                .collect();
+        for (st, ops) in program.statements().iter().zip(rows.iter()) {
             // Odometer over the outer dimensions; the innermost interior row
-            // is a run of consecutive flat offsets.
+            // is a run of consecutive flat offsets, evaluated op by op. A
+            // statement never reads the plane it writes (its own field is
+            // read at `dt >= 1`), so row order equals point order.
             let mut idx = lo[..inner].to_vec();
             loop {
-                let row: usize = idx.iter().zip(&strides).map(|(i, s)| i * s).sum();
-                for at in row + lo[inner]..row + hi[inner] {
-                    let mut next = loads.iter();
-                    let value = st.expr.eval(&mut |_| {
-                        let &(field, plane, delta) = next.next().expect("one entry per load");
-                        planes[field][plane].get_flat((at as isize + delta) as usize)
-                    });
-                    planes[writes][0].set_flat(at, value);
+                let row: usize = idx.iter().zip(&*strides).map(|(i, s)| i * s).sum();
+                let from = row + lo[inner];
+                let mut depth = 0;
+                for op in ops {
+                    if let RowOp::Load { .. } | RowOp::Const(_) = op {
+                        if stack.len() == depth {
+                            stack.push(vec![0.0; len]);
+                        }
+                        depth += 1;
+                    }
+                    let (below, top) = stack[..depth].split_at_mut(depth - 1);
+                    let top = &mut top[0][..];
+                    match *op {
+                        RowOp::Load {
+                            field,
+                            plane,
+                            delta,
+                        } => {
+                            let at = (from as isize + delta) as usize;
+                            top.copy_from_slice(&planes[field][plane].as_slice()[at..at + len]);
+                        }
+                        RowOp::Const(c) => top.fill(c),
+                        RowOp::Sqrt => top.iter_mut().for_each(|x| *x = x.sqrt()),
+                        RowOp::Add | RowOp::Sub | RowOp::Mul => {
+                            // `top` is the right operand, the row below it
+                            // the left one and the result.
+                            depth -= 1;
+                            let left = below[depth - 1].iter_mut().zip(top.iter());
+                            match op {
+                                RowOp::Add => left.for_each(|(a, b)| *a += b),
+                                RowOp::Sub => left.for_each(|(a, b)| *a -= b),
+                                _ => left.for_each(|(a, b)| *a *= b),
+                            }
+                        }
+                    }
                 }
+                planes[st.writes.0][0].as_mut_slice()[from..from + len].copy_from_slice(&stack[0]);
                 let Some(d) = (0..inner).rev().find(|&d| idx[d] + 1 < hi[d]) else {
                     break;
                 };
@@ -169,7 +246,7 @@ impl ReferenceExecutor {
 mod tests {
     use super::*;
     use crate::gallery;
-    use crate::program::Access;
+    use crate::program::{Access, Statement};
     use proptest::prelude::*;
 
     /// The per-point evaluator `step` replaced: an index vector per load,
@@ -246,11 +323,54 @@ mod tests {
         assert_matches_naive(&gallery::laplacian3d(), &[5, 2, 5], 2);
     }
 
+    /// `program` with each statement's sum of loads rebuilt in the shape
+    /// its draw picks, so that every node kind is walked: a difference, a
+    /// scaled sum, a product with a constant term, and the square root of a
+    /// sum of squares (finite on any input). The loads — fields, `dt`s and
+    /// offsets — are the program's own, so it stays carried.
+    fn reshaped(program: &StencilProgram, shapes: &[usize]) -> StencilProgram {
+        let b = Box::new;
+        let statements = program.statements().iter().zip(shapes).map(|(st, shape)| {
+            let mut loads = st.expr.loads().into_iter().cloned().map(StencilExpr::Load);
+            let first = loads.next().expect("a statement loads something");
+            let expr = match shape {
+                0 => st.expr.clone(),
+                1 => loads.fold(first, |acc, l| StencilExpr::Sub(b(acc), b(l))),
+                2 => StencilExpr::sum(std::iter::once(first).chain(loads).collect()).scale(0.25),
+                3 => {
+                    let rest = loads.fold(StencilExpr::Const(1.5), |acc, l| {
+                        StencilExpr::Add(b(acc), b(l))
+                    });
+                    StencilExpr::Mul(b(first), b(rest))
+                }
+                _ => {
+                    let square = |l: StencilExpr| StencilExpr::Mul(b(l.clone()), b(l));
+                    let squares = std::iter::once(first).chain(loads).map(square);
+                    StencilExpr::Sqrt(b(StencilExpr::sum(squares.collect())))
+                }
+            };
+            Statement {
+                name: st.name.clone(),
+                writes: st.writes,
+                expr,
+            }
+        });
+        let names: Vec<&str> = program.field_names().iter().map(String::as_str).collect();
+        StencilProgram::new(
+            "reshaped",
+            program.spatial_dims(),
+            &names,
+            statements.collect(),
+        )
+        .expect("same loads, same dependences")
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Generated programs: 1–3-D, asymmetric offsets up to ±3, dt up to
-        /// 2, 1–3 statements reading each other's fields.
+        /// 2, 1–3 statements reading each other's fields, each in one of
+        /// five expression shapes.
         #[test]
         fn row_walk_equals_the_per_point_evaluator_on_generated_programs(
             n in 1usize..=3,
@@ -261,9 +381,10 @@ mod tests {
                 ),
                 1..4,
             ),
+            shapes in prop::collection::vec(0usize..5, 3),
             extents in prop::collection::vec(5usize..=11, 3),
         ) {
-            let program = gallery::from_loads(n, loads);
+            let program = reshaped(&gallery::from_loads(n, loads), &shapes);
             assert_matches_naive(&program, &extents[..n], 4);
         }
     }
