@@ -52,8 +52,9 @@
 //!                            the Prometheus metrics text
 //!   --status-out PATH        write the final aggregated status JSON to
 //!                            PATH on shutdown
-//!   --mem-cap-bytes N        cap each device's in-memory plan cache (LRU
-//!                            eviction; default unbounded)
+//!   --mem-cap-bytes N        cap each device's in-memory plan cache at N
+//!                            bytes (exact LRU over the device's entries;
+//!                            default unbounded)
 //!   --max-devices N          per-device service states spun up lazily
 //!                            (default 8)
 //!   --default-deadline-ms N  deadline for requests without their own

@@ -32,14 +32,13 @@
 //! [`report_json`] renders the machine-readable per-stencil result table
 //! behind `hybridc --report`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use gpu_codegen::{BackendKind, CodegenOptions, HybridGeometry};
@@ -125,13 +124,6 @@ pub struct DriverConfig {
     /// instead of running to completion. Defaults to
     /// [`CancelToken::never`].
     pub cancel: CancelToken,
-    /// Age after which another process's tuning lock file (the
-    /// cross-process single-flight marker next to the disk cache) is
-    /// considered abandoned and stolen. The holder heartbeats the lock
-    /// mtime between scored candidates, so a live sweep of any length
-    /// keeps its lock; a premature steal only costs a redundant sweep,
-    /// never a wrong plan (entries are stored atomically).
-    pub lock_stale: Duration,
     /// Model-guided shortlist size: when > 0, only the `top_k`
     /// candidates ranked best by the analytical figure of merit
     /// ([`hybrid_tiling::tilesize::autotune::analytical_merit`]) reach
@@ -191,7 +183,6 @@ impl DriverConfig {
             #[cfg(test)]
             scorer: None,
             cancel: CancelToken::never(),
-            lock_stale: Duration::from_secs(120),
             top_k: 0,
             tune_workers: 0,
             proxy: 1.0,
@@ -384,7 +375,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// of the [`DeviceConfig`], rendered in a fixed field order. Two
 /// logically identical device descriptions — a named preset, or an
 /// inline device object with its JSON keys in any order — always
-/// resolve to the same fingerprint, so they share one cache shard and
+/// resolve to the same fingerprint, so they share cache entries and
 /// one fleet member; two devices differing in *any* parameter (even
 /// just the clock, which changes simulated tuning scores) key apart.
 pub fn device_fingerprint(device: &DeviceConfig) -> String {
@@ -543,21 +534,10 @@ pub fn mem_entry_bytes(fp: &str, device_fp: &str, program: &str, params: &TilePa
         + MEM_ENTRY_OVERHEAD
 }
 
-/// Splits `cap` bytes over `shards` budgets exactly: every budget gets
-/// `cap / shards`, and the remainder goes one byte at a time to the
-/// first budgets, so the sum is always exactly `cap`.
-fn even_split(cap: u64, shards: usize) -> Vec<u64> {
-    let n = shards.max(1) as u64;
-    let base = cap / n;
-    let rem = cap % n;
-    (0..n).map(|i| base + u64::from(i < rem)).collect()
-}
-
 /// One executed plan in the in-memory cache. The program text rides along
 /// so fingerprint collisions degrade to a bypass, exactly like the
-/// on-disk cache; the device fingerprint and timestamps drive the
-/// per-shard LRU and the hit-age metric.
-#[derive(Clone)]
+/// on-disk cache; the device fingerprint serves the per-device views, the
+/// timestamps the LRU and the hit-age metric.
 struct MemEntry {
     program: String,
     device_fp: String,
@@ -567,7 +547,7 @@ struct MemEntry {
     bytes: u64,
     /// When the entry was published (hit age = now − inserted_at).
     inserted_at: Instant,
-    /// Monotonic use tick; the per-shard LRU evicts the smallest.
+    /// Use tick; the LRU evicts the smallest.
     last_used: u64,
 }
 
@@ -578,59 +558,54 @@ enum MemSlot {
     Ready(MemEntry),
 }
 
-/// Recent hit-age samples kept per shard (the metric reads all shards,
-/// so the fleet sees up to `shards x` this many samples).
-const HIT_AGE_SAMPLES_PER_SHARD: usize = 64;
+/// Recent hit-age samples the hit-age quantiles are taken over.
+const HIT_AGE_SAMPLES: usize = 1024;
 
-/// Fulfills between two budget rebalances ([`MemCache::rebalance`]): the
-/// shard caps are recomputed from recent hit mass after this many plan
-/// publishes. Small enough that a traffic shift re-shapes the budgets
-/// within one burst, large enough that steady traffic pays nothing.
-const REBALANCE_EVERY: u64 = 64;
-
-struct ShardInner {
+/// Everything [`MemCache`]'s one mutex guards.
+#[derive(Default)]
+struct MemInner {
     map: HashMap<String, MemSlot>,
     /// Total byte cost of the Ready entries (in-flight markers are free).
     ready_bytes: u64,
-    /// Bounded ring of recent hit ages (ms since insert). Kept per
-    /// shard, under the shard lock already held on the hit path, so the
-    /// metric never adds cross-shard contention.
-    hit_ages: Vec<u64>,
-    hit_age_next: usize,
-    /// Recent hit mass (hits + coalesced + publishes since the last
-    /// rebalance, decayed by half at each one): the demand signal that
-    /// earns this shard its slice of the byte budget.
-    demand: u64,
+    /// LRU clock, advanced by every lookup and publish.
+    tick: u64,
+    /// The most recent hit ages (ms since insert), oldest first.
+    hit_ages: VecDeque<u64>,
 }
 
-impl ShardInner {
+impl MemInner {
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
     fn record_hit_age(&mut self, inserted_at: Instant) {
-        let ms = inserted_at.elapsed().as_millis() as u64;
-        if self.hit_ages.len() < HIT_AGE_SAMPLES_PER_SHARD {
-            self.hit_ages.push(ms);
-        } else {
-            let next = self.hit_age_next;
-            self.hit_ages[next] = ms;
+        if self.hit_ages.len() == HIT_AGE_SAMPLES {
+            self.hit_ages.pop_front();
         }
-        self.hit_age_next = (self.hit_age_next + 1) % HIT_AGE_SAMPLES_PER_SHARD;
+        self.hit_ages
+            .push_back(inserted_at.elapsed().as_millis() as u64);
+    }
+
+    /// The ready entries by fingerprint (in-flight markers skipped).
+    fn ready(&self) -> impl Iterator<Item = (&String, &MemEntry)> {
+        self.map.iter().filter_map(|(fp, slot)| match slot {
+            MemSlot::Ready(e) => Some((fp, e)),
+            MemSlot::InFlight => None,
+        })
     }
 }
 
-struct MemShard {
-    inner: Mutex<ShardInner>,
-    cv: Condvar,
-}
-
 /// The shared in-memory plan cache layered above the on-disk cache by
-/// the `hybridd`/`hybridfleet` compile service: a **device-sharded,
-/// size-capped LRU** of **executed outcomes**. An entry holds the tile
-/// parameters *and* the [`ExecRecord`] of running them — it is published
-/// once, after the plan simulated (and, if requested, verified against
-/// the oracle) successfully — so a hit is a lookup: no code generation,
-/// no simulation, no oracle run. Unlike the on-disk cache (tile
-/// parameters only, re-executed on every load) an entry cannot outlive
-/// the binary that checked it, which is why a hit may report the
-/// publishing compile's verdict.
+/// the `hybridd`/`hybridfleet` compile service: a **size-capped, exact
+/// LRU** of **executed outcomes**. An entry holds the tile parameters
+/// *and* the [`ExecRecord`] of running them — it is published once, after
+/// the plan simulated (and, if requested, verified against the oracle)
+/// successfully — so a hit is a lookup: no code generation, no
+/// simulation, no oracle run. Unlike the on-disk cache (tile parameters
+/// only, re-executed on every load) an entry cannot outlive the binary
+/// that checked it, which is why a hit may report the publishing
+/// compile's verdict.
 ///
 /// Lookups are **single-flight**: the first request for a fingerprint
 /// marks it in flight and compiles; concurrent requests for the same
@@ -641,17 +616,13 @@ struct MemShard {
 /// which compile individually. Waits are bounded: a waiter whose
 /// [`CancelToken`] fires stops waiting and gets [`MemLookup::Cancelled`].
 ///
-/// The map is sharded by the *device fingerprint plus plan fingerprint*,
-/// so requests for different devices (and unrelated programs) never
-/// contend on one lock. With a byte cap set, each shard owns an
-/// **adaptive slice of the budget**: budgets start as an even split and
-/// are periodically rebalanced in proportion to each shard's recent hit
-/// mass (hits + coalesced hits + publishes, decayed), floor-clamped so a
-/// cold shard can always admit an entry, with `Σ shard_caps == cap`
-/// preserved exactly at every rebalance. Each shard evicts its
-/// least-recently-used ready entries against its own slice — under the
-/// same per-shard lock, so eviction never blocks other shards. In-flight
-/// markers are never evicted.
+/// One mutex guards the map and one condvar wakes the waiters. A fleet
+/// member's cache serves a single device, and a hit holds the lock for
+/// one map probe and a small copy. With a byte cap set, a publish that
+/// takes the ready entries over it evicts the least-recently-used ready
+/// entries until they fit again: the cap is global and exact, so a
+/// working set that fits the cap stays whole. In-flight markers are never
+/// evicted.
 ///
 /// Counters ([`MemCache::get`]) are disjoint: every lookup is exactly
 /// one of `MemHits` (immediately ready), `MemCoalesced` (ready after
@@ -662,20 +633,12 @@ struct MemShard {
 /// false` compile, asked for with verification — and is 0 in steady
 /// state (the re-execution upgrades the entry in place).
 pub struct MemCache {
-    shards: Vec<MemShard>,
-    /// Total byte cap across all shards; `None` = unbounded.
+    inner: Mutex<MemInner>,
+    /// Wakes single-flight waiters when an in-flight compile publishes or
+    /// gives up.
+    cv: Condvar,
+    /// Byte cap over the ready entries; `None` = unbounded.
     cap_bytes: Option<u64>,
-    /// Current per-shard byte budgets. Starts as an even split of
-    /// `cap_bytes` (exact: `Σ == cap`), reshaped by [`MemCache::rebalance`]
-    /// toward the shards with the most recent hit mass. Meaningless when
-    /// `cap_bytes` is `None`.
-    shard_caps: Vec<AtomicU64>,
-    /// Fulfills since the last rebalance (rebalance cadence clock).
-    fulfills_since_rebalance: AtomicU64,
-    /// One rebalance at a time; a second caller skips rather than queues.
-    rebalance_gate: Mutex<()>,
-    /// Monotonic LRU clock.
-    tick: AtomicU64,
     /// The cache's stored series (`Id::MemLookups..=Id::MemReexecuted`).
     stats: Counters,
 }
@@ -706,77 +669,43 @@ pub struct MemCacheGuard<'a> {
 }
 
 impl MemCache {
-    /// An unbounded cache with 16 shards (the PR-4 default).
+    /// An unbounded cache.
     pub fn new() -> MemCache {
-        MemCache::with_config(16, None)
+        MemCache::with_cap(None)
     }
 
-    /// A cache with `shards` shards capped at `cap_bytes` total bytes
-    /// (`None` = unbounded). Budgets start as an exact even split
-    /// (`Σ shard_caps == cap`) and adapt to demand from there; an entry
-    /// larger than its shard's current slice is evicted immediately
-    /// after insert (the cap is a hard invariant, not a hint).
-    pub fn with_config(shards: usize, cap_bytes: Option<u64>) -> MemCache {
-        let shards = shards.max(1);
+    /// A cache capped at `cap_bytes` bytes of ready entries (`None` =
+    /// unbounded). An entry larger than the whole cap is evicted right
+    /// after it is published: the cap is a hard invariant, not a hint.
+    pub fn with_cap(cap_bytes: Option<u64>) -> MemCache {
         MemCache {
-            shards: (0..shards)
-                .map(|_| MemShard {
-                    inner: Mutex::new(ShardInner {
-                        map: HashMap::new(),
-                        ready_bytes: 0,
-                        hit_ages: Vec::new(),
-                        hit_age_next: 0,
-                        demand: 0,
-                    }),
-                    cv: Condvar::new(),
-                })
-                .collect(),
-            shard_caps: even_split(cap_bytes.unwrap_or(0), shards)
-                .into_iter()
-                .map(AtomicU64::new)
-                .collect(),
-            fulfills_since_rebalance: AtomicU64::new(0),
-            rebalance_gate: Mutex::new(()),
+            inner: Mutex::default(),
+            cv: Condvar::new(),
             cap_bytes,
-            tick: AtomicU64::new(0),
             stats: Counters::default(),
         }
     }
 
-    fn shard_idx(&self, device_fp: &str, fp: &str) -> usize {
-        let mut h = fnv1a64(device_fp.as_bytes());
-        h ^= fnv1a64(fp.as_bytes()).rotate_left(17);
-        (h % self.shards.len() as u64) as usize
+    fn lock(&self) -> std::sync::MutexGuard<'_, MemInner> {
+        lock_ignore_poison(&self.inner)
     }
 
-    fn shard(&self, device_fp: &str, fp: &str) -> &MemShard {
-        &self.shards[self.shard_idx(device_fp, fp)]
-    }
-
-    /// Evicts least-recently-used ready entries until the shard fits its
-    /// current slice of the byte cap. Runs under the shard lock;
-    /// in-flight markers are never touched.
-    fn evict_shard_locked(&self, idx: usize, inner: &mut ShardInner) {
-        if self.cap_bytes.is_none() {
+    /// Evicts least-recently-used ready entries until the cache fits its
+    /// cap. The victim is found by a linear scan for the smallest use
+    /// tick: only a publish over the cap pays it.
+    fn evict_locked(&self, inner: &mut MemInner) {
+        let Some(cap) = self.cap_bytes else {
             return;
-        }
-        let cap = self.shard_caps[idx].load(Ordering::Relaxed);
+        };
         while inner.ready_bytes > cap {
-            // Select the LRU victim by reference; clone only the one
-            // winning key (the scan runs under the shard lock).
-            let victim = inner
-                .map
-                .iter()
-                .filter_map(|(k, v)| match v {
-                    MemSlot::Ready(e) => Some((k, e.last_used)),
-                    MemSlot::InFlight => None,
-                })
-                .min_by_key(|&(_, tick)| tick)
-                .map(|(k, _)| k.clone());
-            let Some(key) = victim else {
+            let Some(fp) = inner
+                .ready()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(fp, _)| fp.clone())
+            else {
                 break;
             };
-            if let Some(MemSlot::Ready(e)) = inner.map.remove(&key) {
+            if let Some(MemSlot::Ready(e)) = inner.map.remove(&fp) {
                 inner.ready_bytes = inner.ready_bytes.saturating_sub(e.bytes);
                 self.stats.add(Id::MemEvictions, 1);
             }
@@ -784,15 +713,11 @@ impl MemCache {
     }
 
     /// The (p50, p90, p99) hit-age quantiles in milliseconds over the
-    /// most recent hits across all shards; `None` before the first hit.
-    /// Quantile index = `q * (len - 1)` rounded to nearest, so a single
-    /// sample reports itself at every quantile.
+    /// most recent hits; `None` before the first hit. Quantile index =
+    /// `q * (len - 1)` rounded to nearest, so a single sample reports
+    /// itself at every quantile.
     pub fn hit_age_quantiles_ms(&self) -> Option<(u64, u64, u64)> {
-        let mut ages: Vec<u64> = self
-            .shards
-            .iter()
-            .flat_map(|s| lock_ignore_poison(&s.inner).hit_ages.clone())
-            .collect();
+        let mut ages = Vec::from(self.lock().hit_ages.clone());
         if ages.is_empty() {
             return None;
         }
@@ -801,18 +726,9 @@ impl MemCache {
         Some((at(0.5), at(0.9), at(0.99)))
     }
 
-    /// Ready entries across all shards (in-flight markers not counted).
+    /// Ready entries (in-flight markers not counted).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                lock_ignore_poison(&s.inner)
-                    .map
-                    .values()
-                    .filter(|v| matches!(v, MemSlot::Ready(_)))
-                    .count()
-            })
-            .sum()
+        self.lock().ready().count()
     }
 
     /// True when no ready entry exists.
@@ -820,12 +736,9 @@ impl MemCache {
         self.len() == 0
     }
 
-    /// Total byte cost of the ready entries across all shards.
+    /// Total byte cost of the ready entries.
     pub fn bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| lock_ignore_poison(&s.inner).ready_bytes)
-            .sum()
+        self.lock().ready_bytes
     }
 
     /// The configured byte cap (`None` = unbounded).
@@ -840,99 +753,14 @@ impl MemCache {
         self.stats.get(id)
     }
 
-    /// The current per-shard byte budgets. With a cap set their sum is
-    /// exactly [`MemCache::cap_bytes`] — the invariant every rebalance
-    /// preserves; without a cap the values are meaningless zeros.
-    pub fn shard_caps(&self) -> Vec<u64> {
-        self.shard_caps
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// The floor any shard's budget is clamped to under a cap of `cap`:
-    /// a quarter of the even split (at least one byte), so a shard going
-    /// cold keeps enough budget to admit new entries and re-earn mass.
-    pub fn shard_floor(cap: u64, shards: usize) -> u64 {
-        (cap / (4 * shards.max(1) as u64)).max(1)
-    }
-
-    /// Recomputes the per-shard budgets from recent hit mass:
-    /// `cap_i = floor + spare * demand_i / Σ demand`, where
-    /// `floor` is [`MemCache::shard_floor`] and `spare = cap - shards*floor`,
-    /// with the integer remainder granted to the highest-demand shard so
-    /// `Σ shard_caps == cap` holds exactly. Demand decays by half at each
-    /// rebalance, so budgets track *recent* traffic. Shards left over
-    /// their shrunken slice are evicted down immediately — the total cap
-    /// stays a hard invariant, never a hint.
-    ///
-    /// Runs automatically every `REBALANCE_EVERY` publishes; public so
-    /// tests and operators can force a deterministic rebalance.
-    pub fn rebalance(&self) {
-        let Some(cap) = self.cap_bytes else {
-            return;
-        };
-        // One rebalancer at a time; a concurrent caller's pass would
-        // recompute the same budgets, so it just skips.
-        let Ok(_gate) = self.rebalance_gate.try_lock() else {
-            return;
-        };
-        let n = self.shards.len();
-        let floor = MemCache::shard_floor(cap, n);
-        let mut demand = Vec::with_capacity(n);
-        for shard in &self.shards {
-            let mut inner = lock_ignore_poison(&shard.inner);
-            demand.push(inner.demand);
-            inner.demand /= 2;
-        }
-        let total: u64 = demand.iter().sum();
-        let caps = if cap < n as u64 * floor || total == 0 {
-            // Degenerate cap or no signal yet: exact even split.
-            even_split(cap, n)
-        } else {
-            let spare = cap - n as u64 * floor;
-            let mut caps: Vec<u64> = demand
-                .iter()
-                .map(|&d| floor + (spare as u128 * d as u128 / total as u128) as u64)
-                .collect();
-            // Integer remainder to the hottest shard (first on ties)
-            // keeps the sum exactly at cap.
-            let assigned: u64 = caps.iter().sum();
-            let hottest = demand
-                .iter()
-                .enumerate()
-                .max_by_key(|&(i, &d)| (d, std::cmp::Reverse(i)))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            caps[hottest] += cap - assigned;
-            caps
-        };
-        for (slot, cap_i) in self.shard_caps.iter().zip(&caps) {
-            slot.store(*cap_i, Ordering::Relaxed);
-        }
-        self.stats.add(Id::MemRebalances, 1);
-        // Enforce the shrunken slices now, not at the next insert: the
-        // total cap must hold the moment the budgets change.
-        for (idx, shard) in self.shards.iter().enumerate() {
-            let mut inner = lock_ignore_poison(&shard.inner);
-            self.evict_shard_locked(idx, &mut inner);
-        }
-    }
-
     /// Ready entries whose device fingerprint equals `device_fp` — the
     /// per-device view behind cache-isolation assertions and fleet
     /// introspection.
     pub fn len_for_device(&self, device_fp: &str) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                lock_ignore_poison(&s.inner)
-                    .map
-                    .values()
-                    .filter(|v| matches!(v, MemSlot::Ready(e) if e.device_fp == device_fp))
-                    .count()
-            })
-            .sum()
+        self.lock()
+            .ready()
+            .filter(|(_, e)| e.device_fp == device_fp)
+            .count()
     }
 
     /// Snapshot of the ready plans cached for `device_fp`, as
@@ -941,49 +769,37 @@ impl MemCache {
     /// lookup); at most `limit` entries are returned, newest-used first,
     /// so a huge donor cache seeds a bounded hint list.
     pub fn device_plans(&self, device_fp: &str, limit: usize) -> Vec<(String, TileParams)> {
-        let mut entries: Vec<(u64, String, TileParams)> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                lock_ignore_poison(&s.inner)
-                    .map
-                    .values()
-                    .filter_map(|v| match v {
-                        MemSlot::Ready(e) if e.device_fp == device_fp => {
-                            Some((e.last_used, e.program.clone(), e.params.clone()))
-                        }
-                        _ => None,
-                    })
-                    .collect::<Vec<_>>()
-            })
+        let inner = self.lock();
+        let mut entries: Vec<&MemEntry> = inner
+            .ready()
+            .map(|(_, e)| e)
+            .filter(|e| e.device_fp == device_fp)
             .collect();
-        entries.sort_by_key(|e| std::cmp::Reverse(e.0));
-        entries.truncate(limit);
-        entries.into_iter().map(|(_, p, t)| (p, t)).collect()
+        entries.sort_by_key(|e| std::cmp::Reverse(e.last_used));
+        entries
+            .iter()
+            .take(limit)
+            .map(|e| (e.program.clone(), e.params.clone()))
+            .collect()
     }
 
     /// Read-only presence probe (no counters, no LRU touch) — for tests
     /// and introspection only; real lookups go through
     /// [`MemCache::lookup_or_begin`].
     pub fn contains(&self, device_fp: &str, fp: &str) -> bool {
-        let shard = self.shard(device_fp, fp);
-        matches!(
-            lock_ignore_poison(&shard.inner).map.get(fp),
-            Some(MemSlot::Ready(_))
-        )
+        matches!(self.lock().map.get(fp), Some(MemSlot::Ready(e)) if e.device_fp == device_fp)
     }
 
     /// Replaces the record of the ready entry for `fp` with a
     /// **verified** one — the in-place upgrade after a `verify: true`
     /// request re-executed an entry that a `verify: false` compile
     /// published. The record is fixed-size, so the entry's byte cost (and
-    /// the shard's `ready_bytes`) cannot change. A no-op when the entry
-    /// was evicted meanwhile, belongs to a colliding program, or `record`
-    /// is not verified (an entry is never downgraded).
+    /// the cache's ready bytes) cannot change. A no-op when the entry was
+    /// evicted meanwhile, belongs to a colliding program or another
+    /// device, or `record` is not verified (an entry is never downgraded).
     pub fn upgrade(&self, fp: &str, device_fp: &str, program: &str, record: ExecRecord) {
-        let shard = self.shard(device_fp, fp);
-        if let Some(MemSlot::Ready(e)) = lock_ignore_poison(&shard.inner).map.get_mut(fp) {
-            if record.verified && e.program == program {
+        if let Some(MemSlot::Ready(e)) = self.lock().map.get_mut(fp) {
+            if record.verified && e.program == program && e.device_fp == device_fp {
                 e.record = record;
             }
         }
@@ -1000,26 +816,25 @@ impl MemCache {
         cancel: &CancelToken,
     ) -> MemLookup<'_> {
         self.stats.add(Id::MemLookups, 1);
-        let shard = self.shard(device_fp, fp);
-        let mut inner = lock_ignore_poison(&shard.inner);
+        let mut inner = self.lock();
         let mut waited = false;
         loop {
+            let tick = inner.next_tick();
             match inner.map.get_mut(fp) {
+                Some(MemSlot::Ready(e)) if e.program != program => {
+                    self.stats.add(Id::MemBypasses, 1);
+                    return MemLookup::Bypass;
+                }
                 Some(MemSlot::Ready(e)) => {
-                    if e.program != program {
-                        self.stats.add(Id::MemBypasses, 1);
-                        return MemLookup::Bypass;
-                    }
-                    e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                    let inserted_at = e.inserted_at;
-                    let (params, record) = (e.params.clone(), e.record);
-                    if waited {
-                        self.stats.add(Id::MemCoalesced, 1);
-                    } else {
-                        self.stats.add(Id::MemHits, 1);
-                    }
+                    e.last_used = tick;
+                    let (params, record, inserted_at) = (e.params.clone(), e.record, e.inserted_at);
                     inner.record_hit_age(inserted_at);
-                    inner.demand += 1;
+                    let id = if waited {
+                        Id::MemCoalesced
+                    } else {
+                        Id::MemHits
+                    };
+                    self.stats.add(id, 1);
                     return MemLookup::Hit(params, record);
                 }
                 Some(MemSlot::InFlight) => {
@@ -1034,7 +849,7 @@ impl MemCache {
                     let wait = Duration::from_millis(50)
                         .min(cancel.remaining().unwrap_or(Duration::from_millis(50)))
                         .max(Duration::from_millis(1));
-                    inner = shard
+                    inner = self
                         .cv
                         .wait_timeout(inner, wait)
                         .unwrap_or_else(|p| p.into_inner())
@@ -1062,97 +877,70 @@ impl Default for MemCache {
 }
 
 impl MemCacheGuard<'_> {
-    /// Publishes the executed plan, wakes every waiter, and evicts LRU
-    /// entries if the shard now exceeds its slice of the byte cap. Every
-    /// `REBALANCE_EVERY` publishes the per-shard budgets are reshaped
-    /// toward recent demand ([`MemCache::rebalance`]).
+    /// Publishes the executed plan, evicts least-recently-used entries if
+    /// the cache is now over its cap, and (on drop) wakes every waiter.
     pub fn fulfill(mut self, program: &str, params: &TileParams, record: ExecRecord) {
-        let idx = self.cache.shard_idx(&self.device_fp, &self.fp);
-        let shard = &self.cache.shards[idx];
-        {
-            let mut inner = lock_ignore_poison(&shard.inner);
-            let bytes = mem_entry_bytes(&self.fp, &self.device_fp, program, params);
-            inner.map.insert(
-                self.fp.clone(),
-                MemSlot::Ready(MemEntry {
-                    program: program.to_string(),
-                    device_fp: self.device_fp.clone(),
-                    params: params.clone(),
-                    record,
-                    bytes,
-                    inserted_at: Instant::now(),
-                    last_used: self.cache.tick.fetch_add(1, Ordering::Relaxed),
-                }),
-            );
-            inner.ready_bytes += bytes;
-            inner.demand += 1;
-            self.cache.evict_shard_locked(idx, &mut inner);
-        }
+        let bytes = mem_entry_bytes(&self.fp, &self.device_fp, program, params);
+        let mut inner = self.cache.lock();
+        let entry = MemEntry {
+            program: program.to_string(),
+            device_fp: std::mem::take(&mut self.device_fp),
+            params: params.clone(),
+            record,
+            bytes,
+            inserted_at: Instant::now(),
+            last_used: inner.next_tick(),
+        };
+        inner
+            .map
+            .insert(std::mem::take(&mut self.fp), MemSlot::Ready(entry));
+        inner.ready_bytes += bytes;
+        self.cache.evict_locked(&mut inner);
         self.done = true;
-        shard.cv.notify_all();
-        // The rebalance takes shard locks itself, so it must run after
-        // this shard's lock is released.
-        let published = self
-            .cache
-            .fulfills_since_rebalance
-            .fetch_add(1, Ordering::Relaxed)
-            + 1;
-        if published >= REBALANCE_EVERY {
-            self.cache
-                .fulfills_since_rebalance
-                .store(0, Ordering::Relaxed);
-            self.cache.rebalance();
-        }
     }
 }
 
 impl Drop for MemCacheGuard<'_> {
     fn drop(&mut self) {
-        if self.done {
-            return;
+        if !self.done {
+            // The compile failed or panicked: clear the in-flight marker
+            // so waiters stop blocking and tune for themselves.
+            self.cache.lock().map.remove(&self.fp);
         }
-        // The compile failed or panicked: clear the in-flight marker so
-        // waiters stop blocking and tune for themselves.
-        let shard = self.cache.shard(&self.device_fp, &self.fp);
-        lock_ignore_poison(&shard.inner).map.remove(&self.fp);
-        shard.cv.notify_all();
+        self.cache.cv.notify_all();
     }
 }
 
-/// The cross-process single-flight marker: a lock file next to the disk
-/// cache entry (`<fp>.lock`). The holder tunes and stores the entry;
-/// concurrent `hybridd` processes wait for the entry to appear instead
-/// of tuning redundantly. A lock older than [`DriverConfig::lock_stale`]
-/// (by mtime) is presumed abandoned — crashed process, dead container —
-/// and stolen. A *live* holder keeps its lock by heartbeating the file's
-/// mtime from a ticker thread ([`DiskLock::held`]), so sweeps longer than
-/// `lock_stale` are never stolen from under a live process.
-/// Stealing from a crashed holder costs only a redundant sweep: entries
-/// are stored by atomic rename, so the last writer wins with an
-/// identical (deterministic) plan.
+/// The cross-process single-flight lock: an exclusive `flock` (through
+/// [`fs::File::try_lock`]) on `<fp>.lock` next to the disk cache entry.
+/// The holder tunes and stores the entry; concurrent `hybridd` processes
+/// wait for the entry to appear instead of tuning redundantly. The kernel
+/// keeps the lock exactly as long as the holder's file is open: a live
+/// holder keeps it however long it tunes, a crashed one frees it at once,
+/// and a leftover file nobody holds is simply taken.
+///
+/// The holder unlinks the file *before* closing it ([`Drop`]), so a
+/// waiter that opened the old file may lock an inode that is no longer at
+/// the path while a newcomer locks the path's new file. After locking, a
+/// waiter therefore checks that its file is still the one at the path and
+/// retries if not; only the holder of that file may unlink it, so exactly
+/// one process holds the path's lock.
 struct DiskLock {
     path: PathBuf,
-    /// Tells the heartbeat ticker thread to exit on drop.
-    stop: Arc<AtomicBool>,
-    /// Dedicated heartbeat thread: refreshes the lock file's mtime at a
-    /// quarter of `lock_stale` for as long as the guard lives. A ticker
-    /// (rather than the old between-candidates hook) keeps the lock live
-    /// even while a *single* candidate simulates for longer than
-    /// `lock_stale` — and is the only sound option once candidates score
-    /// concurrently, where no single thread reliably reaches a
-    /// between-candidates checkpoint.
-    ticker: Option<std::thread::JoinHandle<()>>,
+    /// Holds the lock; closing it (after `Drop` unlinked `path`) releases it.
+    _file: fs::File,
 }
 
 /// Outcome of [`DiskLock::acquire`].
 enum DiskFlight {
-    /// We hold the lock; tune, store, then drop (removes the file).
+    /// We hold the lock; tune, store, then drop (unlinks and releases).
     Acquired(DiskLock),
     /// Another process tuned this fingerprint while we waited; the
     /// entry is ready.
     Ready(TileParams),
-    /// Lock-file machinery unavailable (exotic filesystem): tune
-    /// without the cross-process guarantee rather than fail.
+    /// File locking unavailable (a filesystem without `flock`, a host
+    /// without inode numbers): tune without the cross-process guarantee
+    /// rather than fail.
     Skip,
 }
 
@@ -1163,113 +951,73 @@ impl DiskLock {
         program_text: &str,
         backend: BackendKind,
         cancel: &CancelToken,
-        stale: Duration,
     ) -> Result<DiskFlight, DriverError> {
         fs::create_dir_all(dir).map_err(|e| DriverError::Io(format!("{}: {e}", dir.display())))?;
         let path = dir.join(format!("{fp}.lock"));
         let mut wait_ms = 1;
         loop {
-            match fs::OpenOptions::new()
+            let Ok(file) = fs::OpenOptions::new()
                 .write(true)
-                .create_new(true)
+                .create(true)
+                .truncate(false)
                 .open(&path)
-            {
-                Ok(mut f) => {
-                    // Advisory content only; existence is the lock.
-                    let _ = writeln!(f, "{}", std::process::id());
-                    // Double-check: the previous holder may have stored
-                    // the entry and unlocked between our disk-cache
-                    // probe and this acquisition.
-                    if let Some(params) = load_cached_params(dir, fp, program_text, backend) {
-                        let _ = fs::remove_file(&path);
-                        return Ok(DiskFlight::Ready(params));
-                    }
-                    return Ok(DiskFlight::Acquired(DiskLock::held(path, stale)));
+            else {
+                return Ok(DiskFlight::Skip);
+            };
+            // Wait for this file's holder. Its entry may appear first (it
+            // stores before unlocking).
+            loop {
+                match file.try_lock() {
+                    Ok(()) => break,
+                    Err(fs::TryLockError::WouldBlock) => {}
+                    Err(fs::TryLockError::Error(_)) => return Ok(DiskFlight::Skip),
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    // Another process is tuning. Its entry may already be
-                    // there (it stores before unlocking).
-                    if let Some(params) = load_cached_params(dir, fp, program_text, backend) {
-                        return Ok(DiskFlight::Ready(params));
-                    }
-                    check_cancel(cancel, fp)?;
-                    match fs::metadata(&path).and_then(|m| m.modified()) {
-                        Ok(mtime) => {
-                            // Distance from now in either direction: a live
-                            // holder's heartbeat keeps the mtime within
-                            // `stale` of our clock, so a lock dated further
-                            // into the future (a clock step, a skewed file
-                            // server) is as abandoned as an old one.
-                            let age = mtime.elapsed().unwrap_or_else(|ahead| ahead.duration());
-                            if age > stale {
-                                // Presumed abandoned: steal (remove + retry
-                                // create_new; losing the remove race just
-                                // loops).
-                                let _ = fs::remove_file(&path);
-                                continue;
-                            }
-                        }
-                        // Lock vanished between open and stat: retry now.
-                        Err(_) => continue,
-                    }
-                    // Back off 1, 2, 4, 8, then 10 ms: a static tune holds
-                    // the lock for a millisecond or three.
-                    std::thread::sleep(Duration::from_millis(wait_ms));
-                    wait_ms = (wait_ms * 2).min(10);
+                if let Some(params) = load_cached_params(dir, fp, program_text, backend) {
+                    return Ok(DiskFlight::Ready(params));
                 }
-                Err(_) => return Ok(DiskFlight::Skip),
+                check_cancel(cancel, fp)?;
+                // Back off 1, 2, 4, 8, then 10 ms: a static tune holds
+                // the lock for a millisecond or three.
+                std::thread::sleep(Duration::from_millis(wait_ms));
+                wait_ms = (wait_ms * 2).min(10);
             }
-        }
-    }
-
-    /// Wraps a freshly created lock file in a guard that owns a
-    /// dedicated heartbeat ticker. The ticker rewrites the file (which
-    /// refreshes its mtime — rewriting rather than `utime`-style touching
-    /// keeps this on `std` alone) every `stale / 4`, so peers keep seeing
-    /// a live holder no matter how long any single candidate simulates.
-    /// Between beats it is parked, so it wakes once per period and the
-    /// guard's `Drop` ends it with an `unpark`, never by waiting a nap out.
-    /// Write failures are ignored: the worst case is a steal and one
-    /// redundant sweep, never a wrong plan.
-    fn held(path: PathBuf, stale: Duration) -> DiskLock {
-        let stop = Arc::new(AtomicBool::new(false));
-        let ticker = {
-            let stop = Arc::clone(&stop);
-            let path = path.clone();
-            // A zero `lock_stale` (every lock is stale) must not spin.
-            let period = (stale / 4).max(Duration::from_millis(1));
-            std::thread::spawn(move || {
-                let mut last_touch = Instant::now();
-                // Pairs with the `Release` store in `Drop`; an `unpark`
-                // that lands before the park makes it return at once.
-                while !stop.load(Ordering::Acquire) {
-                    let left = period.saturating_sub(last_touch.elapsed());
-                    if left.is_zero() {
-                        let _ = fs::write(&path, format!("{}\n", std::process::id()));
-                        last_touch = Instant::now();
-                    } else {
-                        std::thread::park_timeout(left);
-                    }
-                }
-            })
-        };
-        DiskLock {
-            path,
-            stop,
-            ticker: Some(ticker),
+            match is_linked_at(&file, &path) {
+                // Its holder unlinked it before releasing: lock the
+                // path's new file instead.
+                Some(false) => continue,
+                None => return Ok(DiskFlight::Skip),
+                Some(true) => {}
+            }
+            let lock = DiskLock { path, _file: file };
+            // Double-check: the previous holder may have stored the entry
+            // and unlocked between our disk-cache probe and this
+            // acquisition (dropping `lock` then unlinks the file).
+            return Ok(match load_cached_params(dir, fp, program_text, backend) {
+                Some(params) => DiskFlight::Ready(params),
+                None => DiskFlight::Acquired(lock),
+            });
         }
     }
 }
 
+/// Whether `file` is still the file at `path` (same device and inode);
+/// `None` where that cannot be told.
+#[cfg(unix)]
+fn is_linked_at(file: &fs::File, path: &Path) -> Option<bool> {
+    use std::os::unix::fs::MetadataExt;
+    let ours = file.metadata().ok()?;
+    Some(fs::metadata(path).is_ok_and(|m| (m.dev(), m.ino()) == (ours.dev(), ours.ino())))
+}
+
+#[cfg(not(unix))]
+fn is_linked_at(_: &fs::File, _: &Path) -> Option<bool> {
+    None
+}
+
 impl Drop for DiskLock {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(ticker) = self.ticker.take() {
-            // Wake, then join *before* removing: a ticker still running
-            // could re-create a lock file its guard already removed.
-            ticker.thread().unpark();
-            let _ = ticker.join();
-        }
+        // Unlink while the lock is still held; `_file` closes, releasing
+        // it, only after this returns.
         let _ = fs::remove_file(&self.path);
     }
 }
@@ -1782,7 +1530,7 @@ fn resolve_plan(
     // counts as a disk hit.
     let mut disk_flight = None;
     if let Some(dir) = cfg.cache_dir.as_deref() {
-        match DiskLock::acquire(dir, fp, text, cfg.backend, &cfg.cancel, cfg.lock_stale)? {
+        match DiskLock::acquire(dir, fp, text, cfg.backend, &cfg.cancel)? {
             DiskFlight::Acquired(lock) => disk_flight = Some(lock),
             DiskFlight::Ready(params) => {
                 if let Ok(plan) = generate(job, cone, &params) {
@@ -1795,11 +1543,8 @@ fn resolve_plan(
         }
     }
 
-    // On any failure below, dropping `disk_flight` removes the lock file
-    // so other processes proceed. While we hold the disk lock, its ticker
-    // thread heartbeats the lock file's mtime so peers never mistake a
-    // long live sweep — even one stuck inside a single slow candidate —
-    // for an abandoned one.
+    // On any failure below, dropping `disk_flight` unlinks the lock file
+    // and releases the lock, so other processes proceed at once.
     let (params, smem, score, stats) = choose_params(program, cone, cfg)?;
     if let Some(dir) = cfg.cache_dir.as_deref() {
         store_cached_params(dir, job, &params, smem, score)?;
@@ -2318,7 +2063,8 @@ pub fn outcome_json(source: &str, result: &Result<CompileOutcome, DriverError>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicBool, AtomicU32};
+    use std::sync::Arc;
 
     static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -2777,7 +2523,7 @@ for (t = 0; t < T; t++)
         };
         // A small cap makes this the LRU path, not the legacy unbounded
         // one.
-        let mem = MemCache::with_config(16, Some(64 * 1024));
+        let mem = MemCache::with_cap(Some(64 * 1024));
         let results: Vec<Result<CompileOutcome, DriverError>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..3)
                 .map(|_| {
@@ -2812,8 +2558,8 @@ for (t = 0; t < T; t++)
     }
 
     #[test]
-    fn lru_evicts_least_recently_used_entries_per_shard() {
-        let mem = MemCache::with_config(1, Some(600));
+    fn lru_evicts_least_recently_used_entries() {
+        let mem = MemCache::with_cap(Some(600));
         let dfp = "dev";
         let params = TileParams::new(1, &[3]);
         let insert = |key: &str, text_len: usize| {
@@ -2855,7 +2601,7 @@ for (t = 0; t < T; t++)
 
     #[test]
     fn oversized_entry_is_evicted_rather_than_breaking_the_cap() {
-        let mem = MemCache::with_config(1, Some(200));
+        let mem = MemCache::with_cap(Some(200));
         let params = TileParams::new(1, &[3]);
         let big = "y".repeat(1000);
         match mem.lookup_or_begin("huge", "dev", &big, &CancelToken::never()) {
@@ -2937,56 +2683,28 @@ for (t = 0; t < T; t++)
     }
 
     #[test]
-    fn stale_lock_files_are_stolen_by_mtime() {
-        let dir = scratch("stale_lock");
-        let file = write_stencil(&dir, "jacobi.stencil", JACOBI);
-        let cfg = DriverConfig {
-            // Any existing lock is immediately stale.
-            lock_stale: Duration::ZERO,
-            ..smoke_cfg(dir.join("out"))
-        };
-        // Plant an abandoned lock (as if a prior process crashed
-        // mid-tune).
-        let program = parse_stencil("jacobi", JACOBI).unwrap();
-        let fp = fingerprint(&program, &cfg);
-        let cache_dir = cfg.cache_dir.clone().unwrap();
-        fs::create_dir_all(&cache_dir).unwrap();
-        let lock = cache_dir.join(format!("{fp}.lock"));
-        fs::write(&lock, "dead-process\n").unwrap();
-        // A tiny sleep so the lock's mtime is strictly in the past.
-        std::thread::sleep(Duration::from_millis(5));
-        let out = compile_file(&file, &cfg).unwrap();
-        assert_eq!(out.cache, CacheSource::Fresh, "stale lock must be stolen");
-        assert!(!lock.exists());
-    }
-
-    #[test]
-    fn lock_files_dated_in_the_future_are_stolen_too() {
-        // After a clock step (or on a skewed file server) an abandoned
-        // lock's mtime lies ahead of now; `elapsed()` fails there, and
-        // reading that as age zero made every waiter spin to its deadline.
-        let dir = scratch("future_lock");
-        let file = write_stencil(&dir, "jacobi.stencil", JACOBI);
-        let cfg = DriverConfig {
-            lock_stale: Duration::from_millis(200),
-            ..smoke_cfg(dir.join("out"))
-        };
-        let program = parse_stencil("jacobi", JACOBI).unwrap();
-        let fp = fingerprint(&program, &cfg);
-        let cache_dir = cfg.cache_dir.clone().unwrap();
-        fs::create_dir_all(&cache_dir).unwrap();
-        let lock = cache_dir.join(format!("{fp}.lock"));
-        fs::write(&lock, "dead-process\n").unwrap();
-        let tomorrow = std::time::SystemTime::now() + Duration::from_secs(24 * 3600);
-        fs::File::options()
-            .write(true)
-            .open(&lock)
-            .unwrap()
-            .set_modified(tomorrow)
-            .unwrap();
-        let out = compile_file(&file, &cfg).unwrap();
-        assert_eq!(out.cache, CacheSource::Fresh, "future lock must be stolen");
-        assert!(!lock.exists());
+    fn leftover_lock_files_are_taken_at_once_whatever_their_mtime() {
+        // A lock file nobody holds (its holder crashed, or an older build
+        // left it) locks nothing, however far in the past or the future
+        // it is dated: the first compile takes it and tunes.
+        let day = Duration::from_secs(24 * 3600);
+        let now = std::time::SystemTime::now();
+        for (tag, mtime) in [("past_lock", now - 365 * day), ("future_lock", now + day)] {
+            let dir = scratch(tag);
+            let file = write_stencil(&dir, "jacobi.stencil", JACOBI);
+            let cfg = smoke_cfg(dir.join("out"));
+            let program = parse_stencil("jacobi", JACOBI).unwrap();
+            let cache_dir = cfg.cache_dir.clone().unwrap();
+            fs::create_dir_all(&cache_dir).unwrap();
+            let lock = cache_dir.join(format!("{}.lock", fingerprint(&program, &cfg)));
+            fs::write(&lock, "dead-process\n").unwrap();
+            let planted = fs::File::options().write(true).open(&lock).unwrap();
+            planted.set_modified(mtime).unwrap();
+            drop(planted);
+            let out = compile_file(&file, &cfg).unwrap();
+            assert_eq!(out.cache, CacheSource::Fresh, "{tag}");
+            assert!(!lock.exists(), "{tag}: the lock file must be removed");
+        }
     }
 
     #[test]
@@ -3006,7 +2724,6 @@ for (t = 0; t < T; t++)
         let dir = scratch("hb_lock");
         let file = write_stencil(&dir, "jacobi.stencil", JACOBI);
         let cfg = DriverConfig {
-            lock_stale: Duration::from_millis(120),
             scorer: Some(slow_scorer),
             top_k: 1,
             ..smoke_cfg(dir.join("out"))
@@ -3032,53 +2749,115 @@ for (t = 0; t < T; t++)
         );
     }
 
-    /// Takes the disk lock of fingerprint `fp` in a fresh directory.
-    fn held_lock(tag: &str, stale: Duration) -> (DiskLock, PathBuf) {
-        let (dir, never) = (scratch(tag), CancelToken::never());
-        match DiskLock::acquire(&dir, "fp", "text", BackendKind::Cuda, &never, stale) {
-            Ok(DiskFlight::Acquired(lock)) => (lock, dir.join("fp.lock")),
-            _ => panic!("a fresh directory has no holder and no entry"),
+    /// Takes the disk lock of fingerprint `fp` in `dir`.
+    fn lock_in(dir: &Path) -> DiskLock {
+        match DiskLock::acquire(dir, "fp", "text", BackendKind::Cuda, &CancelToken::never()) {
+            Ok(DiskFlight::Acquired(lock)) => lock,
+            _ => panic!("{}: no holder and no entry expected", dir.display()),
         }
     }
 
+    /// Takes the disk lock of fingerprint `fp` in a fresh directory.
+    fn held_lock(tag: &str) -> (DiskLock, PathBuf) {
+        let dir = scratch(tag);
+        (lock_in(&dir), dir.join("fp.lock"))
+    }
+
+    /// Set only in the child process of
+    /// `a_killed_holders_lock_is_free_at_once`: the directory whose lock
+    /// the child takes and holds until it is killed.
+    const LOCK_HOLDER_DIR: &str = "HYBRIDC_TEST_LOCK_HOLDER_DIR";
+    /// What the child prints once it holds the lock (libtest may print
+    /// the test's name on the same line).
+    const CHILD_HOLDS: &str = "the child holds the lock";
+
     #[test]
-    fn dropping_a_held_disk_lock_does_not_wait_for_the_heartbeat() {
-        // The ticker used to nap in 10 ms slices and `drop` joined it, so
-        // every fresh tune with a cache dir slept out the rest of a slice
-        // (>= 6 ms after a 3 ms hold). Parked, it is woken instead.
+    fn a_killed_holders_lock_is_free_at_once() {
+        if let Some(dir) = std::env::var_os(LOCK_HOLDER_DIR) {
+            let _lock = lock_in(Path::new(&dir));
+            println!("{CHILD_HOLDS}");
+            std::thread::sleep(Duration::from_secs(30));
+            return;
+        }
+        use std::io::BufRead as _;
+        use std::process::{Command, Stdio};
+        // The holder is this test binary, re-run as a child process.
+        let dir = scratch("killed_holder");
+        let mut child = Command::new(std::env::current_exe().unwrap())
+            .args(["driver::tests::a_killed_holders_lock_is_free_at_once"])
+            .args(["--exact", "--nocapture", "--test-threads=1"])
+            .env(LOCK_HOLDER_DIR, &dir)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        let stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+        let holding = stdout
+            .lines()
+            .map_while(Result::ok)
+            .any(|line| line.contains(CHILD_HOLDS));
+        assert!(holding, "the child never took the lock");
+        let probe = fs::File::open(dir.join("fp.lock")).unwrap();
+        assert!(matches!(
+            probe.try_lock(),
+            Err(fs::TryLockError::WouldBlock)
+        ));
+        // `Child::kill` is SIGKILL: no destructor runs, the file stays,
+        // and only the kernel can release the lock.
+        let start = Instant::now();
+        child.kill().unwrap();
+        let lock = lock_in(&dir);
+        let took = start.elapsed();
+        child.wait().unwrap();
+        assert!(took < Duration::from_millis(50), "{took:?}");
+        drop(lock);
+        assert!(!dir.join("fp.lock").exists());
+    }
+
+    #[test]
+    fn a_waiter_on_an_unlinked_lock_file_never_shares_the_lock() {
+        // B opens `fp.lock` while A holds it, and keeps polling that file.
+        // A unlinks and releases it; C creates and locks a new `fp.lock`.
+        // B then locks the old, unlinked file — and must see that it is no
+        // longer the path's, and wait for C instead of holding beside it.
+        // The sleeps only order these steps: a host too slow for them
+        // makes the test weaker, never makes it fail.
+        let (a, path) = held_lock("unlink_race");
+        let dir = path.parent().unwrap();
+        let c_released = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let b = s.spawn(|| {
+                let _lock = lock_in(dir);
+                c_released.load(Ordering::SeqCst)
+            });
+            // B's backoff has reached its 10 ms step on A's file.
+            std::thread::sleep(Duration::from_millis(30));
+            drop(a);
+            let c = lock_in(dir);
+            // B retries the old file several times meanwhile.
+            std::thread::sleep(Duration::from_millis(60));
+            c_released.store(true, Ordering::SeqCst);
+            drop(c);
+            assert!(b.join().unwrap(), "B held the lock while C did");
+        });
+        assert!(!path.exists());
+    }
+
+    #[test]
+    fn dropping_a_held_disk_lock_takes_under_three_ms() {
+        // Dropping is an unlink and a close.
         let fastest = (0..5)
             .map(|_| {
-                let (lock, _) = held_lock("lock_drop", Duration::from_secs(120));
-                std::thread::sleep(Duration::from_millis(3));
+                let (lock, path) = held_lock("lock_drop");
                 let start = Instant::now();
                 drop(lock);
-                start.elapsed()
+                let took = start.elapsed();
+                assert!(!path.exists(), "the lock file must be removed");
+                took
             })
             .min()
             .unwrap();
         assert!(fastest < Duration::from_millis(3), "{fastest:?}");
-    }
-
-    #[test]
-    fn a_held_disk_lock_beats_every_quarter_of_stale_and_stays_removed() {
-        let period = Duration::from_millis(10);
-        let (lock, path) = held_lock("lock_beat", 4 * period);
-        let mtime = || fs::metadata(&path).and_then(|m| m.modified()).unwrap();
-        let (mut last, mut beats, start) = (mtime(), 0, Instant::now());
-        while start.elapsed() < Duration::from_millis(100) {
-            std::thread::sleep(Duration::from_millis(1));
-            let now = mtime();
-            beats += usize::from(now != last);
-            last = now;
-        }
-        assert!(beats >= 2, "{beats} heartbeats in 100 ms at a 10 ms period");
-        // The ticker is joined before the remove: nothing re-creates it.
-        drop(lock);
-        let start = Instant::now();
-        while start.elapsed() < 3 * period {
-            assert!(!path.exists(), "the lock file came back");
-            std::thread::sleep(Duration::from_millis(1));
-        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! * `shutdown` stops the router and broadcasts the stop to all members;
 //! * `cancel` fans out to the member holding the in-flight request.
 //!
-//! Each member owns a size-capped, device-sharded LRU plan cache
+//! Each member owns a size-capped, exact-LRU plan cache
 //! (`--mem-cap-bytes`, per device) and applies the fleet's default
 //! request deadline (`--default-deadline-ms`); per-request `deadline_ms`
 //! and explicit `cancel` map onto the same cooperative

@@ -161,8 +161,6 @@ registry! {
     MemBypasses       Counter Device  -     "mem_bypasses"          12  "hybrid_mem_cache_lookups_total"       ("outcome", "bypass") "";
     MemEvictions      Counter Device  -     "mem_evictions"         16  "hybrid_mem_cache_evictions_total"     -
         "LRU evictions from the in-memory plan cache.";
-    MemRebalances     Counter Device  -     "mem_rebalances"        17  "hybrid_mem_cache_rebalances_total"    -
-        "Demand-weighted shard budget rebalances.";
     MemCancelledWaits Counter Device  -     "mem_cancelled_waits"   12  "hybrid_mem_cache_lookups_total"       ("outcome", "cancelled_wait") "";
     MemReexecuted     Counter Device  sum   "mem_reexecuted"        18  "hybrid_mem_cache_reexecuted_total"    -
         "Memory-cache hits that re-ran the pipeline (unverified record, verifying request).";

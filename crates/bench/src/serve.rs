@@ -203,7 +203,7 @@ impl ServeState {
     /// [`ServeState::new`] with explicit service options (cache cap,
     /// default deadline).
     pub fn with_options(cfg: DriverConfig, opts: ServeOptions) -> ServeState {
-        let mem = MemCache::with_config(16, opts.mem_cap_bytes);
+        let mem = MemCache::with_cap(opts.mem_cap_bytes);
         ServeState {
             cfg,
             opts,
@@ -230,9 +230,9 @@ impl ServeState {
     }
 
     /// [`ServeState::get`] for one render — a `status` payload, a metrics
-    /// snapshot: the hit-age quantiles (lock every shard, concatenate,
-    /// sort) are taken when the first of their three rows is read and
-    /// shared by the other two.
+    /// snapshot: the hit-age quantiles (copy the recent samples under the
+    /// cache lock, sort) are taken when the first of their three rows is
+    /// read and shared by the other two.
     pub fn reader(&self) -> impl Fn(Id) -> Option<u64> + '_ {
         let hit_age = OnceCell::new();
         move |id| {
@@ -772,7 +772,7 @@ pub(crate) fn check_version(seq: u64, id: Option<&Json>, req: &Json) -> Option<J
 /// entirely. Because the object is resolved into a [`DeviceConfig`]
 /// before fingerprinting, logically identical objects with their keys
 /// in any order canonicalize to the same device (and therefore the same
-/// cache shard and fleet member).
+/// cache entries and fleet member).
 pub fn resolve_device(v: &Json, default: &DeviceConfig) -> Result<DeviceConfig, String> {
     fn preset(name: &str) -> Result<DeviceConfig, String> {
         match name {
@@ -1904,7 +1904,7 @@ mod tests {
     fn device_objects_canonicalize_regardless_of_key_order() {
         // Satellite regression: logically identical device JSON objects
         // with reordered keys must resolve to the same canonical device
-        // fingerprint — same cache shard, same plan, a memory hit on the
+        // fingerprint — same cache entry, same plan, a memory hit on the
         // second request.
         let state = test_state("device_obj");
         let req = |device_json: &str| {
@@ -1976,7 +1976,6 @@ mod tests {
             "mem_coalesced",
             "mem_bypasses",
             "mem_evictions",
-            "mem_rebalances",
             "mem_cancelled_waits",
             "mem_reexecuted",
             "hit_age_p50_ms",

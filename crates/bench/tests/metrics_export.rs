@@ -244,7 +244,6 @@ fn golden_snapshot() -> MetricsSnapshot {
                     (Id::MemBypasses, 2),
                     (Id::MemCancelledWaits, 1),
                     (Id::MemEvictions, 3),
-                    (Id::MemRebalances, 2),
                     (Id::MemReexecuted, 1),
                     (Id::HitAgeP50, 10),
                     (Id::HitAgeP90, 50),
@@ -277,7 +276,6 @@ fn golden_snapshot() -> MetricsSnapshot {
                     (Id::MemBypasses, 0),
                     (Id::MemCancelledWaits, 0),
                     (Id::MemEvictions, 0),
-                    (Id::MemRebalances, 0),
                     (Id::MemReexecuted, 0),
                 ]),
             ),
