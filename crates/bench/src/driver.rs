@@ -2682,41 +2682,53 @@ for (t = 0; t < T; t++)
         }
     }
 
+    /// Plants a lock file nobody holds, dated `mtime`, where `compile_file`
+    /// will look for the jacobi lock, then checks the compile takes it at
+    /// once, tunes and removes it.
+    fn leftover_lock_is_taken(tag: &str, mtime: std::time::SystemTime) {
+        let dir = scratch(tag);
+        let file = write_stencil(&dir, "jacobi.stencil", JACOBI);
+        let cfg = smoke_cfg(dir.join("out"));
+        let program = parse_stencil("jacobi", JACOBI).unwrap();
+        let cache_dir = cfg.cache_dir.clone().unwrap();
+        fs::create_dir_all(&cache_dir).unwrap();
+        let lock = cache_dir.join(format!("{}.lock", fingerprint(&program, &cfg)));
+        fs::write(&lock, "dead-process\n").unwrap();
+        let planted = fs::File::options().write(true).open(&lock).unwrap();
+        planted.set_modified(mtime).unwrap();
+        drop(planted);
+        let out = compile_file(&file, &cfg).unwrap();
+        assert_eq!(
+            out.cache,
+            CacheSource::Fresh,
+            "{tag}: the lock must be taken"
+        );
+        assert!(!lock.exists(), "{tag}: the lock file must be removed");
+    }
+
     #[test]
-    fn leftover_lock_files_are_taken_at_once_whatever_their_mtime() {
-        // A lock file nobody holds (its holder crashed, or an older build
-        // left it) locks nothing, however far in the past or the future
-        // it is dated: the first compile takes it and tunes.
+    fn stale_lock_files_are_stolen_by_mtime() {
+        // A lock file left by a crashed holder locks nothing, however old
+        // its mtime: no flock is held on it, so the first compile takes it.
+        let year = Duration::from_secs(365 * 24 * 3600);
+        leftover_lock_is_taken("stale_lock", std::time::SystemTime::now() - year);
+    }
+
+    #[test]
+    fn lock_files_dated_in_the_future_are_stolen_too() {
+        // After a clock step (or on a skewed file server) an abandoned
+        // lock's mtime lies ahead of now; the flock lock never reads it.
         let day = Duration::from_secs(24 * 3600);
-        let now = std::time::SystemTime::now();
-        for (tag, mtime) in [("past_lock", now - 365 * day), ("future_lock", now + day)] {
-            let dir = scratch(tag);
-            let file = write_stencil(&dir, "jacobi.stencil", JACOBI);
-            let cfg = smoke_cfg(dir.join("out"));
-            let program = parse_stencil("jacobi", JACOBI).unwrap();
-            let cache_dir = cfg.cache_dir.clone().unwrap();
-            fs::create_dir_all(&cache_dir).unwrap();
-            let lock = cache_dir.join(format!("{}.lock", fingerprint(&program, &cfg)));
-            fs::write(&lock, "dead-process\n").unwrap();
-            let planted = fs::File::options().write(true).open(&lock).unwrap();
-            planted.set_modified(mtime).unwrap();
-            drop(planted);
-            let out = compile_file(&file, &cfg).unwrap();
-            assert_eq!(out.cache, CacheSource::Fresh, "{tag}");
-            assert!(!lock.exists(), "{tag}: the lock file must be removed");
-        }
+        leftover_lock_is_taken("future_lock", std::time::SystemTime::now() + day);
     }
 
     #[test]
     fn live_slow_tuner_keeps_its_disk_lock() {
-        // Starvation regression: the old heartbeat refreshed the lock
-        // mtime *between* candidates, so ONE candidate slower than
-        // `lock_stale` starved the refresh and peers stole the lock,
-        // retuning redundantly. The ticker thread owned by the lock
-        // guard refreshes on wall-clock instead: a single scorer call
-        // sleeping well past `lock_stale` (shortlist of 1, ~300 ms under
-        // a 120 ms stale bound) must still coalesce — one fresh tune,
-        // one disk hit, never two fresh tunes.
+        // Starvation regression: an mtime-heartbeat lock was stolen from
+        // a holder whose one candidate outlasted the staleness bound. A
+        // flock is held for as long as the holder lives, so a single
+        // scorer call sleeping ~300 ms (shortlist of 1) must still
+        // coalesce — one fresh tune, one disk hit, never two fresh tunes.
         fn slow_scorer(m: &TileSizeModel) -> Option<f64> {
             std::thread::sleep(Duration::from_millis(300));
             Some(-m.ratio())
