@@ -1,26 +1,31 @@
-//! `hybridfleet` — the device-sharded fleet layer above the resident
-//! compile service.
+//! `hybridfleet` — the device-sharded router, and the only handler of
+//! the `hybridd` wire protocol.
 //!
-//! One [`ServeState`] serves one device
-//! configuration; the paper's §6 sweep (and the tuning literature it
-//! cites) picks tile sizes *per device*, so a fleet-facing service must
-//! route each request to a per-device tuned plan rather than stretch one
-//! base config. The [`FleetRouter`] does exactly that:
+//! One [`ServeState`] member serves one device configuration; the paper's
+//! §6 sweep (and the tuning literature it cites) picks tile sizes *per
+//! device*, so the service routes each request to a per-device tuned plan
+//! rather than stretch one base config. Every transport of
+//! [`crate::serve`] drives a [`FleetRouter`], which handles the typed
+//! request its reader parsed:
 //!
-//! * every `compile` request is routed by its `device` field — a preset
-//!   name or an inline device object
-//!   ([`resolve_device`]) — to the member
-//!   [`ServeState`] keyed by the **canonical device fingerprint**
-//!   ([`device_fingerprint`]), so
-//!   logically identical device descriptions share one member (and one
-//!   plan cache) no matter how their JSON was spelled;
+//! * every `compile` is routed by its `device` field — a preset name or
+//!   an inline device object
+//!   ([`resolve_device`](crate::serve::resolve_device)), resolved once at
+//!   parse time — to the member keyed by the **canonical device
+//!   fingerprint** ([`device_fingerprint`]), so logically identical device
+//!   descriptions share one member (and one plan cache) no matter how
+//!   their JSON was spelled;
+//! * the default device's member exists from the start (a fleet of one is
+//!   the single-device server) and answers the lines that name no device:
+//!   malformed JSON, a missing or unknown op;
 //! * unknown devices spin a member up lazily, up to `--max-devices`;
 //!   past the cap requests get a typed `fleet_full` error instead of an
-//!   unbounded state explosion;
+//!   unbounded state explosion, and a compile naming a new device must
+//!   validate before it may take a slot;
 //! * `status` aggregates liveness and cache counters across every
-//!   member (per-device request counts included);
-//! * `shutdown` stops the router and broadcasts the stop to all members;
-//! * `cancel` fans out to the member holding the in-flight request.
+//!   member (per-device request counts included), `metrics` renders them;
+//! * `shutdown` stops every serving loop of the router;
+//! * `cancel` fans out to the members holding the in-flight request.
 //!
 //! Each member owns a size-capped, exact-LRU plan cache
 //! (`--mem-cap-bytes`, per device) and applies the fleet's default
@@ -30,8 +35,10 @@
 //! the tuning sweep.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
+
+use gpusim::DeviceConfig;
 
 use crate::driver::{device_distance, device_fingerprint, DriverConfig};
 use crate::json::Json;
@@ -39,8 +46,7 @@ use crate::metrics::{
     opt_uint, series, status_fields, Counters, Id, MetricsSnapshot, Scope, Values,
 };
 use crate::serve::{
-    cancel_response, check_version, echoes, error_response, metrics_response, resolve_device,
-    validate_compile_request, with_envelope, RequestHandler, ServeOptions, ServeState,
+    echoes, error_response, metrics_response, with_envelope, Compile, Op, Request, ServeState,
 };
 
 /// Fleet-level knobs (`hybridc serve` flags).
@@ -73,16 +79,14 @@ impl Default for FleetOptions {
     }
 }
 
-/// The device-sharded fleet front-end: owns N per-device
-/// [`ServeState`]s keyed by canonical device fingerprint and implements
-/// the same line protocol, so the serving loops
-/// ([`serve`](crate::serve::serve) / [`serve_tcp`](crate::serve::serve_tcp))
-/// drive it unchanged.
+/// The device-sharded front-end: owns N per-device [`ServeState`]s
+/// keyed by canonical device fingerprint and answers the line protocol
+/// for every transport.
 pub struct FleetRouter {
     base: DriverConfig,
     opts: FleetOptions,
     /// Members in spin-up order (stable `status` output), keyed by
-    /// canonical device fingerprint.
+    /// canonical device fingerprint; the first serves `base.device`.
     members: Mutex<Vec<(String, Arc<ServeState>)>>,
     started: Instant,
     /// The router's own stored series: `Requests` counts every line
@@ -97,8 +101,8 @@ pub struct FleetRouter {
 impl FleetRouter {
     /// A fleet around `base` (the per-request defaults; `base.device` is
     /// the device of requests that don't name one). The default device's
-    /// member is spun up eagerly so a single-device fleet behaves
-    /// exactly like PR-4 `hybridd`.
+    /// member is spun up eagerly, so a fleet of one is the single-device
+    /// service.
     pub fn new(base: DriverConfig, opts: FleetOptions) -> FleetRouter {
         let router = FleetRouter {
             base: base.clone(),
@@ -108,46 +112,41 @@ impl FleetRouter {
             stats: Counters::default(),
             stop: AtomicBool::new(false),
         };
-        let _ = router.member_for(&base.device.clone());
+        let _ = router.member_for(&base.device);
         router
+    }
+
+    fn lock_members(&self) -> MutexGuard<'_, Vec<(String, Arc<ServeState>)>> {
+        self.members.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// The members spun up so far, in spin-up order.
     pub fn members(&self) -> Vec<(String, Arc<ServeState>)> {
-        match self.members.lock() {
-            Ok(m) => m.clone(),
-            Err(p) => p.into_inner().clone(),
-        }
+        self.lock_members().clone()
     }
 
-    /// Stops the fleet as a served `shutdown` would: raises the router's
-    /// stop flag and broadcasts the stop to every member, so every
-    /// serving loop (stdin, TCP, unix, metrics) returns.
+    /// Stops the fleet as a served `shutdown` would: every serving loop
+    /// (stdin, TCP, unix, metrics) of this router returns.
     pub fn request_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        for (_, member) in self.members() {
-            member.request_stop();
-        }
     }
 
-    /// True when a member for `device` already exists.
-    fn has_member(&self, device: &gpusim::DeviceConfig) -> bool {
-        let fp = device_fingerprint(device);
-        let members = match self.members.lock() {
-            Ok(m) => m,
-            Err(p) => p.into_inner(),
-        };
-        members.iter().any(|(k, _)| *k == fp)
+    /// True once a `shutdown` was served or [`FleetRouter::request_stop`]
+    /// called.
+    pub fn stopped(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// The member of the default device, spun up by [`FleetRouter::new`].
+    fn default_member(&self) -> Arc<ServeState> {
+        self.lock_members()[0].1.clone()
     }
 
     /// The member serving `device`, spun up lazily. `Err` carries the
     /// typed `fleet_full` message once `max_devices` members exist.
-    fn member_for(&self, device: &gpusim::DeviceConfig) -> Result<Arc<ServeState>, String> {
+    fn member_for(&self, device: &DeviceConfig) -> Result<Arc<ServeState>, String> {
         let fp = device_fingerprint(device);
-        let mut members = match self.members.lock() {
-            Ok(m) => m,
-            Err(p) => p.into_inner(),
-        };
+        let mut members = self.lock_members();
         if let Some((_, state)) = members.iter().find(|(k, _)| *k == fp) {
             return Ok(state.clone());
         }
@@ -174,31 +173,69 @@ impl FleetRouter {
         }) {
             cfg.warm_hints = donor.mem().device_plans(donor_fp, WARM_HINT_CAP);
         }
-        let state = Arc::new(ServeState::with_options(
-            cfg,
-            ServeOptions {
-                mem_cap_bytes: self.opts.mem_cap_bytes,
-                default_deadline_ms: self.opts.default_deadline_ms,
-            },
-        ));
+        let state = Arc::new(ServeState::new(cfg, &self.opts));
         members.push((fp, state.clone()));
         Ok(state)
     }
 
-    /// Handles one wire line, routing compiles to the per-device member
-    /// and answering fleet-wide ops (`status`, `cancel`, `shutdown`)
-    /// itself. Same contract as
-    /// [`ServeState::handle_line`](crate::serve::ServeState::handle_line):
-    /// `None` for blank lines, a response object for everything else,
+    /// Handles one wire line as the serving loops do: parsed once, then
+    /// answered. `None` for blank lines, a response object for everything else,
     /// never a panic escape (member compiles run under the member's own
     /// `catch_unwind` boundary).
     pub fn handle_line(&self, seq: u64, line: &str) -> Option<Json> {
-        let line = line.trim();
-        if line.is_empty() {
-            return None;
-        }
+        Some(self.handle(seq, self.parse(line)?))
+    }
+
+    /// Parses one wire line against this fleet's default device; `None`
+    /// for a blank line.
+    pub(crate) fn parse(&self, line: &str) -> Option<Request> {
+        Request::parse(line, &self.base.device)
+    }
+
+    /// Answers one parsed request: compiles go to their device's member,
+    /// the fleet-wide ops (`status`, `metrics`, `cancel`, `shutdown`)
+    /// are answered here, and the lines that name no op go to the default
+    /// member.
+    pub(crate) fn handle(&self, seq: u64, req: Request) -> Json {
         self.stats.add(Id::Requests, 1);
-        self.dispatch(seq, line)
+        let id = req.id.as_ref();
+        // The default member produces the canonical rejections, so their
+        // error shape and counters live where single-device clients
+        // expect them.
+        let rejected = |msg: &str| {
+            self.default_member()
+                .answer(seq, || error_response(seq, id, "bad_request", msg))
+        };
+        let unknown = |op: &str| {
+            rejected(&format!(
+                "unknown op {op:?} (compile | status | metrics | cancel | shutdown)"
+            ))
+        };
+        // The version gate covers every op, the router's own included: a
+        // v:9 shutdown must be rejected, not executed.
+        if let Some(msg) = &req.bad_version {
+            return self.track(error_response(seq, id, "unsupported_version", msg));
+        }
+        match req.op {
+            Op::Malformed(e) => rejected(&format!("malformed JSON: {e}")),
+            Op::Missing => rejected("missing \"op\" (compile | status | cancel | shutdown)"),
+            Op::Unknown(op) => unknown(&op),
+            // The handshake is answered by a TCP connection's reader;
+            // on any other transport it is no op.
+            Op::Hello { .. } => unknown("hello"),
+            Op::Status => self.track(with_envelope(seq, id, self.status_payload())),
+            Op::Metrics => self.track(metrics_response(seq, id, self.metrics_text())),
+            Op::Cancel { target } => self.track(self.cancel(seq, id, target)),
+            Op::Shutdown => {
+                self.request_stop();
+                self.track(with_envelope(
+                    seq,
+                    id,
+                    Json::obj(vec![("status", Json::str("stopping"))]),
+                ))
+            }
+            Op::Compile(compile) => self.compile(seq, id, *compile),
+        }
     }
 
     /// Counts a response the router produced itself (member-produced
@@ -209,103 +246,55 @@ impl FleetRouter {
         resp
     }
 
-    fn dispatch(&self, seq: u64, line: &str) -> Option<Json> {
-        // The one parse of a routed request: members take the parsed
-        // value ([`ServeState::handle_request`]).
-        let req = match Json::parse(line) {
-            // Malformed JSON cannot name a device: the default member
-            // answers the raw line so its error shape (and error
-            // counters) live where single-device clients expect them.
-            Err(_) => return self.route_to_default(seq, |member| member.handle_line(seq, line)),
-            Ok(v) => v,
+    /// Routes a compile to its device's member.
+    fn compile(&self, seq: u64, id: Option<&Json>, compile: Compile) -> Json {
+        let device = match compile.device {
+            Ok(device) => device,
+            Err(msg) => return self.track(error_response(seq, id, "bad_request", &msg)),
         };
-        let id = req.get("id").cloned();
-        // The version gate applies to router-handled ops exactly as it
-        // does to member-handled ones: a v:9 shutdown must be rejected,
-        // not executed.
-        if let Some(resp) = check_version(seq, id.as_ref(), &req) {
-            return Some(self.track(resp));
+        // A device slot is a bounded resource: before spinning a *new*
+        // member up, the whole request must validate — a stream of
+        // garbage compiles naming fresh devices must not exhaust
+        // --max-devices.
+        let fp = device_fingerprint(&device);
+        if let Err(e) = &compile.job {
+            if !self.lock_members().iter().any(|(k, _)| *k == fp) {
+                return self.track(error_response(seq, id, e.kind(), e.message()));
+            }
         }
-        match req.get("op").and_then(Json::as_str) {
-            Some("status") => Some(self.track(self.status_response(seq, id.as_ref()))),
-            Some("metrics") => {
-                Some(self.track(metrics_response(seq, id.as_ref(), self.metrics_text())))
-            }
-            Some("cancel") => Some(self.track(self.handle_cancel(seq, id.as_ref(), &req))),
-            Some("shutdown") => {
-                self.request_stop();
-                Some(self.track(with_envelope(
-                    seq,
-                    id.as_ref(),
-                    Json::obj(vec![("status", Json::str("stopping"))]),
-                )))
-            }
-            Some("compile") => {
-                let device = match req.get("device") {
-                    Some(d) => match resolve_device(d, &self.base.device) {
-                        Ok(device) => device,
-                        Err(msg) => {
-                            return Some(self.track(error_response(
-                                seq,
-                                id.as_ref(),
-                                "bad_request",
-                                &msg,
-                            )))
-                        }
-                    },
-                    None => self.base.device.clone(),
-                };
-                // A device slot is a bounded resource: before spinning a
-                // *new* member up, the whole request must validate — a
-                // stream of garbage compiles naming fresh devices must
-                // not exhaust --max-devices.
-                if !self.has_member(&device) {
-                    if let Err(e) = validate_compile_request(&self.base, &req) {
-                        return Some(self.track(error_response(
-                            seq,
-                            id.as_ref(),
-                            e.kind(),
-                            e.message(),
-                        )));
-                    }
-                }
-                match self.member_for(&device) {
-                    Ok(member) => Some(member.handle_request(seq, &req)),
-                    Err(msg) => {
-                        Some(self.track(error_response(seq, id.as_ref(), "fleet_full", &msg)))
-                    }
-                }
-            }
-            // Version errors, missing/unknown ops: the default member
-            // produces the canonical error responses.
-            _ => self.route_to_default(seq, |member| Some(member.handle_request(seq, &req))),
+        match self.member_for(&device) {
+            Ok(member) => member.compile(seq, id, compile.job),
+            Err(msg) => self.track(error_response(seq, id, "fleet_full", &msg)),
         }
     }
 
-    /// Has the default device's member `answer` a request that is not a
-    /// routable compile (malformed, unknown op, bad version, ...).
-    fn route_to_default(
-        &self,
-        seq: u64,
-        answer: impl FnOnce(&ServeState) -> Option<Json>,
-    ) -> Option<Json> {
-        match self.member_for(&self.base.device.clone()) {
-            Ok(member) => answer(&member),
-            // max_devices = 0-ish pathology: answer at the router.
-            Err(msg) => Some(self.track(error_response(seq, None, "fleet_full", &msg))),
-        }
-    }
-
-    fn handle_cancel(&self, seq: u64, id: Option<&Json>, req: &Json) -> Json {
-        cancel_response(seq, id, req, |key| {
-            // Raise the flags on every member (no short-circuit: the
-            // same id may be in flight on several devices at once).
-            let mut found = false;
-            for (_, member) in self.members() {
-                found |= member.cancel(key);
-            }
-            found
-        })
+    /// The `cancel` op: raises the flags of every in-flight compile whose
+    /// id is `target`, on every member (no short-circuit: the same id may
+    /// be in flight on several devices at once).
+    fn cancel(&self, seq: u64, id: Option<&Json>, target: Option<Json>) -> Json {
+        let Some(target) = target else {
+            return error_response(
+                seq,
+                id,
+                "bad_request",
+                "cancel needs \"target\" (the id of the compile to cancel)",
+            );
+        };
+        let key = target.render_compact();
+        let found = self
+            .members()
+            .iter()
+            .fold(false, |found, (_, member)| member.cancel(&key) | found);
+        with_envelope(
+            seq,
+            id,
+            Json::obj(vec![
+                ("status", Json::str("ok")),
+                ("op", Json::str("cancel")),
+                ("target", target),
+                ("found", Json::Bool(found)),
+            ]),
+        )
     }
 
     /// The fleet-level value of series `id` over `members`: the router's
@@ -357,10 +346,6 @@ impl FleetRouter {
         )
     }
 
-    fn status_response(&self, seq: u64, id: Option<&Json>) -> Json {
-        with_envelope(seq, id, self.status_payload())
-    }
-
     /// The router's own stored series (see the `stats` field).
     pub fn stats(&self) -> &Counters {
         &self.stats
@@ -379,19 +364,11 @@ impl FleetRouter {
                 .collect(),
         }
     }
-}
 
-impl RequestHandler for FleetRouter {
-    fn handle_line(&self, seq: u64, line: &str) -> Option<Json> {
-        FleetRouter::handle_line(self, seq, line)
-    }
-    fn stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-    fn stats(&self) -> &Counters {
-        FleetRouter::stats(self)
-    }
-    fn metrics_text(&self) -> String {
+    /// [`FleetRouter::metrics_snapshot`] in Prometheus text exposition
+    /// format: the `metrics` op and the `--metrics` HTTP listener serve
+    /// this verbatim.
+    pub fn metrics_text(&self) -> String {
         crate::metrics::render(&self.metrics_snapshot())
     }
 }
@@ -399,8 +376,9 @@ impl RequestHandler for FleetRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::serve;
-    use std::io::Cursor;
+    use crate::serve::{serve_tcp_with, serve_with_policy, SchedPolicy};
+    use std::io::{BufRead, BufReader, Cursor, Write};
+    use std::net::{TcpListener, TcpStream};
 
     const JACOBI: &str = "for (t = 0; t < T; t++)\n  for (i = 1; i < N-1; i++)\n    for (j = 1; j < N-1; j++)\n      A[t+1][i][j] = 0.25f * (A[t][i+1][j] + A[t][i-1][j] + A[t][i][j+1] + A[t][i][j-1]);\n";
 
@@ -468,16 +446,16 @@ mod tests {
 
     #[test]
     fn a_routed_compile_line_is_parsed_once() {
-        use crate::json::PARSE_CALLS;
+        use crate::json::parse_probe::parses_of;
         let router = test_router("parse_once", FleetOptions::default());
         // A miss, a hit, and a lazily spun-up second member: the router's
         // parse is the only one (the members take the parsed value).
         for (seq, device) in [(1, None), (2, None), (3, Some("nvs5200m"))] {
-            let line = compile_req("p", device);
-            let before = PARSE_CALLS.with(|n| n.get());
+            let line = compile_req("parse-once-direct", device);
+            let before = parses_of("parse-once-direct");
             let resp = router.handle_line(seq, &line).unwrap();
             assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
-            assert_eq!(PARSE_CALLS.with(|n| n.get()) - before, 1, "seq {seq}");
+            assert_eq!(parses_of("parse-once-direct") - before, 1, "seq {seq}");
         }
         let members = router.members();
         assert_eq!(members.len(), 2);
@@ -487,6 +465,47 @@ mod tests {
             "member accounting unchanged"
         );
         assert_eq!(members[0].1.get(Id::Ok), Some(2));
+
+        // Through the serving loop, over TCP with a secret: the reader's
+        // parse is the only one — the EDF key, the shutdown check, the
+        // handshake and dispatch all read it. Each marker rides in a
+        // field no response echoes, so the client's parses never count.
+        let served = test_router("parse_once_loop", FleetOptions::default());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let lines = [
+            (
+                "parse-once-hello",
+                r#"{"op":"hello","secret":"s3cret","probe":"parse-once-hello"}"#.to_string(),
+            ),
+            (
+                "parse-once-compile",
+                format!(
+                    r#"{{"op":"compile","id":"c","program":{},"deadline_ms":60000,"probe":"parse-once-compile"}}"#,
+                    Json::str(JACOBI).render_compact()
+                ),
+            ),
+            (
+                "parse-once-shutdown",
+                r#"{"op":"shutdown","probe":"parse-once-shutdown"}"#.to_string(),
+            ),
+        ];
+        std::thread::scope(|s| {
+            let server =
+                s.spawn(|| serve_tcp_with(&served, listener, 1, SchedPolicy::Edf, Some("s3cret")));
+            let stream = TcpStream::connect(addr).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            for (marker, line) in &lines {
+                let before = parses_of(marker);
+                writeln!(writer, "{line}").unwrap();
+                let mut response = String::new();
+                reader.read_line(&mut response).unwrap();
+                assert!(!response.contains(r#""status":"error""#), "{response}");
+                assert_eq!(parses_of(marker) - before, 1, "{marker}");
+            }
+            server.join().unwrap().unwrap();
+        });
     }
 
     #[test]
@@ -628,13 +647,18 @@ mod tests {
             "{\"op\":\"shutdown\"}",
         );
         let mut out = Vec::new();
-        let summary = serve(&router, Cursor::new(input), &mut out, 2).unwrap();
+        let summary =
+            serve_with_policy(&router, Cursor::new(input), &mut out, 2, SchedPolicy::Edf).unwrap();
         assert_eq!(summary.responses, 4);
         assert_eq!(summary.errors, 0);
-        assert!(RequestHandler::stopped(&router));
-        for (_, member) in router.members() {
-            assert!(member.stopped(), "shutdown must broadcast to members");
-        }
+        assert!(router.stopped());
+        // The stop is fleet-wide: another loop over the same router
+        // answers the line it read and returns instead of reading on.
+        let twice = "{\"op\":\"status\"}\n{\"op\":\"status\"}\n";
+        let mut more = Vec::new();
+        let summary =
+            serve_with_policy(&router, Cursor::new(twice), &mut more, 1, SchedPolicy::Edf).unwrap();
+        assert_eq!(summary.responses, 1, "shutdown must stop every loop");
     }
 
     #[test]
@@ -706,10 +730,7 @@ mod tests {
                 "{line}"
             );
         }
-        assert!(
-            !RequestHandler::stopped(&router),
-            "v:9 shutdown must not stop the fleet"
-        );
+        assert!(!router.stopped(), "v:9 shutdown must not stop the fleet");
         let status = router.handle_line(2, "{\"op\":\"status\"}").unwrap();
         assert_eq!(status.get("status").and_then(Json::as_str), Some("alive"));
     }

@@ -31,11 +31,37 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Counts [`Json::parse`] calls, on every thread, whose input contains a
+/// watched marker — lets a test assert how often a request line is
+/// parsed on its way through the serving loop's threads.
 #[cfg(test)]
-thread_local! {
-    /// [`Json::parse`] calls made on this thread — lets a test assert how
-    /// often a request line is parsed.
-    pub(crate) static PARSE_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+pub(crate) mod parse_probe {
+    use std::sync::{Mutex, MutexGuard};
+
+    static WATCHED: Mutex<Vec<(&str, u64)>> = Mutex::new(Vec::new());
+
+    fn watched() -> MutexGuard<'static, Vec<(&'static str, u64)>> {
+        WATCHED.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// The parses so far of inputs containing `marker`; the first call
+    /// starts watching it.
+    pub(crate) fn parses_of(marker: &'static str) -> u64 {
+        let mut watched = watched();
+        match watched.iter().find(|(m, _)| *m == marker) {
+            Some(&(_, n)) => n,
+            None => {
+                watched.push((marker, 0));
+                0
+            }
+        }
+    }
+
+    pub(super) fn record(src: &str) {
+        for (marker, n) in watched().iter_mut() {
+            *n += src.contains(*marker) as u64;
+        }
+    }
 }
 
 impl Json {
@@ -121,7 +147,7 @@ impl Json {
     /// offset.
     pub fn parse(src: &str) -> Result<Json, String> {
         #[cfg(test)]
-        PARSE_CALLS.with(|n| n.set(n.get() + 1));
+        parse_probe::record(src);
         let bytes = src.as_bytes();
         let mut pos = 0usize;
         let v = parse_value(bytes, &mut pos)?;

@@ -9,7 +9,8 @@
 //!
 //! * **storage** is one [`Counters`] block (an `[AtomicU64; N]` indexed
 //!   by `Id`) per owner — a [`MemCache`](crate::driver::MemCache), a
-//!   [`ServeState`], a [`FleetRouter`](crate::fleet::FleetRouter) — and
+//!   fleet member ([`ServeState`](crate::serve::ServeState)), the
+//!   [`FleetRouter`](crate::fleet::FleetRouter) — and
 //!   the increment site is `counters.add(Id::X, n)`: one indexed relaxed
 //!   atomic add, no lock, no allocation, no table scan;
 //! * **computed gauges** (cache size, hit-age quantiles, uptime, member
@@ -38,7 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use gpu_codegen::BackendKind;
 
 use crate::json::Json;
-use crate::serve::{SchedPolicy, ServeState};
+use crate::serve::SchedPolicy;
 
 /// Prometheus metric type of a series.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,7 +67,7 @@ pub enum Scope {
     /// appears in each `devices[]` entry of the fleet status.
     Device,
     /// One per service: the serving loops' scheduling and transport
-    /// counters, owned by whichever handler the loops drive.
+    /// counters, owned by the fleet router the loops drive.
     Service,
 }
 
@@ -294,9 +295,8 @@ impl Values {
 pub struct MetricsSnapshot {
     /// The [`Scope::Service`] series.
     pub service: Values,
-    /// The [`Scope::Device`] series per `device` label value (the
-    /// configured device name for a single service, the member's
-    /// canonical fingerprint in a fleet).
+    /// The [`Scope::Device`] series per `device` label value (each
+    /// member's canonical device fingerprint).
     pub devices: Vec<(String, Values)>,
 }
 
@@ -331,21 +331,6 @@ pub(crate) fn status_fields(
         }
     }
     out
-}
-
-/// Captures the metric set of one single-device service.
-pub fn snapshot_state(state: &ServeState) -> MetricsSnapshot {
-    let get = state.reader();
-    let values = |scope| Values::collect(scope, &get);
-    MetricsSnapshot {
-        service: values(Scope::Service),
-        devices: vec![(state.cfg().device.name.clone(), values(Scope::Device))],
-    }
-}
-
-/// [`render`] over a live single-device service.
-pub fn render_state(state: &ServeState) -> String {
-    render(&snapshot_state(state))
 }
 
 /// Renders a snapshot in the text exposition format: families in `pos`

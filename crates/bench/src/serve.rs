@@ -4,9 +4,9 @@
 //! this module keeps the pipeline resident so clients pay tuning,
 //! simulation and verification once per plan and every later identical
 //! request is a memory-cache hit — a lookup of the verified outcome. The wire
-//! protocol is newline-delimited JSON over stdin/stdout or TCP: one
-//! request per line, one compact-JSON response per line (responses may
-//! arrive out of request order; match them by `seq`/`id`).
+//! protocol is newline-delimited JSON over stdin/stdout, a unix socket or
+//! TCP: one request per line, one compact-JSON response per line
+//! (responses may arrive out of request order; match them by `seq`/`id`).
 //!
 //! ## Requests
 //!
@@ -46,6 +46,20 @@
 //! README protocol table); `shutdown` stops the serving loop after
 //! draining in-flight work.
 //!
+//! ## One parse, one handler
+//!
+//! Each non-blank line is parsed once, on its connection's reader, into a
+//! typed `Request`: the envelope (`id`, `v`, the scheduling
+//! `deadline_ms`) and one variant per op with its typed fields. A line
+//! that is not a request becomes a typed rejection with its error kind
+//! and text. The queued job carries that value, so the EDF key, the
+//! shutdown check, the TCP handshake (decided on the reader, in line
+//! order) and dispatch all read the one parse.
+//! [`FleetRouter`] is the only handler: every
+//! transport drives it, and a [`ServeState`] is one per-device member of
+//! it — the compile path, the in-flight registry for `cancel`, the
+//! member's plan cache and counters.
+//!
 //! ## Isolation and caching
 //!
 //! Requests fan out across a worker pool. Every request is handled under
@@ -77,6 +91,7 @@ use crate::driver::{
     compile_file_with, compile_source_with, device_fingerprint, outcome_json, panic_message,
     sanitize_program_name, DriverConfig, MemCache, TuneMode,
 };
+use crate::fleet::{FleetOptions, FleetRouter};
 use crate::json::Json;
 use crate::metrics::{opt_uint, status_fields, Counters, Id};
 
@@ -133,38 +148,24 @@ impl SchedPolicy {
     }
 }
 
-/// Service-level knobs shared by `hybridd` and the fleet layer.
-#[derive(Clone, Debug, Default)]
-pub struct ServeOptions {
-    /// Byte cap for the in-memory plan cache (`--mem-cap-bytes`);
-    /// `None` = unbounded (the PR-4 behavior).
-    pub mem_cap_bytes: Option<u64>,
-    /// Deadline applied to requests that do not carry their own
-    /// `deadline_ms` (`--default-deadline-ms`); `None` = no default.
-    pub default_deadline_ms: Option<u64>,
-}
-
-/// Shared state of one `hybridd` instance: the base configuration, the
-/// in-memory plan cache, the in-flight request registry (for `cancel`),
-/// and liveness counters. One instance serves any number of
-/// connections/loops concurrently; in a fleet it is one per-device
-/// member.
+/// One per-device member of the fleet: its driver configuration (the
+/// device and the per-request defaults), its in-memory plan cache, the
+/// in-flight registry `cancel` reaches, and its counters.
 pub struct ServeState {
     cfg: DriverConfig,
-    opts: ServeOptions,
+    /// Deadline applied to compiles without their own `deadline_ms`.
+    default_deadline_ms: Option<u64>,
     mem: MemCache,
     started: Instant,
-    /// This service's stored series: its request and tuning counters,
-    /// and the scheduling/auth counters of the loops driving it.
+    /// This member's stored series: its request and tuning counters.
     stats: Counters,
-    stop: AtomicBool,
     /// Compiles currently executing, keyed by the request's rendered
     /// `id`: the `cancel` op raises the flags and the workers stop at
     /// their next cooperative check. A multiset (ids are client-chosen,
     /// so concurrent duplicates are legal): every compile under one id
     /// registers its own flag, `cancel` raises them all, and each
     /// guard's drop removes exactly its own flag.
-    inflight: Mutex<HashMap<String, Vec<Arc<std::sync::atomic::AtomicBool>>>>,
+    inflight: Mutex<HashMap<String, Vec<Arc<AtomicBool>>>>,
 }
 
 /// Removes an in-flight registry entry when the compile finishes — on
@@ -174,7 +175,7 @@ pub struct ServeState {
 /// registration.
 struct InflightGuard<'a> {
     state: &'a ServeState,
-    key: Option<(String, Arc<std::sync::atomic::AtomicBool>)>,
+    key: Option<(String, Arc<AtomicBool>)>,
 }
 
 impl Drop for InflightGuard<'_> {
@@ -193,35 +194,20 @@ impl Drop for InflightGuard<'_> {
 }
 
 impl ServeState {
-    /// A fresh service around `cfg` (the per-request defaults; requests
-    /// may override device, tuning, verification and workload) with
-    /// default [`ServeOptions`].
-    pub fn new(cfg: DriverConfig) -> ServeState {
-        ServeState::with_options(cfg, ServeOptions::default())
-    }
-
-    /// [`ServeState::new`] with explicit service options (cache cap,
-    /// default deadline).
-    pub fn with_options(cfg: DriverConfig, opts: ServeOptions) -> ServeState {
-        let mem = MemCache::with_cap(opts.mem_cap_bytes);
+    /// A member compiling under `cfg`, with the fleet's cache cap and
+    /// default deadline.
+    pub(crate) fn new(cfg: DriverConfig, opts: &FleetOptions) -> ServeState {
         ServeState {
             cfg,
-            opts,
-            mem,
+            default_deadline_ms: opts.default_deadline_ms,
+            mem: MemCache::with_cap(opts.mem_cap_bytes),
             started: Instant::now(),
             stats: Counters::default(),
-            stop: AtomicBool::new(false),
             inflight: Mutex::new(HashMap::new()),
         }
     }
 
-    /// This service's stored series (see [`ServeState::get`] for the
-    /// computed ones).
-    pub fn stats(&self) -> &Counters {
-        &self.stats
-    }
-
-    /// The current value of series `id` as this service reports it —
+    /// The current value of series `id` as this member reports it —
     /// stored cells of its own block and of its cache's, computed gauges
     /// from the cache and the clock. `None` = absent (no cap, no hit
     /// yet, no fleet bound).
@@ -238,7 +224,7 @@ impl ServeState {
         move |id| {
             let hit_age = || *hit_age.get_or_init(|| self.mem.hit_age_quantiles_ms());
             match id {
-                Id::UptimeMs => Some(self.uptime().as_millis() as u64),
+                Id::UptimeMs => Some(self.started.elapsed().as_millis() as u64),
                 Id::MemEntries => Some(self.mem.len() as u64),
                 Id::MemBytes => Some(self.mem.bytes()),
                 Id::MemCapBytes => self.mem.cap_bytes(),
@@ -253,25 +239,15 @@ impl ServeState {
         }
     }
 
-    /// The shared in-memory plan cache.
+    /// This member's in-memory plan cache.
     pub fn mem(&self) -> &MemCache {
         &self.mem
     }
 
-    /// The base driver configuration (the per-request defaults).
+    /// This member's driver configuration (its device and the
+    /// per-request defaults).
     pub fn cfg(&self) -> &DriverConfig {
         &self.cfg
-    }
-
-    /// Requests the serving loops to stop (used by the fleet router's
-    /// shutdown broadcast).
-    pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-    }
-
-    /// True once a `shutdown` request was served.
-    pub fn stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
     }
 
     /// Raises the cancel flags of every in-flight compile registered
@@ -293,34 +269,11 @@ impl ServeState {
         }
     }
 
-    /// Handles one wire line. Returns `None` for blank lines; every other
-    /// input — including unparseable JSON and panicking pipeline stages —
-    /// produces a response object. This is the per-request abort barrier:
-    /// it never panics and never exits.
-    pub fn handle_line(&self, seq: u64, line: &str) -> Option<Json> {
-        let line = line.trim();
-        if line.is_empty() {
-            return None;
-        }
-        Some(match Json::parse(line) {
-            Ok(req) => self.handle_request(seq, &req),
-            Err(e) => self.tracked(seq, || {
-                error_response(seq, None, "bad_request", &format!("malformed JSON: {e}"))
-            }),
-        })
-    }
-
-    /// Handles one already parsed request — what [`ServeState::handle_line`]
-    /// does after parsing, and the entry point of the fleet router, which
-    /// parsed the line to route it. Same abort barrier and accounting.
-    pub fn handle_request(&self, seq: u64, req: &Json) -> Json {
-        self.tracked(seq, || self.dispatch(seq, req))
-    }
-
-    /// Runs `respond` as one request: counted in `requests`, a panic
-    /// contained into an `internal` error response, and the response
-    /// counted as `ok` or `errors`.
-    fn tracked(&self, seq: u64, respond: impl FnOnce() -> Json) -> Json {
+    /// Runs `respond` as one request of this member: counted in
+    /// `requests`, a panic contained into an `internal` error response,
+    /// and the response counted as `ok` or `errors`. This is the
+    /// per-request abort barrier: it never panics.
+    pub(crate) fn answer(&self, seq: u64, respond: impl FnOnce() -> Json) -> Json {
         self.stats.add(Id::Requests, 1);
         let outcome = catch_unwind(AssertUnwindSafe(respond));
         let response = outcome.unwrap_or_else(|payload| {
@@ -333,69 +286,29 @@ impl ServeState {
         response
     }
 
-    fn dispatch(&self, seq: u64, req: &Json) -> Json {
-        let id = req.get("id").cloned();
-        if let Some(resp) = check_version(seq, id.as_ref(), req) {
-            return resp;
-        }
-        let op = match req.get("op").and_then(Json::as_str) {
-            Some(op) => op,
-            None => {
-                return error_response(
-                    seq,
-                    id.as_ref(),
-                    "bad_request",
-                    "missing \"op\" (compile | status | cancel | shutdown)",
-                )
-            }
-        };
-        match op {
-            "compile" => self.handle_compile(seq, id.as_ref(), req),
-            "status" => self.status_response(seq, id.as_ref()),
-            "metrics" => metrics_response(seq, id.as_ref(), crate::metrics::render_state(self)),
-            "cancel" => self.handle_cancel(seq, id.as_ref(), req),
-            "shutdown" => {
-                self.stop.store(true, Ordering::SeqCst);
-                with_envelope(
-                    seq,
-                    id.as_ref(),
-                    Json::obj(vec![("status", Json::str("stopping"))]),
-                )
-            }
-            other => error_response(
-                seq,
-                id.as_ref(),
-                "bad_request",
-                &format!("unknown op {other:?} (compile | status | metrics | cancel | shutdown)"),
-            ),
-        }
+    /// Answers a compile routed to this member: the request's first
+    /// field error, or the compile's outcome.
+    pub(crate) fn compile(
+        &self,
+        seq: u64,
+        id: Option<&Json>,
+        job: Result<CompileJob, RequestError>,
+    ) -> Json {
+        self.answer(seq, || match job {
+            Ok(job) => self.run(seq, id, job),
+            Err(e) => error_response(seq, id, e.kind(), e.message()),
+        })
     }
 
-    /// The `cancel` op: `{"op":"cancel","target":"<id of an in-flight
-    /// compile>"}`. Raises the target's cooperative cancel flag; the
-    /// response's `found` reports whether such a compile was in flight.
-    fn handle_cancel(&self, seq: u64, id: Option<&Json>, req: &Json) -> Json {
-        cancel_response(seq, id, req, |key| self.cancel(key))
-    }
-
-    fn handle_compile(&self, seq: u64, id: Option<&Json>, req: &Json) -> Json {
-        let mut cfg = match request_config(&self.cfg, req) {
-            Ok(cfg) => cfg,
-            Err(e) => return error_response(seq, id, e.kind(), e.message()),
-        };
+    fn run(&self, seq: u64, id: Option<&Json>, job: CompileJob) -> Json {
+        let mut cfg = self.cfg.clone();
+        job.overrides.apply(&mut cfg);
         // Deadline: the request's own deadline_ms, else the service
         // default. The clock starts when the worker picks the request up.
-        let deadline_ms = match parse_deadline_ms(req) {
-            Ok(own) => own.or(self.opts.default_deadline_ms),
-            Err(msg) => return error_response(seq, id, "bad_request", &msg),
-        };
-        let source = match compile_source(req) {
-            Ok(source) => source,
-            Err(msg) => return error_response(seq, id, "bad_request", &msg),
-        };
+        let deadline_ms = job.deadline_ms.or(self.default_deadline_ms);
         // Cancellation: requests with an id register a shared flag so a
         // later `cancel` op can stop them cooperatively.
-        let flag = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let flag = Arc::new(AtomicBool::new(false));
         let mut token = CancelToken::with_flag(flag.clone());
         if let Some(ms) = deadline_ms {
             // Saturating: a client-supplied u64::MAX must clamp to a
@@ -413,7 +326,7 @@ impl ServeState {
             }),
         };
         cfg.cancel = token;
-        let (source_label, result) = match source {
+        let (source_label, result) = match job.source {
             CompileSource::Inline { name, text } => {
                 let label = PathBuf::from(format!("<request:{name}>"));
                 let result = compile_source_with(&name, &text, &label, &cfg, Some(&self.mem));
@@ -436,12 +349,11 @@ impl ServeState {
         with_envelope(seq, id, outcome_json(&source_label, &result))
     }
 
-    /// The status object of this (single-device) service: liveness,
-    /// every series of the registry that has a `status` key (in table
-    /// order), and the configuration echoes spliced between them. Used
-    /// directly by the `status` op and embedded per device in the
-    /// fleet's aggregated status. Every field is documented in the
-    /// README protocol table.
+    /// This member's status object: liveness, every series of the
+    /// registry that has a `status` key (in table order), and the
+    /// configuration echoes spliced between them — one per-device entry
+    /// of the fleet's `status`. Every field is documented in the README
+    /// protocol table.
     pub fn status_payload(&self) -> Json {
         let get = self.reader();
         let rows = |from, to| status_fields(from, to, &get);
@@ -473,7 +385,7 @@ impl ServeState {
                 rows(Id::WarmStarts, Id::TuneWallMs),
                 echoes(vec![(
                     "default_deadline_ms",
-                    opt_uint(self.opts.default_deadline_ms),
+                    opt_uint(self.default_deadline_ms),
                 )]),
                 rows(Id::SchedPolicy, Id::AuthRejected),
             ]
@@ -482,21 +394,130 @@ impl ServeState {
             .collect(),
         )
     }
-
-    /// Time since this service was created.
-    pub fn uptime(&self) -> Duration {
-        self.started.elapsed()
-    }
-
-    fn status_response(&self, seq: u64, id: Option<&Json>) -> Json {
-        with_envelope(seq, id, self.status_payload())
-    }
 }
 
 /// Hand-written `status` entries (configuration echoes), in the shape
 /// [`status_fields`] returns so the two splice.
 pub(crate) fn echoes(pairs: Vec<(&str, Json)>) -> Vec<(String, Json)> {
     pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+}
+
+/// One wire line, parsed once: the envelope and the op with its typed
+/// fields. Everything after the reader — scheduling, the handshake,
+/// dispatch — reads this value, never the line.
+pub(crate) struct Request {
+    /// The echoed `id` (`None` when absent or when the line is not JSON).
+    pub(crate) id: Option<Json>,
+    /// The request's `deadline_ms` when it is a non-negative integer,
+    /// whatever the op: the arrival-anchored scheduling deadline. A
+    /// compile reports a malformed one as its own error.
+    pub(crate) deadline_ms: Option<u64>,
+    /// The `unsupported_version` message when `v` names another version
+    /// (requests without `v` are version 1).
+    pub(crate) bad_version: Option<String>,
+    pub(crate) op: Op,
+}
+
+/// The ops of the protocol, and the two ways a line can fail to name one.
+pub(crate) enum Op {
+    /// Not JSON: the parser's message.
+    Malformed(String),
+    /// No string `"op"`.
+    Missing,
+    /// An op this protocol does not know.
+    Unknown(String),
+    /// The TCP handshake (answered on the reader; no op elsewhere).
+    Hello {
+        secret: Option<String>,
+    },
+    Status,
+    Metrics,
+    /// `target` is the id of the compile to cancel.
+    Cancel {
+        target: Option<Json>,
+    },
+    Shutdown,
+    Compile(Box<Compile>),
+}
+
+/// A `compile` request, validated field by field.
+pub(crate) struct Compile {
+    /// The target device — the `device` field resolved against the
+    /// service's default device, or that field's error.
+    pub(crate) device: Result<DeviceConfig, String>,
+    /// Everything else, or its first error in wire order.
+    pub(crate) job: Result<CompileJob, RequestError>,
+}
+
+/// What a member needs to run a compile.
+pub(crate) struct CompileJob {
+    overrides: Overrides,
+    /// The request's own `deadline_ms`.
+    deadline_ms: Option<u64>,
+    source: CompileSource,
+}
+
+impl Request {
+    /// Parses one wire line; `None` for a blank one. `default_device` is
+    /// the service's device, the base of device objects without `"base"`.
+    pub(crate) fn parse(line: &str, default_device: &DeviceConfig) -> Option<Request> {
+        let line = line.trim();
+        if line.is_empty() {
+            return None;
+        }
+        let req = match Json::parse(line) {
+            Ok(req) => req,
+            Err(e) => {
+                return Some(Request {
+                    id: None,
+                    deadline_ms: None,
+                    bad_version: None,
+                    op: Op::Malformed(e),
+                })
+            }
+        };
+        let op = match req.get("op").and_then(Json::as_str) {
+            None => Op::Missing,
+            Some("compile") => Op::Compile(Box::new(Compile {
+                device: match req.get("device") {
+                    Some(d) => resolve_device(d, default_device),
+                    None => Ok(default_device.clone()),
+                },
+                job: CompileJob::parse(&req),
+            })),
+            Some("status") => Op::Status,
+            Some("metrics") => Op::Metrics,
+            Some("cancel") => Op::Cancel {
+                target: req.get("target").cloned(),
+            },
+            Some("shutdown") => Op::Shutdown,
+            Some("hello") => Op::Hello {
+                secret: req.get("secret").and_then(Json::as_str).map(str::to_string),
+            },
+            Some(other) => Op::Unknown(other.to_string()),
+        };
+        let bad_version = req
+            .get("v")
+            .filter(|v| v.as_u64() != Some(PROTOCOL_VERSION))
+            .map(|v| {
+                format!(
+                    "protocol version {} is not supported (this service speaks v{PROTOCOL_VERSION})",
+                    v.render_compact()
+                )
+            });
+        Some(Request {
+            id: req.get("id").cloned(),
+            deadline_ms: req.get("deadline_ms").and_then(Json::as_u64),
+            bad_version,
+            op,
+        })
+    }
+
+    /// A `shutdown` the router will honor (one of another version is
+    /// answered with a typed error, and the reader keeps reading).
+    fn is_shutdown(&self) -> bool {
+        matches!(self.op, Op::Shutdown) && self.bad_version.is_none()
+    }
 }
 
 /// A typed request-validation failure: the serve protocol distinguishes
@@ -541,124 +562,160 @@ impl From<&str> for RequestError {
     }
 }
 
-/// Builds the per-request [`DriverConfig`] from `base` plus the
-/// request's overrides, or a typed error. Shared by the single-device
-/// compile path and the fleet router's request validation, so the two
-/// can never diverge.
-pub(crate) fn request_config(
-    base: &DriverConfig,
-    req: &Json,
-) -> Result<DriverConfig, RequestError> {
-    let mut cfg = base.clone();
-    if let Some(d) = req.get("device") {
-        cfg.device = resolve_device(d, &base.device)?;
-    }
-    if let Some(b) = req.get("backend") {
-        let name = b.as_str().ok_or("\"backend\" must be a string")?;
-        match BackendKind::parse(name) {
-            Some(kind) => {
-                cfg.backend = kind;
-                // Each backend defaults to the best ladder step it can
-                // lower (WGSL clamps (f) to (e)); an explicit "smem"
-                // field below can still override it.
-                cfg.opts = kind.backend().default_options();
-            }
-            None => {
-                return Err(RequestError::UnsupportedBackend(format!(
-                    "unknown backend {name:?} (cuda | wgsl | hip | cpu)"
-                )))
-            }
-        }
-    }
-    if let Some(s) = req.get("smem") {
-        let name = s.as_str().ok_or("\"smem\" must be a string")?;
-        cfg.opts.smem = SmemStrategy::parse(name).ok_or_else(|| {
-            RequestError::Bad(format!(
-                "unknown smem strategy {name:?} (global_only | copy_in_out | \
-                 interleaved_copy_out | reuse_static | reuse_dynamic)"
-            ))
-        })?;
-    }
-    if let Some(t) = req.get("tune") {
-        let name = t.as_str().ok_or("\"tune\" must be a string")?;
-        cfg.tune = match name {
-            "static" => TuneMode::Static,
-            "simulated" => TuneMode::Simulated,
-            other => {
-                return Err(RequestError::Bad(format!(
-                    "unknown tune mode {other:?} (static | simulated)"
-                )))
-            }
-        };
-    }
-    if let Some(s) = req.get("smoke") {
-        cfg.smoke = s.as_bool().ok_or("\"smoke\" must be a boolean")?;
-    }
-    if let Some(v) = req.get("verify") {
-        cfg.verify = v.as_bool().ok_or("\"verify\" must be a boolean")?;
-    }
-    let size = match req.get("size") {
-        Some(s) => {
-            let arr = s.as_arr().ok_or("\"size\" must be an array of integers")?;
-            let dims: Option<Vec<usize>> = arr
-                .iter()
-                .map(|x| x.as_u64().and_then(|v| usize::try_from(v).ok()))
-                .map(|v| v.filter(|&d| d > 0))
-                .collect();
-            Some(dims.ok_or("\"size\" entries must be positive integers")?)
-        }
-        None => None,
-    };
-    let steps = match req.get("steps") {
-        Some(s) => Some(
-            s.as_u64()
-                .and_then(|v| usize::try_from(v).ok())
-                .filter(|&v| v > 0)
-                .ok_or("\"steps\" must be a positive integer")?,
-        ),
-        None => None,
-    };
-    match (size, steps) {
-        (Some(d), Some(s)) => cfg.workload = Some((d, s)),
-        (None, None) => {}
-        _ => {
-            return Err(RequestError::from(
-                "\"size\" and \"steps\" must be given together",
-            ))
-        }
-    }
-    if let Some(k) = req.get("top_k") {
-        cfg.top_k = k
-            .as_u64()
-            .and_then(|v| usize::try_from(v).ok())
-            .ok_or("\"top_k\" must be a non-negative integer")?;
-    }
-    if let Some(w) = req.get("tune_workers") {
-        cfg.tune_workers = w
-            .as_u64()
-            .and_then(|v| usize::try_from(v).ok())
-            .ok_or("\"tune_workers\" must be a non-negative integer (0 = auto)")?;
-    }
-    if let Some(p) = req.get("proxy") {
-        let frac = p.as_f64().ok_or("\"proxy\" must be a number")?;
-        if !(frac > 0.0 && frac <= 1.0) {
-            return Err(RequestError::Bad(format!(
-                "\"proxy\" must be in (0, 1] (1 disables the ladder), got {frac}"
-            )));
-        }
-        cfg.proxy = frac;
-    }
-    Ok(cfg)
+/// Field `key` of `req` read by `read`, or `err` when it is present but
+/// `read` refuses it.
+fn field<'a, T>(
+    req: &'a Json,
+    key: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+    err: &str,
+) -> Result<Option<T>, RequestError> {
+    req.get(key)
+        .map(|v| read(v).ok_or_else(|| RequestError::from(err)))
+        .transpose()
 }
 
-/// The request's own `deadline_ms`, or a typed error description.
-fn parse_deadline_ms(req: &Json) -> Result<Option<u64>, String> {
-    match req.get("deadline_ms") {
-        Some(d) => d
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| "\"deadline_ms\" must be a non-negative integer".to_string()),
-        None => Ok(None),
+/// A non-negative integer that fits a `usize`.
+fn as_usize(v: &Json) -> Option<usize> {
+    v.as_u64().and_then(|v| usize::try_from(v).ok())
+}
+
+/// A compile's overrides of its member's configuration.
+struct Overrides {
+    backend: Option<BackendKind>,
+    smem: Option<SmemStrategy>,
+    tune: Option<TuneMode>,
+    smoke: Option<bool>,
+    verify: Option<bool>,
+    workload: Option<(Vec<usize>, usize)>,
+    top_k: Option<usize>,
+    tune_workers: Option<usize>,
+    proxy: Option<f64>,
+}
+
+impl Overrides {
+    fn parse(req: &Json) -> Result<Overrides, RequestError> {
+        let backend = field(req, "backend", Json::as_str, "\"backend\" must be a string")?
+            .map(|name| {
+                BackendKind::parse(name).ok_or_else(|| {
+                    RequestError::UnsupportedBackend(format!(
+                        "unknown backend {name:?} (cuda | wgsl | hip | cpu)"
+                    ))
+                })
+            })
+            .transpose()?;
+        let smem = field(req, "smem", Json::as_str, "\"smem\" must be a string")?
+            .map(|name| {
+                SmemStrategy::parse(name).ok_or_else(|| {
+                    format!(
+                        "unknown smem strategy {name:?} (global_only | copy_in_out | \
+                         interleaved_copy_out | reuse_static | reuse_dynamic)"
+                    )
+                })
+            })
+            .transpose()?;
+        let tune = field(req, "tune", Json::as_str, "\"tune\" must be a string")?
+            .map(|name| match name {
+                "static" => Ok(TuneMode::Static),
+                "simulated" => Ok(TuneMode::Simulated),
+                other => Err(format!("unknown tune mode {other:?} (static | simulated)")),
+            })
+            .transpose()?;
+        let smoke = field(req, "smoke", Json::as_bool, "\"smoke\" must be a boolean")?;
+        let verify = field(req, "verify", Json::as_bool, "\"verify\" must be a boolean")?;
+        let size = field(
+            req,
+            "size",
+            Json::as_arr,
+            "\"size\" must be an array of integers",
+        )?
+        .map(|dims| {
+            dims.iter()
+                .map(|d| as_usize(d).filter(|&d| d > 0))
+                .collect::<Option<Vec<usize>>>()
+                .ok_or("\"size\" entries must be positive integers")
+        })
+        .transpose()?;
+        let steps = field(
+            req,
+            "steps",
+            |s| as_usize(s).filter(|&s| s > 0),
+            "\"steps\" must be a positive integer",
+        )?;
+        let workload = match (size, steps) {
+            (Some(dims), Some(steps)) => Some((dims, steps)),
+            (None, None) => None,
+            _ => return Err("\"size\" and \"steps\" must be given together".into()),
+        };
+        let top_k = field(
+            req,
+            "top_k",
+            as_usize,
+            "\"top_k\" must be a non-negative integer",
+        )?;
+        let tune_workers = field(
+            req,
+            "tune_workers",
+            as_usize,
+            "\"tune_workers\" must be a non-negative integer (0 = auto)",
+        )?;
+        let proxy = field(req, "proxy", Json::as_f64, "\"proxy\" must be a number")?;
+        if let Some(frac) = proxy.filter(|&f| !(f > 0.0 && f <= 1.0)) {
+            return Err(
+                format!("\"proxy\" must be in (0, 1] (1 disables the ladder), got {frac}").into(),
+            );
+        }
+        Ok(Overrides {
+            backend,
+            smem,
+            tune,
+            smoke,
+            verify,
+            workload,
+            top_k,
+            tune_workers,
+            proxy,
+        })
+    }
+
+    /// Overlays these overrides on `cfg`.
+    fn apply(self, cfg: &mut DriverConfig) {
+        if let Some(kind) = self.backend {
+            cfg.backend = kind;
+            // Each backend defaults to the best ladder step it can lower
+            // (WGSL clamps (f) to (e)); an explicit "smem" field can
+            // still override it.
+            cfg.opts = kind.backend().default_options();
+        }
+        if let Some(smem) = self.smem {
+            cfg.opts.smem = smem;
+        }
+        cfg.tune = self.tune.unwrap_or(cfg.tune);
+        cfg.smoke = self.smoke.unwrap_or(cfg.smoke);
+        cfg.verify = self.verify.unwrap_or(cfg.verify);
+        if self.workload.is_some() {
+            cfg.workload = self.workload;
+        }
+        cfg.top_k = self.top_k.unwrap_or(cfg.top_k);
+        cfg.tune_workers = self.tune_workers.unwrap_or(cfg.tune_workers);
+        cfg.proxy = self.proxy.unwrap_or(cfg.proxy);
+    }
+}
+
+impl CompileJob {
+    /// The compile's fields other than `device`, checked in wire order:
+    /// the overrides, then `deadline_ms`, then the source.
+    fn parse(req: &Json) -> Result<CompileJob, RequestError> {
+        Ok(CompileJob {
+            overrides: Overrides::parse(req)?,
+            deadline_ms: field(
+                req,
+                "deadline_ms",
+                Json::as_u64,
+                "\"deadline_ms\" must be a non-negative integer",
+            )?,
+            source: compile_source(req)?,
+        })
     }
 }
 
@@ -696,72 +753,6 @@ fn compile_source(req: &Json) -> Result<CompileSource, String> {
             Err("compile needs \"program\" (inline DSL) or \"path\" (a .stencil file)".to_string())
         }
     }
-}
-
-/// Full shape validation of a compile request against `base`, without
-/// running anything: exactly the checks [`ServeState`]'s compile path
-/// performs before real work starts. The fleet router runs this before
-/// spending a device slot on an unknown device, so garbage requests can
-/// never exhaust `--max-devices`.
-pub(crate) fn validate_compile_request(
-    base: &DriverConfig,
-    req: &Json,
-) -> Result<(), RequestError> {
-    request_config(base, req)?;
-    parse_deadline_ms(req)?;
-    compile_source(req)?;
-    Ok(())
-}
-
-/// Builds the `cancel` op's response: validates `target`, asks
-/// `cancel_found` to raise the flags for the rendered target key, and
-/// reports `found`. Shared by [`ServeState`] and the fleet router so the
-/// two cancel paths cannot diverge.
-pub(crate) fn cancel_response(
-    seq: u64,
-    id: Option<&Json>,
-    req: &Json,
-    cancel_found: impl FnOnce(&str) -> bool,
-) -> Json {
-    let Some(target) = req.get("target") else {
-        return error_response(
-            seq,
-            id,
-            "bad_request",
-            "cancel needs \"target\" (the id of the compile to cancel)",
-        );
-    };
-    let found = cancel_found(&target.render_compact());
-    with_envelope(
-        seq,
-        id,
-        Json::obj(vec![
-            ("status", Json::str("ok")),
-            ("op", Json::str("cancel")),
-            ("target", target.clone()),
-            ("found", Json::Bool(found)),
-        ]),
-    )
-}
-
-/// Rejects requests carrying an unknown protocol version: a `"v"` field
-/// other than [`PROTOCOL_VERSION`] gets a typed `unsupported_version`
-/// error (requests without `v` are treated as version 1). Returns `None`
-/// when the request may proceed.
-pub(crate) fn check_version(seq: u64, id: Option<&Json>, req: &Json) -> Option<Json> {
-    let v = req.get("v")?;
-    if v.as_u64() == Some(PROTOCOL_VERSION) {
-        return None;
-    }
-    Some(error_response(
-        seq,
-        id,
-        "unsupported_version",
-        &format!(
-            "protocol version {} is not supported (this service speaks v{PROTOCOL_VERSION})",
-            v.render_compact()
-        ),
-    ))
 }
 
 /// Resolves a request's `device` field: a preset name (`"gtx470"` |
@@ -885,8 +876,7 @@ pub(crate) fn with_envelope(seq: u64, id: Option<&Json>, payload: Json) -> Json 
 
 /// The `metrics` op's response: the Prometheus exposition text as one
 /// JSON string field (scrapers that cannot speak the protocol use the
-/// `--metrics` HTTP listener instead). Shared by the single-device and
-/// fleet dispatchers.
+/// `--metrics` HTTP listener instead).
 pub(crate) fn metrics_response(seq: u64, id: Option<&Json>, text: String) -> Json {
     with_envelope(
         seq,
@@ -915,60 +905,6 @@ pub(crate) fn error_response(seq: u64, id: Option<&Json>, kind: &str, message: &
     )
 }
 
-/// True when `line` is a `shutdown` request *that the handler will
-/// honor* — the cheap substring test first, then a real parse so a
-/// compile whose program text merely mentions "shutdown" does not end
-/// the session. The version gate applies here exactly as in dispatch: a
-/// shutdown carrying an unsupported `"v"` is answered with a typed
-/// error, so the reader must keep reading.
-fn is_shutdown_request(line: &str) -> bool {
-    line.contains("shutdown")
-        && Json::parse(line.trim())
-            .ok()
-            .map(|v| {
-                v.get("op").and_then(Json::as_str) == Some("shutdown")
-                    && v.get("v")
-                        .is_none_or(|x| x.as_u64() == Some(PROTOCOL_VERSION))
-            })
-            .unwrap_or(false)
-}
-
-/// Anything that can answer protocol lines: a single-device
-/// [`ServeState`] or the multi-device
-/// [`FleetRouter`](crate::fleet::FleetRouter). The serving loops
-/// ([`serve`], [`serve_tcp`]) are generic over this, so one transport
-/// implementation drives both shapes.
-pub trait RequestHandler: Sync {
-    /// Handles one wire line; `None` for blank lines (see
-    /// [`ServeState::handle_line`]).
-    fn handle_line(&self, seq: u64, line: &str) -> Option<Json>;
-    /// True once a `shutdown` request was served.
-    fn stopped(&self) -> bool;
-    /// The counter block shared by every loop of this service; the
-    /// serving loops record the scheduling policy, queue depth, deadline
-    /// misses, EDF promotions and auth outcomes here.
-    fn stats(&self) -> &Counters;
-    /// Every counter of this service rendered in Prometheus text
-    /// exposition format (the `metrics` op and the `--metrics` HTTP
-    /// listener serve this verbatim).
-    fn metrics_text(&self) -> String;
-}
-
-impl RequestHandler for ServeState {
-    fn handle_line(&self, seq: u64, line: &str) -> Option<Json> {
-        ServeState::handle_line(self, seq, line)
-    }
-    fn stopped(&self) -> bool {
-        ServeState::stopped(self)
-    }
-    fn stats(&self) -> &Counters {
-        ServeState::stats(self)
-    }
-    fn metrics_text(&self) -> String {
-        crate::metrics::render_state(self)
-    }
-}
-
 /// Counters of one serving loop.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeSummary {
@@ -978,14 +914,18 @@ pub struct ServeSummary {
     pub errors: u64,
 }
 
-/// One queued request: the wire line plus its scheduling key. The
+/// One queued request: the parsed line, the answer the reader already
+/// gave it (the TCP handshake's), and its scheduling key. The
 /// `deadline` is **arrival-anchored** (enqueue time + the request's own
 /// `deadline_ms`) and is used for queue ordering and miss accounting;
 /// the compile itself still anchors its execution deadline at pickup,
 /// so queue wait never eats a request's compute budget.
 struct Job {
     seq: u64,
-    line: String,
+    req: Request,
+    /// The response when the reader answered the line itself; `None`
+    /// sends the request to the router.
+    answer: Option<Json>,
     /// Arrival-anchored deadline (miss accounting, both policies).
     deadline: Option<Instant>,
     /// The EDF ordering key: `deadline` under [`SchedPolicy::Edf`],
@@ -994,15 +934,20 @@ struct Job {
 }
 
 impl Job {
-    fn new(seq: u64, line: String, policy: SchedPolicy) -> Job {
-        let deadline = arrival_deadline(&line, Instant::now());
+    fn new(seq: u64, req: Request, answer: Option<Json>, policy: SchedPolicy) -> Job {
+        // Saturating: an absurd deadline_ms schedules like "far future"
+        // instead of panicking the queueing thread.
+        let deadline = req
+            .deadline_ms
+            .map(|ms| saturating_deadline(Instant::now(), Duration::from_millis(ms)));
         let edf_key = match policy {
             SchedPolicy::Edf => deadline,
             SchedPolicy::Fifo => None,
         };
         Job {
             seq,
-            line,
+            req,
+            answer,
             deadline,
             edf_key,
         }
@@ -1034,23 +979,6 @@ impl PartialEq for Job {
 }
 
 impl Eq for Job {}
-
-/// The request's own `deadline_ms` anchored at `now`, best-effort: a
-/// line that is not valid JSON (or carries no usable `deadline_ms`)
-/// simply has no scheduling deadline — dispatch reports its typed error
-/// on the worker as usual.
-fn arrival_deadline(line: &str, now: Instant) -> Option<Instant> {
-    if !line.contains("deadline_ms") {
-        return None;
-    }
-    let ms = Json::parse(line.trim())
-        .ok()?
-        .get("deadline_ms")?
-        .as_u64()?;
-    // Saturating: an absurd deadline_ms schedules like "far future"
-    // instead of panicking the queueing thread.
-    Some(saturating_deadline(now, Duration::from_millis(ms)))
-}
 
 /// The worker pool's priority queue: a min-heap over [`Job::rank`]
 /// under a mutex + condvar (closed flag included). Replaces the PR-4
@@ -1108,11 +1036,80 @@ impl JobQueue {
     }
 }
 
+/// A TCP connection's handshake, kept by its reader so it is decided in
+/// line order: with a secret, every op but `hello` is answered
+/// `auth_required` until a `hello` presented the secret; without one the
+/// connection starts authenticated. `hello` is answered here, so a
+/// secret-less listener still accepts it idempotently — clients can send
+/// the handshake unconditionally. Stdin and unix-socket loops trust their
+/// transport and have no gate.
+struct Gate<'a> {
+    secret: Option<&'a str>,
+    authed: bool,
+}
+
+impl Gate<'_> {
+    fn new(secret: Option<&str>) -> Gate<'_> {
+        Gate {
+            secret,
+            authed: secret.is_none(),
+        }
+    }
+
+    /// The reader's own answer to `req`, or `None` when the router
+    /// handles it. The auth counters go to `stats`.
+    fn screen(&mut self, seq: u64, req: &Request, stats: &Counters) -> Option<Json> {
+        let id = req.id.as_ref();
+        let Op::Hello { secret } = &req.op else {
+            if self.authed {
+                return None;
+            }
+            // Unauthenticated and not a hello: typed rejection, and the
+            // request never reaches the router (malformed JSON included —
+            // an anonymous peer learns nothing about the parser).
+            stats.add(Id::AuthRejected, 1);
+            return Some(error_response(
+                seq,
+                id,
+                "auth_required",
+                "this transport requires {\"op\":\"hello\",\"secret\":...} before any other op",
+            ));
+        };
+        if let Some(msg) = &req.bad_version {
+            return Some(error_response(seq, id, "unsupported_version", msg));
+        }
+        if self
+            .secret
+            .is_some_and(|want| secret.as_deref() != Some(want))
+        {
+            stats.add(Id::AuthFailures, 1);
+            return Some(error_response(
+                seq,
+                id,
+                "auth_failed",
+                "hello: wrong or missing \"secret\"",
+            ));
+        }
+        self.authed = true;
+        stats.add(Id::AuthOk, 1);
+        Some(with_envelope(
+            seq,
+            id,
+            Json::obj(vec![
+                ("status", Json::str("ok")),
+                ("op", Json::str("hello")),
+                ("authenticated", Json::Bool(true)),
+            ]),
+        ))
+    }
+}
+
 /// Serves newline-delimited requests from `reader`, writing one
 /// compact-JSON response line per request to `writer`, fanning requests
-/// out across `workers` pool threads under the default
-/// [`SchedPolicy::Edf`]. Returns at end of input or after a `shutdown`
-/// request; queued requests are drained either way.
+/// out across `workers` pool threads in `policy` order. Returns at end of
+/// input or after a `shutdown` request; queued requests are drained
+/// either way. This is the stdin transport; the socket transports run it
+/// per connection.
 ///
 /// Responses are written as workers finish, so they may be out of request
 /// order — clients match on `seq` (input line number, starting at 1) or
@@ -1123,25 +1120,27 @@ impl JobQueue {
 /// Only reader I/O errors are returned; write errors to `writer` are
 /// counted but do not stop the loop (a disconnected client must not kill
 /// the service for the others).
-pub fn serve<H: RequestHandler + ?Sized, R: BufRead, W: Write + Send>(
-    state: &H,
-    reader: R,
-    writer: W,
-    workers: usize,
-) -> io::Result<ServeSummary> {
-    serve_with_policy(state, reader, writer, workers, SchedPolicy::default())
-}
-
-/// [`serve`] with an explicit scheduling policy (`--sched fifo|edf`).
-pub fn serve_with_policy<H: RequestHandler + ?Sized, R: BufRead, W: Write + Send>(
-    state: &H,
+pub fn serve_with_policy<R: BufRead, W: Write + Send>(
+    router: &FleetRouter,
     reader: R,
     writer: W,
     workers: usize,
     policy: SchedPolicy,
 ) -> io::Result<ServeSummary> {
+    serve_conn(router, reader, writer, workers, policy, None)
+}
+
+/// [`serve_with_policy`], with the TCP handshake when `gate` is given.
+fn serve_conn<R: BufRead, W: Write + Send>(
+    router: &FleetRouter,
+    reader: R,
+    writer: W,
+    workers: usize,
+    policy: SchedPolicy,
+    mut gate: Option<Gate>,
+) -> io::Result<ServeSummary> {
     let workers = workers.max(1);
-    let stats = state.stats();
+    let stats = router.stats();
     stats.set(Id::SchedPolicy, policy.code());
     let queue = JobQueue::default();
     let writer = Mutex::new(writer);
@@ -1154,8 +1153,9 @@ pub fn serve_with_policy<H: RequestHandler + ?Sized, R: BufRead, W: Write + Send
             .map(|_| {
                 scope.spawn(|| {
                     while let Some(job) = queue.pop(stats) {
-                        let Some(response) = state.handle_line(job.seq, &job.line) else {
-                            continue;
+                        let response = match job.answer {
+                            Some(answer) => answer,
+                            None => router.handle(job.seq, job.req),
                         };
                         // A response produced after the arrival-anchored
                         // deadline is a miss under either policy — this
@@ -1181,24 +1181,26 @@ pub fn serve_with_policy<H: RequestHandler + ?Sized, R: BufRead, W: Write + Send
 
         let mut seq = 0u64;
         for line in reader.lines() {
-            match line {
-                Ok(line) => {
-                    seq += 1;
-                    // A `shutdown` line stops this reader *now* — the
-                    // blocking read must not have to wait for another
-                    // client line (or EOF) to notice the stop flag. The
-                    // worker still answers the queued request.
-                    let stop_after = is_shutdown_request(&line);
-                    if !queue.push(Job::new(seq, line, policy), stats) || stop_after {
-                        break;
-                    }
-                }
+            let line = match line {
+                Ok(line) => line,
                 Err(e) => {
                     read_err = Some(e);
                     break;
                 }
+            };
+            seq += 1;
+            if let Some(req) = router.parse(&line) {
+                // A `shutdown` line stops this reader *now* — the
+                // blocking read must not have to wait for another client
+                // line (or EOF) to notice the stop flag. The worker still
+                // answers the queued request.
+                let stop_after = req.is_shutdown();
+                let answer = gate.as_mut().and_then(|g| g.screen(seq, &req, stats));
+                if !queue.push(Job::new(seq, req, answer, policy), stats) || stop_after {
+                    break;
+                }
             }
-            if state.stopped() {
+            if router.stopped() {
                 break;
             }
         }
@@ -1214,109 +1216,6 @@ pub fn serve_with_policy<H: RequestHandler + ?Sized, R: BufRead, W: Write + Send
             responses: responses.load(Ordering::Relaxed),
             errors: errors.load(Ordering::Relaxed),
         }),
-    }
-}
-
-/// Per-connection authentication wrapper: when a shared secret is
-/// configured, every op except `hello` is answered with a typed
-/// `auth_required` error until this connection's `hello` presented the
-/// secret. The TCP transport wraps every connection in one of these;
-/// stdin and unix-socket loops trust their transport and skip it.
-///
-/// `hello` itself is always handled here (never forwarded), so a
-/// secret-less listener still answers it idempotently — clients can
-/// send the handshake unconditionally.
-struct AuthGate<'a, H: RequestHandler + ?Sized> {
-    inner: &'a H,
-    secret: Option<&'a str>,
-    authed: AtomicBool,
-}
-
-impl<'a, H: RequestHandler + ?Sized> AuthGate<'a, H> {
-    fn new(inner: &'a H, secret: Option<&'a str>) -> AuthGate<'a, H> {
-        AuthGate {
-            inner,
-            // No secret configured: the connection starts authenticated.
-            authed: AtomicBool::new(secret.is_none()),
-            secret,
-        }
-    }
-
-    fn handle_hello(&self, seq: u64, id: Option<&Json>, req: &Json) -> Json {
-        match self.secret {
-            None => {}
-            Some(want) => match req.get("secret").and_then(Json::as_str) {
-                Some(got) if got == want => {}
-                _ => {
-                    self.inner.stats().add(Id::AuthFailures, 1);
-                    return error_response(
-                        seq,
-                        id,
-                        "auth_failed",
-                        "hello: wrong or missing \"secret\"",
-                    );
-                }
-            },
-        }
-        self.authed.store(true, Ordering::SeqCst);
-        self.inner.stats().add(Id::AuthOk, 1);
-        with_envelope(
-            seq,
-            id,
-            Json::obj(vec![
-                ("status", Json::str("ok")),
-                ("op", Json::str("hello")),
-                ("authenticated", Json::Bool(true)),
-            ]),
-        )
-    }
-}
-
-impl<H: RequestHandler + ?Sized> RequestHandler for AuthGate<'_, H> {
-    fn handle_line(&self, seq: u64, line: &str) -> Option<Json> {
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            return None;
-        }
-        let parsed = Json::parse(trimmed).ok();
-        let op = parsed
-            .as_ref()
-            .and_then(|r| r.get("op"))
-            .and_then(Json::as_str);
-        if op == Some("hello") {
-            let req = parsed.as_ref().expect("op implies a parsed request");
-            let id = req.get("id").cloned();
-            if let Some(resp) = check_version(seq, id.as_ref(), req) {
-                return Some(resp);
-            }
-            return Some(self.handle_hello(seq, id.as_ref(), req));
-        }
-        if self.authed.load(Ordering::SeqCst) {
-            return self.inner.handle_line(seq, line);
-        }
-        // Unauthenticated and not a hello: typed rejection, and the
-        // request never reaches the real handler (malformed JSON
-        // included — an anonymous peer learns nothing about the parser).
-        self.inner.stats().add(Id::AuthRejected, 1);
-        let id = parsed.as_ref().and_then(|r| r.get("id")).cloned();
-        Some(error_response(
-            seq,
-            id.as_ref(),
-            "auth_required",
-            "this transport requires {\"op\":\"hello\",\"secret\":...} before any other op",
-        ))
-    }
-
-    fn stopped(&self) -> bool {
-        self.inner.stopped()
-    }
-
-    fn stats(&self) -> &Counters {
-        self.inner.stats()
-    }
-
-    fn metrics_text(&self) -> String {
-        self.inner.metrics_text()
     }
 }
 
@@ -1377,13 +1276,13 @@ fn watch_conn<S>(conns: &Watches<S>, conn: u64, watch: io::Result<S>) -> WatchGu
 
 /// The one accept loop behind [`serve_tcp_with`] and [`serve_unix`]:
 /// polls `accept` (a non-blocking listener) and runs `serve_conn(read
-/// half, write half)` on a thread per connection until `state` stops —
+/// half, write half)` on a thread per connection until `router` stops —
 /// then actively disconnects every live connection (socket shutdown) so
 /// a blocked read on one client cannot keep the daemon alive, and joins
 /// them. Connection-level I/O errors are per-client; they never stop the
 /// listener.
-fn accept_loop<H: RequestHandler + ?Sized, S: Conn>(
-    state: &H,
+fn accept_loop<S: Conn>(
+    router: &FleetRouter,
     mut accept: impl FnMut() -> io::Result<S>,
     serve_conn: impl Fn(io::BufReader<S>, S) + Sync,
 ) -> io::Result<()> {
@@ -1392,8 +1291,8 @@ fn accept_loop<H: RequestHandler + ?Sized, S: Conn>(
     let mut accepted = 0u64;
     std::thread::scope(|scope| -> io::Result<()> {
         loop {
-            if state.stopped() {
-                // Wake every connection's reader; their serve() loops
+            if router.stopped() {
+                // Wake every connection's reader; their serving loops
                 // return on the resulting EOF and the scope joins them.
                 if let Ok(conns) = conns.lock() {
                     conns.values().for_each(Conn::shutdown);
@@ -1422,26 +1321,17 @@ fn accept_loop<H: RequestHandler + ?Sized, S: Conn>(
 }
 
 /// Serves TCP connections on `listener`, one serving loop per connection,
-/// all sharing `state` (and therefore the in-memory plan cache), under
-/// the default policy and without authentication. Returns after a
-/// `shutdown` request has been served and every live connection drained
-/// (see `accept_loop`).
-pub fn serve_tcp<H: RequestHandler + ?Sized>(
-    state: &H,
-    listener: TcpListener,
-    workers: usize,
-) -> io::Result<()> {
-    serve_tcp_with(state, listener, workers, SchedPolicy::default(), None)
-}
-
-/// [`serve_tcp`] with an explicit scheduling policy and an optional
-/// shared secret. With a secret, every connection must open with
-/// `{"op":"hello","secret":"..."}` before any other op (see
-/// `AuthGate`); note an unauthenticated `shutdown` line is *rejected*
-/// but still ends that one connection's reader — the daemon itself
-/// keeps serving.
-pub fn serve_tcp_with<H: RequestHandler + ?Sized>(
-    state: &H,
+/// all sharing `router` (and therefore its members' plan caches), in
+/// `policy` order and with an optional shared secret. With a secret,
+/// every connection must open with `{"op":"hello","secret":"..."}` before
+/// any other op (the handshake is decided on the connection's reader, in
+/// line order, so a pipelined `hello` authenticates the lines after it);
+/// note an unauthenticated `shutdown` line is *rejected* but still ends
+/// that one connection's reader — the daemon itself keeps serving.
+/// Returns after a `shutdown` request has been served and every live
+/// connection drained (see `accept_loop`).
+pub fn serve_tcp_with(
+    router: &FleetRouter,
     listener: TcpListener,
     workers: usize,
     policy: SchedPolicy,
@@ -1449,11 +1339,11 @@ pub fn serve_tcp_with<H: RequestHandler + ?Sized>(
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     accept_loop(
-        state,
+        router,
         || listener.accept().map(|(stream, _peer)| stream),
         |reader, writer| {
-            let gate = AuthGate::new(state, secret);
-            let _ = serve_with_policy(&gate, reader, writer, workers, policy);
+            let gate = Gate::new(secret);
+            let _ = serve_conn(router, reader, writer, workers, policy, Some(gate));
         },
     )
 }
@@ -1463,35 +1353,32 @@ pub fn serve_tcp_with<H: RequestHandler + ?Sized>(
 /// handshake: filesystem permissions on the socket path are the trust
 /// boundary for local clients.
 #[cfg(unix)]
-pub fn serve_unix<H: RequestHandler + ?Sized>(
-    state: &H,
+pub fn serve_unix(
+    router: &FleetRouter,
     listener: std::os::unix::net::UnixListener,
     workers: usize,
     policy: SchedPolicy,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     accept_loop(
-        state,
+        router,
         || listener.accept().map(|(stream, _peer)| stream),
         |reader, writer| {
-            let _ = serve_with_policy(state, reader, writer, workers, policy);
+            let _ = serve_with_policy(router, reader, writer, workers, policy);
         },
     )
 }
 
 /// A minimal Prometheus scrape endpoint: answers **every** HTTP request
 /// on `listener` with a `200 text/plain` body of
-/// [`RequestHandler::metrics_text`] and closes the connection. Returns
+/// [`FleetRouter::metrics_text`] and closes the connection. Returns
 /// once the service stops. Request bytes are drained best-effort — the
 /// path and method are ignored, which is exactly what a scraper needs
 /// and nothing more.
-pub fn serve_metrics_http<H: RequestHandler + ?Sized>(
-    state: &H,
-    listener: TcpListener,
-) -> io::Result<()> {
+pub fn serve_metrics_http(router: &FleetRouter, listener: TcpListener) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     loop {
-        if state.stopped() {
+        if router.stopped() {
             return Ok(());
         }
         match listener.accept() {
@@ -1500,7 +1387,7 @@ pub fn serve_metrics_http<H: RequestHandler + ?Sized>(
                 let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
                 let mut head = [0u8; 2048];
                 let _ = io::Read::read(&mut stream, &mut head);
-                let body = state.metrics_text();
+                let body = router.metrics_text();
                 let header = format!(
                     "HTTP/1.1 200 OK\r\n\
                      content-type: text/plain; version=0.0.4; charset=utf-8\r\n\
@@ -1520,22 +1407,38 @@ pub fn serve_metrics_http<H: RequestHandler + ?Sized>(
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use std::io::{BufReader, Cursor};
+    use std::net::TcpStream;
 
     const JACOBI: &str = "for (t = 0; t < T; t++)\n  for (i = 1; i < N-1; i++)\n    for (j = 1; j < N-1; j++)\n      A[t+1][i][j] = 0.25f * (A[t][i+1][j] + A[t][i-1][j] + A[t][i][j+1] + A[t][i][j-1]);\n";
 
-    fn test_state(tag: &str) -> ServeState {
+    /// A one-device fleet around a smoke-sweep config without a disk
+    /// cache: the service every `hybridc serve` client talks to.
+    fn test_router(tag: &str) -> FleetRouter {
+        router_with(tag, |cfg| cfg, FleetOptions::default())
+    }
+
+    /// [`test_router`] with `cfg` adjusted and explicit fleet options.
+    fn router_with(
+        tag: &str,
+        adjust: impl FnOnce(DriverConfig) -> DriverConfig,
+        opts: FleetOptions,
+    ) -> FleetRouter {
         let dir = std::env::temp_dir().join(format!("hybridd_test_{}_{}", std::process::id(), tag));
         let cfg = DriverConfig {
             smoke: true,
             cache_dir: None,
             ..DriverConfig::new(dir)
         };
-        ServeState::new(cfg)
+        FleetRouter::new(adjust(cfg), opts)
+    }
+
+    /// One line as the reader parses it.
+    fn request(line: &str) -> Request {
+        Request::parse(line, &DeviceConfig::gtx470()).unwrap()
     }
 
     fn compile_req(id: &str, program: &str) -> String {
@@ -1550,7 +1453,7 @@ mod tests {
 
     #[test]
     fn malformed_json_and_bad_ops_get_typed_errors() {
-        let state = test_state("bad_ops");
+        let router = test_router("bad_ops");
         for (line, want) in [
             ("this is not json", "malformed JSON"),
             ("{\"no\": \"op\"}", "missing \"op\""),
@@ -1569,7 +1472,7 @@ mod tests {
                 "unknown device",
             ),
         ] {
-            let resp = state.handle_line(1, line).unwrap();
+            let resp = router.handle_line(1, line).unwrap();
             assert_eq!(
                 resp.get("status").and_then(Json::as_str),
                 Some("error"),
@@ -1579,22 +1482,22 @@ mod tests {
             assert!(msg.contains(want), "{line}: {msg}");
         }
         // Blank lines are ignored, and the service is still serving.
-        assert!(state.handle_line(9, "   ").is_none());
-        let status = state.handle_line(10, "{\"op\": \"status\"}").unwrap();
+        assert!(router.handle_line(9, "   ").is_none());
+        let status = router.handle_line(10, "{\"op\": \"status\"}").unwrap();
         assert_eq!(status.get("status").and_then(Json::as_str), Some("alive"));
         assert_eq!(status.get("errors").and_then(Json::as_u64), Some(7));
     }
 
     #[test]
     fn inline_compile_then_memory_hit() {
-        let state = test_state("inline");
-        let first = state.handle_line(1, &compile_req("jac", JACOBI)).unwrap();
+        let router = test_router("inline");
+        let first = router.handle_line(1, &compile_req("jac", JACOBI)).unwrap();
         assert_eq!(first.get("status").and_then(Json::as_str), Some("ok"));
         assert_eq!(first.get("cache").and_then(Json::as_str), Some("miss"));
         assert_eq!(first.get("id").and_then(Json::as_str), Some("jac"));
         assert_eq!(first.get("seq").and_then(Json::as_u64), Some(1));
 
-        let second = state.handle_line(2, &compile_req("jac", JACOBI)).unwrap();
+        let second = router.handle_line(2, &compile_req("jac", JACOBI)).unwrap();
         assert_eq!(second.get("status").and_then(Json::as_str), Some("ok"));
         assert_eq!(second.get("cache").and_then(Json::as_str), Some("mem"));
         // Identical plan and metrics, memory-cache provenance aside.
@@ -1605,8 +1508,8 @@ mod tests {
 
     #[test]
     fn broken_dsl_and_infeasible_requests_are_per_request_errors() {
-        let state = test_state("broken");
-        let resp = state
+        let router = test_router("broken");
+        let resp = router
             .handle_line(1, &compile_req("bad", "for (t = 0; t < T; t++) oops"))
             .unwrap();
         assert_eq!(resp.get("status").and_then(Json::as_str), Some("error"));
@@ -1620,7 +1523,7 @@ mod tests {
             ("steps", Json::UInt(4)),
         ])
         .render_compact();
-        let resp = state.handle_line(2, &req).unwrap();
+        let resp = router.handle_line(2, &req).unwrap();
         assert_eq!(resp.get("status").and_then(Json::as_str), Some("error"));
         assert_eq!(
             resp.get("error_kind").and_then(Json::as_str),
@@ -1628,7 +1531,7 @@ mod tests {
         );
 
         // The service is still alive and compiles fine afterwards.
-        let ok = state.handle_line(3, &compile_req("jac", JACOBI)).unwrap();
+        let ok = router.handle_line(3, &compile_req("jac", JACOBI)).unwrap();
         assert_eq!(ok.get("status").and_then(Json::as_str), Some("ok"));
     }
 
@@ -1637,19 +1540,26 @@ mod tests {
         // Regression: the reader's shutdown fast-path must apply the
         // same version gate as dispatch — a v:9 shutdown is answered
         // with unsupported_version and the session keeps serving.
-        let state = test_state("v9_shutdown");
+        let router = test_router("v9_shutdown");
         let input = "{\"v\":9,\"op\":\"shutdown\"}\n{\"op\":\"status\"}\n";
         let mut out = Vec::new();
-        let summary = serve(&state, Cursor::new(input.to_string()), &mut out, 2).unwrap();
+        let summary = serve_with_policy(
+            &router,
+            Cursor::new(input.to_string()),
+            &mut out,
+            2,
+            SchedPolicy::Edf,
+        )
+        .unwrap();
         assert_eq!(
             summary.responses, 2,
             "the status after the rejected shutdown must be answered"
         );
         assert_eq!(summary.errors, 1);
-        assert!(!state.stopped(), "v:9 shutdown must not stop the service");
-        assert!(!is_shutdown_request("{\"v\":9,\"op\":\"shutdown\"}"));
-        assert!(is_shutdown_request("{\"v\":1,\"op\":\"shutdown\"}"));
-        assert!(is_shutdown_request("{\"op\":\"shutdown\"}"));
+        assert!(!router.stopped(), "v:9 shutdown must not stop the service");
+        assert!(!request("{\"v\":9,\"op\":\"shutdown\"}").is_shutdown());
+        assert!(request("{\"v\":1,\"op\":\"shutdown\"}").is_shutdown());
+        assert!(request("{\"op\":\"shutdown\"}").is_shutdown());
     }
 
     #[test]
@@ -1657,21 +1567,21 @@ mod tests {
         // Regression: an object override without "base" must start from
         // the service's configured device (here NVS 5200M), exactly like
         // a request that omits "device" — not silently from gtx470.
-        let dir = std::env::temp_dir().join(format!("hybridd_test_{}_objbase", std::process::id()));
-        let cfg = DriverConfig {
-            smoke: true,
-            cache_dir: None,
-            device: gpusim::DeviceConfig::nvs5200m(),
-            ..DriverConfig::new(dir)
-        };
-        let state = ServeState::new(cfg);
-        let plain = state.handle_line(1, &compile_req("jac", JACOBI)).unwrap();
+        let router = router_with(
+            "objbase",
+            |cfg| DriverConfig {
+                device: DeviceConfig::nvs5200m(),
+                ..cfg
+            },
+            FleetOptions::default(),
+        );
+        let plain = router.handle_line(1, &compile_req("jac", JACOBI)).unwrap();
         assert_eq!(plain.get("status").and_then(Json::as_str), Some("ok"));
         let req = format!(
             "{{\"op\":\"compile\",\"name\":\"jac\",\"program\":{},\"device\":{{}}}}",
             Json::str(JACOBI).render_compact()
         );
-        let via_empty_obj = state.handle_line(2, &req).unwrap();
+        let via_empty_obj = router.handle_line(2, &req).unwrap();
         assert_eq!(
             via_empty_obj.get("fingerprint"),
             plain.get("fingerprint"),
@@ -1685,12 +1595,12 @@ mod tests {
 
     #[test]
     fn responses_are_versioned_and_unknown_versions_are_rejected() {
-        let state = test_state("version");
+        let router = test_router("version");
         // Every response carries v:1.
-        let status = state.handle_line(1, "{\"op\": \"status\"}").unwrap();
+        let status = router.handle_line(1, "{\"op\": \"status\"}").unwrap();
         assert_eq!(status.get("v").and_then(Json::as_u64), Some(1));
         // An explicit v:1 request is accepted.
-        let ok = state
+        let ok = router
             .handle_line(2, "{\"v\": 1, \"op\": \"status\"}")
             .unwrap();
         assert_eq!(ok.get("status").and_then(Json::as_str), Some("alive"));
@@ -1699,7 +1609,7 @@ mod tests {
             "{\"v\": 2, \"op\": \"status\"}",
             "{\"v\": \"x\", \"op\": \"status\"}",
         ] {
-            let resp = state.handle_line(3, bad).unwrap();
+            let resp = router.handle_line(3, bad).unwrap();
             assert_eq!(resp.get("status").and_then(Json::as_str), Some("error"));
             assert_eq!(
                 resp.get("error_kind").and_then(Json::as_str),
@@ -1712,7 +1622,7 @@ mod tests {
 
     #[test]
     fn deadline_zero_is_a_typed_deadline_exceeded_error() {
-        let state = test_state("deadline");
+        let router = test_router("deadline");
         let req = Json::obj(vec![
             ("op", Json::str("compile")),
             ("id", Json::str("dl")),
@@ -1720,7 +1630,7 @@ mod tests {
             ("deadline_ms", Json::UInt(0)),
         ])
         .render_compact();
-        let resp = state.handle_line(1, &req).unwrap();
+        let resp = router.handle_line(1, &req).unwrap();
         assert_eq!(resp.get("status").and_then(Json::as_str), Some("error"));
         assert_eq!(
             resp.get("error_kind").and_then(Json::as_str),
@@ -1728,10 +1638,10 @@ mod tests {
         );
         // The worker survived; the same program compiles without a
         // deadline, and the cancelled attempt left no in-flight marker.
-        let ok = state.handle_line(2, &compile_req("jac", JACOBI)).unwrap();
+        let ok = router.handle_line(2, &compile_req("jac", JACOBI)).unwrap();
         assert_eq!(ok.get("status").and_then(Json::as_str), Some("ok"));
         // Non-integer deadlines are a bad request.
-        let resp = state
+        let resp = router
             .handle_line(
                 3,
                 "{\"op\":\"compile\",\"program\":\"x\",\"deadline_ms\":\"soon\"}",
@@ -1745,20 +1655,15 @@ mod tests {
 
     #[test]
     fn default_deadline_applies_to_requests_without_their_own() {
-        let dir = std::env::temp_dir().join(format!("hybridd_test_{}_dd", std::process::id()));
-        let cfg = DriverConfig {
-            smoke: true,
-            cache_dir: None,
-            ..DriverConfig::new(dir)
-        };
-        let state = ServeState::with_options(
-            cfg,
-            ServeOptions {
-                mem_cap_bytes: None,
+        let router = router_with(
+            "dd",
+            |cfg| cfg,
+            FleetOptions {
                 default_deadline_ms: Some(0),
+                ..FleetOptions::default()
             },
         );
-        let resp = state.handle_line(1, &compile_req("jac", JACOBI)).unwrap();
+        let resp = router.handle_line(1, &compile_req("jac", JACOBI)).unwrap();
         assert_eq!(
             resp.get("error_kind").and_then(Json::as_str),
             Some("deadline_exceeded")
@@ -1770,7 +1675,7 @@ mod tests {
             ("deadline_ms", Json::UInt(600_000)),
         ])
         .render_compact();
-        let ok = state.handle_line(2, &req).unwrap();
+        let ok = router.handle_line(2, &req).unwrap();
         assert_eq!(ok.get("status").and_then(Json::as_str), Some("ok"));
     }
 
@@ -1788,23 +1693,23 @@ mod tests {
             Some(1.0)
         }
         CANCEL_SENT.store(false, Ordering::SeqCst);
-        let dir = std::env::temp_dir().join(format!("hybridd_test_{}_cancel", std::process::id()));
-        let cfg = DriverConfig {
-            smoke: true,
-            cache_dir: None,
-            scorer: Some(blocking_scorer),
-            ..DriverConfig::new(dir)
-        };
-        let state = ServeState::new(cfg);
+        let router = router_with(
+            "cancel",
+            |cfg| DriverConfig {
+                scorer: Some(blocking_scorer),
+                ..cfg
+            },
+            FleetOptions::default(),
+        );
         let resp = std::thread::scope(|s| {
             let worker = s.spawn(|| {
-                state
+                router
                     .handle_line(1, &compile_req("victim", JACOBI))
                     .unwrap()
             });
             // Wait until the compile registered itself, then cancel it.
             let found = loop {
-                let resp = state
+                let resp = router
                     .handle_line(2, "{\"op\":\"cancel\",\"id\":\"c\",\"target\":\"victim\"}")
                     .unwrap();
                 assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
@@ -1823,12 +1728,12 @@ mod tests {
             Some("cancelled")
         );
         // The registry entry is gone: cancelling again finds nothing.
-        let again = state
+        let again = router
             .handle_line(3, "{\"op\":\"cancel\",\"target\":\"victim\"}")
             .unwrap();
         assert_eq!(again.get("found"), Some(&Json::Bool(false)));
         // Cancel without a target is a bad request.
-        let bad = state.handle_line(4, "{\"op\":\"cancel\"}").unwrap();
+        let bad = router.handle_line(4, "{\"op\":\"cancel\"}").unwrap();
         assert_eq!(
             bad.get("error_kind").and_then(Json::as_str),
             Some("bad_request")
@@ -1852,14 +1757,14 @@ mod tests {
         }
         ENTERED.store(0, Ordering::SeqCst);
         RELEASE.store(false, Ordering::SeqCst);
-        let dir = std::env::temp_dir().join(format!("hybridd_test_{}_dup", std::process::id()));
-        let cfg = DriverConfig {
-            smoke: true,
-            cache_dir: None,
-            scorer: Some(gate_scorer),
-            ..DriverConfig::new(dir)
-        };
-        let state = ServeState::new(cfg);
+        let router = router_with(
+            "dup",
+            |cfg| DriverConfig {
+                scorer: Some(gate_scorer),
+                ..cfg
+            },
+            FleetOptions::default(),
+        );
         // Two *different* programs (distinct fingerprints — no
         // single-flight interaction), one shared id.
         let heat1d = "for (t = 0; t < T; t++)\n  for (i = 1; i < N-1; i++)\n    A[t+1][i] = 0.25f * (A[t][i-1] + A[t][i+1]);\n";
@@ -1872,14 +1777,14 @@ mod tests {
             .render_compact()
         };
         let (a, b) = std::thread::scope(|s| {
-            let wa = s.spawn(|| state.handle_line(1, &req(JACOBI)).unwrap());
-            let wb = s.spawn(|| state.handle_line(2, &req(heat1d)).unwrap());
+            let wa = s.spawn(|| router.handle_line(1, &req(JACOBI)).unwrap());
+            let wb = s.spawn(|| router.handle_line(2, &req(heat1d)).unwrap());
             // Both compiles are inside the scorer, so both flags are
             // registered under "dup".
             while ENTERED.load(Ordering::SeqCst) < 2 {
                 std::thread::sleep(Duration::from_millis(1));
             }
-            let cancel = state
+            let cancel = router
                 .handle_line(3, "{\"op\":\"cancel\",\"target\":\"dup\"}")
                 .unwrap();
             assert_eq!(cancel.get("found"), Some(&Json::Bool(true)));
@@ -1894,7 +1799,7 @@ mod tests {
             );
         }
         // Both guards cleaned up their own registrations.
-        let gone = state
+        let gone = router
             .handle_line(4, "{\"op\":\"cancel\",\"target\":\"dup\"}")
             .unwrap();
         assert_eq!(gone.get("found"), Some(&Json::Bool(false)));
@@ -1906,7 +1811,7 @@ mod tests {
         // with reordered keys must resolve to the same canonical device
         // fingerprint — same cache entry, same plan, a memory hit on the
         // second request.
-        let state = test_state("device_obj");
+        let router = test_router("device_obj");
         let req = |device_json: &str| {
             format!(
                 "{{\"op\":\"compile\",\"name\":\"jac\",\"program\":{},\"device\":{}}}",
@@ -1914,12 +1819,12 @@ mod tests {
                 device_json
             )
         };
-        let first = state
+        let first = router
             .handle_line(1, &req("{\"base\":\"nvs5200m\",\"shared_limit\":32768}"))
             .unwrap();
         assert_eq!(first.get("status").and_then(Json::as_str), Some("ok"));
         assert_eq!(first.get("cache").and_then(Json::as_str), Some("miss"));
-        let second = state
+        let second = router
             .handle_line(2, &req("{\"shared_limit\":32768,\"base\":\"nvs5200m\"}"))
             .unwrap();
         assert_eq!(second.get("status").and_then(Json::as_str), Some("ok"));
@@ -1930,13 +1835,13 @@ mod tests {
         );
         assert_eq!(first.get("fingerprint"), second.get("fingerprint"));
         // A *different* shared limit is a different device.
-        let third = state
+        let third = router
             .handle_line(3, &req("{\"base\":\"nvs5200m\",\"shared_limit\":16384}"))
             .unwrap();
         assert_eq!(third.get("cache").and_then(Json::as_str), Some("miss"));
         // So is a different vendor: cross-vendor devices never share
         // plans even when every numeric parameter matches.
-        let amd = state
+        let amd = router
             .handle_line(
                 5,
                 &req("{\"base\":\"nvs5200m\",\"shared_limit\":32768,\"vendor\":\"amd\"}"),
@@ -1946,7 +1851,7 @@ mod tests {
         assert_eq!(amd.get("cache").and_then(Json::as_str), Some("miss"));
         assert_ne!(first.get("fingerprint"), amd.get("fingerprint"));
         // Unknown device fields are typed errors, not silent typos.
-        let bad = state.handle_line(4, &req("{\"shred_limit\":1}")).unwrap();
+        let bad = router.handle_line(4, &req("{\"shred_limit\":1}")).unwrap();
         assert_eq!(
             bad.get("error_kind").and_then(Json::as_str),
             Some("bad_request")
@@ -1957,10 +1862,12 @@ mod tests {
 
     #[test]
     fn status_reports_the_full_cache_metric_set() {
-        let state = test_state("status_fields");
-        let _ = state.handle_line(1, &compile_req("jac", JACOBI)).unwrap();
-        let _ = state.handle_line(2, &compile_req("jac", JACOBI)).unwrap();
-        let status = state.handle_line(3, "{\"op\":\"status\"}").unwrap();
+        let router = test_router("status_fields");
+        let _ = router.handle_line(1, &compile_req("jac", JACOBI)).unwrap();
+        let _ = router.handle_line(2, &compile_req("jac", JACOBI)).unwrap();
+        let fleet = router.handle_line(3, "{\"op\":\"status\"}").unwrap();
+        // The per-device entry: the full single-device field set.
+        let status = &fleet.get("devices").and_then(Json::as_arr).unwrap()[0];
         for key in [
             "uptime_ms",
             "requests",
@@ -2020,7 +1927,7 @@ mod tests {
     /// compile counters in `status` move accordingly.
     #[test]
     fn backend_request_field_selects_the_emitter() {
-        let state = test_state("backend_field");
+        let router = test_router("backend_field");
         let req = |id: &str, backend: &str| {
             Json::obj(vec![
                 ("op", Json::str("compile")),
@@ -2031,14 +1938,14 @@ mod tests {
             ])
             .render_compact()
         };
-        let resp = state.handle_line(1, &req("w", "wgsl")).unwrap();
+        let resp = router.handle_line(1, &req("w", "wgsl")).unwrap();
         assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
         assert_eq!(resp.get("backend").and_then(Json::as_str), Some("wgsl"));
         let artifact = resp.get("artifact").and_then(Json::as_str).unwrap();
         assert!(artifact.ends_with(".wgsl"), "{artifact}");
-        let resp = state.handle_line(2, &req("c", "cuda")).unwrap();
+        let resp = router.handle_line(2, &req("c", "cuda")).unwrap();
         assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
-        let status = state.handle_line(3, "{\"op\":\"status\"}").unwrap();
+        let status = router.handle_line(3, "{\"op\":\"status\"}").unwrap();
         let compiles = status.get("backend_compiles").unwrap();
         assert_eq!(compiles.get("cuda").and_then(Json::as_u64), Some(1));
         assert_eq!(compiles.get("wgsl").and_then(Json::as_u64), Some(1));
@@ -2052,8 +1959,8 @@ mod tests {
     /// not speak WGSL" from "my request was malformed".
     #[test]
     fn unknown_backend_is_a_typed_unsupported_backend_error() {
-        let state = test_state("backend_unknown");
-        let resp = state
+        let router = test_router("backend_unknown");
+        let resp = router
             .handle_line(
                 1,
                 "{\"op\":\"compile\",\"program\":\"x\",\"backend\":\"metal\"}",
@@ -2074,7 +1981,7 @@ mod tests {
     /// capability rejection; forcing a supported one compiles.
     #[test]
     fn smem_override_hits_the_backend_capability_gate() {
-        let state = test_state("backend_smem");
+        let router = test_router("backend_smem");
         let req = |id: &str, smem: &str| {
             Json::obj(vec![
                 ("op", Json::str("compile")),
@@ -2087,14 +1994,14 @@ mod tests {
             .render_compact()
         };
         // WGSL has no dynamically-addressed workgroup arrays.
-        let resp = state.handle_line(1, &req("bad", "reuse_dynamic")).unwrap();
+        let resp = router.handle_line(1, &req("bad", "reuse_dynamic")).unwrap();
         assert_eq!(resp.get("status").and_then(Json::as_str), Some("error"));
         let msg = resp.get("error").and_then(Json::as_str).unwrap();
         assert!(msg.contains("does not support"), "{msg}");
-        let resp = state.handle_line(2, &req("ok", "reuse_static")).unwrap();
+        let resp = router.handle_line(2, &req("ok", "reuse_static")).unwrap();
         assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
         // And a typo'd strategy name is a plain bad_request.
-        let resp = state
+        let resp = router
             .handle_line(3, &req("typo", "reuse_dynamite"))
             .unwrap();
         assert_eq!(
@@ -2125,7 +2032,7 @@ mod tests {
                 Ok(n)
             }
         }
-        let state = test_state("early_shutdown");
+        let router = test_router("early_shutdown");
         let fed = format!(
             "{}\n{}\n",
             Json::obj(vec![("op", Json::str("status"))]).render_compact(),
@@ -2136,15 +2043,13 @@ mod tests {
             pos: 0,
         });
         let mut out = Vec::new();
-        let summary = serve(&state, reader, &mut out, 2).unwrap();
+        let summary = serve_with_policy(&router, reader, &mut out, 2, SchedPolicy::Edf).unwrap();
         assert_eq!(summary.responses, 2);
-        assert!(state.stopped());
+        assert!(router.stopped());
         // A compile request whose *program text* mentions shutdown is not
         // a shutdown.
-        assert!(!is_shutdown_request(
-            "{\"op\":\"compile\",\"program\":\"// shutdown valve\"}"
-        ));
-        assert!(is_shutdown_request("  {\"op\": \"shutdown\"} "));
+        assert!(!request("{\"op\":\"compile\",\"program\":\"// shutdown valve\"}").is_shutdown());
+        assert!(request("  {\"op\": \"shutdown\"} ").is_shutdown());
     }
 
     #[test]
@@ -2156,7 +2061,8 @@ mod tests {
             let deadline = dl_ms.map(|ms| now + Duration::from_millis(ms));
             Job {
                 seq,
-                line: String::new(),
+                req: request("{\"op\":\"status\"}"),
+                answer: None,
                 deadline,
                 edf_key: deadline,
             }
@@ -2183,11 +2089,11 @@ mod tests {
         let q = JobQueue::default();
         let line_with_deadline = "{\"op\":\"compile\",\"program\":\"x\",\"deadline_ms\":1}";
         assert!(q.push(
-            Job::new(1, "{\"op\":\"status\"}".to_string(), SchedPolicy::Fifo),
+            Job::new(1, request("{\"op\":\"status\"}"), None, SchedPolicy::Fifo),
             &stats
         ));
         assert!(q.push(
-            Job::new(2, line_with_deadline.to_string(), SchedPolicy::Fifo),
+            Job::new(2, request(line_with_deadline), None, SchedPolicy::Fifo),
             &stats
         ));
         q.close();
@@ -2201,7 +2107,7 @@ mod tests {
         assert!(second.edf_key.is_none());
         assert_eq!(stats.get(Id::EdfPromotions), 0);
         // Under EDF the same line gets a scheduling key.
-        let edf = Job::new(3, line_with_deadline.to_string(), SchedPolicy::Edf);
+        let edf = Job::new(3, request(line_with_deadline), None, SchedPolicy::Edf);
         assert!(edf.edf_key.is_some());
     }
 
@@ -2211,7 +2117,7 @@ mod tests {
         // whichever queue wrote last (3 / 3 / 2 before the fix).
         let stats = Counters::default();
         let (a, b) = (JobQueue::default(), JobQueue::default());
-        let job = |seq| Job::new(seq, String::new(), SchedPolicy::Edf);
+        let job = |seq| Job::new(seq, request("{\"op\":\"status\"}"), None, SchedPolicy::Edf);
         for seq in 1..=2 {
             assert!(a.push(job(seq), &stats));
         }
@@ -2227,7 +2133,7 @@ mod tests {
 
     #[test]
     fn deadline_misses_and_policy_are_tracked_by_the_loop() {
-        let state = test_state("edf_stats");
+        let router = test_router("edf_stats");
         let input = format!(
             "{}\n{}\n",
             // deadline_ms 0: already expired on arrival — a guaranteed
@@ -2237,11 +2143,11 @@ mod tests {
         );
         let mut out = Vec::new();
         let summary =
-            serve_with_policy(&state, Cursor::new(input), &mut out, 2, SchedPolicy::Edf).unwrap();
+            serve_with_policy(&router, Cursor::new(input), &mut out, 2, SchedPolicy::Edf).unwrap();
         assert_eq!(summary.responses, 2);
-        assert_eq!(state.stats().get(Id::DeadlineMisses), 1);
-        assert_eq!(state.stats().get(Id::SchedPolicy), SchedPolicy::Edf.code());
-        let status = state.status_payload();
+        assert_eq!(router.stats().get(Id::DeadlineMisses), 1);
+        assert_eq!(router.stats().get(Id::SchedPolicy), SchedPolicy::Edf.code());
+        let status = router.status_payload();
         assert_eq!(
             status.get("sched_policy").and_then(Json::as_str),
             Some("edf")
@@ -2254,15 +2160,21 @@ mod tests {
 
     #[test]
     fn auth_gate_rejects_everything_until_hello() {
-        let state = test_state("auth");
-        let gate = AuthGate::new(&state, Some("s3cret"));
+        let router = test_router("auth");
+        // The reader's decision, then the router for what it lets through.
+        let ask = |gate: &mut Gate, seq: u64, line: &str| {
+            let req = router.parse(line).unwrap();
+            gate.screen(seq, &req, router.stats())
+                .unwrap_or_else(|| router.handle(seq, req))
+        };
+        let mut gate = Gate::new(Some("s3cret"));
         // Any op (and even malformed JSON) before hello: auth_required.
         for line in [
             "{\"op\":\"status\",\"id\":\"x\"}",
             "{\"op\":\"compile\",\"program\":\"x\"}",
             "not json at all",
         ] {
-            let resp = gate.handle_line(1, line).unwrap();
+            let resp = ask(&mut gate, 1, line);
             assert_eq!(
                 resp.get("error_kind").and_then(Json::as_str),
                 Some("auth_required"),
@@ -2270,45 +2182,93 @@ mod tests {
             );
         }
         // Wrong secret: typed auth_failed, still locked.
-        let bad = gate
-            .handle_line(2, "{\"op\":\"hello\",\"secret\":\"wrong\"}")
-            .unwrap();
+        let bad = ask(&mut gate, 2, "{\"op\":\"hello\",\"secret\":\"wrong\"}");
         assert_eq!(
             bad.get("error_kind").and_then(Json::as_str),
             Some("auth_failed")
         );
         // Version gate applies to hello like any other op.
-        let v9 = gate
-            .handle_line(3, "{\"v\":9,\"op\":\"hello\",\"secret\":\"s3cret\"}")
-            .unwrap();
+        let v9 = ask(
+            &mut gate,
+            3,
+            "{\"v\":9,\"op\":\"hello\",\"secret\":\"s3cret\"}",
+        );
         assert_eq!(
             v9.get("error_kind").and_then(Json::as_str),
             Some("unsupported_version")
         );
         // Right secret: authenticated, and ops flow to the real handler.
-        let ok = gate
-            .handle_line(4, "{\"op\":\"hello\",\"id\":\"h\",\"secret\":\"s3cret\"}")
-            .unwrap();
+        let ok = ask(
+            &mut gate,
+            4,
+            "{\"op\":\"hello\",\"id\":\"h\",\"secret\":\"s3cret\"}",
+        );
         assert_eq!(ok.get("authenticated"), Some(&Json::Bool(true)));
-        let status = gate.handle_line(5, "{\"op\":\"status\"}").unwrap();
+        let status = ask(&mut gate, 5, "{\"op\":\"status\"}");
         assert_eq!(status.get("status").and_then(Json::as_str), Some("alive"));
-        assert_eq!(state.stats().get(Id::AuthRejected), 3);
-        assert_eq!(state.stats().get(Id::AuthFailures), 1);
-        assert_eq!(state.stats().get(Id::AuthOk), 1);
+        assert_eq!(router.stats().get(Id::AuthRejected), 3);
+        assert_eq!(router.stats().get(Id::AuthFailures), 1);
+        assert_eq!(router.stats().get(Id::AuthOk), 1);
         // A gate without a secret answers hello idempotently and
         // forwards everything else straight away.
-        let open = AuthGate::new(&state, None);
-        let hello = open.handle_line(1, "{\"op\":\"hello\"}").unwrap();
+        let mut open = Gate::new(None);
+        let hello = ask(&mut open, 1, "{\"op\":\"hello\"}");
         assert_eq!(hello.get("authenticated"), Some(&Json::Bool(true)));
-        let status = open.handle_line(2, "{\"op\":\"status\"}").unwrap();
+        let status = ask(&mut open, 2, "{\"op\":\"status\"}");
         assert_eq!(status.get("status").and_then(Json::as_str), Some("alive"));
+    }
+
+    /// Auth is decided on the reader, in line order: a `hello` pipelined
+    /// in one write with the lines around it authenticates exactly the
+    /// lines after it, even when EDF runs a later deadline-bearing line
+    /// before the `hello`'s own turn on the one worker.
+    #[test]
+    fn a_pipelined_hello_authenticates_the_lines_after_it() {
+        let router = test_router("pipelined_hello");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::scope(|s| {
+            let server =
+                s.spawn(|| serve_tcp_with(&router, listener, 1, SchedPolicy::Edf, Some("s3cret")));
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            stream
+                .write_all(
+                    concat!(
+                        "{\"op\":\"status\",\"id\":\"early\"}\n",
+                        "{\"op\":\"hello\",\"id\":\"hello\",\"secret\":\"s3cret\"}\n",
+                        "{\"op\":\"status\",\"id\":\"after\",\"deadline_ms\":60000}\n",
+                    )
+                    .as_bytes(),
+                )
+                .unwrap();
+            let mut by_id = HashMap::new();
+            for _ in 0..3 {
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                let resp = Json::parse(line.trim()).unwrap();
+                let id = resp.get("id").and_then(Json::as_str).unwrap().to_string();
+                by_id.insert(id, resp);
+            }
+            let field = |id: &str, key: &str| by_id[id].get(key).cloned();
+            assert_eq!(
+                field("early", "error_kind"),
+                Some(Json::str("auth_required"))
+            );
+            assert_eq!(field("hello", "authenticated"), Some(Json::Bool(true)));
+            assert_eq!(field("after", "status"), Some(Json::str("alive")));
+            writeln!(stream, "{{\"op\":\"shutdown\"}}").unwrap();
+            server.join().unwrap().unwrap();
+        });
+        assert_eq!(router.stats().get(Id::AuthRejected), 1);
+        assert_eq!(router.stats().get(Id::AuthOk), 1);
     }
 
     #[test]
     fn metrics_op_returns_parseable_exposition_text() {
-        let state = test_state("metrics_op");
-        let _ = state.handle_line(1, &compile_req("jac", JACOBI)).unwrap();
-        let resp = state
+        let router = test_router("metrics_op");
+        let _ = router.handle_line(1, &compile_req("jac", JACOBI)).unwrap();
+        let resp = router
             .handle_line(2, "{\"op\":\"metrics\",\"id\":\"m\"}")
             .unwrap();
         assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
@@ -2325,7 +2285,7 @@ mod tests {
 
     #[test]
     fn serve_loop_drains_input_and_honors_shutdown() {
-        let state = test_state("loop");
+        let router = test_router("loop");
         let input = format!(
             "{}\nnot json\n{}\n{}\n",
             compile_req("a", JACOBI),
@@ -2333,10 +2293,11 @@ mod tests {
             Json::obj(vec![("op", Json::str("shutdown"))]).render_compact(),
         );
         let mut out = Vec::new();
-        let summary = serve(&state, Cursor::new(input), &mut out, 2).unwrap();
+        let summary =
+            serve_with_policy(&router, Cursor::new(input), &mut out, 2, SchedPolicy::Edf).unwrap();
         assert_eq!(summary.responses, 4);
         assert_eq!(summary.errors, 1);
-        assert!(state.stopped());
+        assert!(router.stopped());
         let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
         assert_eq!(lines.len(), 4);
         // Every line is valid compact JSON with a seq.

@@ -16,9 +16,9 @@ use gpusim::{DeviceConfig, GpuSim};
 use hybrid_bench::driver::{
     compile_source_with, fingerprint_text, CompileOutcome, DriverConfig, DriverError, MemCache,
 };
+use hybrid_bench::fleet::{FleetOptions, FleetRouter};
 use hybrid_bench::json::Json;
 use hybrid_bench::metrics::Id;
-use hybrid_bench::serve::ServeState;
 use hybrid_tiling::cancel::CancelToken;
 use hybrid_tiling::TileParams;
 use stencil::parse::parse_stencil;
@@ -80,20 +80,20 @@ fn an_emit_failure_is_the_typed_io_error_and_clears_the_flight() {
     assert_eq!((mem.get(Id::MemMisses), mem.get(Id::MemHits)), (2, 0));
 
     // Through the service: a typed error response, not a contained panic.
-    let state = ServeState::new(cfg);
+    let router = FleetRouter::new(cfg, FleetOptions::default());
     let request = Json::obj(vec![
         ("op", Json::str("compile")),
         ("name", Json::str("jacobi")),
         ("program", Json::str(JACOBI)),
     ]);
-    let response = state.handle_line(1, &request.render()).unwrap();
+    let response = router.handle_line(1, &request.render()).unwrap();
     assert_eq!(
         response.get("error_kind").and_then(Json::as_str),
         Some("io")
     );
     let text = response.get("error").and_then(Json::as_str).unwrap();
     assert!(text.ends_with(&want), "{text}");
-    assert_eq!(state.get(Id::ContainedPanics), Some(0));
+    assert_eq!(router.members()[0].1.get(Id::ContainedPanics), Some(0));
 }
 
 #[test]

@@ -22,10 +22,8 @@ use hybrid_bench::driver::DriverConfig;
 use hybrid_bench::fleet::{FleetOptions, FleetRouter};
 use hybrid_bench::json::Json;
 use hybrid_bench::metrics::{
-    escape_label, parse_exposition, render, render_state, Id, Kind, MetricsSnapshot, Scope, Values,
-    REGISTRY,
+    escape_label, parse_exposition, render, Id, Kind, MetricsSnapshot, Scope, Values, REGISTRY,
 };
-use hybrid_bench::serve::ServeState;
 
 const JACOBI_1D: &str =
     "for (t = 0; t < T; t++)\n  for (i = 1; i < N-1; i++)\n    A[t+1][i] = 0.33f * (A[t][i-1] + A[t][i] + A[t][i+1]);\n";
@@ -95,16 +93,16 @@ fn label_values_are_escaped_and_round_trip() {
 
 #[test]
 fn counters_never_decrease_across_successive_renders() {
-    let state = ServeState::new(cheap_cfg("monotonic"));
-    let _ = state.handle_line(1, &compile_req("a", None)).unwrap();
-    let _ = state.handle_line(2, "{\"op\":\"status\"}").unwrap();
-    let first = samples_by_series(&render_state(&state));
+    let router = FleetRouter::new(cheap_cfg("monotonic"), FleetOptions::default());
+    let _ = router.handle_line(1, &compile_req("a", None)).unwrap();
+    let _ = router.handle_line(2, "{\"op\":\"status\"}").unwrap();
+    let first = samples_by_series(&router.metrics_text());
 
     // More traffic of every flavor: a cache hit, an error, a status.
-    let _ = state.handle_line(3, &compile_req("b", None)).unwrap();
-    let _ = state.handle_line(4, "{\"op\":\"nope\"}").unwrap();
-    let _ = state.handle_line(5, "{\"op\":\"status\"}").unwrap();
-    let second = samples_by_series(&render_state(&state));
+    let _ = router.handle_line(3, &compile_req("b", None)).unwrap();
+    let _ = router.handle_line(4, "{\"op\":\"nope\"}").unwrap();
+    let _ = router.handle_line(5, "{\"op\":\"status\"}").unwrap();
+    let second = samples_by_series(&router.metrics_text());
 
     let mut compared = 0;
     for (series, before) in &first {

@@ -5,7 +5,7 @@
 //! returns a structured [`DriverError`] or a verified outcome — it never
 //! panics, whatever the mutation produced.
 //!
-//! Property 2: `ServeState::handle_line` on *malformed or mutated JSON
+//! Property 2: `FleetRouter::handle_line` on *malformed or mutated JSON
 //! request lines* always answers with a structured response object — the
 //! service never dies mid-protocol.
 //!
@@ -20,9 +20,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use hybrid_bench::driver::{compile_file, compile_source_with, outcome_json, DriverConfig};
+use hybrid_bench::fleet::{FleetOptions, FleetRouter};
 use hybrid_bench::json::Json;
 use hybrid_bench::metrics::Id;
-use hybrid_bench::serve::ServeState;
 use proptest::prelude::*;
 
 /// Valid seed programs the mutators start from (1-D and 2-D, constants,
@@ -36,6 +36,11 @@ fn seeds() -> Vec<&'static str> {
 }
 
 const POOL: &[u8] = b"()[]{}=+-*/;<>,#._ \n\t0123456789abtizANw\"@$%&?";
+
+/// A one-device fleet — the service `hybridc serve` runs — around `cfg`.
+fn one_device(cfg: DriverConfig) -> FleetRouter {
+    FleetRouter::new(cfg, FleetOptions::default())
+}
 
 /// A scratch config that keeps property cases cheap: smoke sweep, no
 /// oracle run, no disk cache (mutations would pollute one directory).
@@ -81,7 +86,7 @@ proptest! {
     }
 
     /// Mutated request lines against a live service: every non-blank line
-    /// gets a response object with a seq and a status, and the state
+    /// gets a response object with a seq and a status, and the router
     /// keeps serving afterwards.
     #[test]
     fn mutated_request_lines_always_get_structured_responses(
@@ -99,8 +104,8 @@ proptest! {
             _ => { chars.remove(pos); }
         }
         let mutated: String = chars.into_iter().collect();
-        let state = ServeState::new(cheap_cfg("mutated_req"));
-        let resp = catch_unwind(AssertUnwindSafe(|| state.handle_line(1, &mutated)));
+        let router = one_device(cheap_cfg("mutated_req"));
+        let resp = catch_unwind(AssertUnwindSafe(|| router.handle_line(1, &mutated)));
         prop_assert!(resp.is_ok(), "handle_line panicked on {mutated:?}");
         if let Ok(Some(resp)) = resp {
             prop_assert_eq!(resp.get("seq").and_then(Json::as_u64), Some(1));
@@ -111,7 +116,7 @@ proptest! {
             );
         }
         // The service survived: a well-formed status request still works.
-        let status = state.handle_line(2, "{\"op\": \"status\"}").unwrap();
+        let status = router.handle_line(2, "{\"op\": \"status\"}").unwrap();
         prop_assert_eq!(status.get("status").and_then(Json::as_str), Some("alive"));
     }
 
@@ -127,14 +132,14 @@ proptest! {
         let req = format!(
             "{{\"op\": \"compile\", \"name\": \"p\", \"program\": \"for (t = 0; t < T; t++)\\n  for (i = 1; i < N-1; i++)\\n    A[t+1][i] = A[t][i];\\n\", \"size\": [64], \"steps\": 4, \"deadline_ms\": {ms}}}"
         );
-        let state = ServeState::new(cheap_cfg("extreme_deadline"));
-        let resp = state.handle_line(1, &req).unwrap();
+        let router = one_device(cheap_cfg("extreme_deadline"));
+        let resp = router.handle_line(1, &req).unwrap();
         prop_assert_eq!(
             resp.get("status").and_then(Json::as_str),
             Some("ok"),
             "deadline_ms {} should be treated as far-future: {:?}", ms, resp
         );
-        prop_assert_eq!(state.get(Id::ContainedPanics), Some(0), "deadline_ms {} tripped the panic barrier", ms);
+        prop_assert_eq!(router.members()[0].1.get(Id::ContainedPanics), Some(0), "deadline_ms {} tripped the panic barrier", ms);
     }
 }
 
@@ -170,7 +175,7 @@ fn concurrent_clients_match_one_shot_reports_bit_exactly() {
         .collect();
 
     // Three clients fire the same path requests at one shared service.
-    let state = ServeState::new(cfg);
+    let router = one_device(cfg);
     let request = |path: &Path| {
         Json::obj(vec![
             ("op", Json::str("compile")),
@@ -181,7 +186,7 @@ fn concurrent_clients_match_one_shot_reports_bit_exactly() {
     let responses: Vec<Vec<Json>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..3)
             .map(|client| {
-                let state = &state;
+                let router = &router;
                 let jacobi = &jacobi;
                 let heat = &heat;
                 s.spawn(move || {
@@ -189,7 +194,7 @@ fn concurrent_clients_match_one_shot_reports_bit_exactly() {
                         .iter()
                         .enumerate()
                         .map(|(i, p)| {
-                            state
+                            router
                                 .handle_line((client * 2 + i + 1) as u64, &request(p))
                                 .unwrap()
                         })
@@ -255,12 +260,11 @@ fn concurrent_clients_match_one_shot_reports_bit_exactly() {
     // The shared cache did its job: 2 distinct stencils, 6 requests —
     // the 4 non-tuners were immediate hits or coalesced single-flight
     // waits, depending on scheduling.
-    assert_eq!(state.mem().get(Id::MemMisses), 2);
-    assert_eq!(
-        state.mem().get(Id::MemHits) + state.mem().get(Id::MemCoalesced),
-        4
-    );
-    assert_eq!(state.mem().get(Id::MemLookups), 6);
+    let member = router.members()[0].1.clone();
+    let mem = member.mem();
+    assert_eq!(mem.get(Id::MemMisses), 2);
+    assert_eq!(mem.get(Id::MemHits) + mem.get(Id::MemCoalesced), 4);
+    assert_eq!(mem.get(Id::MemLookups), 6);
 }
 
 /// A connection's descriptors are released when it closes: 300
@@ -280,7 +284,7 @@ fn closed_connections_release_their_descriptors() {
     let socket = dir.join("hybridd.sock");
     let _ = std::fs::remove_file(&socket);
     let listener = UnixListener::bind(&socket).unwrap();
-    let state = ServeState::new(cheap_cfg("fd_leak"));
+    let router = one_device(cheap_cfg("fd_leak"));
     let open_fds = || std::fs::read_dir("/proc/self/fd").unwrap().count();
     let round_trip = |request: &str| {
         let mut stream = UnixStream::connect(&socket).unwrap();
@@ -295,7 +299,7 @@ fn closed_connections_release_their_descriptors() {
     const SLACK: usize = 40;
 
     std::thread::scope(|s| {
-        let server = s.spawn(|| serve_unix(&state, listener, 1, SchedPolicy::default()));
+        let server = s.spawn(|| serve_unix(&router, listener, 1, SchedPolicy::default()));
         // The first connection settles lazily created descriptors.
         round_trip("{\"op\":\"status\"}");
         let baseline = open_fds();
@@ -336,7 +340,7 @@ fn far_apart_offsets_are_a_typed_refusal_and_the_connection_lives_on() {
     let socket = dir.join("hybridd.sock");
     let _ = std::fs::remove_file(&socket);
     let listener = UnixListener::bind(&socket).unwrap();
-    let state = ServeState::new(cheap_cfg("far_offsets"));
+    let router = one_device(cheap_cfg("far_offsets"));
     let far = "for (t = 0; t < T; t++)\\n for (i = 1; i < N-1; i++)\\n  for (j = 1; j < N-1; j++)\\n   \
                for (k = 1; k < N-1; k++)\\n    A[t+1][i][j][k] = 0.1f * (A[t][i][j][k] + A[t][i+1][j][k] \
                + A[t][i-1][j][k] + A[t][i][j+1000000][k] + A[t][i][j-1000000][k] \
@@ -344,7 +348,7 @@ fn far_apart_offsets_are_a_typed_refusal_and_the_connection_lives_on() {
     let near = "for (t = 0; t < T; t++)\\n for (i = 1; i < N-1; i++)\\n  A[t+1][i] = 0.5f * (A[t][i-1] + A[t][i+1]);\\n";
 
     std::thread::scope(|s| {
-        let server = s.spawn(|| serve_unix(&state, listener, 1, SchedPolicy::default()));
+        let server = s.spawn(|| serve_unix(&router, listener, 1, SchedPolicy::default()));
         let mut stream = UnixStream::connect(&socket).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut round_trip = |request: String| {
@@ -386,5 +390,5 @@ fn far_apart_offsets_are_a_typed_refusal_and_the_connection_lives_on() {
         round_trip("{\"op\":\"shutdown\"}".to_string());
         server.join().unwrap().unwrap();
     });
-    assert_eq!(state.get(Id::ContainedPanics), Some(0));
+    assert_eq!(router.members()[0].1.get(Id::ContainedPanics), Some(0));
 }

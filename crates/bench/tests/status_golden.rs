@@ -1,4 +1,4 @@
-//! Golden snapshots of the `status` op — single-device and two-member
+//! Golden snapshots of the `status` op — a one-device and a two-member
 //! fleet — after a scripted session through the real TCP transport
 //! (secret-gated, so the auth counters move too).
 //!
@@ -18,7 +18,7 @@ use std::net::{TcpListener, TcpStream};
 use hybrid_bench::driver::DriverConfig;
 use hybrid_bench::fleet::{FleetOptions, FleetRouter};
 use hybrid_bench::json::Json;
-use hybrid_bench::serve::{serve_tcp_with, RequestHandler, SchedPolicy, ServeOptions, ServeState};
+use hybrid_bench::serve::{serve_tcp_with, SchedPolicy};
 
 const JACOBI_1D: &str =
     "for (t = 0; t < T; t++)\n  for (i = 1; i < N-1; i++)\n    A[t+1][i] = 0.33f * (A[t][i-1] + A[t][i] + A[t][i+1]);\n";
@@ -45,15 +45,15 @@ fn compile(id: &str, extra: Vec<(&str, Json)>) -> String {
     Json::obj(pairs).render_compact()
 }
 
-/// Serves `handler` on a loopback port, plays `script` lockstep over one
+/// Serves `router` on a loopback port, plays `script` lockstep over one
 /// connection, and returns the response to a final `status` request with
 /// the wall-clock fields zeroed.
-fn status_after<H: RequestHandler>(handler: &H, script: &[String]) -> Json {
+fn status_after(router: &FleetRouter, script: &[String]) -> Json {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     std::thread::scope(|scope| {
         let server =
-            scope.spawn(|| serve_tcp_with(handler, listener, 1, SchedPolicy::Edf, Some(SECRET)));
+            scope.spawn(|| serve_tcp_with(router, listener, 1, SchedPolicy::Edf, Some(SECRET)));
         let stream = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = stream;
@@ -113,11 +113,12 @@ fn check_golden(name: &str, status: &Json) {
 
 #[test]
 fn single_device_status_matches_the_golden() {
-    let state = ServeState::with_options(
+    let router = FleetRouter::new(
         cheap_cfg("single"),
-        ServeOptions {
+        FleetOptions {
             mem_cap_bytes: Some(1 << 20),
             default_deadline_ms: Some(60_000),
+            ..FleetOptions::default()
         },
     );
     let script = [
@@ -139,7 +140,7 @@ fn single_device_status_matches_the_golden() {
         ),
         r#"{"op":"cancel","target":"nobody"}"#.to_string(),
     ];
-    check_golden("status_single.json", &status_after(&state, &script));
+    check_golden("status_single.json", &status_after(&router, &script));
 }
 
 #[test]
