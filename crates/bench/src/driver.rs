@@ -1991,6 +1991,30 @@ pub fn report_json(
     ])
 }
 
+/// The fields of an [`outcome_json`] object that say how its outcome was
+/// obtained rather than what it is — cache provenance, tuning effort and
+/// the stage timers. A memory-cache hit reports them differently from the
+/// miss that published its entry (and the timers differ between any two
+/// runs); every other field is identical. Tests and the CI response
+/// normalisers set exactly these aside.
+pub const PROVENANCE_FIELDS: [&str; 15] = [
+    "cache_hit",
+    "cache",
+    "examined",
+    "shortlisted",
+    "simulated",
+    "proxy_simulated",
+    "full_simulated",
+    "tune_wall_ms",
+    "tune_model_ms",
+    "plan_ms",
+    "simulate_ms",
+    "oracle_ms",
+    "emit_ms",
+    "warm_start",
+    "warm_start_hit",
+];
+
 /// The per-stencil report object for one compile result — the unit both
 /// `hybridc --report` (inside [`report_json`]) and the `hybridd` serve
 /// protocol emit, so a service response is bit-identical to the one-shot

@@ -23,31 +23,10 @@ use std::time::Instant;
 use gpusim::DeviceConfig;
 use hybrid_bench::driver::{
     collect_stencil_files, compile_file_with, compile_source_with, fingerprint_text, outcome_json,
-    CacheSource, CompileOutcome, DriverConfig, MemCache, TuneMode,
+    CacheSource, CompileOutcome, DriverConfig, MemCache, TuneMode, PROVENANCE_FIELDS,
 };
 use hybrid_bench::json::Json;
 use hybrid_bench::metrics::Id;
-
-/// The provenance fields a hit legitimately reports differently from the
-/// miss that published its entry — the same set the CI fleet-smoke job
-/// normalises.
-const PROVENANCE: [&str; 15] = [
-    "cache_hit",
-    "cache",
-    "examined",
-    "shortlisted",
-    "simulated",
-    "proxy_simulated",
-    "full_simulated",
-    "tune_wall_ms",
-    "tune_model_ms",
-    "plan_ms",
-    "simulate_ms",
-    "oracle_ms",
-    "emit_ms",
-    "warm_start",
-    "warm_start_hit",
-];
 
 const JACOBI: &str = "for (t = 0; t < T; t++)\n  for (i = 1; i < N-1; i++)\n    for (j = 1; j < N-1; j++)\n      A[t+1][i][j] = 0.2f * (A[t][i][j] + A[t][i+1][j] + A[t][i-1][j] + A[t][i][j+1] + A[t][i][j-1]);\n";
 
@@ -85,7 +64,7 @@ fn normalized(outcome: &CompileOutcome) -> String {
     };
     let kept: Vec<(String, Json)> = pairs
         .into_iter()
-        .filter(|(k, _)| !PROVENANCE.contains(&k.as_str()))
+        .filter(|(k, _)| !PROVENANCE_FIELDS.contains(&k.as_str()))
         .collect();
     assert!(kept.len() >= 15, "normalisation kept {} fields", kept.len());
     Json::Obj(kept).render_compact()

@@ -19,7 +19,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use hybrid_bench::driver::{compile_file, compile_source_with, outcome_json, DriverConfig};
+use hybrid_bench::driver::{
+    compile_file, compile_source_with, outcome_json, DriverConfig, PROVENANCE_FIELDS,
+};
 use hybrid_bench::fleet::{FleetOptions, FleetRouter};
 use hybrid_bench::json::Json;
 use hybrid_bench::metrics::Id;
@@ -215,26 +217,8 @@ fn concurrent_clients_match_one_shot_reports_bit_exactly() {
                 pairs
                     .iter()
                     .filter(|(k, _)| {
-                        !matches!(
-                            k.as_str(),
-                            "v" | "seq"
-                                | "id"
-                                | "cache"
-                                | "cache_hit"
-                                | "examined"
-                                | "shortlisted"
-                                | "simulated"
-                                | "proxy_simulated"
-                                | "full_simulated"
-                                | "tune_wall_ms"
-                                | "tune_model_ms"
-                                | "plan_ms"
-                                | "simulate_ms"
-                                | "oracle_ms"
-                                | "emit_ms"
-                                | "warm_start"
-                                | "warm_start_hit"
-                        )
+                        !matches!(k.as_str(), "v" | "seq" | "id")
+                            && !PROVENANCE_FIELDS.contains(&k.as_str())
                     })
                     .cloned()
                     .collect(),
