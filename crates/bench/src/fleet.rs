@@ -179,9 +179,9 @@ impl FleetRouter {
     }
 
     /// Handles one wire line as the serving loops do: parsed once, then
-    /// answered. `None` for blank lines, a response object for everything else,
-    /// never a panic escape (member compiles run under the member's own
-    /// `catch_unwind` boundary).
+    /// answered. `None` for blank lines, a response object for everything
+    /// else, never a panic escape (member compiles run under the member's
+    /// own `catch_unwind` boundary).
     pub fn handle_line(&self, seq: u64, line: &str) -> Option<Json> {
         Some(self.handle(seq, self.parse(line)?))
     }
@@ -256,8 +256,8 @@ impl FleetRouter {
         // member up, the whole request must validate — a stream of
         // garbage compiles naming fresh devices must not exhaust
         // --max-devices.
-        let fp = device_fingerprint(&device);
         if let Err(e) = &compile.job {
+            let fp = device_fingerprint(&device);
             if !self.lock_members().iter().any(|(k, _)| *k == fp) {
                 return self.track(error_response(seq, id, e.kind(), e.message()));
             }

@@ -418,7 +418,7 @@ pub(crate) struct Request {
     pub(crate) op: Op,
 }
 
-/// The ops of the protocol, and the two ways a line can fail to name one.
+/// The ops of the protocol, and the ways a line can fail to name one.
 pub(crate) enum Op {
     /// Not JSON: the parser's message.
     Malformed(String),
