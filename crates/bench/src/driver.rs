@@ -1110,12 +1110,14 @@ fn load_cached_params(
 
 /// Writes `contents` to `path` through a uniquely named sibling temp file
 /// and a `rename`, so concurrent readers and writers of one path only
-/// ever observe a complete file.
+/// ever observe a complete file. The temp name's numbers are fixed-width,
+/// so that writing costs the same allocations whatever the process id and
+/// however many files came before (`tests/work_ledger.rs` pins them).
 fn write_atomic(path: &Path, contents: &str) -> Result<(), DriverError> {
     static TMP_SEQ: AtomicUsize = AtomicUsize::new(0);
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(
-        ".tmp{}-{}",
+        ".tmp{:010}-{:020}",
         std::process::id(),
         TMP_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
