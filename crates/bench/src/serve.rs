@@ -350,10 +350,12 @@ impl ServeState {
     }
 
     /// This member's status object: liveness, every series of the
-    /// registry that has a `status` key (in table order), and the
-    /// configuration echoes spliced between them — one per-device entry
-    /// of the fleet's `status`. Every field is documented in the README
-    /// protocol table.
+    /// registry that has a `status` key (in table order) up to the service
+    /// rows, and the configuration echoes spliced between them — one
+    /// per-device entry of the fleet's `status`. The service rows
+    /// (`sched_policy` … `auth_rejected`) are counted by the serving loops
+    /// on the router, so only the fleet's top level reports them. Every
+    /// field is documented in the README protocol table.
     pub fn status_payload(&self) -> Json {
         let get = self.reader();
         let rows = |from, to| status_fields(from, to, &get);
@@ -387,7 +389,6 @@ impl ServeState {
                     "default_deadline_ms",
                     opt_uint(self.default_deadline_ms),
                 )]),
-                rows(Id::SchedPolicy, Id::AuthRejected),
             ]
             .into_iter()
             .flatten()
@@ -1866,7 +1867,8 @@ mod tests {
         let _ = router.handle_line(1, &compile_req("jac", JACOBI)).unwrap();
         let _ = router.handle_line(2, &compile_req("jac", JACOBI)).unwrap();
         let fleet = router.handle_line(3, "{\"op\":\"status\"}").unwrap();
-        // The per-device entry: the full single-device field set.
+        // The per-device entry: the full single-device field set but the
+        // service rows.
         let status = &fleet.get("devices").and_then(Json::as_arr).unwrap()[0];
         for key in [
             "uptime_ms",
@@ -1901,6 +1903,12 @@ mod tests {
             "proxy_simulations",
             "tune_wall_ms",
             "default_deadline_ms",
+        ] {
+            assert!(status.get(key).is_some(), "status must report {key}");
+        }
+        // The service rows: counted by the serving loop on the router, so
+        // reported once, at the top level.
+        for key in [
             "sched_policy",
             "queue_depth",
             "queue_depth_peak",
@@ -1910,7 +1918,8 @@ mod tests {
             "auth_failures",
             "auth_rejected",
         ] {
-            assert!(status.get(key).is_some(), "status must report {key}");
+            assert!(fleet.get(key).is_some(), "status must report {key}");
+            assert!(status.get(key).is_none(), "devices[] must not report {key}");
         }
         assert_eq!(status.get("mem_hits").and_then(Json::as_u64), Some(1));
         assert_eq!(status.get("mem_misses").and_then(Json::as_u64), Some(1));

@@ -182,3 +182,47 @@ fn two_member_fleet_status_matches_the_golden() {
     ];
     check_golden("status_fleet.json", &status_after(&router, &script));
 }
+
+#[test]
+fn sched_fifo_is_reported_once_at_the_top_level() {
+    // `hybridc serve --sched fifo` on stdin: the router's loop runs the
+    // FIFO queue, so the fleet's top level says so, and no per-device
+    // entry carries a service row of its own.
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_hybridc"))
+        .args(["serve", "--sched", "fifo", "--no-cache", "--out"])
+        .arg(std::env::temp_dir().join(format!("status_fifo_{}", std::process::id())))
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    writeln!(
+        stdin,
+        "{}",
+        compile("c1", vec![("verify", Json::Bool(false))])
+    )
+    .unwrap();
+    writeln!(stdin, r#"{{"op":"status"}}"#).unwrap();
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).unwrap();
+    let status = Json::parse(text.lines().nth(1).expect("two responses")).unwrap();
+    assert_eq!(
+        status.get("sched_policy").and_then(Json::as_str),
+        Some("fifo"),
+        "{text}"
+    );
+    let devices = status.get("devices").and_then(Json::as_arr).unwrap();
+    assert!(!devices.is_empty(), "{text}");
+    for device in devices {
+        for key in [
+            "sched_policy",
+            "queue_depth_peak",
+            "deadline_misses",
+            "auth_ok",
+        ] {
+            assert!(device.get(key).is_none(), "devices[] carries {key}: {text}");
+        }
+    }
+}
