@@ -1,7 +1,9 @@
 //! Shared machinery for the baseline code generators: spatial tile/block
 //! mapping and stencil-expression lowering.
 
-use gpu_codegen::ir::{Cond, FExpr, IExpr, Stmt};
+use std::sync::Arc;
+
+use gpu_codegen::ir::{Cond, CondId, FExpr, FExprId, IExpr, IExprId, Kernel, PoolBuilder, Stmt};
 use stencil::{StencilExpr, StencilProgram};
 
 /// A rectangular spatial tiling: per-dimension tile extents, a 1-D grid of
@@ -49,40 +51,42 @@ impl SpaceTiling {
 
     /// The tile index of dimension `d` as an expression of `BlockIdx`
     /// (row-major decomposition).
-    pub fn tile_index(&self, d: usize) -> IExpr {
+    pub fn tile_index(&self, p: &PoolBuilder, d: usize) -> IExprId {
         let tail: i64 = self.counts[d + 1..].iter().product();
+        let block = p.iexpr(IExpr::BlockIdx);
         let e = if tail == 1 {
-            IExpr::BlockIdx
+            block
         } else {
-            IExpr::BlockIdx.fdiv(tail)
+            p.fdiv(block, tail)
         };
-        e.modulo(self.counts[d])
+        p.modulo(e, self.counts[d])
     }
 
     /// The global coordinate of dimension `d` covered by this thread:
     /// `tile_d * w_d + thread_part`, where the two innermost dims map to
     /// threads and outer dims iterate via the loop variable `var` if given.
-    pub fn global_coord(&self, d: usize, outer_var: Option<usize>) -> IExpr {
+    pub fn global_coord(&self, p: &PoolBuilder, d: usize, outer_var: Option<usize>) -> IExprId {
         let n = self.tile.len();
-        let base = self.tile_index(d).scale(self.tile[d]);
-        if d == n - 1 {
-            base.add(IExpr::ThreadIdx(0))
+        let base = p.scale(self.tile_index(p, d), self.tile[d]);
+        let part = if d == n - 1 {
+            p.iexpr(IExpr::ThreadIdx(0))
         } else if d + 2 == n {
-            base.add(IExpr::ThreadIdx(1))
+            p.iexpr(IExpr::ThreadIdx(1))
         } else {
             match outer_var {
-                Some(v) => base.add(IExpr::Var(v)),
-                None => base,
+                Some(v) => p.var(v),
+                None => return base,
             }
-        }
+        };
+        p.add(base, part)
     }
 
     /// In-domain guard for the coordinates produced by
     /// [`SpaceTiling::global_coord`].
-    pub fn interior_guard(&self, coords: &[IExpr], lo: &[i64], hi: &[i64]) -> Cond {
-        let mut c = Cond::True;
-        for (d, e) in coords.iter().enumerate() {
-            c = c.and(Cond::between(e, IExpr::Const(lo[d]), IExpr::Const(hi[d])));
+    pub fn interior_guard(p: &PoolBuilder, coords: &[IExprId], lo: &[i64], hi: &[i64]) -> CondId {
+        let mut c = p.cond(Cond::True);
+        for (d, &e) in coords.iter().enumerate() {
+            c = p.and(c, p.between(e, p.lit(lo[d]), p.lit(hi[d])));
         }
         c
     }
@@ -91,12 +95,14 @@ impl SpaceTiling {
 /// Lowers a stencil expression to an [`FExpr`], appending one load
 /// statement per access via `make_load(access, reg)`.
 pub fn lower_expr(
+    p: &PoolBuilder,
     e: &StencilExpr,
     next_reg: &mut usize,
     out: &mut Vec<Stmt>,
     make_load: &mut impl FnMut(&stencil::Access, usize) -> Stmt,
-) -> FExpr {
-    match e {
+) -> FExprId {
+    let mut operand = |x| lower_expr(p, x, next_reg, out, make_load);
+    let node = match e {
         StencilExpr::Load(a) => {
             let reg = *next_reg;
             *next_reg += 1;
@@ -104,19 +110,20 @@ pub fn lower_expr(
             FExpr::Reg(reg)
         }
         StencilExpr::Const(c) => FExpr::Const(*c),
-        StencilExpr::Add(a, b) => FExpr::Add(
-            Box::new(lower_expr(a, next_reg, out, make_load)),
-            Box::new(lower_expr(b, next_reg, out, make_load)),
-        ),
-        StencilExpr::Sub(a, b) => FExpr::Sub(
-            Box::new(lower_expr(a, next_reg, out, make_load)),
-            Box::new(lower_expr(b, next_reg, out, make_load)),
-        ),
-        StencilExpr::Mul(a, b) => FExpr::Mul(
-            Box::new(lower_expr(a, next_reg, out, make_load)),
-            Box::new(lower_expr(b, next_reg, out, make_load)),
-        ),
-        StencilExpr::Sqrt(a) => FExpr::Sqrt(Box::new(lower_expr(a, next_reg, out, make_load))),
+        StencilExpr::Add(a, b) => FExpr::Add(operand(a), operand(b)),
+        StencilExpr::Sub(a, b) => FExpr::Sub(operand(a), operand(b)),
+        StencilExpr::Mul(a, b) => FExpr::Mul(operand(a), operand(b)),
+        StencilExpr::Sqrt(a) => FExpr::Sqrt(operand(a)),
+    };
+    p.fexpr(node)
+}
+
+/// Hands `pool`, the expressions of every kernel in `kernels`, to each of
+/// them.
+pub fn share_pool(pool: PoolBuilder, kernels: &mut [Kernel]) {
+    let pool = Arc::new(pool.finish());
+    for k in kernels {
+        k.pool = Arc::clone(&pool);
     }
 }
 

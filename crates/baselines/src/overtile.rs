@@ -9,14 +9,18 @@
 //! configurations, 3D stencils fall back to `ts = 1` (pure spatial
 //! tiling).
 
-use gpu_codegen::ir::{Cond, FExpr, IExpr, Kernel, Launch, LaunchPlan, SharedBuf, Stmt};
+use std::sync::Arc;
+
+use gpu_codegen::ir::{
+    Cond, CondId, FExpr, IExpr, IExprId, Kernel, Launch, LaunchPlan, PoolBuilder, SharedBuf, Stmt,
+};
 use stencil::StencilProgram;
 
 use crate::common::{self, SpaceTiling};
 
 /// Guard factory used by the chunked sweep: maps per-dimension local
 /// coordinates to an extra guard condition plus prologue statements.
-type ExtraGuard<'a> = dyn Fn(&[IExpr]) -> (Cond, Vec<Stmt>) + 'a;
+type ExtraGuard<'a> = dyn Fn(&[IExprId]) -> (CondId, Vec<Stmt>) + 'a;
 
 /// Time steps per launch chosen like Overtile's autotuner: time-tile 2D
 /// kernels, fall back to spatial tiling in 3D.
@@ -113,7 +117,9 @@ pub fn generate_overtile_ts(
 
     let v_c = 0usize;
     let v_lin = 1usize;
-    let tid = IExpr::ThreadIdx(0).add(IExpr::ThreadIdx(1).scale(tiling.block_dim()[0] as i64));
+    let p = PoolBuilder::default();
+    let ty = p.scale(p.iexpr(IExpr::ThreadIdx(1)), tiling.block_dim()[0] as i64);
+    let tid = p.add(p.iexpr(IExpr::ThreadIdx(0)), ty);
 
     // Copy in every ring slot: later steps read the *written* plane slot
     // at boundary cells, which must carry the persisting global values
@@ -139,29 +145,28 @@ pub fn generate_overtile_ts(
     // runs under `lin < cells(region)` plus `extra_guard`.
     let chunked = |region: &[i64], extra: &ExtraGuard| -> Vec<Stmt> {
         let rc: i64 = region.iter().product();
-        let mut locals: Vec<IExpr> = Vec::new();
+        let lin = p.var(v_lin);
+        let mut locals: Vec<IExprId> = Vec::new();
         for d in 0..n {
             let tail: i64 = region[d + 1..].iter().product();
-            let coord = if tail == 1 {
-                IExpr::Var(v_lin)
-            } else {
-                IExpr::Var(v_lin).fdiv(tail)
-            };
-            locals.push(coord.modulo(region[d]));
+            let coord = if tail == 1 { lin } else { p.fdiv(lin, tail) };
+            locals.push(p.modulo(coord, region[d]));
         }
         let (guard, inner) = extra(&locals);
+        let first = p.scale(p.var(v_c), nthreads);
+        let in_range = p.cond(Cond::Lt(lin, p.lit(rc)));
         vec![Stmt::For {
             var: v_c,
-            lo: IExpr::Const(0),
-            hi: IExpr::Const((rc + nthreads - 1) / nthreads),
+            lo: p.lit(0),
+            hi: p.lit((rc + nthreads - 1) / nthreads),
             step: 1,
             body: vec![
                 Stmt::SetVar {
                     var: v_lin,
-                    value: IExpr::Var(v_c).scale(nthreads).add(tid.clone()),
+                    value: p.add(first, tid),
                 },
                 Stmt::If {
-                    cond: Cond::Lt(IExpr::Var(v_lin), IExpr::Const(rc)).and(guard),
+                    cond: p.and(in_range, guard),
                     then_: inner,
                     else_: vec![],
                 },
@@ -169,25 +174,28 @@ pub fn generate_overtile_ts(
         }]
     };
 
-    let base = |d: usize| -> IExpr { tiling.tile_index(d).scale(tile[d]).offset(-reach[d]) };
+    // The global coordinates `tile_d · w_d - shift_d + local_d`.
+    let globals = |shift: &[i64], locals: &[IExprId]| -> Vec<IExprId> {
+        let base = |d| p.offset(p.scale(tiling.tile_index(&p, d), tile[d]), -shift[d]);
+        (0..n).map(|d| p.add(base(d), locals[d])).collect()
+    };
+    let plane_at = |t: i64, dt: i64| {
+        let t = p.offset(p.offset(p.iexpr(IExpr::Param(0)), t), 1 - dt);
+        p.modulo(t, planes)
+    };
+    let zeros = vec![0; n];
+    let grid_hi: Vec<i64> = dims.iter().map(|&d| d as i64 - 1).collect();
 
     let mut body: Vec<Stmt> = Vec::new();
     // Copy-in every needed plane of the reach-expanded box, every field.
     for &dt in &entry_dts {
         for field in 0..program.num_fields() {
             body.extend(chunked(&ext, &|locals| {
-                let globals: Vec<IExpr> = (0..n).map(|d| base(d).add(locals[d].clone())).collect();
-                let mut g = Cond::True;
-                for (d, e) in globals.iter().enumerate() {
-                    g = g.and(Cond::between(
-                        e,
-                        IExpr::Const(0),
-                        IExpr::Const(dims[d] as i64 - 1),
-                    ));
-                }
-                let plane = IExpr::Param(0).offset(1 - dt).modulo(planes);
-                let mut sidx = vec![plane.clone()];
-                sidx.extend(locals.iter().cloned());
+                let globals = globals(&reach, locals);
+                let g = SpaceTiling::interior_guard(&p, &globals, &zeros, &grid_hi);
+                let plane = plane_at(0, dt);
+                let mut sidx = vec![plane];
+                sidx.extend_from_slice(locals);
                 (
                     g,
                     vec![
@@ -195,12 +203,12 @@ pub fn generate_overtile_ts(
                             dst: 0,
                             field,
                             plane,
-                            index: globals,
+                            index: p.indices(&globals),
                         },
                         Stmt::SharedStore {
                             buf: field,
-                            index: sidx,
-                            src: FExpr::Reg(0),
+                            index: p.indices(&sidx),
+                            src: p.fexpr(FExpr::Reg(0)),
                         },
                     ],
                 )
@@ -218,48 +226,30 @@ pub fn generate_overtile_ts(
             let region: Vec<i64> = (0..n).map(|d| tile[d] + 2 * shrink[d]).collect();
             body.extend(chunked(&region, &|locals| {
                 // Global coordinates of this compute point.
-                let globals: Vec<IExpr> = (0..n)
-                    .map(|d| {
-                        tiling
-                            .tile_index(d)
-                            .scale(tile[d])
-                            .offset(-shrink[d])
-                            .add(locals[d].clone())
-                    })
-                    .collect();
-                let mut g = Cond::True;
-                for (d, e) in globals.iter().enumerate() {
-                    g = g.and(Cond::between(e, IExpr::Const(lo[d]), IExpr::Const(hi[d])));
-                }
+                let globals = globals(&shrink, locals);
+                let g = SpaceTiling::interior_guard(&p, &globals, &lo, &hi);
                 // Shared-local coordinate: global - box base.
-                let slocal = |d: usize, off: i64| -> IExpr {
-                    locals[d].clone().offset(reach[d] - shrink[d] + off)
-                };
+                let slocal = |d: usize, off: i64| p.offset(locals[d], reach[d] - shrink[d] + off);
                 let mut point = Vec::new();
                 let mut next_reg = 1usize;
-                let t = IExpr::Param(0).offset(step);
-                let expr =
-                    common::lower_expr(&st.expr, &mut next_reg, &mut point, &mut |acc, reg| {
-                        let mut sidx = vec![t.clone().offset(1 - acc.dt).modulo(planes)];
-                        for d in 0..n {
-                            sidx.push(slocal(d, acc.offsets[d]));
-                        }
-                        Stmt::SharedLoad {
-                            dst: reg,
-                            buf: acc.field.0,
-                            index: sidx,
-                        }
-                    });
+                let mut load = |acc: &stencil::Access, reg| {
+                    let mut sidx = vec![plane_at(step, acc.dt)];
+                    sidx.extend((0..n).map(|d| slocal(d, acc.offsets[d])));
+                    Stmt::SharedLoad {
+                        dst: reg,
+                        buf: acc.field.0,
+                        index: p.indices(&sidx),
+                    }
+                };
+                let expr = common::lower_expr(&p, &st.expr, &mut next_reg, &mut point, &mut load);
                 let dst = 0usize;
                 point.push(Stmt::Compute { dst, expr });
-                let mut widx = vec![t.clone().offset(1).modulo(planes)];
-                for d in 0..n {
-                    widx.push(slocal(d, 0));
-                }
+                let mut widx = vec![plane_at(step, 0)];
+                widx.extend((0..n).map(|d| slocal(d, 0)));
                 point.push(Stmt::SharedStore {
                     buf: st.writes.0,
-                    index: widx,
-                    src: FExpr::Reg(dst),
+                    index: p.indices(&widx),
+                    src: p.fexpr(FExpr::Reg(dst)),
                 });
                 (g, point)
             }));
@@ -268,34 +258,26 @@ pub fn generate_overtile_ts(
     }
 
     // Copy-out: owned tile region, last iteration's plane, every field.
-    let out_plane = IExpr::Param(0).offset(ts as i64).modulo(planes);
+    let out_plane = plane_at(ts as i64, 1);
     for field in 0..program.num_fields() {
-        let tile_region: Vec<i64> = tile.clone();
-        body.extend(chunked(&tile_region, &|locals| {
-            let globals: Vec<IExpr> = (0..n)
-                .map(|d| tiling.tile_index(d).scale(tile[d]).add(locals[d].clone()))
-                .collect();
-            let mut g = Cond::True;
-            for (d, e) in globals.iter().enumerate() {
-                g = g.and(Cond::between(e, IExpr::Const(lo[d]), IExpr::Const(hi[d])));
-            }
-            let mut sidx = vec![out_plane.clone()];
-            for d in 0..n {
-                sidx.push(locals[d].clone().offset(reach[d]));
-            }
+        body.extend(chunked(&tile, &|locals| {
+            let globals = globals(&zeros, locals);
+            let g = SpaceTiling::interior_guard(&p, &globals, &lo, &hi);
+            let mut sidx = vec![out_plane];
+            sidx.extend((0..n).map(|d| p.offset(locals[d], reach[d])));
             (
                 g,
                 vec![
                     Stmt::SharedLoad {
                         dst: 0,
                         buf: field,
-                        index: sidx,
+                        index: p.indices(&sidx),
                     },
                     Stmt::GlobalStore {
                         field,
-                        plane: out_plane.clone(),
-                        index: globals,
-                        src: FExpr::Reg(0),
+                        plane: out_plane,
+                        index: p.indices(&globals),
+                        src: p.fexpr(FExpr::Reg(0)),
                     },
                 ],
             )
@@ -309,6 +291,7 @@ pub fn generate_overtile_ts(
         n_vars: 2,
         n_regs: common::max_loads(program) + 1,
         n_params: 1,
+        pool: Arc::new(p.finish()),
         body,
     };
     let launches = (0..(steps / ts) as i64)

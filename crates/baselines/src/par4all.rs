@@ -7,7 +7,7 @@
 //! is whatever the L2 model recovers — exactly the behaviour the paper's
 //! Tables 1/2 baseline shows.
 
-use gpu_codegen::ir::{IExpr, Kernel, Launch, LaunchPlan, Stmt};
+use gpu_codegen::ir::{FExpr, IExpr, IExprId, Kernel, Launch, LaunchPlan, PoolBuilder, Stmt};
 use stencil::StencilProgram;
 
 use crate::common::{self, SpaceTiling};
@@ -26,37 +26,39 @@ pub fn generate_par4all(program: &StencilProgram, dims: &[usize], steps: usize) 
     let tiling = SpaceTiling::new(dims, &common::default_tile(n));
 
     // One kernel per statement; the time step arrives as Param(0).
-    let mut kernels = Vec::new();
-    for (si, st) in program.statements().iter().enumerate() {
+    let (mut kernels, p) = (Vec::new(), PoolBuilder::default());
+    let plane_at = |dt: i64| p.modulo(p.offset(p.iexpr(IExpr::Param(0)), 1 - dt), planes);
+    for st in program.statements() {
         let v_outer = 0usize;
-        let coords: Vec<IExpr> = (0..n)
-            .map(|d| tiling.global_coord(d, Some(v_outer)))
+        let coords: Vec<IExprId> = (0..n)
+            .map(|d| tiling.global_coord(&p, d, Some(v_outer)))
             .collect();
         let mut body_point = Vec::new();
         let mut next_reg = 0usize;
-        let expr = common::lower_expr(&st.expr, &mut next_reg, &mut body_point, &mut |acc, reg| {
-            let index: Vec<IExpr> = coords
+        let mut load = |acc: &stencil::Access, reg| {
+            let index: Vec<IExprId> = coords
                 .iter()
                 .zip(&acc.offsets)
-                .map(|(c, &o)| c.clone().offset(o))
+                .map(|(&c, &o)| p.offset(c, o))
                 .collect();
             Stmt::GlobalLoad {
                 dst: reg,
                 field: acc.field.0,
-                plane: IExpr::Param(0).offset(1 - acc.dt).modulo(planes),
-                index,
+                plane: plane_at(acc.dt),
+                index: p.indices(&index),
             }
-        });
+        };
+        let expr = common::lower_expr(&p, &st.expr, &mut next_reg, &mut body_point, &mut load);
         let dst = next_reg;
         body_point.push(Stmt::Compute { dst, expr });
         body_point.push(Stmt::GlobalStore {
             field: st.writes.0,
-            plane: IExpr::Param(0).offset(1).modulo(planes),
-            index: coords.clone(),
-            src: gpu_codegen::FExpr::Reg(dst),
+            plane: plane_at(0),
+            index: p.indices(&coords),
+            src: p.fexpr(FExpr::Reg(dst)),
         });
         let guarded = vec![Stmt::If {
-            cond: tiling.interior_guard(&coords, &lo, &hi),
+            cond: SpaceTiling::interior_guard(&p, &coords, &lo, &hi),
             then_: body_point,
             else_: vec![],
         }];
@@ -64,8 +66,8 @@ pub fn generate_par4all(program: &StencilProgram, dims: &[usize], steps: usize) 
         let body = if n > 2 {
             vec![Stmt::For {
                 var: v_outer,
-                lo: IExpr::Const(0),
-                hi: IExpr::Const(tiling.tile[0]),
+                lo: p.lit(0),
+                hi: p.lit(tiling.tile[0]),
                 step: 1,
                 body: guarded,
             }]
@@ -79,10 +81,11 @@ pub fn generate_par4all(program: &StencilProgram, dims: &[usize], steps: usize) 
             n_vars: 1,
             n_regs: common::max_loads(program) + 1,
             n_params: 1,
+            pool: Default::default(),
             body,
         });
-        let _ = si;
     }
+    common::share_pool(p, &mut kernels);
 
     let mut launches = Vec::new();
     for t in 0..steps as i64 {

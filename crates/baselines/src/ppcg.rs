@@ -8,7 +8,9 @@
 //! time tiling: every value travels through DRAM once per step — which is
 //! why PPCG is DRAM-bound in Tables 1/2.
 
-use gpu_codegen::ir::{Cond, FExpr, IExpr, Kernel, Launch, LaunchPlan, SharedBuf, Stmt};
+use gpu_codegen::ir::{
+    Cond, FExpr, IExpr, IExprId, Kernel, Launch, LaunchPlan, PoolBuilder, SharedBuf, Stmt,
+};
 use stencil::StencilProgram;
 
 use crate::common::{self, SpaceTiling};
@@ -33,7 +35,8 @@ pub fn generate_ppcg_tiled(
     let tiling = SpaceTiling::new(dims, tile);
     let nthreads: i64 = tiling.block_dim().iter().product::<usize>() as i64;
 
-    let mut kernels = Vec::new();
+    let (mut kernels, p) = (Vec::new(), PoolBuilder::default());
+    let plane_at = |dt: i64| p.modulo(p.offset(p.iexpr(IExpr::Param(0)), 1 - dt), planes);
     for st in program.statements() {
         // Distinct (field, dt) planes this statement reads.
         let mut staged: Vec<(usize, i64)> = Vec::new();
@@ -59,45 +62,35 @@ pub fn generate_ppcg_tiled(
         // Copy-in: chunked cooperative load of each staged plane.
         let mut body = Vec::new();
         for (buf, (field, dt)) in staged.iter().enumerate() {
-            let mut locals: Vec<IExpr> = Vec::new();
+            let lin = p.var(v_lin);
+            let mut locals: Vec<IExprId> = Vec::new();
             for d in 0..n {
                 let tail: i64 = ext[d + 1..].iter().product();
-                let coord = if tail == 1 {
-                    IExpr::Var(v_lin)
-                } else {
-                    IExpr::Var(v_lin).fdiv(tail)
-                };
-                locals.push(coord.modulo(ext[d]));
+                let coord = if tail == 1 { lin } else { p.fdiv(lin, tail) };
+                locals.push(p.modulo(coord, ext[d]));
             }
-            let globals: Vec<IExpr> = (0..n)
+            let globals: Vec<IExprId> = (0..n)
                 .map(|d| {
-                    tiling
-                        .tile_index(d)
-                        .scale(tile[d])
-                        .offset(-radius[d])
-                        .add(locals[d].clone())
+                    let base = p.scale(tiling.tile_index(&p, d), tile[d]);
+                    p.add(p.offset(base, -radius[d]), locals[d])
                 })
                 .collect();
-            let mut guard = Cond::Lt(IExpr::Var(v_lin), IExpr::Const(cells));
-            for (d, g) in globals.iter().enumerate() {
-                guard = guard.and(Cond::between(
-                    g,
-                    IExpr::Const(0),
-                    IExpr::Const(dims[d] as i64 - 1),
-                ));
+            let mut guard = p.cond(Cond::Lt(lin, p.lit(cells)));
+            for (d, &g) in globals.iter().enumerate() {
+                guard = p.and(guard, p.between(g, p.lit(0), p.lit(dims[d] as i64 - 1)));
             }
+            let first = p.scale(p.var(v_c), nthreads);
+            let ty = p.scale(p.iexpr(IExpr::ThreadIdx(1)), tiling.block_dim()[0] as i64);
+            let tid = p.add(p.iexpr(IExpr::ThreadIdx(0)), ty);
             body.push(Stmt::For {
                 var: v_c,
-                lo: IExpr::Const(0),
-                hi: IExpr::Const((cells + nthreads - 1) / nthreads),
+                lo: p.lit(0),
+                hi: p.lit((cells + nthreads - 1) / nthreads),
                 step: 1,
                 body: vec![
                     Stmt::SetVar {
                         var: v_lin,
-                        value: IExpr::Var(v_c).scale(nthreads).add(
-                            IExpr::ThreadIdx(0)
-                                .add(IExpr::ThreadIdx(1).scale(tiling.block_dim()[0] as i64)),
-                        ),
+                        value: p.add(first, tid),
                     },
                     Stmt::If {
                         cond: guard,
@@ -105,13 +98,13 @@ pub fn generate_ppcg_tiled(
                             Stmt::GlobalLoad {
                                 dst: 0,
                                 field: *field,
-                                plane: IExpr::Param(0).offset(1 - dt).modulo(planes),
-                                index: globals,
+                                plane: plane_at(*dt),
+                                index: p.indices(&globals),
                             },
                             Stmt::SharedStore {
                                 buf,
-                                index: locals,
-                                src: FExpr::Reg(0),
+                                index: p.indices(&locals),
+                                src: p.fexpr(FExpr::Reg(0)),
                             },
                         ],
                         else_: vec![],
@@ -122,49 +115,51 @@ pub fn generate_ppcg_tiled(
         body.push(Stmt::Sync);
 
         // Compute from shared, store to global.
-        let coords: Vec<IExpr> = (0..n)
-            .map(|d| tiling.global_coord(d, Some(v_outer)))
+        let coords: Vec<IExprId> = (0..n)
+            .map(|d| tiling.global_coord(&p, d, Some(v_outer)))
             .collect();
-        let local_of = |d: usize, off: i64| -> IExpr {
+        let local_of = |d: usize, off: i64| -> IExprId {
             // Local tile coordinate + halo pad + access offset.
             let base = match d {
-                d if d == n - 1 => IExpr::ThreadIdx(0),
-                d if d + 2 == n => IExpr::ThreadIdx(1),
-                _ => IExpr::Var(v_outer),
+                d if d == n - 1 => p.iexpr(IExpr::ThreadIdx(0)),
+                d if d + 2 == n => p.iexpr(IExpr::ThreadIdx(1)),
+                _ => p.var(v_outer),
             };
-            base.offset(radius[d] + off)
+            p.offset(base, radius[d] + off)
         };
         let mut point = Vec::new();
         let mut next_reg = 0usize;
-        let expr = common::lower_expr(&st.expr, &mut next_reg, &mut point, &mut |acc, reg| {
+        let mut load = |acc: &stencil::Access, reg| {
             let buf = staged
                 .iter()
                 .position(|&(f, dt)| f == acc.field.0 && dt == acc.dt)
                 .expect("staged plane");
+            let index: Vec<IExprId> = (0..n).map(|d| local_of(d, acc.offsets[d])).collect();
             Stmt::SharedLoad {
                 dst: reg,
                 buf,
-                index: (0..n).map(|d| local_of(d, acc.offsets[d])).collect(),
+                index: p.indices(&index),
             }
-        });
+        };
+        let expr = common::lower_expr(&p, &st.expr, &mut next_reg, &mut point, &mut load);
         let dst = next_reg;
         point.push(Stmt::Compute { dst, expr });
         point.push(Stmt::GlobalStore {
             field: st.writes.0,
-            plane: IExpr::Param(0).offset(1).modulo(planes),
-            index: coords.clone(),
-            src: FExpr::Reg(dst),
+            plane: plane_at(0),
+            index: p.indices(&coords),
+            src: p.fexpr(FExpr::Reg(dst)),
         });
         let guarded = vec![Stmt::If {
-            cond: tiling.interior_guard(&coords, &lo, &hi),
+            cond: SpaceTiling::interior_guard(&p, &coords, &lo, &hi),
             then_: point,
             else_: vec![],
         }];
         let compute = if n > 2 {
             vec![Stmt::For {
                 var: v_outer,
-                lo: IExpr::Const(0),
-                hi: IExpr::Const(tile[0]),
+                lo: p.lit(0),
+                hi: p.lit(tile[0]),
                 step: 1,
                 body: guarded,
             }]
@@ -180,9 +175,11 @@ pub fn generate_ppcg_tiled(
             n_vars: 3,
             n_regs: common::max_loads(program) + 1,
             n_params: 1,
+            pool: Default::default(),
             body,
         });
     }
+    common::share_pool(p, &mut kernels);
 
     let mut launches = Vec::new();
     for t in 0..steps as i64 {

@@ -8,7 +8,7 @@
 //! The historical entry points (`cuda_emit::iexpr_to_c` and friends)
 //! re-export from here unchanged.
 
-use crate::ir::{Cond, FExpr, IExpr, Kernel, Stmt};
+use crate::ir::{Cond, CondId, FExpr, FExprId, IExpr, IExprId, Indices, Kernel, Pool, Stmt};
 use std::fmt::Write;
 
 /// The per-target knobs of the C-family printers. Everything not in
@@ -39,15 +39,16 @@ pub const HIP_DIALECT: CDialect = CDialect {
     launch_bounds: true,
 };
 
-/// One of the `write_*` printers: appends a node to the caller's buffer.
-type Put<T> = fn(&mut String, &T);
+/// One of the `write_*` printers: appends a node of `pool` to the caller's
+/// buffer.
+type Put<T> = fn(&mut String, &Pool, T);
 
 /// `{open}{a}{op}{b}{close}` — every binary node of the three grammars.
-fn infix<T>(out: &mut String, [open, op, close]: [&str; 3], a: &T, b: &T, put: Put<T>) {
+fn infix<T>(out: &mut String, pool: &Pool, [open, op, close]: [&str; 3], a: T, b: T, put: Put<T>) {
     out.push_str(open);
-    put(out, a);
+    put(out, pool, a);
     out.push_str(op);
-    put(out, b);
+    put(out, pool, b);
     out.push_str(close);
 }
 
@@ -61,86 +62,96 @@ macro_rules! put {
 /// Appends an integer expression as C. The `write_*` functions are the one
 /// C-family expression printer: a whole plan renders into one `String`, with
 /// no allocation per IR node; the `*_to_c` names below only wrap them.
-pub(crate) fn write_iexpr(out: &mut String, e: &IExpr) {
-    let lit = |k: &i64| IExpr::Const(*k);
-    match e {
+pub(crate) fn write_iexpr(out: &mut String, pool: &Pool, e: IExprId) {
+    let bin = |out: &mut String, parts, a, b| infix(out, pool, parts, a, b, write_iexpr);
+    match pool[e] {
         IExpr::Const(c) => put!(out, "{c}"),
         IExpr::Var(v) => put!(out, "v{v}"),
         IExpr::Param(p) => put!(out, "p{p}"),
-        IExpr::ThreadIdx(d) => put!(out, "threadIdx.{}", ['x', 'y', 'z'][usize::from(*d).min(2)]),
+        IExpr::ThreadIdx(d) => put!(out, "threadIdx.{}", ['x', 'y', 'z'][usize::from(d).min(2)]),
         IExpr::BlockIdx => out.push_str("blockIdx.x"),
-        IExpr::Add(a, b) => infix(out, ["(", " + ", ")"], &**a, &**b, write_iexpr),
-        IExpr::Sub(a, b) => infix(out, ["(", " - ", ")"], &**a, &**b, write_iexpr),
-        IExpr::Mul(a, b) => infix(out, ["(", " * ", ")"], &**a, &**b, write_iexpr),
-        IExpr::Min(a, b) => infix(out, ["min(", ", ", ")"], &**a, &**b, write_iexpr),
-        IExpr::Max(a, b) => infix(out, ["max(", ", ", ")"], &**a, &**b, write_iexpr),
-        IExpr::FloorDiv(a, k) => infix(out, ["floord(", ", ", ")"], &**a, &lit(k), write_iexpr),
-        IExpr::Mod(a, k) => infix(out, ["pmod(", ", ", ")"], &**a, &lit(k), write_iexpr),
+        IExpr::Add(a, b) => bin(out, ["(", " + ", ")"], a, b),
+        IExpr::Sub(a, b) => bin(out, ["(", " - ", ")"], a, b),
+        IExpr::Mul(a, b) => bin(out, ["(", " * ", ")"], a, b),
+        IExpr::Min(a, b) => bin(out, ["min(", ", ", ")"], a, b),
+        IExpr::Max(a, b) => bin(out, ["max(", ", ", ")"], a, b),
+        IExpr::FloorDiv(a, k) | IExpr::Mod(a, k) => {
+            let f = if matches!(pool[e], IExpr::Mod(..)) {
+                "pmod"
+            } else {
+                "floord"
+            };
+            put!(out, "{f}(");
+            write_iexpr(out, pool, a);
+            put!(out, ", {k})");
+        }
     }
 }
 
 /// Appends a condition as C.
-fn write_cond(out: &mut String, c: &Cond) {
-    match c {
+fn write_cond(out: &mut String, pool: &Pool, c: CondId) {
+    let cmp = |out: &mut String, op, a, b| infix(out, pool, ["", op, ""], a, b, write_iexpr);
+    match pool[c] {
         Cond::True => out.push('1'),
-        Cond::Le(a, b) => infix(out, ["", " <= ", ""], a, b, write_iexpr),
-        Cond::Lt(a, b) => infix(out, ["", " < ", ""], a, b, write_iexpr),
-        Cond::Eq(a, b) => infix(out, ["", " == ", ""], a, b, write_iexpr),
-        Cond::And(a, b) => infix(out, ["(", " && ", ")"], &**a, &**b, write_cond),
-        Cond::Or(a, b) => infix(out, ["(", " || ", ")"], &**a, &**b, write_cond),
+        Cond::Le(a, b) => cmp(out, " <= ", a, b),
+        Cond::Lt(a, b) => cmp(out, " < ", a, b),
+        Cond::Eq(a, b) => cmp(out, " == ", a, b),
+        Cond::And(a, b) => infix(out, pool, ["(", " && ", ")"], a, b, write_cond),
+        Cond::Or(a, b) => infix(out, pool, ["(", " || ", ")"], a, b, write_cond),
         Cond::Not(a) => {
             out.push_str("!(");
-            write_cond(out, a);
+            write_cond(out, pool, a);
             out.push(')');
         }
     }
 }
 
 /// Appends a float expression as C.
-fn write_fexpr(out: &mut String, e: &FExpr) {
-    match e {
+fn write_fexpr(out: &mut String, pool: &Pool, e: FExprId) {
+    let bin = |out: &mut String, parts, a, b| infix(out, pool, parts, a, b, write_fexpr);
+    match pool[e] {
         FExpr::Reg(r) => put!(out, "r{r}"),
         FExpr::Const(c) => put!(out, "{c:?}f"),
-        FExpr::Add(a, b) => infix(out, ["(", " + ", ")"], &**a, &**b, write_fexpr),
-        FExpr::Sub(a, b) => infix(out, ["(", " - ", ")"], &**a, &**b, write_fexpr),
-        FExpr::Mul(a, b) => infix(out, ["(", " * ", ")"], &**a, &**b, write_fexpr),
+        FExpr::Add(a, b) => bin(out, ["(", " + ", ")"], a, b),
+        FExpr::Sub(a, b) => bin(out, ["(", " - ", ")"], a, b),
+        FExpr::Mul(a, b) => bin(out, ["(", " * ", ")"], a, b),
         FExpr::Sqrt(a) => {
             out.push_str("sqrtf(");
-            write_fexpr(out, a);
+            write_fexpr(out, pool, a);
             out.push(')');
         }
     }
 }
 
 /// Appends `[e]` per index expression.
-fn write_idx(out: &mut String, index: &[IExpr]) {
-    for e in index {
+fn write_idx(out: &mut String, pool: &Pool, index: Indices) {
+    for &e in &pool[index] {
         out.push('[');
-        write_iexpr(out, e);
+        write_iexpr(out, pool, e);
         out.push(']');
     }
 }
 
 /// Runs one of the printers into a fresh `String`.
-fn rendered<T>(put: Put<T>, node: &T) -> String {
+fn rendered<T>(put: Put<T>, pool: &Pool, node: T) -> String {
     let mut out = String::new();
-    put(&mut out, node);
+    put(&mut out, pool, node);
     out
 }
 
-/// Renders an integer expression as C.
-pub fn iexpr_to_c(e: &IExpr) -> String {
-    rendered(write_iexpr, e)
+/// Renders an integer expression of `pool` as C.
+pub fn iexpr_to_c(pool: &Pool, e: IExprId) -> String {
+    rendered(write_iexpr, pool, e)
 }
 
-/// Renders a condition as C.
-pub fn cond_to_c(c: &Cond) -> String {
-    rendered(write_cond, c)
+/// Renders a condition of `pool` as C.
+pub fn cond_to_c(pool: &Pool, c: CondId) -> String {
+    rendered(write_cond, pool, c)
 }
 
-/// Renders a float expression as C.
-pub fn fexpr_to_c(e: &FExpr) -> String {
-    rendered(write_fexpr, e)
+/// Renders a float expression of `pool` as C.
+pub fn fexpr_to_c(pool: &Pool, e: FExprId) -> String {
+    rendered(write_fexpr, pool, e)
 }
 
 /// Appends `depth` levels of two-space indentation.
@@ -151,12 +162,13 @@ fn pad(out: &mut String, depth: usize) {
 }
 
 fn emit_stmts(out: &mut String, stmts: &[Stmt], kernel: &Kernel, depth: usize) {
+    let pool = &*kernel.pool;
     for s in stmts {
         pad(out, depth);
         match s {
             Stmt::SetVar { var, value } => {
                 put!(out, "int v{var} = ");
-                write_iexpr(out, value);
+                write_iexpr(out, pool, *value);
             }
             Stmt::For {
                 var,
@@ -166,9 +178,9 @@ fn emit_stmts(out: &mut String, stmts: &[Stmt], kernel: &Kernel, depth: usize) {
                 body,
             } => {
                 put!(out, "for (int v{var} = ");
-                write_iexpr(out, lo);
+                write_iexpr(out, pool, *lo);
                 put!(out, "; v{var} < ");
-                write_iexpr(out, hi);
+                write_iexpr(out, pool, *hi);
                 let _ = writeln!(out, "; v{var} += {step}) {{");
                 emit_stmts(out, body, kernel, depth + 1);
                 pad(out, depth);
@@ -177,7 +189,7 @@ fn emit_stmts(out: &mut String, stmts: &[Stmt], kernel: &Kernel, depth: usize) {
             }
             Stmt::If { cond, then_, else_ } => {
                 out.push_str("if (");
-                write_cond(out, cond);
+                write_cond(out, pool, *cond);
                 out.push_str(") {\n");
                 emit_stmts(out, then_, kernel, depth + 1);
                 if !else_.is_empty() {
@@ -196,9 +208,9 @@ fn emit_stmts(out: &mut String, stmts: &[Stmt], kernel: &Kernel, depth: usize) {
                 index,
             } => {
                 put!(out, "r{dst} = g{field}[");
-                write_iexpr(out, plane);
+                write_iexpr(out, pool, *plane);
                 out.push(']');
-                write_idx(out, index);
+                write_idx(out, pool, *index);
             }
             Stmt::GlobalStore {
                 field,
@@ -207,25 +219,25 @@ fn emit_stmts(out: &mut String, stmts: &[Stmt], kernel: &Kernel, depth: usize) {
                 src,
             } => {
                 put!(out, "g{field}[");
-                write_iexpr(out, plane);
+                write_iexpr(out, pool, *plane);
                 out.push(']');
-                write_idx(out, index);
+                write_idx(out, pool, *index);
                 out.push_str(" = ");
-                write_fexpr(out, src);
+                write_fexpr(out, pool, *src);
             }
             Stmt::SharedLoad { dst, buf, index } => {
                 put!(out, "r{dst} = {}", kernel.shared[*buf].name);
-                write_idx(out, index);
+                write_idx(out, pool, *index);
             }
             Stmt::SharedStore { buf, index, src } => {
                 out.push_str(&kernel.shared[*buf].name);
-                write_idx(out, index);
+                write_idx(out, pool, *index);
                 out.push_str(" = ");
-                write_fexpr(out, src);
+                write_fexpr(out, pool, *src);
             }
             Stmt::Compute { dst, expr } => {
                 put!(out, "r{dst} = ");
-                write_fexpr(out, expr);
+                write_fexpr(out, pool, *expr);
             }
             Stmt::Sync => out.push_str("__syncthreads()"),
         }
@@ -271,47 +283,58 @@ pub fn kernel_to_c(kernel: &Kernel, dialect: &CDialect) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::PoolBuilder;
 
     #[test]
     fn wrappers_render_every_variant_as_before_streaming() {
         // The expected strings are the renderings of the `format!`-per-node
         // printer this module replaced, on a tree with every variant.
-        fn b<T>(node: T) -> Box<T> {
-            Box::new(node)
-        }
-        let lanes = IExpr::Add(
-            b(IExpr::ThreadIdx(0)),
-            b(IExpr::Sub(b(IExpr::ThreadIdx(1)), b(IExpr::ThreadIdx(2)))),
-        );
-        let scaled = IExpr::Mul(b(IExpr::BlockIdx), b(IExpr::Const(-7)));
-        let e = IExpr::Min(
-            b(IExpr::Max(b(lanes), b(IExpr::FloorDiv(b(scaled), 4)))),
-            b(IExpr::Mod(
-                b(IExpr::Add(b(IExpr::Var(3)), b(IExpr::Param(1)))),
-                5,
-            )),
-        );
+        let p = PoolBuilder::default();
+        let [tx, ty, tz] = [0, 1, 2].map(|d| p.iexpr(IExpr::ThreadIdx(d)));
+        let diff = p.iexpr(IExpr::Sub(ty, tz));
+        let lanes = p.iexpr(IExpr::Add(tx, diff));
+        let (block, minus7) = (p.iexpr(IExpr::BlockIdx), p.lit(-7));
+        let scaled = p.iexpr(IExpr::Mul(block, minus7));
+        let quotient = p.iexpr(IExpr::FloorDiv(scaled, 4));
+        let max = p.iexpr(IExpr::Max(lanes, quotient));
+        let (v3, p1) = (p.var(3), p.iexpr(IExpr::Param(1)));
+        let sum = p.iexpr(IExpr::Add(v3, p1));
+        let rem = p.iexpr(IExpr::Mod(sum, 5));
+        let e = p.iexpr(IExpr::Min(max, rem));
         let e_text = "min(max((threadIdx.x + (threadIdx.y - threadIdx.z)), \
                       floord((blockIdx.x * -7), 4)), pmod((v3 + p1), 5))";
-        assert_eq!(iexpr_to_c(&e), e_text);
 
-        let (v, k) = (|| IExpr::Var(0), |c| IExpr::Const(c));
-        let c = Cond::Or(
-            b(Cond::And(b(Cond::Le(v(), k(-1))), b(Cond::Lt(e, k(9))))),
-            b(Cond::Not(b(Cond::And(
-                b(Cond::Eq(v(), k(0))),
-                b(Cond::True),
-            )))),
+        let (v, [m1, k0, k9]) = (p.var(0), [-1, 0, 9].map(|c| p.lit(c)));
+        let [le, lt, eq, t] = [
+            Cond::Le(v, m1),
+            Cond::Lt(e, k9),
+            Cond::Eq(v, k0),
+            Cond::True,
+        ]
+        .map(|c| p.cond(c));
+        let (both, eq_t) = (p.cond(Cond::And(le, lt)), p.cond(Cond::And(eq, t)));
+        let not = p.cond(Cond::Not(eq_t));
+        let c = p.cond(Cond::Or(both, not));
+
+        let [r2, z, tiny, quarter] = [
+            FExpr::Reg(2),
+            FExpr::Const(-0.0),
+            FExpr::Const(1e-7),
+            FExpr::Const(0.25),
+        ]
+        .map(|f| p.fexpr(f));
+        let (sum, prod) = (
+            p.fexpr(FExpr::Add(r2, z)),
+            p.fexpr(FExpr::Mul(tiny, quarter)),
         );
+        let diff = p.fexpr(FExpr::Sub(sum, prod));
+        let f = p.fexpr(FExpr::Sqrt(diff));
+        let p = p.finish();
+        assert_eq!(iexpr_to_c(&p, e), e_text);
         assert_eq!(
-            cond_to_c(&c),
+            cond_to_c(&p, c),
             format!("((v0 <= -1 && {e_text} < 9) || !((v0 == 0 && 1)))")
         );
-
-        let f = FExpr::Sqrt(b(FExpr::Sub(
-            b(FExpr::Add(b(FExpr::Reg(2)), b(FExpr::Const(-0.0)))),
-            b(FExpr::Mul(b(FExpr::Const(1e-7)), b(FExpr::Const(0.25)))),
-        )));
-        assert_eq!(fexpr_to_c(&f), "sqrtf(((r2 + -0.0f) - (1e-7f * 0.25f)))");
+        assert_eq!(fexpr_to_c(&p, f), "sqrtf(((r2 + -0.0f) - (1e-7f * 0.25f)))");
     }
 }

@@ -28,7 +28,7 @@
 //! always uniform — the IR contract guarantees thread-independent loop
 //! bounds. Float registers are always per-lane.
 
-use crate::ir::{Cond, FExpr, IExpr, Kernel, Stmt};
+use crate::ir::{visit, Cond, CondId, FExpr, FExprId, IExpr, IExprId, Indices, Kernel, Pool, Stmt};
 use std::collections::HashSet;
 use std::fmt::Write;
 
@@ -57,51 +57,53 @@ struct Ctx<'a> {
     tpb: usize,
 }
 
-fn iexpr_mentions_lane(e: &IExpr, lane_dep: &HashSet<usize>) -> bool {
-    match e {
+fn iexpr_mentions_lane(pool: &Pool, e: IExprId, lane_dep: &HashSet<usize>) -> bool {
+    let mentions = |e| iexpr_mentions_lane(pool, e, lane_dep);
+    match pool[e] {
         IExpr::Const(_) | IExpr::Param(_) | IExpr::BlockIdx => false,
         IExpr::ThreadIdx(_) => true,
-        IExpr::Var(v) => lane_dep.contains(v),
+        IExpr::Var(v) => lane_dep.contains(&v),
         IExpr::Add(a, b)
         | IExpr::Sub(a, b)
         | IExpr::Mul(a, b)
         | IExpr::Min(a, b)
-        | IExpr::Max(a, b) => iexpr_mentions_lane(a, lane_dep) || iexpr_mentions_lane(b, lane_dep),
-        IExpr::FloorDiv(a, _) | IExpr::Mod(a, _) => iexpr_mentions_lane(a, lane_dep),
+        | IExpr::Max(a, b) => mentions(a) || mentions(b),
+        IExpr::FloorDiv(a, _) | IExpr::Mod(a, _) => mentions(a),
     }
 }
 
-fn cond_mentions_lane(c: &Cond, lane_dep: &HashSet<usize>) -> bool {
-    match c {
+fn cond_mentions_lane(pool: &Pool, c: CondId, lane_dep: &HashSet<usize>) -> bool {
+    let mentions = |c| cond_mentions_lane(pool, c, lane_dep);
+    match pool[c] {
         Cond::True => false,
         Cond::Le(a, b) | Cond::Lt(a, b) | Cond::Eq(a, b) => {
-            iexpr_mentions_lane(a, lane_dep) || iexpr_mentions_lane(b, lane_dep)
+            iexpr_mentions_lane(pool, a, lane_dep) || iexpr_mentions_lane(pool, b, lane_dep)
         }
-        Cond::And(a, b) | Cond::Or(a, b) => {
-            cond_mentions_lane(a, lane_dep) || cond_mentions_lane(b, lane_dep)
-        }
-        Cond::Not(a) => cond_mentions_lane(a, lane_dep),
+        Cond::And(a, b) | Cond::Or(a, b) => mentions(a) || mentions(b),
+        Cond::Not(a) => mentions(a),
     }
 }
 
 /// One pass of the classification fixed point; returns true if the set
 /// grew. `divergent` tracks whether we are under a lane-dependent `if`.
-fn classify(stmts: &[Stmt], lane_dep: &mut HashSet<usize>, divergent: bool) -> bool {
+fn classify(pool: &Pool, stmts: &[Stmt], lane_dep: &mut HashSet<usize>, divergent: bool) -> bool {
     let mut grew = false;
     for s in stmts {
         match s {
-            Stmt::SetVar { var, value } if divergent || iexpr_mentions_lane(value, lane_dep) => {
+            Stmt::SetVar { var, value }
+                if divergent || iexpr_mentions_lane(pool, *value, lane_dep) =>
+            {
                 grew |= lane_dep.insert(*var);
             }
             Stmt::For { body, .. } => {
                 // Loop variables stay uniform (thread-independent bounds
                 // are an IR invariant); only the body is walked.
-                grew |= classify(body, lane_dep, divergent);
+                grew |= classify(pool, body, lane_dep, divergent);
             }
             Stmt::If { cond, then_, else_ } => {
-                let div = divergent || cond_mentions_lane(cond, lane_dep);
-                grew |= classify(then_, lane_dep, div);
-                grew |= classify(else_, lane_dep, div);
+                let div = divergent || cond_mentions_lane(pool, *cond, lane_dep);
+                grew |= classify(pool, then_, lane_dep, div);
+                grew |= classify(pool, else_, lane_dep, div);
             }
             _ => {}
         }
@@ -110,14 +112,15 @@ fn classify(stmts: &[Stmt], lane_dep: &mut HashSet<usize>, divergent: bool) -> b
 }
 
 /// Deepest nesting of divergent `if`s — how many mask arrays we need.
-fn mask_depth(stmts: &[Stmt], lane_dep: &HashSet<usize>, divergent: bool) -> usize {
+fn mask_depth(pool: &Pool, stmts: &[Stmt], lane_dep: &HashSet<usize>, divergent: bool) -> usize {
     let mut deepest = 0;
     for s in stmts {
         let d = match s {
-            Stmt::For { body, .. } => mask_depth(body, lane_dep, divergent),
+            Stmt::For { body, .. } => mask_depth(pool, body, lane_dep, divergent),
             Stmt::If { cond, then_, else_ } => {
-                let div = divergent || cond_mentions_lane(cond, lane_dep);
-                let inner = mask_depth(then_, lane_dep, div).max(mask_depth(else_, lane_dep, div));
+                let div = divergent || cond_mentions_lane(pool, *cond, lane_dep);
+                let depth = |arm| mask_depth(pool, arm, lane_dep, div);
+                let inner = depth(then_).max(depth(else_));
                 if div {
                     inner + 1
                 } else {
@@ -131,11 +134,11 @@ fn mask_depth(stmts: &[Stmt], lane_dep: &HashSet<usize>, divergent: bool) -> usi
     deepest
 }
 
-fn iexpr_to_cpu(e: &IExpr, ctx: &Ctx) -> String {
+fn iexpr_to_cpu(e: IExprId, ctx: &Ctx) -> String {
     let [bx, by, _] = ctx.kernel.block_dim;
-    match e {
+    match ctx.kernel.pool[e] {
         IExpr::Const(c) => format!("{c}"),
-        IExpr::Var(v) if ctx.lane_dep.contains(v) => format!("v{v}[lane]"),
+        IExpr::Var(v) if ctx.lane_dep.contains(&v) => format!("v{v}[lane]"),
         IExpr::Var(v) => format!("v{v}"),
         IExpr::Param(p) => format!("p{p}"),
         IExpr::ThreadIdx(0) => format!("(lane % {bx})"),
@@ -152,8 +155,8 @@ fn iexpr_to_cpu(e: &IExpr, ctx: &Ctx) -> String {
     }
 }
 
-fn cond_to_cpu(c: &Cond, ctx: &Ctx) -> String {
-    match c {
+fn cond_to_cpu(c: CondId, ctx: &Ctx) -> String {
+    match ctx.kernel.pool[c] {
         Cond::True => "1".into(),
         Cond::Le(a, b) => format!("{} <= {}", iexpr_to_cpu(a, ctx), iexpr_to_cpu(b, ctx)),
         Cond::Lt(a, b) => format!("{} < {}", iexpr_to_cpu(a, ctx), iexpr_to_cpu(b, ctx)),
@@ -164,8 +167,9 @@ fn cond_to_cpu(c: &Cond, ctx: &Ctx) -> String {
     }
 }
 
-fn fexpr_to_cpu(e: &FExpr) -> String {
-    match e {
+fn fexpr_to_cpu(e: FExprId, pool: &Pool) -> String {
+    let fexpr_to_cpu = |e| fexpr_to_cpu(e, pool);
+    match pool[e] {
         FExpr::Reg(r) => format!("r{r}[lane]"),
         FExpr::Const(c) => format!("{c:?}f"),
         FExpr::Add(a, b) => format!("({} + {})", fexpr_to_cpu(a), fexpr_to_cpu(b)),
@@ -175,26 +179,11 @@ fn fexpr_to_cpu(e: &FExpr) -> String {
     }
 }
 
-fn idx_to_cpu(index: &[IExpr], ctx: &Ctx) -> String {
-    index
+fn idx_to_cpu(index: Indices, ctx: &Ctx) -> String {
+    ctx.kernel.pool[index]
         .iter()
-        .map(|e| format!("[{}]", iexpr_to_cpu(e, ctx)))
+        .map(|&e| format!("[{}]", iexpr_to_cpu(e, ctx)))
         .collect()
-}
-
-/// Walks every statement in a body, recursing through control flow.
-fn visit<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
-    for s in stmts {
-        f(s);
-        match s {
-            Stmt::For { body, .. } => visit(body, f),
-            Stmt::If { then_, else_, .. } => {
-                visit(then_, f);
-                visit(else_, f);
-            }
-            _ => {}
-        }
-    }
 }
 
 /// `(fields, spatial dims)` of the kernel's global accesses: how many
@@ -209,7 +198,7 @@ fn global_shape(kernel: &Kernel) -> (usize, usize) {
             _ => return,
         };
         fields = fields.max(field + 1);
-        nd = nd.max(index.len());
+        nd = nd.max(kernel.pool[*index].len());
     });
     (fields.max(1), nd.max(1))
 }
@@ -217,9 +206,10 @@ fn global_shape(kernel: &Kernel) -> (usize, usize) {
 /// One flat global subscript: `plane * plane_stride + i0 * stride0 +
 /// ... + i_last`. The strides are `long` function parameters, so the
 /// whole expression promotes past `int` before any multiply.
-fn gflat(plane: &IExpr, index: &[IExpr], ctx: &Ctx) -> String {
+fn gflat(plane: IExprId, index: Indices, ctx: &Ctx) -> String {
+    let index = &ctx.kernel.pool[index];
     let mut terms = vec![format!("{} * plane_stride", iexpr_to_cpu(plane, ctx))];
-    for (d, e) in index.iter().enumerate() {
+    for (d, &e) in index.iter().enumerate() {
         if d + 1 == index.len() {
             terms.push(iexpr_to_cpu(e, ctx));
         } else {
@@ -245,15 +235,15 @@ fn lane_stmt(out: &mut String, pad: &str, ctx: &Ctx, mask: Option<usize>, line: 
 }
 
 fn emit_stmts(out: &mut String, stmts: &[Stmt], ctx: &Ctx, depth: usize, mask: Option<usize>) {
-    let pad = "  ".repeat(depth);
+    let (pad, pool) = ("  ".repeat(depth), &*ctx.kernel.pool);
     for s in stmts {
         match s {
             Stmt::SetVar { var, value } => {
                 if ctx.lane_dep.contains(var) {
-                    let line = format!("v{var}[lane] = {};", iexpr_to_cpu(value, ctx));
+                    let line = format!("v{var}[lane] = {};", iexpr_to_cpu(*value, ctx));
                     lane_stmt(out, &pad, ctx, mask, &line);
                 } else {
-                    let _ = writeln!(out, "{pad}v{var} = {};", iexpr_to_cpu(value, ctx));
+                    let _ = writeln!(out, "{pad}v{var} = {};", iexpr_to_cpu(*value, ctx));
                 }
             }
             Stmt::For {
@@ -266,16 +256,16 @@ fn emit_stmts(out: &mut String, stmts: &[Stmt], ctx: &Ctx, depth: usize, mask: O
                 let _ = writeln!(
                     out,
                     "{pad}for (v{var} = {}; v{var} < {}; v{var} += {step}) {{",
-                    iexpr_to_cpu(lo, ctx),
-                    iexpr_to_cpu(hi, ctx)
+                    iexpr_to_cpu(*lo, ctx),
+                    iexpr_to_cpu(*hi, ctx)
                 );
                 emit_stmts(out, body, ctx, depth + 1, mask);
                 let _ = writeln!(out, "{pad}}}");
             }
             Stmt::If { cond, then_, else_ } => {
-                let divergent = mask.is_some() || cond_mentions_lane(cond, &ctx.lane_dep);
+                let divergent = mask.is_some() || cond_mentions_lane(pool, *cond, &ctx.lane_dep);
                 if !divergent {
-                    let _ = writeln!(out, "{pad}if ({}) {{", cond_to_cpu(cond, ctx));
+                    let _ = writeln!(out, "{pad}if ({}) {{", cond_to_cpu(*cond, ctx));
                     emit_stmts(out, then_, ctx, depth + 1, None);
                     if else_.is_empty() {
                         let _ = writeln!(out, "{pad}}}");
@@ -287,7 +277,7 @@ fn emit_stmts(out: &mut String, stmts: &[Stmt], ctx: &Ctx, depth: usize, mask: O
                 } else {
                     let m = mask.map_or(0, |m| m + 1);
                     let parent = mask.map_or(String::new(), |p| format!("m{p}[lane] && "));
-                    let line = format!("m{m}[lane] = {parent}({});", cond_to_cpu(cond, ctx));
+                    let line = format!("m{m}[lane] = {parent}({});", cond_to_cpu(*cond, ctx));
                     lane_stmt(out, &pad, ctx, None, &line);
                     emit_stmts(out, then_, ctx, depth, Some(m));
                     if !else_.is_empty() {
@@ -304,7 +294,7 @@ fn emit_stmts(out: &mut String, stmts: &[Stmt], ctx: &Ctx, depth: usize, mask: O
                 plane,
                 index,
             } => {
-                let line = format!("r{dst}[lane] = g{field}[{}];", gflat(plane, index, ctx));
+                let line = format!("r{dst}[lane] = g{field}[{}];", gflat(*plane, *index, ctx));
                 lane_stmt(out, &pad, ctx, mask, &line);
             }
             Stmt::GlobalStore {
@@ -315,23 +305,27 @@ fn emit_stmts(out: &mut String, stmts: &[Stmt], ctx: &Ctx, depth: usize, mask: O
             } => {
                 let line = format!(
                     "g{field}[{}] = {};",
-                    gflat(plane, index, ctx),
-                    fexpr_to_cpu(src)
+                    gflat(*plane, *index, ctx),
+                    fexpr_to_cpu(*src, pool)
                 );
                 lane_stmt(out, &pad, ctx, mask, &line);
             }
             Stmt::SharedLoad { dst, buf, index } => {
                 let name = &ctx.kernel.shared[*buf].name;
-                let line = format!("r{dst}[lane] = {name}{};", idx_to_cpu(index, ctx));
+                let line = format!("r{dst}[lane] = {name}{};", idx_to_cpu(*index, ctx));
                 lane_stmt(out, &pad, ctx, mask, &line);
             }
             Stmt::SharedStore { buf, index, src } => {
                 let name = &ctx.kernel.shared[*buf].name;
-                let line = format!("{name}{} = {};", idx_to_cpu(index, ctx), fexpr_to_cpu(src));
+                let line = format!(
+                    "{name}{} = {};",
+                    idx_to_cpu(*index, ctx),
+                    fexpr_to_cpu(*src, pool)
+                );
                 lane_stmt(out, &pad, ctx, mask, &line);
             }
             Stmt::Compute { dst, expr } => {
-                let line = format!("r{dst}[lane] = {};", fexpr_to_cpu(expr));
+                let line = format!("r{dst}[lane] = {};", fexpr_to_cpu(*expr, pool));
                 lane_stmt(out, &pad, ctx, mask, &line);
             }
             Stmt::Sync => {
@@ -348,7 +342,7 @@ fn emit_stmts(out: &mut String, stmts: &[Stmt], ctx: &Ctx, depth: usize, mask: O
 /// entire thread block.
 pub fn kernel_to_cpu(kernel: &Kernel) -> String {
     let mut lane_dep = HashSet::new();
-    while classify(&kernel.body, &mut lane_dep, false) {}
+    while classify(&kernel.pool, &kernel.body, &mut lane_dep, false) {}
     let tpb = kernel.threads_per_block();
     let ctx = Ctx {
         kernel,
@@ -386,7 +380,7 @@ pub fn kernel_to_cpu(kernel: &Kernel) -> String {
     for r in 0..kernel.n_regs {
         let _ = writeln!(out, "  float r{r}[{tpb}];");
     }
-    for m in 0..mask_depth(&kernel.body, &ctx.lane_dep, false) {
+    for m in 0..mask_depth(&kernel.pool, &kernel.body, &ctx.lane_dep, false) {
         let _ = writeln!(out, "  int m{m}[{tpb}];");
     }
     emit_stmts(&mut out, &kernel.body, &ctx, 1, None);
@@ -397,9 +391,24 @@ pub fn kernel_to_cpu(kernel: &Kernel) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::SharedBuf;
+    use crate::ir::{PoolBuilder, SharedBuf};
+    use std::sync::Arc;
 
     fn demo_kernel() -> Kernel {
+        let p = PoolBuilder::default();
+        let (block, tx, v0, p0) = (
+            p.iexpr(IExpr::BlockIdx),
+            p.iexpr(IExpr::ThreadIdx(0)),
+            p.var(0),
+            p.iexpr(IExpr::Param(0)),
+        );
+        let scaled = p.scale(block, 32);
+        let value = p.add(scaled, tx);
+        let (zero, four, hundred) = (p.lit(0), p.lit(4), p.lit(100));
+        let cond = p.cond(Cond::Lt(v0, hundred));
+        let (plane, column) = (p.modulo(p0, 2), p.modulo(tx, 10));
+        let (gidx, sidx) = (p.indices(&[v0]), p.indices(&[zero, column]));
+        let (src, nought) = (p.fexpr(FExpr::Reg(0)), p.fexpr(FExpr::Const(0.0)));
         Kernel {
             name: "demo".into(),
             block_dim: [32, 1, 1],
@@ -410,34 +419,32 @@ mod tests {
             n_vars: 2,
             n_regs: 2,
             n_params: 1,
+            pool: Arc::new(p.finish()),
             body: vec![
-                Stmt::SetVar {
-                    var: 0,
-                    value: IExpr::BlockIdx.scale(32).add(IExpr::ThreadIdx(0)),
-                },
+                Stmt::SetVar { var: 0, value },
                 Stmt::For {
                     var: 1,
-                    lo: IExpr::Const(0),
-                    hi: IExpr::Const(4),
+                    lo: zero,
+                    hi: four,
                     step: 1,
                     body: vec![Stmt::If {
-                        cond: Cond::Lt(IExpr::Var(0), IExpr::Const(100)),
+                        cond,
                         then_: vec![
                             Stmt::GlobalLoad {
                                 dst: 0,
                                 field: 0,
-                                plane: IExpr::Param(0).modulo(2),
-                                index: vec![IExpr::Var(0)],
+                                plane,
+                                index: gidx,
                             },
                             Stmt::SharedStore {
                                 buf: 0,
-                                index: vec![IExpr::Const(0), IExpr::ThreadIdx(0).modulo(10)],
-                                src: FExpr::Reg(0),
+                                index: sidx,
+                                src,
                             },
                         ],
                         else_: vec![Stmt::Compute {
                             dst: 1,
-                            expr: FExpr::Const(0.0),
+                            expr: nought,
                         }],
                     }],
                 },

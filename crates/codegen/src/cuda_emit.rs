@@ -22,10 +22,25 @@ pub fn kernel_to_cuda(kernel: &Kernel) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{Cond, FExpr, IExpr, SharedBuf, Stmt};
+    use crate::ir::{Cond, FExpr, IExpr, PoolBuilder, SharedBuf, Stmt};
+    use std::sync::Arc;
 
     #[test]
     fn emits_compilable_looking_source() {
+        let p = PoolBuilder::default();
+        let (block, tx, v0, p0) = (
+            p.iexpr(IExpr::BlockIdx),
+            p.iexpr(IExpr::ThreadIdx(0)),
+            p.var(0),
+            p.iexpr(IExpr::Param(0)),
+        );
+        let scaled = p.scale(block, 32);
+        let value = p.add(scaled, tx);
+        let hundred = p.lit(100);
+        let cond = p.cond(Cond::Lt(v0, hundred));
+        let (plane, zero, column) = (p.modulo(p0, 2), p.lit(0), p.modulo(tx, 10));
+        let (gidx, sidx) = (p.indices(&[v0]), p.indices(&[zero, column]));
+        let src = p.fexpr(FExpr::Reg(0));
         let k = Kernel {
             name: "demo".into(),
             block_dim: [32, 1, 1],
@@ -36,24 +51,22 @@ mod tests {
             n_vars: 1,
             n_regs: 2,
             n_params: 1,
+            pool: Arc::new(p.finish()),
             body: vec![
-                Stmt::SetVar {
-                    var: 0,
-                    value: IExpr::BlockIdx.scale(32).add(IExpr::ThreadIdx(0)),
-                },
+                Stmt::SetVar { var: 0, value },
                 Stmt::If {
-                    cond: Cond::Lt(IExpr::Var(0), IExpr::Const(100)),
+                    cond,
                     then_: vec![
                         Stmt::GlobalLoad {
                             dst: 0,
                             field: 0,
-                            plane: IExpr::Param(0).modulo(2),
-                            index: vec![IExpr::Var(0)],
+                            plane,
+                            index: gidx,
                         },
                         Stmt::SharedStore {
                             buf: 0,
-                            index: vec![IExpr::Const(0), IExpr::ThreadIdx(0).modulo(10)],
-                            src: FExpr::Reg(0),
+                            index: sidx,
+                            src,
                         },
                     ],
                     else_: vec![],

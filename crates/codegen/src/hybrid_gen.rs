@@ -21,6 +21,7 @@
 //! clobbered while a reader still needs an old value.
 
 use std::fmt;
+use std::sync::Arc;
 
 use hybrid_tiling::classical::ClassicalDim;
 use hybrid_tiling::phase::Phase;
@@ -28,7 +29,10 @@ use hybrid_tiling::{DepCone, HybridSchedule, TileError, TileParams};
 use stencil::domain::ScheduledDomain;
 use stencil::{StencilExpr, StencilProgram};
 
-use crate::ir::{Cond, FExpr, IExpr, Kernel, Launch, LaunchPlan, SharedBuf, Stmt};
+use crate::ir::{
+    Cond, CondId, FExpr, FExprId, IExpr, IExprId, Indices, Kernel, Launch, LaunchPlan, Pool,
+    PoolBuilder, SharedBuf, Stmt,
+};
 use crate::options::{CodegenOptions, SmemStrategy};
 
 /// A typed code-generation failure.
@@ -185,6 +189,10 @@ const V_CLS0: usize = 3; // classical loop vars: V_CLS0 + (d-1)
 const P_T: usize = 0;
 
 const P_S0MIN: usize = 1;
+
+/// A point of the intra-tile sweep: phase, local time `a`, row coordinate
+/// `b`, and whether it is guarded.
+type Point = (Phase, i64, i64, bool);
 
 /// The largest classical skew `⌊δ1 · a⌋` over the tile's `height` rows
 /// (`height = 2h+2 >= 2`, so the range is never empty).
@@ -407,23 +415,15 @@ impl<'a> HybridGeometry<'a> {
     }
 
     /// Thread expression covering classical dimension `d` (1-based).
-    fn tid_for(&self, d: usize) -> IExpr {
-        match self.n {
-            2 => IExpr::ThreadIdx(0),
-            _ => {
-                if d == self.n - 1 {
-                    IExpr::ThreadIdx(0)
-                } else {
-                    IExpr::ThreadIdx(1)
-                }
-            }
-        }
+    fn tid_for(&self, p: &PoolBuilder, d: usize) -> IExprId {
+        let x = self.n == 2 || d == self.n - 1;
+        p.iexpr(IExpr::ThreadIdx(if x { 0 } else { 1 }))
     }
 
     /// Linearized thread id.
-    fn tid_linear(&self) -> IExpr {
-        let bd = self.block_dim();
-        IExpr::ThreadIdx(0).add(IExpr::ThreadIdx(1).scale(bd[0] as i64))
+    fn tid_linear(&self, p: &PoolBuilder) -> IExprId {
+        let y = p.scale(p.iexpr(IExpr::ThreadIdx(1)), self.block_dim()[0] as i64);
+        p.add(p.iexpr(IExpr::ThreadIdx(0)), y)
     }
 
     /// Classical tile-loop bounds (constants) for dimension `d` (1-based).
@@ -444,329 +444,322 @@ impl<'a> HybridGeometry<'a> {
     }
 
     /// `τ` as an expression: `Var(V_TAUBASE) + a`.
-    fn tau(&self, a: i64) -> IExpr {
-        IExpr::Var(V_TAUBASE).offset(a)
-    }
-
-    /// Outer iteration `t = ⌊τ/k⌋`.
-    fn t_outer(&self, a: i64) -> IExpr {
-        if self.k == 1 {
-            self.tau(a)
-        } else {
-            self.tau(a).fdiv(self.k)
-        }
+    fn tau(&self, p: &PoolBuilder, a: i64) -> IExprId {
+        p.offset(p.var(V_TAUBASE), a)
     }
 
     /// Ring plane holding values produced at outer iteration `t - dt`:
-    /// `(t - dt + 1) mod planes`.
-    fn plane_expr(&self, a: i64, dt: i64) -> IExpr {
-        self.t_outer(a).offset(1 - dt).modulo(self.planes)
+    /// `(t - dt + 1) mod planes`, with `t = ⌊τ/k⌋`.
+    fn plane_expr(&self, p: &PoolBuilder, a: i64, dt: i64) -> IExprId {
+        p.memo((0, [a, dt, 0]), || {
+            let t = match self.k {
+                1 => self.tau(p, a),
+                k => p.fdiv(self.tau(p, a), k),
+            };
+            p.modulo(p.offset(t, 1 - dt), self.planes)
+        })
+    }
+
+    /// `w_d·S_d`, the first global index of classical tile `S_d` of
+    /// dimension `d`.
+    fn tile_base(&self, p: &PoolBuilder, d: usize) -> IExprId {
+        p.scale(
+            p.var(V_CLS0 + d - 1),
+            self.schedule.classical()[d - 1].width,
+        )
     }
 
     /// Global spatial index of classical dimension `d` at local time `a`:
     /// `w_d·S_d + tid - skew_d(a) + off`.
-    fn global_cls(&self, d: usize, a: i64, off: i64) -> IExpr {
-        let cd = &self.schedule.classical()[d - 1];
-        IExpr::Var(V_CLS0 + d - 1)
-            .scale(cd.width)
-            .add(self.tid_for(d))
-            .offset(-self.skews[d][a as usize] + off)
+    fn global_cls(&self, p: &PoolBuilder, d: usize, a: i64, off: i64) -> IExprId {
+        p.memo((1, [d as i64, a, off]), || {
+            let e = p.add(self.tile_base(p, d), self.tid_for(p, d));
+            p.offset(e, -self.skews[d][a as usize] + off)
+        })
     }
 
     /// Shared-memory index for dimension `d` (1-based classical), given
     /// the same coordinates: dense (`local = tid - skew + off + pad`) or
     /// mod-mapped for [`SmemStrategy::ReuseStatic`].
-    fn shared_cls(&self, d: usize, a: i64, off: i64) -> IExpr {
-        if self.opts.smem == SmemStrategy::ReuseStatic && d == self.n - 1 {
-            self.global_cls(d, a, off).modulo(self.ext[d])
-        } else {
-            self.tid_for(d)
-                .offset(-self.skews[d][a as usize] + off + self.pad_left[d])
-        }
-    }
-
-    /// Shared index along the hexagon dimension for row coordinate `b`:
-    /// `b - b_min + r0 + off`.
-    fn shared_hex(&self, b: IExpr, off: i64) -> IExpr {
-        b.offset(-self.b_min + self.radius[0] + off)
+    fn shared_cls(&self, p: &PoolBuilder, d: usize, a: i64, off: i64) -> IExprId {
+        p.memo((2, [d as i64, a, off]), || {
+            if self.opts.smem == SmemStrategy::ReuseStatic && d == self.n - 1 {
+                p.modulo(self.global_cls(p, d, a, off), self.ext[d])
+            } else {
+                let local = -self.skews[d][a as usize] + off + self.pad_left[d];
+                p.offset(self.tid_for(p, d), local)
+            }
+        })
     }
 
     /// Global `s0` for row coordinate `b`.
-    fn global_hex(&self, b: IExpr, off: i64) -> IExpr {
-        IExpr::Var(V_S0BASE).add(b).offset(off)
+    fn global_hex(&self, p: &PoolBuilder, b: i64, off: i64) -> IExprId {
+        p.memo((3, [b, off, 0]), || {
+            p.offset(p.add(p.var(V_S0BASE), p.lit(b)), off)
+        })
+    }
+
+    /// The global index of the point `(a, b)` displaced by `offsets`.
+    fn global_index(&self, p: &PoolBuilder, a: i64, b: i64, offsets: &[i64]) -> Indices {
+        let mut index = [self.global_hex(p, b, offsets[0]); 3];
+        for d in 1..self.n {
+            index[d] = self.global_cls(p, d, a, offsets[d]);
+        }
+        p.indices(&index[..self.n])
+    }
+
+    /// The shared index of the point `(a, b)` displaced by `offsets`, in
+    /// time plane `plane`; along the hexagon dimension `b - b_min + r0 +
+    /// off`.
+    fn shared_index(
+        &self,
+        p: &PoolBuilder,
+        plane: IExprId,
+        (a, b): (i64, i64),
+        offsets: &[i64],
+    ) -> Indices {
+        let mut index = [
+            plane,
+            p.lit(b - self.b_min + self.radius[0] + offsets[0]),
+            plane,
+            plane,
+        ];
+        for d in 1..self.n {
+            index[d + 1] = self.shared_cls(p, d, a, offsets[d]);
+        }
+        p.indices(&index[..self.n + 1])
     }
 
     fn shared_bufs(&self) -> Vec<SharedBuf> {
         if !self.opts.smem.uses_shared() {
             return Vec::new();
         }
-        self.program
-            .field_names()
-            .iter()
-            .map(|name| {
-                let mut dims = vec![self.planes as usize];
-                for e in &self.ext {
-                    dims.push(*e as usize);
-                }
-                SharedBuf {
-                    name: format!("s_{name}"),
-                    dims,
-                }
-            })
-            .collect()
+        let mut dims = vec![self.planes as usize];
+        dims.extend(self.ext.iter().map(|&e| e as usize));
+        let buf = |name| SharedBuf {
+            name: format!("s_{name}"),
+            dims: dims.clone(),
+        };
+        self.program.field_names().iter().map(buf).collect()
     }
 
     /// The uniform full-tile condition (§4.3.1).
-    fn full_cond(&self) -> Cond {
-        let tau_end = self.domain.tau_end();
-        let mut c = Cond::Le(IExpr::Const(0), IExpr::Var(V_TAUBASE)).and(Cond::Le(
-            IExpr::Var(V_TAUBASE).offset(self.height() - 1),
-            IExpr::Const(tau_end - 1),
-        ));
-        c = c
-            .and(Cond::Le(
-                IExpr::Const(self.domain.lo()[0]),
-                IExpr::Var(V_S0BASE).offset(self.b_min),
-            ))
-            .and(Cond::Le(
-                IExpr::Var(V_S0BASE).offset(self.b_max),
-                IExpr::Const(self.domain.hi()[0]),
-            ));
+    fn full_cond(&self, p: &PoolBuilder) -> CondId {
+        let (tau, s0) = (p.var(V_TAUBASE), p.var(V_S0BASE));
+        let (lo, hi) = (self.domain.lo(), self.domain.hi());
+        let mut bounds = vec![
+            (p.lit(0), tau),
+            (
+                p.offset(tau, self.height() - 1),
+                p.lit(self.domain.tau_end() - 1),
+            ),
+            (p.lit(lo[0]), p.offset(s0, self.b_min)),
+            (p.offset(s0, self.b_max), p.lit(hi[0])),
+        ];
         for d in 1..self.n {
-            let cd = &self.schedule.classical()[d - 1];
-            let base = IExpr::Var(V_CLS0 + d - 1).scale(cd.width);
-            c = c
-                .and(Cond::Le(
-                    IExpr::Const(self.domain.lo()[d] + self.skew_max[d]),
-                    base.clone(),
-                ))
-                .and(Cond::Le(
-                    base.offset(cd.width - 1),
-                    IExpr::Const(self.domain.hi()[d]),
-                ));
+            let (base, width) = (self.tile_base(p, d), self.schedule.classical()[d - 1].width);
+            bounds.push((p.lit(lo[d] + self.skew_max[d]), base));
+            bounds.push((p.offset(base, width - 1), p.lit(hi[d])));
         }
-        c
+        let le = |(a, b)| p.cond(Cond::Le(a, b));
+        bounds
+            .into_iter()
+            .fold(p.cond(Cond::True), |c, ab| p.and(c, le(ab)))
     }
 
     /// Per-point guard for partial tiles: iteration inside the scheduled
     /// domain.
-    fn point_guard(&self, phase: Phase, a: i64, b: i64) -> Cond {
-        let tau_end = self.domain.tau_end();
-        let _ = phase;
-        let mut c = Cond::Le(IExpr::Const(0), self.tau(a))
-            .and(Cond::Le(self.tau(a), IExpr::Const(tau_end - 1)));
-        let s0 = self.global_hex(IExpr::Const(b), 0);
-        c = c.and(Cond::between(
-            &s0,
-            IExpr::Const(self.domain.lo()[0]),
-            IExpr::Const(self.domain.hi()[0]),
-        ));
-        for d in 1..self.n {
-            let s = self.global_cls(d, a, 0);
-            c = c.and(Cond::between(
-                &s,
-                IExpr::Const(self.domain.lo()[d]),
-                IExpr::Const(self.domain.hi()[d]),
-            ));
+    fn point_guard(&self, p: &PoolBuilder, a: i64, b: i64) -> CondId {
+        let tau_end = p.lit(self.domain.tau_end() - 1);
+        let mut c = p.between(self.tau(p, a), p.lit(0), tau_end);
+        for d in 0..self.n {
+            let s = match d {
+                0 => self.global_hex(p, b, 0),
+                d => self.global_cls(p, d, a, 0),
+            };
+            let (lo, hi) = (p.lit(self.domain.lo()[d]), p.lit(self.domain.hi()[d]));
+            c = p.and(c, p.between(s, lo, hi));
         }
         c
     }
 
-    /// The FExpr of a statement body with loads resolved through
-    /// `make_load`, which appends load statements and returns registers.
-    #[allow(clippy::too_many_arguments)]
+    /// The FExpr of a statement body at the point `(a, b)` with loads
+    /// appended to `out` (from shared memory when `from_shared`), each into
+    /// the next register.
     fn build_fexpr(
         &self,
+        p: &PoolBuilder,
+        out: &mut Vec<Stmt>,
         e: &StencilExpr,
-        loads: &mut Vec<Stmt>,
         next_reg: &mut usize,
-        phase: Phase,
-        a: i64,
-        b: i64,
-        from_shared: bool,
-    ) -> FExpr {
-        match e {
+        (a, b, from_shared): (i64, i64, bool),
+    ) -> FExprId {
+        let mut operand = |x| self.build_fexpr(p, out, x, next_reg, (a, b, from_shared));
+        let node = match e {
             StencilExpr::Load(acc) => {
-                let reg = *next_reg;
+                let (dst, plane) = (*next_reg, self.plane_expr(p, a, acc.dt));
                 *next_reg += 1;
-                let stmt = if from_shared {
-                    let mut index = vec![self.plane_expr(a, acc.dt)];
-                    index.push(self.shared_hex(IExpr::Const(b), acc.offsets[0]));
-                    for d in 1..self.n {
-                        index.push(self.shared_cls(d, a, acc.offsets[d]));
-                    }
-                    Stmt::SharedLoad {
-                        dst: reg,
-                        buf: acc.field.0,
-                        index,
-                    }
+                out.push(if from_shared {
+                    let index = self.shared_index(p, plane, (a, b), &acc.offsets);
+                    let buf = acc.field.0;
+                    Stmt::SharedLoad { dst, buf, index }
                 } else {
-                    let mut index = vec![self.global_hex(IExpr::Const(b), acc.offsets[0])];
-                    for d in 1..self.n {
-                        index.push(self.global_cls(d, a, acc.offsets[d]));
-                    }
+                    let index = self.global_index(p, a, b, &acc.offsets);
+                    let field = acc.field.0;
                     Stmt::GlobalLoad {
-                        dst: reg,
-                        field: acc.field.0,
-                        plane: self.plane_expr(a, acc.dt),
+                        dst,
+                        field,
+                        plane,
                         index,
                     }
-                };
-                loads.push(stmt);
-                let _ = phase;
-                FExpr::Reg(reg)
+                });
+                FExpr::Reg(dst)
             }
             StencilExpr::Const(c) => FExpr::Const(*c),
-            StencilExpr::Add(x, y) => FExpr::Add(
-                Box::new(self.build_fexpr(x, loads, next_reg, phase, a, b, from_shared)),
-                Box::new(self.build_fexpr(y, loads, next_reg, phase, a, b, from_shared)),
-            ),
-            StencilExpr::Sub(x, y) => FExpr::Sub(
-                Box::new(self.build_fexpr(x, loads, next_reg, phase, a, b, from_shared)),
-                Box::new(self.build_fexpr(y, loads, next_reg, phase, a, b, from_shared)),
-            ),
-            StencilExpr::Mul(x, y) => FExpr::Mul(
-                Box::new(self.build_fexpr(x, loads, next_reg, phase, a, b, from_shared)),
-                Box::new(self.build_fexpr(y, loads, next_reg, phase, a, b, from_shared)),
-            ),
-            StencilExpr::Sqrt(x) => FExpr::Sqrt(Box::new(self.build_fexpr(
-                x,
-                loads,
-                next_reg,
-                phase,
-                a,
-                b,
-                from_shared,
-            ))),
-        }
+            StencilExpr::Add(x, y) => FExpr::Add(operand(x), operand(y)),
+            StencilExpr::Sub(x, y) => FExpr::Sub(operand(x), operand(y)),
+            StencilExpr::Mul(x, y) => FExpr::Mul(operand(x), operand(y)),
+            StencilExpr::Sqrt(x) => FExpr::Sqrt(operand(x)),
+        };
+        p.fexpr(node)
     }
 
-    /// One stencil point: loads, compute, stores (shared and/or global).
-    fn emit_point(&self, phase: Phase, a: i64, b: i64, guarded: bool) -> Vec<Stmt> {
-        let i = self.stmt_at(phase, a);
-        let st = &self.program.statements()[i];
-        let from_shared = self.opts.smem.uses_shared();
-        let mut body = Vec::new();
-        let mut next_reg = 1;
-        let expr = self.build_fexpr(&st.expr, &mut body, &mut next_reg, phase, a, b, from_shared);
-        body.push(Stmt::Compute { dst: 0, expr });
-        let wf = st.writes.0;
-        let wplane = self.plane_expr(a, 0); // (t + 1) mod planes
+    /// One stencil point: loads, compute, stores (shared and/or global) —
+    /// under the point's guard when `guarded`.
+    fn emit_point(&self, p: &PoolBuilder, out: &mut Vec<Stmt>, (phase, a, b, guarded): Point) {
+        let st = &self.program.statements()[self.stmt_at(phase, a)];
+        let (start, from_shared) = (out.len(), self.opts.smem.uses_shared());
+        let expr = self.build_fexpr(p, out, &st.expr, &mut 1, (a, b, from_shared));
+        out.push(Stmt::Compute { dst: 0, expr });
+        let (buf, src) = (st.writes.0, p.fexpr(FExpr::Reg(0)));
+        let plane = self.plane_expr(p, a, 0); // (t + 1) mod planes
         if from_shared {
-            let mut index = vec![wplane.clone()];
-            index.push(self.shared_hex(IExpr::Const(b), 0));
-            for d in 1..self.n {
-                index.push(self.shared_cls(d, a, 0));
-            }
-            body.push(Stmt::SharedStore {
-                buf: wf,
-                index,
-                src: FExpr::Reg(0),
-            });
+            let index = self.shared_index(p, plane, (a, b), &[0; 3]);
+            out.push(Stmt::SharedStore { buf, index, src });
         }
         if !from_shared || self.opts.smem.interleaved_copy_out() {
-            let mut index = vec![self.global_hex(IExpr::Const(b), 0)];
-            for d in 1..self.n {
-                index.push(self.global_cls(d, a, 0));
-            }
-            body.push(Stmt::GlobalStore {
-                field: wf,
-                plane: wplane,
+            let index = self.global_index(p, a, b, &[0; 3]);
+            let field = buf;
+            out.push(Stmt::GlobalStore {
+                field,
+                plane,
                 index,
-                src: FExpr::Reg(0),
+                src,
             });
         }
         if guarded {
-            vec![Stmt::If {
-                cond: self.point_guard(phase, a, b),
-                then_: body,
-                else_: vec![],
-            }]
-        } else {
-            body
+            self.guard_from(p, out, start, a, b);
         }
     }
 
     /// The copy-out walk for [`SmemStrategy::CopyInOut`]: re-visits every
     /// computed point, moving its value from shared to global.
-    fn emit_copyout_point(&self, phase: Phase, a: i64, b: i64, guarded: bool) -> Vec<Stmt> {
-        let i = self.stmt_at(phase, a);
-        let wf = self.program.statements()[i].writes.0;
-        let wplane = self.plane_expr(a, 0);
-        let mut sidx = vec![wplane.clone()];
-        sidx.push(self.shared_hex(IExpr::Const(b), 0));
-        let mut gidx = vec![self.global_hex(IExpr::Const(b), 0)];
-        for d in 1..self.n {
-            sidx.push(self.shared_cls(d, a, 0));
-            gidx.push(self.global_cls(d, a, 0));
-        }
-        let body = vec![
-            Stmt::SharedLoad {
-                dst: 0,
-                buf: wf,
-                index: sidx,
-            },
-            Stmt::GlobalStore {
-                field: wf,
-                plane: wplane,
-                index: gidx,
-                src: FExpr::Reg(0),
-            },
-        ];
+    fn emit_copyout_point(
+        &self,
+        p: &PoolBuilder,
+        out: &mut Vec<Stmt>,
+        (phase, a, b, guarded): Point,
+    ) {
+        let (buf, start) = (
+            self.program.statements()[self.stmt_at(phase, a)].writes.0,
+            out.len(),
+        );
+        let plane = self.plane_expr(p, a, 0);
+        let index = self.shared_index(p, plane, (a, b), &[0; 3]);
+        out.push(Stmt::SharedLoad { dst: 0, buf, index });
+        let (index, src) = (self.global_index(p, a, b, &[0; 3]), p.fexpr(FExpr::Reg(0)));
+        out.push(Stmt::GlobalStore {
+            field: buf,
+            plane,
+            index,
+            src,
+        });
         if guarded {
-            vec![Stmt::If {
-                cond: self.point_guard(phase, a, b),
-                then_: body,
-                else_: vec![],
-            }]
-        } else {
-            body
+            self.guard_from(p, out, start, a, b);
         }
     }
 
-    /// The full intra-tile sweep: unrolled `a`, per-row `b` iteration,
-    /// with `emit(phase, a, b, guarded)` as the point body, and a barrier
-    /// between time steps.
+    /// Wraps the statements `out` holds from `start` on in the guard of
+    /// the point `(a, b)`.
+    fn guard_from(&self, p: &PoolBuilder, out: &mut Vec<Stmt>, start: usize, a: i64, b: i64) {
+        let then_ = out.split_off(start);
+        let cond = self.point_guard(p, a, b);
+        out.push(Stmt::If {
+            cond,
+            then_,
+            else_: vec![],
+        });
+    }
+
+    /// The full intra-tile sweep: unrolled `a`, every point `b` of the
+    /// row emitted by `emit` (a hexagon row is a compact interval with
+    /// constant bounds — §4.3.2's constraint-level unrolling), and a
+    /// barrier between time steps.
     fn emit_sweep(
         &self,
-        phase: Phase,
-        guarded: bool,
-        emit: &dyn Fn(Phase, i64, i64, bool) -> Vec<Stmt>,
-    ) -> Vec<Stmt> {
-        let mut out = Vec::new();
+        p: &PoolBuilder,
+        out: &mut Vec<Stmt>,
+        (phase, guarded): (Phase, bool),
+        emit: fn(&Self, &PoolBuilder, &mut Vec<Stmt>, Point),
+    ) {
         for a in 0..self.height() {
             let Some((blo, bhi)) = self.rows[a as usize] else {
                 continue;
             };
-            // The hexagon row is a compact interval; unroll or loop.
-            if self.opts.unroll || self.n == 1 {
-                for b in blo..=bhi {
-                    out.extend(emit(phase, a, b, guarded));
-                }
-            } else {
-                // Non-unrolled rows still resolve to constant bounds; emit
-                // a loop over b via repeated emission under a loop var is
-                // not possible with constant-b point bodies, so unrolling
-                // is the only mode for row iteration (mirroring §4.3.2's
-                // constraint-level unrolling).
-                for b in blo..=bhi {
-                    out.extend(emit(phase, a, b, guarded));
-                }
+            for b in blo..=bhi {
+                emit(self, p, out, (phase, a, b, guarded));
             }
             out.push(Stmt::Sync);
         }
+    }
+
+    /// `lin` decomposed into local coordinates, row-major over `region`:
+    /// `local_d = (lin / prod(region[d+1..])) mod region[d]`.
+    fn locals(&self, p: &PoolBuilder, lin: IExprId, region: &[i64]) -> [IExprId; 3] {
+        let mut locals = [lin; 3];
+        for d in 0..self.n {
+            let tail: i64 = region[d + 1..].iter().product();
+            let coord = if tail == 1 { lin } else { p.fdiv(lin, tail) };
+            locals[d] = p.modulo(coord, region[d]);
+        }
+        locals
+    }
+
+    /// The chunk loop of a cooperative copy over `cells` cells, for every
+    /// time plane: each thread of the block takes one cell per iteration,
+    /// and `chunk(plane, lin)` gives the statements for the cell `lin`,
+    /// guarded by `lin < cells`. A barrier follows.
+    fn emit_chunks(
+        &self,
+        p: &PoolBuilder,
+        cells: i64,
+        chunk: impl Fn(i64, IExprId, CondId) -> Vec<Stmt>,
+    ) -> Vec<Stmt> {
+        let nthreads = self.block_dim().iter().product::<usize>() as i64;
+        let v_c = V_CLS0 + self.n; // chunk loop var
+        let v_lin = v_c + 1;
+        let mut out = Vec::new();
+        for plane in 0..self.planes {
+            let value = p.add(p.scale(p.var(v_c), nthreads), self.tid_linear(p));
+            let lin = p.var(v_lin);
+            let mut body = vec![Stmt::SetVar { var: v_lin, value }];
+            body.extend(chunk(plane, lin, p.cond(Cond::Lt(lin, p.lit(cells)))));
+            out.push(Stmt::For {
+                var: v_c,
+                lo: p.lit(0),
+                hi: p.lit((cells + nthreads - 1).div_euclid(nthreads)),
+                step: 1,
+                body,
+            });
+        }
+        out.push(Stmt::Sync);
         out
     }
 
     /// Copy-in of a box region (all planes) from global to shared.
     /// `slab_only` restricts to the advancing window along the innermost
     /// classical dimension (inter-tile reuse).
-    fn emit_copyin(&self, slab_only: bool) -> Vec<Stmt> {
-        let mut out = Vec::new();
-        let nthreads = {
-            let bd = self.block_dim();
-            (bd[0] * bd[1] * bd[2]) as i64
-        };
+    fn emit_copyin(&self, p: &PoolBuilder, slab_only: bool) -> Vec<Stmt> {
         // Extents of the copied region per dimension (hexagon dim first).
         let mut region: Vec<i64> = self.ext.clone();
         let inner = self.n - 1;
@@ -774,101 +767,72 @@ impl<'a> HybridGeometry<'a> {
             region[inner] = self.schedule.classical()[inner - 1].width;
         }
         let cells: i64 = region.iter().product();
-        let v_c = V_CLS0 + self.n; // chunk loop var
-        let v_lin = v_c + 1;
-        for plane in 0..self.planes {
-            let mut chunk_body = vec![Stmt::SetVar {
-                var: v_lin,
-                value: IExpr::Var(v_c).scale(nthreads).add(self.tid_linear()),
-            }];
-            // Decompose v_lin into local coordinates (row-major over
-            // `region`): local_d = (lin / prod(region[d+1..])) mod region[d].
-            let mut locals: Vec<IExpr> = Vec::new();
-            for d in 0..self.n {
-                let tail: i64 = region[d + 1..].iter().product();
-                let coord = if tail == 1 {
-                    IExpr::Var(v_lin)
-                } else {
-                    IExpr::Var(v_lin).fdiv(tail)
-                };
-                locals.push(coord.modulo(region[d]));
-            }
+        self.emit_chunks(p, cells, |plane, lin, in_range| {
+            let locals = self.locals(p, lin, &region);
             // Global coordinates.
-            let mut globals: Vec<IExpr> = Vec::new();
-            let g0 = IExpr::Var(V_S0BASE)
-                .offset(self.b_min - self.radius[0])
-                .add(locals[0].clone());
-            globals.push(g0);
-            for d in 1..self.n {
-                let cd = &self.schedule.classical()[d - 1];
-                let base = IExpr::Var(V_CLS0 + d - 1)
-                    .scale(cd.width)
-                    .offset(-self.pad_left[d]);
-                let local = if slab_only && d == inner {
-                    locals[d].clone().offset(self.ext[d] - region[d])
-                } else {
-                    locals[d].clone()
-                };
-                globals.push(base.add(local));
-            }
+            let corner = p.offset(p.var(V_S0BASE), self.b_min - self.radius[0]);
+            let mut globals = [p.add(corner, locals[0]); 3];
             // Shared indices: dense locals, except the innermost classical
             // dimension under static reuse, which is global-mod-extent.
-            let mut sidx: Vec<IExpr> = vec![IExpr::Const(plane)];
-            sidx.push(locals[0].clone());
+            let mut sidx = [p.lit(plane), locals[0], locals[0], locals[0]];
             for d in 1..self.n {
-                let s = if self.opts.smem == SmemStrategy::ReuseStatic && d == inner {
-                    globals[d].clone().modulo(self.ext[d])
-                } else if slab_only && d == inner {
-                    locals[d].clone().offset(self.ext[d] - region[d])
+                let base = p.offset(self.tile_base(p, d), -self.pad_left[d]);
+                let local = if slab_only && d == inner {
+                    p.offset(locals[d], self.ext[d] - region[d])
                 } else {
-                    locals[d].clone()
+                    locals[d]
                 };
-                sidx.push(s);
+                globals[d] = p.add(base, local);
+                sidx[d + 1] = if self.opts.smem == SmemStrategy::ReuseStatic && d == inner {
+                    p.modulo(globals[d], self.ext[d])
+                } else {
+                    local
+                };
             }
             // Guard: chunk in range and global coordinates inside the grid.
-            let mut guard = Cond::Lt(IExpr::Var(v_lin), IExpr::Const(cells));
-            for (d, g) in globals.iter().enumerate() {
-                guard = guard.and(Cond::between(
-                    g,
-                    IExpr::Const(0),
-                    IExpr::Const(self.dims[d] as i64 - 1),
-                ));
+            let mut guard = in_range;
+            for (d, &g) in globals[..self.n].iter().enumerate() {
+                let inside = p.between(g, p.lit(0), p.lit(self.dims[d] as i64 - 1));
+                guard = p.and(guard, inside);
             }
-            for field in 0..self.program.num_fields() {
-                let mut body = vec![Stmt::GlobalLoad {
-                    dst: 0,
-                    field,
-                    plane: IExpr::Const(plane),
-                    index: globals.clone(),
-                }];
-                let mut s = sidx.clone();
-                s[0] = IExpr::Const(plane);
-                body.push(Stmt::SharedStore {
-                    buf: field,
-                    index: s,
-                    src: FExpr::Reg(0),
-                });
-                chunk_body.push(Stmt::If {
-                    cond: guard.clone(),
-                    then_: body,
-                    else_: vec![],
-                });
-            }
-            out.push(Stmt::For {
-                var: v_c,
-                lo: IExpr::Const(0),
-                hi: IExpr::Const((cells + nthreads - 1).div_euclid(nthreads)),
-                step: 1,
-                body: chunk_body,
-            });
-        }
-        out.push(Stmt::Sync);
-        out
+            let (plane, index) = (p.lit(plane), p.indices(&globals[..self.n]));
+            let to = p.indices(&sidx[..self.n + 1]);
+            self.copies(p, guard, to, |field| Stmt::GlobalLoad {
+                dst: 0,
+                field,
+                plane,
+                index,
+            })
+        })
+    }
+
+    /// Per field, `if (guard) { r0 = load(field); shared[field][to] = r0; }`.
+    fn copies(
+        &self,
+        p: &PoolBuilder,
+        guard: CondId,
+        to: Indices,
+        load: impl Fn(usize) -> Stmt,
+    ) -> Vec<Stmt> {
+        let src = p.fexpr(FExpr::Reg(0));
+        let copy = |buf| Stmt::If {
+            cond: guard,
+            then_: vec![
+                load(buf),
+                Stmt::SharedStore {
+                    buf,
+                    index: to,
+                    src,
+                },
+            ],
+            else_: vec![],
+        };
+        (0..self.program.num_fields()).map(copy).collect()
     }
 
     /// The shared-to-shared move phase of dynamic reuse: shifts the
     /// overlap window left by `w_inner`.
-    fn emit_move(&self) -> Vec<Stmt> {
+    fn emit_move(&self, p: &PoolBuilder) -> Vec<Stmt> {
         let inner = self.n - 1;
         let w_inner = self.schedule.classical()[inner - 1].width;
         let mut region: Vec<i64> = self.ext.clone();
@@ -877,152 +841,91 @@ impl<'a> HybridGeometry<'a> {
         if cells <= 0 {
             return vec![];
         }
-        let nthreads = {
-            let bd = self.block_dim();
-            (bd[0] * bd[1] * bd[2]) as i64
-        };
-        let v_c = V_CLS0 + self.n;
-        let v_lin = v_c + 1;
-        let mut out = Vec::new();
-        for plane in 0..self.planes {
-            let mut chunk_body = vec![Stmt::SetVar {
-                var: v_lin,
-                value: IExpr::Var(v_c).scale(nthreads).add(self.tid_linear()),
-            }];
-            let mut locals: Vec<IExpr> = Vec::new();
-            for d in 0..self.n {
-                let tail: i64 = region[d + 1..].iter().product();
-                let coord = if tail == 1 {
-                    IExpr::Var(v_lin)
-                } else {
-                    IExpr::Var(v_lin).fdiv(tail)
-                };
-                locals.push(coord.modulo(region[d]));
-            }
-            let mut src_idx = vec![IExpr::Const(plane)];
-            let mut dst_idx = vec![IExpr::Const(plane)];
-            for (d, l) in locals.iter().enumerate() {
-                if d == inner {
-                    src_idx.push(l.clone().offset(w_inner));
-                    dst_idx.push(l.clone());
-                } else {
-                    src_idx.push(l.clone());
-                    dst_idx.push(l.clone());
-                }
-            }
-            let guard = Cond::Lt(IExpr::Var(v_lin), IExpr::Const(cells));
-            for field in 0..self.program.num_fields() {
-                chunk_body.push(Stmt::If {
-                    cond: guard.clone(),
-                    then_: vec![
-                        Stmt::SharedLoad {
-                            dst: 0,
-                            buf: field,
-                            index: src_idx.clone(),
-                        },
-                        Stmt::SharedStore {
-                            buf: field,
-                            index: dst_idx.clone(),
-                            src: FExpr::Reg(0),
-                        },
-                    ],
-                    else_: vec![],
-                });
-            }
-            out.push(Stmt::For {
-                var: v_c,
-                lo: IExpr::Const(0),
-                hi: IExpr::Const((cells + nthreads - 1).div_euclid(nthreads)),
-                step: 1,
-                body: chunk_body,
-            });
-        }
-        out.push(Stmt::Sync);
-        out
+        self.emit_chunks(p, cells, |plane, lin, guard| {
+            let locals = self.locals(p, lin, &region);
+            let mut to = vec![p.lit(plane)];
+            to.extend_from_slice(&locals[..self.n]);
+            let mut from = to.clone();
+            from[inner + 1] = p.offset(locals[inner], w_inner);
+            let (index, to) = (p.indices(&from), p.indices(&to));
+            self.copies(p, guard, to, |buf| Stmt::SharedLoad { dst: 0, buf, index })
+        })
     }
 
     /// The body of one classical tile iteration.
-    fn emit_tile_body(&self, phase: Phase) -> Vec<Stmt> {
+    fn emit_tile_body(&self, p: &PoolBuilder, phase: Phase) -> Vec<Stmt> {
         let mut body = Vec::new();
         if self.opts.smem.uses_shared() {
             if self.opts.smem.inter_tile_reuse() && self.n >= 2 {
-                let inner_var = V_CLS0 + self.n - 2;
                 let (lo, _) = self.cls_range(self.n - 1);
-                let first = Cond::Eq(IExpr::Var(inner_var), IExpr::Const(lo));
+                let first = p.cond(Cond::Eq(p.var(V_CLS0 + self.n - 2), p.lit(lo)));
                 let mut else_branch = Vec::new();
                 if self.opts.smem == SmemStrategy::ReuseDynamic {
-                    else_branch.extend(self.emit_move());
+                    else_branch.extend(self.emit_move(p));
                 }
-                else_branch.extend(self.emit_copyin(true));
+                else_branch.extend(self.emit_copyin(p, true));
                 body.push(Stmt::If {
                     cond: first,
-                    then_: self.emit_copyin(false),
+                    then_: self.emit_copyin(p, false),
                     else_: else_branch,
                 });
             } else {
-                body.extend(self.emit_copyin(false));
+                body.extend(self.emit_copyin(p, false));
             }
         }
-        let full = {
-            let mut v = self.emit_sweep(phase, false, &|p, a, b, g| self.emit_point(p, a, b, g));
+        let [full, partial] = [false, true].map(|guarded| {
+            let mut v = Vec::new();
+            self.emit_sweep(p, &mut v, (phase, guarded), Self::emit_point);
             if self.opts.smem == SmemStrategy::CopyInOut {
-                v.extend(self.emit_sweep(phase, false, &|p, a, b, g| {
-                    self.emit_copyout_point(p, a, b, g)
-                }));
+                self.emit_sweep(p, &mut v, (phase, guarded), Self::emit_copyout_point);
             }
             v
-        };
-        let partial = {
-            let mut v = self.emit_sweep(phase, true, &|p, a, b, g| self.emit_point(p, a, b, g));
-            if self.opts.smem == SmemStrategy::CopyInOut {
-                v.extend(self.emit_sweep(phase, true, &|p, a, b, g| {
-                    self.emit_copyout_point(p, a, b, g)
-                }));
-            }
-            v
-        };
+        });
         body.push(Stmt::If {
-            cond: self.full_cond(),
+            cond: self.full_cond(p),
             then_: full,
             else_: partial,
         });
         body
     }
 
-    /// Builds the kernel for one phase.
-    fn build_kernel(&self, phase: Phase) -> Kernel {
+    /// The body of the kernel for one phase.
+    fn kernel_body(&self, p: &PoolBuilder, phase: Phase) -> Vec<Stmt> {
+        let t = p.iexpr(IExpr::Param(P_T));
+        let s0 = p.sub(p.scale(p.var(V_S0), self.width()), p.scale(t, self.drift()));
+        let block = p.iexpr(IExpr::BlockIdx);
         let mut body = vec![
             Stmt::SetVar {
                 var: V_S0,
-                value: IExpr::BlockIdx.add(IExpr::Param(P_S0MIN)),
+                value: p.add(block, p.iexpr(IExpr::Param(P_S0MIN))),
             },
             Stmt::SetVar {
                 var: V_TAUBASE,
-                value: IExpr::Param(P_T)
-                    .scale(self.height())
-                    .offset(-self.t_off(phase)),
+                value: p.offset(p.scale(t, self.height()), -self.t_off(phase)),
             },
             Stmt::SetVar {
                 var: V_S0BASE,
-                value: IExpr::Var(V_S0)
-                    .scale(self.width())
-                    .sub(IExpr::Param(P_T).scale(self.drift()))
-                    .offset(-self.s_extra(phase)),
+                value: p.offset(s0, -self.s_extra(phase)),
             },
         ];
         // Nest classical tile loops around the tile body.
-        let mut inner = self.emit_tile_body(phase);
+        let mut inner = self.emit_tile_body(p, phase);
         for d in (1..self.n).rev() {
             let (lo, hi) = self.cls_range(d);
             inner = vec![Stmt::For {
                 var: V_CLS0 + d - 1,
-                lo: IExpr::Const(lo),
-                hi: IExpr::Const(hi + 1),
+                lo: p.lit(lo),
+                hi: p.lit(hi + 1),
                 step: 1,
                 body: inner,
             }];
         }
         body.extend(inner);
+        body
+    }
+
+    /// The kernel for one phase, its body's expressions in `pool`.
+    fn build_kernel(&self, phase: Phase, pool: &Arc<Pool>, body: Vec<Stmt>) -> Kernel {
         let max_loads = self
             .program
             .statements()
@@ -1044,6 +947,7 @@ impl<'a> HybridGeometry<'a> {
             n_vars: V_CLS0 + self.n + 2,
             n_regs: max_loads + 1,
             n_params: 2,
+            pool: Arc::clone(pool),
             body,
         }
     }
@@ -1069,8 +973,10 @@ impl<'a> HybridGeometry<'a> {
 
     /// The launch plan: one kernel per phase, launched per time tile.
     pub fn build_plan(&self) -> LaunchPlan {
-        let k0 = self.build_kernel(Phase::Zero);
-        let k1 = self.build_kernel(Phase::One);
+        let pool = PoolBuilder::default();
+        let bodies = [Phase::Zero, Phase::One].map(|phase| (phase, self.kernel_body(&pool, phase)));
+        let pool = Arc::new(pool.finish());
+        let kernels = bodies.map(|(phase, body)| self.build_kernel(phase, &pool, body));
         let mut launches = Vec::new();
         let (t0_min, t0_max) = self.t_range(Phase::Zero);
         let (t1_min, t1_max) = self.t_range(Phase::One);
@@ -1093,7 +999,7 @@ impl<'a> HybridGeometry<'a> {
             }
         }
         LaunchPlan {
-            kernels: vec![k0, k1],
+            kernels: kernels.into(),
             launches,
             description: format!(
                 "hybrid hexagonal/classical tiling of {} ({:?}, aligned={}, h={}, w={:?})",

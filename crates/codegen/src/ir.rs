@@ -6,6 +6,30 @@
 //! * Integer (address/index) expressions [`IExpr`] and `f32` value
 //!   expressions [`FExpr`] are separate types — addresses never depend on
 //!   floating-point data, exactly as in the generated CUDA.
+//! * Expressions live in one [`Pool`] per plan. A node names its operands
+//!   by id ([`IExprId`], [`CondId`], [`FExprId`]), and the
+//!   [`PoolBuilder`] that makes the pool hash-conses on insert: a node
+//!   structurally equal to one already there gets that node's id back, so
+//!   **structural equality is id equality** and a subtree the generator
+//!   builds many times (a time plane, a row's global column) is stored
+//!   once. Ids are dense and a node's operands always have smaller ids
+//!   than the node, so a consumer can keep a fact per node in an array
+//!   indexed by id and fill it in one pass.
+//! * The builder's smart constructors fold as they build, the same for
+//!   every consumer: [`PoolBuilder::add`] folds two constants, drops a
+//!   `+ 0` and normalizes `(e + c1) + c2` to `e + (c1 + c2)`;
+//!   [`PoolBuilder::sub`] of a constant is an offset;
+//!   [`PoolBuilder::scale`] folds `·0`, `·1` and constants;
+//!   [`PoolBuilder::offset`], [`PoolBuilder::modulo`] and
+//!   [`PoolBuilder::fdiv`] fold constants; [`PoolBuilder::and`] drops a
+//!   `true` operand. [`PoolBuilder::iexpr`], [`PoolBuilder::cond`] and
+//!   [`PoolBuilder::fexpr`] intern a node as given.
+//! * A [`LaunchPlan`]'s kernels share its pool: each [`Kernel`] holds an
+//!   `Arc` of it, and the statements ([`Stmt`]) keep their tree shape but
+//!   hold ids. The generator builds into a [`PoolBuilder`] and hands the
+//!   [`PoolBuilder::finish`]ed pool to the kernels, read-only from then
+//!   on; dropping a plan drops a few `Vec`s. Memory statements name their
+//!   index list by an [`Indices`] span of the pool.
 //! * Global memory is addressed as `(field, plane, spatial index)`: each
 //!   stencil field is a ring of `max_dt + 1` time planes (the
 //!   generalization of the `A[(t+1)%2]` double buffer of Fig. 1).
@@ -15,16 +39,69 @@
 //!   simulator masks and counts — mirroring the paper's divergence
 //!   argument.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Index;
+use std::sync::Arc;
 
 /// Index of an integer scalar slot (loop variables, precomputed bases).
 pub type VarId = usize;
 /// Index of an `f32` register slot.
 pub type RegId = usize;
 
+/// A node kind of the [`Pool`]: its id type `$Id`, how a pool reads one
+/// (`pool[id]`) and how a [`PoolBuilder`] interns one as given
+/// (`builder.$intern(node)`).
+macro_rules! node_kind {
+    ($(#[$doc:meta])* $Id:ident => $Node:ident in $nodes:ident, $ids:ident, $intern:ident) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+        pub struct $Id(u32);
+
+        impl $Id {
+            /// The node's position in its pool: dense from 0, and larger
+            /// than the positions of its operands.
+            pub fn index(self) -> usize {
+                self.0 as usize
+            }
+        }
+
+        impl Index<$Id> for Pool {
+            type Output = $Node;
+
+            fn index(&self, id: $Id) -> &$Node {
+                &self.$nodes[id.index()]
+            }
+        }
+
+        impl PoolBuilder {
+            /// Interns the node as given.
+            pub fn $intern(&self, node: $Node) -> $Id {
+                let b = &mut *self.0.borrow_mut();
+                $Id(intern(&mut b.pool.$nodes, &mut b.$ids, node))
+            }
+        }
+    };
+}
+
+node_kind!(
+    /// An integer expression of a [`Pool`].
+    IExprId => IExpr in iexprs, iexpr_ids, iexpr
+);
+node_kind!(
+    /// A condition of a [`Pool`].
+    CondId => Cond in conds, cond_ids, cond
+);
+node_kind!(
+    /// An `f32` expression of a [`Pool`].
+    FExprId => FExpr in fexprs, fexpr_ids, fexpr
+);
+
 /// Integer expression over scalars, thread/block identifiers and launch
 /// parameters.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum IExpr {
     /// Integer literal.
     Const(i64),
@@ -37,151 +114,309 @@ pub enum IExpr {
     /// One-dimensional block index within the launch.
     BlockIdx,
     /// Sum.
-    Add(Box<IExpr>, Box<IExpr>),
+    Add(IExprId, IExprId),
     /// Difference.
-    Sub(Box<IExpr>, Box<IExpr>),
+    Sub(IExprId, IExprId),
     /// Product.
-    Mul(Box<IExpr>, Box<IExpr>),
+    Mul(IExprId, IExprId),
     /// Floor division by a positive constant.
-    FloorDiv(Box<IExpr>, i64),
+    FloorDiv(IExprId, i64),
     /// Euclidean remainder by a positive constant.
-    Mod(Box<IExpr>, i64),
+    Mod(IExprId, i64),
     /// Minimum.
-    Min(Box<IExpr>, Box<IExpr>),
+    Min(IExprId, IExprId),
     /// Maximum.
-    Max(Box<IExpr>, Box<IExpr>),
-}
-
-impl IExpr {
-    /// Convenience: `self + other`, folding constants so that equal
-    /// addresses have equal syntax (the pseudo-PTX emitter uses syntactic
-    /// equality for its register-reuse CSE).
-    // Deliberately a by-value builder, not `std::ops::Add`: the operands
-    // are consumed and the result is a folded tree, not field-wise addition.
-    #[allow(clippy::should_implement_trait)]
-    pub fn add(self, other: IExpr) -> IExpr {
-        match (self, other) {
-            (IExpr::Const(a), IExpr::Const(b)) => IExpr::Const(a + b),
-            (IExpr::Const(0), e) | (e, IExpr::Const(0)) => e,
-            // Normalize (e + c1) + c2 -> e + (c1 + c2).
-            (IExpr::Add(a, b), IExpr::Const(c)) => {
-                if let IExpr::Const(b) = *b {
-                    IExpr::Add(a, Box::new(IExpr::Const(b + c)))
-                } else {
-                    IExpr::Add(Box::new(IExpr::Add(a, b)), Box::new(IExpr::Const(c)))
-                }
-            }
-            (a, b) => IExpr::Add(Box::new(a), Box::new(b)),
-        }
-    }
-
-    /// Convenience: `self - other` (constant-folding).
-    #[allow(clippy::should_implement_trait)]
-    pub fn sub(self, other: IExpr) -> IExpr {
-        match (self, other) {
-            (a, IExpr::Const(c)) => a.offset(-c),
-            (a, b) => IExpr::Sub(Box::new(a), Box::new(b)),
-        }
-    }
-
-    /// Convenience: `self * k` (constant-folding).
-    pub fn scale(self, k: i64) -> IExpr {
-        match (self, k) {
-            (_, 0) => IExpr::Const(0),
-            (e, 1) => e,
-            (IExpr::Const(c), k) => IExpr::Const(c * k),
-            (e, k) => IExpr::Mul(Box::new(e), Box::new(IExpr::Const(k))),
-        }
-    }
-
-    /// Convenience: `self + k` (constant-folding).
-    pub fn offset(self, k: i64) -> IExpr {
-        if k == 0 {
-            self
-        } else {
-            self.add(IExpr::Const(k))
-        }
-    }
-
-    /// Convenience: euclidean `self mod k` (constant-folding).
-    pub fn modulo(self, k: i64) -> IExpr {
-        match self {
-            IExpr::Const(c) => IExpr::Const(c.rem_euclid(k)),
-            e => IExpr::Mod(Box::new(e), k),
-        }
-    }
-
-    /// Convenience: `floor(self / k)` (constant-folding).
-    pub fn fdiv(self, k: i64) -> IExpr {
-        match self {
-            IExpr::Const(c) => IExpr::Const(c.div_euclid(k)),
-            e => IExpr::FloorDiv(Box::new(e), k),
-        }
-    }
+    Max(IExprId, IExprId),
 }
 
 /// Boolean condition over integer expressions.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Cond {
     /// Always true.
     True,
     /// `a <= b`.
-    Le(IExpr, IExpr),
+    Le(IExprId, IExprId),
     /// `a < b`.
-    Lt(IExpr, IExpr),
+    Lt(IExprId, IExprId),
     /// `a == b`.
-    Eq(IExpr, IExpr),
+    Eq(IExprId, IExprId),
     /// Conjunction.
-    And(Box<Cond>, Box<Cond>),
+    And(CondId, CondId),
     /// Disjunction.
-    Or(Box<Cond>, Box<Cond>),
+    Or(CondId, CondId),
     /// Negation.
-    Not(Box<Cond>),
+    Not(CondId),
 }
 
-impl Cond {
-    /// Conjunction helper.
-    pub fn and(self, other: Cond) -> Cond {
-        match (self, other) {
-            (Cond::True, c) | (c, Cond::True) => c,
-            (a, b) => Cond::And(Box::new(a), Box::new(b)),
-        }
-    }
-
-    /// `lo <= e <= hi` (inclusive).
-    pub fn between(e: &IExpr, lo: IExpr, hi: IExpr) -> Cond {
-        Cond::Le(lo, e.clone()).and(Cond::Le(e.clone(), hi))
-    }
-}
-
-/// `f32` value expression over registers and literals.
-#[derive(Clone, PartialEq, Debug)]
+/// `f32` value expression over registers and literals. Two literals are
+/// the same node when their bits are equal.
+#[derive(Clone, Copy, Debug)]
 pub enum FExpr {
     /// Register read.
     Reg(RegId),
     /// `f32` literal.
     Const(f32),
     /// Addition.
-    Add(Box<FExpr>, Box<FExpr>),
+    Add(FExprId, FExprId),
     /// Subtraction.
-    Sub(Box<FExpr>, Box<FExpr>),
+    Sub(FExprId, FExprId),
     /// Multiplication.
-    Mul(Box<FExpr>, Box<FExpr>),
+    Mul(FExprId, FExprId),
     /// Square root.
-    Sqrt(Box<FExpr>),
+    Sqrt(FExprId),
 }
 
 impl FExpr {
-    /// Number of arithmetic operations (`sqrt` counts 1 instruction; FLOP
-    /// accounting weights it separately).
-    pub fn op_count(&self) -> u64 {
-        match self {
+    /// The node as plain integers: its kind and its operands, a literal by
+    /// its bits.
+    fn key(&self) -> (u8, u64, u32) {
+        match *self {
+            FExpr::Reg(r) => (0, r as u64, 0),
+            FExpr::Const(c) => (1, c.to_bits() as u64, 0),
+            FExpr::Add(a, b) => (2, a.0 as u64, b.0),
+            FExpr::Sub(a, b) => (3, a.0 as u64, b.0),
+            FExpr::Mul(a, b) => (4, a.0 as u64, b.0),
+            FExpr::Sqrt(a) => (5, a.0 as u64, 0),
+        }
+    }
+}
+
+impl PartialEq for FExpr {
+    fn eq(&self, other: &FExpr) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for FExpr {}
+
+impl Hash for FExpr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
+/// A memory statement's index list: a span of the pool's index storage
+/// (see [`PoolBuilder::indices`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Indices {
+    start: u32,
+    len: u32,
+}
+
+/// One multiply-rotate round per word under a fixed key: the hasher of
+/// the pool's tables and of `gpusim`'s value numbers. Those tables are
+/// keyed by the compiler's own nodes and operands, never by outside input,
+/// so SipHash's resistance to crafted collisions buys nothing.
+#[derive(Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let mixed = self.0.rotate_left(5) ^ u64::from_ne_bytes(word);
+            self.0 = mixed.wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+}
+
+/// The id of `node` among `nodes`, which it joins if `ids` does not know it.
+fn intern<T: Copy + Eq + Hash>(nodes: &mut Vec<T>, ids: &mut Ids<T>, node: T) -> u32 {
+    *ids.entry(node).or_insert_with(|| {
+        nodes.push(node);
+        (nodes.len() - 1) as u32
+    })
+}
+
+/// The id of each node of one kind.
+type Ids<T> = HashMap<T, u32, BuildHasherDefault<IdHasher>>;
+
+/// The hash-consed expressions of one plan, and the index lists of its
+/// memory statements: read-only, made by a [`PoolBuilder`] (see the module
+/// docs).
+#[derive(Clone, Default, Debug)]
+pub struct Pool {
+    iexprs: Vec<IExpr>,
+    conds: Vec<Cond>,
+    fexprs: Vec<FExpr>,
+    indices: Vec<IExprId>,
+}
+
+impl Index<Indices> for Pool {
+    type Output = [IExprId];
+
+    fn index(&self, span: Indices) -> &[IExprId] {
+        &self.indices[span.start as usize..][..span.len as usize]
+    }
+}
+
+impl Pool {
+    /// Every integer expression, by id.
+    pub fn iexprs(&self) -> &[IExpr] {
+        &self.iexprs
+    }
+
+    /// Every condition, by id.
+    pub fn conds(&self) -> &[Cond] {
+        &self.conds
+    }
+
+    /// Number of arithmetic operations of `e` (`sqrt` counts 1
+    /// instruction; FLOP accounting weights it separately).
+    pub fn op_count(&self, e: FExprId) -> u64 {
+        match self[e] {
             FExpr::Reg(_) | FExpr::Const(_) => 0,
             FExpr::Add(a, b) | FExpr::Sub(a, b) | FExpr::Mul(a, b) => {
-                1 + a.op_count() + b.op_count()
+                1 + self.op_count(a) + self.op_count(b)
             }
-            FExpr::Sqrt(a) => 1 + a.op_count(),
+            FExpr::Sqrt(a) => 1 + self.op_count(a),
         }
+    }
+}
+
+/// A pool being built, with the id of every node it holds, so that a node
+/// structurally equal to one already there gets that one's id. Its methods
+/// take `&self`, so calls nest: `p.add(p.var(0), p.lit(1))`.
+#[derive(Clone, Default, Debug)]
+pub struct PoolBuilder(RefCell<Building>);
+
+#[derive(Clone, Default, Debug)]
+struct Building {
+    pool: Pool,
+    iexpr_ids: Ids<IExpr>,
+    cond_ids: Ids<Cond>,
+    fexpr_ids: Ids<FExpr>,
+    memo: Ids<(u8, [i64; 3])>,
+}
+
+impl PoolBuilder {
+    /// The pool built so far; the id tables are dropped.
+    pub fn finish(self) -> Pool {
+        self.0.into_inner().pool
+    }
+
+    /// Stores an index list.
+    pub fn indices(&self, ids: &[IExprId]) -> Indices {
+        let indices = &mut self.0.borrow_mut().pool.indices;
+        indices.extend_from_slice(ids);
+        let len = ids.len() as u32;
+        Indices {
+            start: indices.len() as u32 - len,
+            len,
+        }
+    }
+
+    /// `make()`, or what it returned when `key` was asked for before: a
+    /// generator that builds one compound expression many times names it
+    /// by a key of its own, and pays one lookup instead of one per node.
+    pub fn memo(&self, key: (u8, [i64; 3]), make: impl FnOnce() -> IExprId) -> IExprId {
+        if let Some(&id) = self.0.borrow().memo.get(&key) {
+            return IExprId(id);
+        }
+        let id = make();
+        self.0.borrow_mut().memo.insert(key, id.0);
+        id
+    }
+
+    /// The literal `k`.
+    pub fn lit(&self, k: i64) -> IExprId {
+        self.iexpr(IExpr::Const(k))
+    }
+
+    /// Scalar variable `v`.
+    pub fn var(&self, v: VarId) -> IExprId {
+        self.iexpr(IExpr::Var(v))
+    }
+
+    fn node(&self, e: IExprId) -> IExpr {
+        self.0.borrow().pool[e]
+    }
+
+    /// The value of `e` when it is a literal.
+    fn constant(&self, e: IExprId) -> Option<i64> {
+        match self.node(e) {
+            IExpr::Const(c) => Some(c),
+            _ => None,
+        }
+    }
+
+    /// `a + b`, folding constants so that equal addresses have equal ids
+    /// (the pseudo-PTX emitter reuses a register per address).
+    pub fn add(&self, a: IExprId, b: IExprId) -> IExprId {
+        match (self.node(a), self.constant(b)) {
+            (IExpr::Const(x), Some(y)) => self.lit(x + y),
+            (IExpr::Const(0), None) => b,
+            (_, Some(0)) => a,
+            // Normalize (e + c1) + c2 -> e + (c1 + c2).
+            (IExpr::Add(e, c1), Some(c2)) => match self.constant(c1) {
+                Some(c1) => self.iexpr(IExpr::Add(e, self.lit(c1 + c2))),
+                None => self.iexpr(IExpr::Add(a, b)),
+            },
+            _ => self.iexpr(IExpr::Add(a, b)),
+        }
+    }
+
+    /// `a - b`, an offset when `b` is a literal.
+    pub fn sub(&self, a: IExprId, b: IExprId) -> IExprId {
+        match self.constant(b) {
+            Some(c) => self.offset(a, -c),
+            None => self.iexpr(IExpr::Sub(a, b)),
+        }
+    }
+
+    /// `e · k` (constant-folding).
+    pub fn scale(&self, e: IExprId, k: i64) -> IExprId {
+        match (self.constant(e), k) {
+            (_, 0) => self.lit(0),
+            (_, 1) => e,
+            (Some(c), k) => self.lit(c * k),
+            (None, k) => self.iexpr(IExpr::Mul(e, self.lit(k))),
+        }
+    }
+
+    /// `e + k` (constant-folding).
+    pub fn offset(&self, e: IExprId, k: i64) -> IExprId {
+        if k == 0 {
+            e
+        } else {
+            self.add(e, self.lit(k))
+        }
+    }
+
+    /// Euclidean `e mod k` (constant-folding).
+    pub fn modulo(&self, e: IExprId, k: i64) -> IExprId {
+        match self.constant(e) {
+            Some(c) => self.lit(c.rem_euclid(k)),
+            None => self.iexpr(IExpr::Mod(e, k)),
+        }
+    }
+
+    /// `floor(e / k)` (constant-folding).
+    pub fn fdiv(&self, e: IExprId, k: i64) -> IExprId {
+        match self.constant(e) {
+            Some(c) => self.lit(c.div_euclid(k)),
+            None => self.iexpr(IExpr::FloorDiv(e, k)),
+        }
+    }
+
+    /// `a && b`, dropping a `true` operand.
+    pub fn and(&self, a: CondId, b: CondId) -> CondId {
+        let pool = |c| self.0.borrow().pool[c];
+        match (pool(a), pool(b)) {
+            (Cond::True, _) => b,
+            (_, Cond::True) => a,
+            _ => self.cond(Cond::And(a, b)),
+        }
+    }
+
+    /// `lo <= e <= hi` (inclusive).
+    pub fn between(&self, e: IExprId, lo: IExprId, hi: IExprId) -> CondId {
+        self.and(self.cond(Cond::Le(lo, e)), self.cond(Cond::Le(e, hi)))
     }
 }
 
@@ -193,16 +428,16 @@ pub enum Stmt {
         /// Destination scalar.
         var: VarId,
         /// Value.
-        value: IExpr,
+        value: IExprId,
     },
     /// `for (var = lo; var < hi; var += step)` with uniform bounds.
     For {
         /// Loop variable.
         var: VarId,
         /// Inclusive lower bound.
-        lo: IExpr,
+        lo: IExprId,
         /// Exclusive upper bound.
-        hi: IExpr,
+        hi: IExprId,
         /// Positive step.
         step: i64,
         /// Loop body.
@@ -211,7 +446,7 @@ pub enum Stmt {
     /// Conditional; lane-dependent conditions cause (counted) divergence.
     If {
         /// Guard condition.
-        cond: Cond,
+        cond: CondId,
         /// Taken branch.
         then_: Vec<Stmt>,
         /// Else branch (often empty).
@@ -224,20 +459,20 @@ pub enum Stmt {
         /// Field identifier.
         field: usize,
         /// Time-plane ring index.
-        plane: IExpr,
+        plane: IExprId,
         /// Spatial index per dimension.
-        index: Vec<IExpr>,
+        index: Indices,
     },
     /// `global[field][plane][index...] = src`.
     GlobalStore {
         /// Field identifier.
         field: usize,
         /// Time-plane ring index.
-        plane: IExpr,
+        plane: IExprId,
         /// Spatial index per dimension.
-        index: Vec<IExpr>,
+        index: Indices,
         /// Stored value.
-        src: FExpr,
+        src: FExprId,
     },
     /// `dst = shared[buf][index...]`.
     SharedLoad {
@@ -246,23 +481,23 @@ pub enum Stmt {
         /// Shared buffer id.
         buf: usize,
         /// Index per buffer dimension.
-        index: Vec<IExpr>,
+        index: Indices,
     },
     /// `shared[buf][index...] = src`.
     SharedStore {
         /// Shared buffer id.
         buf: usize,
         /// Index per buffer dimension.
-        index: Vec<IExpr>,
+        index: Indices,
         /// Stored value.
-        src: FExpr,
+        src: FExprId,
     },
     /// Pure arithmetic: `dst = expr`.
     Compute {
         /// Destination register.
         dst: RegId,
         /// Value expression.
-        expr: FExpr,
+        expr: FExprId,
     },
     /// `__syncthreads()`.
     Sync,
@@ -295,8 +530,8 @@ impl SharedBuf {
 }
 
 /// A complete kernel: block shape, shared buffers, register/scalar counts
-/// and the body.
-#[derive(Clone, PartialEq, Debug)]
+/// and the body, whose expressions live in `pool`.
+#[derive(Clone, Debug)]
 pub struct Kernel {
     /// Kernel name.
     pub name: String,
@@ -310,6 +545,8 @@ pub struct Kernel {
     pub n_regs: usize,
     /// Number of per-launch parameters.
     pub n_params: usize,
+    /// The expression pool of the plan the kernel belongs to.
+    pub pool: Arc<Pool>,
     /// Kernel body.
     pub body: Vec<Stmt>,
 }
@@ -326,6 +563,21 @@ impl Kernel {
     }
 }
 
+/// Calls `f` on every statement of `stmts`, a nested one after its parent.
+pub fn visit<'s>(stmts: &'s [Stmt], f: &mut impl FnMut(&'s Stmt)) {
+    for s in stmts {
+        f(s);
+        match s {
+            Stmt::For { body, .. } => visit(body, f),
+            Stmt::If { then_, else_, .. } => {
+                visit(then_, f);
+                visit(else_, f);
+            }
+            _ => {}
+        }
+    }
+}
+
 /// One kernel launch: the kernel, per-launch parameter values, and the
 /// number of blocks (block `i` sees `BlockIdx = i`).
 #[derive(Clone, Debug)]
@@ -339,7 +591,8 @@ pub struct Launch {
 }
 
 /// A full program execution plan: kernels plus the host-side launch
-/// sequence (the `T`/phase loop of §4.1 lives here).
+/// sequence (the `T`/phase loop of §4.1 lives here). The kernels share one
+/// expression [`Pool`].
 #[derive(Clone, Debug)]
 pub struct LaunchPlan {
     /// The kernels referenced by the launches.
@@ -369,27 +622,37 @@ mod tests {
 
     #[test]
     fn iexpr_builders_compose() {
-        let e = IExpr::ThreadIdx(0).add(IExpr::BlockIdx.scale(32)).offset(4);
-        // Structure check via Debug formatting.
-        let s = format!("{e:?}");
-        assert!(s.contains("ThreadIdx"));
-        assert!(s.contains("BlockIdx"));
+        let p = PoolBuilder::default();
+        let (tx, bx) = (p.iexpr(IExpr::ThreadIdx(0)), p.iexpr(IExpr::BlockIdx));
+        let scaled = p.scale(bx, 32);
+        let e = p.offset(p.add(tx, scaled), 4);
+        let k = p.lit(32);
+        // Structure check: (tx + bx·32) + 4.
+        let p = p.finish();
+        let IExpr::Add(inner, four) = p[e] else {
+            panic!("{:?}", p[e]);
+        };
+        assert_eq!(
+            (p[inner], p[four]),
+            (IExpr::Add(tx, scaled), IExpr::Const(4))
+        );
+        assert_eq!(p[scaled], IExpr::Mul(bx, k));
     }
 
     #[test]
     fn fexpr_op_count() {
         // (a + b) * c has 2 ops.
-        let e = FExpr::Mul(
-            Box::new(FExpr::Add(Box::new(FExpr::Reg(0)), Box::new(FExpr::Reg(1)))),
-            Box::new(FExpr::Reg(2)),
-        );
-        assert_eq!(e.op_count(), 2);
+        let p = PoolBuilder::default();
+        let [a, b, c] = [0, 1, 2].map(|r| p.fexpr(FExpr::Reg(r)));
+        let e = p.fexpr(FExpr::Mul(p.fexpr(FExpr::Add(a, b)), c));
+        assert_eq!(p.finish().op_count(e), 2);
     }
 
     #[test]
     fn cond_between_builds_conjunction() {
-        let c = Cond::between(&IExpr::Var(0), IExpr::Const(0), IExpr::Const(9));
-        assert!(matches!(c, Cond::And(_, _)));
+        let p = PoolBuilder::default();
+        let c = p.between(p.var(0), p.lit(0), p.lit(9));
+        assert!(matches!(p.finish()[c], Cond::And(_, _)));
     }
 
     #[test]
@@ -414,6 +677,7 @@ mod tests {
             n_vars: 2,
             n_regs: 4,
             n_params: 1,
+            pool: Arc::default(),
             body: vec![],
         };
         assert_eq!(k.threads_per_block(), 128);

@@ -8,7 +8,7 @@
 //! no branches, few loads per compute instruction, and register reuse for
 //! values live across unrolled points.
 
-use crate::ir::{FExpr, IExpr, Kernel, Stmt};
+use crate::ir::{FExpr, FExprId, IExprId, Indices, Kernel, Pool, Stmt};
 use std::collections::HashMap;
 use std::fmt::Write;
 
@@ -16,42 +16,40 @@ use std::fmt::Write;
 /// shared address expressions, so values reused across unrolled points
 /// stay in registers (the paper: "2 out of the 5 values in flight are
 /// being reused in registers").
-struct PtxEmitter {
+struct PtxEmitter<'p> {
+    pool: &'p Pool,
     out: String,
     next_reg: u32,
-    /// Map from shared-address key to the register holding its value.
-    loaded: HashMap<String, u32>,
+    /// Map from shared address — the buffer and the ids of its index
+    /// expressions — to the register holding its value.
+    loaded: HashMap<(usize, &'p [IExprId]), u32>,
     loads: u64,
     stores: u64,
     arith: u64,
 }
 
-fn addr_key(buf: usize, index: &[IExpr]) -> String {
-    format!("{buf}:{index:?}")
-}
-
 /// Symbolic byte offset rendered for the address operand.
-fn addr_display(index: &[IExpr]) -> String {
+fn addr_display(pool: &Pool, index: Indices) -> String {
     let mut out = String::from("[");
-    for (i, e) in index.iter().enumerate() {
+    for (i, &e) in pool[index].iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        crate::c_like::write_iexpr(&mut out, e);
+        crate::c_like::write_iexpr(&mut out, pool, e);
     }
     out.push(']');
     out
 }
 
-impl PtxEmitter {
+impl PtxEmitter<'_> {
     fn fresh(&mut self) -> u32 {
         self.next_reg += 1;
         self.next_reg
     }
 
-    fn emit_fexpr(&mut self, e: &FExpr, regs: &HashMap<usize, u32>) -> u32 {
-        match e {
-            FExpr::Reg(r) => *regs.get(r).unwrap_or(&0),
+    fn emit_fexpr(&mut self, e: FExprId, regs: &HashMap<usize, u32>) -> u32 {
+        match self.pool[e] {
+            FExpr::Reg(r) => *regs.get(&r).unwrap_or(&0),
             FExpr::Const(c) => {
                 let d = self.fresh();
                 let _ = writeln!(self.out, "mov.f32    %f{d}, 0f{:08X};", c.to_bits());
@@ -70,7 +68,7 @@ impl PtxEmitter {
         }
     }
 
-    fn bin(&mut self, op: &str, a: &FExpr, b: &FExpr, regs: &HashMap<usize, u32>) -> u32 {
+    fn bin(&mut self, op: &str, a: FExprId, b: FExprId, regs: &HashMap<usize, u32>) -> u32 {
         let x = self.emit_fexpr(a, regs);
         let y = self.emit_fexpr(b, regs);
         let d = self.fresh();
@@ -83,14 +81,18 @@ impl PtxEmitter {
         for s in stmts {
             match s {
                 Stmt::SharedLoad { dst, buf, index } => {
-                    let key = addr_key(*buf, index);
+                    let key = (*buf, &self.pool[*index]);
                     if let Some(&r) = self.loaded.get(&key) {
                         // Register reuse across unrolled points: no load.
                         regs.insert(*dst, r);
                     } else {
                         let r = self.fresh();
                         self.loads += 1;
-                        let _ = writeln!(self.out, "ld.shared.f32 %f{r}, {};", addr_display(index));
+                        let _ = writeln!(
+                            self.out,
+                            "ld.shared.f32 %f{r}, {};",
+                            addr_display(self.pool, *index)
+                        );
                         self.loaded.insert(key, r);
                         regs.insert(*dst, r);
                     }
@@ -98,24 +100,36 @@ impl PtxEmitter {
                 Stmt::GlobalLoad { dst, index, .. } => {
                     let r = self.fresh();
                     self.loads += 1;
-                    let _ = writeln!(self.out, "ld.global.f32 %f{r}, {};", addr_display(index));
+                    let _ = writeln!(
+                        self.out,
+                        "ld.global.f32 %f{r}, {};",
+                        addr_display(self.pool, *index)
+                    );
                     regs.insert(*dst, r);
                 }
                 Stmt::Compute { dst, expr } => {
-                    let r = self.emit_fexpr(expr, regs);
+                    let r = self.emit_fexpr(*expr, regs);
                     regs.insert(*dst, r);
                 }
                 Stmt::SharedStore { buf, index, src } => {
-                    let r = self.emit_fexpr(src, regs);
+                    let r = self.emit_fexpr(*src, regs);
                     self.stores += 1;
-                    let _ = writeln!(self.out, "st.shared.f32 {}, %f{r};", addr_display(index));
+                    let _ = writeln!(
+                        self.out,
+                        "st.shared.f32 {}, %f{r};",
+                        addr_display(self.pool, *index)
+                    );
                     // The stored value now lives at this address.
-                    self.loaded.insert(addr_key(*buf, index), r);
+                    self.loaded.insert((*buf, &self.pool[*index]), r);
                 }
                 Stmt::GlobalStore { index, src, .. } => {
-                    let r = self.emit_fexpr(src, regs);
+                    let r = self.emit_fexpr(*src, regs);
                     self.stores += 1;
-                    let _ = writeln!(self.out, "st.global.f32 {}, %f{r};", addr_display(index));
+                    let _ = writeln!(
+                        self.out,
+                        "st.global.f32 {}, %f{r};",
+                        addr_display(self.pool, *index)
+                    );
                 }
                 // Core-tile emission covers straight-line point code only.
                 Stmt::Sync | Stmt::SetVar { .. } => {}
@@ -195,6 +209,7 @@ pub fn core_tile_ptx(kernel: &Kernel, max_points: usize) -> (String, PtxStats) {
         }
     }
     let mut em = PtxEmitter {
+        pool: &kernel.pool,
         out: String::new(),
         next_reg: 300,
         loaded: HashMap::new(),

@@ -17,12 +17,13 @@
 //!   serves any grid extent;
 //! * per-launch parameters arrive through a uniform `Params` struct.
 
-use crate::ir::{Cond, FExpr, IExpr, Kernel, Stmt};
+use crate::ir::{visit, Cond, CondId, FExpr, FExprId, IExpr, IExprId, Indices, Kernel, Pool, Stmt};
 use std::fmt::Write;
 
-/// Renders an integer expression as WGSL (`i32` arithmetic).
-pub fn iexpr_to_wgsl(e: &IExpr) -> String {
-    match e {
+/// Renders an integer expression of `pool` as WGSL (`i32` arithmetic).
+pub fn iexpr_to_wgsl(pool: &Pool, e: IExprId) -> String {
+    let iexpr_to_wgsl = |e| iexpr_to_wgsl(pool, e);
+    match pool[e] {
         IExpr::Const(c) => format!("{c}"),
         IExpr::Var(v) => format!("v{v}"),
         IExpr::Param(p) => format!("P.p{p}"),
@@ -40,9 +41,10 @@ pub fn iexpr_to_wgsl(e: &IExpr) -> String {
     }
 }
 
-/// Renders a condition as WGSL.
-pub fn cond_to_wgsl(c: &Cond) -> String {
-    match c {
+/// Renders a condition of `pool` as WGSL.
+pub fn cond_to_wgsl(pool: &Pool, c: CondId) -> String {
+    let (iexpr_to_wgsl, cond_to_wgsl) = (|e| iexpr_to_wgsl(pool, e), |c| cond_to_wgsl(pool, c));
+    match pool[c] {
         Cond::True => "true".into(),
         Cond::Le(a, b) => format!("{} <= {}", iexpr_to_wgsl(a), iexpr_to_wgsl(b)),
         Cond::Lt(a, b) => format!("{} < {}", iexpr_to_wgsl(a), iexpr_to_wgsl(b)),
@@ -53,9 +55,10 @@ pub fn cond_to_wgsl(c: &Cond) -> String {
     }
 }
 
-/// Renders a float expression as WGSL.
-pub fn fexpr_to_wgsl(e: &FExpr) -> String {
-    match e {
+/// Renders a float expression of `pool` as WGSL.
+pub fn fexpr_to_wgsl(pool: &Pool, e: FExprId) -> String {
+    let fexpr_to_wgsl = |e| fexpr_to_wgsl(pool, e);
+    match pool[e] {
         FExpr::Reg(r) => format!("r{r}"),
         FExpr::Const(c) => format!("{c:?}f"),
         FExpr::Add(a, b) => format!("({} + {})", fexpr_to_wgsl(a), fexpr_to_wgsl(b)),
@@ -78,44 +81,38 @@ fn field_count(stmts: &[Stmt]) -> usize {
 }
 
 /// Widest spatial subscript of any global access (1-, 2- or 3-D grid).
-fn global_arity(stmts: &[Stmt]) -> usize {
+fn global_arity(kernel: &Kernel) -> usize {
     let mut arity = 0;
-    visit(stmts, &mut |s| {
+    visit(&kernel.body, &mut |s| {
         if let Stmt::GlobalLoad { index, .. } | Stmt::GlobalStore { index, .. } = s {
-            arity = arity.max(index.len());
+            arity = arity.max(kernel.pool[*index].len());
         }
     });
     arity
 }
 
-fn visit(stmts: &[Stmt], f: &mut impl FnMut(&Stmt)) {
-    for s in stmts {
-        f(s);
-        match s {
-            Stmt::For { body, .. } => visit(body, f),
-            Stmt::If { then_, else_, .. } => {
-                visit(then_, f);
-                visit(else_, f);
-            }
-            _ => {}
-        }
-    }
-}
-
 /// The flattened storage-buffer subscript for a `(plane, spatial...)`
 /// global access: `gidx(plane, i0, ..)`.
-fn global_index(plane: &IExpr, index: &[IExpr]) -> String {
-    let mut args = vec![iexpr_to_wgsl(plane)];
-    args.extend(index.iter().map(iexpr_to_wgsl));
+fn global_index(pool: &Pool, plane: IExprId, index: Indices) -> String {
+    let mut args = vec![iexpr_to_wgsl(pool, plane)];
+    args.extend(pool[index].iter().map(|&e| iexpr_to_wgsl(pool, e)));
     format!("gidx({})", args.join(", "))
 }
 
+/// `[e]` per index expression.
+fn subscripts(pool: &Pool, index: Indices) -> String {
+    pool[index]
+        .iter()
+        .map(|&e| format!("[{}]", iexpr_to_wgsl(pool, e)))
+        .collect()
+}
+
 fn emit_stmts(out: &mut String, stmts: &[Stmt], kernel: &Kernel, depth: usize) {
-    let pad = "  ".repeat(depth);
+    let (pad, pool) = ("  ".repeat(depth), &*kernel.pool);
     for s in stmts {
         match s {
             Stmt::SetVar { var, value } => {
-                let _ = writeln!(out, "{pad}v{var} = {};", iexpr_to_wgsl(value));
+                let _ = writeln!(out, "{pad}v{var} = {};", iexpr_to_wgsl(pool, *value));
             }
             Stmt::For {
                 var,
@@ -127,14 +124,14 @@ fn emit_stmts(out: &mut String, stmts: &[Stmt], kernel: &Kernel, depth: usize) {
                 let _ = writeln!(
                     out,
                     "{pad}for (v{var} = {}; v{var} < {}; v{var} = v{var} + {step}) {{",
-                    iexpr_to_wgsl(lo),
-                    iexpr_to_wgsl(hi)
+                    iexpr_to_wgsl(pool, *lo),
+                    iexpr_to_wgsl(pool, *hi)
                 );
                 emit_stmts(out, body, kernel, depth + 1);
                 let _ = writeln!(out, "{pad}}}");
             }
             Stmt::If { cond, then_, else_ } => {
-                let _ = writeln!(out, "{pad}if ({}) {{", cond_to_wgsl(cond));
+                let _ = writeln!(out, "{pad}if ({}) {{", cond_to_wgsl(pool, *cond));
                 emit_stmts(out, then_, kernel, depth + 1);
                 if else_.is_empty() {
                     let _ = writeln!(out, "{pad}}}");
@@ -153,7 +150,7 @@ fn emit_stmts(out: &mut String, stmts: &[Stmt], kernel: &Kernel, depth: usize) {
                 let _ = writeln!(
                     out,
                     "{pad}r{dst} = g{field}[{}];",
-                    global_index(plane, index)
+                    global_index(pool, *plane, *index)
                 );
             }
             Stmt::GlobalStore {
@@ -165,28 +162,22 @@ fn emit_stmts(out: &mut String, stmts: &[Stmt], kernel: &Kernel, depth: usize) {
                 let _ = writeln!(
                     out,
                     "{pad}g{field}[{}] = {};",
-                    global_index(plane, index),
-                    fexpr_to_wgsl(src)
+                    global_index(pool, *plane, *index),
+                    fexpr_to_wgsl(pool, *src)
                 );
             }
             Stmt::SharedLoad { dst, buf, index } => {
                 let name = &kernel.shared[*buf].name;
-                let idx: String = index
-                    .iter()
-                    .map(|e| format!("[{}]", iexpr_to_wgsl(e)))
-                    .collect();
+                let idx = subscripts(pool, *index);
                 let _ = writeln!(out, "{pad}r{dst} = {name}{idx};");
             }
             Stmt::SharedStore { buf, index, src } => {
                 let name = &kernel.shared[*buf].name;
-                let idx: String = index
-                    .iter()
-                    .map(|e| format!("[{}]", iexpr_to_wgsl(e)))
-                    .collect();
-                let _ = writeln!(out, "{pad}{name}{idx} = {};", fexpr_to_wgsl(src));
+                let idx = subscripts(pool, *index);
+                let _ = writeln!(out, "{pad}{name}{idx} = {};", fexpr_to_wgsl(pool, *src));
             }
             Stmt::Compute { dst, expr } => {
-                let _ = writeln!(out, "{pad}r{dst} = {};", fexpr_to_wgsl(expr));
+                let _ = writeln!(out, "{pad}r{dst} = {};", fexpr_to_wgsl(pool, *expr));
             }
             Stmt::Sync => {
                 let _ = writeln!(out, "{pad}workgroupBarrier();");
@@ -236,7 +227,7 @@ pub fn kernel_to_wgsl(kernel: &Kernel) -> String {
             workgroup_array_type(&b.dims)
         );
     }
-    let arity = global_arity(&kernel.body);
+    let arity = global_arity(kernel);
     if arity > 0 {
         // Flat layout of the (plane, spatial...) global ring; strides
         // are pipeline-overridable so one module serves any extent.
@@ -261,15 +252,16 @@ pub fn kernel_to_wgsl(kernel: &Kernel) -> String {
             args.join(", ")
         );
     }
-    let uses_floord = format!("{:?}", kernel.body).contains("FloorDiv");
-    let uses_pmod = format!("{:?}", kernel.body).contains("Mod(");
-    if uses_floord {
+    // The body, printed first: the helpers it calls are the ones emitted.
+    let mut body = String::new();
+    emit_stmts(&mut body, &kernel.body, kernel, 1);
+    if body.contains("floord(") {
         let _ = writeln!(
             out,
             "fn floord(a: i32, b: i32) -> i32 {{ var q = a / b; if ((a % b != 0) && ((a < 0) != (b < 0))) {{ q = q - 1; }} return q; }}"
         );
     }
-    if uses_pmod {
+    if body.contains("pmod(") {
         let _ = writeln!(
             out,
             "fn pmod(a: i32, b: i32) -> i32 {{ let r = a % b; if (r < 0) {{ return r + b; }} return r; }}"
@@ -291,7 +283,7 @@ pub fn kernel_to_wgsl(kernel: &Kernel) -> String {
     for r in 0..kernel.n_regs {
         let _ = writeln!(out, "  var r{r}: f32 = 0.0;");
     }
-    emit_stmts(&mut out, &kernel.body, kernel, 1);
+    out.push_str(&body);
     out.push_str("}\n");
     out
 }
@@ -299,9 +291,24 @@ pub fn kernel_to_wgsl(kernel: &Kernel) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::SharedBuf;
+    use crate::ir::{PoolBuilder, SharedBuf};
+    use std::sync::Arc;
 
     fn demo_kernel() -> Kernel {
+        let p = PoolBuilder::default();
+        let (block, tx, v0, p0) = (
+            p.iexpr(IExpr::BlockIdx),
+            p.iexpr(IExpr::ThreadIdx(0)),
+            p.var(0),
+            p.iexpr(IExpr::Param(0)),
+        );
+        let scaled = p.scale(block, 32);
+        let value = p.add(scaled, tx);
+        let (zero, hundred) = (p.lit(0), p.lit(100));
+        let cond = p.cond(Cond::Lt(v0, hundred));
+        let (plane, column) = (p.modulo(p0, 2), p.modulo(tx, 10));
+        let (gidx, sidx) = (p.indices(&[v0]), p.indices(&[zero, column]));
+        let src = p.fexpr(FExpr::Reg(0));
         Kernel {
             name: "demo".into(),
             block_dim: [32, 1, 1],
@@ -312,24 +319,22 @@ mod tests {
             n_vars: 1,
             n_regs: 2,
             n_params: 1,
+            pool: Arc::new(p.finish()),
             body: vec![
-                Stmt::SetVar {
-                    var: 0,
-                    value: IExpr::BlockIdx.scale(32).add(IExpr::ThreadIdx(0)),
-                },
+                Stmt::SetVar { var: 0, value },
                 Stmt::If {
-                    cond: Cond::Lt(IExpr::Var(0), IExpr::Const(100)),
+                    cond,
                     then_: vec![
                         Stmt::GlobalLoad {
                             dst: 0,
                             field: 0,
-                            plane: IExpr::Param(0).modulo(2),
-                            index: vec![IExpr::Var(0)],
+                            plane,
+                            index: gidx,
                         },
                         Stmt::SharedStore {
                             buf: 0,
-                            index: vec![IExpr::Const(0), IExpr::ThreadIdx(0).modulo(10)],
-                            src: FExpr::Reg(0),
+                            index: sidx,
+                            src,
                         },
                     ],
                     else_: vec![],

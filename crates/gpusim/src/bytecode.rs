@@ -1,21 +1,22 @@
 //! The compiled-bytecode block executor: specialize once, run flat.
 //!
-//! The interpreter in [`crate::exec`] re-walks every `IExpr`/`FExpr` tree
-//! for every lane of every statement execution — a pointer chase per node
-//! plus a heap-allocated index `Vec` per lane per memory access. For
-//! simulated tuning that tree walk *is* the hot path: a tile-size sweep
+//! The interpreter in [`crate::exec`] re-walks every expression of the
+//! kernel's pool for every lane of every statement execution — a lookup
+//! per node plus a heap-allocated index `Vec` per lane per memory access.
+//! For simulated tuning that walk *is* the hot path: a tile-size sweep
 //! interprets the same few kernels thousands of times. This module
 //! removes it by compiling each [`Kernel`] once into a flat bytecode
 //! that the executor then replays with branch-predictable linear loops:
 //!
-//! * expression trees become linear op streams over **slot arrays**
-//!   (three-address code, no recursion, no boxes);
-//! * an integer value is lowered **once per scope**, not once per use:
-//!   the compiler numbers values by `(op, operands)` and a later site
-//!   reads the slot of an earlier one — as long as that site always runs
-//!   first under a mask at least as wide (what an `If` arm or a `For`
-//!   body computes is forgotten at its end) and no operand var has been
-//!   reassigned in between;
+//! * expressions become linear op streams over **slot arrays**
+//!   (three-address code, no recursion);
+//! * an integer value is lowered **once per scope**, not once per use: a
+//!   pool id lowered by a site that reaches this one reads that site's
+//!   result from an array indexed by id, and the compiler numbers the ops
+//!   themselves by `(op, operands)`, so distinct ids that lower to one op
+//!   share it too — as long as the earlier site always runs first under a
+//!   mask at least as wide (what an `If` arm or a `For` body computes is
+//!   forgotten at its end) and no operand var has been reassigned since;
 //! * multi-dimensional global/shared indices are folded into **flat
 //!   row-major offsets** against the strides of the bound memory, so the
 //!   executor uses [`Grid::get_flat`](stencil::Grid::get_flat)-style
@@ -105,12 +106,14 @@
 //! full or sampled — runs nothing else.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
-use gpu_codegen::ir::{Cond, FExpr, IExpr, Kernel, Stmt};
+use gpu_codegen::ir::{
+    visit, Cond, CondId, FExpr, FExprId, IExpr, IExprId, IdHasher, Indices, Kernel, Pool, Stmt,
+};
 
 use crate::counters::Counters;
-use crate::exec::GlobalBackend;
+use crate::exec::{flop_weight, GlobalBackend};
 use crate::memory::{GlobalMem, L2Cache};
 use crate::shared::{charge_shared_load, charge_shared_store};
 
@@ -543,6 +546,7 @@ enum VarStorage {
 
 struct Compiler<'a> {
     kernel: &'a Kernel,
+    pool: &'a Pool,
     mem: &'a GlobalMem,
     vars: Vec<VarStorage>,
     n_sslots: usize,
@@ -558,7 +562,7 @@ struct Compiler<'a> {
     /// emitted at a site that reaches the one being compiled — it executes
     /// first whenever this one executes, under a mask at least as wide —
     /// and none of whose operand vars has been reassigned since.
-    values: HashMap<ValueKey, Val, BuildHasherDefault<OpHasher>>,
+    values: HashMap<ValueKey, Val, BuildHasherDefault<IdHasher>>,
     /// The keys of `values` that die with their scope, in insertion order
     /// (see [`Compiler::scope`]).
     scoped: Vec<ValueKey>,
@@ -575,32 +579,22 @@ struct Compiler<'a> {
     /// the thread index lowered as affine: inside a warp `threadIdx.x`
     /// steps by one and the other two stand still.
     warp_rows: bool,
+    /// What each integer expression of the pool lowered to, by id, with the
+    /// `kills` count it was lowered under: a site that reaches the one
+    /// that lowered it, with no var reassigned since, reads it instead of
+    /// lowering the expression again — every op it would emit is in
+    /// `values` already.
+    lowered: Vec<(u32, Option<Lin>)>,
+    /// The ids `lowered` holds, in the order they were lowered (see
+    /// [`Compiler::scope`]).
+    lowered_log: Vec<IExprId>,
+    /// How many times a var has been reassigned so far.
+    kills: u32,
 }
 
 /// `(op, a, b)` with the reassignment counts of `a` and `b` when the value
 /// was computed.
 type ValueKey = (Ibin, Val, Val, u32, u32);
-
-/// One multiply-rotate round per word under a fixed key. The tables it
-/// serves are keyed by the compiler's own operands, never by outside
-/// input, so SipHash's resistance to crafted collisions buys nothing.
-#[derive(Default)]
-struct OpHasher(u64);
-
-impl Hasher for OpHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            let mixed = self.0.rotate_left(5) ^ u64::from_ne_bytes(word);
-            self.0 = mixed.wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
-    }
-}
 
 /// Decides which vars can live in scalar slots: every assignment must be
 /// outside divergent control flow (an `If` on a lane-dependent condition)
@@ -611,11 +605,17 @@ fn classify_vars(kernel: &Kernel) -> Vec<bool> {
     let mut scalar = vec![true; kernel.n_vars];
     loop {
         let mut changed = false;
-        fn walk(stmts: &[Stmt], divergent: bool, scalar: &mut [bool], changed: &mut bool) {
+        fn walk(
+            stmts: &[Stmt],
+            divergent: bool,
+            uniform: &Uniform,
+            scalar: &mut [bool],
+            changed: &mut bool,
+        ) {
             for s in stmts {
                 match s {
                     Stmt::SetVar { var, value }
-                        if scalar[*var] && (divergent || !uniform_iexpr(value, scalar)) =>
+                        if scalar[*var] && (divergent || !uniform.0[value.index()]) =>
                     {
                         scalar[*var] = false;
                         *changed = true;
@@ -627,69 +627,71 @@ fn classify_vars(kernel: &Kernel) -> Vec<bool> {
                             scalar[*var] = false;
                             *changed = true;
                         }
-                        walk(body, divergent, scalar, changed);
+                        walk(body, divergent, uniform, scalar, changed);
                     }
                     Stmt::If { cond, then_, else_ } => {
-                        let divergent = divergent || !uniform_cond(cond, scalar);
-                        walk(then_, divergent, scalar, changed);
-                        walk(else_, divergent, scalar, changed);
+                        let divergent = divergent || !uniform.1[cond.index()];
+                        walk(then_, divergent, uniform, scalar, changed);
+                        walk(else_, divergent, uniform, scalar, changed);
                     }
                     _ => {}
                 }
             }
         }
-        walk(&kernel.body, false, &mut scalar, &mut changed);
+        let uniform = uniform_nodes(&kernel.pool, &scalar);
+        walk(&kernel.body, false, &uniform, &mut scalar, &mut changed);
         if !changed {
             return scalar;
         }
     }
 }
 
+/// Which integer expressions (`.0`) and conditions (`.1`) of a pool are
+/// lane-independent, by id.
+type Uniform = (Vec<bool>, Vec<bool>);
+
+/// [`Uniform`] given the current var classification: one pass in id order,
+/// which visits every operand before the node that uses it.
+fn uniform_nodes(pool: &Pool, scalar: &[bool]) -> Uniform {
+    let mut exprs: Vec<bool> = Vec::with_capacity(pool.iexprs().len());
+    for e in pool.iexprs() {
+        let uniform = match *e {
+            IExpr::Const(_) | IExpr::Param(_) | IExpr::BlockIdx => true,
+            IExpr::ThreadIdx(_) => false,
+            IExpr::Var(v) => scalar.get(v) == Some(&true),
+            IExpr::Add(a, b)
+            | IExpr::Sub(a, b)
+            | IExpr::Mul(a, b)
+            | IExpr::Min(a, b)
+            | IExpr::Max(a, b) => exprs[a.index()] && exprs[b.index()],
+            IExpr::FloorDiv(a, _) | IExpr::Mod(a, _) => exprs[a.index()],
+        };
+        exprs.push(uniform);
+    }
+    let mut conds: Vec<bool> = Vec::with_capacity(pool.conds().len());
+    for c in pool.conds() {
+        let uniform = match *c {
+            Cond::True => true,
+            Cond::Le(a, b) | Cond::Lt(a, b) | Cond::Eq(a, b) => {
+                exprs[a.index()] && exprs[b.index()]
+            }
+            Cond::And(a, b) | Cond::Or(a, b) => conds[a.index()] && conds[b.index()],
+            Cond::Not(a) => conds[a.index()],
+        };
+        conds.push(uniform);
+    }
+    (exprs, conds)
+}
+
 /// Every var `stmts` assign, at any depth: `SetVar` targets and loop vars.
 fn assigned_vars(stmts: &[Stmt]) -> Vec<usize> {
     let mut vars = Vec::new();
-    for s in stmts {
-        match s {
-            Stmt::SetVar { var, .. } => vars.push(*var),
-            Stmt::For { var, body, .. } => {
-                vars.push(*var);
-                vars.extend(assigned_vars(body));
-            }
-            Stmt::If { then_, else_, .. } => {
-                vars.extend(assigned_vars(then_));
-                vars.extend(assigned_vars(else_));
-            }
-            _ => {}
+    visit(stmts, &mut |s| {
+        if let Stmt::SetVar { var, .. } | Stmt::For { var, .. } = s {
+            vars.push(*var);
         }
-    }
+    });
     vars
-}
-
-/// True when the expression is lane-independent given the current var
-/// classification.
-fn uniform_iexpr(e: &IExpr, scalar: &[bool]) -> bool {
-    match e {
-        IExpr::Const(_) | IExpr::Param(_) | IExpr::BlockIdx => true,
-        IExpr::ThreadIdx(_) => false,
-        IExpr::Var(v) => scalar[*v],
-        IExpr::Add(a, b) | IExpr::Sub(a, b) | IExpr::Mul(a, b) => {
-            uniform_iexpr(a, scalar) && uniform_iexpr(b, scalar)
-        }
-        IExpr::FloorDiv(a, _) | IExpr::Mod(a, _) => uniform_iexpr(a, scalar),
-        IExpr::Min(a, b) | IExpr::Max(a, b) => uniform_iexpr(a, scalar) && uniform_iexpr(b, scalar),
-    }
-}
-
-/// [`uniform_iexpr`] for every operand of a condition.
-fn uniform_cond(c: &Cond, scalar: &[bool]) -> bool {
-    match c {
-        Cond::True => true,
-        Cond::Le(a, b) | Cond::Lt(a, b) | Cond::Eq(a, b) => {
-            uniform_iexpr(a, scalar) && uniform_iexpr(b, scalar)
-        }
-        Cond::And(a, b) | Cond::Or(a, b) => uniform_cond(a, scalar) && uniform_cond(b, scalar),
-        Cond::Not(a) => uniform_cond(a, scalar),
-    }
 }
 
 /// The [`SOp`] or [`VOp`] (`$Op`) of `$kind` into slot `$d`.
@@ -757,6 +759,7 @@ impl<'a> Compiler<'a> {
             held: Vec::new(),
             warp_rows: bx % 32 == 0 || by * bz == 1,
             kernel,
+            pool: &kernel.pool,
             mem,
             vars,
             n_sslots,
@@ -768,6 +771,9 @@ impl<'a> Compiler<'a> {
             values: HashMap::default(),
             scoped: Vec::new(),
             epochs: [vec![0; n_sslots], vec![0; n_vslots]],
+            lowered: vec![(0, None); kernel.pool.iexprs().len()],
+            lowered_log: Vec::new(),
+            kills: 0,
         }
     }
 
@@ -798,19 +804,32 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Lowers an integer expression.
-    fn iexpr(&mut self, e: &IExpr, prog: &mut Prog) -> Lin {
-        match e {
-            IExpr::Const(c) => Lin::of(Val::SImm(*c)),
-            IExpr::Param(p) => Lin::of(Val::SSlot(*p as u16)),
+    /// Lowers an integer expression, once per scope while no var is
+    /// reassigned (see `lowered`).
+    fn iexpr(&mut self, e: IExprId, prog: &mut Prog) -> Lin {
+        if let (kills, Some(lin)) = self.lowered[e.index()] {
+            if kills == self.kills {
+                return lin;
+            }
+        }
+        let lin = self.lower(e, prog);
+        self.lowered[e.index()] = (self.kills, Some(lin));
+        self.lowered_log.push(e);
+        lin
+    }
+
+    fn lower(&mut self, e: IExprId, prog: &mut Prog) -> Lin {
+        match self.pool[e] {
+            IExpr::Const(c) => Lin::of(Val::SImm(c)),
+            IExpr::Param(p) => Lin::of(Val::SSlot(p as u16)),
             IExpr::BlockIdx => Lin::of(Val::SSlot(self.kernel.n_params as u16)),
-            IExpr::ThreadIdx(d) if self.kernel.block_dim[*d as usize] == 1 => Lin::of(Val::SImm(0)),
+            IExpr::ThreadIdx(d) if self.kernel.block_dim[d as usize] == 1 => Lin::of(Val::SImm(0)),
             IExpr::ThreadIdx(d) if self.warp_rows => Lin {
                 base: Val::SImm(0),
-                stride: self.coordinate(*d as usize),
+                stride: self.coordinate(d as usize),
             },
-            IExpr::ThreadIdx(d) => Lin::of(Val::VSlot(*d as u16)),
-            IExpr::Var(v) => self.var_value(*v),
+            IExpr::ThreadIdx(d) => Lin::of(Val::VSlot(d as u16)),
+            IExpr::Var(v) => self.var_value(v),
             IExpr::Add(a, b) => self.sum(a, b, prog, Ibin::Add),
             IExpr::Sub(a, b) => self.sum(a, b, prog, Ibin::Sub),
             IExpr::Mul(a, b) => {
@@ -831,17 +850,17 @@ impl<'a> Compiler<'a> {
             }
             IExpr::Min(a, b) => self.ibin(a, b, prog, Ibin::Min),
             IExpr::Max(a, b) => self.ibin(a, b, prog, Ibin::Max),
-            IExpr::FloorDiv(a, k) => self.divide(a, *k, 0, prog),
-            IExpr::Mod(a, m) => match &**a {
-                IExpr::FloorDiv(a, k) if *m > 0 => self.divide(a, *k, *m, prog),
-                _ => self.divide(a, *m, -1, prog),
+            IExpr::FloorDiv(a, k) => self.divide(a, k, 0, prog),
+            IExpr::Mod(a, m) => match self.pool[a] {
+                IExpr::FloorDiv(a, k) if m > 0 => self.divide(a, k, m, prog),
+                _ => self.divide(a, m, -1, prog),
             },
         }
     }
 
     /// Lowers an integer expression to an operand, affine values to a
     /// vector.
-    fn value(&mut self, e: &IExpr, prog: &mut Prog) -> Val {
+    fn value(&mut self, e: IExprId, prog: &mut Prog) -> Val {
         let lin = self.iexpr(e, prog);
         self.vector(lin, prog)
     }
@@ -923,14 +942,14 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn ibin(&mut self, a: &IExpr, b: &IExpr, prog: &mut Prog, kind: Ibin) -> Lin {
+    fn ibin(&mut self, a: IExprId, b: IExprId, prog: &mut Prog, kind: Ibin) -> Lin {
         let a = self.value(a, prog);
         let b = self.value(b, prog);
         Lin::of(self.op(kind, a, b, prog))
     }
 
     /// `a + b` or `a - b`: affine while neither is a vector.
-    fn sum(&mut self, a: &IExpr, b: &IExpr, prog: &mut Prog, kind: Ibin) -> Lin {
+    fn sum(&mut self, a: IExprId, b: IExprId, prog: &mut Prog, kind: Ibin) -> Lin {
         let (a, b) = (self.iexpr(a, prog), self.iexpr(b, prog));
         let vector = matches!((a.base, b.base), (Val::VSlot(_), _) | (_, Val::VSlot(_)));
         if vector || !(a.is_affine() || b.is_affine()) {
@@ -947,7 +966,7 @@ impl<'a> Compiler<'a> {
     /// `floord(a, k)` (`m == 0`), `pmod(floord(a, k), m)` (`m > 0`) or
     /// `pmod(a, k)` (`m < 0`): by carrying when `a` steps by a small
     /// positive constant from each lane of the block to the next.
-    fn divide(&mut self, a: &IExpr, k: i64, m: i64, prog: &mut Prog) -> Lin {
+    fn divide(&mut self, a: IExprId, k: i64, m: i64, prog: &mut Prog) -> Lin {
         let a = self.iexpr(a, prog);
         Lin::of(match self.multiple_of(a.stride) {
             Some((3, c)) if 0 < c && c <= 4 * k => {
@@ -1027,9 +1046,13 @@ impl<'a> Compiler<'a> {
     /// under a narrower mask than the code after it.
     fn scope<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
         let (mark, held) = (self.scoped.len(), self.held.len());
+        let lowered = self.lowered_log.len();
         let out = f(self);
         for key in self.scoped.drain(mark..) {
             self.values.remove(&key);
+        }
+        for e in self.lowered_log.drain(lowered..) {
+            self.lowered[e.index()].1 = None;
         }
         self.held.truncate(held);
         out
@@ -1040,6 +1063,7 @@ impl<'a> Compiler<'a> {
     /// (Values computed from *those* become unreachable too: their keys
     /// name temporaries no lookup returns any more.)
     fn kill(&mut self, vars: &[usize]) {
+        self.kills += 1;
         for &v in vars {
             match self.vars[v] {
                 VarStorage::Scalar(i) => self.epochs[0][i as usize] += 1,
@@ -1064,15 +1088,16 @@ impl<'a> Compiler<'a> {
     /// Lowers a condition to a 0/1 operand. Both operands of `And`/`Or` are
     /// always evaluated (conditions are pure), which the 0/1 arithmetic then
     /// combines without short-circuiting.
-    fn cond_value(&mut self, c: &Cond, prog: &mut Prog) -> Val {
-        match c {
+    fn cond_value(&mut self, c: CondId, prog: &mut Prog) -> Val {
+        let node = self.pool[c];
+        match node {
             Cond::True => Val::SImm(1),
             Cond::Le(a, b) => self.ibin(a, b, prog, Ibin::Le).base,
             Cond::Lt(a, b) => self.ibin(a, b, prog, Ibin::Lt).base,
             Cond::Eq(a, b) => self.ibin(a, b, prog, Ibin::Eq).base,
             Cond::And(a, b) | Cond::Or(a, b) => {
                 let (a, b) = (self.cond_value(a, prog), self.cond_value(b, prog));
-                let kind = if matches!(c, Cond::And(..)) {
+                let kind = if matches!(node, Cond::And(..)) {
                     Ibin::And
                 } else {
                     Ibin::Or
@@ -1088,8 +1113,8 @@ impl<'a> Compiler<'a> {
 
     /// Lowers a condition to a guard: a conjunction of comparisons keeps its
     /// parts apart, anything else is one 0/1 operand.
-    fn cond(&mut self, c: &Cond, prog: &mut Prog) -> Guard {
-        match c {
+    fn cond(&mut self, c: CondId, prog: &mut Prog) -> Guard {
+        match self.pool[c] {
             Cond::Le(a, b) => self.compare(a, b, prog, Ibin::Le),
             Cond::Lt(a, b) => self.compare(a, b, prog, Ibin::Lt),
             Cond::And(a, b) => {
@@ -1118,7 +1143,7 @@ impl<'a> Compiler<'a> {
 
     /// `a <= b` or `a < b`: a bound on one lane coordinate when `b - a` is
     /// affine in it alone.
-    fn compare(&mut self, a: &IExpr, b: &IExpr, prog: &mut Prog, kind: Ibin) -> Guard {
+    fn compare(&mut self, a: IExprId, b: IExprId, prog: &mut Prog, kind: Ibin) -> Guard {
         let (a, b) = (self.iexpr(a, prog), self.iexpr(b, prog));
         let coordinate = self.multiple_of([0, 1, 2].map(|d| b.stride[d] - a.stride[d]));
         let (Some((c, k)), Val::SImm(_) | Val::SSlot(_), Val::SImm(_) | Val::SSlot(_)) =
@@ -1150,41 +1175,25 @@ impl<'a> Compiler<'a> {
 
     /// Lowers an `f32` expression; `dst` pins the final op's target (used
     /// to write registers in place).
-    fn fexpr(&mut self, e: &FExpr, fops: &mut Vec<FOp>) -> FVal {
-        match e {
-            FExpr::Reg(r) => FVal::Slot(*r as u16),
-            FExpr::Const(c) => FVal::Imm(*c),
-            FExpr::Add(a, b) => {
-                let (a, b) = (self.fexpr(a, fops), self.fexpr(b, fops));
-                let dst = self.fslot();
-                fops.push(FOp::Add(dst, a, b));
-                FVal::Slot(dst)
-            }
-            FExpr::Sub(a, b) => {
-                let (a, b) = (self.fexpr(a, fops), self.fexpr(b, fops));
-                let dst = self.fslot();
-                fops.push(FOp::Sub(dst, a, b));
-                FVal::Slot(dst)
-            }
-            FExpr::Mul(a, b) => {
-                let (a, b) = (self.fexpr(a, fops), self.fexpr(b, fops));
-                let dst = self.fslot();
-                fops.push(FOp::Mul(dst, a, b));
-                FVal::Slot(dst)
-            }
-            FExpr::Sqrt(a) => {
-                let a = self.fexpr(a, fops);
-                let dst = self.fslot();
-                fops.push(FOp::Sqrt(dst, a));
-                FVal::Slot(dst)
-            }
-        }
+    fn fexpr(&mut self, e: FExprId, fops: &mut Vec<FOp>) -> FVal {
+        let mut op = match self.pool[e] {
+            FExpr::Reg(r) => return FVal::Slot(r as u16),
+            FExpr::Const(c) => return FVal::Imm(c),
+            FExpr::Add(a, b) => FOp::Add(0, self.fexpr(a, fops), self.fexpr(b, fops)),
+            FExpr::Sub(a, b) => FOp::Sub(0, self.fexpr(a, fops), self.fexpr(b, fops)),
+            FExpr::Mul(a, b) => FOp::Mul(0, self.fexpr(a, fops), self.fexpr(b, fops)),
+            FExpr::Sqrt(a) => FOp::Sqrt(0, self.fexpr(a, fops)),
+        };
+        let dst = self.fslot();
+        retarget(&mut op, dst);
+        fops.push(op);
+        FVal::Slot(dst)
     }
 
     /// Lowers an `f32` expression whose result must land in register
     /// `reg`: the final op is retargeted, or a copy is emitted for bare
     /// operands.
-    fn fexpr_into(&mut self, e: &FExpr, reg: u16, fops: &mut Vec<FOp>) {
+    fn fexpr_into(&mut self, e: FExprId, reg: u16, fops: &mut Vec<FOp>) {
         let out = self.fexpr(e, fops);
         match (out, fops.last_mut()) {
             (FVal::Slot(s), Some(op)) if op_dst(op) == s => retarget(op, reg),
@@ -1192,44 +1201,33 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// FLOP weight of an expression (`sqrt` counts 3), matching the
-    /// interpreter's accounting.
-    fn flop_weight(e: &FExpr) -> u64 {
-        match e {
-            FExpr::Reg(_) | FExpr::Const(_) => 0,
-            FExpr::Add(a, b) | FExpr::Sub(a, b) | FExpr::Mul(a, b) => {
-                1 + Self::flop_weight(a) + Self::flop_weight(b)
-            }
-            FExpr::Sqrt(a) => 3 + Self::flop_weight(a),
-        }
-    }
-
     /// Lowers a spatial index against the extents of global field
     /// `field`.
-    fn global_index(&mut self, field: usize, index: &[IExpr], prog: &mut Prog) -> FlatIndex {
+    fn global_index(&mut self, field: usize, index: Indices, prog: &mut Prog) -> FlatIndex {
         self.flat_index(index, self.mem.field_dims(field), 0, prog)
     }
 
     /// Lowers a shared-buffer index against the buffer's static extents.
-    fn shared_index(&mut self, buf: usize, index: &[IExpr], prog: &mut Prog) -> FlatIndex {
+    fn shared_index(&mut self, buf: usize, index: Indices, prog: &mut Prog) -> FlatIndex {
         let base = self.shared_bases[buf];
         self.flat_index(index, &self.kernel.shared[buf].dims, base, prog)
     }
 
     fn flat_index(
         &mut self,
-        index: &[IExpr],
+        index: Indices,
         extents: &'a [usize],
         base: i64,
         prog: &mut Prog,
     ) -> FlatIndex {
+        let index = &self.pool[index];
         assert_eq!(index.len(), extents.len(), "index arity mismatch");
         let mut flat = FlatIndex {
             dims: Vec::with_capacity(index.len()),
             affine: true,
             base,
         };
-        for (d, e) in index.iter().enumerate() {
+        for (d, &e) in index.iter().enumerate() {
             let stride: usize = extents[d + 1..].iter().product();
             let lin = self.iexpr(e, prog);
             flat.affine &= !matches!(lin.base, Val::VSlot(_));
@@ -1252,7 +1250,7 @@ impl<'a> Compiler<'a> {
         match stmt {
             Stmt::SetVar { var, value } => {
                 let mut prog = Prog::default();
-                let lin = self.iexpr(value, &mut prog);
+                let lin = self.iexpr(*value, &mut prog);
                 let out = self.vector(lin, &mut prog);
                 self.kill(&[*var]);
                 match self.vars[*var] {
@@ -1291,8 +1289,8 @@ impl<'a> Compiler<'a> {
                 body,
             } => {
                 let mut prog = Prog::default();
-                let lo = self.value(lo, &mut prog);
-                let hi = self.value(hi, &mut prog);
+                let lo = self.value(*lo, &mut prog);
+                let hi = self.value(*hi, &mut prog);
                 // The body runs again after its own assignments: nothing
                 // computed from a var it steps or sets survives into it.
                 let mut stepped = assigned_vars(body);
@@ -1309,7 +1307,7 @@ impl<'a> Compiler<'a> {
             }
             Stmt::If { cond, then_, else_ } => {
                 let mut prog = Prog::default();
-                let guard = self.cond(cond, &mut prog);
+                let guard = self.cond(*cond, &mut prog);
                 let then_ = self.scope(|c| c.stmts(then_));
                 let else_ = self.scope(|c| c.stmts(else_));
                 if guard == Self::guard(guard.uniform) {
@@ -1335,8 +1333,8 @@ impl<'a> Compiler<'a> {
                 index,
             } => {
                 let mut prog = Prog::default();
-                let plane = self.value(plane, &mut prog);
-                let flat = self.global_index(*field, index, &mut prog);
+                let plane = self.value(*plane, &mut prog);
+                let flat = self.global_index(*field, *index, &mut prog);
                 BcStmt::GlobalLoad {
                     prog,
                     dst: *dst as u16,
@@ -1352,10 +1350,10 @@ impl<'a> Compiler<'a> {
                 src,
             } => {
                 let mut prog = Prog::default();
-                let plane = self.value(plane, &mut prog);
-                let flat = self.global_index(*field, index, &mut prog);
+                let plane = self.value(*plane, &mut prog);
+                let flat = self.global_index(*field, *index, &mut prog);
                 let mut fops = Vec::new();
-                let out = self.fexpr(src, &mut fops);
+                let out = self.fexpr(*src, &mut fops);
                 BcStmt::GlobalStore {
                     prog,
                     field: *field as u32,
@@ -1363,12 +1361,12 @@ impl<'a> Compiler<'a> {
                     flat,
                     fops,
                     src: out,
-                    flops: Self::flop_weight(src),
+                    flops: flop_weight(self.pool, *src),
                 }
             }
             Stmt::SharedLoad { dst, buf, index } => {
                 let mut prog = Prog::default();
-                let flat = self.shared_index(*buf, index, &mut prog);
+                let flat = self.shared_index(*buf, *index, &mut prog);
                 BcStmt::SharedLoad {
                     prog,
                     dst: *dst as u16,
@@ -1377,23 +1375,23 @@ impl<'a> Compiler<'a> {
             }
             Stmt::SharedStore { buf, index, src } => {
                 let mut prog = Prog::default();
-                let flat = self.shared_index(*buf, index, &mut prog);
+                let flat = self.shared_index(*buf, *index, &mut prog);
                 let mut fops = Vec::new();
-                let out = self.fexpr(src, &mut fops);
+                let out = self.fexpr(*src, &mut fops);
                 BcStmt::SharedStore {
                     prog,
                     flat,
                     fops,
                     src: out,
-                    flops: Self::flop_weight(src),
+                    flops: flop_weight(self.pool, *src),
                 }
             }
             Stmt::Compute { dst, expr } => {
                 let mut fops = Vec::new();
-                self.fexpr_into(expr, *dst as u16, &mut fops);
+                self.fexpr_into(*expr, *dst as u16, &mut fops);
                 BcStmt::Compute {
                     fops,
-                    flops: Self::flop_weight(expr),
+                    flops: flop_weight(self.pool, *expr),
                 }
             }
             Stmt::Sync => BcStmt::Sync,
@@ -1446,65 +1444,27 @@ impl Ibin {
     }
 }
 
-fn op_dst(op: &FOp) -> u16 {
-    match op {
-        FOp::Copy(d, _)
-        | FOp::Add(d, _, _)
-        | FOp::Sub(d, _, _)
-        | FOp::Mul(d, _, _)
-        | FOp::Sqrt(d, _) => *d,
-    }
+/// `$dst(op)`, the destination slot of a `$Op`, and `$retarget(op, d)`,
+/// which makes it `d`.
+macro_rules! dst_slot {
+    ($Op:ident, $dst:ident, $retarget:ident: $($V:ident)|+) => {
+        fn $dst(op: &$Op) -> u16 {
+            match *op {
+                $($Op::$V(d, ..))|+ => d,
+            }
+        }
+
+        fn $retarget(op: &mut $Op, dst: u16) {
+            match op {
+                $($Op::$V(d, ..))|+ => *d = dst,
+            }
+        }
+    };
 }
 
-fn retarget(op: &mut FOp, dst: u16) {
-    match op {
-        FOp::Copy(d, _)
-        | FOp::Add(d, _, _)
-        | FOp::Sub(d, _, _)
-        | FOp::Mul(d, _, _)
-        | FOp::Sqrt(d, _) => *d = dst,
-    }
-}
-
-fn vop_dst(op: &VOp) -> u16 {
-    match op {
-        VOp::Copy(d, _)
-        | VOp::Add(d, _, _)
-        | VOp::Sub(d, _, _)
-        | VOp::Mul(d, _, _)
-        | VOp::FloorDiv(d, _, _)
-        | VOp::Mod(d, _, _)
-        | VOp::Min(d, _, _)
-        | VOp::Max(d, _, _)
-        | VOp::Le(d, _, _)
-        | VOp::Lt(d, _, _)
-        | VOp::Eq(d, _, _)
-        | VOp::And(d, _, _)
-        | VOp::Or(d, _, _)
-        | VOp::Not(d, _)
-        | VOp::DivLane(d, ..) => *d,
-    }
-}
-
-fn retarget_v(op: &mut VOp, dst: u16) {
-    match op {
-        VOp::Copy(d, _)
-        | VOp::Add(d, _, _)
-        | VOp::Sub(d, _, _)
-        | VOp::Mul(d, _, _)
-        | VOp::FloorDiv(d, _, _)
-        | VOp::Mod(d, _, _)
-        | VOp::Min(d, _, _)
-        | VOp::Max(d, _, _)
-        | VOp::Le(d, _, _)
-        | VOp::Lt(d, _, _)
-        | VOp::Eq(d, _, _)
-        | VOp::And(d, _, _)
-        | VOp::Or(d, _, _)
-        | VOp::Not(d, _)
-        | VOp::DivLane(d, ..) => *d = dst,
-    }
-}
+dst_slot!(FOp, op_dst, retarget: Copy | Add | Sub | Mul | Sqrt);
+dst_slot!(VOp, vop_dst, retarget_v: Copy | Add | Sub | Mul | FloorDiv | Mod | Min | Max
+    | Le | Lt | Eq | And | Or | Not | DivLane);
 
 /// Compiles one kernel against the field extents of `mem`.
 pub(crate) fn compile_kernel(kernel: &Kernel, mem: &GlobalMem) -> BcKernel {
@@ -2286,6 +2246,7 @@ mod tests {
     use super::*;
     use crate::device::DeviceConfig;
     use crate::exec::GpuSim;
+    use crate::test_ir::*;
     use gpu_codegen::ir::{Launch, LaunchPlan, SharedBuf};
     use stencil::Grid;
 
@@ -2309,7 +2270,7 @@ mod tests {
 
     #[test]
     fn compiled_copy_kernel_matches_interpreter() {
-        let idx = IExpr::BlockIdx.scale(32).add(IExpr::ThreadIdx(0));
+        let idx = block().scale(32).add(tid(0));
         let kernel = Kernel {
             name: "copy".into(),
             block_dim: [32, 1, 1],
@@ -2321,16 +2282,17 @@ mod tests {
                 Stmt::GlobalLoad {
                     dst: 0,
                     field: 0,
-                    plane: IExpr::Const(0),
-                    index: vec![idx.clone()],
+                    plane: lit(0),
+                    index: index(&[idx]),
                 },
                 Stmt::GlobalStore {
                     field: 0,
-                    plane: IExpr::Const(1),
-                    index: vec![idx],
-                    src: FExpr::Add(Box::new(FExpr::Reg(0)), Box::new(FExpr::Const(1.0))),
+                    plane: lit(1),
+                    index: index(&[idx]),
+                    src: f(FExpr::Add(reg(0), fconst(1.0))),
                 },
             ],
+            pool: take_pool(),
         };
         let plan = LaunchPlan {
             kernels: vec![kernel],
@@ -2361,29 +2323,30 @@ mod tests {
                 // A var assigned inside the If must be demoted to a
                 // vector slot; a top-level uniform one stays scalar.
                 Stmt::If {
-                    cond: Cond::Lt(IExpr::ThreadIdx(0), IExpr::Const(16)),
+                    cond: cond(Cond::Lt(tid(0), lit(16))),
                     then_: vec![
                         Stmt::SetVar {
                             var: 0,
-                            value: IExpr::Const(3),
+                            value: lit(3),
                         },
                         Stmt::Compute {
                             dst: 0,
-                            expr: FExpr::Const(1.0),
+                            expr: fconst(1.0),
                         },
                     ],
                     else_: vec![Stmt::Compute {
                         dst: 0,
-                        expr: FExpr::Const(2.0),
+                        expr: fconst(2.0),
                     }],
                 },
                 Stmt::GlobalStore {
                     field: 0,
-                    plane: IExpr::Const(0),
-                    index: vec![IExpr::ThreadIdx(0)],
-                    src: FExpr::Reg(0),
+                    plane: lit(0),
+                    index: index(&[tid(0)]),
+                    src: reg(0),
                 },
             ],
+            pool: take_pool(),
         };
         let plan = LaunchPlan {
             kernels: vec![kernel],
@@ -2399,7 +2362,7 @@ mod tests {
 
     #[test]
     fn compiled_shared_roundtrip_matches() {
-        let tx = IExpr::ThreadIdx(0);
+        let tx = tid(0);
         let kernel = Kernel {
             name: "stage".into(),
             block_dim: [32, 1, 1],
@@ -2414,27 +2377,28 @@ mod tests {
                 Stmt::GlobalLoad {
                     dst: 0,
                     field: 0,
-                    plane: IExpr::Const(0),
-                    index: vec![tx.clone()],
+                    plane: lit(0),
+                    index: index(&[tx]),
                 },
                 Stmt::SharedStore {
                     buf: 0,
-                    index: vec![tx.clone()],
-                    src: FExpr::Reg(0),
+                    index: index(&[tx]),
+                    src: reg(0),
                 },
                 Stmt::Sync,
                 Stmt::SharedLoad {
                     dst: 1,
                     buf: 0,
-                    index: vec![IExpr::Const(31).sub(tx.clone())],
+                    index: index(&[lit(31).sub(tx)]),
                 },
                 Stmt::GlobalStore {
                     field: 0,
-                    plane: IExpr::Const(1),
-                    index: vec![tx],
-                    src: FExpr::Reg(1),
+                    plane: lit(1),
+                    index: index(&[tx]),
+                    src: reg(1),
                 },
             ],
+            pool: take_pool(),
         };
         let plan = LaunchPlan {
             kernels: vec![kernel],
@@ -2454,7 +2418,7 @@ mod tests {
 
     #[test]
     fn compiled_loop_with_params_matches() {
-        let tx = IExpr::ThreadIdx(0);
+        let tx = tid(0);
         let kernel = Kernel {
             name: "loop".into(),
             block_dim: [8, 1, 1],
@@ -2467,37 +2431,38 @@ mod tests {
                 // preamble.
                 Stmt::SetVar {
                     var: 1,
-                    value: IExpr::Param(0).scale(2).offset(1),
+                    value: param(0).scale(2).offset(1),
                 },
                 Stmt::Compute {
                     dst: 1,
-                    expr: FExpr::Const(0.0),
+                    expr: fconst(0.0),
                 },
                 Stmt::For {
                     var: 0,
-                    lo: IExpr::Const(0),
-                    hi: IExpr::Var(1),
+                    lo: lit(0),
+                    hi: var(1),
                     step: 1,
                     body: vec![
                         Stmt::GlobalLoad {
                             dst: 0,
                             field: 0,
-                            plane: IExpr::Const(0),
-                            index: vec![tx.clone().scale(4).add(IExpr::Var(0).modulo(4))],
+                            plane: lit(0),
+                            index: index(&[tx.scale(4).add(var(0).modulo(4))]),
                         },
                         Stmt::Compute {
                             dst: 1,
-                            expr: FExpr::Add(Box::new(FExpr::Reg(1)), Box::new(FExpr::Reg(0))),
+                            expr: f(FExpr::Add(reg(1), reg(0))),
                         },
                     ],
                 },
                 Stmt::GlobalStore {
                     field: 0,
-                    plane: IExpr::Const(1),
-                    index: vec![tx],
-                    src: FExpr::Reg(1),
+                    plane: lit(1),
+                    index: index(&[tx]),
+                    src: reg(1),
                 },
             ],
+            pool: take_pool(),
         };
         let plan = LaunchPlan {
             kernels: vec![kernel],
@@ -2514,14 +2479,11 @@ mod tests {
 
     #[test]
     fn compiled_min_max_floordiv_mod_match() {
-        let tx = IExpr::ThreadIdx(0);
-        let idx = IExpr::Min(
-            Box::new(IExpr::Max(
-                Box::new(tx.clone().fdiv(2).scale(3).modulo(16)),
-                Box::new(IExpr::Const(1)),
-            )),
-            Box::new(IExpr::Const(30)),
-        );
+        let tx = tid(0);
+        let idx = i(IExpr::Min(
+            i(IExpr::Max(tx.fdiv(2).scale(3).modulo(16), lit(1))),
+            lit(30),
+        ));
         let kernel = Kernel {
             name: "mm".into(),
             block_dim: [32, 1, 1],
@@ -2533,19 +2495,17 @@ mod tests {
                 Stmt::GlobalLoad {
                     dst: 0,
                     field: 0,
-                    plane: IExpr::Const(0),
-                    index: vec![idx],
+                    plane: lit(0),
+                    index: index(&[idx]),
                 },
                 Stmt::GlobalStore {
                     field: 0,
-                    plane: IExpr::Const(1),
-                    index: vec![tx],
-                    src: FExpr::Sqrt(Box::new(FExpr::Mul(
-                        Box::new(FExpr::Reg(0)),
-                        Box::new(FExpr::Reg(0)),
-                    ))),
+                    plane: lit(1),
+                    index: index(&[tx]),
+                    src: f(FExpr::Sqrt(f(FExpr::Mul(reg(0), reg(0))))),
                 },
             ],
+            pool: take_pool(),
         };
         let plan = LaunchPlan {
             kernels: vec![kernel],
@@ -2592,17 +2552,17 @@ mod tests {
     /// A one-block, 32-thread plan over one 32-point field with two planes;
     /// `body` leaves its result in registers 0 and 1, whose sum is stored.
     fn one_block_plan(n_vars: usize, mut body: Vec<Stmt>) -> LaunchPlan {
-        let sum = FExpr::Add(Box::new(FExpr::Reg(0)), Box::new(FExpr::Reg(1)));
-        body.push(store(IExpr::ThreadIdx(0), sum));
+        let sum = f(FExpr::Add(reg(0), reg(1)));
+        body.push(store(tid(0), sum));
         kernel_plan([32, 1, 1], vec![], n_vars, vec![], 1, body)
     }
 
-    fn load(dst: usize, index: IExpr) -> Stmt {
+    fn load(dst: usize, at: IExprId) -> Stmt {
         Stmt::GlobalLoad {
             dst,
             field: 0,
-            plane: IExpr::Const(0),
-            index: vec![index],
+            plane: lit(0),
+            index: index(&[at]),
         }
     }
 
@@ -2623,34 +2583,29 @@ mod tests {
 
     #[test]
     fn a_value_is_computed_once_until_its_var_is_reassigned() {
-        let half = || IExpr::Var(0).fdiv(2);
-        let set = |value: IExpr| Stmt::SetVar { var: 0, value };
-        let tx = IExpr::ThreadIdx(0);
+        let half = || var(0).fdiv(2);
+        let set = |value: IExprId| Stmt::SetVar { var: 0, value };
+        let tx = tid(0);
         // Two uses of `v0 / 2`, nothing in between: one op.
-        let reused = one_block_plan(1, vec![set(tx.clone()), load(0, half()), load(1, half())]);
+        let reused = one_block_plan(1, vec![set(tx), load(0, half()), load(1, half())]);
         assert_eq!(checked_op_count(&reused, floor_divs), 1);
         // `v0` reassigned in between: the second use must not see the
         // first one's value (the run would read the wrong cells).
         let reassigned = one_block_plan(
             1,
-            vec![
-                set(tx.clone()),
-                load(0, half()),
-                set(tx.offset(2)),
-                load(1, half()),
-            ],
+            vec![set(tx), load(0, half()), set(tx.offset(2)), load(1, half())],
         );
         assert_eq!(checked_op_count(&reassigned, floor_divs), 2);
     }
 
     #[test]
     fn a_value_computed_inside_a_lane_arm_is_recomputed_after_it() {
-        let half = || IExpr::ThreadIdx(0).fdiv(2);
+        let half = || tid(0).fdiv(2);
         let plan = one_block_plan(
             0,
             vec![
                 Stmt::If {
-                    cond: Cond::Lt(IExpr::ThreadIdx(0), IExpr::Const(16)),
+                    cond: cond(Cond::Lt(tid(0), lit(16))),
                     then_: vec![load(0, half())],
                     else_: vec![],
                 },
@@ -2665,29 +2620,29 @@ mod tests {
     fn a_loop_body_does_not_reuse_what_it_invalidates() {
         // `v1 * 3` is computed before the loop and again inside it, where
         // `v1` changes every iteration — after the in-loop use.
-        let index = || IExpr::Var(1).scale(3).add(IExpr::ThreadIdx(0)).modulo(32);
+        let index = || var(1).scale(3).add(tid(0)).modulo(32);
         let plan = one_block_plan(
             2,
             vec![
                 Stmt::SetVar {
                     var: 1,
-                    value: IExpr::Const(1),
+                    value: lit(1),
                 },
                 load(0, index()),
                 Stmt::For {
                     var: 0,
-                    lo: IExpr::Const(0),
-                    hi: IExpr::Const(3),
+                    lo: lit(0),
+                    hi: lit(3),
                     step: 1,
                     body: vec![
                         load(2, index()),
                         Stmt::Compute {
                             dst: 1,
-                            expr: FExpr::Add(Box::new(FExpr::Reg(1)), Box::new(FExpr::Reg(2))),
+                            expr: f(FExpr::Add(reg(1), reg(2))),
                         },
                         Stmt::SetVar {
                             var: 1,
-                            value: IExpr::Var(1).offset(1),
+                            value: var(1).offset(1),
                         },
                     ],
                 },
@@ -2708,11 +2663,11 @@ mod tests {
 
     #[test]
     fn a_lane_arm_writes_registers_and_temporaries_for_its_own_lanes_only() {
-        let tx = IExpr::ThreadIdx(0);
-        let low = || Cond::Lt(IExpr::ThreadIdx(0), IExpr::Const(16));
+        let tx = tid(0);
+        let low = || cond(Cond::Lt(tid(0), lit(16)));
         let bump = |by: f32| Stmt::Compute {
             dst: 0,
-            expr: FExpr::Add(Box::new(FExpr::Reg(0)), Box::new(FExpr::Const(by))),
+            expr: f(FExpr::Add(reg(0), fconst(by))),
         };
         // A register assigned in an arm: the other lanes keep their value.
         let plan = one_block_plan(
@@ -2739,21 +2694,18 @@ mod tests {
         // `v0`. Nothing after the arm may read that temporary: each of the
         // three sites computes its own, and the run reads the cells the
         // interpreter reads.
-        let next = || IExpr::Var(0).offset(1).modulo(32);
+        let next = || var(0).offset(1).modulo(32);
         let plan = one_block_plan(
             1,
             vec![
-                Stmt::SetVar {
-                    var: 0,
-                    value: tx.clone(),
-                },
+                Stmt::SetVar { var: 0, value: tx },
                 Stmt::If {
                     cond: low(),
                     then_: vec![load(0, next())],
                     else_: vec![
                         Stmt::SetVar {
                             var: 0,
-                            value: IExpr::Const(40).sub(tx),
+                            value: lit(40).sub(tx),
                         },
                         load(0, next()),
                     ],
@@ -2882,6 +2834,7 @@ mod tests {
                 n_regs: 3,
                 n_params: params.len(),
                 body,
+                pool: take_pool(),
             }],
             launches: vec![Launch {
                 kernel: 0,
@@ -2893,20 +2846,20 @@ mod tests {
     }
 
     /// `field[1][index] = src`.
-    fn store(index: IExpr, src: FExpr) -> Stmt {
+    fn store(at: IExprId, src: FExprId) -> Stmt {
         Stmt::GlobalStore {
             field: 0,
-            plane: IExpr::Const(1),
-            index: vec![index],
+            plane: lit(1),
+            index: index(&[at]),
             src,
         }
     }
 
-    fn set(var: usize, value: IExpr) -> Stmt {
+    fn set(var: usize, value: IExprId) -> Stmt {
         Stmt::SetVar { var, value }
     }
 
-    fn when(cond: Cond, then_: Vec<Stmt>) -> Stmt {
+    fn when(cond: CondId, then_: Vec<Stmt>) -> Stmt {
         Stmt::If {
             cond,
             then_,
@@ -2916,13 +2869,13 @@ mod tests {
 
     #[test]
     fn a_var_assigned_under_a_uniform_if_stays_scalar() {
-        let tx = IExpr::ThreadIdx(0);
-        let first_block = || Cond::Eq(IExpr::BlockIdx, IExpr::Const(0));
-        let low = || Cond::Lt(IExpr::ThreadIdx(0), IExpr::Const(16));
+        let tx = tid(0);
+        let first_block = || cond(Cond::Eq(block(), lit(0)));
+        let low = || cond(Cond::Lt(tid(0), lit(16)));
         let count = |var: usize, body: Vec<Stmt>| Stmt::For {
             var,
-            lo: IExpr::Const(0),
-            hi: IExpr::Const(2),
+            lo: lit(0),
+            hi: lit(2),
             step: 1,
             body,
         };
@@ -2931,34 +2884,19 @@ mod tests {
             when(
                 first_block(),
                 vec![
-                    set(0, IExpr::Const(3)),
-                    count(
-                        1,
-                        vec![load(0, tx.clone().add(IExpr::Var(1)).add(IExpr::Var(0)))],
-                    ),
+                    set(0, lit(3)),
+                    count(1, vec![load(0, tx.add(var(1)).add(var(0)))]),
                 ],
             ),
             // `v2` under a lane `If`; `v3` and the counter `v4` under a
             // uniform one inside a lane one.
-            when(low(), vec![set(2, IExpr::Const(1))]),
+            when(low(), vec![set(2, lit(1))]),
             when(
                 low(),
-                vec![when(
-                    first_block(),
-                    vec![set(3, IExpr::Const(2)), count(4, vec![])],
-                )],
+                vec![when(first_block(), vec![set(3, lit(2)), count(4, vec![])])],
             ),
-            load(
-                1,
-                tx.clone()
-                    .add(IExpr::Var(2))
-                    .add(IExpr::Var(3))
-                    .add(IExpr::Var(4)),
-            ),
-            store(
-                IExpr::BlockIdx.scale(32).add(tx),
-                FExpr::Add(Box::new(FExpr::Reg(0)), Box::new(FExpr::Reg(1))),
-            ),
+            load(1, tx.add(var(2)).add(var(3)).add(var(4))),
+            store(block().scale(32).add(tx), f(FExpr::Add(reg(0), reg(1)))),
         ];
         let plan = kernel_plan([32, 1, 1], vec![], 5, vec![], 2, body);
         assert_eq!(
@@ -3044,7 +2982,7 @@ mod tests {
     fn a_lane_interval_with_bounds_outside_the_block_matches_the_interpreter() {
         // `p0 <= tid + p2 <= p1` under `tid % 3 != 1`: a box inside a
         // per-lane mask, with its else arm.
-        let tx = IExpr::ThreadIdx(0);
+        let tx = tid(0);
         for (p0, p1, p2) in [
             (0, 39, 0),
             (-50, 500, 0),
@@ -3054,25 +2992,25 @@ mod tests {
             (20, 60, 17),
             (3, 35, -30),
         ] {
-            let at = tx.clone().add(IExpr::Param(2));
-            let bounded = Cond::Le(IExpr::Param(0), at.clone()).and(Cond::Le(at, IExpr::Param(1)));
+            let at = tx.add(param(2));
+            let bounded = cond(Cond::Le(param(0), at)).and(cond(Cond::Le(at, param(1))));
             let body = vec![
-                load(0, tx.clone()),
+                load(0, tx),
                 when(
-                    Cond::Not(Box::new(Cond::Eq(tx.clone().modulo(3), IExpr::Const(1)))),
+                    cond(Cond::Not(cond(Cond::Eq(tx.modulo(3), lit(1))))),
                     vec![Stmt::If {
                         cond: bounded,
                         then_: vec![Stmt::Compute {
                             dst: 0,
-                            expr: FExpr::Sqrt(Box::new(FExpr::Reg(0))),
+                            expr: f(FExpr::Sqrt(reg(0))),
                         }],
                         else_: vec![Stmt::Compute {
                             dst: 0,
-                            expr: FExpr::Const(7.0),
+                            expr: fconst(7.0),
                         }],
                     }],
                 ),
-                store(tx.clone(), FExpr::Reg(0)),
+                store(tx, reg(0)),
             ];
             let plan = kernel_plan([40, 1, 1], vec![], 0, vec![p0, p1, p2], 1, body);
             assert_compiled_matches(&plan, &[Grid::random(&[40], 2)], 2);
@@ -3083,10 +3021,10 @@ mod tests {
     fn an_affine_index_is_checked_at_its_active_lanes_only() {
         // 64 lanes store `field[tid + 40]` of 96 cells under `tid < p0`.
         let run = |p0: i64| {
-            let tx = IExpr::ThreadIdx(0);
+            let tx = tid(0);
             let body = vec![when(
-                Cond::Lt(tx.clone(), IExpr::Param(0)),
-                vec![store(tx.offset(40), FExpr::Const(1.0))],
+                cond(Cond::Lt(tx, param(0))),
+                vec![store(tx.offset(40), fconst(1.0))],
             )];
             let plan = kernel_plan([64, 1, 1], vec![], 0, vec![p0], 1, body);
             let mut sim = GpuSim::new(DeviceConfig::gtx470(), &[Grid::zeros(&[96])], 2);
@@ -3124,7 +3062,7 @@ mod tests {
         for base in [-1000, -74, -73, -1, 0, 5, 71] {
             for c in 1..=4i64 {
                 for k in [1, 3, 7, 73] {
-                    let at = || IExpr::Param(0).add(IExpr::ThreadIdx(0).scale(c));
+                    let at = || param(0).add(tid(0).scale(c));
                     let indices = [
                         at().fdiv(k).modulo(32),
                         at().fdiv(k).modulo(5),
@@ -3136,7 +3074,7 @@ mod tests {
                         Box::new(|x| x.rem_euclid(k).rem_euclid(32)),
                     ];
                     for (index, want) in indices.into_iter().zip(want) {
-                        let body = vec![load(0, index), store(IExpr::ThreadIdx(0), FExpr::Reg(0))];
+                        let body = vec![load(0, index), store(tid(0), reg(0))];
                         let plan = kernel_plan([32, 1, 1], vec![], 0, vec![base], 1, body);
                         assert_compiled_matches(&plan, &init, 2);
                         let bc = compile_kernel(&plan.kernels[0], &GlobalMem::new(&init, 2));
@@ -3157,44 +3095,41 @@ mod tests {
 
     #[test]
     fn a_unit_stride_shared_access_costs_no_vector_op_and_one_transaction_a_warp() {
-        let tx = IExpr::ThreadIdx(0);
+        let tx = tid(0);
         let shared = vec![SharedBuf {
             name: "s".into(),
             dims: vec![2, 136],
         }];
-        let row = |index: IExpr| vec![IExpr::BlockIdx, index];
+        let row = |at: IExprId| index(&[block(), at]);
         let body = vec![
-            load(0, tx.clone()),
+            load(0, tx),
             // 40 of 64 lanes: a full warp and a quarter of one.
             when(
-                Cond::Lt(tx.clone(), IExpr::Const(40)),
+                cond(Cond::Lt(tx, lit(40))),
                 vec![
                     Stmt::SharedStore {
                         buf: 0,
-                        index: row(tx.clone().offset(8)),
-                        src: FExpr::Reg(0),
+                        index: row(tx.offset(8)),
+                        src: reg(0),
                     },
                     Stmt::SharedStore {
                         buf: 0,
-                        index: row(tx.clone().scale(2)),
-                        src: FExpr::Reg(0),
+                        index: row(tx.scale(2)),
+                        src: reg(0),
                     },
                     Stmt::SharedLoad {
                         dst: 1,
                         buf: 0,
-                        index: row(tx.clone().offset(8)),
+                        index: row(tx.offset(8)),
                     },
                     Stmt::SharedLoad {
                         dst: 2,
                         buf: 0,
-                        index: row(tx.clone().scale(2)),
+                        index: row(tx.scale(2)),
                     },
                 ],
             ),
-            store(
-                tx,
-                FExpr::Add(Box::new(FExpr::Reg(1)), Box::new(FExpr::Reg(2))),
-            ),
+            store(tx, f(FExpr::Add(reg(1), reg(2)))),
         ];
         let plan = kernel_plan([64, 1, 1], shared, 0, vec![], 1, body);
         let init = [Grid::random(&[64], 4)];
@@ -3221,33 +3156,29 @@ mod tests {
     fn lane_conditions_under_or_and_not_match_the_interpreter() {
         // A `[32, 3, 1]` block: boxes over `tid.x`/`tid.y`, an interval of
         // lane indices, and the lanes outside their union.
-        let (tx, ty) = (IExpr::ThreadIdx(0), IExpr::ThreadIdx(1));
-        let lane = || tx.clone().add(ty.clone().scale(32));
-        let corner =
-            Cond::Lt(tx.clone(), IExpr::Const(5)).and(Cond::Le(IExpr::Const(1), ty.clone()));
-        let middle = Cond::Le(IExpr::Const(40), lane()).and(Cond::Lt(lane(), IExpr::Const(70)));
-        let either = Cond::Or(Box::new(corner), Box::new(middle));
+        let (tx, ty) = (tid(0), tid(1));
+        let lane = || tx.add(ty.scale(32));
+        let corner = cond(Cond::Lt(tx, lit(5))).and(cond(Cond::Le(lit(1), ty)));
+        let middle = cond(Cond::Le(lit(40), lane())).and(cond(Cond::Lt(lane(), lit(70))));
+        let either = cond(Cond::Or(corner, middle));
         let body = vec![
             load(0, lane()),
             Stmt::If {
-                cond: either.clone(),
+                cond: either,
                 then_: vec![Stmt::Compute {
                     dst: 0,
-                    expr: FExpr::Mul(Box::new(FExpr::Reg(0)), Box::new(FExpr::Const(3.0))),
+                    expr: f(FExpr::Mul(reg(0), fconst(3.0))),
                 }],
                 else_: vec![],
             },
             when(
-                Cond::Not(Box::new(either)),
+                cond(Cond::Not(either)),
                 vec![Stmt::Compute {
                     dst: 1,
-                    expr: FExpr::Const(2.0),
+                    expr: fconst(2.0),
                 }],
             ),
-            store(
-                lane(),
-                FExpr::Add(Box::new(FExpr::Reg(0)), Box::new(FExpr::Reg(1))),
-            ),
+            store(lane(), f(FExpr::Add(reg(0), reg(1)))),
         ];
         let plan = kernel_plan([32, 3, 1], vec![], 0, vec![], 1, body);
         assert_compiled_matches(&plan, &[Grid::random(&[96], 6)], 2);
@@ -3255,7 +3186,7 @@ mod tests {
 
     #[test]
     fn a_block_of_one_full_and_one_partial_warp_matches_the_interpreter() {
-        let tx = IExpr::ThreadIdx(0);
+        let tx = tid(0);
         let kernel = Kernel {
             name: "forty".into(),
             block_dim: [40, 1, 1],
@@ -3267,33 +3198,34 @@ mod tests {
             n_regs: 2,
             n_params: 0,
             body: vec![
-                load(0, tx.clone()),
+                load(0, tx),
                 Stmt::SharedStore {
                     buf: 0,
-                    index: vec![tx.clone().scale(2)],
-                    src: FExpr::Reg(0),
+                    index: index(&[tx.scale(2)]),
+                    src: reg(0),
                 },
                 Stmt::Sync,
                 // Splits both warps, the short one 3 : 5.
                 Stmt::If {
-                    cond: Cond::Lt(tx.clone().modulo(8), IExpr::Const(3)),
+                    cond: cond(Cond::Lt(tx.modulo(8), lit(3))),
                     then_: vec![Stmt::SharedLoad {
                         dst: 1,
                         buf: 0,
-                        index: vec![IExpr::Const(78).sub(tx.clone().scale(2))],
+                        index: index(&[lit(78).sub(tx.scale(2))]),
                     }],
                     else_: vec![Stmt::Compute {
                         dst: 1,
-                        expr: FExpr::Sqrt(Box::new(FExpr::Reg(0))),
+                        expr: f(FExpr::Sqrt(reg(0))),
                     }],
                 },
                 Stmt::GlobalStore {
                     field: 0,
-                    plane: IExpr::Const(1),
-                    index: vec![tx],
-                    src: FExpr::Mul(Box::new(FExpr::Reg(1)), Box::new(FExpr::Const(0.5))),
+                    plane: lit(1),
+                    index: index(&[tx]),
+                    src: f(FExpr::Mul(reg(1), fconst(0.5))),
                 },
             ],
+            pool: take_pool(),
         };
         let plan = LaunchPlan {
             kernels: vec![kernel],

@@ -7,7 +7,9 @@
 //! Divergence is modeled by per-lane masks on `If`; memory instrumentation
 //! happens per warp (32 consecutive lanes).
 
-use gpu_codegen::ir::{Cond, FExpr, IExpr, Kernel, LaunchPlan, Stmt};
+use gpu_codegen::ir::{
+    Cond, CondId, FExpr, FExprId, IExpr, IExprId, Kernel, LaunchPlan, Pool, Stmt,
+};
 use stencil::Grid;
 
 use crate::counters::Counters;
@@ -81,6 +83,7 @@ pub(crate) fn exec_block(
     assert_eq!(params.len(), kernel.n_params, "launch parameter arity");
     let n_threads = kernel.threads_per_block();
     let mut exec = BlockExec {
+        pool: &kernel.pool,
         params,
         block,
         n_threads,
@@ -103,6 +106,17 @@ pub(crate) fn exec_block(
     };
     let mask = vec![true; n_threads];
     exec.run(&kernel.body, &mask);
+}
+
+/// FLOP weight of an expression of `pool` (`sqrt` counts 3).
+pub(crate) fn flop_weight(pool: &Pool, e: FExprId) -> u64 {
+    match pool[e] {
+        FExpr::Reg(_) | FExpr::Const(_) => 0,
+        FExpr::Add(a, b) | FExpr::Sub(a, b) | FExpr::Mul(a, b) => {
+            1 + flop_weight(pool, a) + flop_weight(pool, b)
+        }
+        FExpr::Sqrt(a) => 3 + flop_weight(pool, a),
+    }
 }
 
 /// The simulator: device, global memory, L2 and counters.
@@ -206,6 +220,7 @@ impl GpuSim {
 }
 
 struct BlockExec<'a, 'm> {
+    pool: &'a Pool,
     params: &'a [i64],
     block: i64,
     n_threads: usize,
@@ -219,25 +234,25 @@ struct BlockExec<'a, 'm> {
 }
 
 impl BlockExec<'_, '_> {
-    fn eval_i(&self, e: &IExpr, lane: usize) -> i64 {
-        match e {
-            IExpr::Const(c) => *c,
-            IExpr::Var(v) => self.vars[*v][lane],
-            IExpr::Param(p) => self.params[*p],
-            IExpr::ThreadIdx(d) => self.tids[lane][*d as usize],
+    fn eval_i(&self, e: IExprId, lane: usize) -> i64 {
+        match self.pool[e] {
+            IExpr::Const(c) => c,
+            IExpr::Var(v) => self.vars[v][lane],
+            IExpr::Param(p) => self.params[p],
+            IExpr::ThreadIdx(d) => self.tids[lane][d as usize],
             IExpr::BlockIdx => self.block,
             IExpr::Add(a, b) => self.eval_i(a, lane) + self.eval_i(b, lane),
             IExpr::Sub(a, b) => self.eval_i(a, lane) - self.eval_i(b, lane),
             IExpr::Mul(a, b) => self.eval_i(a, lane) * self.eval_i(b, lane),
-            IExpr::FloorDiv(a, k) => self.eval_i(a, lane).div_euclid(*k),
-            IExpr::Mod(a, k) => self.eval_i(a, lane).rem_euclid(*k),
+            IExpr::FloorDiv(a, k) => self.eval_i(a, lane).div_euclid(k),
+            IExpr::Mod(a, k) => self.eval_i(a, lane).rem_euclid(k),
             IExpr::Min(a, b) => self.eval_i(a, lane).min(self.eval_i(b, lane)),
             IExpr::Max(a, b) => self.eval_i(a, lane).max(self.eval_i(b, lane)),
         }
     }
 
-    fn eval_c(&self, c: &Cond, lane: usize) -> bool {
-        match c {
+    fn eval_c(&self, c: CondId, lane: usize) -> bool {
+        match self.pool[c] {
             Cond::True => true,
             Cond::Le(a, b) => self.eval_i(a, lane) <= self.eval_i(b, lane),
             Cond::Lt(a, b) => self.eval_i(a, lane) < self.eval_i(b, lane),
@@ -248,25 +263,14 @@ impl BlockExec<'_, '_> {
         }
     }
 
-    fn eval_f(&self, e: &FExpr, lane: usize) -> f32 {
-        match e {
-            FExpr::Reg(r) => self.regs[*r][lane],
-            FExpr::Const(c) => *c,
+    fn eval_f(&self, e: FExprId, lane: usize) -> f32 {
+        match self.pool[e] {
+            FExpr::Reg(r) => self.regs[r][lane],
+            FExpr::Const(c) => c,
             FExpr::Add(a, b) => self.eval_f(a, lane) + self.eval_f(b, lane),
             FExpr::Sub(a, b) => self.eval_f(a, lane) - self.eval_f(b, lane),
             FExpr::Mul(a, b) => self.eval_f(a, lane) * self.eval_f(b, lane),
             FExpr::Sqrt(a) => self.eval_f(a, lane).sqrt(),
-        }
-    }
-
-    /// FLOP weight of an expression (sqrt counts 3).
-    fn flop_weight(e: &FExpr) -> u64 {
-        match e {
-            FExpr::Reg(_) | FExpr::Const(_) => 0,
-            FExpr::Add(a, b) | FExpr::Sub(a, b) | FExpr::Mul(a, b) => {
-                1 + Self::flop_weight(a) + Self::flop_weight(b)
-            }
-            FExpr::Sqrt(a) => 3 + Self::flop_weight(a),
         }
     }
 
@@ -289,7 +293,7 @@ impl BlockExec<'_, '_> {
             Stmt::SetVar { var, value } => {
                 for (lane, &m) in mask.iter().enumerate().take(self.n_threads) {
                     if m {
-                        self.vars[*var][lane] = self.eval_i(value, lane);
+                        self.vars[*var][lane] = self.eval_i(*value, lane);
                     }
                 }
             }
@@ -302,12 +306,12 @@ impl BlockExec<'_, '_> {
             } => {
                 assert!(*step > 0, "loop step must be positive");
                 let first = mask.iter().position(|&m| m).expect("non-empty mask");
-                let lo_v = self.eval_i(lo, first);
-                let hi_v = self.eval_i(hi, first);
+                let lo_v = self.eval_i(*lo, first);
+                let hi_v = self.eval_i(*hi, first);
                 debug_assert!(
                     (0..self.n_threads)
                         .filter(|&l| mask[l])
-                        .all(|l| self.eval_i(lo, l) == lo_v && self.eval_i(hi, l) == hi_v),
+                        .all(|l| self.eval_i(*lo, l) == lo_v && self.eval_i(*hi, l) == hi_v),
                     "loop bounds must be uniform across active lanes"
                 );
                 let mut v = lo_v;
@@ -326,7 +330,7 @@ impl BlockExec<'_, '_> {
                 let mut emask = vec![false; self.n_threads];
                 for lane in 0..self.n_threads {
                     if mask[lane] {
-                        if self.eval_c(cond, lane) {
+                        if self.eval_c(*cond, lane) {
                             tmask[lane] = true;
                         } else {
                             emask[lane] = true;
@@ -360,8 +364,11 @@ impl BlockExec<'_, '_> {
                         if !mask[lane] {
                             continue;
                         }
-                        let pl = self.eval_i(plane, lane) as usize;
-                        let idx: Vec<i64> = index.iter().map(|e| self.eval_i(e, lane)).collect();
+                        let pl = self.eval_i(*plane, lane) as usize;
+                        let idx: Vec<i64> = self.pool[*index]
+                            .iter()
+                            .map(|&e| self.eval_i(e, lane))
+                            .collect();
                         addrs.push(self.glob.mem.byte_address(*field, pl, &idx));
                         self.regs[*dst][lane] = self.glob.mem.read(*field, pl, &idx);
                     }
@@ -374,7 +381,7 @@ impl BlockExec<'_, '_> {
                 index,
                 src,
             } => {
-                let extra_flops = Self::flop_weight(src);
+                let extra_flops = flop_weight(self.pool, *src);
                 for warp in 0..self.n_threads.div_ceil(32) {
                     let lanes = warp * 32..((warp + 1) * 32).min(self.n_threads);
                     let mut addrs = Vec::new();
@@ -382,10 +389,13 @@ impl BlockExec<'_, '_> {
                         if !mask[lane] {
                             continue;
                         }
-                        let pl = self.eval_i(plane, lane) as usize;
-                        let idx: Vec<i64> = index.iter().map(|e| self.eval_i(e, lane)).collect();
+                        let pl = self.eval_i(*plane, lane) as usize;
+                        let idx: Vec<i64> = self.pool[*index]
+                            .iter()
+                            .map(|&e| self.eval_i(e, lane))
+                            .collect();
                         addrs.push(self.glob.mem.byte_address(*field, pl, &idx));
-                        let v = self.eval_f(src, lane);
+                        let v = self.eval_f(*src, lane);
                         self.counters.flops += extra_flops;
                         self.glob.mem.write(*field, pl, &idx, v);
                     }
@@ -400,7 +410,10 @@ impl BlockExec<'_, '_> {
                         if !mask[lane] {
                             continue;
                         }
-                        let idx: Vec<i64> = index.iter().map(|e| self.eval_i(e, lane)).collect();
+                        let idx: Vec<i64> = self.pool[*index]
+                            .iter()
+                            .map(|&e| self.eval_i(e, lane))
+                            .collect();
                         words.push(self.shared.word_address(*buf, &idx));
                         self.regs[*dst][lane] = self.shared.read(*buf, &idx);
                     }
@@ -408,7 +421,7 @@ impl BlockExec<'_, '_> {
                 }
             }
             Stmt::SharedStore { buf, index, src } => {
-                let extra_flops = Self::flop_weight(src);
+                let extra_flops = flop_weight(self.pool, *src);
                 for warp in 0..self.n_threads.div_ceil(32) {
                     let lanes = warp * 32..((warp + 1) * 32).min(self.n_threads);
                     let mut words = Vec::new();
@@ -416,9 +429,12 @@ impl BlockExec<'_, '_> {
                         if !mask[lane] {
                             continue;
                         }
-                        let idx: Vec<i64> = index.iter().map(|e| self.eval_i(e, lane)).collect();
+                        let idx: Vec<i64> = self.pool[*index]
+                            .iter()
+                            .map(|&e| self.eval_i(e, lane))
+                            .collect();
                         words.push(self.shared.word_address(*buf, &idx));
-                        let v = self.eval_f(src, lane);
+                        let v = self.eval_f(*src, lane);
                         self.counters.flops += extra_flops;
                         self.shared.write(*buf, &idx, v);
                     }
@@ -426,10 +442,10 @@ impl BlockExec<'_, '_> {
                 }
             }
             Stmt::Compute { dst, expr } => {
-                let w = Self::flop_weight(expr);
+                let w = flop_weight(self.pool, *expr);
                 for (lane, &m) in mask.iter().enumerate().take(self.n_threads) {
                     if m {
-                        self.regs[*dst][lane] = self.eval_f(expr, lane);
+                        self.regs[*dst][lane] = self.eval_f(*expr, lane);
                         self.counters.flops += w;
                     }
                 }
@@ -444,9 +460,10 @@ impl BlockExec<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_codegen::ir::{Kernel, Launch, SharedBuf};
+    use gpu_codegen::ir::{Kernel, Launch, PoolBuilder, SharedBuf};
     use gpu_codegen::{generate_hybrid, CodegenOptions};
     use hybrid_tiling::TileParams;
+    use std::sync::Arc;
     use stencil::gallery;
 
     /// Runs `plan` on the reference interpreter.
@@ -538,7 +555,12 @@ mod tests {
     /// A hand-written "copy with +1" kernel: out[i] = in[i] + 1 for a 1-D
     /// grid of 128 elements and 4 blocks of 32 threads.
     fn copy_kernel() -> (LaunchPlan, Vec<Grid>) {
-        let idx = IExpr::BlockIdx.scale(32).add(IExpr::ThreadIdx(0));
+        let p = PoolBuilder::default();
+        let (block, tx) = (p.iexpr(IExpr::BlockIdx), p.iexpr(IExpr::ThreadIdx(0)));
+        let scaled = p.scale(block, 32);
+        let idx = p.add(scaled, tx);
+        let idx = p.indices(&[idx]);
+        let (r0, one) = (p.fexpr(FExpr::Reg(0)), p.fexpr(FExpr::Const(1.0)));
         let kernel = Kernel {
             name: "copy".into(),
             block_dim: [32, 1, 1],
@@ -550,16 +572,17 @@ mod tests {
                 Stmt::GlobalLoad {
                     dst: 0,
                     field: 0,
-                    plane: IExpr::Const(0),
-                    index: vec![idx.clone()],
+                    plane: p.lit(0),
+                    index: idx,
                 },
                 Stmt::GlobalStore {
                     field: 0,
-                    plane: IExpr::Const(1),
-                    index: vec![idx],
-                    src: FExpr::Add(Box::new(FExpr::Reg(0)), Box::new(FExpr::Const(1.0))),
+                    plane: p.lit(1),
+                    index: idx,
+                    src: p.fexpr(FExpr::Add(r0, one)),
                 },
             ],
+            pool: Arc::new(p.finish()),
         };
         let plan = LaunchPlan {
             kernels: vec![kernel],
@@ -605,6 +628,8 @@ mod tests {
     #[test]
     fn divergent_if_is_counted() {
         // Half of each warp takes the branch.
+        let p = PoolBuilder::default();
+        let (tx, half) = (p.iexpr(IExpr::ThreadIdx(0)), p.lit(16));
         let kernel = Kernel {
             name: "div".into(),
             block_dim: [32, 1, 1],
@@ -613,13 +638,14 @@ mod tests {
             n_regs: 1,
             n_params: 0,
             body: vec![Stmt::If {
-                cond: Cond::Lt(IExpr::ThreadIdx(0), IExpr::Const(16)),
+                cond: p.cond(Cond::Lt(tx, half)),
                 then_: vec![Stmt::Compute {
                     dst: 0,
-                    expr: FExpr::Const(1.0),
+                    expr: p.fexpr(FExpr::Const(1.0)),
                 }],
                 else_: vec![],
             }],
+            pool: Arc::new(p.finish()),
         };
         let plan = LaunchPlan {
             kernels: vec![kernel],
@@ -637,7 +663,10 @@ mod tests {
     #[test]
     fn shared_memory_roundtrip_with_sync() {
         // Stage through shared memory: s[tx] = in[tx]; sync; out[tx] = s[31-tx].
-        let tx = IExpr::ThreadIdx(0);
+        let p = PoolBuilder::default();
+        let (tx, last) = (p.iexpr(IExpr::ThreadIdx(0)), p.lit(31));
+        let mirrored = p.sub(last, tx);
+        let (at_tx, at_mirror) = (p.indices(&[tx]), p.indices(&[mirrored]));
         let kernel = Kernel {
             name: "stage".into(),
             block_dim: [32, 1, 1],
@@ -652,27 +681,28 @@ mod tests {
                 Stmt::GlobalLoad {
                     dst: 0,
                     field: 0,
-                    plane: IExpr::Const(0),
-                    index: vec![tx.clone()],
+                    plane: p.lit(0),
+                    index: at_tx,
                 },
                 Stmt::SharedStore {
                     buf: 0,
-                    index: vec![tx.clone()],
-                    src: FExpr::Reg(0),
+                    index: at_tx,
+                    src: p.fexpr(FExpr::Reg(0)),
                 },
                 Stmt::Sync,
                 Stmt::SharedLoad {
                     dst: 1,
                     buf: 0,
-                    index: vec![IExpr::Const(31).sub(tx.clone())],
+                    index: at_mirror,
                 },
                 Stmt::GlobalStore {
                     field: 0,
-                    plane: IExpr::Const(1),
-                    index: vec![tx],
-                    src: FExpr::Reg(1),
+                    plane: p.lit(1),
+                    index: at_tx,
+                    src: p.fexpr(FExpr::Reg(1)),
                 },
             ],
+            pool: Arc::new(p.finish()),
         };
         let plan = LaunchPlan {
             kernels: vec![kernel],
@@ -731,7 +761,11 @@ mod tests {
     #[test]
     fn loop_with_uniform_bounds() {
         // Sum 4 values per thread via a loop: out[tx] = sum_{j<4} in[4*tx+j].
-        let tx = IExpr::ThreadIdx(0);
+        let p = PoolBuilder::default();
+        let (tx, j) = (p.iexpr(IExpr::ThreadIdx(0)), p.var(0));
+        let first = p.scale(tx, 4);
+        let element = p.add(first, j);
+        let (r0, r1) = (p.fexpr(FExpr::Reg(0)), p.fexpr(FExpr::Reg(1)));
         let kernel = Kernel {
             name: "loop".into(),
             block_dim: [8, 1, 1],
@@ -742,33 +776,34 @@ mod tests {
             body: vec![
                 Stmt::Compute {
                     dst: 1,
-                    expr: FExpr::Const(0.0),
+                    expr: p.fexpr(FExpr::Const(0.0)),
                 },
                 Stmt::For {
                     var: 0,
-                    lo: IExpr::Const(0),
-                    hi: IExpr::Const(4),
+                    lo: p.lit(0),
+                    hi: p.lit(4),
                     step: 1,
                     body: vec![
                         Stmt::GlobalLoad {
                             dst: 0,
                             field: 0,
-                            plane: IExpr::Const(0),
-                            index: vec![tx.clone().scale(4).add(IExpr::Var(0))],
+                            plane: p.lit(0),
+                            index: p.indices(&[element]),
                         },
                         Stmt::Compute {
                             dst: 1,
-                            expr: FExpr::Add(Box::new(FExpr::Reg(1)), Box::new(FExpr::Reg(0))),
+                            expr: p.fexpr(FExpr::Add(r1, r0)),
                         },
                     ],
                 },
                 Stmt::GlobalStore {
                     field: 0,
-                    plane: IExpr::Const(1),
-                    index: vec![tx],
-                    src: FExpr::Reg(1),
+                    plane: p.lit(1),
+                    index: p.indices(&[tx]),
+                    src: r1,
                 },
             ],
+            pool: Arc::new(p.finish()),
         };
         let plan = LaunchPlan {
             kernels: vec![kernel],

@@ -44,6 +44,9 @@ pub mod parallel;
 pub mod shared;
 pub mod timing;
 
+#[cfg(test)]
+mod test_ir;
+
 pub use counters::Counters;
 pub use device::DeviceConfig;
 pub use exec::GpuSim;

@@ -644,14 +644,15 @@ impl GpuSim {
 mod tests {
     use super::*;
     use crate::device::DeviceConfig;
-    use gpu_codegen::ir::{Cond, FExpr, IExpr, Kernel, Launch, Stmt};
+    use crate::test_ir::*;
+    use gpu_codegen::ir::{Cond, FExpr, Kernel, Launch, Stmt};
     use stencil::Grid;
 
     /// `out[i] = in[i] * 2` over 8 blocks of 32 threads, with a second
     /// launch reading the first launch's output — exercises cross-launch
     /// visibility of merged writes.
     fn two_launch_plan() -> (LaunchPlan, Vec<Grid>) {
-        let idx = IExpr::BlockIdx.scale(32).add(IExpr::ThreadIdx(0));
+        let idx = block().scale(32).add(tid(0));
         let scale = |plane_in: i64, plane_out: i64, factor: f32| Kernel {
             name: format!("scale{plane_out}"),
             block_dim: [32, 1, 1],
@@ -663,16 +664,17 @@ mod tests {
                 Stmt::GlobalLoad {
                     dst: 0,
                     field: 0,
-                    plane: IExpr::Const(plane_in),
-                    index: vec![idx.clone()],
+                    plane: lit(plane_in),
+                    index: index(&[idx]),
                 },
                 Stmt::GlobalStore {
                     field: 0,
-                    plane: IExpr::Const(plane_out),
-                    index: vec![idx.clone()],
-                    src: FExpr::Mul(Box::new(FExpr::Reg(0)), Box::new(FExpr::Const(factor))),
+                    plane: lit(plane_out),
+                    index: index(&[idx]),
+                    src: f(FExpr::Mul(reg(0), fconst(factor))),
                 },
             ],
+            pool: take_pool(),
         };
         let plan = LaunchPlan {
             kernels: vec![scale(0, 1, 2.0), scale(1, 0, 3.0)],
@@ -715,7 +717,7 @@ mod tests {
     fn block_reads_its_own_writes() {
         // Within one launch a block stores then reloads the same location;
         // the overlay must serve the fresh value.
-        let idx = IExpr::BlockIdx.scale(32).add(IExpr::ThreadIdx(0));
+        let idx = block().scale(32).add(tid(0));
         let kernel = Kernel {
             name: "rmw".into(),
             block_dim: [32, 1, 1],
@@ -726,23 +728,24 @@ mod tests {
             body: vec![
                 Stmt::GlobalStore {
                     field: 0,
-                    plane: IExpr::Const(1),
-                    index: vec![idx.clone()],
-                    src: FExpr::Const(5.0),
+                    plane: lit(1),
+                    index: index(&[idx]),
+                    src: fconst(5.0),
                 },
                 Stmt::GlobalLoad {
                     dst: 0,
                     field: 0,
-                    plane: IExpr::Const(1),
-                    index: vec![idx.clone()],
+                    plane: lit(1),
+                    index: index(&[idx]),
                 },
                 Stmt::GlobalStore {
                     field: 0,
-                    plane: IExpr::Const(0),
-                    index: vec![idx],
-                    src: FExpr::Add(Box::new(FExpr::Reg(0)), Box::new(FExpr::Const(1.0))),
+                    plane: lit(0),
+                    index: index(&[idx]),
+                    src: f(FExpr::Add(reg(0), fconst(1.0))),
                 },
             ],
+            pool: take_pool(),
         };
         let plan = LaunchPlan {
             kernels: vec![kernel],
@@ -778,28 +781,29 @@ mod tests {
             body: vec![
                 Stmt::SetVar {
                     var: 0,
-                    value: IExpr::BlockIdx,
+                    value: block(),
                 },
                 Stmt::If {
-                    cond: Cond::Eq(IExpr::ThreadIdx(0), IExpr::Const(0)),
+                    cond: cond(Cond::Eq(tid(0), lit(0))),
                     then_: vec![Stmt::If {
-                        cond: Cond::Eq(IExpr::Var(0), IExpr::Const(0)),
+                        cond: cond(Cond::Eq(var(0), lit(0))),
                         then_: vec![Stmt::GlobalStore {
                             field: 0,
-                            plane: IExpr::Const(0),
-                            index: vec![IExpr::Const(0)],
-                            src: FExpr::Const(1.0),
+                            plane: lit(0),
+                            index: index(&[lit(0)]),
+                            src: fconst(1.0),
                         }],
                         else_: vec![Stmt::GlobalStore {
                             field: 0,
-                            plane: IExpr::Const(0),
-                            index: vec![IExpr::Const(0)],
-                            src: FExpr::Const(2.0),
+                            plane: lit(0),
+                            index: index(&[lit(0)]),
+                            src: fconst(2.0),
                         }],
                     }],
                     else_: vec![],
                 },
             ],
+            pool: take_pool(),
         };
         let plan = LaunchPlan {
             kernels: vec![k],
@@ -830,28 +834,29 @@ mod tests {
             body: vec![
                 Stmt::SetVar {
                     var: 0,
-                    value: IExpr::BlockIdx,
+                    value: block(),
                 },
                 Stmt::If {
-                    cond: Cond::Eq(IExpr::ThreadIdx(0), IExpr::Const(0)),
+                    cond: cond(Cond::Eq(tid(0), lit(0))),
                     then_: vec![Stmt::If {
-                        cond: Cond::Eq(IExpr::Var(0), IExpr::Const(0)),
+                        cond: cond(Cond::Eq(var(0), lit(0))),
                         then_: vec![Stmt::GlobalStore {
                             field: 0,
-                            plane: IExpr::Const(0),
-                            index: vec![IExpr::Const(0)],
-                            src: FExpr::Const(1.0),
+                            plane: lit(0),
+                            index: index(&[lit(0)]),
+                            src: fconst(1.0),
                         }],
                         else_: vec![Stmt::GlobalStore {
                             field: 0,
-                            plane: IExpr::Const(0),
-                            index: vec![IExpr::Const(0)],
-                            src: FExpr::Const(2.0),
+                            plane: lit(0),
+                            index: index(&[lit(0)]),
+                            src: fconst(2.0),
                         }],
                     }],
                     else_: vec![],
                 },
             ],
+            pool: take_pool(),
         };
         let plan = LaunchPlan {
             kernels: vec![k],
@@ -909,6 +914,7 @@ mod tests {
             n_regs: 1,
             n_params: 0,
             body: vec![],
+            pool: take_pool(),
         };
         let plan = LaunchPlan {
             kernels: vec![k],
@@ -938,10 +944,11 @@ mod tests {
             n_params: 0,
             body: vec![Stmt::GlobalStore {
                 field: 0,
-                plane: IExpr::Const(0),
-                index: vec![IExpr::ThreadIdx(0).offset(1 << 30)],
-                src: FExpr::Const(1.0),
+                plane: lit(0),
+                index: index(&[tid(0).offset(1 << 30)]),
+                src: fconst(1.0),
             }],
+            pool: take_pool(),
         };
         LaunchPlan {
             kernels: vec![k],

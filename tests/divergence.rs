@@ -3,7 +3,7 @@
 //! full hexagonal tile contains the same number of integer points and the
 //! specialized code path carries no per-lane conditions.
 
-use gpu_codegen::ir::{Cond, IExpr, Stmt};
+use gpu_codegen::ir::{Cond, CondId, IExpr, IExprId, Pool, Stmt};
 use hybrid_hexagonal::prelude::*;
 use stencil::gallery;
 
@@ -12,9 +12,10 @@ use stencil::gallery;
 /// flow is impossible, not merely unobserved.
 #[test]
 fn full_tile_branch_has_no_lane_dependent_conditions() {
-    fn cond_uses_tid(c: &Cond) -> bool {
-        fn expr_uses_tid(e: &IExpr) -> bool {
-            match e {
+    fn cond_uses_tid(pool: &Pool, c: CondId) -> bool {
+        fn expr_uses_tid(pool: &Pool, e: IExprId) -> bool {
+            let expr_uses_tid = |e| expr_uses_tid(pool, e);
+            match pool[e] {
                 IExpr::ThreadIdx(_) => true,
                 IExpr::Const(_) | IExpr::Var(_) | IExpr::Param(_) | IExpr::BlockIdx => false,
                 IExpr::Add(a, b)
@@ -25,7 +26,9 @@ fn full_tile_branch_has_no_lane_dependent_conditions() {
                 IExpr::FloorDiv(a, _) | IExpr::Mod(a, _) => expr_uses_tid(a),
             }
         }
-        match c {
+        let (expr_uses_tid, cond_uses_tid) =
+            (|e| expr_uses_tid(pool, e), |c| cond_uses_tid(pool, c));
+        match pool[c] {
             Cond::True => false,
             Cond::Le(a, b) | Cond::Lt(a, b) | Cond::Eq(a, b) => {
                 expr_uses_tid(a) || expr_uses_tid(b)
@@ -46,40 +49,44 @@ fn full_tile_branch_has_no_lane_dependent_conditions() {
 
     /// Walk the full-tile branches (then-branch of Ifs that separate
     /// full/partial compute) and assert no nested lane-dependent Ifs.
-    fn check_full_branches(stmts: &[Stmt]) -> usize {
+    fn check_full_branches(pool: &Pool, stmts: &[Stmt]) -> usize {
         let mut found = 0;
         for s in stmts {
             match s {
                 Stmt::If { cond, then_, else_ } => {
                     if !else_.is_empty() && has_compute(then_) {
                         // This is the full/partial separation point.
-                        assert!(!cond_uses_tid(cond), "separation condition must be uniform");
-                        assert_no_lane_ifs(then_);
+                        assert!(
+                            !cond_uses_tid(pool, *cond),
+                            "separation condition must be uniform"
+                        );
+                        assert_no_lane_ifs(pool, then_);
                         found += 1;
                     } else {
-                        found += check_full_branches(then_);
-                        found += check_full_branches(else_);
+                        found += check_full_branches(pool, then_);
+                        found += check_full_branches(pool, else_);
                     }
                 }
-                Stmt::For { body, .. } => found += check_full_branches(body),
+                Stmt::For { body, .. } => found += check_full_branches(pool, body),
                 _ => {}
             }
         }
         found
     }
 
-    fn assert_no_lane_ifs(stmts: &[Stmt]) {
+    fn assert_no_lane_ifs(pool: &Pool, stmts: &[Stmt]) {
         for s in stmts {
             match s {
                 Stmt::If { cond, then_, else_ } => {
                     assert!(
-                        !cond_uses_tid(cond),
-                        "full-tile code contains a lane-dependent condition: {cond:?}"
+                        !cond_uses_tid(pool, *cond),
+                        "full-tile code contains a lane-dependent condition: {:?}",
+                        pool[*cond]
                     );
-                    assert_no_lane_ifs(then_);
-                    assert_no_lane_ifs(else_);
+                    assert_no_lane_ifs(pool, then_);
+                    assert_no_lane_ifs(pool, else_);
                 }
-                Stmt::For { body, .. } => assert_no_lane_ifs(body),
+                Stmt::For { body, .. } => assert_no_lane_ifs(pool, body),
                 _ => {}
             }
         }
@@ -103,7 +110,7 @@ fn full_tile_branch_has_no_lane_dependent_conditions() {
         )
         .unwrap();
         for kernel in &plan.kernels {
-            let n = check_full_branches(&kernel.body);
+            let n = check_full_branches(&kernel.pool, &kernel.body);
             assert!(n > 0, "{}: no full/partial separation found", kernel.name);
         }
     }
