@@ -288,7 +288,7 @@ mod tests {
     #[test]
     fn wrappers_render_every_variant_as_before_streaming() {
         // The expected strings are the renderings of the `format!`-per-node
-        // printer this module replaced, on a tree with every variant.
+        // printer this module replaced, on an expression with every variant.
         let p = PoolBuilder::default();
         let [tx, ty, tz] = [0, 1, 2].map(|d| p.iexpr(IExpr::ThreadIdx(d)));
         let diff = p.iexpr(IExpr::Sub(ty, tz));
