@@ -108,7 +108,8 @@ fn every_artifact_hybridc_writes_matches_its_pinned_digest() {
                 .is_some_and(|x| x == "stencil")
         })
         .count() as u64;
-    let scratch = Path::new(env!("CARGO_TARGET_TMPDIR")).join("artifact_digests");
+    let scratch = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("artifact_digests-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
     std::fs::create_dir_all(&scratch).unwrap();
     let mut table = String::new();
@@ -190,4 +191,5 @@ fn every_artifact_hybridc_writes_matches_its_pinned_digest() {
             fresh.display()
         );
     }
+    let _ = std::fs::remove_dir_all(&scratch);
 }

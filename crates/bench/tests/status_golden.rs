@@ -188,9 +188,10 @@ fn sched_fifo_is_reported_once_at_the_top_level() {
     // `hybridc serve --sched fifo` on stdin: the router's loop runs the
     // FIFO queue, so the fleet's top level says so, and no per-device
     // entry carries a service row of its own.
+    let out = std::env::temp_dir().join(format!("status_fifo_{}", std::process::id()));
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_hybridc"))
         .args(["serve", "--sched", "fifo", "--no-cache", "--out"])
-        .arg(std::env::temp_dir().join(format!("status_fifo_{}", std::process::id())))
+        .arg(&out)
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
         .spawn()
@@ -204,9 +205,10 @@ fn sched_fifo_is_reported_once_at_the_top_level() {
     .unwrap();
     writeln!(stdin, r#"{{"op":"status"}}"#).unwrap();
     drop(stdin);
-    let out = child.wait_with_output().unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8(out.stdout).unwrap();
+    let done = child.wait_with_output().unwrap();
+    let _ = std::fs::remove_dir_all(&out);
+    assert!(done.status.success());
+    let text = String::from_utf8(done.stdout).unwrap();
     let status = Json::parse(text.lines().nth(1).expect("two responses")).unwrap();
     assert_eq!(
         status.get("sched_policy").and_then(Json::as_str),

@@ -192,6 +192,8 @@ fn allocations_per_stage_match_the_pinned_ledger() {
         );
         table.push((name, first));
     }
+    let scratch = format!("hybrid-work-ledger-{:010}", std::process::id());
+    let _ = std::fs::remove_dir_all(std::env::temp_dir().join(scratch));
     let got = render(&table);
     let golden = root.join("tests/golden/work.json");
     let want = std::fs::read_to_string(&golden).unwrap_or_default();
