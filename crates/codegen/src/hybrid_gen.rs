@@ -639,9 +639,8 @@ impl<'a> HybridGeometry<'a> {
         }
         if !from_shared || self.opts.smem.interleaved_copy_out() {
             let index = self.global_index(p, a, b, &[0; 3]);
-            let field = buf;
             out.push(Stmt::GlobalStore {
-                field,
+                field: buf,
                 plane,
                 index,
                 src,
@@ -660,11 +659,8 @@ impl<'a> HybridGeometry<'a> {
         out: &mut Vec<Stmt>,
         (phase, a, b, guarded): Point,
     ) {
-        let (buf, start) = (
-            self.program.statements()[self.stmt_at(phase, a)].writes.0,
-            out.len(),
-        );
-        let plane = self.plane_expr(p, a, 0);
+        let buf = self.program.statements()[self.stmt_at(phase, a)].writes.0;
+        let (start, plane) = (out.len(), self.plane_expr(p, a, 0));
         let index = self.shared_index(p, plane, (a, b), &[0; 3]);
         out.push(Stmt::SharedLoad { dst: 0, buf, index });
         let (index, src) = (self.global_index(p, a, b, &[0; 3]), p.fexpr(FExpr::Reg(0)));
