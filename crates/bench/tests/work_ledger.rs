@@ -8,7 +8,8 @@
 //! of each stage on
 //! its own: parse, `HybridGeometry::new`, `build_plan`, simulate (loading
 //! the simulator, compiling the kernels, running the plan), the oracle and
-//! CUDA emission — plus the frees of dropping the plan. Every case runs
+//! the emission of that one plan by each backend (CUDA, HIP, WGSL, CPU) —
+//! plus the frees of dropping the plan. Every case runs
 //! twice and must count the same both times, after one uncounted warm-up
 //! request.
 //!
@@ -84,7 +85,7 @@ const WINNERS: [(&str, i64, &[i64]); 6] = [
 ];
 
 /// The ledger rows, in print order.
-const ROWS: [&str; 8] = [
+const ROWS: [&str; 11] = [
     "compile",
     "parse",
     "geometry",
@@ -92,13 +93,16 @@ const ROWS: [&str; 8] = [
     "simulate",
     "oracle",
     "emit_cuda",
+    "emit_hip",
+    "emit_wgsl",
+    "emit_cpu",
     "drop_plan_frees",
 ];
 
 /// One example's row values, in [`ROWS`] order. `run` names the fresh
 /// output directory of the whole compile: its path has the same length in
 /// every run and every process, so path handling allocates alike.
-fn ledger_of(name: &str, h: i64, w: &[i64], source: &str, run: &str) -> [u64; 8] {
+fn ledger_of(name: &str, h: i64, w: &[i64], source: &str, run: &str) -> [u64; ROWS.len()] {
     let out = std::env::temp_dir().join(format!(
         "hybrid-work-ledger-{:010}/{name}/{run}",
         std::process::id()
@@ -142,8 +146,14 @@ fn ledger_of(name: &str, h: i64, w: &[i64], source: &str, run: &str) -> [u64; 8]
         }
         oracle
     });
-    let (text, emit, _) = counted(|| BackendKind::Cuda.backend().emit_plan(&plan));
-    drop((sim, oracle, text));
+    let [cuda, hip, wgsl, cpu] = [
+        BackendKind::Cuda,
+        BackendKind::Hip,
+        BackendKind::Wgsl,
+        BackendKind::Cpu,
+    ]
+    .map(|b| counted(|| b.backend().emit_plan(&plan)).1);
+    drop((sim, oracle));
     let ((), _, drop_frees) = counted(|| drop(plan));
     [
         compile,
@@ -152,13 +162,16 @@ fn ledger_of(name: &str, h: i64, w: &[i64], source: &str, run: &str) -> [u64; 8]
         build_plan,
         simulate,
         oracle_allocs,
-        emit,
+        cuda,
+        hip,
+        wgsl,
+        cpu,
         drop_frees,
     ]
 }
 
 /// The ledger as pinned JSON text: one object per example, one key per row.
-fn render(table: &[(&str, [u64; 8])]) -> String {
+fn render(table: &[(&str, [u64; ROWS.len()])]) -> String {
     let mut out = String::from("{\n");
     for (i, (name, row)) in table.iter().enumerate() {
         let cells: Vec<String> = ROWS
