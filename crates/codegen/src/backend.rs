@@ -21,13 +21,15 @@
 //!
 //! # Adding a fifth backend
 //!
-//! 1. Write the printer module (see `wgsl_emit` for a non-C surface,
-//!    `c_like` + a [`crate::c_like::CDialect`] if the target is
-//!    C-family) with a `kernel_to_<target>(&Kernel) -> String` (or,
-//!    better, an appending `write_kernel`) entry point. Emission must
-//!    be a pure function of the kernel — no
-//!    clocks, no randomness — so the driver's content-addressed cache
-//!    and the golden-file suite stay byte-deterministic.
+//! 1. Write the printer module: a spelling of the shared printer in
+//!    `c_like` (how the target spells the leaves and statement forms
+//!    that differ; see `wgsl_emit` for a non-C surface, or reuse the C
+//!    spelling under a new [`crate::c_like::CDialect`] if the target is
+//!    C-family) and an appending `write_kernel(&mut String, &Kernel)`
+//!    that prints what surrounds the body. Emission must be a pure
+//!    function of the kernel — no clocks, no randomness — so the
+//!    driver's content-addressed cache and the golden-file suite stay
+//!    byte-deterministic.
 //! 2. Add a `BackendKind` variant, extend [`BackendKind::ALL`], and
 //!    give it a wire name in [`BackendKind::name`] (CLI `--backend`,
 //!    the serve-protocol `"backend"` field, cache entries and metric
@@ -45,12 +47,11 @@
 //!    key on `BackendKind` and pick the new target up automatically.
 
 use crate::c_like::{write_kernel, CUDA_DIALECT, HIP_DIALECT};
-use crate::cpu_emit::{kernel_to_cpu, CPU_PROLOGUE};
+use crate::cpu_emit::CPU_PROLOGUE;
 use crate::hybrid_gen::CodegenError;
 use crate::ir::{Kernel, LaunchPlan};
 use crate::options::{CodegenOptions, SmemStrategy};
 use crate::ptx_emit::{core_tile_ptx, DEFAULT_CORE_TILE_POINTS};
-use crate::wgsl_emit::kernel_to_wgsl;
 use std::fmt::Write;
 
 /// Identifier for one emission backend — the value that travels through
@@ -294,7 +295,7 @@ impl Backend for WgslBackend {
     }
 
     fn write_kernel(&self, out: &mut String, kernel: &Kernel) {
-        out.push_str(&kernel_to_wgsl(kernel));
+        crate::wgsl_emit::write_kernel(out, kernel);
     }
 }
 
@@ -355,7 +356,7 @@ impl Backend for CpuBackend {
     }
 
     fn write_kernel(&self, out: &mut String, kernel: &Kernel) {
-        out.push_str(&kernel_to_cpu(kernel));
+        crate::cpu_emit::write_kernel(out, kernel);
     }
 }
 

@@ -20,20 +20,24 @@
 //! the driver's verify step checks bit-exact against the sequential
 //! stencil oracle.
 //!
+//! Every expression, block head and plain statement prints through the
+//! shared printer of [`crate::c_like`], under the `Lanes` spelling; this
+//! module owns only what is the CPU's own: the lane loops, the masks and
+//! the function around them.
+//!
 //! Variable classification: a `v` is **lane-dependent** if its value
-//! expression mentions `threadIdx` or another lane-dependent variable,
-//! or if it is assigned under a divergent branch (all lanes must keep
-//! their own copy then). Lane-dependent variables print as
-//! `int vN[TPB]`, uniform ones as scalars. `For` loop variables are
-//! always uniform — the IR contract guarantees thread-independent loop
-//! bounds. Float registers are always per-lane.
+//! expression is not lane-uniform (`ir::Pool::uniform_nodes`: it mentions
+//! `threadIdx` or another lane-dependent variable), or if it is assigned
+//! under a divergent branch (all lanes must keep their own copy then).
+//! Lane-dependent variables print as `int vN[TPB]` and read as
+//! `vN[lane]`, uniform ones as scalars. `For` loop variables are always
+//! uniform — the IR contract guarantees thread-independent loop bounds.
+//! Float registers are always per-lane.
 
-use crate::ir::{visit, Cond, CondId, FExpr, FExprId, IExpr, IExprId, Indices, Kernel, Pool, Stmt};
-use std::collections::HashSet;
+use crate::c_like::{global_shape, pad, write_block, Spelling};
+use crate::ir::{IExprId, Indices, Kernel, Pool, Stmt, Uniform};
 use std::fmt::Write;
 
-/// Translation-unit prologue for a CPU plan: the integer helpers the
-/// expression grammar relies on (plain C has no `min`/`max`).
 pub const CPU_PROLOGUE: &str = "\
 // Vectorized whole-block CPU lowering: one function per kernel, one
 // `lane` loop iteration per GPU thread. Statement-level lockstep makes
@@ -51,347 +55,249 @@ static inline int max(int a, int b) { return a > b ? a : b; }
 
 ";
 
-struct Ctx<'a> {
-    kernel: &'a Kernel,
-    lane_dep: HashSet<usize>,
-    tpb: usize,
+/// The CPU spelling: a lane-dependent var and every register are arrays
+/// indexed by `lane`, the thread index is the lane's position in the
+/// block, and a global access is one flat offset.
+pub(crate) struct Lanes<'a> {
+    /// The kernel printed.
+    pub kernel: &'a Kernel,
+    /// Whether each var is lane-uniform, by var.
+    pub scalar: Vec<bool>,
+    /// Whether each condition of the pool is lane-uniform, by id.
+    pub uniform_conds: Vec<bool>,
 }
 
-fn iexpr_mentions_lane(pool: &Pool, e: IExprId, lane_dep: &HashSet<usize>) -> bool {
-    let mentions = |e| iexpr_mentions_lane(pool, e, lane_dep);
-    match pool[e] {
-        IExpr::Const(_) | IExpr::Param(_) | IExpr::BlockIdx => false,
-        IExpr::ThreadIdx(_) => true,
-        IExpr::Var(v) => lane_dep.contains(&v),
-        IExpr::Add(a, b)
-        | IExpr::Sub(a, b)
-        | IExpr::Mul(a, b)
-        | IExpr::Min(a, b)
-        | IExpr::Max(a, b) => mentions(a) || mentions(b),
-        IExpr::FloorDiv(a, _) | IExpr::Mod(a, _) => mentions(a),
+impl Spelling for Lanes<'_> {
+    const BLOCK_IDX: &'static str = "blockIdx";
+    const DEFINE: &'static str = "";
+
+    fn pool(&self) -> &Pool {
+        &self.kernel.pool
     }
-}
 
-fn cond_mentions_lane(pool: &Pool, c: CondId, lane_dep: &HashSet<usize>) -> bool {
-    let mentions = |c| cond_mentions_lane(pool, c, lane_dep);
-    match pool[c] {
-        Cond::True => false,
-        Cond::Le(a, b) | Cond::Lt(a, b) | Cond::Eq(a, b) => {
-            iexpr_mentions_lane(pool, a, lane_dep) || iexpr_mentions_lane(pool, b, lane_dep)
+    fn var(&self, out: &mut String, v: usize) {
+        let lane = if self.scalar[v] { "" } else { "[lane]" };
+        let _ = write!(out, "v{v}{lane}");
+    }
+
+    fn reg(&self, out: &mut String, r: usize) {
+        let _ = write!(out, "r{r}[lane]");
+    }
+
+    fn thread_idx(&self, out: &mut String, d: usize) {
+        let [bx, by, _] = self.kernel.block_dim;
+        let _ = match d {
+            0 => write!(out, "(lane % {bx})"),
+            1 => write!(out, "((lane / {bx}) % {by})"),
+            _ => write!(out, "(lane / {})", bx * by),
+        };
+    }
+
+    /// `[plane * plane_stride + i0 * stride0 + ... + i_last]`. The strides
+    /// are `long` function parameters, so the whole expression promotes
+    /// past `int` before any multiply.
+    fn global(&self, out: &mut String, plane: IExprId, index: Indices) {
+        out.push('[');
+        self.iexpr(out, plane);
+        out.push_str(" * plane_stride");
+        let index = &self.kernel.pool[index];
+        for (d, &e) in index.iter().enumerate() {
+            out.push_str(" + ");
+            self.iexpr(out, e);
+            if d + 1 < index.len() {
+                let _ = write!(out, " * stride{d}");
+            }
         }
-        Cond::And(a, b) | Cond::Or(a, b) => mentions(a) || mentions(b),
-        Cond::Not(a) => mentions(a),
+        out.push(']');
     }
 }
 
-/// One pass of the classification fixed point; returns true if the set
-/// grew. `divergent` tracks whether we are under a lane-dependent `if`.
-fn classify(pool: &Pool, stmts: &[Stmt], lane_dep: &mut HashSet<usize>, divergent: bool) -> bool {
-    let mut grew = false;
+impl<'a> Lanes<'a> {
+    /// Classifies the vars of `kernel`: all start uniform, and [`demote`]
+    /// runs until nothing changes.
+    fn new(kernel: &'a Kernel) -> Self {
+        let mut scalar = vec![true; kernel.n_vars];
+        loop {
+            let uniform = kernel.pool.uniform_nodes(&scalar);
+            if !demote(&kernel.body, &uniform, &mut scalar, false) {
+                let uniform_conds = uniform.1;
+                return Lanes {
+                    kernel,
+                    scalar,
+                    uniform_conds,
+                };
+            }
+        }
+    }
+}
+
+/// One pass of the classification: marks lane-dependent every var that
+/// `stmts` set to a lane-dependent value, or set at all under a divergent
+/// `if` (`divergent`: `stmts` are under one); true if it marked any.
+/// Loop variables stay uniform (thread-independent bounds are an IR
+/// invariant); only the body is walked.
+fn demote(stmts: &[Stmt], uniform: &Uniform, scalar: &mut [bool], divergent: bool) -> bool {
+    let mut changed = false;
     for s in stmts {
         match s {
             Stmt::SetVar { var, value }
-                if divergent || iexpr_mentions_lane(pool, *value, lane_dep) =>
+                if scalar[*var] && (divergent || !uniform.0[value.index()]) =>
             {
-                grew |= lane_dep.insert(*var);
+                scalar[*var] = false;
+                changed = true;
             }
-            Stmt::For { body, .. } => {
-                // Loop variables stay uniform (thread-independent bounds
-                // are an IR invariant); only the body is walked.
-                grew |= classify(pool, body, lane_dep, divergent);
-            }
+            Stmt::For { body, .. } => changed |= demote(body, uniform, scalar, divergent),
             Stmt::If { cond, then_, else_ } => {
-                let div = divergent || cond_mentions_lane(pool, *cond, lane_dep);
-                grew |= classify(pool, then_, lane_dep, div);
-                grew |= classify(pool, else_, lane_dep, div);
+                let div = divergent || !uniform.1[cond.index()];
+                changed |=
+                    demote(then_, uniform, scalar, div) | demote(else_, uniform, scalar, div);
             }
             _ => {}
         }
     }
-    grew
+    changed
 }
 
 /// Deepest nesting of divergent `if`s — how many mask arrays we need.
-fn mask_depth(pool: &Pool, stmts: &[Stmt], lane_dep: &HashSet<usize>, divergent: bool) -> usize {
-    let mut deepest = 0;
-    for s in stmts {
-        let d = match s {
-            Stmt::For { body, .. } => mask_depth(pool, body, lane_dep, divergent),
-            Stmt::If { cond, then_, else_ } => {
-                let div = divergent || cond_mentions_lane(pool, *cond, lane_dep);
-                let depth = |arm| mask_depth(pool, arm, lane_dep, div);
-                let inner = depth(then_).max(depth(else_));
-                if div {
-                    inner + 1
-                } else {
-                    inner
-                }
-            }
-            _ => 0,
-        };
-        deepest = deepest.max(d);
-    }
-    deepest
-}
-
-fn iexpr_to_cpu(e: IExprId, ctx: &Ctx) -> String {
-    let [bx, by, _] = ctx.kernel.block_dim;
-    match ctx.kernel.pool[e] {
-        IExpr::Const(c) => format!("{c}"),
-        IExpr::Var(v) if ctx.lane_dep.contains(&v) => format!("v{v}[lane]"),
-        IExpr::Var(v) => format!("v{v}"),
-        IExpr::Param(p) => format!("p{p}"),
-        IExpr::ThreadIdx(0) => format!("(lane % {bx})"),
-        IExpr::ThreadIdx(1) => format!("((lane / {bx}) % {by})"),
-        IExpr::ThreadIdx(_) => format!("(lane / {})", bx * by),
-        IExpr::BlockIdx => "blockIdx".into(),
-        IExpr::Add(a, b) => format!("({} + {})", iexpr_to_cpu(a, ctx), iexpr_to_cpu(b, ctx)),
-        IExpr::Sub(a, b) => format!("({} - {})", iexpr_to_cpu(a, ctx), iexpr_to_cpu(b, ctx)),
-        IExpr::Mul(a, b) => format!("({} * {})", iexpr_to_cpu(a, ctx), iexpr_to_cpu(b, ctx)),
-        IExpr::FloorDiv(a, k) => format!("floord({}, {k})", iexpr_to_cpu(a, ctx)),
-        IExpr::Mod(a, k) => format!("pmod({}, {k})", iexpr_to_cpu(a, ctx)),
-        IExpr::Min(a, b) => format!("min({}, {})", iexpr_to_cpu(a, ctx), iexpr_to_cpu(b, ctx)),
-        IExpr::Max(a, b) => format!("max({}, {})", iexpr_to_cpu(a, ctx), iexpr_to_cpu(b, ctx)),
-    }
-}
-
-fn cond_to_cpu(c: CondId, ctx: &Ctx) -> String {
-    match ctx.kernel.pool[c] {
-        Cond::True => "1".into(),
-        Cond::Le(a, b) => format!("{} <= {}", iexpr_to_cpu(a, ctx), iexpr_to_cpu(b, ctx)),
-        Cond::Lt(a, b) => format!("{} < {}", iexpr_to_cpu(a, ctx), iexpr_to_cpu(b, ctx)),
-        Cond::Eq(a, b) => format!("{} == {}", iexpr_to_cpu(a, ctx), iexpr_to_cpu(b, ctx)),
-        Cond::And(a, b) => format!("({} && {})", cond_to_cpu(a, ctx), cond_to_cpu(b, ctx)),
-        Cond::Or(a, b) => format!("({} || {})", cond_to_cpu(a, ctx), cond_to_cpu(b, ctx)),
-        Cond::Not(a) => format!("!({})", cond_to_cpu(a, ctx)),
-    }
-}
-
-fn fexpr_to_cpu(e: FExprId, pool: &Pool) -> String {
-    let fexpr_to_cpu = |e| fexpr_to_cpu(e, pool);
-    match pool[e] {
-        FExpr::Reg(r) => format!("r{r}[lane]"),
-        FExpr::Const(c) => format!("{c:?}f"),
-        FExpr::Add(a, b) => format!("({} + {})", fexpr_to_cpu(a), fexpr_to_cpu(b)),
-        FExpr::Sub(a, b) => format!("({} - {})", fexpr_to_cpu(a), fexpr_to_cpu(b)),
-        FExpr::Mul(a, b) => format!("({} * {})", fexpr_to_cpu(a), fexpr_to_cpu(b)),
-        FExpr::Sqrt(a) => format!("sqrtf({})", fexpr_to_cpu(a)),
-    }
-}
-
-fn idx_to_cpu(index: Indices, ctx: &Ctx) -> String {
-    ctx.kernel.pool[index]
-        .iter()
-        .map(|&e| format!("[{}]", iexpr_to_cpu(e, ctx)))
-        .collect()
-}
-
-/// `(fields, spatial dims)` of the kernel's global accesses: how many
-/// per-field pointers the signature needs, and how many stride
-/// parameters flatten an access.
-fn global_shape(kernel: &Kernel) -> (usize, usize) {
-    let (mut fields, mut nd) = (0usize, 0usize);
-    visit(&kernel.body, &mut |s| {
-        let (field, index) = match s {
-            Stmt::GlobalLoad { field, index, .. } => (field, index),
-            Stmt::GlobalStore { field, index, .. } => (field, index),
-            _ => return,
-        };
-        fields = fields.max(field + 1);
-        nd = nd.max(kernel.pool[*index].len());
-    });
-    (fields.max(1), nd.max(1))
-}
-
-/// One flat global subscript: `plane * plane_stride + i0 * stride0 +
-/// ... + i_last`. The strides are `long` function parameters, so the
-/// whole expression promotes past `int` before any multiply.
-fn gflat(plane: IExprId, index: Indices, ctx: &Ctx) -> String {
-    let index = &ctx.kernel.pool[index];
-    let mut terms = vec![format!("{} * plane_stride", iexpr_to_cpu(plane, ctx))];
-    for (d, &e) in index.iter().enumerate() {
-        if d + 1 == index.len() {
-            terms.push(iexpr_to_cpu(e, ctx));
-        } else {
-            terms.push(format!("{} * stride{d}", iexpr_to_cpu(e, ctx)));
+fn mask_depth(sp: &Lanes, stmts: &[Stmt], divergent: bool) -> usize {
+    let depth = |s: &Stmt| match s {
+        Stmt::For { body, .. } => mask_depth(sp, body, divergent),
+        Stmt::If { cond, then_, else_ } => {
+            let div = divergent || !sp.uniform_conds[cond.index()];
+            let inner = mask_depth(sp, then_, div).max(mask_depth(sp, else_, div));
+            inner + usize::from(div)
         }
-    }
-    terms.join(" + ")
+        _ => 0,
+    };
+    stmts.iter().map(depth).max().unwrap_or(0)
 }
 
-/// Emit one per-lane leaf statement wrapped in its lane loop, guarded by
-/// `mask` when inside a divergent branch.
-fn lane_stmt(out: &mut String, pad: &str, ctx: &Ctx, mask: Option<usize>, line: &str) {
-    let _ = writeln!(
-        out,
-        "{pad}for (int lane = 0; lane < {}; ++lane) {{",
-        ctx.tpb
-    );
+/// Appends one per-lane statement, printed by `line`, in its lane loop at
+/// `depth`, skipping the lanes `mask` turns off.
+fn lane_stmt(
+    out: &mut String,
+    sp: &Lanes,
+    depth: usize,
+    mask: Option<usize>,
+    line: impl FnOnce(&mut String),
+) {
+    pad(out, depth);
+    let tpb = sp.kernel.threads_per_block();
+    let _ = writeln!(out, "for (int lane = 0; lane < {tpb}; ++lane) {{");
     if let Some(m) = mask {
-        let _ = writeln!(out, "{pad}  if (!m{m}[lane]) continue;");
+        pad(out, depth + 1);
+        let _ = writeln!(out, "if (!m{m}[lane]) continue;");
     }
-    let _ = writeln!(out, "{pad}  {line}");
-    let _ = writeln!(out, "{pad}}}");
+    pad(out, depth + 1);
+    line(out);
+    out.push_str(";\n");
+    pad(out, depth);
+    out.push_str("}\n");
 }
 
-fn emit_stmts(out: &mut String, stmts: &[Stmt], ctx: &Ctx, depth: usize, mask: Option<usize>) {
-    let (pad, pool) = ("  ".repeat(depth), &*ctx.kernel.pool);
+/// Appends `stmts` at `depth`, each statement that is not the same in every
+/// lane in a lane loop, under `mask` inside a divergent branch.
+fn write_stmts(out: &mut String, sp: &Lanes, stmts: &[Stmt], depth: usize, mask: Option<usize>) {
     for s in stmts {
         match s {
-            Stmt::SetVar { var, value } => {
-                if ctx.lane_dep.contains(var) {
-                    let line = format!("v{var}[lane] = {};", iexpr_to_cpu(*value, ctx));
-                    lane_stmt(out, &pad, ctx, mask, &line);
-                } else {
-                    let _ = writeln!(out, "{pad}v{var} = {};", iexpr_to_cpu(*value, ctx));
+            Stmt::SetVar { var, .. } if sp.scalar[*var] => {
+                pad(out, depth);
+                sp.plain(out, sp.kernel, s);
+                out.push_str(";\n");
+            }
+            Stmt::If { cond, then_, else_ }
+                if mask.is_some() || !sp.uniform_conds[cond.index()] =>
+            {
+                let m = mask.map_or(0, |m| m + 1);
+                let set = |out: &mut String| {
+                    let _ = write!(out, "m{m}[lane] = ");
+                    if let Some(p) = mask {
+                        let _ = write!(out, "m{p}[lane] && ");
+                    }
+                };
+                lane_stmt(out, sp, depth, None, |out| {
+                    set(out);
+                    out.push('(');
+                    sp.cond(out, *cond);
+                    out.push(')');
+                });
+                write_stmts(out, sp, then_, depth, Some(m));
+                if !else_.is_empty() {
+                    // parent && !cond  ==  parent && !(parent && cond)
+                    lane_stmt(out, sp, depth, None, |out| {
+                        set(out);
+                        let _ = write!(out, "!m{m}[lane]");
+                    });
+                    write_stmts(out, sp, else_, depth, Some(m));
                 }
             }
-            Stmt::For {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}for (v{var} = {}; v{var} < {}; v{var} += {step}) {{",
-                    iexpr_to_cpu(*lo, ctx),
-                    iexpr_to_cpu(*hi, ctx)
-                );
-                emit_stmts(out, body, ctx, depth + 1, mask);
-                let _ = writeln!(out, "{pad}}}");
-            }
-            Stmt::If { cond, then_, else_ } => {
-                let divergent = mask.is_some() || cond_mentions_lane(pool, *cond, &ctx.lane_dep);
-                if !divergent {
-                    let _ = writeln!(out, "{pad}if ({}) {{", cond_to_cpu(*cond, ctx));
-                    emit_stmts(out, then_, ctx, depth + 1, None);
-                    if else_.is_empty() {
-                        let _ = writeln!(out, "{pad}}}");
-                    } else {
-                        let _ = writeln!(out, "{pad}}} else {{");
-                        emit_stmts(out, else_, ctx, depth + 1, None);
-                        let _ = writeln!(out, "{pad}}}");
-                    }
-                } else {
-                    let m = mask.map_or(0, |m| m + 1);
-                    let parent = mask.map_or(String::new(), |p| format!("m{p}[lane] && "));
-                    let line = format!("m{m}[lane] = {parent}({});", cond_to_cpu(*cond, ctx));
-                    lane_stmt(out, &pad, ctx, None, &line);
-                    emit_stmts(out, then_, ctx, depth, Some(m));
-                    if !else_.is_empty() {
-                        // parent && !cond  ==  parent && !(parent && cond)
-                        let flip = format!("m{m}[lane] = {parent}!m{m}[lane];");
-                        lane_stmt(out, &pad, ctx, None, &flip);
-                        emit_stmts(out, else_, ctx, depth, Some(m));
-                    }
-                }
-            }
-            Stmt::GlobalLoad {
-                dst,
-                field,
-                plane,
-                index,
-            } => {
-                let line = format!("r{dst}[lane] = g{field}[{}];", gflat(*plane, *index, ctx));
-                lane_stmt(out, &pad, ctx, mask, &line);
-            }
-            Stmt::GlobalStore {
-                field,
-                plane,
-                index,
-                src,
-            } => {
-                let line = format!(
-                    "g{field}[{}] = {};",
-                    gflat(*plane, *index, ctx),
-                    fexpr_to_cpu(*src, pool)
-                );
-                lane_stmt(out, &pad, ctx, mask, &line);
-            }
-            Stmt::SharedLoad { dst, buf, index } => {
-                let name = &ctx.kernel.shared[*buf].name;
-                let line = format!("r{dst}[lane] = {name}{};", idx_to_cpu(*index, ctx));
-                lane_stmt(out, &pad, ctx, mask, &line);
-            }
-            Stmt::SharedStore { buf, index, src } => {
-                let name = &ctx.kernel.shared[*buf].name;
-                let line = format!(
-                    "{name}{} = {};",
-                    idx_to_cpu(*index, ctx),
-                    fexpr_to_cpu(*src, pool)
-                );
-                lane_stmt(out, &pad, ctx, mask, &line);
-            }
-            Stmt::Compute { dst, expr } => {
-                let line = format!("r{dst}[lane] = {};", fexpr_to_cpu(*expr, pool));
-                lane_stmt(out, &pad, ctx, mask, &line);
+            Stmt::For { .. } | Stmt::If { .. } => {
+                let nested = &mut |out: &mut String, body: &[Stmt]| {
+                    write_stmts(out, sp, body, depth + 1, mask)
+                };
+                write_block(out, sp, s, depth, nested);
             }
             Stmt::Sync => {
-                let _ = writeln!(
-                    out,
-                    "{pad}/* __syncthreads(): lane loops run in statement lockstep */"
-                );
+                pad(out, depth);
+                out.push_str("/* __syncthreads(): lane loops run in statement lockstep */\n");
             }
+            _ => lane_stmt(out, sp, depth, mask, |out| sp.plain(out, sp.kernel, s)),
         }
     }
 }
 
-/// Renders a full kernel as one vectorized C function executing an
+/// Appends a full kernel as one vectorized C function executing an
 /// entire thread block.
-pub fn kernel_to_cpu(kernel: &Kernel) -> String {
-    let mut lane_dep = HashSet::new();
-    while classify(&kernel.pool, &kernel.body, &mut lane_dep, false) {}
-    let tpb = kernel.threads_per_block();
-    let ctx = Ctx {
-        kernel,
-        lane_dep,
-        tpb,
-    };
-    let mut out = String::new();
+pub(crate) fn write_kernel(out: &mut String, kernel: &Kernel) {
+    let sp = Lanes::new(kernel);
+    let ([x, y, z], tpb) = (kernel.block_dim, kernel.threads_per_block());
+    let smem = kernel.shared_bytes();
     let _ = writeln!(
         out,
-        "// block {}x{}x{} = {} lanes, {} bytes block-local",
-        kernel.block_dim[0],
-        kernel.block_dim[1],
-        kernel.block_dim[2],
-        tpb,
-        kernel.shared_bytes()
+        "// block {x}x{y}x{z} = {tpb} lanes, {smem} bytes block-local"
     );
-    let (fields, nd) = global_shape(kernel);
-    let mut params: Vec<String> = (0..fields).map(|f| format!("float *g{f}")).collect();
-    params.push("long plane_stride".into());
-    params.extend((0..nd.saturating_sub(1)).map(|d| format!("long stride{d}")));
-    params.extend((0..kernel.n_params).map(|p| format!("int p{p}")));
-    params.push("int blockIdx".into());
-    let _ = writeln!(out, "static void {}({}) {{", kernel.name, params.join(", "));
-    for b in &kernel.shared {
-        let dims: String = b.dims.iter().map(|d| format!("[{d}]")).collect();
-        let _ = writeln!(out, "  float {}{dims};", b.name);
+    // Per-field pointers, then the strides that flatten an access.
+    let (fields, dims) = global_shape(kernel);
+    let _ = write!(out, "static void {}(", kernel.name);
+    for f in 0..fields.max(1) {
+        let _ = write!(out, "float *g{f}, ");
     }
-    for v in 0..kernel.n_vars {
-        if ctx.lane_dep.contains(&v) {
-            let _ = writeln!(out, "  int v{v}[{tpb}];");
-        } else {
-            let _ = writeln!(out, "  int v{v} = 0;");
+    out.push_str("long plane_stride");
+    for d in 0..dims.max(1) - 1 {
+        let _ = write!(out, ", long stride{d}");
+    }
+    for p in 0..kernel.n_params {
+        let _ = write!(out, ", int p{p}");
+    }
+    out.push_str(", int blockIdx) {\n");
+    for b in &kernel.shared {
+        let _ = write!(out, "  float {}", b.name);
+        for d in &b.dims {
+            let _ = write!(out, "[{d}]");
         }
+        out.push_str(";\n");
+    }
+    for (v, &scalar) in sp.scalar.iter().enumerate() {
+        let _ = if scalar {
+            writeln!(out, "  int v{v} = 0;")
+        } else {
+            writeln!(out, "  int v{v}[{tpb}];")
+        };
     }
     for r in 0..kernel.n_regs {
         let _ = writeln!(out, "  float r{r}[{tpb}];");
     }
-    for m in 0..mask_depth(&kernel.pool, &kernel.body, &ctx.lane_dep, false) {
+    for m in 0..mask_depth(&sp, &kernel.body, false) {
         let _ = writeln!(out, "  int m{m}[{tpb}];");
     }
-    emit_stmts(&mut out, &kernel.body, &ctx, 1, None);
+    write_stmts(out, &sp, &kernel.body, 1, None);
     out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::ir::{PoolBuilder, SharedBuf};
+    use crate::ir::{Cond, FExpr, IExpr, Kernel, PoolBuilder, SharedBuf, Stmt};
+    use crate::BackendKind;
     use std::sync::Arc;
 
     fn demo_kernel() -> Kernel {
@@ -455,7 +361,7 @@ mod tests {
 
     #[test]
     fn divergent_ifs_become_masked_lane_loops() {
-        let src = kernel_to_cpu(&demo_kernel());
+        let src = BackendKind::Cpu.backend().emit_kernel(&demo_kernel());
         assert!(
             src.contains("int v0[32];"),
             "v0 is thread-dependent:\n{src}"
@@ -478,7 +384,7 @@ mod tests {
 
     #[test]
     fn uniform_control_flow_stays_scalar() {
-        let src = kernel_to_cpu(&demo_kernel());
+        let src = BackendKind::Cpu.backend().emit_kernel(&demo_kernel());
         assert!(src.contains("for (v1 = 0; v1 < 4; v1 += 1) {"));
     }
 }

@@ -266,6 +266,41 @@ impl Pool {
         &self.conds
     }
 
+    /// Which integer expressions and conditions are lane-uniform — the
+    /// same in every thread of a block — given which vars are
+    /// (`uniform_vars[v]`; a var past its end is not): one pass in id
+    /// order, which visits every operand before the node that uses it.
+    pub fn uniform_nodes(&self, uniform_vars: &[bool]) -> Uniform {
+        let mut exprs: Vec<bool> = Vec::with_capacity(self.iexprs.len());
+        for e in &self.iexprs {
+            let uniform = match *e {
+                IExpr::Const(_) | IExpr::Param(_) | IExpr::BlockIdx => true,
+                IExpr::ThreadIdx(_) => false,
+                IExpr::Var(v) => uniform_vars.get(v) == Some(&true),
+                IExpr::Add(a, b)
+                | IExpr::Sub(a, b)
+                | IExpr::Mul(a, b)
+                | IExpr::Min(a, b)
+                | IExpr::Max(a, b) => exprs[a.index()] && exprs[b.index()],
+                IExpr::FloorDiv(a, _) | IExpr::Mod(a, _) => exprs[a.index()],
+            };
+            exprs.push(uniform);
+        }
+        let mut conds: Vec<bool> = Vec::with_capacity(self.conds.len());
+        for c in &self.conds {
+            let uniform = match *c {
+                Cond::True => true,
+                Cond::Le(a, b) | Cond::Lt(a, b) | Cond::Eq(a, b) => {
+                    exprs[a.index()] && exprs[b.index()]
+                }
+                Cond::And(a, b) | Cond::Or(a, b) => conds[a.index()] && conds[b.index()],
+                Cond::Not(a) => conds[a.index()],
+            };
+            conds.push(uniform);
+        }
+        (exprs, conds)
+    }
+
     /// Number of arithmetic operations of `e` (`sqrt` counts 1
     /// instruction; FLOP accounting weights it separately).
     pub fn op_count(&self, e: FExprId) -> u64 {
@@ -278,6 +313,10 @@ impl Pool {
         }
     }
 }
+
+/// Which integer expressions (`.0`) and conditions (`.1`) of a pool are
+/// lane-uniform, by id (see [`Pool::uniform_nodes`]).
+pub type Uniform = (Vec<bool>, Vec<bool>);
 
 /// A pool being built, with the id of every node it holds, so that a node
 /// structurally equal to one already there gets that one's id. Its methods
@@ -619,6 +658,30 @@ impl fmt::Display for LaunchPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn uniform_nodes_follow_the_thread_index_and_the_vars() {
+        let p = PoolBuilder::default();
+        let (tx, v0, v1, v9) = (p.iexpr(IExpr::ThreadIdx(0)), p.var(0), p.var(1), p.var(9));
+        let (param, block) = (p.iexpr(IExpr::Param(0)), p.iexpr(IExpr::BlockIdx));
+        let (base, lane) = (p.iexpr(IExpr::Add(v0, param)), p.iexpr(IExpr::Mod(tx, 4)));
+        let below = p.cond(Cond::Lt(base, block));
+        let off = p.cond(Cond::Lt(lane, v0));
+        let either = p.cond(Cond::Or(below, off));
+        let (t, not) = (p.cond(Cond::True), p.cond(Cond::Not(below)));
+        let (exprs, conds) = p.finish().uniform_nodes(&[true, false]);
+        let uniform = |e: IExprId| exprs[e.index()];
+        // v9 lies past the classification: not known to be uniform.
+        assert_eq!(
+            [tx, v0, v1, v9, param, block, base, lane].map(uniform),
+            [false, true, false, false, true, true, true, false]
+        );
+        let uniform = |c: CondId| conds[c.index()];
+        assert_eq!(
+            [below, off, either, t, not].map(uniform),
+            [true, false, false, true, true]
+        );
+    }
 
     #[test]
     fn iexpr_builders_compose() {

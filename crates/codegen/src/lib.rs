@@ -2,12 +2,15 @@
 //!
 //! The paper generates CUDA through PPCG's generic code generator plus
 //! stencil-specific strategies. Here the target is a small, explicit
-//! [kernel IR](ir) interpreted warp-synchronously by the `gpusim` crate; the
-//! same IR pretty-prints to CUDA-C-like source ([`cuda_emit`]) and to the
-//! pseudo-PTX view of the paper's Fig. 2 ([`ptx_emit`]), and — through the
-//! [`backend::Backend`] trait — to WGSL ([`wgsl_emit`]), HIP C++
-//! ([`c_like`] with the HIP dialect) and whole-block vectorized CPU C
-//! ([`cpu_emit`]).
+//! [kernel IR](ir) interpreted warp-synchronously by the `gpusim` crate.
+//! Likewise, one printer ([`c_like`]) prints the IR's text grammar for
+//! every text target, each with its own spelling of the few leaves and
+//! statement forms that differ: CUDA-C-like source and HIP C++ (the C
+//! spelling under two dialects), WGSL ([`wgsl_emit`]) and whole-block
+//! vectorized CPU C ([`cpu_emit`], which wraps the printed statements in
+//! lane loops and masks). The [`backend::Backend`] trait picks the target;
+//! the pseudo-PTX view of the paper's Fig. 2 ([`ptx_emit`]) is the CUDA
+//! backend's second artifact.
 //!
 //! Code-generation strategies implemented (paper §4.2–§4.3):
 //!
@@ -23,7 +26,6 @@
 pub mod backend;
 pub mod c_like;
 pub mod cpu_emit;
-pub mod cuda_emit;
 pub mod hybrid_gen;
 pub mod ir;
 pub mod options;

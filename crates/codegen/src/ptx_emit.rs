@@ -8,6 +8,7 @@
 //! no branches, few loads per compute instruction, and register reuse for
 //! values live across unrolled points.
 
+use crate::c_like::{Spelling, C};
 use crate::ir::{FExpr, FExprId, IExprId, Indices, Kernel, Pool, Stmt};
 use std::collections::HashMap;
 use std::fmt::Write;
@@ -35,7 +36,7 @@ fn addr_display(pool: &Pool, index: Indices) -> String {
         if i > 0 {
             out.push_str(", ");
         }
-        crate::c_like::write_iexpr(&mut out, pool, e);
+        C(pool).iexpr(&mut out, e);
     }
     out.push(']');
     out

@@ -1,213 +1,75 @@
-//! WGSL compute-shader pretty printer for kernel IR.
+//! WGSL compute-shader emission for kernel IR.
 //!
 //! Each kernel renders as one self-contained WGSL module — the wgpu
 //! execution model builds one compute pipeline per kernel, so a
 //! multi-kernel plan is a sequence of modules, not one translation
-//! unit. Targeting WGSL replaces the CUDA surface piece by piece:
+//! unit. The body is printed by the shared printer of [`crate::c_like`],
+//! through the `Wgsl` spelling, which replaces the CUDA surface piece
+//! by piece:
 //!
-//! * `__shared__` buffers become `var<workgroup>` arrays (statically
-//!   sized, matching [`crate::ir::SharedBuf`]);
 //! * `threadIdx` / `blockIdx` become the `local_invocation_id` /
-//!   `workgroup_id` `@builtin` inputs;
+//!   `workgroup_id` `@builtin` inputs, `sqrtf` becomes `sqrt` and a true
+//!   condition `true`;
 //! * `__syncthreads()` becomes `workgroupBarrier()`;
+//! * vars are declared once at the top of the function, so a definition
+//!   is a plain assignment, and a loop steps by `v = v + k`;
 //! * global fields become `var<storage, read_write>` bindings. WGSL
 //!   storage buffers are flat, so the `(plane, spatial...)` subscripts
 //!   of the CUDA pseudo-source are linearized through a `gidx` helper
 //!   whose strides are pipeline-overridable constants — one module
 //!   serves any grid extent;
 //! * per-launch parameters arrive through a uniform `Params` struct.
+//!
+//! This module prints what surrounds the body: the bindings, the
+//! `var<workgroup>` arrays that replace `__shared__` buffers (statically
+//! sized, matching [`crate::ir::SharedBuf`]) and the helpers the body
+//! calls.
 
-use crate::ir::{visit, Cond, CondId, FExpr, FExprId, IExpr, IExprId, Indices, Kernel, Pool, Stmt};
+use crate::c_like::{global_shape, write_stmts, Spelling};
+use crate::ir::{IExprId, Indices, Kernel, Pool};
 use std::fmt::Write;
 
-/// Renders an integer expression of `pool` as WGSL (`i32` arithmetic).
-pub fn iexpr_to_wgsl(pool: &Pool, e: IExprId) -> String {
-    let iexpr_to_wgsl = |e| iexpr_to_wgsl(pool, e);
-    match pool[e] {
-        IExpr::Const(c) => format!("{c}"),
-        IExpr::Var(v) => format!("v{v}"),
-        IExpr::Param(p) => format!("P.p{p}"),
-        IExpr::ThreadIdx(0) => "i32(lid.x)".into(),
-        IExpr::ThreadIdx(1) => "i32(lid.y)".into(),
-        IExpr::ThreadIdx(_) => "i32(lid.z)".into(),
-        IExpr::BlockIdx => "i32(wid.x)".into(),
-        IExpr::Add(a, b) => format!("({} + {})", iexpr_to_wgsl(a), iexpr_to_wgsl(b)),
-        IExpr::Sub(a, b) => format!("({} - {})", iexpr_to_wgsl(a), iexpr_to_wgsl(b)),
-        IExpr::Mul(a, b) => format!("({} * {})", iexpr_to_wgsl(a), iexpr_to_wgsl(b)),
-        IExpr::FloorDiv(a, k) => format!("floord({}, {k})", iexpr_to_wgsl(a)),
-        IExpr::Mod(a, k) => format!("pmod({}, {k})", iexpr_to_wgsl(a)),
-        IExpr::Min(a, b) => format!("min({}, {})", iexpr_to_wgsl(a), iexpr_to_wgsl(b)),
-        IExpr::Max(a, b) => format!("max({}, {})", iexpr_to_wgsl(a), iexpr_to_wgsl(b)),
-    }
-}
+/// The WGSL spelling: `i32` arithmetic over the `@builtin` ids.
+pub(crate) struct Wgsl<'a>(pub &'a Pool);
 
-/// Renders a condition of `pool` as WGSL.
-pub fn cond_to_wgsl(pool: &Pool, c: CondId) -> String {
-    let (iexpr_to_wgsl, cond_to_wgsl) = (|e| iexpr_to_wgsl(pool, e), |c| cond_to_wgsl(pool, c));
-    match pool[c] {
-        Cond::True => "true".into(),
-        Cond::Le(a, b) => format!("{} <= {}", iexpr_to_wgsl(a), iexpr_to_wgsl(b)),
-        Cond::Lt(a, b) => format!("{} < {}", iexpr_to_wgsl(a), iexpr_to_wgsl(b)),
-        Cond::Eq(a, b) => format!("{} == {}", iexpr_to_wgsl(a), iexpr_to_wgsl(b)),
-        Cond::And(a, b) => format!("({} && {})", cond_to_wgsl(a), cond_to_wgsl(b)),
-        Cond::Or(a, b) => format!("({} || {})", cond_to_wgsl(a), cond_to_wgsl(b)),
-        Cond::Not(a) => format!("!({})", cond_to_wgsl(a)),
-    }
-}
+impl Spelling for Wgsl<'_> {
+    const PARAM: &'static str = "P.p";
+    const BLOCK_IDX: &'static str = "i32(wid.x)";
+    const TRUE: &'static str = "true";
+    const SQRT: &'static str = "sqrt";
+    const DEFINE: &'static str = "";
+    const BARRIER: &'static str = "workgroupBarrier()";
 
-/// Renders a float expression of `pool` as WGSL.
-pub fn fexpr_to_wgsl(pool: &Pool, e: FExprId) -> String {
-    let fexpr_to_wgsl = |e| fexpr_to_wgsl(pool, e);
-    match pool[e] {
-        FExpr::Reg(r) => format!("r{r}"),
-        FExpr::Const(c) => format!("{c:?}f"),
-        FExpr::Add(a, b) => format!("({} + {})", fexpr_to_wgsl(a), fexpr_to_wgsl(b)),
-        FExpr::Sub(a, b) => format!("({} - {})", fexpr_to_wgsl(a), fexpr_to_wgsl(b)),
-        FExpr::Mul(a, b) => format!("({} * {})", fexpr_to_wgsl(a), fexpr_to_wgsl(b)),
-        FExpr::Sqrt(a) => format!("sqrt({})", fexpr_to_wgsl(a)),
+    fn pool(&self) -> &Pool {
+        self.0
     }
-}
 
-/// Number of global stencil fields the body touches (fields are densely
-/// numbered from 0 — the kernel IR carries no separate field count).
-fn field_count(stmts: &[Stmt]) -> usize {
-    let mut max: Option<usize> = None;
-    visit(stmts, &mut |s| {
-        if let Stmt::GlobalLoad { field, .. } | Stmt::GlobalStore { field, .. } = s {
-            max = Some(max.map_or(*field, |m| m.max(*field)));
+    fn thread_idx(&self, out: &mut String, d: usize) {
+        let _ = write!(out, "i32(lid.{})", ['x', 'y', 'z'][d]);
+    }
+
+    fn step(&self, out: &mut String, var: usize, step: i64) {
+        let _ = write!(out, "v{var} = v{var} + {step}");
+    }
+
+    /// `[gidx(plane, i0, ..)]`: the flattened storage-buffer subscript.
+    fn global(&self, out: &mut String, plane: IExprId, index: Indices) {
+        out.push_str("[gidx(");
+        self.iexpr(out, plane);
+        for &e in &self.0[index] {
+            out.push_str(", ");
+            self.iexpr(out, e);
         }
-    });
-    max.map_or(0, |m| m + 1)
-}
-
-/// Widest spatial subscript of any global access (1-, 2- or 3-D grid).
-fn global_arity(kernel: &Kernel) -> usize {
-    let mut arity = 0;
-    visit(&kernel.body, &mut |s| {
-        if let Stmt::GlobalLoad { index, .. } | Stmt::GlobalStore { index, .. } = s {
-            arity = arity.max(kernel.pool[*index].len());
-        }
-    });
-    arity
-}
-
-/// The flattened storage-buffer subscript for a `(plane, spatial...)`
-/// global access: `gidx(plane, i0, ..)`.
-fn global_index(pool: &Pool, plane: IExprId, index: Indices) -> String {
-    let mut args = vec![iexpr_to_wgsl(pool, plane)];
-    args.extend(pool[index].iter().map(|&e| iexpr_to_wgsl(pool, e)));
-    format!("gidx({})", args.join(", "))
-}
-
-/// `[e]` per index expression.
-fn subscripts(pool: &Pool, index: Indices) -> String {
-    pool[index]
-        .iter()
-        .map(|&e| format!("[{}]", iexpr_to_wgsl(pool, e)))
-        .collect()
-}
-
-fn emit_stmts(out: &mut String, stmts: &[Stmt], kernel: &Kernel, depth: usize) {
-    let (pad, pool) = ("  ".repeat(depth), &*kernel.pool);
-    for s in stmts {
-        match s {
-            Stmt::SetVar { var, value } => {
-                let _ = writeln!(out, "{pad}v{var} = {};", iexpr_to_wgsl(pool, *value));
-            }
-            Stmt::For {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}for (v{var} = {}; v{var} < {}; v{var} = v{var} + {step}) {{",
-                    iexpr_to_wgsl(pool, *lo),
-                    iexpr_to_wgsl(pool, *hi)
-                );
-                emit_stmts(out, body, kernel, depth + 1);
-                let _ = writeln!(out, "{pad}}}");
-            }
-            Stmt::If { cond, then_, else_ } => {
-                let _ = writeln!(out, "{pad}if ({}) {{", cond_to_wgsl(pool, *cond));
-                emit_stmts(out, then_, kernel, depth + 1);
-                if else_.is_empty() {
-                    let _ = writeln!(out, "{pad}}}");
-                } else {
-                    let _ = writeln!(out, "{pad}}} else {{");
-                    emit_stmts(out, else_, kernel, depth + 1);
-                    let _ = writeln!(out, "{pad}}}");
-                }
-            }
-            Stmt::GlobalLoad {
-                dst,
-                field,
-                plane,
-                index,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}r{dst} = g{field}[{}];",
-                    global_index(pool, *plane, *index)
-                );
-            }
-            Stmt::GlobalStore {
-                field,
-                plane,
-                index,
-                src,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}g{field}[{}] = {};",
-                    global_index(pool, *plane, *index),
-                    fexpr_to_wgsl(pool, *src)
-                );
-            }
-            Stmt::SharedLoad { dst, buf, index } => {
-                let name = &kernel.shared[*buf].name;
-                let idx = subscripts(pool, *index);
-                let _ = writeln!(out, "{pad}r{dst} = {name}{idx};");
-            }
-            Stmt::SharedStore { buf, index, src } => {
-                let name = &kernel.shared[*buf].name;
-                let idx = subscripts(pool, *index);
-                let _ = writeln!(out, "{pad}{name}{idx} = {};", fexpr_to_wgsl(pool, *src));
-            }
-            Stmt::Compute { dst, expr } => {
-                let _ = writeln!(out, "{pad}r{dst} = {};", fexpr_to_wgsl(pool, *expr));
-            }
-            Stmt::Sync => {
-                let _ = writeln!(out, "{pad}workgroupBarrier();");
-            }
-        }
+        out.push_str(")]");
     }
 }
 
-/// Nested WGSL array type for a shared buffer, innermost dimension last
-/// (`dims = [16, 36]` → `array<array<f32, 36>, 16>`).
-fn workgroup_array_type(dims: &[usize]) -> String {
-    let mut ty = "f32".to_string();
-    for d in dims.iter().rev() {
-        ty = format!("array<{ty}, {d}>");
-    }
-    ty
-}
-
-/// Renders a full kernel as one self-contained WGSL compute module.
-pub fn kernel_to_wgsl(kernel: &Kernel) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "// block {}x{}x{}, {} bytes workgroup memory",
-        kernel.block_dim[0],
-        kernel.block_dim[1],
-        kernel.block_dim[2],
-        kernel.shared_bytes()
-    );
-    let fields = field_count(&kernel.body);
+/// Appends a full kernel as one self-contained WGSL compute module.
+pub(crate) fn write_kernel(out: &mut String, kernel: &Kernel) {
+    let [x, y, z] = kernel.block_dim;
+    let smem = kernel.shared_bytes();
+    let _ = writeln!(out, "// block {x}x{y}x{z}, {smem} bytes workgroup memory");
+    let (fields, arity) = global_shape(kernel);
     for f in 0..fields {
         let _ = writeln!(
             out,
@@ -215,63 +77,51 @@ pub fn kernel_to_wgsl(kernel: &Kernel) -> String {
         );
     }
     if kernel.n_params > 0 {
-        let members: Vec<String> = (0..kernel.n_params).map(|p| format!("p{p}: i32")).collect();
-        let _ = writeln!(out, "struct Params {{ {} }}", members.join(", "));
-        let _ = writeln!(out, "@group(1) @binding(0) var<uniform> P: Params;");
+        out.push_str("struct Params { ");
+        for p in 0..kernel.n_params {
+            let _ = write!(out, "{}p{p}: i32", if p == 0 { "" } else { ", " });
+        }
+        out.push_str(" }\n@group(1) @binding(0) var<uniform> P: Params;\n");
     }
     for b in &kernel.shared {
-        let _ = writeln!(
-            out,
-            "var<workgroup> {}: {};",
-            b.name,
-            workgroup_array_type(&b.dims)
-        );
+        // Innermost dimension last: `[16, 36]` is `array<array<f32, 36>, 16>`.
+        let _ = write!(out, "var<workgroup> {}: ", b.name);
+        for _ in &b.dims {
+            out.push_str("array<");
+        }
+        out.push_str("f32");
+        for d in b.dims.iter().rev() {
+            let _ = write!(out, ", {d}>");
+        }
+        out.push_str(";\n");
     }
-    let arity = global_arity(kernel);
     if arity > 0 {
         // Flat layout of the (plane, spatial...) global ring; strides
         // are pipeline-overridable so one module serves any extent.
-        let _ = writeln!(out, "override plane_stride: i32 = 1;");
-        for d in 0..arity.saturating_sub(1) {
+        out.push_str("override plane_stride: i32 = 1;\n");
+        for d in 0..arity - 1 {
             let _ = writeln!(out, "override stride{d}: i32 = 1;");
         }
-        let args: Vec<String> = std::iter::once("plane: i32".to_string())
-            .chain((0..arity).map(|d| format!("i{d}: i32")))
-            .collect();
-        let mut flat = "plane * plane_stride".to_string();
+        out.push_str("fn gidx(plane: i32");
         for d in 0..arity {
-            if d + 1 < arity {
-                let _ = write!(flat, " + i{d} * stride{d}");
-            } else {
-                let _ = write!(flat, " + i{d}");
-            }
+            let _ = write!(out, ", i{d}: i32");
         }
-        let _ = writeln!(
-            out,
-            "fn gidx({}) -> u32 {{ return u32({flat}); }}",
-            args.join(", ")
-        );
+        out.push_str(") -> u32 { return u32(plane * plane_stride");
+        for d in 0..arity - 1 {
+            let _ = write!(out, " + i{d} * stride{d}");
+        }
+        let _ = writeln!(out, " + i{}); }}", arity - 1);
     }
     // The body, printed first: the helpers it calls are the ones emitted.
     let mut body = String::new();
-    emit_stmts(&mut body, &kernel.body, kernel, 1);
+    write_stmts(&mut body, &Wgsl(&kernel.pool), kernel, &kernel.body, 1);
     if body.contains("floord(") {
-        let _ = writeln!(
-            out,
-            "fn floord(a: i32, b: i32) -> i32 {{ var q = a / b; if ((a % b != 0) && ((a < 0) != (b < 0))) {{ q = q - 1; }} return q; }}"
-        );
+        out.push_str("fn floord(a: i32, b: i32) -> i32 { var q = a / b; if ((a % b != 0) && ((a < 0) != (b < 0))) { q = q - 1; } return q; }\n");
     }
     if body.contains("pmod(") {
-        let _ = writeln!(
-            out,
-            "fn pmod(a: i32, b: i32) -> i32 {{ let r = a % b; if (r < 0) {{ return r + b; }} return r; }}"
-        );
+        out.push_str("fn pmod(a: i32, b: i32) -> i32 { let r = a % b; if (r < 0) { return r + b; } return r; }\n");
     }
-    let _ = writeln!(
-        out,
-        "@compute @workgroup_size({}, {}, {})",
-        kernel.block_dim[0], kernel.block_dim[1], kernel.block_dim[2]
-    );
+    let _ = writeln!(out, "@compute @workgroup_size({x}, {y}, {z})");
     let _ = writeln!(
         out,
         "fn {}(@builtin(local_invocation_id) lid: vec3<u32>, @builtin(workgroup_id) wid: vec3<u32>) {{",
@@ -285,13 +135,12 @@ pub fn kernel_to_wgsl(kernel: &Kernel) -> String {
     }
     out.push_str(&body);
     out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::ir::{PoolBuilder, SharedBuf};
+    use crate::ir::{Cond, FExpr, IExpr, Kernel, PoolBuilder, SharedBuf, Stmt};
+    use crate::BackendKind;
     use std::sync::Arc;
 
     fn demo_kernel() -> Kernel {
@@ -346,7 +195,7 @@ mod tests {
 
     #[test]
     fn emits_wgsl_surface_not_cuda() {
-        let src = kernel_to_wgsl(&demo_kernel());
+        let src = BackendKind::Wgsl.backend().emit_kernel(&demo_kernel());
         assert!(src.contains("@compute @workgroup_size(32, 1, 1)"));
         assert!(src.contains("var<workgroup> s_A: array<array<f32, 10>, 2>;"));
         assert!(src.contains("workgroupBarrier();"));
@@ -360,7 +209,7 @@ mod tests {
 
     #[test]
     fn helpers_are_emitted_on_demand() {
-        let src = kernel_to_wgsl(&demo_kernel());
+        let src = BackendKind::Wgsl.backend().emit_kernel(&demo_kernel());
         assert!(src.contains("fn pmod("), "pmod is used by the body");
         assert!(!src.contains("fn floord("), "floord is not");
     }

@@ -16,7 +16,6 @@
 //! then review the diff like any other code change.
 
 use gpu_codegen::backend::{Backend, BackendKind};
-use gpu_codegen::cuda_emit::kernel_to_cuda;
 use gpu_codegen::ptx_emit::core_tile_ptx;
 use gpu_codegen::{generate_hybrid, CodegenOptions, LaunchPlan};
 use hybrid_tiling::TileParams;
@@ -70,15 +69,6 @@ fn plan_for_opts(s: &Snapshot, opts: CodegenOptions) -> LaunchPlan {
 /// options (WGSL clamps ladder step (f) to (e); the rest use best()).
 fn plan_for_backend(s: &Snapshot, backend: &dyn Backend) -> LaunchPlan {
     plan_for_opts(s, backend.default_options())
-}
-
-fn render_cuda(plan: &LaunchPlan) -> String {
-    let mut out = String::new();
-    for kernel in &plan.kernels {
-        out.push_str(&kernel_to_cuda(kernel));
-        out.push('\n');
-    }
-    out
 }
 
 fn render_ptx(plan: &LaunchPlan) -> String {
@@ -162,7 +152,8 @@ fn check_golden(name: &str, actual: &str) {
 fn cuda_emission_matches_golden_files() {
     for s in snapshots() {
         let plan = plan_for(&s);
-        check_golden(&format!("{}.cu", s.tag), &render_cuda(&plan));
+        let text = BackendKind::Cuda.backend().emit_plan(&plan);
+        check_golden(&format!("{}.cu", s.tag), &text);
     }
 }
 
@@ -198,20 +189,6 @@ fn cpu_emission_matches_golden_files() {
     for s in snapshots() {
         let plan = plan_for_backend(&s, backend);
         check_golden(&format!("{}.cpu.c", s.tag), &backend.emit_plan(&plan));
-    }
-}
-
-/// The CUDA backend behind the trait is the same emitter as the direct
-/// `kernel_to_cuda` path — byte-for-byte, per kernel and per plan.
-#[test]
-fn cuda_backend_trait_is_byte_identical_to_direct_emission() {
-    let backend = BackendKind::Cuda.backend();
-    for s in snapshots() {
-        let plan = plan_for(&s);
-        assert_eq!(backend.emit_plan(&plan), render_cuda(&plan), "{}", s.tag);
-        for kernel in &plan.kernels {
-            assert_eq!(backend.emit_kernel(kernel), kernel_to_cuda(kernel));
-        }
     }
 }
 

@@ -110,6 +110,7 @@ use std::hash::BuildHasherDefault;
 
 use gpu_codegen::ir::{
     visit, Cond, CondId, FExpr, FExprId, IExpr, IExprId, IdHasher, Indices, Kernel, Pool, Stmt,
+    Uniform,
 };
 
 use crate::counters::Counters;
@@ -602,85 +603,43 @@ type ValueKey = (Ibin, Val, Val, u32, u32);
 /// already known to be vector.
 /// Iterates to a fixpoint because uniformity depends on other vars.
 fn classify_vars(kernel: &Kernel) -> Vec<bool> {
-    let mut scalar = vec![true; kernel.n_vars];
-    loop {
+    /// One pass: demotes the vars that break the rule under `uniform`;
+    /// true if any was.
+    fn demote(stmts: &[Stmt], divergent: bool, uniform: &Uniform, scalar: &mut [bool]) -> bool {
         let mut changed = false;
-        fn walk(
-            stmts: &[Stmt],
-            divergent: bool,
-            uniform: &Uniform,
-            scalar: &mut [bool],
-            changed: &mut bool,
-        ) {
-            for s in stmts {
-                match s {
-                    Stmt::SetVar { var, value }
-                        if scalar[*var] && (divergent || !uniform.0[value.index()]) =>
-                    {
-                        scalar[*var] = false;
-                        *changed = true;
-                    }
-                    Stmt::For { var, body, .. } => {
-                        // The loop value itself is uniform; only the
-                        // context matters.
-                        if scalar[*var] && divergent {
-                            scalar[*var] = false;
-                            *changed = true;
-                        }
-                        walk(body, divergent, uniform, scalar, changed);
-                    }
-                    Stmt::If { cond, then_, else_ } => {
-                        let divergent = divergent || !uniform.1[cond.index()];
-                        walk(then_, divergent, uniform, scalar, changed);
-                        walk(else_, divergent, uniform, scalar, changed);
-                    }
-                    _ => {}
+        for s in stmts {
+            match s {
+                Stmt::SetVar { var, value }
+                    if scalar[*var] && (divergent || !uniform.0[value.index()]) =>
+                {
+                    scalar[*var] = false;
+                    changed = true;
                 }
+                Stmt::For { var, body, .. } => {
+                    // The loop value itself is uniform; only the
+                    // context matters.
+                    changed |= scalar[*var] && divergent;
+                    scalar[*var] &= !divergent;
+                    changed |= demote(body, divergent, uniform, scalar);
+                }
+                Stmt::If { cond, then_, else_ } => {
+                    let divergent = divergent || !uniform.1[cond.index()];
+                    changed |= demote(then_, divergent, uniform, scalar)
+                        | demote(else_, divergent, uniform, scalar);
+                }
+                _ => {}
             }
         }
-        let uniform = uniform_nodes(&kernel.pool, &scalar);
-        walk(&kernel.body, false, &uniform, &mut scalar, &mut changed);
-        if !changed {
-            return scalar;
-        }
+        changed
     }
-}
-
-/// Which integer expressions (`.0`) and conditions (`.1`) of a pool are
-/// lane-independent, by id.
-type Uniform = (Vec<bool>, Vec<bool>);
-
-/// [`Uniform`] given the current var classification: one pass in id order,
-/// which visits every operand before the node that uses it.
-fn uniform_nodes(pool: &Pool, scalar: &[bool]) -> Uniform {
-    let mut exprs: Vec<bool> = Vec::with_capacity(pool.iexprs().len());
-    for e in pool.iexprs() {
-        let uniform = match *e {
-            IExpr::Const(_) | IExpr::Param(_) | IExpr::BlockIdx => true,
-            IExpr::ThreadIdx(_) => false,
-            IExpr::Var(v) => scalar.get(v) == Some(&true),
-            IExpr::Add(a, b)
-            | IExpr::Sub(a, b)
-            | IExpr::Mul(a, b)
-            | IExpr::Min(a, b)
-            | IExpr::Max(a, b) => exprs[a.index()] && exprs[b.index()],
-            IExpr::FloorDiv(a, _) | IExpr::Mod(a, _) => exprs[a.index()],
-        };
-        exprs.push(uniform);
-    }
-    let mut conds: Vec<bool> = Vec::with_capacity(pool.conds().len());
-    for c in pool.conds() {
-        let uniform = match *c {
-            Cond::True => true,
-            Cond::Le(a, b) | Cond::Lt(a, b) | Cond::Eq(a, b) => {
-                exprs[a.index()] && exprs[b.index()]
-            }
-            Cond::And(a, b) | Cond::Or(a, b) => conds[a.index()] && conds[b.index()],
-            Cond::Not(a) => conds[a.index()],
-        };
-        conds.push(uniform);
-    }
-    (exprs, conds)
+    let mut scalar = vec![true; kernel.n_vars];
+    while demote(
+        &kernel.body,
+        false,
+        &kernel.pool.uniform_nodes(&scalar),
+        &mut scalar,
+    ) {}
+    scalar
 }
 
 /// Every var `stmts` assign, at any depth: `SetVar` targets and loop vars.

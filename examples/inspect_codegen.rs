@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --release --example inspect_codegen`
 
-use gpu_codegen::cuda_emit::kernel_to_cuda;
 use gpu_codegen::ptx_emit::core_tile_ptx;
+use gpu_codegen::BackendKind;
 use hybrid_hexagonal::prelude::*;
 use stencil::gallery;
 
@@ -27,7 +27,7 @@ fn main() {
     }
 
     println!("\n=== CUDA-like source of the phase-1 kernel (first 60 lines) ===");
-    let src = kernel_to_cuda(&plan.kernels[1]);
+    let src = BackendKind::Cuda.backend().emit_kernel(&plan.kernels[1]);
     for line in src.lines().take(60) {
         println!("{line}");
     }
