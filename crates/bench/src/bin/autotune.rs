@@ -51,6 +51,10 @@
 //!   aggregate *interpreter* throughput — the interpreter is the
 //!   stable code path, so the ratio isolates regressions in the
 //!   compiled executor from runner-speed variance.
+//!
+//! Every gate asked for prints its verdict (`... gate passed` or `FAIL:
+//! ...`) before the run exits non-zero, so one failing gate does not hide
+//! the others.
 
 use gpusim::DeviceConfig;
 use hybrid_bench::autotune::{
@@ -542,6 +546,9 @@ fn main() {
     std::fs::write(&args.out, doc.render()).expect("write bench JSON");
     println!("\nwrote {}", args.out);
 
+    // Every requested gate prints its verdict; the run fails once, at the
+    // end, if any of them failed.
+    let mut failed = false;
     if let Some(min) = args.min_speedup {
         let effective_workers = args.threads.min(host_cpus);
         if effective_workers <= 1 {
@@ -555,7 +562,7 @@ fn main() {
                  required {min:.2}x at {} threads",
                 args.threads
             );
-            std::process::exit(1);
+            failed = true;
         } else {
             println!("speedup gate passed: {aggregate:.2}x >= {min:.2}x");
         }
@@ -568,7 +575,7 @@ fn main() {
                  below the required {min:.2}x (compilation must not lose to \
                  re-interpretation)"
             );
-            std::process::exit(1);
+            failed = true;
         } else {
             println!("compiled-executor gate passed: {compiled_aggregate:.2}x >= {min:.2}x");
         }
@@ -605,7 +612,7 @@ fn main() {
             for f in &failures {
                 eprintln!("FAIL: {f}");
             }
-            std::process::exit(1);
+            failed = true;
         }
     }
 
@@ -658,7 +665,7 @@ fn main() {
             for f in &failures {
                 eprintln!("FAIL: {f}");
             }
-            std::process::exit(1);
+            failed = true;
         }
     }
 
@@ -666,8 +673,12 @@ fn main() {
         let current = doc.get("exec_throughput").expect("doc has exec_throughput");
         if let Err(msg) = compare_against_baseline(path, current) {
             eprintln!("FAIL: {msg}");
-            std::process::exit(1);
+            failed = true;
         }
+    }
+
+    if failed {
+        std::process::exit(1);
     }
 }
 

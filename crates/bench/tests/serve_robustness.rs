@@ -13,14 +13,22 @@
 //! requests against one service receive reports bit-identical to the
 //! one-shot `hybridc` driver's `--report` entries for the same inputs.
 //!
+//! The `hybridc serve` binary, end to end: two rounds of the example
+//! stencils and a garbage line, queued at once behind six workers — round
+//! 2 comes from memory and repeats round 1, the garbage is one typed error.
+//!
 //! The proptest stand-in generates deterministic inputs, so a failure
 //! here reproduces with plain `cargo test`.
 
+use std::collections::BTreeMap;
+use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
 use hybrid_bench::driver::{
-    compile_file, compile_source_with, outcome_json, DriverConfig, PROVENANCE_FIELDS,
+    collect_stencil_files, compile_file, compile_source_with, outcome_json, DriverConfig,
+    PROVENANCE_FIELDS,
 };
 use hybrid_bench::fleet::{FleetOptions, FleetRouter};
 use hybrid_bench::json::Json;
@@ -375,4 +383,102 @@ fn far_apart_offsets_are_a_typed_refusal_and_the_connection_lives_on() {
         server.join().unwrap().unwrap();
     });
     assert_eq!(router.members()[0].1.get(Id::ContainedPanics), Some(0));
+}
+
+/// One `hybridc serve --workers 6 --smoke --no-cache` process gets, all at
+/// once on stdin, a compile per example stencil (`r1-<i>`), a line that is
+/// not JSON, the same compiles again (`r2-<i>`) and a `status`. Round 1
+/// tunes every program; round 2 is answered entirely from the memory cache
+/// — single-flight guarantees it although every request is queued at once
+/// — and repeats round 1's responses once the envelope and
+/// `PROVENANCE_FIELDS` are set aside. The garbage line is one typed
+/// `bad_request` error (its full text is pinned in
+/// `tests/golden/protocol.ndjson`), and the service keeps answering: every
+/// later response is there and the process exits 0. That a hit writes and
+/// executes nothing is `mem_outcome_cache.rs`'s to show; here `status`
+/// only confirms that no hit re-executed.
+#[test]
+fn hybridd_serves_round_two_from_memory_and_contains_a_garbage_line() {
+    let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/stencils");
+    let examples = collect_stencil_files(&examples).unwrap();
+    let n = examples.len();
+    let round = |r: usize| -> String {
+        let line = |(i, path): (usize, &PathBuf)| {
+            let id = format!("r{r}-{}", i + 1);
+            let path = path.display().to_string();
+            let request = [("op", Json::str("compile")), ("id", Json::str(id))];
+            Json::obj([&request[..], &[("path", Json::str(path))]].concat()).render_compact() + "\n"
+        };
+        examples.iter().enumerate().map(line).collect()
+    };
+    let stream = format!(
+        "{}this is not json\n{}{{\"op\":\"status\",\"id\":\"st\"}}\n",
+        round(1),
+        round(2)
+    );
+    let out = std::env::temp_dir().join(format!("hybridd_smoke_{}", std::process::id()));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hybridc"))
+        .args(["serve", "--workers", "6", "--smoke", "--no-cache", "--out"])
+        .arg(&out)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    stdin.write_all(stream.as_bytes()).unwrap();
+    drop(stdin);
+    let done = child.wait_with_output().unwrap();
+    let _ = std::fs::remove_dir_all(&out);
+    let text = String::from_utf8(done.stdout).unwrap();
+    let log = String::from_utf8_lossy(&done.stderr);
+    assert!(
+        done.status.success(),
+        "hybridc serve failed:\n{log}\n{text}"
+    );
+    let responses: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+    assert_eq!(responses.len(), 2 * n + 2, "{text}");
+    let str_of = |r: &Json, key| r.get(key).and_then(Json::as_str).map(str::to_string);
+    let count = |key, value: &str| {
+        let matching = |r: &&Json| str_of(r, key).as_deref() == Some(value);
+        responses.iter().filter(matching).count()
+    };
+    assert_eq!(count("cache", "miss"), n, "round 1 tunes: {text}");
+    assert_eq!(count("cache", "mem"), n, "round 2 is memory hits: {text}");
+    assert_eq!(count("status", "error"), 1, "{text}");
+    assert_eq!(count("error_kind", "bad_request"), 1, "{text}");
+    assert_eq!(count("status", "ok"), 2 * n, "{text}");
+    let verified = |r: &&Json| r.get("verified") == Some(&Json::Bool(true));
+    assert_eq!(responses.iter().filter(verified).count(), 2 * n, "{text}");
+    let status = responses
+        .iter()
+        .find(|r| str_of(r, "id").as_deref() == Some("st"));
+    let status = status.expect("a status response");
+    assert_eq!(str_of(status, "status").as_deref(), Some("alive"));
+    assert_eq!(status.get("mem_reexecuted").and_then(Json::as_u64), Some(0));
+
+    // Round `r`'s compile responses by example number, without the
+    // envelope and the provenance fields.
+    let normalized = |r: usize| -> BTreeMap<String, String> {
+        let prefix = format!("r{r}-");
+        let mut by_example = BTreeMap::new();
+        for response in &responses {
+            let Json::Obj(pairs) = response else {
+                panic!("a response is an object: {response:?}");
+            };
+            let Some(example) =
+                str_of(response, "id").and_then(|id| id.strip_prefix(&prefix).map(str::to_string))
+            else {
+                continue;
+            };
+            let kept = pairs.iter().filter(|(k, _)| {
+                !matches!(k.as_str(), "seq" | "id") && !PROVENANCE_FIELDS.contains(&k.as_str())
+            });
+            by_example.insert(example, Json::Obj(kept.cloned().collect()).render_compact());
+        }
+        by_example
+    };
+    let first = normalized(1);
+    assert_eq!(first.len(), n);
+    assert_eq!(first, normalized(2));
 }
