@@ -325,7 +325,8 @@ pub struct CompileOutcome {
     /// True when a cross-device warm hint matched this program and was
     /// re-verified during tuning.
     pub warm_start: bool,
-    /// True when the chosen plan's parameters came from a warm hint.
+    /// True when the chosen plan's parameters equal a warm hint's, whether
+    /// or not the sweep found them too.
     pub warm_start_hit: bool,
     /// Where this request's execution time went (all 0 on a memory hit).
     pub stages: StageTimes,
@@ -1203,7 +1204,8 @@ pub struct TuneStats {
     /// At least one warm hint matched this program and entered
     /// re-verification.
     pub warm_start: bool,
-    /// The winning plan's parameters came from a warm hint.
+    /// The winning plan's parameters equal a warm hint's, whether or not
+    /// the sweep found them too.
     pub warm_start_hit: bool,
 }
 

@@ -177,7 +177,7 @@ registry! {
     WarmStarts        Counter Device  sum   "warm_starts"           6   "hybrid_warm_starts_total"             -
         "Compiles that re-verified cross-device warm-start hints.";
     WarmStartHits     Counter Device  sum   "warm_start_hits"       7   "hybrid_warm_start_hits_total"         -
-        "Compiles whose winning plan came from a warm-start hint.";
+        "Compiles whose winning plan equals a warm-start hint, whether or not the sweep found it too.";
     TuneSimulations   Counter Device  sum   "tune_simulations"      8   "hybrid_tune_simulations_total"        -
         "Tuning scorer invocations, warm-hint re-verifications included.";
     ProxySimulations  Counter Device  sum   "proxy_simulations"     9   "hybrid_proxy_simulations_total"       -
