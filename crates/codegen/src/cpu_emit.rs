@@ -120,7 +120,7 @@ impl<'a> Lanes<'a> {
         loop {
             let uniform = kernel.pool.uniform_nodes(&scalar);
             if !demote(&kernel.body, &uniform, &mut scalar, false) {
-                let uniform_conds = uniform.1;
+                let (_, uniform_conds) = uniform;
                 return Lanes {
                     kernel,
                     scalar,
