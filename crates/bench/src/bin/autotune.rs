@@ -546,8 +546,6 @@ fn main() {
     std::fs::write(&args.out, doc.render()).expect("write bench JSON");
     println!("\nwrote {}", args.out);
 
-    // Every requested gate prints its verdict; the run fails once, at the
-    // end, if any of them failed.
     let mut failed = false;
     if let Some(min) = args.min_speedup {
         let effective_workers = args.threads.min(host_cpus);
