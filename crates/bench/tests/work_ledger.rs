@@ -4,7 +4,9 @@
 //! allocation counts are deterministic, so a change in the work a stage
 //! does shows up here in one run. For each example stencil this counts
 //! the allocations of a whole cold `compile_source_with` (fresh cache
-//! directory, one tuning worker) and, at the tiles `tune: static` picks,
+//! directory, one tuning worker), of a cold `tune: simulated` one at a
+//! small override workload ([`simulated_workload`]) and, at the tiles
+//! `tune: static` picks,
 //! of each stage on
 //! its own: parse, `HybridGeometry::new`, `build_plan`, simulate (loading
 //! the simulator, compiling the kernels, running the plan), the oracle and
@@ -28,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use gpu_codegen::{BackendKind, CodegenOptions, HybridGeometry};
 use gpusim::DeviceConfig;
 use hybrid_bench::autotune::autotune_workload;
-use hybrid_bench::driver::{compile_source_with, DriverConfig};
+use hybrid_bench::driver::{compile_source_with, DriverConfig, TuneMode};
 use hybrid_bench::{loaded_sim, random_init};
 use hybrid_tiling::TileParams;
 use stencil::parse::parse_stencil;
@@ -84,9 +86,20 @@ const WINNERS: [(&str, i64, &[i64]); 6] = [
     ("laplacian3d", 2, &[3, 8, 32]),
 ];
 
+/// The override workload of the `compile_simulated` row, per spatial
+/// arity: small, so the exhaustive simulated sweep stays cheap.
+fn simulated_workload(arity: usize) -> (Vec<usize>, usize) {
+    match arity {
+        1 => (vec![64], 4),
+        2 => (vec![32, 32], 4),
+        _ => (vec![12, 12, 16], 3),
+    }
+}
+
 /// The ledger rows, in print order.
-const ROWS: [&str; 11] = [
+const ROWS: [&str; 12] = [
     "compile",
+    "compile_simulated",
     "parse",
     "geometry",
     "build_plan",
@@ -124,6 +137,19 @@ fn ledger_of(name: &str, h: i64, w: &[i64], source: &str, run: &str) -> [u64; RO
     );
     let _ = std::fs::remove_dir_all(&out);
 
+    let out = out.with_file_name(format!("s{run}"));
+    let _ = std::fs::remove_dir_all(&out);
+    let cfg = DriverConfig {
+        tune: TuneMode::Simulated,
+        workload: Some(simulated_workload(w.len())),
+        tune_workers: 1,
+        ..DriverConfig::new(&out)
+    };
+    let (outcome, compile_simulated, _) =
+        counted(|| compile_source_with(name, source, Path::new(name), &cfg, None));
+    outcome.unwrap_or_else(|e| panic!("{name} (simulated): {e}"));
+    let _ = std::fs::remove_dir_all(&out);
+
     let (program, parse, _) = counted(|| parse_stencil(name, source).unwrap());
     let (dims, steps) = autotune_workload(&program);
     let params = TileParams::new(h, w);
@@ -157,6 +183,7 @@ fn ledger_of(name: &str, h: i64, w: &[i64], source: &str, run: &str) -> [u64; RO
     let ((), _, drop_frees) = counted(|| drop(plan));
     [
         compile,
+        compile_simulated,
         parse,
         geometry_allocs,
         build_plan,
