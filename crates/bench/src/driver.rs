@@ -2710,6 +2710,83 @@ for (t = 0; t < T; t++)
         }
     }
 
+    #[test]
+    fn simulated_winners_are_pinned() {
+        // What a cold `tune: simulated` compile serves, for the 1-D/2-D
+        // examples on both devices under the exhaustive sweep (`top_k 0`)
+        // and the shortlist + ladder (`top_k 4, proxy 0.5`), at one tuning
+        // worker and at two: `(h, w)`, GStencils/s, launches, kernels.
+        // Every served plan is verified.
+        let pinned = "\
+wave1d | GTX 470 | exhaustive | h 3 w [3] | 0.03042933810375671 GStencils/s | 2 launches | 2 kernels
+wave1d | GTX 470 | ladder | h 3 w [1] | 0.030425826553574516 GStencils/s | 2 launches | 2 kernels
+wave1d | NVS 5200M | exhaustive | h 3 w [3] | 0.019151459434612734 GStencils/s | 2 launches | 2 kernels
+wave1d | NVS 5200M | ladder | h 3 w [1] | 0.01914266023432116 GStencils/s | 2 launches | 2 kernels
+jacobi2d | GTX 470 | exhaustive | h 3 w [5, 64] | 0.43638384903724187 GStencils/s | 2 launches | 2 kernels
+jacobi2d | GTX 470 | ladder | h 3 w [5, 32] | 0.4361569526848483 GStencils/s | 2 launches | 2 kernels
+jacobi2d | NVS 5200M | exhaustive | h 3 w [5, 64] | 0.26510328201194455 GStencils/s | 2 launches | 2 kernels
+jacobi2d | NVS 5200M | ladder | h 3 w [5, 32] | 0.26457416267942585 GStencils/s | 2 launches | 2 kernels
+fdtd2d | GTX 470 | exhaustive | h 3 w [3, 32] | 0.6283152811712422 GStencils/s | 3 launches | 2 kernels
+fdtd2d | GTX 470 | ladder | h 3 w [3, 32] | 0.6283152811712422 GStencils/s | 3 launches | 2 kernels
+fdtd2d | NVS 5200M | exhaustive | h 3 w [3, 32] | 0.39562744346492906 GStencils/s | 3 launches | 2 kernels
+fdtd2d | NVS 5200M | ladder | h 3 w [3, 32] | 0.39562744346492906 GStencils/s | 3 launches | 2 kernels
+blur2d | GTX 470 | exhaustive | h 3 w [5, 64] | 0.43376259084533986 GStencils/s | 2 launches | 2 kernels
+blur2d | GTX 470 | ladder | h 3 w [5, 32] | 0.4335384114352871 GStencils/s | 2 launches | 2 kernels
+blur2d | NVS 5200M | exhaustive | h 3 w [5, 64] | 0.25908433734939756 GStencils/s | 2 launches | 2 kernels
+blur2d | NVS 5200M | ladder | h 3 w [5, 32] | 0.25857894877481763 GStencils/s | 2 launches | 2 kernels
+gradient2d | GTX 470 | exhaustive | h 3 w [5, 64] | 0.4292503750227818 GStencils/s | 2 launches | 2 kernels
+gradient2d | GTX 470 | ladder | h 3 w [5, 32] | 0.4290308342266221 GStencils/s | 2 launches | 2 kernels
+gradient2d | NVS 5200M | exhaustive | h 3 w [5, 64] | 0.24918370500077253 GStencils/s | 2 launches | 2 kernels
+gradient2d | NVS 5200M | ladder | h 3 w [5, 32] | 0.24871616932685633 GStencils/s | 2 launches | 2 kernels
+";
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/stencils");
+        let dir = scratch("sim_pins");
+        let mut got = String::new();
+        for name in ["wave1d", "jacobi2d", "fdtd2d", "blur2d", "gradient2d"] {
+            let src = fs::read_to_string(root.join(format!("{name}.stencil"))).unwrap();
+            let workload = if name == "wave1d" {
+                (vec![64], 4)
+            } else {
+                (vec![32, 32], 4)
+            };
+            for device in [DeviceConfig::gtx470(), DeviceConfig::nvs5200m()] {
+                for (sweep, top_k, proxy) in [("exhaustive", 0, 1.0), ("ladder", 4, 0.5)] {
+                    let mut served = Vec::new();
+                    for tune_workers in [1, 2] {
+                        let out =
+                            dir.join(format!("{name}-{}-{sweep}-{tune_workers}", device.name));
+                        let cfg = DriverConfig {
+                            device: device.clone(),
+                            tune: TuneMode::Simulated,
+                            workload: Some(workload.clone()),
+                            top_k,
+                            proxy,
+                            tune_workers,
+                            ..DriverConfig::new(out)
+                        };
+                        let o = compile_source_with(name, &src, Path::new(name), &cfg, None)
+                            .unwrap_or_else(|e| panic!("{name} on {}: {e}", device.name));
+                        assert!(o.verified, "{name} on {}", device.name);
+                        served.push((o.params, o.gstencils, o.launches, o.kernels));
+                    }
+                    assert_eq!(
+                        served[0], served[1],
+                        "{name} on {} ({sweep}): one and two tuning workers disagree",
+                        device.name
+                    );
+                    let (p, gstencils, launches, kernels) = &served[0];
+                    got += &format!(
+                        "{name} | {} | {sweep} | h {} w {:?} | {gstencils:?} GStencils/s | \
+                         {launches} launches | {kernels} kernels\n",
+                        device.name, p.h, p.w
+                    );
+                }
+            }
+        }
+        assert_eq!(got, pinned, "served winners moved; now:\n{got}");
+        let _ = fs::remove_dir_all(dir);
+    }
+
     /// Plants a lock file nobody holds, dated `mtime`, where `compile_file`
     /// will look for the jacobi lock, then checks the compile takes it at
     /// once, tunes and removes it.
