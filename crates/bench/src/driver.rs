@@ -42,7 +42,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use gpu_codegen::{BackendKind, CodegenOptions, HybridGeometry};
-use gpusim::{timing, DeviceConfig};
+use gpusim::{timing, DeviceConfig, ExecError, GpuSim, RunEnd};
 use hybrid_tiling::cancel::{CancelKind, CancelToken};
 use hybrid_tiling::tilesize::autotune::{
     autotune_parallel_cancellable, estimated_regs_per_block, split_thread_budget, AutotuneConfig,
@@ -52,9 +52,9 @@ use hybrid_tiling::tilesize::{TileEvaluator, TileSizeModel};
 use hybrid_tiling::{DepCone, TileParams};
 use stencil::characteristics::{flop_count, load_count};
 use stencil::parse::{parse_stencil, ParseError};
-use stencil::{ReferenceExecutor, StencilProgram};
+use stencil::{Grid, ReferenceExecutor, StencilProgram};
 
-use crate::autotune::{autotune_workload, proxy_workload, simulate_geometry, sweep_space};
+use crate::autotune::{autotune_workload, proxy_workload, sweep_space};
 use crate::json::Json;
 use crate::metrics::{Counters, Id};
 use crate::{loaded_sim, random_init};
@@ -1186,12 +1186,14 @@ pub struct TuneStats {
     /// when `top_k == 0`).
     pub shortlisted: usize,
     /// Scorer invocations — simulator runs in [`TuneMode::Simulated`] —
-    /// including warm-hint re-verifications and both fidelity rungs.
+    /// including warm-hint re-verifications and both fidelity rungs. A
+    /// full-fidelity run stopped at the best score so far still counts.
     pub simulated: usize,
     /// Proxy-fidelity scorer invocations (the ladder's cheap round).
     pub proxy_simulated: usize,
     /// Full-fidelity scorer invocations, including warm-hint
-    /// re-verifications. With the ladder disabled, equals `simulated`.
+    /// re-verifications and runs stopped at the best score so far. With
+    /// the ladder disabled, equals `simulated`.
     pub full_simulated: usize,
     /// Wall-clock milliseconds of the whole tuning stage (sweep plus
     /// warm-hint re-verification), clamped to ≥ 1 so a fresh tune is
@@ -1232,7 +1234,73 @@ fn tune_thread_split(cfg: &DriverConfig) -> (usize, usize) {
     split_thread_budget(budget, candidates)
 }
 
-/// Runs the tuning sweep and returns `(params, smem, score, stats)`.
+/// The seed of a compile's initial grids: what [`execute`] loads and
+/// verifies against the oracle, and what the simulated tuner runs its
+/// candidates from.
+const INIT_SEED: u64 = 1234;
+
+/// A plan and the simulator that ran it to the end.
+type PlanRun = (AlignedPlan, GpuSim);
+
+/// The full-fidelity run of the candidate that ranks first so far in a
+/// simulated sweep, at the compile's workload and from its initial grids:
+/// when the sweep's winner is this candidate, [`execute`] serves the run
+/// instead of simulating the plan again.
+struct TunedRun {
+    params: TileParams,
+    score: f64,
+    ratio: f64,
+    run: PlanRun,
+}
+
+/// The sweep's final ranking, as an order of `(score, load-to-compute
+/// ratio)` pairs: the higher score first, then the lower ratio.
+fn rank_order(
+    (a_score, a_ratio): (f64, f64),
+    (b_score, b_ratio): (f64, f64),
+) -> std::cmp::Ordering {
+    b_score
+        .total_cmp(&a_score)
+        .then(a_ratio.total_cmp(&b_ratio))
+}
+
+/// Loads a simulator with `init` and runs `plan` for `steps` time steps
+/// on `threads` workers: to the end, or, given a `floor`, until its
+/// GStencils/s can only end below it. The one simulation of a plan that
+/// the simulated tuner and [`execute`] share.
+fn simulate_plan(
+    program: &StencilProgram,
+    device: &DeviceConfig,
+    init: &[Grid],
+    (plan, align): &AlignedPlan,
+    steps: usize,
+    threads: usize,
+    floor: Option<f64>,
+) -> Result<(GpuSim, RunEnd), ExecError> {
+    let mut sim = loaded_sim(program, device, init, *align, steps);
+    let end = match floor {
+        Some(floor) => sim.try_run_plan_bounded(plan, threads, floor)?,
+        None => {
+            sim.try_run_plan_parallel_with(plan, threads)?;
+            RunEnd::Finished
+        }
+    };
+    Ok((sim, end))
+}
+
+/// [`choose_plan`] without the winner's run: the tuple the static pins
+/// compare.
+#[cfg(test)]
+fn choose_params(
+    program: &StencilProgram,
+    cone: &DepCone,
+    cfg: &DriverConfig,
+) -> Result<(TileParams, u64, f64, TuneStats), DriverError> {
+    choose_plan(program, cone, cfg)
+        .map(|(params, smem, score, stats, _)| (params, smem, score, stats))
+}
+
+/// Runs the tuning sweep and returns `(params, smem, score, stats, run)`.
 /// The sweep observes `cfg.cancel` between candidate pickups; a fired
 /// token becomes [`DriverError::DeadlineExceeded`] /
 /// [`DriverError::Cancelled`]. Shortlist candidates are scored
@@ -1240,6 +1308,15 @@ fn tune_thread_split(cfg: &DriverConfig) -> (usize, usize) {
 /// `cfg.proxy < 1.0` a successive-halving proxy round (workload scaled
 /// by `cfg.proxy`, survivors by [`PROXY_KEEP_FRAC`]) runs first — the
 /// ranking still uses full-fidelity scores only.
+///
+/// In [`TuneMode::Simulated`] every candidate runs from the compile's own
+/// initial grids (the scoring counters do not depend on the data). A
+/// full-fidelity run stops once it can only score below the best finished
+/// run so far — then it cannot win, and the upper bound it reports ranks
+/// it below that run — and the best finished run is kept: `run` is the
+/// winner's plan and simulator when the winner is the kept candidate, and
+/// `None` otherwise (static mode, a test scorer, or an exact tie the
+/// ranking breaks toward a different candidate).
 ///
 /// Warm hints whose program text matches are **re-verified**: evaluated,
 /// budget-checked, and scored through the same full-fidelity scorer as
@@ -1250,11 +1327,11 @@ fn tune_thread_split(cfg: &DriverConfig) -> (usize, usize) {
 /// add candidates, so the chosen plan is never worse than the unhinted
 /// sweep's — and with `top_k > 0` a transferred plan effectively costs
 /// one extra simulation instead of a full sweep.
-fn choose_params(
+fn choose_plan(
     program: &StencilProgram,
     cone: &DepCone,
     cfg: &DriverConfig,
-) -> Result<(TileParams, u64, f64, TuneStats), DriverError> {
+) -> Result<(TileParams, u64, f64, TuneStats, Option<PlanRun>), DriverError> {
     let tune_start = Instant::now();
     let space = sweep_space(program.spatial_dims(), cfg.smoke);
     let tune_cfg = AutotuneConfig {
@@ -1269,6 +1346,16 @@ fn choose_params(
     let (dims, steps) = workload(program, cfg);
     let (proxy_dims, proxy_steps) = proxy_workload(&dims, steps, cfg.proxy);
     let (workers, sim_threads) = tune_thread_split(cfg);
+    let simulated = cfg.tune == TuneMode::Simulated;
+    let init = |dims: &[usize]| {
+        if simulated {
+            random_init(program, dims, INIT_SEED)
+        } else {
+            Vec::new()
+        }
+    };
+    let (full_init, proxy_init) = (init(&dims), init(&proxy_dims));
+    let best: Mutex<Option<TunedRun>> = Mutex::new(None);
     let score_model = |model: &TileSizeModel, fidelity: Fidelity| -> Option<f64> {
         #[cfg(test)]
         if let Some(f) = cfg.scorer {
@@ -1290,12 +1377,51 @@ fn choose_params(
                 Some(-model.ratio())
             }
             TuneMode::Simulated => {
-                let (sdims, ssteps) = match fidelity {
-                    Fidelity::Proxy => (&proxy_dims, proxy_steps),
-                    Fidelity::Full => (&dims, steps),
+                let (sdims, ssteps, init) = match fidelity {
+                    Fidelity::Proxy => (&proxy_dims, proxy_steps, &proxy_init),
+                    Fidelity::Full => (&dims, steps, &full_init),
                 };
                 let geometry = geometry(sdims, ssteps)?;
-                simulate_geometry(&geometry, program, &cfg.device, sdims, ssteps, sim_threads)
+                if geometry.shared_bytes() > cfg.device.shared_limit {
+                    return None;
+                }
+                let plan = (geometry.build_plan(), geometry.alignment_offset_words());
+                // The proxy rung ranks every candidate, so each runs to
+                // the end; the full rung stops one that cannot win.
+                let floor = match fidelity {
+                    Fidelity::Proxy => None,
+                    Fidelity::Full => lock_ignore_poison(&best).as_ref().map(|b| b.score),
+                };
+                // A plan the simulator refuses (a write conflict, a
+                // worker panic) is a rejected candidate.
+                let (sim, end) = simulate_plan(
+                    program,
+                    &cfg.device,
+                    init,
+                    &plan,
+                    ssteps,
+                    sim_threads,
+                    floor,
+                )
+                .ok()?;
+                let score = timing::gstencils_per_s(sim.counters(), sim.device());
+                if fidelity == Fidelity::Full && end == RunEnd::Finished {
+                    let ratio = model.ratio();
+                    let mut best = lock_ignore_poison(&best);
+                    // An exact tie keeps the earlier run.
+                    if best
+                        .as_ref()
+                        .is_none_or(|b| rank_order((score, ratio), (b.score, b.ratio)).is_lt())
+                    {
+                        *best = Some(TunedRun {
+                            params: model.params.clone(),
+                            score,
+                            ratio,
+                            run: (plan, sim),
+                        });
+                    }
+                }
+                Some(score)
             }
         }
     };
@@ -1371,21 +1497,24 @@ fn choose_params(
     if stats.warm_start {
         // Same comparator as the sweep's final ranking, so a merged hint
         // wins only by strictly scoring better (ratio breaks ties).
-        report.ranked.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then(a.model.ratio().total_cmp(&b.model.ratio()))
-        });
+        report
+            .ranked
+            .sort_by(|a, b| rank_order((a.score, a.model.ratio()), (b.score, b.model.ratio())));
     }
     stats.tune_wall_ms = (tune_start.elapsed().as_millis() as u64).max(1);
+    let kept = best.into_inner().unwrap_or_else(|p| p.into_inner());
     match report.best() {
-        Some(best) => {
-            stats.warm_start_hit = hint_params.contains(&best.model.params);
+        Some(winner) => {
+            stats.warm_start_hit = hint_params.contains(&winner.model.params);
+            let run = kept
+                .filter(|k| k.params == winner.model.params)
+                .map(|k| k.run);
             Ok((
-                best.model.params.clone(),
-                best.model.smem_bytes,
-                best.score,
+                winner.model.params.clone(),
+                winner.model.smem_bytes,
+                winner.score,
                 stats,
+                run,
             ))
         }
         None => Err(DriverError::NoFeasibleTiling(format!(
@@ -1490,6 +1619,17 @@ fn generate(
     Ok((geometry.build_plan(), geometry.alignment_offset_words()))
 }
 
+/// A resolved plan: its tile parameters, the plan, the simulator that
+/// already ran it (a fresh simulated tune's winner), how it was tuned and
+/// where it came from.
+type Resolved = (
+    TileParams,
+    AlignedPlan,
+    Option<GpuSim>,
+    TuneStats,
+    CacheSource,
+);
+
 /// Resolves the tile plan for one compile below the memory layer:
 ///
 /// 1. `cached` — tile parameters the caller already holds (a memory
@@ -1501,12 +1641,14 @@ fn generate(
 /// 4. a fresh tuning sweep.
 ///
 /// Stale cached plans (entries that no longer generate) degrade to a
-/// miss; every layer observes `cfg.cancel`.
+/// miss; every layer observes `cfg.cancel`. A fresh simulated tune also
+/// returns the simulator that already ran the winning plan, for
+/// [`execute`] to serve.
 fn resolve_plan(
     job: &Job<'_>,
     cone: &DepCone,
     cached: Option<TileParams>,
-) -> Result<(TileParams, AlignedPlan, TuneStats, CacheSource), DriverError> {
+) -> Result<Resolved, DriverError> {
     let Job {
         program,
         text,
@@ -1525,7 +1667,7 @@ fn resolve_plan(
     // emitter) degrades to a miss.
     if let Some((params, source)) = cached {
         if let Ok(plan) = generate(job, cone, &params) {
-            return Ok((params, plan, TuneStats::default(), source));
+            return Ok((params, plan, None, TuneStats::default(), source));
         }
     }
 
@@ -1538,7 +1680,7 @@ fn resolve_plan(
             DiskFlight::Acquired(lock) => disk_flight = Some(lock),
             DiskFlight::Ready(params) => {
                 if let Ok(plan) = generate(job, cone, &params) {
-                    return Ok((params, plan, TuneStats::default(), CacheSource::Disk));
+                    return Ok((params, plan, None, TuneStats::default(), CacheSource::Disk));
                 }
                 // The other process stored a stale/incompatible entry:
                 // tune for ourselves, without re-contending for the lock.
@@ -1549,14 +1691,20 @@ fn resolve_plan(
 
     // On any failure below, dropping `disk_flight` unlinks the lock file
     // and releases the lock, so other processes proceed at once.
-    let (params, smem, score, stats) = choose_params(program, cone, cfg)?;
+    let (params, smem, score, stats, run) = choose_plan(program, cone, cfg)?;
     if let Some(dir) = cfg.cache_dir.as_deref() {
         store_cached_params(dir, job, &params, smem, score)?;
     }
-    let plan = generate(job, cone, &params)
-        .map_err(|e| DriverError::NoFeasibleTiling(format!("{}: {e}", program.name())))?;
+    let (plan, sim) = match run {
+        Some((plan, sim)) => (plan, Some(sim)),
+        None => (
+            generate(job, cone, &params)
+                .map_err(|e| DriverError::NoFeasibleTiling(format!("{}: {e}", program.name())))?,
+            None,
+        ),
+    };
     drop(disk_flight);
-    Ok((params, plan, stats, CacheSource::Fresh))
+    Ok((params, plan, sim, stats, CacheSource::Fresh))
 }
 
 /// Milliseconds (to the microsecond) of resolving the plan, then of the stages an
@@ -1567,7 +1715,9 @@ pub struct StageTimes {
     /// `resolve_plan` on the request thread, before the lanes start: disk probe,
     /// lock, tune (`tune_wall_ms` is inside it), store, generate, unlock.
     pub plan_ms: f64,
-    /// The simulator run, including loading its memory.
+    /// The simulator run, including loading its memory. 0 when `execute`
+    /// served the run a simulated tune kept for its winner: that
+    /// simulation is inside `plan_ms`.
     pub simulate_ms: f64,
     /// The sequential oracle (0 with `verify` off).
     pub oracle_ms: f64,
@@ -1584,16 +1734,20 @@ fn elapsed_ms(since: Instant) -> f64 {
 /// `cfg.verify` is on, checks the result bit for bit against the oracle —
 /// as two lanes: this thread simulates (the critical path) while a scoped
 /// side thread emits, then runs the oracle; only the comparison needs both.
+/// A `ran` simulator (the tuner's run of this plan, from the same initial
+/// grids) is served as the simulation instead, and checked the same way.
 /// Failures keep the precedence of the stages run in sequence: emission, a
 /// deadline fired before simulating, the simulator, a deadline fired since
 /// (the oracle stops at its next step), a mismatch. Side-lane panics re-raise.
 fn execute(
     job: &Job<'_>,
     params: &TileParams,
-    (plan, align): &AlignedPlan,
+    aligned: &AlignedPlan,
+    ran: Option<GpuSim>,
 ) -> Result<((ExecRecord, StageTimes), Artifacts), DriverError> {
     let (program, steps, cfg) = (job.program, job.steps, job.cfg);
-    let (name, init) = (program.name(), random_init(program, job.dims, 1234));
+    let (name, init) = (program.name(), random_init(program, job.dims, INIT_SEED));
+    let plan = &aligned.0;
     let (side, simulated) = std::thread::scope(|scope| {
         let side = scope.spawn(|| {
             let (mut times, start) = (StageTimes::default(), Instant::now());
@@ -1610,13 +1764,23 @@ fn execute(
             Ok::<_, DriverError>((artifacts, oracle, times))
         });
         let start = Instant::now();
-        let simulated = check_cancel(&cfg.cancel, name).and_then(|()| {
-            let mut sim = loaded_sim(program, &cfg.device, &init, *align, steps);
-            // A schedule that violates concurrent-tile independence is a
-            // per-stencil verification failure, never a dead batch/service.
-            sim.try_run_plan_parallel_with(plan, cfg.sim_threads)
+        let simulated = check_cancel(&cfg.cancel, name).and_then(|()| match ran {
+            Some(sim) => Ok((sim, 0.0)),
+            None => {
+                // A schedule that violates concurrent-tile independence is a
+                // per-stencil verification failure, never a dead batch/service.
+                let (sim, _) = simulate_plan(
+                    program,
+                    &cfg.device,
+                    &init,
+                    aligned,
+                    steps,
+                    cfg.sim_threads,
+                    None,
+                )
                 .map_err(|e| DriverError::Verify(format!("{name}: {e}")))?;
-            Ok((sim, elapsed_ms(start)))
+                Ok((sim, elapsed_ms(start)))
+            }
         });
         (side.join(), simulated)
     });
@@ -1855,9 +2019,9 @@ pub fn compile_source_with(
     // and wakes single-flight waiters to compile for themselves: nothing
     // is published until the plan executed (and verified).
     let (cone, start) = (storage_cone(&job)?, Instant::now());
-    let (params, plan, stats, cache) = resolve_plan(&job, &cone, cached)?;
+    let (params, plan, sim, stats, cache) = resolve_plan(&job, &cone, cached)?;
     let plan_ms = elapsed_ms(start);
-    let (mut ran, artifacts) = execute(&job, &params, &plan)?;
+    let (mut ran, artifacts) = execute(&job, &params, &plan, sim)?;
     ran.1.plan_ms = plan_ms;
     if let Some(g) = guard {
         g.fulfill(&text, &params, ran.0);
@@ -2196,7 +2360,7 @@ for (t = 0; t < T; t++)
         };
         let params = TileParams::new(2, &[3, 8]);
         let plan = generate(&job, &storage_cone(&job).unwrap(), &params).unwrap();
-        execute(&job, &params, &plan)
+        execute(&job, &params, &plan, None)
     }
 
     #[test]

@@ -541,7 +541,7 @@ mod tests {
                 );
                 // The same sample merged from two workers.
                 let mut par = GpuSim::new(DeviceConfig::gtx470(), &init, planes);
-                par.execute(&plan, 2, Some(samples)).unwrap();
+                par.execute(&plan, 2, Some(samples), None).unwrap();
                 assert_eq!(
                     par.counters(),
                     want.counters(),

@@ -28,7 +28,8 @@
 //! [`GpuSim::run_plan_compiled`] (one worker),
 //! [`GpuSim::run_plan_parallel_with`] /
 //! [`GpuSim::try_run_plan_parallel_with`] (block-parallel across CPU
-//! cores) and [`GpuSim::run_plan_sampled`].
+//! cores), [`GpuSim::try_run_plan_bounded`] (the same, stopped once its
+//! throughput must end below a floor) and [`GpuSim::run_plan_sampled`].
 //!
 //! Large paper workloads are simulated in *sampled* mode: a subset of
 //! thread blocks per launch is executed exactly and counters are scaled
@@ -50,5 +51,5 @@ mod test_ir;
 pub use counters::Counters;
 pub use device::DeviceConfig;
 pub use exec::GpuSim;
-pub use parallel::{resolve_sim_threads, sim_threads, ExecError};
+pub use parallel::{resolve_sim_threads, sim_threads, ExecError, RunEnd};
 pub use timing::{estimate_time, TimeBreakdown};

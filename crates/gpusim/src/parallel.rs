@@ -59,10 +59,12 @@ use gpu_codegen::ir::{Kernel, LaunchPlan};
 
 use crate::bytecode::{compile_kernel, exec_block_compiled, BcKernel, ExecScratch};
 use crate::counters::Counters;
+use crate::device::DeviceConfig;
 use crate::exec::{DirectBackend, GlobalBackend, GpuSim};
 use crate::memory::{
     charge_warp_load_logged, charge_warp_store_logged, replay_l2, GlobalMem, L2Access, L2Cache,
 };
+use crate::timing;
 
 /// A typed failure of the block-parallel executor.
 ///
@@ -169,6 +171,18 @@ impl fmt::Display for ExecError {
 }
 
 impl std::error::Error for ExecError {}
+
+/// How a run under a throughput floor ([`GpuSim::try_run_plan_bounded`])
+/// ended.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RunEnd {
+    /// Every block of every launch ran.
+    Finished,
+    /// The counters so far already put [`timing::gstencils_per_s`] below
+    /// the floor, so the whole run would end below it too
+    /// ([`timing::below_floor`]); the run stopped there.
+    BelowFloor,
+}
 
 /// One recorded global-memory write: plane-linear location plus value.
 #[derive(Clone, Copy, Debug)]
@@ -417,7 +431,28 @@ impl GpuSim {
         plan: &LaunchPlan,
         threads: usize,
     ) -> Result<(), ExecError> {
-        self.execute(plan, threads, None)
+        self.execute(plan, threads, None, None).map(drop)
+    }
+
+    /// [`GpuSim::try_run_plan_parallel_with`] that stops as soon as the
+    /// run can only end below `floor` GStencils/s: the check runs after
+    /// each block with one worker, after each merged launch with several.
+    /// A run that returns [`RunEnd::Finished`] has exactly the grids and
+    /// counters of an unbounded one; after [`RunEnd::BelowFloor`] only
+    /// the counters are meaningful, as a lower bound of the whole run's
+    /// (so [`timing::gstencils_per_s`] of them is an upper bound of its
+    /// throughput, and below `floor`).
+    ///
+    /// # Errors
+    ///
+    /// As [`GpuSim::try_run_plan_parallel_with`].
+    pub fn try_run_plan_bounded(
+        &mut self,
+        plan: &LaunchPlan,
+        threads: usize,
+        floor: f64,
+    ) -> Result<RunEnd, ExecError> {
+        self.execute(plan, threads, None, Some(floor))
     }
 
     /// Runs at most `samples` blocks per launch (spread across the grid)
@@ -440,20 +475,27 @@ impl GpuSim {
     /// [`GpuSim::run_plan_compiled`] does.
     pub fn run_plan_sampled(&mut self, plan: &LaunchPlan, samples: usize) {
         assert!(samples > 0, "need at least one sampled block");
-        if let Err(e) = self.execute(plan, 1, Some(samples)) {
+        if let Err(e) = self.execute(plan, 1, Some(samples), None) {
             panic!("{e}");
         }
     }
 
     /// The production launch loop, behind every entry point above: each
     /// launch's blocks — all of them, or `samples` spread across the grid
-    /// — run as compiled bytecode on `workers` threads.
+    /// — run as compiled bytecode on `workers` threads, stopping early
+    /// once a full run falls below `floor`.
     pub(crate) fn execute(
         &mut self,
         plan: &LaunchPlan,
         workers: usize,
         samples: Option<usize>,
-    ) -> Result<(), ExecError> {
+        floor: Option<f64>,
+    ) -> Result<RunEnd, ExecError> {
+        // Sampled counters are rescaled per launch, so they bound nothing.
+        debug_assert!(samples.is_none() || floor.is_none());
+        let below = |counters: &Counters, device: &DeviceConfig| {
+            floor.is_some_and(|floor| timing::below_floor(counters, device, floor))
+        };
         // Compile every kernel once per plan; all launches (and all
         // blocks) replay the compiled form.
         let compiled: Vec<BcKernel> = plan
@@ -513,10 +555,16 @@ impl GpuSim {
                         &mut self.counters,
                         &mut scratch,
                     );
+                    if below(&self.counters, &self.device) {
+                        return Ok(RunEnd::BelowFloor);
+                    }
                 }
             } else {
                 let blocks: Vec<usize> = (0..take).map(block_at).collect();
                 self.run_blocks_merged(kernel, bc, &launch.params, &blocks, workers, &pools)?;
+                if below(&self.counters, &self.device) {
+                    return Ok(RunEnd::BelowFloor);
+                }
             }
             if samples.is_some() {
                 let delta = self.counters.scaled(n as f64 / take as f64);
@@ -525,7 +573,7 @@ impl GpuSim {
                 self.counters.launches = before.launches;
             }
         }
-        Ok(())
+        Ok(RunEnd::Finished)
     }
 
     /// Runs `blocks` (ascending indices of one launch) on a pool of up to

@@ -75,20 +75,34 @@ pub fn estimate_time(counters: &Counters, device: &DeviceConfig) -> TimeBreakdow
 
 /// Stencil throughput in GStencils/s (point updates per nanosecond).
 pub fn gstencils_per_s(counters: &Counters, device: &DeviceConfig) -> f64 {
+    per_ns(
+        counters.point_updates,
+        estimate_time(counters, device).total,
+    )
+}
+
+/// Whether a run whose counters so far are `counters` can only end below
+/// `floor` GStencils/s. Every term of [`estimate_time`] is a non-negative
+/// multiple of a counter, and counters only grow while `point_updates`
+/// (recorded before the run) stays fixed, so once the time is positive
+/// [`gstencils_per_s`] only falls as the run goes on. Before any time is
+/// counted it reads 0 without bounding anything, so that is never below.
+pub fn below_floor(counters: &Counters, device: &DeviceConfig, floor: f64) -> bool {
     let t = estimate_time(counters, device).total;
-    if t <= 0.0 {
+    t > 0.0 && per_ns(counters.point_updates, t) < floor
+}
+
+/// `count` per nanosecond of `seconds`; 0 when no time was counted.
+fn per_ns(count: u64, seconds: f64) -> f64 {
+    if seconds <= 0.0 {
         return 0.0;
     }
-    counters.point_updates as f64 / t / 1e9
+    count as f64 / seconds / 1e9
 }
 
 /// Arithmetic throughput in GFLOPS.
 pub fn gflops(counters: &Counters, device: &DeviceConfig) -> f64 {
-    let t = estimate_time(counters, device).total;
-    if t <= 0.0 {
-        return 0.0;
-    }
-    counters.flops as f64 / t / 1e9
+    per_ns(counters.flops, estimate_time(counters, device).total)
 }
 
 #[cfg(test)]
