@@ -178,9 +178,10 @@ impl std::error::Error for ExecError {}
 pub enum RunEnd {
     /// Every block of every launch ran.
     Finished,
-    /// The counters so far already put [`timing::gstencils_per_s`] below
-    /// the floor, so the whole run would end below it too
-    /// ([`timing::below_floor`]); the run stopped there.
+    /// The counters so far, with every launch of the plan counted, already
+    /// put [`timing::gstencils_per_s`] below the floor, so the whole run
+    /// would end below it too ([`timing::below_floor`]); the run stopped
+    /// there.
     BelowFloor,
 }
 
@@ -435,13 +436,17 @@ impl GpuSim {
     }
 
     /// [`GpuSim::try_run_plan_parallel_with`] that stops as soon as the
-    /// run can only end below `floor` GStencils/s: the check runs after
-    /// each block with one worker, after each merged launch with several.
+    /// run can only end below `floor` GStencils/s: the check runs before
+    /// the first block, then after each block with one worker and after
+    /// each merged launch with several, on the counters so far with the
+    /// overhead of every launch of the plan already counted (each of them
+    /// is charged by the end).
     /// A run that returns [`RunEnd::Finished`] has exactly the grids and
     /// counters of an unbounded one; after [`RunEnd::BelowFloor`] only
-    /// the counters are meaningful, as a lower bound of the whole run's
-    /// (so [`timing::gstencils_per_s`] of them is an upper bound of its
-    /// throughput, and below `floor`).
+    /// the counters are meaningful: those of the blocks that ran, with
+    /// every launch counted — a lower bound of the whole run's, so
+    /// [`timing::gstencils_per_s`] of them is an upper bound of its
+    /// throughput, and below `floor`.
     ///
     /// # Errors
     ///
@@ -493,9 +498,25 @@ impl GpuSim {
     ) -> Result<RunEnd, ExecError> {
         // Sampled counters are rescaled per launch, so they bound nothing.
         debug_assert!(samples.is_none() || floor.is_none());
-        let below = |counters: &Counters, device: &DeviceConfig| {
-            floor.is_some_and(|floor| timing::below_floor(counters, device, floor))
+        // Every launch of the plan is charged by the end of a run, so a
+        // bounded run checks its counters so far with all of them counted,
+        // and stops holding those counters.
+        let launches_at_end = self.counters.launches + plan.launches.len() as u64;
+        let stop = |counters: &mut Counters, device: &DeviceConfig| {
+            let Some(floor) = floor else { return false };
+            let at_least = Counters {
+                launches: launches_at_end,
+                ..*counters
+            };
+            let below = timing::below_floor(&at_least, device, floor);
+            if below {
+                *counters = at_least;
+            }
+            below
         };
+        if stop(&mut self.counters, &self.device) {
+            return Ok(RunEnd::BelowFloor);
+        }
         // Compile every kernel once per plan; all launches (and all
         // blocks) replay the compiled form.
         let compiled: Vec<BcKernel> = plan
@@ -555,14 +576,14 @@ impl GpuSim {
                         &mut self.counters,
                         &mut scratch,
                     );
-                    if below(&self.counters, &self.device) {
+                    if stop(&mut self.counters, &self.device) {
                         return Ok(RunEnd::BelowFloor);
                     }
                 }
             } else {
                 let blocks: Vec<usize> = (0..take).map(block_at).collect();
                 self.run_blocks_merged(kernel, bc, &launch.params, &blocks, workers, &pools)?;
-                if below(&self.counters, &self.device) {
+                if stop(&mut self.counters, &self.device) {
                     return Ok(RunEnd::BelowFloor);
                 }
             }
