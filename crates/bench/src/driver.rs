@@ -1253,6 +1253,67 @@ struct TunedRun {
     run: PlanRun,
 }
 
+/// The simulated tuner's scorer: a candidate's plan runs from the
+/// compile's initial grids on its fidelity rung's workload, and the best
+/// finished full-fidelity run is kept.
+struct SimScorer<'a> {
+    program: &'a StencilProgram,
+    device: &'a DeviceConfig,
+    /// Simulator threads per candidate.
+    threads: usize,
+    /// Initial grids and time steps of the proxy rung.
+    proxy: (Vec<Grid>, usize),
+    /// Initial grids and time steps of the full rung: the compile's own.
+    full: (Vec<Grid>, usize),
+    best: Mutex<Option<TunedRun>>,
+}
+
+impl SimScorer<'_> {
+    /// Scores the candidate `model` by simulating its `plan` at `fidelity`:
+    /// the plan's GStencils/s, or for a full-fidelity run that stopped at
+    /// the best finished score so far, an upper bound below that score.
+    /// The proxy rung ranks every candidate, so it runs each to the end.
+    /// `None` — a rejected candidate — when the simulator refuses the plan
+    /// (a write conflict, a worker panic).
+    fn score(&self, model: &TileSizeModel, plan: AlignedPlan, fidelity: Fidelity) -> Option<f64> {
+        let ((init, steps), floor) = match fidelity {
+            Fidelity::Proxy => (&self.proxy, None),
+            Fidelity::Full => (
+                &self.full,
+                lock_ignore_poison(&self.best).as_ref().map(|b| b.score),
+            ),
+        };
+        let run = simulate_plan(
+            self.program,
+            self.device,
+            init,
+            &plan,
+            *steps,
+            self.threads,
+            floor,
+        );
+        let (sim, end) = run.ok()?;
+        let score = timing::gstencils_per_s(sim.counters(), sim.device());
+        if fidelity == Fidelity::Full && end == RunEnd::Finished {
+            let ratio = model.ratio();
+            let mut best = lock_ignore_poison(&self.best);
+            // An exact tie keeps the earlier run.
+            if best
+                .as_ref()
+                .is_none_or(|b| rank_order((score, ratio), (b.score, b.ratio)).is_lt())
+            {
+                *best = Some(TunedRun {
+                    params: model.params.clone(),
+                    score,
+                    ratio,
+                    run: (plan, sim),
+                });
+            }
+        }
+        Some(score)
+    }
+}
+
 /// The sweep's final ranking, as an order of `(score, load-to-compute
 /// ratio)` pairs: the higher score first, then the lower ratio.
 fn rank_order(
@@ -1346,16 +1407,14 @@ fn choose_plan(
     let (dims, steps) = workload(program, cfg);
     let (proxy_dims, proxy_steps) = proxy_workload(&dims, steps, cfg.proxy);
     let (workers, sim_threads) = tune_thread_split(cfg);
-    let simulated = cfg.tune == TuneMode::Simulated;
-    let init = |dims: &[usize]| {
-        if simulated {
-            random_init(program, dims, INIT_SEED)
-        } else {
-            Vec::new()
-        }
-    };
-    let (full_init, proxy_init) = (init(&dims), init(&proxy_dims));
-    let best: Mutex<Option<TunedRun>> = Mutex::new(None);
+    let sim_scorer = (cfg.tune == TuneMode::Simulated).then(|| SimScorer {
+        program,
+        device: &cfg.device,
+        threads: sim_threads,
+        proxy: (random_init(program, &proxy_dims, INIT_SEED), proxy_steps),
+        full: (random_init(program, &dims, INIT_SEED), steps),
+        best: Mutex::new(None),
+    });
     let score_model = |model: &TileSizeModel, fidelity: Fidelity| -> Option<f64> {
         #[cfg(test)]
         if let Some(f) = cfg.scorer {
@@ -1377,51 +1436,16 @@ fn choose_plan(
                 Some(-model.ratio())
             }
             TuneMode::Simulated => {
-                let (sdims, ssteps, init) = match fidelity {
-                    Fidelity::Proxy => (&proxy_dims, proxy_steps, &proxy_init),
-                    Fidelity::Full => (&dims, steps, &full_init),
+                let (sdims, ssteps) = match fidelity {
+                    Fidelity::Proxy => (&proxy_dims, proxy_steps),
+                    Fidelity::Full => (&dims, steps),
                 };
                 let geometry = geometry(sdims, ssteps)?;
                 if geometry.shared_bytes() > cfg.device.shared_limit {
                     return None;
                 }
                 let plan = (geometry.build_plan(), geometry.alignment_offset_words());
-                // The proxy rung ranks every candidate, so each runs to
-                // the end; the full rung stops one that cannot win.
-                let floor = match fidelity {
-                    Fidelity::Proxy => None,
-                    Fidelity::Full => lock_ignore_poison(&best).as_ref().map(|b| b.score),
-                };
-                // A plan the simulator refuses (a write conflict, a
-                // worker panic) is a rejected candidate.
-                let (sim, end) = simulate_plan(
-                    program,
-                    &cfg.device,
-                    init,
-                    &plan,
-                    ssteps,
-                    sim_threads,
-                    floor,
-                )
-                .ok()?;
-                let score = timing::gstencils_per_s(sim.counters(), sim.device());
-                if fidelity == Fidelity::Full && end == RunEnd::Finished {
-                    let ratio = model.ratio();
-                    let mut best = lock_ignore_poison(&best);
-                    // An exact tie keeps the earlier run.
-                    if best
-                        .as_ref()
-                        .is_none_or(|b| rank_order((score, ratio), (b.score, b.ratio)).is_lt())
-                    {
-                        *best = Some(TunedRun {
-                            params: model.params.clone(),
-                            score,
-                            ratio,
-                            run: (plan, sim),
-                        });
-                    }
-                }
-                Some(score)
+                sim_scorer.as_ref()?.score(model, plan, fidelity)
             }
         }
     };
@@ -1502,7 +1526,8 @@ fn choose_plan(
             .sort_by(|a, b| rank_order((a.score, a.model.ratio()), (b.score, b.model.ratio())));
     }
     stats.tune_wall_ms = (tune_start.elapsed().as_millis() as u64).max(1);
-    let kept = best.into_inner().unwrap_or_else(|p| p.into_inner());
+    let kept =
+        sim_scorer.and_then(|scorer| scorer.best.into_inner().unwrap_or_else(|p| p.into_inner()));
     match report.best() {
         Some(winner) => {
             stats.warm_start_hit = hint_params.contains(&winner.model.params);
@@ -2949,6 +2974,72 @@ gradient2d | NVS 5200M | ladder | h 3 w [5, 32] | 0.24871616932685633 GStencils/
         }
         assert_eq!(got, pinned, "served winners moved; now:\n{got}");
         let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_plan_the_simulator_refuses_is_a_rejected_candidate() {
+        // Each block copies its own element of plane 0 to element 0 of
+        // plane 1: two blocks of one launch write different values to one
+        // location, which the merge of a two-thread run refuses. The
+        // scorer rejects the candidate rather than panic the request, and
+        // keeps no run of it.
+        use gpu_codegen::ir::{FExpr, IExpr, Kernel, Launch, LaunchPlan, PoolBuilder, Stmt};
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/stencils");
+        let src = fs::read_to_string(root.join("wave1d.stencil")).unwrap();
+        let program = parse_stencil("wave1d", &src).unwrap();
+        let p = PoolBuilder::default();
+        let (block, zero, one) = (p.iexpr(IExpr::BlockIdx), p.lit(0), p.lit(1));
+        let body = vec![
+            Stmt::GlobalLoad {
+                dst: 0,
+                field: 0,
+                plane: zero,
+                index: p.indices(&[block]),
+            },
+            Stmt::GlobalStore {
+                field: 0,
+                plane: one,
+                index: p.indices(&[zero]),
+                src: p.fexpr(FExpr::Reg(0)),
+            },
+        ];
+        let kernel = Kernel {
+            name: "race".into(),
+            block_dim: [32, 1, 1],
+            shared: vec![],
+            n_vars: 0,
+            n_regs: 1,
+            n_params: 0,
+            pool: Arc::new(p.finish()),
+            body,
+        };
+        let plan = LaunchPlan {
+            kernels: vec![kernel],
+            launches: vec![Launch {
+                kernel: 0,
+                params: vec![],
+                blocks: 2,
+            }],
+            description: "write race".into(),
+        };
+        let device = DeviceConfig::gtx470();
+        let dims = [64];
+        let scorer = SimScorer {
+            program: &program,
+            device: &device,
+            threads: 2,
+            proxy: (random_init(&program, &dims, INIT_SEED), 2),
+            full: (random_init(&program, &dims, INIT_SEED), 2),
+            best: Mutex::new(None),
+        };
+        let model = TileEvaluator::new(&program)
+            .unwrap()
+            .evaluate(&TileParams::new(3, &[5]))
+            .unwrap();
+        for fidelity in [Fidelity::Proxy, Fidelity::Full] {
+            assert_eq!(scorer.score(&model, (plan.clone(), 0), fidelity), None);
+        }
+        assert!(scorer.best.into_inner().unwrap().is_none());
     }
 
     /// Plants a lock file nobody holds, dated `mtime`, where `compile_file`
