@@ -104,19 +104,6 @@ pub fn simulate_score_with(
     opts: CodegenOptions,
 ) -> Option<f64> {
     let geometry = HybridGeometry::new(program, params, dims, steps, opts).ok()?;
-    simulate_geometry(&geometry, program, device, dims, steps, threads)
-}
-
-/// [`simulate_score_with`] for a candidate whose `geometry` (of `program`
-/// on `dims` × `steps`) the caller already derived.
-pub(crate) fn simulate_geometry(
-    geometry: &HybridGeometry<'_>,
-    program: &StencilProgram,
-    device: &DeviceConfig,
-    dims: &[usize],
-    steps: usize,
-    threads: usize,
-) -> Option<f64> {
     if geometry.shared_bytes() > device.shared_limit {
         return None;
     }

@@ -441,6 +441,7 @@ impl GpuSim {
     /// each merged launch with several, on the counters so far with the
     /// overhead of every launch of the plan already counted (each of them
     /// is charged by the end).
+    ///
     /// A run that returns [`RunEnd::Finished`] has exactly the grids and
     /// counters of an unbounded one; after [`RunEnd::BelowFloor`] only
     /// the counters are meaningful: those of the blocks that ran, with

@@ -75,10 +75,11 @@ pub fn estimate_time(counters: &Counters, device: &DeviceConfig) -> TimeBreakdow
 
 /// Stencil throughput in GStencils/s (point updates per nanosecond).
 pub fn gstencils_per_s(counters: &Counters, device: &DeviceConfig) -> f64 {
-    per_ns(
-        counters.point_updates,
-        estimate_time(counters, device).total,
-    )
+    let t = estimate_time(counters, device).total;
+    if t <= 0.0 {
+        return 0.0;
+    }
+    counters.point_updates as f64 / t / 1e9
 }
 
 /// Whether a run whose counters so far are `counters` can only end below
@@ -88,21 +89,16 @@ pub fn gstencils_per_s(counters: &Counters, device: &DeviceConfig) -> f64 {
 /// [`gstencils_per_s`] only falls as the run goes on. Before any time is
 /// counted it reads 0 without bounding anything, so that is never below.
 pub fn below_floor(counters: &Counters, device: &DeviceConfig, floor: f64) -> bool {
-    let t = estimate_time(counters, device).total;
-    t > 0.0 && per_ns(counters.point_updates, t) < floor
-}
-
-/// `count` per nanosecond of `seconds`; 0 when no time was counted.
-fn per_ns(count: u64, seconds: f64) -> f64 {
-    if seconds <= 0.0 {
-        return 0.0;
-    }
-    count as f64 / seconds / 1e9
+    estimate_time(counters, device).total > 0.0 && gstencils_per_s(counters, device) < floor
 }
 
 /// Arithmetic throughput in GFLOPS.
 pub fn gflops(counters: &Counters, device: &DeviceConfig) -> f64 {
-    per_ns(counters.flops, estimate_time(counters, device).total)
+    let t = estimate_time(counters, device).total;
+    if t <= 0.0 {
+        return 0.0;
+    }
+    counters.flops as f64 / t / 1e9
 }
 
 #[cfg(test)]
